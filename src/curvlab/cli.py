@@ -13,8 +13,7 @@ Metric references are ``builtin:name(args)`` or ``file:path`` where the file
 holds a JSON metric payload.  Reports are JSON with sorted keys; identical
 configuration and seed produce byte-identical output.  Every report embeds
 its resolved configuration and the derivative scheme behind the numbers.
-CSV output exists only for the flow time series.  ``CURVLAB_THREADS`` caps
-the parallelism of the scan subcommand.
+CSV output exists only for the flow time series.
 
 Exit codes: 0 success, 1 tolerance breach, 2 configuration error,
 3 numerical failure.
@@ -542,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvlab",
         description="numerical laboratory for Hermitian metrics on charts",
-        epilog="CURVLAB_THREADS caps scan parallelism.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 

@@ -15,17 +15,16 @@ target side (real bisectional curvature) the correction weight is
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .chern import ChernPoint, q_squared_frame, ricci_traces
+from .chern import ChernPoint, q_squared_frame
 from .errors import ConfigError
-from .tensor_core import PSDForm, hermitian_part, psd_project
+from .tensor_core import PSDForm, hermitian_part, psd_project, psd_project_batch
 
 __all__ = [
     "TauParam",
@@ -83,10 +82,46 @@ class TauParam:
         return (1.0 - 1.0 / self.value) / 4.0
 
 
-def _real(value: complex, label: str) -> float:
-    if abs(value.imag) > _IMAG_TOL * max(1.0, abs(value.real)):
-        raise ConfigError(f"{label} should be real, got imaginary part {value.imag:.3e}")
-    return float(value.real)
+def _real(values, label: str, scale=1.0):
+    """``values / scale`` for real ``scale``; ConfigError unless every result is real."""
+    real = values.real / scale
+    imag = values.imag / scale
+    excess = np.abs(imag) > _IMAG_TOL * np.maximum(1.0, np.abs(real))
+    if np.any(excess):
+        worst = np.ravel(imag)[np.argmax(excess)]
+        raise ConfigError(f"{label} should be real, got imaginary part {worst:.3e}")
+    return real
+
+
+def _rank_one(vectors: np.ndarray) -> np.ndarray:
+    """The forms ``v v^H``, ``(B, n, n)``, of the rows ``v`` of ``(B, n)``."""
+    return vectors[:, :, None] * np.conj(vectors[:, None, :])
+
+
+def _form_values(tensor: np.ndarray, forms: np.ndarray, label: str) -> np.ndarray:
+    """``tensor[a, b, c, d] xi[a, b] xi[c, d] / |xi|^2`` for every ``xi`` of ``(B, n, n)``.
+
+    On rank-one ``zeta zeta^H`` this is sectional curvature: ``|zeta zeta^H| = |zeta|^2``.
+    """
+    norm2 = np.real(np.sum(forms * np.conj(forms), axis=(1, 2)))
+    if np.any(norm2 == 0.0):
+        raise ConfigError(f"{label} needs a nonzero argument")
+    return _real(_pairing(tensor, forms, forms), label, norm2)
+
+
+def _pairing(tensor: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``tensor[a, b, c, d] left[x, a, b] right[x, c, d]`` for every row ``x``."""
+    return np.einsum("abcd,xab,xcd->x", tensor, left, right)
+
+
+def _tempered_tensor(point: ChernPoint, tau: TauParam) -> np.ndarray:
+    """``R - ((1 - tau)/4) T T*`` in the frame; exactly ``R`` at ``tau = 1``."""
+    r = point.curvature_frame
+    weight = tau.target_weight
+    if weight == 0.0:
+        return r
+    t = point.torsion_frame
+    return r - weight * np.einsum("acr,bdr->abcd", t, np.conj(t))
 
 
 def frame_vector(point: ChernPoint, v_chart: np.ndarray) -> np.ndarray:
@@ -96,20 +131,9 @@ def frame_vector(point: ChernPoint, v_chart: np.ndarray) -> np.ndarray:
 
 def hsc(point: ChernPoint, zeta: np.ndarray) -> float:
     """Holomorphic sectional curvature of the frame vector ``zeta``."""
-    zeta = np.asarray(zeta, dtype=complex)
-    norm2 = float(np.real(np.vdot(zeta, zeta)))
-    if norm2 == 0.0:
-        raise ConfigError("sectional curvature needs a nonzero vector")
-    value = np.einsum(
-        "abcd,a,b,c,d->",
-        point.curvature_frame,
-        zeta,
-        np.conj(zeta),
-        zeta,
-        np.conj(zeta),
-        optimize=True,
-    )
-    return _real(complex(value) / norm2**2, "holomorphic sectional curvature")
+    forms = _rank_one(np.asarray(zeta, dtype=complex)[None])
+    value = _form_values(point.curvature_frame, forms, "holomorphic sectional curvature")
+    return float(value[0])
 
 
 def hbc(point: ChernPoint, zeta: np.ndarray, nu: np.ndarray) -> float:
@@ -119,22 +143,13 @@ def hbc(point: ChernPoint, zeta: np.ndarray, nu: np.ndarray) -> float:
     norm2 = float(np.real(np.vdot(zeta, zeta))) * float(np.real(np.vdot(nu, nu)))
     if norm2 == 0.0:
         raise ConfigError("bisectional curvature needs nonzero vectors")
-    value = np.einsum(
-        "abcd,a,b,c,d->",
-        point.curvature_frame,
-        zeta,
-        np.conj(zeta),
-        nu,
-        np.conj(nu),
-        optimize=True,
-    )
-    return _real(complex(value) / norm2, "holomorphic bisectional curvature")
+    value = _pairing(point.curvature_frame, _rank_one(zeta[None]), _rank_one(nu[None]))
+    return float(_real(value, "holomorphic bisectional curvature", norm2)[0])
 
 
-def _form_entries(xi: PSDForm | np.ndarray) -> np.ndarray:
-    if isinstance(xi, PSDForm):
-        return xi.entries
-    return np.asarray(xi, dtype=complex)
+def _one_form(xi: PSDForm | np.ndarray) -> np.ndarray:
+    """``xi`` as a batch of one form, ``(1, n, n)``."""
+    return np.asarray(xi.entries if isinstance(xi, PSDForm) else xi, dtype=complex)[None]
 
 
 def rbc(point: ChernPoint, xi: PSDForm | np.ndarray, tau: TauParam) -> float:
@@ -144,18 +159,8 @@ def rbc(point: ChernPoint, xi: PSDForm | np.ndarray, tau: TauParam) -> float:
     and divides by the squared Frobenius norm.  At ``tau = 1`` the torsion
     term drops and rank-one forms reproduce holomorphic sectional curvature.
     """
-    entries = _form_entries(xi)
-    norm2 = float(np.real(np.sum(entries * np.conj(entries))))
-    if norm2 == 0.0:
-        raise ConfigError("real bisectional curvature needs a nonzero form")
-    r = point.curvature_frame
-    value = np.einsum("abcd,ab,cd->", r, entries, entries, optimize=True)
-    weight = tau.target_weight
-    if weight != 0.0:
-        t = point.torsion_frame
-        tt = np.einsum("acr,bdr,ab,cd->", t, np.conj(t), entries, entries, optimize=True)
-        value = value - weight * tt
-    return _real(complex(value) / norm2, "real bisectional curvature")
+    tensor = _tempered_tensor(point, tau)
+    return float(_form_values(tensor, _one_form(xi), "real bisectional curvature")[0])
 
 
 def altered_hsc(point: ChernPoint, xi: PSDForm | np.ndarray) -> float:
@@ -163,14 +168,9 @@ def altered_hsc(point: ChernPoint, xi: PSDForm | np.ndarray) -> float:
 
     For pluriclosed metrics half of this equals ``RBC^0``.
     """
-    entries = _form_entries(xi)
-    norm2 = float(np.real(np.sum(entries * np.conj(entries))))
-    if norm2 == 0.0:
-        raise ConfigError("altered sectional curvature needs a nonzero form")
     r = point.curvature_frame
     total = r + np.transpose(r, (0, 3, 2, 1))
-    value = np.einsum("abcd,ab,cd->", total, entries, entries, optimize=True)
-    return _real(complex(value) / norm2, "altered sectional curvature")
+    return float(_form_values(total, _one_form(xi), "altered sectional curvature")[0])
 
 
 def ric_tau_frame(point: ChernPoint, tau: TauParam) -> np.ndarray:
@@ -190,7 +190,7 @@ def ric_tau(point: ChernPoint, tau: TauParam, jet_ric2: np.ndarray | None = None
     """Tempered Ricci form in chart coordinates."""
     if jet_ric2 is None:
         x = point.g_up
-        ric2 = np.einsum("ij,ijkl->kl", x, point.curvature, optimize=True)
+        ric2 = np.einsum("ij,ijkl->kl", x, point.curvature)
     else:
         ric2 = jet_ric2
     if tau.value == 1.0:
@@ -220,97 +220,101 @@ class BoundCertificate:
     tolerance: float
 
 
-def _fd_gradient(objective: Callable, x: np.ndarray, step: float) -> np.ndarray:
-    grad = np.zeros_like(x)
-    for i in range(len(x)):
-        bumped = x.copy()
-        bumped[i] += step
-        high = objective(bumped)
-        bumped[i] -= 2 * step
-        low = objective(bumped)
-        grad[i] = (high - low) / (2 * step)
-    return grad
-
-
 def _ascend(
-    objective: Callable,
+    objective: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     maximize: bool,
     steps: int,
     base_step: float = 1e-2,
     fd_step: float = 1e-5,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Central-difference gradient ascent of every row of ``x0`` at once.
+
+    ``objective`` maps ``(B, dim)`` rows to ``(B,)`` values.  Each start keeps
+    its own step size and accepted-step count; returns rows, values, counts.
+    """
     x = x0.copy()
     value = objective(x)
-    step = base_step
-    accepted = 0
+    count, dim = x.shape
+    step = np.full(count, base_step)
+    accepted = np.zeros(count, dtype=int)
+    active = np.ones(count, dtype=bool)
+    axis = np.arange(dim)
     for _ in range(steps):
-        grad = _fd_gradient(objective, x, fd_step)
+        live = np.flatnonzero(active)
+        if live.size == 0:
+            break
+        high = np.repeat(x[live, None, :], dim, axis=1)
+        high[:, axis, axis] += fd_step
+        low = high.copy()
+        low[:, axis, axis] -= 2 * fd_step
+        f_high, f_low = objective(np.concatenate([high, low]).reshape(-1, dim)).reshape(2, -1, dim)
+        grad = (f_high - f_low) / (2 * fd_step)
         if not maximize:
             grad = -grad
-        scale = float(np.linalg.norm(grad))
-        if scale == 0.0:
-            break
-        moved = False
-        while step > 1e-14:
-            candidate = x + step * grad / scale
+        scale = np.linalg.norm(grad, axis=1)
+        # a start stops when its gradient vanishes or is not finite, or when
+        # halving its step down to 1e-14 finds no better point
+        moving = np.isfinite(scale) & (scale != 0.0)
+        active[live[~moving]] = False
+        live, grad, scale = live[moving], grad[moving], scale[moving]
+        while live.size:
+            candidate = x[live] + step[live, None] * grad / scale[:, None]
             trial = objective(candidate)
-            better = trial > value if maximize else trial < value
-            if better:
-                x, value = candidate, trial
-                step = min(step * 1.3, 1.0)
-                accepted += 1
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
+            better = trial > value[live] if maximize else trial < value[live]
+            won = live[better]
+            x[won], value[won] = candidate[better], trial[better]
+            step[won] = np.minimum(step[won] * 1.3, 1.0)
+            accepted[won] += 1
+            live, grad, scale = live[~better], grad[~better], scale[~better]
+            step[live] *= 0.5
+            stuck = step[live] <= 1e-14
+            active[live[stuck]] = False
+            live, grad, scale = live[~stuck], grad[~stuck], scale[~stuck]
     return x, value, accepted
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CURVLAB_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"CURVLAB_THREADS must be an integer, got '{raw}'") from exc
-    return max(1, count)
-
-
 def _multistart(
-    objective: Callable,
+    objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     draw_start: Callable[[np.random.Generator], np.ndarray],
+    witness: Callable[[np.ndarray], np.ndarray],
     kind: str,
     seed: int,
     starts: int,
     steps: int,
-) -> tuple[np.ndarray, float, int]:
+) -> BoundCertificate:
+    """Ascend from ``starts`` seeded draws and certify the best end point.
+
+    ``objective`` returns ``(values, keep)``: values for the rows ``keep``
+    selects; the other rows are outside the domain and score worst.
+    """
     if kind not in ("sup", "inf"):
         raise ConfigError(f"extremizer kind must be 'sup' or 'inf', got '{kind}'")
+    if starts < 1:
+        raise ConfigError(f"the ascent needs at least one start, got {starts}")
+    if steps < 0:
+        raise ConfigError(f"ascent steps must be nonnegative, got {steps}")
     maximize = kind == "sup"
+
+    def scored(params: np.ndarray) -> np.ndarray:
+        values, keep = objective(params)
+        full = np.full(len(params), -math.inf if maximize else math.inf)
+        full[keep] = values
+        return full
+
     rng = np.random.default_rng(seed)
-    initial = [draw_start(rng) for _ in range(starts)]
-
-    def run(index: int) -> tuple[np.ndarray, float, int]:
-        return _ascend(objective, initial[index], maximize, steps)
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(starts)))
-    else:
-        results = [run(i) for i in range(starts)]
-
-    # deterministic reduction: best value, ties broken by start index
-    best_index = 0
-    best_value = results[0][1]
-    total_accepted = 0
-    for i, (_, value, accepted) in enumerate(results):
-        total_accepted += accepted
-        better = value > best_value if maximize else value < best_value
-        if better:
-            best_index, best_value = i, value
-    return results[best_index][0], best_value, total_accepted
+    initial = np.array([draw_start(rng) for _ in range(starts)])
+    params, values, accepted = _ascend(scored, initial, maximize, steps)
+    # deterministic reduction: best value, ties broken by the lowest start index
+    best = int(np.argmax(values) if maximize else np.argmin(values))
+    return BoundCertificate(
+        kind=kind,
+        value=float(values[best]),
+        witness=witness(params[best]),
+        samples=starts,
+        ascent_iterations=int(accepted.sum()),
+        tolerance=1e-12,
+    )
 
 
 def extremize_hsc(
@@ -327,52 +331,36 @@ def extremize_hsc(
     normalised at the end.
     """
     n = point.g.shape[0]
+    r = point.curvature_frame
 
     def unpack(params: np.ndarray) -> np.ndarray:
-        return params[:n] + 1j * params[n:]
+        zeta = params[..., :n] + 1j * params[..., n:]
+        return zeta / np.linalg.norm(zeta, axis=-1, keepdims=True)
 
-    def objective(params: np.ndarray) -> float:
-        zeta = unpack(params)
-        norm = float(np.linalg.norm(zeta))
-        if norm < 1e-12:
-            return -math.inf if kind == "sup" else math.inf
-        return hsc(point, zeta / norm)
+    def objective(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        keep = np.linalg.norm(params, axis=1) >= 1e-12
+        forms = _rank_one(unpack(params[keep]))
+        return _form_values(r, forms, "holomorphic sectional curvature"), keep
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         raw = rng.normal(size=2 * n)
         return raw / np.linalg.norm(raw)
 
-    params, value, accepted = _multistart(objective, draw, kind, seed, starts, steps)
-    witness = unpack(params)
-    witness = witness / np.linalg.norm(witness)
-    return BoundCertificate(
-        kind=kind,
-        value=value,
-        witness=witness,
-        samples=starts,
-        ascent_iterations=accepted,
-        tolerance=1e-12,
-    )
+    return _multistart(objective, draw, unpack, kind, seed, starts, steps)
 
 
-def _hermitian_basis(n: int) -> list[np.ndarray]:
-    basis = []
-    for k in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[k, k] = 1.0
-        basis.append(m)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for k in range(n):
-        for l in range(k + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[k, l] = inv_sqrt2
-            m[l, k] = inv_sqrt2
-            basis.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[k, l] = 1j * inv_sqrt2
-            m[l, k] = -1j * inv_sqrt2
-            basis.append(m)
-    return basis
+def _hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal real basis of the Hermitian ``n x n`` matrices, ``(n*n, n, n)``.
+
+    The diagonal units come first, then for each ``k < l`` the symmetric and
+    the antisymmetric pair on ``(k, l)``, ``(l, k)``.
+    """
+    unit = np.eye(n * n, dtype=complex).reshape(n, n, n, n)
+    s = 1.0 / math.sqrt(2.0)
+    basis = [unit[k, k] for k in range(n)]
+    for k, l in itertools.combinations(range(n), 2):
+        basis += [s * unit[k, l] + s * unit[l, k], 1j * s * unit[k, l] - 1j * s * unit[l, k]]
+    return np.array(basis)
 
 
 def extremize_rbc(
@@ -391,39 +379,25 @@ def extremize_rbc(
     """
     n = point.g.shape[0]
     basis = _hermitian_basis(n)
-    dim = len(basis)
+    tensor = _tempered_tensor(point, tau)
 
     def unpack(params: np.ndarray) -> np.ndarray:
-        m = np.zeros((n, n), dtype=complex)
-        for coeff, element in zip(params, basis):
-            m = m + coeff * element
-        return m
+        return np.tensordot(params, basis, axes=1)
 
-    def objective(params: np.ndarray) -> float:
+    def objective(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = unpack(params)
-        if float(np.linalg.norm(m)) < 1e-12:
-            return -math.inf if kind == "sup" else math.inf
-        try:
-            form = psd_project(m)
-        except Exception:
-            return -math.inf if kind == "sup" else math.inf
-        return rbc(point, form, tau)
+        # a collapsed projection (no positive part) is masked, never raised
+        forms, keep = psd_project_batch(m)
+        keep &= np.linalg.norm(m, axis=(1, 2)) >= 1e-12
+        return _form_values(tensor, forms[keep], "real bisectional curvature"), keep
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h = hermitian_part(raw @ raw.conj().T)
-        coeffs = np.array(
-            [float(np.real(np.sum(h * np.conj(e)))) for e in basis]
-        )
+        coeffs = np.array([float(np.real(np.sum(h * np.conj(e)))) for e in basis])
         return coeffs / np.linalg.norm(coeffs)
 
-    params, value, accepted = _multistart(objective, draw, kind, seed, starts, steps)
-    witness = psd_project(unpack(params))
-    return BoundCertificate(
-        kind=kind,
-        value=value,
-        witness=witness.entries,
-        samples=starts,
-        ascent_iterations=accepted,
-        tolerance=1e-12,
-    )
+    def witness(params: np.ndarray) -> np.ndarray:
+        return psd_project(unpack(params)).entries
+
+    return _multistart(objective, draw, witness, kind, seed, starts, steps)

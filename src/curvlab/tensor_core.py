@@ -36,6 +36,7 @@ __all__ = [
     "hermitian_part",
     "metric_inverse_up",
     "psd_project",
+    "psd_project_batch",
     "HERMITIAN_TOL",
 ]
 
@@ -217,15 +218,7 @@ class PSDForm:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ConfigError(f"expected a square matrix, got shape {entries.shape}")
-        deviation = float(np.max(np.abs(entries - entries.conj().T)))
-        if deviation > 1e-10:
-            raise ConfigError(f"form is not Hermitian: deviation {deviation:.3e}")
-        eigs = np.linalg.eigvalsh(entries)
-        if eigs[0] < -1e-10:
-            raise ConfigError(f"form is not positive semidefinite: min eig {eigs[0]:.3e}")
-        norm = float(np.linalg.norm(entries))
-        if abs(norm - 1.0) > 1e-10:
-            raise ConfigError(f"form must have unit Frobenius norm, got {norm:.12f}")
+        _check_psd_forms(entries)
 
     @property
     def n(self) -> int:
@@ -241,20 +234,54 @@ class PSDForm:
         return cls(np.outer(zeta, np.conj(zeta)) / norm2)
 
 
-def psd_project(m: np.ndarray) -> PSDForm:
-    """Project a matrix to the unit-Frobenius positive semidefinite cone.
+def _check_psd_forms(entries: np.ndarray) -> None:
+    """ConfigError unless every trailing ``(n, n)`` matrix passes the :class:`PSDForm` checks."""
+    if entries.size == 0:
+        return
+    deviation = float(np.abs(entries - np.conj(np.swapaxes(entries, -2, -1))).max())
+    if deviation > 1e-10:
+        raise ConfigError(f"form is not Hermitian: deviation {deviation:.3e}")
+    min_eig = float(np.linalg.eigvalsh(entries)[..., 0].min())
+    if min_eig < -1e-10:
+        raise ConfigError(f"form is not positive semidefinite: min eig {min_eig:.3e}")
+    norms = np.linalg.norm(entries, axis=(-2, -1)).ravel()
+    worst = float(norms[np.abs(norms - 1.0).argmax()])
+    if abs(worst - 1.0) > 1e-10:
+        raise ConfigError(f"form must have unit Frobenius norm, got {worst:.12f}")
 
-    Hermitises, clips negative eigenvalues to zero, renormalises.  Raises
-    :class:`NumericalError` when the positive part vanishes.
+
+def _project(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`psd_project_batch` without the form checks."""
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise NumericalError("cannot project a matrix with non-finite entries")
+    eigs, vecs = np.linalg.eigh(hermitian_part(m))
+    clipped = (vecs * np.maximum(eigs, 0.0)[..., None, :]) @ np.conj(np.swapaxes(vecs, -2, -1))
+    norm = np.linalg.norm(clipped, axis=(-2, -1))
+    ok = norm > 0.0
+    # a collapsed matrix is all zeros, so dividing it by one keeps it zero
+    entries = hermitian_part(clipped / np.where(ok, norm, 1.0)[..., None, None])
+    return entries, ok
+
+
+def psd_project_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project a stack ``(..., n, n)`` to the unit-Frobenius PSD cone.
+
+    Hermitises, clips negative eigenvalues to zero, renormalises.  Returns
+    ``(entries, ok)``; ``ok`` is False, and the entries zero, where the
+    positive part vanishes.  Raises :class:`NumericalError` on non-finite input.
     """
-    h = hermitian_part(m)
-    eigs, vecs = np.linalg.eigh(h)
-    eigs = np.clip(eigs, 0.0, None)
-    clipped = (vecs * eigs) @ vecs.conj().T
-    norm = float(np.linalg.norm(clipped))
-    if norm <= 0.0:
+    entries, ok = _project(m)
+    _check_psd_forms(entries[ok])
+    return entries, ok
+
+
+def psd_project(m: np.ndarray) -> PSDForm:
+    """One matrix projected as a :class:`PSDForm`; NumericalError if it collapses."""
+    entries, ok = _project(np.asarray(m)[None])
+    if not ok[0]:
         raise NumericalError("projection collapsed to zero: no positive part")
-    return PSDForm(hermitian_part(clipped / norm))
+    return PSDForm(entries[0])
 
 
 @dataclass(frozen=True)

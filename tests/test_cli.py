@@ -232,6 +232,18 @@ class TestScan:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--starts", "0"], ["--starts", "-3"], ["--ascent-steps", "-1"]]
+    )
+    @pytest.mark.parametrize("functional", ["hsc", "rbc"])
+    def test_bad_scan_sizes_are_config_errors(self, capsys, flags, functional):
+        code, out, err = run_cli(
+            ["scan", "--metric", "builtin:F4", "--functional", functional, *flags], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestSchwarz:
     def test_identity_map_between_metrics(self, capsys):

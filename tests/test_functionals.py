@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvlab import functionals
 from curvlab.chern import ChernPoint, pluriclosed_residuals
-from curvlab.errors import ConfigError
+from curvlab.errors import ConfigError, NumericalError
 from curvlab.functionals import (
     BoundCertificate,
     TauParam,
@@ -33,7 +34,7 @@ from curvlab.functionals import (
     ric_tau,
     ric_tau_frame,
 )
-from curvlab.metric_model import DEFAULT_SCHEME, fixture, metric_jet
+from curvlab.metric_model import DEFAULT_SCHEME, builtin_metric, fixture, metric_jet
 from curvlab.tensor_core import PSDForm, psd_project
 
 
@@ -234,16 +235,163 @@ class TestExtremizers:
             assert probe <= sup.value + 1e-9, f"probe {probe} above sup {sup.value}"
             assert probe >= inf.value - 1e-9, f"probe {probe} below inf {inf.value}"
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        pt = point_of("F2", [0.0, 0.0])
-        monkeypatch.delenv("CURVLAB_THREADS", raising=False)
-        serial = extremize_hsc(pt, "inf", seed=9, starts=8, steps=50)
-        monkeypatch.setenv("CURVLAB_THREADS", "4")
-        threaded = extremize_hsc(pt, "inf", seed=9, starts=8, steps=50)
-        assert serial.value == threaded.value
-        assert np.array_equal(serial.witness, threaded.witness)
+    def test_batched_ascent_is_deterministic(self):
+        pt = point_of("F1", [0.05, -0.02 + 0.01j])
+        tau = TauParam(0.5, "target")
+        for run in (
+            lambda: extremize_hsc(pt, "inf", seed=9, starts=8, steps=50),
+            lambda: extremize_rbc(pt, tau, "sup", seed=9, starts=8, steps=50),
+        ):
+            first, second = run(), run()
+            assert first.value == second.value
+            assert np.array_equal(first.witness, second.witness)
+            assert first.ascent_iterations == second.ascent_iterations
+
+    @pytest.mark.parametrize("kind", ["sup", "inf"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_starts_advance_independently(self, kind, seed):
+        # the first four draws of a seed are shared, and no start's path
+        # depends on the others, so more starts can only match or improve
+        pt = point_of("F3", [0.6, -0.3 + 0.2j])
+        tau = TauParam(0.0, "target")
+        better = (lambda a, b: a >= b) if kind == "sup" else (lambda a, b: a <= b)
+        four = extremize_hsc(pt, kind, seed=seed, starts=4, steps=30)
+        eight = extremize_hsc(pt, kind, seed=seed, starts=8, steps=30)
+        assert better(eight.value, four.value)
+        four = extremize_rbc(pt, tau, kind, seed=seed, starts=4, steps=30)
+        eight = extremize_rbc(pt, tau, kind, seed=seed, starts=8, steps=30)
+        assert better(eight.value, four.value)
+
+    def test_bad_sizes_rejected(self):
+        pt = point_of("F4", [0.0, 0.0])
+        tau = TauParam(0.0, "target")
+        for starts, steps in ((0, 5), (-2, 5), (2, -1)):
+            with pytest.raises(ConfigError):
+                extremize_hsc(pt, "sup", starts=starts, steps=steps)
+            with pytest.raises(ConfigError):
+                extremize_rbc(pt, tau, "sup", starts=starts, steps=steps)
+        cert = extremize_rbc(pt, tau, "sup", starts=3, steps=0)
+        assert cert.ascent_iterations == 0
+
+    def test_projection_errors_propagate(self, monkeypatch):
+        # only a collapsed projection is masked; any other failure surfaces
+        def failing(m):
+            raise NumericalError("eigensolver failed")
+
+        monkeypatch.setattr(functionals, "psd_project_batch", failing)
+        pt = point_of("F1", [0.0, 0.0])
+        with pytest.raises(NumericalError, match="eigensolver"):
+            extremize_rbc(pt, TauParam(0.0, "target"), "sup", starts=2, steps=3)
 
     def test_bad_kind_rejected(self):
         pt = point_of("F4", [0.0, 0.0])
         with pytest.raises(ConfigError):
             extremize_hsc(pt, "max", starts=2, steps=5)
+
+
+# Certificates of the one-start-at-a-time ascent that the batched ascent
+# replaced, at 4 starts x 30 steps with seed 0.  The batched ascent runs the
+# same iterates, so its values agree to round-off.
+PINNED_POINTS = {
+    "F1": (fixture("F1"), [0.05, -0.02 + 0.01j]),
+    "P2": (builtin_metric("poincare_polydisk", 2), [0.3, -0.2j]),
+    "H2": (builtin_metric("hopf", 2), [0.6, -0.3 + 0.2j]),
+}
+PINNED = {
+    ("F1", "hsc", "sup"): -0.0865294250163503,
+    ("F1", "rbc0", "sup"): -0.08652942501635018,
+    ("F1", "rbc1", "sup"): 0.364421087337342,
+    ("F1", "rbc2", "sup"): 1.306477143540054,
+    ("F1", "hsc", "inf"): -0.10695801945477834,
+    ("F1", "rbc0", "inf"): -0.577932478563351,
+    ("F1", "rbc1", "inf"): -0.10695801945477838,
+    ("F1", "rbc2", "inf"): -0.1069580194547785,
+    ("P2", "hsc", "sup"): -0.9999999999999998,
+    ("P2", "rbc0", "sup"): -1.0,
+    ("P2", "rbc1", "sup"): -1.0,
+    ("P2", "rbc2", "sup"): -1.0,
+    ("P2", "hsc", "inf"): -2.0000000000000018,
+    ("P2", "rbc0", "inf"): -2.000000000000001,
+    ("P2", "rbc1", "inf"): -2.000000000000001,
+    ("P2", "rbc2", "inf"): -2.000000000000001,
+    ("H2", "hsc", "sup"): 1.0000000000000002,
+    ("H2", "rbc0", "sup"): 1.0590169943749477,
+    ("H2", "rbc1", "sup"): 1.2071067811865477,
+    ("H2", "rbc2", "sup"): 1.4013878188659974,
+    ("H2", "hsc", "inf"): 8.709569932178643e-18,
+    ("H2", "rbc0", "inf"): 3.4694469519536134e-18,
+    ("H2", "rbc1", "inf"): -2.7755575615628914e-17,
+    ("H2", "rbc2", "inf"): -6.938893903907228e-18,
+}
+
+
+@pytest.mark.parametrize("name,functional,kind", sorted(PINNED))
+def test_pinned_certificates(name, functional, kind):
+    spec, z = PINNED_POINTS[name]
+    pt = ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
+    if functional == "hsc":
+        cert = extremize_hsc(pt, kind, seed=0, starts=4, steps=30)
+    else:
+        tau = TauParam(float(functional[3:]), "target")
+        cert = extremize_rbc(pt, tau, kind, seed=0, starts=4, steps=30)
+    assert abs(cert.value - PINNED[name, functional, kind]) <= 1e-12
+
+
+def scalar_hsc(r, zeta):
+    """The one-vector holomorphic sectional curvature formula, as a loop body."""
+    value = np.einsum("abcd,a,b,c,d->", r, zeta, np.conj(zeta), zeta, np.conj(zeta), optimize=True)
+    return float(np.real(value)) / float(np.real(np.vdot(zeta, zeta))) ** 2
+
+
+def scalar_rbc(r, t, weight, xi):
+    """The one-form tempered real bisectional curvature formula, as a loop body."""
+    value = np.einsum("abcd,ab,cd->", r, xi, xi, optimize=True)
+    if weight != 0.0:
+        value = value - weight * np.einsum("acr,bdr,ab,cd->", t, np.conj(t), xi, xi, optimize=True)
+    return float(np.real(value)) / float(np.real(np.sum(xi * np.conj(xi))))
+
+
+KERNEL_POINTS = [
+    ("F1", [0.05, -0.02 + 0.01j]),
+    ("F3", [0.6, -0.3 + 0.2j]),
+    ("hopf3", [0.5, 0.2j, -0.3]),
+]
+
+
+def kernel_point(name, z):
+    spec = builtin_metric("hopf", 3) if name == "hopf3" else fixture(name)
+    return ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
+
+
+@given(
+    which=st.integers(min_value=0, max_value=len(KERNEL_POINTS) - 1),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    batch=st.integers(min_value=1, max_value=12),
+    tau=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_kernels_match_scalar_loop(which, seed, batch, tau):
+    pt = kernel_point(*KERNEL_POINTS[which])
+    n = pt.g.shape[0]
+    rng = np.random.default_rng(seed)
+    zeta = rng.normal(size=(batch, n)) + 1j * rng.normal(size=(batch, n))
+    got = functionals._form_values(
+        pt.curvature_frame, functionals._rank_one(zeta), "sectional curvature"
+    )
+    want = [scalar_hsc(pt.curvature_frame, z) for z in zeta]
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+    # PSD forms of every rank from 1 to n, unnormalised
+    ranks = rng.integers(1, n + 1, size=batch)
+    forms = np.zeros((batch, n, n), dtype=complex)
+    for i, rank in enumerate(ranks):
+        v = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+        forms[i] = v @ v.conj().T
+    tau_param = TauParam(tau, "target")
+    tensor = functionals._tempered_tensor(pt, tau_param)
+    got = functionals._form_values(tensor, forms, "real bisectional curvature")
+    want = [
+        scalar_rbc(pt.curvature_frame, pt.torsion_frame, tau_param.target_weight, xi)
+        for xi in forms
+    ]
+    assert np.max(np.abs(got - want)) <= 1e-13

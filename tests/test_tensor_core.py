@@ -17,6 +17,7 @@ from curvlab.tensor_core import (
     hermitian_part,
     metric_inverse_up,
     psd_project,
+    psd_project_batch,
 )
 
 
@@ -198,3 +199,46 @@ class TestPSD:
             return
         form = psd_project(m)
         assert form.n == 3
+
+
+def loop_projection(m):
+    """The one-matrix projection: Hermitise, clip, renormalise; None if collapsed."""
+    eigs, vecs = np.linalg.eigh(hermitian_part(m))
+    clipped = (vecs * np.clip(eigs, 0.0, None)) @ vecs.conj().T
+    norm = float(np.linalg.norm(clipped))
+    return None if norm <= 0.0 else hermitian_part(clipped / norm)
+
+
+class TestPSDBatch:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=1, max_value=3),
+        batch=st.integers(min_value=1, max_value=10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_loop_and_masks_collapse(self, seed, n, batch):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(batch, n, n)) + 1j * rng.normal(size=(batch, n, n))
+        # rank-deficient positive parts, and some with none at all
+        for i in range(batch):
+            signs = rng.choice([-1.0, 0.0, 1.0], size=n)
+            q, _ = np.linalg.qr(m[i])
+            m[i] = (q * signs) @ q.conj().T
+        entries, ok = psd_project_batch(m)
+        for i in range(batch):
+            want = loop_projection(m[i])
+            assert ok[i] == (want is not None)
+            if want is None:
+                assert not np.any(entries[i])
+                with pytest.raises(NumericalError, match="zero"):
+                    psd_project(m[i])
+            else:
+                assert np.max(np.abs(entries[i] - want)) <= 1e-13
+                PSDForm(entries[i])
+
+    def test_non_finite_input_rejected(self):
+        m = np.stack([np.eye(2, dtype=complex), np.full((2, 2), np.nan, dtype=complex)])
+        with pytest.raises(NumericalError):
+            psd_project_batch(m)
+        with pytest.raises(NumericalError):
+            psd_project(m[1])
