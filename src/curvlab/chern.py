@@ -6,12 +6,17 @@ raised-index inverse of ``g``:
     Gamma[i, k, p] = Gamma^p_{ik}     = sum_q X[p, q] d_i g_{k qbar}
     T[i, j, k]     = T^k_{ij}         = Gamma[i, j, k] - Gamma[j, i, k]
     R[i, j, k, l]  = R_{i jbar k lbar}
-                   = - d_i dbar_j g_{k lbar}
-                     + sum_{p,q} X[p, q] (d_i g_{k qbar}) conj(d_j g_{l pbar})
+                   = - d_i dbar_j g_{k lbar} + sum_p Gamma[i, k, p] conj(d_j g_{l pbar})
 
 The four Ricci traces contract the curvature with ``X`` over the four
 possible index pairs.  The first two are Hermitian; the third and fourth are
 mutual conjugate transposes and coincide only under extra symmetry.
+
+The jet, and so every tensor built from it, may carry leading batch axes: a
+jet with ``g`` of shape ``(..., n, n)`` gives torsion ``(..., n, n, n)`` and
+curvature ``(..., n, n, n, n)``, one point per batch index.  Every formula is
+a chain of two-operand contractions over those axes, so one call serves a
+single point and a whole grid alike.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import NumericalError
 from .metric_model.expr import Add, Conj, Const, Expr, Mul, Var, substitute
 from .metric_model.jets import DEFAULT_SCHEME, JetScheme, field_first
 from .metric_model.model import MetricJet, MetricSpec, Region, metric_jet
-from .tensor_core import ComplexTensor, UnitaryFrame, Variance, metric_inverse_up
+from .tensor_core import UnitaryFrame
 
 __all__ = [
     "RicciTraces",
@@ -34,50 +39,49 @@ __all__ = [
     "chern_torsion",
     "chern_curvature",
     "ricci_traces",
+    "second_ricci",
     "q_squared_frame",
+    "q_squared_chart",
     "torsion_trace_frame",
     "first_bianchi_residual",
     "pluriclosed_residuals",
     "normal_coordinates",
 ]
 
-_TORSION_SLOTS = (Variance.HOLO_DOWN, Variance.HOLO_DOWN, Variance.HOLO_UP)
-_CURVATURE_SLOTS = (
-    Variance.HOLO_DOWN,
-    Variance.ANTI_DOWN,
-    Variance.HOLO_DOWN,
-    Variance.ANTI_DOWN,
-)
-
 
 def connection_coefficients(jet: MetricJet) -> np.ndarray:
-    """Connection coefficients ``Gamma[i, k, p] = Gamma^p_{ik}``."""
-    x = metric_inverse_up(jet.g)
-    return np.einsum("pq,ikq->ikp", x, jet.d_g, optimize=True)
+    """Connection coefficients ``Gamma[..., i, k, p] = Gamma^p_{ik}``."""
+    return np.einsum("...pq,...ikq->...ikp", jet.g_up, jet.d_g)
 
 
-def chern_torsion(jet: MetricJet) -> np.ndarray:
-    """Torsion ``T[i, j, k] = T^k_{ij}``, antisymmetric in ``(i, j)``."""
-    gamma = connection_coefficients(jet)
-    return gamma - np.swapaxes(gamma, 0, 1)
+def chern_torsion(jet: MetricJet, gamma: np.ndarray | None = None) -> np.ndarray:
+    """Torsion ``T[..., i, j, k] = T^k_{ij}``, antisymmetric in ``(i, j)``.
+
+    ``gamma`` reuses connection coefficients already computed from ``jet``.
+    """
+    gamma = connection_coefficients(jet) if gamma is None else gamma
+    return gamma - np.swapaxes(gamma, -3, -2)
 
 
-def chern_curvature(jet: MetricJet) -> np.ndarray:
-    """Curvature ``R[i, j, k, l] = R_{i jbar k lbar}``.
+def chern_curvature(jet: MetricJet, gamma: np.ndarray | None = None) -> np.ndarray:
+    """Curvature ``R[..., i, j, k, l] = R_{i jbar k lbar}``.
 
     Hermitian symmetry ``R[i, j, k, l] = conj(R[j, i, l, k])`` holds exactly
-    at the level of the formula; tests pin it down numerically.
+    at the level of the formula; tests pin it down numerically.  ``gamma``
+    reuses connection coefficients already computed from ``jet``.
     """
-    x = metric_inverse_up(jet.g)
-    correction = np.einsum(
-        "pq,ikq,jlp->ijkl", x, jet.d_g, np.conj(jet.d_g), optimize=True
-    )
-    return -jet.dd_g + correction
+    gamma = connection_coefficients(jet) if gamma is None else gamma
+    return -jet.dd_g + np.einsum("...ikp,...jlp->...ijkl", gamma, np.conj(jet.d_g))
+
+
+def second_ricci(x: np.ndarray, curvature: np.ndarray) -> np.ndarray:
+    """The second Ricci trace ``Ric2[..., k, l] = sum_{i,j} X[i, j] R[i, j, k, l]``."""
+    return np.einsum("...ij,...ijkl->...kl", x, curvature)
 
 
 @dataclass(frozen=True)
 class RicciTraces:
-    """The four curvature traces, indexed ``[k, l] = (k, lbar)``."""
+    """The four curvature traces, indexed ``[..., k, l] = (k, lbar)``."""
 
     ric1: np.ndarray
     ric2: np.ndarray
@@ -88,36 +92,48 @@ class RicciTraces:
 def ricci_traces(jet: MetricJet, curvature: np.ndarray | None = None) -> RicciTraces:
     """Contract the curvature with the inverse metric in all four ways."""
     r = chern_curvature(jet) if curvature is None else curvature
-    x = metric_inverse_up(jet.g)
+    x = jet.g_up
     return RicciTraces(
-        ric1=np.einsum("ij,klij->kl", x, r, optimize=True),
-        ric2=np.einsum("ij,ijkl->kl", x, r, optimize=True),
-        ric3=np.einsum("ij,kjil->kl", x, r, optimize=True),
-        ric4=np.einsum("ij,ilkj->kl", x, r, optimize=True),
+        ric1=np.einsum("...ij,...klij->...kl", x, r),
+        ric2=second_ricci(x, r),
+        ric3=np.einsum("...ij,...kjil->...kl", x, r),
+        ric4=np.einsum("...ij,...ilkj->...kl", x, r),
     )
 
 
 def q_squared_frame(torsion_frame: np.ndarray) -> np.ndarray:
-    """Torsion square ``Q[k, l] = sum_{p,q} T[p, q, l] conj(T[p, q, k])``.
+    """Torsion square ``Q[..., k, l] = sum_{p,q} T[p, q, l] conj(T[p, q, k])``.
 
     Positive semidefinite by construction; unitary-frame input expected.
     """
-    return np.einsum(
-        "pql,pqk->kl", torsion_frame, np.conj(torsion_frame), optimize=True
-    )
+    return np.einsum("...pql,...pqk->...kl", torsion_frame, np.conj(torsion_frame))
+
+
+def q_squared_chart(torsion: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The torsion square as a chart Hermitian form, without a frame.
+
+    ``Q[k, l] = sum X[i, a] X[j, b] Tb[i, j, l] conj(Tb[a, b, k])`` with the
+    lowered torsion ``Tb[i, j, l] = sum_m T[i, j, m] g[m, l]`` and ``x`` the
+    raised-index inverse of ``g``.  Equals ``L q_squared_frame(T_frame) L^H``.
+    """
+    lowered = np.einsum("...ijm,...ml->...ijl", torsion, g)
+    raised = np.einsum("...ia,...abk->...ibk", x, np.conj(lowered))
+    raised = np.einsum("...jb,...ibk->...ijk", x, raised)
+    return np.einsum("...ijl,...ijk->...kl", lowered, raised)
 
 
 def torsion_trace_frame(torsion_frame: np.ndarray) -> np.ndarray:
-    """Torsion trace ``eta[j] = sum_i T[i, j, i]`` in a unitary frame."""
-    return np.einsum("iji->j", torsion_frame)
+    """Torsion trace ``eta[..., j] = sum_i T[i, j, i]`` in a unitary frame."""
+    return np.einsum("...iji->...j", torsion_frame)
 
 
 @dataclass(frozen=True)
 class ChernPoint:
-    """Everything the functional layer needs at one point.
+    """Everything the functional layer needs at one point, or at a batch of them.
 
     Chart-frame tensors plus their unitary-frame versions, with the frame
-    built from the Cholesky factor of the metric.
+    built from the Cholesky factor of the metric.  A stacked jet gives a
+    ChernPoint whose arrays all carry the jet's batch axes.
     """
 
     point: np.ndarray
@@ -131,17 +147,15 @@ class ChernPoint:
 
     @classmethod
     def from_jet(cls, jet: MetricJet) -> "ChernPoint":
-        torsion = chern_torsion(jet)
-        curvature = chern_curvature(jet)
+        gamma = connection_coefficients(jet)
+        torsion = chern_torsion(jet, gamma)
+        curvature = chern_curvature(jet, gamma)
         frame = UnitaryFrame.from_metric(jet.g)
-        torsion_frame = frame.to_frame(ComplexTensor(torsion, _TORSION_SLOTS)).entries
-        curvature_frame = frame.to_frame(
-            ComplexTensor(curvature, _CURVATURE_SLOTS)
-        ).entries
+        torsion_frame, curvature_frame = frame.to_frame(torsion, curvature)
         return cls(
             point=jet.point,
             g=jet.g,
-            g_up=metric_inverse_up(jet.g),
+            g_up=jet.g_up,
             frame=frame,
             torsion=torsion,
             curvature=curvature,
@@ -157,8 +171,7 @@ class ChernPoint:
 
     def q_squared_chart(self) -> np.ndarray:
         """The torsion square as a chart Hermitian form ``L Q L^H``."""
-        q = q_squared_frame(self.torsion_frame)
-        return self.frame.L @ q @ self.frame.L.conj().T
+        return q_squared_chart(self.torsion, self.g, self.g_up)
 
 
 def first_bianchi_residual(
@@ -171,16 +184,13 @@ def first_bianchi_residual(
     so no connection terms enter.
     """
     jet = metric_jet(spec, z, scheme)
-    x = metric_inverse_up(jet.g)
     r = chern_curvature(jet)
 
     def torsion_field(w: np.ndarray) -> np.ndarray:
         return chern_torsion(metric_jet(spec, w, scheme))
 
     _, dbar_t = field_first(torsion_field, z, scheme)
-    rhs = np.einsum("kl,jmil->mijk", x, r, optimize=True) - np.einsum(
-        "kl,imjl->mijk", x, r, optimize=True
-    )
+    rhs = np.einsum("kl,jmil->mijk", jet.g_up, r) - np.einsum("kl,imjl->mijk", jet.g_up, r)
     return float(np.max(np.abs(dbar_t - rhs)))
 
 
@@ -208,7 +218,7 @@ def pluriclosed_residuals(jet: MetricJet) -> tuple[float, float]:
         - np.transpose(r, (0, 3, 2, 1))
         + np.transpose(r, (2, 3, 0, 1))
     )
-    rhs = np.einsum("ikp,jlq,pq->ijkl", t, np.conj(t), jet.g, optimize=True)
+    rhs = np.einsum("ikp,jlq,pq->ijkl", t, np.conj(t), jet.g)
     r_symmetry = float(np.max(np.abs(lhs - rhs)))
     return r_direct, r_symmetry
 
@@ -257,9 +267,7 @@ def normal_coordinates(
     s = np.linalg.solve(chol, np.eye(n, dtype=complex)).T
 
     # D[a, e, b] pulls the first derivatives back through S.
-    d_pulled = np.einsum(
-        "ikl,ia,ke,lb->aeb", jet.d_g, s, s, np.conj(s), optimize=True
-    )
+    d_pulled = np.einsum("ikl,ia,ke,lb->aeb", jet.d_g, s, s, np.conj(s))
     sym = d_pulled + np.transpose(d_pulled, (1, 0, 2))
     rhs = -0.5 * np.transpose(sym, (2, 0, 1)).reshape(n, n * n)
     c = np.linalg.solve(chol.T, rhs).reshape(n, n, n)
@@ -317,9 +325,7 @@ def normal_coordinates(
     curvature_hat = chern_curvature(hat)
     rel1 = float(np.max(np.abs(hat.g - np.eye(n))))
     rel2 = float(np.max(np.abs(hat.d_g - 0.5 * torsion_hat)))
-    quartic = 0.25 * np.einsum(
-        "ikp,jlq,pq->ijkl", torsion_hat, np.conj(torsion_hat), hat.g, optimize=True
-    )
+    quartic = 0.25 * np.einsum("ikp,jlq,pq->ijkl", torsion_hat, np.conj(torsion_hat), hat.g)
     rel3 = float(np.max(np.abs(hat.dd_g + curvature_hat - quartic)))
     return NormalChart(
         center=p,

@@ -89,7 +89,10 @@ def _parse_complex(token: str) -> complex:
 
 
 def _parse_points(args: argparse.Namespace, spec: MetricSpec) -> list[np.ndarray]:
-    """Points from --points, or --region sampling, or the region base point."""
+    """Points from --points, or --region sampling, or the region base point.
+
+    Explicit points must lie inside the metric's region.
+    """
     if args.points is not None and args.region is not None:
         raise ConfigError("--points and --region are mutually exclusive")
     if args.region is not None:
@@ -107,7 +110,12 @@ def _parse_points(args: argparse.Namespace, spec: MetricSpec) -> list[np.ndarray
             raise ConfigError(
                 f"point '{chunk}' has {len(comps)} coordinates, metric needs {spec.n}"
             )
-        points.append(np.array(comps, dtype=complex))
+        point = np.array(comps, dtype=complex)
+        if not spec.region.contains(point):
+            raise ConfigError(
+                f"point '{chunk}' lies outside the {spec.region.kind} region of {spec.name}"
+            )
+        points.append(point)
     return points
 
 

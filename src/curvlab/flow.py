@@ -8,6 +8,11 @@ with ``Ric2`` the second Chern Ricci, ``Q`` the torsion square as a chart
 form, and ``tau`` a source-role tempering parameter.  At ``tau = 1`` the
 torsion term drops and the flat metric contracts exactly like ``e^{-t}``.
 
+One velocity, :func:`thcf_velocity`, serves a single point's jet and a whole
+grid's batched jet alike; it is assembled from the formulas of
+:mod:`curvlab.chern`, with the torsion square as a chart form, so no frame is
+built on the grid.
+
 Space is a regular lattice over a rectangle in chart coordinates (axes
 ordered ``x1, y1, x2, y2``), dimensions one and two.  Spatial derivatives
 are second-order central differences; the boundary either stays frozen at
@@ -34,7 +39,14 @@ from typing import IO
 
 import numpy as np
 
-from .chern import ChernPoint
+from .chern import (
+    ChernPoint,
+    chern_curvature,
+    chern_torsion,
+    connection_coefficients,
+    q_squared_chart,
+    second_ricci,
+)
 from .errors import ConfigError, NumericalError
 from .functionals import TauParam, ric_tau
 from .metric_model import DEFAULT_SCHEME, JetScheme, MetricJet, MetricSpec, metric_jet, metric_value
@@ -59,12 +71,18 @@ __all__ = [
 
 
 def thcf_velocity(jet: MetricJet, tau: TauParam) -> np.ndarray:
-    """Flow velocity at one point; Hermitian chart form.
+    """Flow velocity ``-Ric^tau - g`` as a Hermitian chart form at every point of ``jet``.
 
-    ``tau = 1`` returns ``-Ric2 - g`` with no torsion arithmetic at all.
+    The jet may hold one point or a grid of them (:meth:`GridMetricField.jets`).
+    No frame is built: the torsion square enters as its chart form.  ``tau = 1``
+    returns ``-Ric2 - g`` with no torsion arithmetic at all.
     """
-    point = ChernPoint.from_jet(jet)
-    return hermitian_part(-ric_tau(point, tau) - jet.g)
+    gamma = connection_coefficients(jet)
+    velocity = -second_ricci(jet.g_up, chern_curvature(jet, gamma)) - jet.g
+    if tau.value != 1.0:
+        q_chart = q_squared_chart(chern_torsion(jet, gamma), jet.g, jet.g_up)
+        velocity = velocity - tau.source_weight * q_chart
+    return hermitian_part(velocity)
 
 
 @dataclass(frozen=True)
@@ -148,11 +166,11 @@ class GridMetricField:
     def node_points(self) -> np.ndarray:
         return self._node_points(self.box)
 
-    def jets(self) -> tuple[np.ndarray, np.ndarray]:
-        """First and mixed-second grid derivatives of the metric.
+    def jets(self) -> MetricJet:
+        """The metric jet at every node, one batch index per node.
 
-        Returns ``d[..., i, k, l] = d_i g_kl`` and
-        ``dd[..., i, j, k, l] = d_i dbar_j g_kl``.
+        Its derivatives are the grid's central differences:
+        ``d_g[..., i, k, l] = d_i g_kl`` and ``dd_g[..., i, j, k, l] = d_i dbar_j g_kl``.
         """
         n = self.box.n
         periodic = self.box.boundary == "periodic"
@@ -171,43 +189,10 @@ class GridMetricField:
             dd_rows.append(row)
         d_stack = np.stack(d, axis=-3)
         dd_stack = np.stack([np.stack(row, axis=-3) for row in dd_rows], axis=-4)
-        return d_stack, dd_stack
+        return MetricJet(self.node_points(), self.values, d_stack, dd_stack, exact=False)
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(hermitian_part(self.values)).min())
-
-
-def _grid_velocity(field: GridMetricField, tau: TauParam) -> np.ndarray:
-    """THCF velocity at every node, from grid derivatives."""
-    g = field.values
-    d, dd = field.jets()
-    x = np.conj(np.linalg.inv(g))
-    curvature = -dd + np.einsum(
-        "...pq,...ikq,...jlp->...ijkl", x, d, np.conj(d), optimize=True
-    )
-    ric2 = np.einsum("...ij,...ijkl->...kl", x, curvature, optimize=True)
-    velocity = -ric2 - g
-    if tau.value != 1.0:
-        gamma = np.einsum("...pq,...ikq->...ikp", x, d, optimize=True)
-        torsion = gamma - np.swapaxes(gamma, -3, -2)
-        chol = np.linalg.cholesky(hermitian_part(g))
-        chol_inv = np.linalg.inv(chol)
-        torsion_frame = np.einsum(
-            "...ai,...bj,...kc,...ijk->...abc",
-            chol_inv,
-            chol_inv,
-            chol,
-            torsion,
-            optimize=True,
-        )
-        q_frame = np.einsum(
-            "...pql,...pqk->...kl", torsion_frame, np.conj(torsion_frame), optimize=True
-        )
-        q_chart = np.einsum(
-            "...ka,...ab,...lb->...kl", chol, q_frame, np.conj(chol), optimize=True
-        )
-        velocity = velocity - tau.source_weight * q_chart
-    return 0.5 * (velocity + np.conj(np.swapaxes(velocity, -2, -1)))
 
 
 @dataclass(frozen=True)
@@ -277,7 +262,7 @@ def _apply_update(field: GridMetricField, update: np.ndarray) -> np.ndarray:
 
 
 def _guarded_velocity(field: GridMetricField, tau: TauParam, dt: float) -> np.ndarray:
-    velocity = _grid_velocity(field, tau)
+    velocity = thcf_velocity(field.jets(), tau)
     g_min = field.min_eigenvalue()
     v_max = float(np.abs(np.linalg.eigvalsh(velocity)).max())
     if v_max > 0:
@@ -330,7 +315,7 @@ def flow_step(state: FlowState, dt: float, method: str = "heun") -> FlowState:
                 raise NumericalError(
                     f"flow step dt={dt} still rejected after 8 halvings"
                 ) from None
-    velocity = _grid_velocity(field, state.tau)
+    velocity = thcf_velocity(field.jets(), state.tau)
     row = DiagnosticsRow(
         step=state.steps_taken + 1,
         time=state.time + dt,
@@ -446,9 +431,7 @@ def parabolic_schwarz_residual(
     h = metric_value(reference, z)
     x = point.g_up
     trace = float(np.real(np.einsum("kl,kl->", x, h)))
-    dt_trace = -float(
-        np.real(np.einsum("pl,kq,kl,pq->", x, x, h, velocity, optimize=True))
-    )
+    dt_trace = -float(np.real(np.einsum("pl,kq,kl,pq->", x, x, h, velocity)))
 
     def trace_field(w: np.ndarray) -> np.ndarray:
         xw = metric_inverse_up(metric_value(source, w))

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chern import ChernPoint, q_squared_frame
+from .chern import ChernPoint, q_squared_chart, q_squared_frame, second_ricci
 from .errors import ConfigError
 from .tensor_core import PSDForm, hermitian_part, psd_project, psd_project_batch
 
@@ -186,17 +186,12 @@ def ric_tau_frame(point: ChernPoint, tau: TauParam) -> np.ndarray:
     return ric2 + tau.source_weight * q_squared_frame(point.torsion_frame)
 
 
-def ric_tau(point: ChernPoint, tau: TauParam, jet_ric2: np.ndarray | None = None) -> np.ndarray:
+def ric_tau(point: ChernPoint, tau: TauParam) -> np.ndarray:
     """Tempered Ricci form in chart coordinates."""
-    if jet_ric2 is None:
-        x = point.g_up
-        ric2 = np.einsum("ij,ijkl->kl", x, point.curvature)
-    else:
-        ric2 = jet_ric2
+    ric2 = second_ricci(point.g_up, point.curvature)
     if tau.value == 1.0:
         return ric2
-    q_chart = point.q_squared_chart()
-    return ric2 + tau.source_weight * q_chart
+    return ric2 + tau.source_weight * q_squared_chart(point.torsion, point.g, point.g_up)
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,8 @@ def gauduchon_family(point: ChernPoint, t: float) -> ConnectionTensors:
     if t == 1.0:
         return ConnectionTensors(1.0, ct.copy(), cr.copy())
     s = (1.0 - t) / 2.0
-    tta = np.einsum("ikr,jlr->ijkl", ct, np.conj(ct), optimize=True)
-    ttb = np.einsum("irl,jrk->ijkl", ct, np.conj(ct), optimize=True)
+    tta = np.einsum("ikr,jlr->ijkl", ct, np.conj(ct))
+    ttb = np.einsum("irl,jrk->ijkl", ct, np.conj(ct))
     curvature = (
         t * cr
         + s * (np.transpose(cr, (2, 1, 0, 3)) + np.transpose(cr, (0, 3, 2, 1)))
@@ -99,12 +99,12 @@ def chern_from_family(tensors: ConnectionTensors) -> tuple[np.ndarray, np.ndarra
         a1 * tr
         + a2 * np.transpose(tr, (2, 3, 0, 1))
         + a3 * (np.transpose(tr, (2, 1, 0, 3)) + np.transpose(tr, (0, 3, 2, 1)))
-        + q1 * np.einsum("ikr,jlr->ijkl", tt, conj_tt, optimize=True)
-        + q2 * np.einsum("irl,jrk->ijkl", tt, conj_tt, optimize=True)
-        + q3 * np.einsum("krj,lri->ijkl", tt, conj_tt, optimize=True)
+        + q1 * np.einsum("ikr,jlr->ijkl", tt, conj_tt)
+        + q2 * np.einsum("irl,jrk->ijkl", tt, conj_tt)
+        + q3 * np.einsum("krj,lri->ijkl", tt, conj_tt)
         + q4 * (
-            np.einsum("krl,jri->ijkl", tt, conj_tt, optimize=True)
-            + np.einsum("irj,lrk->ijkl", tt, conj_tt, optimize=True)
+            np.einsum("krl,jri->ijkl", tt, conj_tt)
+            + np.einsum("irj,lrk->ijkl", tt, conj_tt)
         )
     )
     return tt / t, curvature
@@ -145,10 +145,10 @@ def ric_tau_from_family(tensors: ConnectionTensors, tau: TauParam) -> np.ndarray
     b3 = u * u * (t * t + 2.0 * t - 1.0) / (8.0 * t**3 * (2.0 * t - 1.0))
     b3 = b3 + tau.source_weight / (t * t)
 
-    s_a = np.einsum("ikr,ilr->kl", tt, conj_tt, optimize=True)
-    s_c = np.einsum("irl,irk->kl", tt, conj_tt, optimize=True)
+    s_a = np.einsum("ikr,ilr->kl", tt, conj_tt)
+    s_c = np.einsum("irl,irk->kl", tt, conj_tt)
     eta = np.einsum("iri->r", tt)
-    x = np.einsum("krl,r->kl", tt, np.conj(eta), optimize=True)
+    x = np.einsum("krl,r->kl", tt, np.conj(eta))
 
     return (
         a1 * trace2
@@ -186,11 +186,11 @@ def rbc_tau_from_family(
     d2 = u * u / (4.0 * t * (2.0 * t - 1.0))
     d3 = u**3 / (4.0 * t * t * (2.0 * t - 1.0))
 
-    rb = np.einsum("ijkl,ij,kl->", tr, entries, entries, optimize=True)
-    rb_alt = np.einsum("ilkj,ij,kl->", tr, entries, entries, optimize=True)
-    s1 = np.einsum("ikr,jlr,ij,kl->", tt, conj_tt, entries, entries, optimize=True)
-    s2 = np.einsum("irl,jrk,ij,kl->", tt, conj_tt, entries, entries, optimize=True)
-    s3 = np.einsum("irj,lrk,ij,kl->", tt, conj_tt, entries, entries, optimize=True)
+    rb = np.einsum("ijkl,ij,kl->", tr, entries, entries)
+    rb_alt = np.einsum("ilkj,ij,kl->", tr, entries, entries)
+    s1 = np.einsum("ikr,jlr,ij,kl->", tt, conj_tt, entries, entries)
+    s2 = np.einsum("irl,jrk,ij,kl->", tt, conj_tt, entries, entries)
+    s3 = np.einsum("irj,lrk,ij,kl->", tt, conj_tt, entries, entries)
 
     value = (
         _real(complex(rb), "family bisectional term") * c1

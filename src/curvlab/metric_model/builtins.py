@@ -118,19 +118,19 @@ def example22(n: int, a: np.ndarray, eps: float) -> MetricSpec:
         raise ConfigError("coefficient array must be antisymmetric in its first two slots")
 
     # b[i, j, k, l] = sum_p a[i,k,p] conj(a[j,l,p])
-    b = np.einsum("ikp,jlp->ijkl", a, np.conj(a), optimize=True)
+    b = np.einsum("ikp,jlp->ijkl", a, np.conj(a))
 
     def value(z: np.ndarray) -> np.ndarray:
         g = np.eye(n, dtype=complex)
-        g += np.einsum("ikl,i->kl", a, z, optimize=True)
-        g += np.einsum("ilk,i->kl", np.conj(a), np.conj(z), optimize=True)
-        g += 0.5 * np.einsum("ijkl,i,j->kl", b, z, np.conj(z), optimize=True)
+        g += np.einsum("ikl,i->kl", a, z)
+        g += np.einsum("ilk,i->kl", np.conj(a), np.conj(z))
+        g += 0.5 * np.einsum("ijkl,i,j->kl", b, z, np.conj(z))
         g += eps * np.outer(np.conj(z), z)
         return g
 
     def first(z: np.ndarray) -> np.ndarray:
         d = a.copy()
-        d += 0.5 * np.einsum("ijkl,j->ikl", b, np.conj(z), optimize=True)
+        d += 0.5 * np.einsum("ijkl,j->ikl", b, np.conj(z))
         for idx in range(n):
             d[idx, :, idx] += eps * np.conj(z)
         return d

@@ -18,12 +18,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from ..errors import ConfigError, NumericalError
+from ..tensor_core import metric_inverse_up
 from . import expr as ex
 from .jets import DEFAULT_SCHEME, JetScheme, complex_jet2
 
@@ -141,7 +143,11 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric value and derivatives at one point, chart frame."""
+    """Metric value and derivatives at one point, chart frame.
+
+    The arrays may carry the same leading batch axes, one point per index:
+    ``g`` of shape ``(..., n, n)``, ``d_g`` of ``(..., n, n, n)``.
+    """
 
     point: np.ndarray
     g: np.ndarray
@@ -151,7 +157,12 @@ class MetricJet:
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
+
+    @cached_property
+    def g_up(self) -> np.ndarray:
+        """Raised-index inverse of ``g``, computed once per jet."""
+        return metric_inverse_up(self.g)
 
 
 def metric_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:

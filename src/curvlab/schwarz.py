@@ -227,15 +227,15 @@ def _hessian_chart(
     jac = map_jet.jacobian
     return (
         map_jet.hessian
-        + np.einsum("gra,gi,rj->aij", gamma_target, jac, jac, optimize=True)
-        - np.einsum("ijp,ap->aij", gamma_source, jac, optimize=True)
+        + np.einsum("gra,gi,rj->aij", gamma_target, jac, jac)
+        - np.einsum("ijp,ap->aij", gamma_source, jac)
     )
 
 
 def _frame_hessian(assembly: MapAssembly, chart: np.ndarray) -> np.ndarray:
     lh_t = assembly.target_point.frame.L.T
     lg_inv = assembly.source_point.frame.L_inv
-    return np.einsum("Aa,Ii,Jj,aij->AIJ", lh_t, lg_inv, lg_inv, chart, optimize=True)
+    return np.einsum("Aa,Ii,Jj,aij->AIJ", lh_t, lg_inv, lg_inv, chart)
 
 
 def hessian_tensors(assembly: MapAssembly) -> tuple[np.ndarray, np.ndarray]:
@@ -251,9 +251,7 @@ def torsion_difference_frame(assembly: MapAssembly) -> np.ndarray:
     f = assembly.jac_frame
     th = assembly.target_point.torsion_frame
     tg = assembly.source_point.torsion_frame
-    return np.einsum("gra,gi,rj->aij", th, f, f, optimize=True) - np.einsum(
-        "ijp,ap->aij", tg, f, optimize=True
-    )
+    return np.einsum("gra,gi,rj->aij", th, f, f) - np.einsum("ijp,ap->aij", tg, f)
 
 
 def _energy_field(
@@ -265,7 +263,7 @@ def _energy_field(
         jet = evaluator(w)
         h = metric_value(target, jet.value)
         total = np.einsum(
-            "ij,ab,ai,bj->", x, h, jet.jacobian, np.conj(jet.jacobian), optimize=True
+            "ij,ab,ai,bj->", x, h, jet.jacobian, np.conj(jet.jacobian)
         )
         return np.asarray(total)
 
@@ -329,21 +327,10 @@ def laplacian_identity_report(
 
     f = assembly.jac_frame
     ric2 = np.einsum("iikl->kl", assembly.source_point.curvature_frame)
-    ricci_term = float(
-        np.real(np.einsum("qp,ap,aq->", ric2, f, np.conj(f), optimize=True))
-    )
+    ricci_term = float(np.real(np.einsum("qp,ap,aq->", ric2, f, np.conj(f))))
     xi = np.einsum("ai,bi->ab", f, np.conj(f))
-    target_term = float(
-        np.real(
-            np.einsum(
-                "abcd,ab,cd->",
-                assembly.target_point.curvature_frame,
-                xi,
-                xi,
-                optimize=True,
-            )
-        )
-    )
+    r_target = assembly.target_point.curvature_frame
+    target_term = float(np.real(np.einsum("abcd,ab,cd->", r_target, xi, xi)))
     assembled = hessian_square + ricci_term - target_term
 
     field = _energy_field(source, target, MapJetEvaluator(holo_map))
@@ -538,7 +525,7 @@ def bismut_comparison_report(
     member_h = gauduchon_family(assembly.target_point, -1.0)
 
     def contract_ric(matrix: np.ndarray) -> float:
-        return float(np.real(np.einsum("qp,ap,aq->", matrix, f, np.conj(f), optimize=True)))
+        return float(np.real(np.einsum("qp,ap,aq->", matrix, f, np.conj(f))))
 
     # exact route: tempered Ricci and tempered bisectional term, both
     # reassembled from the t = -1 tensors
@@ -551,10 +538,10 @@ def bismut_comparison_report(
     trace1, trace2, trace3, trace4 = family_ricci_traces(member_g)
     bt = member_g.torsion
     conj_bt = np.conj(bt)
-    s_a = np.einsum("ikr,ilr->kl", bt, conj_bt, optimize=True)
-    s_c = np.einsum("irl,irk->kl", bt, conj_bt, optimize=True)
+    s_a = np.einsum("ikr,ilr->kl", bt, conj_bt)
+    s_c = np.einsum("irl,irk->kl", bt, conj_bt)
     eta = np.einsum("iri->r", bt)
-    x = np.einsum("krl,r->kl", bt, np.conj(eta), optimize=True)
+    x = np.einsum("krl,r->kl", bt, np.conj(eta))
     ric_printed = (
         -trace2 / 3.0
         + 2.0 * trace1 / 3.0
@@ -570,11 +557,11 @@ def bismut_comparison_report(
     bth = member_h.torsion
     brh = member_h.curvature
     conj_bth = np.conj(bth)
-    rb = float(np.real(np.einsum("ijkl,ij,kl->", brh, xi, xi, optimize=True)))
-    rb_alt = float(np.real(np.einsum("ilkj,ij,kl->", brh, xi, xi, optimize=True)))
-    s1 = float(np.real(np.einsum("ikr,jlr,ij,kl->", bth, conj_bth, xi, xi, optimize=True)))
-    s2 = float(np.real(np.einsum("irl,jrk,ij,kl->", bth, conj_bth, xi, xi, optimize=True)))
-    s3 = float(np.real(np.einsum("irj,lrk,ij,kl->", bth, conj_bth, xi, xi, optimize=True)))
+    rb = float(np.real(np.einsum("ijkl,ij,kl->", brh, xi, xi)))
+    rb_alt = float(np.real(np.einsum("ilkj,ij,kl->", brh, xi, xi)))
+    s1 = float(np.real(np.einsum("ikr,jlr,ij,kl->", bth, conj_bth, xi, xi)))
+    s2 = float(np.real(np.einsum("irl,jrk,ij,kl->", bth, conj_bth, xi, xi)))
+    s3 = float(np.real(np.einsum("irj,lrk,ij,kl->", bth, conj_bth, xi, xi)))
     tgt_printed = (rb + 2.0 * rb_alt) / 3.0 + (
         s2 + 2.0 * s3 + (1.0 - (1.0 - tau) / 12.0) * s1
     ) / 3.0

@@ -1,4 +1,4 @@
-"""Dense complex tensors with variance-tagged slots and unitary frame changes.
+"""Metric inverses, positive semidefinite forms and unitary frame changes.
 
 Conventions used throughout the package, with n the complex dimension and all
 arrays of dtype complex128:
@@ -11,141 +11,28 @@ arrays of dtype complex128:
   ``R[i, j, k, l] = R_{i jbar k lbar}``.
 
 A unitary frame is obtained from the Cholesky factorisation ``G = L L^H`` via
-``e_a = sum_k inv(L)[a, k] d/dz^k``.  Every slot of a tensor transforms by one
-matrix determined by its variance; the table lives in :class:`UnitaryFrame`.
+``e_a = sum_k inv(L)[a, k] d/dz^k``.  Torsion and curvature are the only
+tensors the package moves to a frame; :meth:`UnitaryFrame.to_frame` applies
+their two fixed slot patterns.  Metric inverses and frames act on any leading
+batch axes ``(...)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 
 __all__ = [
-    "Variance",
-    "ComplexTensor",
-    "HermitianMatrix",
     "PSDForm",
     "UnitaryFrame",
-    "contract",
-    "conjugate",
     "hermitian_part",
     "metric_inverse_up",
     "psd_project",
     "psd_project_batch",
-    "HERMITIAN_TOL",
 ]
-
-HERMITIAN_TOL = 1e-12
-
-_EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-class Variance(Enum):
-    """Variance tag of one tensor slot."""
-
-    HOLO_UP = "holo_up"
-    HOLO_DOWN = "holo_down"
-    ANTI_UP = "anti_up"
-    ANTI_DOWN = "anti_down"
-
-    @property
-    def conjugate(self) -> "Variance":
-        return {
-            Variance.HOLO_UP: Variance.ANTI_UP,
-            Variance.HOLO_DOWN: Variance.ANTI_DOWN,
-            Variance.ANTI_UP: Variance.HOLO_UP,
-            Variance.ANTI_DOWN: Variance.HOLO_DOWN,
-        }[self]
-
-    @property
-    def is_up(self) -> bool:
-        return self in (Variance.HOLO_UP, Variance.ANTI_UP)
-
-
-def _pairable(a: Variance, b: Variance) -> bool:
-    pair = {a, b}
-    return pair == {Variance.HOLO_UP, Variance.HOLO_DOWN} or pair == {
-        Variance.ANTI_UP,
-        Variance.ANTI_DOWN,
-    }
-
-
-@dataclass(frozen=True)
-class ComplexTensor:
-    """A dense complex array together with one variance tag per axis."""
-
-    entries: np.ndarray
-    slots: tuple[Variance, ...]
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != len(self.slots):
-            raise ConfigError(
-                f"tensor has {entries.ndim} axes but {len(self.slots)} slots"
-            )
-
-    @property
-    def rank(self) -> int:
-        return self.entries.ndim
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.entries.shape
-
-
-def contract(
-    a: ComplexTensor, b: ComplexTensor, pairs: Sequence[tuple[int, int]]
-) -> ComplexTensor:
-    """Contract slot pairs ``(i, j)`` of ``a`` against ``b``.
-
-    Each pair must join an up slot to a down slot of the same holomorphic
-    type; contractions across types, or up-with-up, need an explicit metric
-    factor and are rejected.
-
-    Returns
-    -------
-    ComplexTensor
-        Output slots are the unpaired slots of ``a`` followed by those of
-        ``b``, in their original order.
-    """
-    for i, j in pairs:
-        if a.shape[i] != b.shape[j]:
-            raise ConfigError(
-                f"dimension mismatch on pair ({i}, {j}): {a.shape[i]} vs {b.shape[j]}"
-            )
-        if not _pairable(a.slots[i], b.slots[j]):
-            raise ConfigError(
-                f"variance mismatch on pair ({i}, {j}): "
-                f"{a.slots[i].value} against {b.slots[j].value}"
-            )
-    if a.rank + b.rank > len(_EINSUM_LETTERS):
-        raise ConfigError("combined rank too large to contract")
-
-    letters_a = list(_EINSUM_LETTERS[: a.rank])
-    letters_b = list(_EINSUM_LETTERS[a.rank : a.rank + b.rank])
-    for i, j in pairs:
-        letters_b[j] = letters_a[i]
-    paired_a = {i for i, _ in pairs}
-    paired_b = {j for _, j in pairs}
-    out = [letters_a[i] for i in range(a.rank) if i not in paired_a]
-    out += [letters_b[j] for j in range(b.rank) if j not in paired_b]
-    script = f"{''.join(letters_a)},{''.join(letters_b)}->{''.join(out)}"
-    entries = np.einsum(script, a.entries, b.entries, optimize=True)
-    slots = tuple(a.slots[i] for i in range(a.rank) if i not in paired_a) + tuple(
-        b.slots[j] for j in range(b.rank) if j not in paired_b
-    )
-    return ComplexTensor(entries, slots)
-
-
-def conjugate(a: ComplexTensor) -> ComplexTensor:
-    """Complex conjugate; every slot swaps its holomorphic type."""
-    return ComplexTensor(np.conj(a.entries), tuple(s.conjugate for s in a.slots))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -154,44 +41,8 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.conj(np.swapaxes(m, -2, -1)))
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """A square complex matrix validated to be Hermitian.
-
-    Entries satisfy ``entries[k, l] == conj(entries[l, k])`` up to
-    ``HERMITIAN_TOL`` relative to the largest entry.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ConfigError(f"expected a square matrix, got shape {entries.shape}")
-        scale = max(1.0, float(np.max(np.abs(entries))))
-        deviation = float(np.max(np.abs(entries - entries.conj().T)))
-        if deviation > HERMITIAN_TOL * scale:
-            raise ConfigError(
-                f"matrix is not Hermitian: deviation {deviation:.3e} at scale {scale:.3e}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[0])
-
-    def is_positive_definite(self) -> bool:
-        return self.min_eigenvalue() > 0.0
-
-
 def metric_inverse_up(g: np.ndarray) -> np.ndarray:
-    """Raised-index inverse ``X[p, q] = g^{p qbar}`` of the metric matrix.
+    """Raised-index inverse ``X[..., p, q] = g^{p qbar}`` of the metric matrices.
 
     ``X = conj(inv(G))``; for Hermitian ``G`` this equals ``inv(G).T``.
     """
@@ -289,17 +140,10 @@ class UnitaryFrame:
     """Frame change built from the Cholesky factor ``L`` of ``G = L L^H``.
 
     The frame vectors are ``e_a = sum_k inv(L)[a, k] d/dz^k``, so the metric
-    becomes the identity in the frame.  Each slot of a tensor transforms as
-    ``new[a] = sum_k M[a, k] old[k]`` with ``M`` read off the variance:
-
-    ==============  ================  ================
-    slot            chart to frame    frame to chart
-    ==============  ================  ================
-    HOLO_DOWN       inv(L)            L
-    ANTI_DOWN       conj(inv(L))      conj(L)
-    HOLO_UP         L.T               inv(L).T
-    ANTI_UP         conj(L.T)         conj(inv(L).T)
-    ==============  ================  ================
+    becomes the identity in the frame.  A lower holomorphic slot transforms
+    by ``inv(L)``, a lower antiholomorphic one by ``conj(inv(L))`` and an
+    upper holomorphic one by ``L.T``, each as ``new[a] = sum_k M[a, k] old[k]``.
+    ``L`` and ``L_inv`` carry the metric's batch axes.
     """
 
     L: np.ndarray
@@ -314,49 +158,24 @@ class UnitaryFrame:
             raise NumericalError(
                 f"metric is not positive definite at this point: {exc}"
             ) from exc
-        L_inv = np.linalg.solve(L, np.eye(g.shape[0], dtype=complex))
-        return cls(L, L_inv)
+        eye = np.broadcast_to(np.eye(g.shape[-1], dtype=complex), g.shape)
+        return cls(L, np.linalg.solve(L, eye))
 
-    @property
-    def n(self) -> int:
-        return self.L.shape[0]
+    def to_frame(
+        self, torsion: np.ndarray, curvature: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Chart torsion ``T[i, j, k]`` and curvature ``R[i, j, k, l]`` in the frame.
 
-    def _slot_matrix(self, slot: Variance, to_frame: bool) -> np.ndarray:
-        if to_frame:
-            table = {
-                Variance.HOLO_DOWN: self.L_inv,
-                Variance.ANTI_DOWN: np.conj(self.L_inv),
-                Variance.HOLO_UP: self.L.T,
-                Variance.ANTI_UP: np.conj(self.L.T),
-            }
-        else:
-            table = {
-                Variance.HOLO_DOWN: self.L,
-                Variance.ANTI_DOWN: np.conj(self.L),
-                Variance.HOLO_UP: self.L_inv.T,
-                Variance.ANTI_UP: np.conj(self.L_inv.T),
-            }
-        return table[slot]
-
-    def _apply(self, tensor: ComplexTensor, to_frame: bool) -> ComplexTensor:
-        rank = tensor.rank
-        if 2 * rank + rank > len(_EINSUM_LETTERS):
-            raise ConfigError("rank too large for frame transform")
-        old = _EINSUM_LETTERS[:rank]
-        new = _EINSUM_LETTERS[rank : 2 * rank]
-        operands: list[np.ndarray] = []
-        terms: list[str] = []
-        for axis, slot in enumerate(tensor.slots):
-            operands.append(self._slot_matrix(slot, to_frame))
-            terms.append(new[axis] + old[axis])
-        script = ",".join(terms + [old]) + "->" + new
-        entries = np.einsum(script, *operands, tensor.entries, optimize=True)
-        return ComplexTensor(entries, tensor.slots)
-
-    def to_frame(self, tensor: ComplexTensor) -> ComplexTensor:
-        """Express a chart tensor in the unitary frame."""
-        return self._apply(tensor, to_frame=True)
-
-    def to_chart(self, tensor: ComplexTensor) -> ComplexTensor:
-        """Express a frame tensor back in chart coordinates."""
-        return self._apply(tensor, to_frame=False)
+        Torsion slots take ``inv(L), inv(L), L.T``; curvature slots take
+        ``inv(L), conj(inv(L)), inv(L), conj(inv(L))``.
+        """
+        a = self.L_inv
+        b = np.conj(a)
+        t = np.einsum("...ai,...ijk->...ajk", a, torsion)
+        t = np.einsum("...bj,...ajk->...abk", a, t)
+        t = np.einsum("...kc,...abk->...abc", self.L, t)
+        r = np.einsum("...ai,...ijkl->...ajkl", a, curvature)
+        r = np.einsum("...bj,...ajkl->...abkl", b, r)
+        r = np.einsum("...ck,...abkl->...abcl", a, r)
+        r = np.einsum("...dl,...abcl->...abcd", b, r)
+        return t, r

@@ -14,19 +14,30 @@ Oracle values frozen from hand computations:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvlab.chern import (
     ChernPoint,
     chern_curvature,
     chern_torsion,
+    connection_coefficients,
     first_bianchi_residual,
     normal_coordinates,
     pluriclosed_residuals,
+    q_squared_chart,
     q_squared_frame,
     ricci_traces,
     torsion_trace_frame,
 )
-from curvlab.metric_model import fixture, flat, hopf, metric_jet, poincare_polydisk
+from curvlab.metric_model import (
+    MetricJet,
+    fixture,
+    flat,
+    hopf,
+    metric_jet,
+    poincare_polydisk,
+)
 
 
 def hopf_curvature_oracle(z: np.ndarray) -> np.ndarray:
@@ -194,3 +205,98 @@ class TestNormalChart:
         assert chart.residuals["metric_identity"] < 1e-8
         assert chart.residuals["first_order"] < 1e-8
         assert chart.residuals["second_order"] < 1e-8
+
+
+STACK_METRICS = {
+    "P1": poincare_polydisk(1),
+    "F1": fixture("F1"),
+    "H3": hopf(3),
+}
+
+
+def stacked_jet(spec, points: np.ndarray) -> MetricJet:
+    """One jet whose arrays stack the per-point jets along the leading axes."""
+    flat_points = points.reshape(-1, spec.n)
+    jets = [metric_jet(spec, z) for z in flat_points]
+    lead = points.shape[:-1]
+
+    def stack(name):
+        return np.stack([getattr(j, name) for j in jets]).reshape(
+            lead + getattr(jets[0], name).shape
+        )
+
+    return MetricJet(stack("point"), stack("g"), stack("d_g"), stack("dd_g"), exact=True)
+
+
+def one_jet(jet: MetricJet, idx: tuple) -> MetricJet:
+    return MetricJet(jet.point[idx], jet.g[idx], jet.d_g[idx], jet.dd_g[idx], jet.exact)
+
+
+def assert_close(batched: np.ndarray, single: np.ndarray, label: str) -> None:
+    scale = max(float(np.max(np.abs(single))), 1e-300)
+    gap = float(np.max(np.abs(batched - single)))
+    assert gap <= 1e-13 * scale, f"{label}: off by {gap:.3e} at scale {scale:.3e}"
+
+
+def chern_quantities(jet: MetricJet) -> dict:
+    gamma = connection_coefficients(jet)
+    torsion = chern_torsion(jet)
+    curvature = chern_curvature(jet)
+    traces = ricci_traces(jet)
+    point = ChernPoint.from_jet(jet)
+    return {
+        "gamma": gamma,
+        "torsion": torsion,
+        "torsion(gamma)": chern_torsion(jet, gamma),
+        "curvature": curvature,
+        "curvature(gamma)": chern_curvature(jet, gamma),
+        "ric1": traces.ric1,
+        "ric2": traces.ric2,
+        "ric3": traces.ric3,
+        "ric4": traces.ric4,
+        "g_up": point.g_up,
+        "L": point.frame.L,
+        "L_inv": point.frame.L_inv,
+        "torsion_frame": point.torsion_frame,
+        "curvature_frame": point.curvature_frame,
+        "q_frame": q_squared_frame(point.torsion_frame),
+        "q_chart": point.q_squared_chart(),
+        "eta": torsion_trace_frame(point.torsion_frame),
+    }
+
+
+class TestStackedJets:
+    @given(
+        name=st.sampled_from(sorted(STACK_METRICS)),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        lead=st.sampled_from([(1,), (5,), (2, 3)]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batched_formulas_equal_pointwise_loop(self, name, seed, lead):
+        spec = STACK_METRICS[name]
+        count = int(np.prod(lead))
+        points = spec.region.sample_points(spec.n, np.random.default_rng(seed), count)
+        jet = stacked_jet(spec, points.reshape(lead + (spec.n,)))
+        assert jet.n == spec.n
+        batched = chern_quantities(jet)
+        for idx in np.ndindex(*lead):
+            single = chern_quantities(one_jet(jet, idx))
+            for key, value in single.items():
+                assert batched[key][idx].shape == value.shape, key
+                assert_close(batched[key][idx], value, f"{name} {key} at {idx}")
+
+    @given(
+        name=st.sampled_from(sorted(STACK_METRICS)),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_chart_torsion_square_is_frame_square_moved_back(self, name, seed):
+        spec = STACK_METRICS[name]
+        points = spec.region.sample_points(spec.n, np.random.default_rng(seed), 4)
+        point = ChernPoint.from_jet(stacked_jet(spec, points))
+        l = point.frame.L
+        moved = l @ q_squared_frame(point.torsion_frame) @ np.conj(np.swapaxes(l, -2, -1))
+        chart = q_squared_chart(point.torsion, point.g, point.g_up)
+        scale = max(1.0, float(np.max(np.abs(moved))))
+        assert np.max(np.abs(chart - moved)) <= 1e-12 * scale
+        assert np.max(np.abs(chart - np.conj(np.swapaxes(chart, -2, -1)))) <= 1e-12 * scale

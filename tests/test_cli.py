@@ -459,3 +459,32 @@ class TestExitCodes:
             ["curvature", "--metric", "builtin:flat(2)", "--points", "0.1"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, metric, points",
+        [
+            # the origin is the puncture of hopf's region
+            ("curvature", "builtin:hopf(2)", "0,0"),
+            ("curvature", "builtin:poincare_polydisk(1)", "2"),
+            ("curvature", "builtin:poincare_polydisk(2)", "0.1,1"),
+            ("curvature", "builtin:example22", "0.1,0;0.3,0"),
+            ("gauduchon", "builtin:hopf(2)", "0,0"),
+        ],
+    )
+    def test_point_outside_region(self, capsys, command, metric, points):
+        argv = [command, "--metric", metric, "--points", points]
+        if command == "gauduchon":
+            argv += ["--t", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "outside" in err and "Traceback" not in err
+
+    def test_schwarz_source_point_outside_region(self, capsys):
+        code, _, err = run_cli(
+            ["schwarz", "--map", "id", "--source", "builtin:poincare_polydisk(1)",
+             "--target", "builtin:poincare_polydisk(1)", "--points", "1.5"],
+            capsys,
+        )
+        assert code == 2
+        assert "outside" in err

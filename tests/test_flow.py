@@ -27,7 +27,6 @@ from curvlab.errors import ConfigError, NumericalError
 from curvlab.flow import (
     GridBox,
     GridMetricField,
-    _grid_velocity,
     _sup_trace,
     flow_step,
     init_flow,
@@ -39,7 +38,7 @@ from curvlab.flow import (
     write_diagnostics_csv,
 )
 from curvlab.functionals import TauParam, ric_tau
-from curvlab.metric_model import builtin_metric, fixture, metric_jet, metric_value
+from curvlab.metric_model import MetricJet, builtin_metric, fixture, metric_jet, metric_value
 
 
 def source_tau(value):
@@ -136,31 +135,34 @@ class TestGrid:
         spec = builtin_metric("poincare_polydisk", 1)
         box = GridBox((0.2 + 0j,), half_width=0.04, resolution=9)
         field = GridMetricField.from_spec(spec, box)
-        d, dd = field.jets()
+        grid = field.jets()
         center = (4, 4)
         jet = metric_jet(spec, field.node_points()[center])
-        assert np.allclose(d[center], jet.d_g, atol=5e-4), (
-            f"first derivative off by {np.abs(d[center] - jet.d_g).max()}"
+        assert np.array_equal(grid.point[center], jet.point)
+        assert np.array_equal(grid.g[center], jet.g)
+        assert np.allclose(grid.d_g[center], jet.d_g, atol=5e-4), (
+            f"first derivative off by {np.abs(grid.d_g[center] - jet.d_g).max()}"
         )
-        assert np.allclose(dd[center], jet.dd_g, atol=5e-3)
+        assert np.allclose(grid.dd_g[center], jet.dd_g, atol=5e-3)
 
     def test_grid_jets_two_dimensional(self):
         spec = fixture("F1")
         box = GridBox((0.05 + 0j, 0.05 + 0j), half_width=0.04, resolution=7)
         field = GridMetricField.from_spec(spec, box)
-        d, dd = field.jets()
+        grid = field.jets()
         center = (3, 3, 3, 3)
         jet = metric_jet(spec, field.node_points()[center])
-        assert np.allclose(d[center], jet.d_g, atol=1e-4)
-        assert np.allclose(dd[center], jet.dd_g, atol=1e-3)
+        assert grid.n == 2
+        assert np.allclose(grid.d_g[center], jet.d_g, atol=1e-4)
+        assert np.allclose(grid.dd_g[center], jet.dd_g, atol=1e-3)
 
     def test_flat_jets_vanish_for_both_boundaries(self):
         for boundary in ("frozen", "periodic"):
             box = GridBox((0j,), half_width=0.5, resolution=5, boundary=boundary)
             field = GridMetricField.from_spec(builtin_metric("flat", 1), box)
-            d, dd = field.jets()
-            assert np.abs(d).max() == 0.0
-            assert np.abs(dd).max() == 0.0
+            grid = field.jets()
+            assert np.abs(grid.d_g).max() == 0.0
+            assert np.abs(grid.dd_g).max() == 0.0
 
 
 class TestGridVelocity:
@@ -168,7 +170,7 @@ class TestGridVelocity:
         spec = builtin_metric("poincare_polydisk", 1)
         box = GridBox((0.2 + 0j,), half_width=0.04, resolution=9)
         field = GridMetricField.from_spec(spec, box)
-        v = _grid_velocity(field, source_tau(1.0))
+        v = thcf_velocity(field.jets(), source_tau(1.0))
         jet = metric_jet(spec, field.node_points()[4, 4])
         exact = thcf_velocity(jet, source_tau(1.0))
         assert np.allclose(v[4, 4], exact, atol=5e-3), (
@@ -184,11 +186,30 @@ class TestGridVelocity:
         center = (3, 3, 3, 3)
         jet = metric_jet(spec, field.node_points()[center])
         for tau in (source_tau(0.5), source_tau(math.inf)):
-            v = _grid_velocity(field, tau)
+            v = thcf_velocity(field.jets(), tau)
             exact = thcf_velocity(jet, tau)
             assert np.allclose(v[center], exact, atol=5e-3), (
                 f"tau={tau.value}: off by {np.abs(v[center] - exact).max()}"
             )
+
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0, math.inf])
+    @pytest.mark.parametrize(
+        "metric, center",
+        [
+            (builtin_metric("poincare_polydisk", 1), (0.2 + 0.1j,)),
+            (fixture("F1"), (0.03 + 0.01j, -0.02j)),
+        ],
+    )
+    def test_grid_equals_node_by_node(self, metric, center, tau):
+        box = GridBox(center, half_width=0.05, resolution=5, boundary="periodic")
+        grid = GridMetricField.from_spec(metric, box).jets()
+        v = thcf_velocity(grid, source_tau(tau))
+        for idx in np.ndindex(*grid.g.shape[:-2]):
+            node = MetricJet(grid.point[idx], grid.g[idx], grid.d_g[idx], grid.dd_g[idx], False)
+            one = thcf_velocity(node, source_tau(tau))
+            gap = np.abs(v[idx] - one).max()
+            assert gap <= 1e-13 * np.abs(one).max(), f"node {idx}: off by {gap:.3e}"
 
 
 class TestStepping:

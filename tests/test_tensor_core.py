@@ -1,19 +1,14 @@
-"""Unit tests for tensor_core: contraction rules, frames, projections."""
+"""Unit tests for tensor_core: metric inverses, frames, projections."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab.errors import ConfigError, NumericalError
+from curvlab.errors import NumericalError
 from curvlab.tensor_core import (
-    ComplexTensor,
-    HermitianMatrix,
     PSDForm,
     UnitaryFrame,
-    Variance,
-    conjugate,
-    contract,
     hermitian_part,
     metric_inverse_up,
     psd_project,
@@ -29,68 +24,6 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
 def random_metric(rng: np.random.Generator, n: int) -> np.ndarray:
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return m @ m.conj().T + np.eye(n)
-
-
-class TestContract:
-    def test_identity_contraction(self):
-        g = ComplexTensor(2.0 * np.eye(2), (Variance.HOLO_DOWN, Variance.ANTI_DOWN))
-        x = ComplexTensor(
-            metric_inverse_up(g.entries), (Variance.HOLO_UP, Variance.ANTI_UP)
-        )
-        out = contract(x, g, [(0, 0)])
-        assert out.slots == (Variance.ANTI_UP, Variance.ANTI_DOWN)
-        assert np.allclose(out.entries, np.eye(2))
-
-    def test_variance_mismatch_rejected(self):
-        a = ComplexTensor(np.eye(2), (Variance.HOLO_UP, Variance.ANTI_UP))
-        b = ComplexTensor(np.eye(2), (Variance.HOLO_UP, Variance.ANTI_UP))
-        with pytest.raises(ConfigError, match="variance"):
-            contract(a, b, [(0, 0)])
-        with pytest.raises(ConfigError, match="variance"):
-            contract(a, b, [(0, 1)])
-
-    def test_dimension_mismatch_rejected(self):
-        a = ComplexTensor(np.zeros((2, 2)), (Variance.HOLO_UP, Variance.ANTI_UP))
-        b = ComplexTensor(np.zeros((3, 3)), (Variance.HOLO_DOWN, Variance.ANTI_DOWN))
-        with pytest.raises(ConfigError, match="dimension"):
-            contract(a, b, [(0, 0)])
-
-    def test_matches_einsum_on_rank3(self):
-        rng = np.random.default_rng(0)
-        t = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        a = ComplexTensor(
-            t, (Variance.HOLO_DOWN, Variance.HOLO_DOWN, Variance.HOLO_UP)
-        )
-        b = ComplexTensor(x, (Variance.HOLO_DOWN, Variance.ANTI_DOWN))
-        out = contract(a, b, [(2, 0)])
-        assert out.slots == (
-            Variance.HOLO_DOWN,
-            Variance.HOLO_DOWN,
-            Variance.ANTI_DOWN,
-        )
-        assert np.allclose(out.entries, np.einsum("ijk,kl->ijl", t, x))
-
-
-class TestConjugate:
-    def test_slots_flip(self):
-        a = ComplexTensor(
-            np.array([[1 + 2j, 0], [0, 1]]), (Variance.HOLO_DOWN, Variance.ANTI_UP)
-        )
-        c = conjugate(a)
-        assert c.slots == (Variance.ANTI_DOWN, Variance.HOLO_UP)
-        assert np.allclose(c.entries, np.conj(a.entries))
-
-
-class TestHermitianMatrix:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ConfigError, match="Hermitian"):
-            HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_eigenvalue_helpers(self):
-        m = HermitianMatrix(np.diag([3.0, 1.0]).astype(complex))
-        assert m.min_eigenvalue() == pytest.approx(1.0)
-        assert m.is_positive_definite()
 
 
 class TestMetricInverse:
@@ -110,56 +43,91 @@ class TestMetricInverse:
             metric_inverse_up(np.zeros((2, 2)))
 
 
+def random_tensor(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def chart_from_frame(frame: UnitaryFrame, torsion: np.ndarray, curvature: np.ndarray):
+    """The inverse slot patterns: ``L, L, inv(L).T`` and ``L, conj L, L, conj L``."""
+    l, lc, up = frame.L, np.conj(frame.L), frame.L_inv.T
+    t = np.einsum("ia,jb,kc,abc->ijk", l, l, up, torsion)
+    r = np.einsum("ia,jb,kc,ld,abcd->ijkl", l, lc, l, lc, curvature)
+    return t, r
+
+
 class TestUnitaryFrame:
     def test_metric_becomes_identity(self):
         rng = np.random.default_rng(3)
         g = random_metric(rng, 3)
         frame = UnitaryFrame.from_metric(g)
-        gt = ComplexTensor(g, (Variance.HOLO_DOWN, Variance.ANTI_DOWN))
-        hat = frame.to_frame(gt)
-        assert np.allclose(hat.entries, np.eye(3), atol=1e-12)
+        # the metric's two lower slots take inv(L) and conj(inv(L))
+        hat = frame.L_inv @ g @ frame.L_inv.conj().T
+        assert np.allclose(hat, np.eye(3), atol=1e-12)
+        assert np.allclose(frame.L @ frame.L_inv, np.eye(3), atol=1e-12)
 
     def test_scaled_identity_metric(self):
-        g = 4.0 * np.eye(2, dtype=complex)
-        frame = UnitaryFrame.from_metric(g)
-        v = ComplexTensor(np.array([1.0, 0.0]), (Variance.HOLO_DOWN,))
-        hat = frame.to_frame(v)
-        assert np.allclose(hat.entries, [0.5, 0.0])
+        # g = 4 I: L = 2 I, so lower slots halve and the upper slot doubles
+        frame = UnitaryFrame.from_metric(4.0 * np.eye(2, dtype=complex))
+        rng = np.random.default_rng(5)
+        t = random_tensor(rng, (2, 2, 2))
+        r = random_tensor(rng, (2, 2, 2, 2))
+        t_frame, r_frame = frame.to_frame(t, r)
+        assert np.allclose(t_frame, 0.5 * t, atol=1e-14)
+        assert np.allclose(r_frame, r / 16.0, atol=1e-14)
 
     def test_non_pd_metric_raises(self):
         with pytest.raises(NumericalError, match="positive definite"):
             UnitaryFrame.from_metric(np.diag([1.0, -1.0]).astype(complex))
+        stack = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
+        with pytest.raises(NumericalError, match="positive definite"):
+            UnitaryFrame.from_metric(stack)
 
-    @given(st.integers(min_value=0, max_value=20))
+    @given(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=3))
     @settings(max_examples=20, deadline=None)
-    def test_round_trip_rank4(self, seed):
+    def test_round_trip_rank4(self, seed, n):
         rng = np.random.default_rng(seed)
-        n = 2
-        g = random_metric(rng, n)
-        frame = UnitaryFrame.from_metric(g)
-        entries = rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4)
-        t = ComplexTensor(
-            entries,
-            (
-                Variance.HOLO_DOWN,
-                Variance.ANTI_DOWN,
-                Variance.HOLO_UP,
-                Variance.ANTI_UP,
-            ),
-        )
-        back = frame.to_chart(frame.to_frame(t))
-        residual = np.max(np.abs(back.entries - t.entries))
+        frame = UnitaryFrame.from_metric(random_metric(rng, n))
+        t = random_tensor(rng, (n,) * 3)
+        r = random_tensor(rng, (n,) * 4)
+        t_back, r_back = chart_from_frame(frame, *frame.to_frame(t, r))
+        residual = max(np.max(np.abs(t_back - t)), np.max(np.abs(r_back - r)))
         assert residual < 1e-10, f"round trip residual {residual:.3e}"
 
     def test_raising_commutes_with_frame_change(self):
         # X in the frame must be the identity: raising indices then moving to
         # the frame agrees with moving to the frame and raising with delta.
+        # X's upper slots take L.T and conj(L.T).
         rng = np.random.default_rng(7)
         g = random_metric(rng, 3)
         frame = UnitaryFrame.from_metric(g)
-        x = ComplexTensor(metric_inverse_up(g), (Variance.HOLO_UP, Variance.ANTI_UP))
-        hat = frame.to_frame(x)
-        assert np.allclose(hat.entries, np.eye(3), atol=1e-10)
+        hat = frame.L.T @ metric_inverse_up(g) @ np.conj(frame.L)
+        assert np.allclose(hat, np.eye(3), atol=1e-10)
+        # so lowering the frame torsion's upper slot with delta equals
+        # lowering in the chart with g and then moving every slot to the frame
+        t = random_tensor(rng, (3, 3, 3))
+        r = random_tensor(rng, (3, 3, 3, 3))
+        t_frame, _ = frame.to_frame(t, r)
+        lowered = np.einsum("ijm,ml->ijl", t, g)
+        a, b = frame.L_inv, np.conj(frame.L_inv)
+        want = np.einsum("ai,bj,cl,ijl->abc", a, a, b, lowered)
+        assert np.allclose(t_frame, want, atol=1e-10)
+
+    @given(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_batched_frame_equals_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        g = np.stack([random_metric(rng, n) for _ in range(6)]).reshape(2, 3, n, n)
+        t = random_tensor(rng, (2, 3) + (n,) * 3)
+        r = random_tensor(rng, (2, 3) + (n,) * 4)
+        frame = UnitaryFrame.from_metric(g)
+        t_frame, r_frame = frame.to_frame(t, r)
+        for idx in np.ndindex(2, 3):
+            one = UnitaryFrame.from_metric(g[idx])
+            assert np.array_equal(frame.L[idx], one.L)
+            assert np.array_equal(frame.L_inv[idx], one.L_inv)
+            t_one, r_one = one.to_frame(t[idx], r[idx])
+            assert np.max(np.abs(t_frame[idx] - t_one)) <= 1e-13 * np.max(np.abs(t_one))
+            assert np.max(np.abs(r_frame[idx] - r_one)) <= 1e-13 * np.max(np.abs(r_one))
 
 
 class TestPSD:
