@@ -194,32 +194,30 @@ def first_bianchi_residual(
     return float(np.max(np.abs(dbar_t - rhs)))
 
 
-def pluriclosed_residuals(jet: MetricJet) -> tuple[float, float]:
+def _alternation(a: np.ndarray) -> np.ndarray:
+    """``a[i,j,k,l] - a[k,j,i,l] - a[i,l,k,j] + a[k,l,i,j]`` over the last four axes."""
+    swapped = np.swapaxes(a, -4, -2)
+    return a - swapped - np.swapaxes(a, -3, -1) + np.swapaxes(swapped, -3, -1)
+
+
+def pluriclosed_residuals(jet: MetricJet) -> tuple[np.ndarray, np.ndarray]:
     """Two routes to pluriclosedness; both vanish iff ``ddbar omega = 0``.
 
-    Returns ``(r_direct, r_symmetry)``: the direct second-derivative
-    alternation, and the curvature-torsion symmetry that characterises the
-    same condition through connection data.
+    Returns ``(r_direct, r_symmetry)``, one value per point of the jet (shape
+    ``(...)``, a 0-d array for a single point): the largest entry of the
+    direct second-derivative alternation, and of the curvature-torsion
+    symmetry that characterises the same condition through connection data.
     """
-    dd = jet.dd_g
-    alternation = (
-        dd
-        - np.transpose(dd, (2, 1, 0, 3))
-        - np.transpose(dd, (0, 3, 2, 1))
-        + np.transpose(dd, (2, 3, 0, 1))
-    )
-    r_direct = float(np.max(np.abs(alternation)))
+    entries = (-4, -3, -2, -1)
+    r_direct = np.abs(_alternation(jet.dd_g)).max(axis=entries)
 
-    r = chern_curvature(jet)
-    t = chern_torsion(jet)
-    lhs = (
-        r
-        - np.transpose(r, (2, 1, 0, 3))
-        - np.transpose(r, (0, 3, 2, 1))
-        + np.transpose(r, (2, 3, 0, 1))
-    )
-    rhs = np.einsum("ikp,jlq,pq->ijkl", t, np.conj(t), jet.g)
-    r_symmetry = float(np.max(np.abs(lhs - rhs)))
+    gamma = connection_coefficients(jet)
+    t = chern_torsion(jet, gamma)
+    # sum_{p,q} T[i,k,p] conj(T[j,l,q]) g[p,q], the torsion lowered first
+    lowered = np.einsum("...ikp,...pq->...ikq", t, jet.g)
+    rhs = np.einsum("...ikq,...jlq->...ijkl", lowered, np.conj(t))
+    lhs = _alternation(chern_curvature(jet, gamma))
+    r_symmetry = np.abs(lhs - rhs).max(axis=entries)
     return r_direct, r_symmetry
 
 

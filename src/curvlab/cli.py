@@ -34,7 +34,7 @@ import numpy as np
 from .chern import ChernPoint, first_bianchi_residual, pluriclosed_residuals, ricci_traces
 from .errors import ConfigError, NumericalError
 from .flow import GridBox, init_flow, run_flow, write_diagnostics_csv
-from .functionals import TauParam, altered_hsc, extremize_hsc, extremize_rbc, rbc
+from .functionals import TauParam, altered_hsc_forms, extremize_hsc, extremize_rbc, rbc_forms
 from .gauduchon import chern_from_family, gauduchon_family
 from .metric_model import (
     FIXTURES,
@@ -46,7 +46,7 @@ from .metric_model import (
     metric_jet,
 )
 from .schwarz import HoloMap, laplacian_identity_report
-from .tensor_core import psd_project
+from .tensor_core import psd_project_batch
 
 __all__ = ["main"]
 
@@ -88,8 +88,8 @@ def _parse_complex(token: str) -> complex:
         raise ConfigError(f"cannot parse '{token.strip()}' as a complex number") from exc
 
 
-def _parse_points(args: argparse.Namespace, spec: MetricSpec) -> list[np.ndarray]:
-    """Points from --points, or --region sampling, or the region base point.
+def _parse_points(args: argparse.Namespace, spec: MetricSpec) -> np.ndarray:
+    """Points ``(P, n)`` from --points, or --region sampling, or the region base point.
 
     Explicit points must lie inside the metric's region.
     """
@@ -99,23 +99,23 @@ def _parse_points(args: argparse.Namespace, spec: MetricSpec) -> list[np.ndarray
         if args.region < 1:
             raise ConfigError(f"--region needs a positive count, got {args.region}")
         rng = np.random.default_rng(args.seed)
-        sampled = spec.region.sample_points(spec.n, rng, args.region)
-        return [np.asarray(p, dtype=complex) for p in sampled]
+        return spec.region.sample_points(spec.n, rng, args.region)
     if args.points is None:
-        return [spec.region.base_point(spec.n)]
-    points = []
-    for chunk in args.points.split(";"):
-        comps = [_parse_complex(tok) for tok in chunk.split(",")]
+        return spec.region.base_point(spec.n)[None]
+    chunks = args.points.split(";")
+    rows = [[_parse_complex(tok) for tok in chunk.split(",")] for chunk in chunks]
+    for chunk, comps in zip(chunks, rows):
         if len(comps) != spec.n:
             raise ConfigError(
                 f"point '{chunk}' has {len(comps)} coordinates, metric needs {spec.n}"
             )
-        point = np.array(comps, dtype=complex)
-        if not spec.region.contains(point):
-            raise ConfigError(
-                f"point '{chunk}' lies outside the {spec.region.kind} region of {spec.name}"
-            )
-        points.append(point)
+    points = np.array(rows, dtype=complex)
+    outside = ~spec.region.contains(points)
+    if outside.any():
+        raise ConfigError(
+            f"point '{chunks[int(np.argmax(outside))]}' lies outside the "
+            f"{spec.region.kind} region of {spec.name}"
+        )
     return points
 
 
@@ -133,16 +133,15 @@ def _scheme(args: argparse.Namespace) -> JetScheme:
     return JetScheme(h=args.h, order=args.order)
 
 
-def _complex_payload(array: np.ndarray):
+def _complex_payload(array: np.ndarray) -> list:
     """Nested ``[re, im]`` pairs; JSON has no complex numbers."""
     a = np.asarray(array, dtype=complex)
-    if a.ndim == 0:
-        return [float(a.real), float(a.imag)]
-    return [_complex_payload(row) for row in a]
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _point_payload(z: np.ndarray) -> list:
-    return _complex_payload(np.asarray(z, dtype=complex))
+def _rows(columns: dict[str, list]) -> list[dict]:
+    """One dict per point from equally long per-point lists."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -183,33 +182,29 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
         if check not in ("bianchi", "pluriclosed"):
             raise ConfigError(f"unknown check '{check}'")
 
-    rows = []
-    worst: dict[str, float] = {}
-    for z in points:
-        jet = metric_jet(spec, z, scheme)
-        point = ChernPoint.from_jet(jet)
-        traces = ricci_traces(jet, point.curvature)
-        row = {
-            "point": _point_payload(z),
-            "g": _complex_payload(jet.g),
-            "torsion": _complex_payload(point.torsion),
-            "curvature": _complex_payload(point.curvature),
-            "ric1": _complex_payload(traces.ric1),
-            "ric2": _complex_payload(traces.ric2),
-            "ric3": _complex_payload(traces.ric3),
-            "ric4": _complex_payload(traces.ric4),
-        }
-        row_checks = {}
-        if "bianchi" in checks:
-            row_checks["bianchi"] = first_bianchi_residual(spec, z, scheme)
-        if "pluriclosed" in checks:
-            direct, symmetry = pluriclosed_residuals(jet)
-            row_checks["pluriclosed"] = max(direct, symmetry)
-        if row_checks:
-            row["checks"] = row_checks
-            for name, value in row_checks.items():
-                worst[name] = max(worst.get(name, 0.0), value)
-        rows.append(row)
+    jet = metric_jet(spec, points, scheme)
+    point = ChernPoint.from_jet(jet)
+    traces = ricci_traces(jet, point.curvature)
+    fields = {
+        "point": points,
+        "g": jet.g,
+        "torsion": point.torsion,
+        "curvature": point.curvature,
+        "ric1": traces.ric1,
+        "ric2": traces.ric2,
+        "ric3": traces.ric3,
+        "ric4": traces.ric4,
+    }
+    rows = _rows({name: _complex_payload(value) for name, value in fields.items()})
+    row_checks = {}
+    if "bianchi" in checks:
+        # a stencil around each point: one point per call
+        row_checks["bianchi"] = [first_bianchi_residual(spec, z, scheme) for z in points]
+    if "pluriclosed" in checks:
+        row_checks["pluriclosed"] = np.maximum(*pluriclosed_residuals(jet)).tolist()
+    for row, checks_at_point in zip(rows, _rows(row_checks)):
+        row["checks"] = checks_at_point
+    worst = {name: max(0.0, *values) for name, values in row_checks.items()}
 
     report = {
         "command": "curvature",
@@ -237,28 +232,26 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.compare:
         # pluriclosed comparison: RBC^0 against half the altered sectional
         # functional on seeded random PSD forms
+        if args.samples < 0:
+            raise ConfigError(f"--samples must be nonnegative, got {args.samples}")
+        jet = metric_jet(spec, points, scheme)
+        point = ChernPoint.from_jet(jet)
+        # the draws of a per-point, per-sample loop: real part, then imaginary
         rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for z in points:
-            point = ChernPoint.from_spec(spec, z, scheme)
-            tau0 = TauParam(0.0, "target")
-            deviation = 0.0
-            for _ in range(args.samples):
-                raw = rng.normal(size=(spec.n, spec.n)) + 1j * rng.normal(
-                    size=(spec.n, spec.n)
-                )
-                form = psd_project(raw @ raw.conj().T)
-                gap = abs(rbc(point, form, tau0) - 0.5 * altered_hsc(point, form))
-                deviation = max(deviation, gap)
-            direct, symmetry = pluriclosed_residuals(metric_jet(spec, z, scheme))
-            rows.append(
-                {
-                    "point": _point_payload(z),
-                    "deviation": deviation,
-                    "pluriclosed": max(direct, symmetry),
-                }
-            )
-            worst = max(worst, deviation)
+        draws = rng.normal(size=(len(points), args.samples, 2, spec.n, spec.n))
+        raw = draws[:, :, 0] + 1j * draws[:, :, 1]
+        forms, ok = psd_project_batch(raw @ np.conj(np.swapaxes(raw, -2, -1)))
+        if not ok.all():
+            raise NumericalError("projection collapsed to zero: no positive part")
+        tau0 = TauParam(0.0, "target")
+        gaps = np.abs(rbc_forms(point, forms, tau0) - 0.5 * altered_hsc_forms(point, forms))
+        deviations = np.max(gaps, axis=-1, initial=0.0)
+        rows = _rows({
+            "point": _complex_payload(points),
+            "deviation": deviations.tolist(),
+            "pluriclosed": np.maximum(*pluriclosed_residuals(jet)).tolist(),
+        })
+        worst = max(0.0, *deviations.tolist())
         summary: dict = {"max_deviation": worst}
         if args.tol is not None and worst > args.tol:
             breached = True
@@ -281,15 +274,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             else:
                 raise ConfigError(f"unknown functional '{args.functional}'")
             rows.append(
-                {
-                    "point": _point_payload(z),
-                    "kind": cert.kind,
-                    "value": cert.value,
-                    "witness": _complex_payload(cert.witness),
-                    "samples": cert.samples,
-                    "ascent_iterations": cert.ascent_iterations,
-                    "tolerance": cert.tolerance,
-                }
+                {**vars(cert), "point": _complex_payload(z),
+                 "witness": _complex_payload(cert.witness)}
             )
         summary = {
             "best_value": (max if args.kind == "sup" else min)(
@@ -330,21 +316,8 @@ def _cmd_schwarz(args: argparse.Namespace) -> int:
     worst = 0.0
     for z in points:
         rep = laplacian_identity_report(source, target, holo_map, z, scheme)
-        rows.append(
-            {
-                "point": _point_payload(z),
-                "energy": rep.energy,
-                "laplacian": rep.laplacian,
-                "assembled": rep.assembled,
-                "hessian_square": rep.hessian_square,
-                "symmetric_square": rep.symmetric_square,
-                "skew_square": rep.skew_square,
-                "ricci_term": rep.ricci_term,
-                "target_term": rep.target_term,
-                "relative_residual": rep.relative_residual,
-                "skew_residual": rep.skew_residual,
-            }
-        )
+        # every field of the report, one row per point
+        rows.append({**vars(rep), "point": _complex_payload(z)})
         worst = max(worst, rep.relative_residual)
 
     report = {
@@ -372,27 +345,29 @@ def _cmd_gauduchon(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"cannot parse --t '{args.t}'") from exc
 
-    rows = []
-    worst = 0.0
-    for z in points:
-        point = ChernPoint.from_spec(spec, z, scheme)
-        for t in parameters:
-            family = gauduchon_family(point, t)
-            row = {
-                "point": _point_payload(z),
-                "t": t,
-                "torsion_norm": float(np.linalg.norm(family.torsion)),
-                "curvature_norm": float(np.linalg.norm(family.curvature)),
-            }
-            if args.roundtrip:
-                torsion_back, curvature_back = chern_from_family(family)
-                residual = max(
-                    float(np.max(np.abs(torsion_back - point.torsion_frame))),
-                    float(np.max(np.abs(curvature_back - point.curvature_frame))),
-                )
-                row["roundtrip_residual"] = residual
-                worst = max(worst, residual)
-            rows.append(row)
+    point = ChernPoint.from_jet(metric_jet(spec, points, scheme))
+
+    def per_point(a: np.ndarray) -> np.ndarray:
+        return a.reshape(len(points), -1)
+
+    rows_per_t = []
+    for t in parameters:
+        family = gauduchon_family(point, t)
+        columns = {
+            "point": _complex_payload(points),
+            "t": [t] * len(points),
+            "torsion_norm": np.linalg.norm(per_point(family.torsion), axis=-1).tolist(),
+            "curvature_norm": np.linalg.norm(per_point(family.curvature), axis=-1).tolist(),
+        }
+        if args.roundtrip:
+            torsion_back, curvature_back = chern_from_family(family)
+            columns["roundtrip_residual"] = np.maximum(
+                np.abs(per_point(torsion_back - point.torsion_frame)).max(axis=-1),
+                np.abs(per_point(curvature_back - point.curvature_frame)).max(axis=-1),
+            ).tolist()
+        rows_per_t.append(_rows(columns))
+    rows = [row for rows_at_point in zip(*rows_per_t) for row in rows_at_point]
+    worst = max(0.0, *(row.get("roundtrip_residual", 0.0) for row in rows))
 
     report = {
         "command": "gauduchon",

@@ -128,8 +128,9 @@ class GridMetricField:
             raise ConfigError(f"grid values have shape {values.shape}, expected {expected}")
         self.box = box
         self.values = values
-        eigs = np.linalg.eigvalsh(hermitian_part(values))
-        if float(eigs.min()) <= 0:
+        if not np.isfinite(values).all():
+            raise NumericalError("grid metric is not finite everywhere")
+        if not self.min_eigenvalue() > 0:
             raise NumericalError("grid metric is not positive definite everywhere")
 
     @classmethod
@@ -138,30 +139,20 @@ class GridMetricField:
             raise ConfigError(f"metric has dimension {spec.n}, box has {box.n}")
         if spec.n > 2:
             raise ConfigError("grid flow supports dimensions 1 and 2")
-        points = cls._node_points(box)
-        flat_points = points.reshape(-1, box.n)
-        values = np.empty((flat_points.shape[0], box.n, box.n), dtype=complex)
-        for idx, z in enumerate(flat_points):
-            values[idx] = metric_value(spec, z)
-        shaped = values.reshape((box.resolution,) * (2 * box.n) + (box.n, box.n))
-        return cls(box, shaped)
+        # a node on a singularity gives a non-finite value, which __init__ rejects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = metric_value(spec, cls._node_points(box))
+        return cls(box, values)
 
     @staticmethod
     def _node_points(box: GridBox) -> np.ndarray:
-        n = box.n
+        w = box.half_width
         axes = []
-        for k in range(n):
-            axes.append(np.linspace(box.center[k].real - box.half_width,
-                                    box.center[k].real + box.half_width,
-                                    box.resolution))
-            axes.append(np.linspace(box.center[k].imag - box.half_width,
-                                    box.center[k].imag + box.half_width,
-                                    box.resolution))
+        for c in box.center:
+            axes += [np.linspace(c.real - w, c.real + w, box.resolution),
+                     np.linspace(c.imag - w, c.imag + w, box.resolution)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.empty(mesh[0].shape + (n,), dtype=complex)
-        for k in range(n):
-            points[..., k] = mesh[2 * k] + 1j * mesh[2 * k + 1]
-        return points
+        return np.stack([mesh[2 * k] + 1j * mesh[2 * k + 1] for k in range(box.n)], axis=-1)
 
     def node_points(self) -> np.ndarray:
         return self._node_points(self.box)

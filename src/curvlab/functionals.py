@@ -32,7 +32,9 @@ __all__ = [
     "hsc",
     "hbc",
     "rbc",
+    "rbc_forms",
     "altered_hsc",
+    "altered_hsc_forms",
     "ric_tau_frame",
     "ric_tau",
     "frame_vector",
@@ -99,19 +101,19 @@ def _rank_one(vectors: np.ndarray) -> np.ndarray:
 
 
 def _form_values(tensor: np.ndarray, forms: np.ndarray, label: str) -> np.ndarray:
-    """``tensor[a, b, c, d] xi[a, b] xi[c, d] / |xi|^2`` for every ``xi`` of ``(B, n, n)``.
+    """``tensor[..., a, b, c, d] xi[a, b] xi[c, d] / |xi|^2`` for each ``xi`` of ``(..., B, n, n)``.
 
     On rank-one ``zeta zeta^H`` this is sectional curvature: ``|zeta zeta^H| = |zeta|^2``.
     """
-    norm2 = np.real(np.sum(forms * np.conj(forms), axis=(1, 2)))
+    norm2 = np.real(np.sum(forms * np.conj(forms), axis=(-2, -1)))
     if np.any(norm2 == 0.0):
         raise ConfigError(f"{label} needs a nonzero argument")
     return _real(_pairing(tensor, forms, forms), label, norm2)
 
 
 def _pairing(tensor: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``tensor[a, b, c, d] left[x, a, b] right[x, c, d]`` for every row ``x``."""
-    return np.einsum("abcd,xab,xcd->x", tensor, left, right)
+    """``tensor[..., a, b, c, d] left[..., x, a, b] right[..., x, c, d]`` for every row ``x``."""
+    return np.einsum("...abcd,...xab,...xcd->...x", tensor, left, right)
 
 
 def _tempered_tensor(point: ChernPoint, tau: TauParam) -> np.ndarray:
@@ -121,7 +123,7 @@ def _tempered_tensor(point: ChernPoint, tau: TauParam) -> np.ndarray:
     if weight == 0.0:
         return r
     t = point.torsion_frame
-    return r - weight * np.einsum("acr,bdr->abcd", t, np.conj(t))
+    return r - weight * np.einsum("...acr,...bdr->...abcd", t, np.conj(t))
 
 
 def frame_vector(point: ChernPoint, v_chart: np.ndarray) -> np.ndarray:
@@ -159,8 +161,12 @@ def rbc(point: ChernPoint, xi: PSDForm | np.ndarray, tau: TauParam) -> float:
     and divides by the squared Frobenius norm.  At ``tau = 1`` the torsion
     term drops and rank-one forms reproduce holomorphic sectional curvature.
     """
-    tensor = _tempered_tensor(point, tau)
-    return float(_form_values(tensor, _one_form(xi), "real bisectional curvature")[0])
+    return float(rbc_forms(point, _one_form(xi), tau)[0])
+
+
+def rbc_forms(point: ChernPoint, forms: np.ndarray, tau: TauParam) -> np.ndarray:
+    """:func:`rbc` of each form of ``forms`` ``(..., B, n, n)``, at the point(s) of ``point``."""
+    return _form_values(_tempered_tensor(point, tau), forms, "real bisectional curvature")
 
 
 def altered_hsc(point: ChernPoint, xi: PSDForm | np.ndarray) -> float:
@@ -168,9 +174,14 @@ def altered_hsc(point: ChernPoint, xi: PSDForm | np.ndarray) -> float:
 
     For pluriclosed metrics half of this equals ``RBC^0``.
     """
+    return float(altered_hsc_forms(point, _one_form(xi))[0])
+
+
+def altered_hsc_forms(point: ChernPoint, forms: np.ndarray) -> np.ndarray:
+    """:func:`altered_hsc` of each form of ``forms`` ``(..., B, n, n)`` at the point(s) given."""
     r = point.curvature_frame
-    total = r + np.transpose(r, (0, 3, 2, 1))
-    return float(_form_values(total, _one_form(xi), "altered sectional curvature")[0])
+    total = r + np.swapaxes(r, -3, -1)
+    return _form_values(total, forms, "altered sectional curvature")
 
 
 def ric_tau_frame(point: ChernPoint, tau: TauParam) -> np.ndarray:

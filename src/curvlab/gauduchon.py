@@ -15,7 +15,9 @@ is a closed seven-term expression in ``(tR, tT)`` implemented in
 :func:`chern_from_family`.
 
 Everything here works on frame tensors.  Chart-level questions should pass
-through :class:`~curvlab.chern.ChernPoint` first.
+through :class:`~curvlab.chern.ChernPoint` first.  :func:`gauduchon_family`
+and :func:`chern_from_family` act on any leading batch axes: a batched
+``ChernPoint`` gives family tensors with the same axes, one point per index.
 """
 
 from __future__ import annotations
@@ -60,11 +62,11 @@ def gauduchon_family(point: ChernPoint, t: float) -> ConnectionTensors:
     if t == 1.0:
         return ConnectionTensors(1.0, ct.copy(), cr.copy())
     s = (1.0 - t) / 2.0
-    tta = np.einsum("ikr,jlr->ijkl", ct, np.conj(ct))
-    ttb = np.einsum("irl,jrk->ijkl", ct, np.conj(ct))
+    tta = np.einsum("...ikr,...jlr->...ijkl", ct, np.conj(ct))
+    ttb = np.einsum("...irl,...jrk->...ijkl", ct, np.conj(ct))
     curvature = (
         t * cr
-        + s * (np.transpose(cr, (2, 1, 0, 3)) + np.transpose(cr, (0, 3, 2, 1)))
+        + s * (np.swapaxes(cr, -4, -2) + np.swapaxes(cr, -3, -1))
         + s * s * (tta - ttb)
     )
     return ConnectionTensors(t, t * ct, curvature)
@@ -95,16 +97,17 @@ def chern_from_family(tensors: ConnectionTensors) -> tuple[np.ndarray, np.ndarra
     q4 = u**3 / (8.0 * t * t * (2.0 * t - 1.0))
 
     conj_tt = np.conj(tt)
+    swapped = np.swapaxes(tr, -4, -2)
     curvature = (
         a1 * tr
-        + a2 * np.transpose(tr, (2, 3, 0, 1))
-        + a3 * (np.transpose(tr, (2, 1, 0, 3)) + np.transpose(tr, (0, 3, 2, 1)))
-        + q1 * np.einsum("ikr,jlr->ijkl", tt, conj_tt)
-        + q2 * np.einsum("irl,jrk->ijkl", tt, conj_tt)
-        + q3 * np.einsum("krj,lri->ijkl", tt, conj_tt)
+        + a2 * np.swapaxes(swapped, -3, -1)
+        + a3 * (swapped + np.swapaxes(tr, -3, -1))
+        + q1 * np.einsum("...ikr,...jlr->...ijkl", tt, conj_tt)
+        + q2 * np.einsum("...irl,...jrk->...ijkl", tt, conj_tt)
+        + q3 * np.einsum("...krj,...lri->...ijkl", tt, conj_tt)
         + q4 * (
-            np.einsum("krl,jri->ijkl", tt, conj_tt)
-            + np.einsum("irj,lrk->ijkl", tt, conj_tt)
+            np.einsum("...krl,...jri->...ijkl", tt, conj_tt)
+            + np.einsum("...irj,...lrk->...ijkl", tt, conj_tt)
         )
     )
     return tt / t, curvature

@@ -41,15 +41,26 @@ def _sum_terms(terms: list[Expr]) -> Expr:
     return acc
 
 
+def _diagonal(values: np.ndarray, rank: int) -> np.ndarray:
+    """``out[..., k, k, ..., k] = values[..., k]`` over ``rank`` trailing axes, zero elsewhere."""
+    n = values.shape[-1]
+    out = np.zeros(values.shape + (n,) * (rank - 1), dtype=complex)
+    out[(Ellipsis,) + (np.arange(n),) * rank] = values
+    return out
+
+
+def _batched(constant: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A point-independent jet array repeated over the batch axes of ``z``."""
+    return np.broadcast_to(constant, z.shape[:-1] + constant.shape).copy()
+
+
 def flat(n: int) -> MetricSpec:
     """The flat metric ``g = I`` on all of C^n."""
     eye = np.eye(n, dtype=complex)
-    zeros3 = np.zeros((n, n, n), dtype=complex)
-    zeros4 = np.zeros((n, n, n, n), dtype=complex)
     exact = ExactJets(
-        value=lambda z: eye.copy(),
-        first=lambda z: zeros3.copy(),
-        mixed=lambda z: zeros4.copy(),
+        value=lambda z: _batched(eye, z),
+        first=lambda z: np.zeros(z.shape[:-1] + (n,) * 3, dtype=complex),
+        mixed=lambda z: np.zeros(z.shape[:-1] + (n,) * 4, dtype=complex),
     )
     return MetricSpec(
         name=f"flat({n})",
@@ -65,21 +76,15 @@ def poincare_polydisk(n: int) -> MetricSpec:
 
     def value(z: np.ndarray) -> np.ndarray:
         s = 1.0 - np.abs(z) ** 2
-        return np.diag((s**-2.0).astype(complex))
+        return _diagonal(s**-2.0, 2)
 
     def first(z: np.ndarray) -> np.ndarray:
         s = 1.0 - np.abs(z) ** 2
-        d = np.zeros((n, n, n), dtype=complex)
-        for k in range(n):
-            d[k, k, k] = 2.0 * s[k] ** -3.0 * np.conj(z[k])
-        return d
+        return _diagonal(2.0 * s**-3.0 * np.conj(z), 3)
 
     def mixed(z: np.ndarray) -> np.ndarray:
         s = 1.0 - np.abs(z) ** 2
-        dd = np.zeros((n, n, n, n), dtype=complex)
-        for k in range(n):
-            dd[k, k, k, k] = 2.0 * s[k] ** -3.0 + 6.0 * np.abs(z[k]) ** 2 * s[k] ** -4.0
-        return dd
+        return _diagonal(2.0 * s**-3.0 + 6.0 * np.abs(z) ** 2 * s**-4.0, 4)
 
     entries = tuple(
         tuple(
@@ -120,27 +125,26 @@ def example22(n: int, a: np.ndarray, eps: float) -> MetricSpec:
     # b[i, j, k, l] = sum_p a[i,k,p] conj(a[j,l,p])
     b = np.einsum("ikp,jlp->ijkl", a, np.conj(a))
 
+    eye = np.eye(n, dtype=complex)
+    # mixed[i, j, k, l] = b[i, j, k, l] / 2 + eps delta_jk delta_il
+    mixed_constant = 0.5 * b + eps * np.einsum("il,jk->ijkl", eye, eye)
+
     def value(z: np.ndarray) -> np.ndarray:
-        g = np.eye(n, dtype=complex)
-        g += np.einsum("ikl,i->kl", a, z)
-        g += np.einsum("ilk,i->kl", np.conj(a), np.conj(z))
-        g += 0.5 * np.einsum("ijkl,i,j->kl", b, z, np.conj(z))
-        g += eps * np.outer(np.conj(z), z)
+        zbar = np.conj(z)
+        g = eye + np.einsum("ikl,...i->...kl", a, z)
+        g += np.einsum("ilk,...i->...kl", np.conj(a), zbar)
+        g += 0.5 * np.einsum("ijkl,...i,...j->...kl", b, z, zbar)
+        g += eps * (zbar[..., :, None] * z[..., None, :])
         return g
 
     def first(z: np.ndarray) -> np.ndarray:
-        d = a.copy()
-        d += 0.5 * np.einsum("ijkl,j->ikl", b, np.conj(z))
-        for idx in range(n):
-            d[idx, :, idx] += eps * np.conj(z)
-        return d
+        zbar = np.conj(z)
+        d = a + 0.5 * np.einsum("ijkl,...j->...ikl", b, zbar)
+        # d[..., i, k, i] gains eps conj(z_k)
+        return d + eps * zbar[..., None, :, None] * eye[:, None, :]
 
     def mixed(z: np.ndarray) -> np.ndarray:
-        dd = 0.5 * b.copy()
-        for i in range(n):
-            for j in range(n):
-                dd[i, j, j, i] += eps
-        return dd
+        return _batched(mixed_constant, z)
 
     entries = []
     for k in range(n):
@@ -181,25 +185,20 @@ def example22(n: int, a: np.ndarray, eps: float) -> MetricSpec:
 def hopf(n: int) -> MetricSpec:
     """The metric ``g = I / |z|^2`` on the punctured chart."""
 
+    eye = np.eye(n, dtype=complex)
+
     def value(z: np.ndarray) -> np.ndarray:
-        r2 = float(np.sum(np.abs(z) ** 2))
-        return np.eye(n, dtype=complex) / r2
+        r2 = np.sum(np.abs(z) ** 2, axis=-1)[..., None, None]
+        return eye / r2
 
     def first(z: np.ndarray) -> np.ndarray:
-        r2 = float(np.sum(np.abs(z) ** 2))
-        d = np.zeros((n, n, n), dtype=complex)
-        for idx in range(n):
-            d[idx] = -np.conj(z[idx]) / r2**2 * np.eye(n)
-        return d
+        r2 = np.sum(np.abs(z) ** 2, axis=-1)[..., None]
+        return (-np.conj(z) / r2**2)[..., None, None] * eye
 
     def mixed(z: np.ndarray) -> np.ndarray:
-        r2 = float(np.sum(np.abs(z) ** 2))
-        dd = np.zeros((n, n, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                coeff = -((i == j) / r2**2) + 2.0 * np.conj(z[i]) * z[j] / r2**3
-                dd[i, j] = coeff * np.eye(n)
-        return dd
+        r2 = np.sum(np.abs(z) ** 2, axis=-1)[..., None, None]
+        coeff = -(eye / r2**2) + 2.0 * np.conj(z)[..., :, None] * z[..., None, :] / r2**3
+        return coeff[..., None, None] * eye
 
     norm2 = _sum_terms([Abs2(Var(k)) for k in range(n)])
     entries = tuple(

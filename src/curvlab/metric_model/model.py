@@ -63,13 +63,14 @@ class Region:
         if not (self.radius > 0):
             raise ConfigError(f"region radius must be positive, got {self.radius}")
 
-    def contains(self, z: np.ndarray) -> bool:
+    def contains(self, z: np.ndarray) -> np.ndarray:
+        """Whether each point of ``z`` of shape ``(..., n)`` lies inside, shape ``(...)``."""
         z = np.asarray(z, dtype=complex)
         if self.kind == "ball":
-            return float(np.linalg.norm(z)) < self.radius
+            return np.linalg.norm(z, axis=-1) < self.radius
         if self.kind == "polydisk":
-            return float(np.max(np.abs(z))) < self.radius
-        return float(np.linalg.norm(z)) > 0.0
+            return np.max(np.abs(z), axis=-1) < self.radius
+        return np.linalg.norm(z, axis=-1) > 0.0
 
     def base_point(self, n: int) -> np.ndarray:
         z = np.zeros(n, dtype=complex)
@@ -98,7 +99,13 @@ class Region:
 
 @dataclass(frozen=True)
 class ExactJets:
-    """Closed-form jets of a built-in metric family."""
+    """Closed-form jets of a built-in metric family.
+
+    Each map takes points of shape ``(..., n)`` and returns, one point per
+    batch index, ``value`` of shape ``(..., n, n)``, ``first`` of
+    ``(..., n, n, n)`` and ``mixed`` of ``(..., n, n, n, n)``, laid out as the
+    fields ``g``, ``d_g`` and ``dd_g`` of :class:`MetricJet`.
+    """
 
     value: Callable[[np.ndarray], np.ndarray]
     first: Callable[[np.ndarray], np.ndarray]
@@ -166,33 +173,45 @@ class MetricJet:
 
 
 def metric_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
-    """Metric matrix ``g_{k lbar}(z)``."""
+    """Metric matrices ``g_{k lbar}(z)``, ``(..., n, n)`` for points ``(..., n)``."""
     z = np.asarray(z, dtype=complex)
     if spec.exact is not None:
         return np.asarray(spec.exact.value(z), dtype=complex)
-    return spec.entry_field()(z)
+    field = spec.entry_field()
+    if z.ndim == 1:
+        return field(z)
+    return np.array([field(p) for p in z.reshape(-1, spec.n)]).reshape(z.shape + (spec.n,))
 
 
 def metric_jet(spec: MetricSpec, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME) -> MetricJet:
-    """Second-order jet of the metric at ``z``.
+    """Second-order jet of the metric at the points ``z`` of shape ``(..., n)``.
 
-    Uses closed-form jets when the spec carries them and the scheme allows;
-    otherwise differentiates the entry field with the scheme's stencils.
+    The jet's arrays carry the batch axes of ``z``.  Closed-form jets, when
+    the spec carries them and the scheme allows, take all points in one call;
+    otherwise the entry field is differentiated with the scheme's stencils,
+    point by point.  Raises :class:`NumericalError` unless ``g``, ``d_g`` and
+    ``dd_g`` are finite at every point.
     """
     z = np.asarray(z, dtype=complex)
-    if len(z) != spec.n:
-        raise ConfigError(f"point has {len(z)} coordinates, metric needs {spec.n}")
-    if spec.exact is not None and scheme.use_exact:
-        g = np.asarray(spec.exact.value(z), dtype=complex)
-        d_g = np.asarray(spec.exact.first(z), dtype=complex)
-        dd_g = np.asarray(spec.exact.mixed(z), dtype=complex)
-        jet = MetricJet(z, g, d_g, dd_g, exact=True)
-    else:
-        full = complex_jet2(spec.entry_field(), z, scheme)
-        jet = MetricJet(z, full.value, full.d, full.dd, exact=False)
-    if not np.all(np.isfinite(jet.g)) or not np.all(np.isfinite(jet.dd_g)):
-        raise NumericalError(f"metric jet is not finite at {z}")
-    return jet
+    if z.shape[-1:] != (spec.n,):
+        raise ConfigError(f"points of shape {z.shape} need {spec.n} coordinates each")
+    exact = spec.exact is not None and scheme.use_exact
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if exact:
+            parts = [spec.exact.value(z), spec.exact.first(z), spec.exact.mixed(z)]
+        else:
+            field = spec.entry_field()
+            jets = [complex_jet2(field, p, scheme) for p in z.reshape(-1, spec.n)]
+            parts = [[j.value for j in jets], [j.d for j in jets], [j.dd for j in jets]]
+    g, d_g, dd_g = (
+        np.reshape(np.asarray(part, dtype=complex), z.shape[:-1] + (spec.n,) * rank)
+        for part, rank in zip(parts, (2, 3, 4))
+    )
+    finite = (np.isfinite(g).all((-2, -1)) & np.isfinite(d_g).all((-3, -2, -1))
+              & np.isfinite(dd_g).all((-4, -3, -2, -1)))
+    if not finite.all():
+        raise NumericalError(f"metric jet is not finite at {z[~finite][0]}")
+    return MetricJet(z, g, d_g, dd_g, exact=exact)
 
 
 def validate_metric(spec: MetricSpec, seed: int = 12345) -> None:

@@ -245,6 +245,15 @@ class TestScan:
         assert err.startswith("error: ")
 
 
+    def test_negative_compare_samples_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            ["scan", "--metric", "builtin:F4", "--compare", "--samples", "-1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
+
+
 class TestSchwarz:
     def test_identity_map_between_metrics(self, capsys):
         code, report = run_json(
@@ -410,6 +419,17 @@ class TestFlow:
         assert code == 3
         assert "rejected" in err
 
+    def test_grid_on_a_singularity_is_numerical_failure(self, capsys):
+        # a node sits on hopf's puncture; its metric value is not finite
+        code, out, err = run_cli(
+            ["flow", "--metric", "builtin:hopf(1)", "--center", "0", "--extent", "0.1",
+             "--dt", "1e-4", "--steps", "1"],
+            capsys,
+        )
+        assert code == 3
+        assert "NaN" not in out and out == ""
+        assert err.startswith("error: ") and "not finite" in err
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "flow.json"
         code, out, _ = run_cli(
@@ -488,3 +508,76 @@ class TestExitCodes:
         )
         assert code == 2
         assert "outside" in err
+
+
+BATCH_METRICS = {
+    "F1": "builtin:example22",
+    "P2": "builtin:poincare_polydisk(2)",
+    "H2": "builtin:hopf(2)",
+}
+PLURICLOSED = {"P2", "H2"}
+
+
+def point_arg(pairs) -> str:
+    """A ``--points`` value that parses back to exactly the reported point."""
+    return ",".join(repr(complex(re, im)) for re, im in pairs)
+
+
+def assert_rows_close(got, want, label: str, rtol: float = 1e-13) -> None:
+    """Same keys and shapes; every number within rtol * max(1, |want|)."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), label
+        for key in want:
+            assert_rows_close(got[key], want[key], f"{label}.{key}", rtol)
+    elif isinstance(want, list):
+        assert len(got) == len(want), label
+        for g, w in zip(got, want):
+            assert_rows_close(g, w, label, rtol)
+    else:
+        assert abs(got - want) <= rtol * max(1.0, abs(want)), f"{label}: {got} vs {want}"
+
+
+class TestBatchedRows:
+    """A row of a many-point call equals the one-point call at that point."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_METRICS))
+    def test_curvature_region(self, capsys, name):
+        flags = ["--check", "bianchi,pluriclosed"]
+        argv = ["curvature", "--metric", BATCH_METRICS[name], *flags]
+        _, report = run_json(argv + ["--region", "16", "--seed", "3"], capsys)
+        assert len(report["points"]) == 16
+        for k, row in enumerate(report["points"]):
+            _, single = run_json(argv + ["--points=" + point_arg(row["point"])], capsys)
+            assert_rows_close(row, single["points"][0], f"{name} row {k}")
+        checks = [row["checks"] for row in report["points"]]
+        assert report["worst_checks"] == {c: max(row[c] for row in checks) for c in checks[0]}
+
+    @pytest.mark.parametrize("name", sorted(BATCH_METRICS))
+    def test_gauduchon_region(self, capsys, name):
+        argv = ["gauduchon", "--metric", BATCH_METRICS[name], "--t=-1,0.25,2", "--roundtrip"]
+        _, report = run_json(argv + ["--region", "16", "--seed", "3"], capsys)
+        rows = report["results"]
+        assert len(rows) == 48
+        for k in range(16):
+            at_point = rows[3 * k:3 * k + 3]
+            assert [row["t"] for row in at_point] == [-1.0, 0.25, 2.0]
+            _, single = run_json(argv + ["--points=" + point_arg(at_point[0]["point"])], capsys)
+            assert_rows_close(at_point, single["results"], f"{name} point {k}")
+        assert report["max_roundtrip_residual"] == max(row["roundtrip_residual"] for row in rows)
+
+    @pytest.mark.parametrize("name", sorted(BATCH_METRICS))
+    def test_compare_region(self, capsys, name):
+        argv = ["scan", "--metric", BATCH_METRICS[name], "--compare", "--seed", "5"]
+        _, report = run_json(argv + ["--region", "8"], capsys)
+        rows = report["results"]
+        assert len(rows) == 8
+        for k, row in enumerate(rows):
+            _, single = run_json(argv + ["--points=" + point_arg(row["point"])], capsys)
+            want = dict(single["results"][0])
+            if name not in PLURICLOSED and k > 0:
+                # the forms of point k are the seed's draws k * samples onwards,
+                # where a one-point call starts at the first; the deviation is
+                # not a noise-level zero here, so only row 0 can match
+                want["deviation"] = row["deviation"]
+            assert_rows_close(row, want, f"{name} row {k}")
+        assert report["summary"]["max_deviation"] == max(row["deviation"] for row in rows)

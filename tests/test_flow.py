@@ -131,6 +131,26 @@ class TestGrid:
         z = field.node_points()[3, 1]
         assert np.allclose(field.values[3, 1], metric_value(spec, z), atol=1e-14)
 
+    @pytest.mark.parametrize("name", ["F1", "F2"])
+    def test_values_equal_node_by_node(self, name):
+        spec = fixture(name)
+        box = GridBox((0.03 + 0.01j, -0.02j), half_width=0.05, resolution=5)
+        field = GridMetricField.from_spec(spec, box)
+        points = field.node_points()
+        for idx in np.ndindex(*points.shape[:-1]):
+            single = metric_value(spec, points[idx])
+            assert np.max(np.abs(field.values[idx] - single)) <= 1e-15 * np.max(np.abs(single))
+
+    def test_non_finite_values_rejected(self):
+        box = GridBox((0j,), half_width=0.1, resolution=3)
+        values = np.ones((3, 3, 1, 1), dtype=complex)
+        values[1, 2] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            GridMetricField(box, values)
+        # a node on hopf's puncture: no warning escapes, the grid is rejected
+        with pytest.raises(NumericalError, match="not finite"):
+            GridMetricField.from_spec(builtin_metric("hopf", 1), box)
+
     def test_grid_jets_match_exact_jets(self):
         spec = builtin_metric("poincare_polydisk", 1)
         box = GridBox((0.2 + 0j,), half_width=0.04, resolution=9)

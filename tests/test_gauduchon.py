@@ -48,6 +48,23 @@ class TestFamily:
         assert np.array_equal(back_t, pt.torsion_frame)
         assert np.array_equal(back_r, pt.curvature_frame)
 
+    @pytest.mark.parametrize("name", ["F1", "F3"])
+    def test_batched_point_equals_pointwise_loop(self, name):
+        spec = fixture(name)
+        points = spec.region.sample_points(spec.n, np.random.default_rng(4), 6).reshape(2, 3, 2)
+        stacked = ChernPoint.from_spec(spec, points)
+        for t in PARAMS + (1.0,):
+            member = gauduchon_family(stacked, t)
+            back_t, back_r = chern_from_family(member)
+            for idx in np.ndindex(2, 3):
+                single = gauduchon_family(ChernPoint.from_spec(spec, points[idx]), t)
+                single_back = chern_from_family(single)
+                pairs = [(member.torsion, single.torsion), (member.curvature, single.curvature),
+                         (back_t, single_back[0]), (back_r, single_back[1])]
+                for batched, ref in pairs:
+                    scale = max(1.0, float(np.max(np.abs(ref))))
+                    assert np.max(np.abs(batched[idx] - ref)) <= 1e-13 * scale, (t, idx)
+
     def test_torsion_scales_linearly(self):
         pt = ChernPoint.from_spec(fixture("F1"), POINTS["F1"])
         member = gauduchon_family(pt, -1.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab.errors import ConfigError
+from curvlab.errors import ConfigError, NumericalError
 from curvlab.metric_model import (
     Abs2,
     Add,
@@ -15,7 +15,9 @@ from curvlab.metric_model import (
     ConjVar,
     Const,
     Div,
+    ExactJets,
     JetScheme,
+    MetricSpec,
     Mul,
     Neg,
     Pow,
@@ -35,6 +37,7 @@ from curvlab.metric_model import (
     metric_value,
     parse_expr,
     poincare_polydisk,
+    Region,
     substitute,
     to_text,
     validate_metric,
@@ -319,6 +322,96 @@ class TestBuiltins:
     def test_point_dimension_mismatch(self):
         with pytest.raises(ConfigError, match="coordinates"):
             metric_jet(flat(2), np.zeros(3, dtype=complex))
+
+
+BATCH_METRICS = {
+    "flat(2)": lambda: flat(2),
+    "P1": lambda: poincare_polydisk(1),
+    "P2": lambda: poincare_polydisk(2),
+    "H1": lambda: hopf(1),
+    "H2": lambda: hopf(2),
+    "H3": lambda: hopf(3),
+    "F1": lambda: fixture("F1"),
+}
+
+
+def assert_entries_close(got: np.ndarray, ref: np.ndarray, tol: float, label: str) -> None:
+    assert got.shape == ref.shape, label
+    gap = float(np.max(np.abs(got - ref)))
+    assert gap <= tol * max(1.0, float(np.max(np.abs(ref)))), f"{label}: off by {gap:.3e}"
+
+
+class TestBatchedJets:
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("name", sorted(BATCH_METRICS))
+    def test_stacked_exact_jets_equal_pointwise_loop(self, name, lead):
+        spec = BATCH_METRICS[name]()
+        rng = np.random.default_rng(len(lead) + 7)
+        count = int(np.prod(lead, dtype=int))
+        points = spec.region.sample_points(spec.n, rng, count).reshape(lead + (spec.n,))
+        jet = metric_jet(spec, points)
+        assert jet.exact
+        for part, rank in (("g", 2), ("d_g", 3), ("dd_g", 4)):
+            assert getattr(jet, part).shape == lead + (spec.n,) * rank
+        values = metric_value(spec, points)
+        for idx in np.ndindex(*lead):
+            single = metric_jet(spec, points[idx])
+            for part in ("g", "d_g", "dd_g"):
+                assert_entries_close(getattr(jet, part)[idx], getattr(single, part), 1e-15,
+                                     f"{name} {part} at {idx}")
+            assert_entries_close(values[idx], metric_value(spec, points[idx]), 1e-15,
+                                 f"{name} value at {idx}")
+
+    def test_stencil_and_expression_routes_stack_per_point(self):
+        spec = poincare_polydisk(2)
+        points = np.array([[0.3 + 0.1j, -0.2j], [0.1, 0.4 - 0.1j]])
+        scheme = JetScheme(use_exact=False)
+        jet = metric_jet(spec, points, scheme)
+        assert not jet.exact
+        for k, z in enumerate(points):
+            single = metric_jet(spec, z, scheme)
+            for part in ("g", "d_g", "dd_g"):
+                assert np.array_equal(getattr(jet, part)[k], getattr(single, part)), part
+        payload = {"n": 2, "entries": [["1 + abs2(z1)", "0"], ["0", "1 + abs2(z2)"]],
+                   "region": {"type": "ball", "radius": 1.0}}
+        loaded = load_metric(payload)
+        stacked = metric_value(loaded, points[None])
+        assert stacked.shape == (1, 2, 2, 2)
+        for k, z in enumerate(points):
+            assert np.array_equal(stacked[0, k], metric_value(loaded, z))
+
+    def test_region_contains_over_leading_axes(self):
+        points = np.array([[[0.5, 0.5], [0.9, 0.5j]], [[0.0, 0.0], [0.2, 1.2]]], dtype=complex)
+        assert Region("ball", 1.0).contains(points).tolist() == [[True, False], [True, False]]
+        assert Region("polydisk", 1.0).contains(points).tolist() == [[True, True], [True, False]]
+        assert Region("punctured", 1.0).contains(points).tolist() == [[True, True], [False, True]]
+        assert bool(Region("ball", 1.0).contains(points[0, 0]))
+
+    def test_non_finite_first_derivative_is_numerical_error(self):
+        base = flat(2)
+
+        def first(z):
+            # infinite only where Re z1 > 0.5, so g and dd_g stay finite
+            d = np.zeros(z.shape[:-1] + (2, 2, 2), dtype=complex)
+            d[z[..., 0].real > 0.5] = np.inf
+            return d
+
+        spec = MetricSpec(
+            name="bad-first", n=2, entries=base.entries, region=base.region,
+            exact=ExactJets(base.exact.value, first, base.exact.mixed),
+        )
+        assert np.isfinite(metric_jet(spec, np.zeros(2, dtype=complex)).d_g).all()
+        with pytest.raises(NumericalError, match="not finite"):
+            metric_jet(spec, np.array([0.7, 0.0], dtype=complex))
+        points = np.array([[0.1, 0.0], [0.9 + 0.25j, 0.0], [0.2, 0.3]], dtype=complex)
+        with pytest.raises(NumericalError, match="not finite at .*0.9"):
+            metric_jet(spec, points)
+
+    def test_singular_point_in_a_batch_is_numerical_error(self):
+        # hopf divides by |z|^2; the warning is suppressed and the jet rejected
+        points = np.array([[0.5, 0.1j], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(NumericalError, match="not finite"):
+            metric_jet(hopf(2), points)
 
 
 class TestLoader:

@@ -5,11 +5,19 @@ and flow histories computed at commit 8e7da75, before the Chern formulas were
 rewritten over batch axes and the flow's private copy of them was deleted.
 Every quantity here must still match to 1e-12 relative to its array's scale.
 
-To record the file again from the code in this checkout::
+``tests/data/pinned_cli.json`` holds ``scan --compare`` deviations and
+``gauduchon`` family norms computed at commit 7328989, where both commands
+still ran one point per call and drew the comparison forms one sample at a
+time.  They guard the order of the random draws and the family contractions,
+and must match to 1e-12 relative to ``max(1, |entry|)``.
+
+To record both files again from the code in this checkout::
 
     PYTHONPATH=src python3 tests/test_pinned_values.py
 """
 
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
@@ -18,11 +26,13 @@ import numpy as np
 import pytest
 
 from curvlab.chern import ChernPoint
+from curvlab.cli import main
 from curvlab.flow import GridBox, init_flow, run_flow
 from curvlab.functionals import TauParam
 from curvlab.metric_model import fixture, hopf, metric_jet, poincare_polydisk
 
 DATA = Path(__file__).resolve().parent / "data" / "pinned_values.json"
+CLI_DATA = DATA.with_name("pinned_cli.json")
 RTOL = 1e-12
 
 POINTS = {
@@ -43,6 +53,26 @@ FLOWS = {
                             "frozen", 2.0, "heun", 1e-4, 4),
     "P1-tauinf-frozen-euler": (poincare_polydisk(1), (0.1 + 0j,), 0.3, 21,
                                "frozen", math.inf, "euler", 1e-4, 5),
+}
+
+_COMPARE = ("--compare", "--samples", "5", "--seed", "7")
+_FAMILY = ("--t=-1,0.25,2", "--roundtrip")
+# name -> (subcommand, metric, points, flags, report fields pinned per row)
+CLI_CALLS = {
+    "compare-F1": ("scan", "builtin:example22",
+                   "0.05+0.02j,-0.04j;0.1-0.03j,0.02+0.08j;0,0", _COMPARE,
+                   ("deviation", "pluriclosed")),
+    "compare-P2": ("scan", "builtin:poincare_polydisk(2)",
+                   "0.3+0.1j,0.2j;-0.5,0.1-0.4j", _COMPARE, ("deviation", "pluriclosed")),
+    "compare-H2": ("scan", "builtin:hopf(2)",
+                   "0.7+0.1j,-0.3j;1,0;-0.2+0.5j,0.4", _COMPARE, ("deviation", "pluriclosed")),
+    "family-F1": ("gauduchon", "builtin:example22",
+                  "0.05+0.02j,-0.04j;0.1-0.03j,0.02+0.08j", _FAMILY,
+                  ("torsion_norm", "curvature_norm")),
+    "family-P2": ("gauduchon", "builtin:poincare_polydisk(2)",
+                  "0.3+0.1j,0.2j;-0.5,0.1-0.4j", _FAMILY, ("torsion_norm", "curvature_norm")),
+    "family-H2": ("gauduchon", "builtin:hopf(2)",
+                  "0.7+0.1j,-0.3j;-0.2+0.5j,0.4", _FAMILY, ("torsion_norm", "curvature_norm")),
 }
 
 
@@ -80,6 +110,17 @@ def flow_values(name: str) -> dict:
     }
 
 
+def cli_values(name: str) -> np.ndarray:
+    """The pinned fields of every report row, ``(rows, fields)``."""
+    command, metric, points, flags, fields = CLI_CALLS[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, "--metric", metric, "--points", points, *flags])
+    assert code == 0, f"{name} exited {code}"
+    rows = json.loads(out.getvalue())["results"]
+    return np.array([[row[field] for field in fields] for row in rows])
+
+
 def record() -> dict:
     return {
         "points": {
@@ -102,6 +143,11 @@ def pinned() -> dict:
     return json.loads(DATA.read_text())
 
 
+@pytest.fixture(scope="module")
+def pinned_cli() -> dict:
+    return json.loads(CLI_DATA.read_text())
+
+
 @pytest.mark.parametrize("name", sorted(POINTS))
 def test_frame_tensors_match_pinned(pinned, name):
     for key, value in point_values(name).items():
@@ -114,6 +160,17 @@ def test_flow_history_matches_pinned(pinned, name):
         assert_matches(value, _complex(pinned["flows"][name][key]), f"{name} {key}")
 
 
+@pytest.mark.parametrize("name", sorted(CLI_CALLS))
+def test_cli_values_match_pinned(pinned_cli, name):
+    new = cli_values(name)
+    ref = np.array(pinned_cli[name])
+    assert new.shape == ref.shape
+    gap = np.abs(new - ref) / np.maximum(1.0, np.abs(ref))
+    assert float(gap.max()) <= RTOL, f"{name}: off by {float(gap.max()):.3e}"
+
+
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(record(), indent=1) + "\n")
+    cli = {name: cli_values(name).tolist() for name in CLI_CALLS}
+    CLI_DATA.write_text(json.dumps(cli, indent=1) + "\n")
