@@ -50,6 +50,10 @@ from .tensor_core import psd_project_batch
 
 __all__ = ["main"]
 
+# forms held at once by `scan --compare`: its points go in chunks of this many
+# forms over --samples, one point per chunk at least
+_COMPARE_FORMS = 4096
+
 _BUILTIN_REF = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\((?P<args>[^)]*)\))?$")
 
 
@@ -234,24 +238,29 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         # functional on seeded random PSD forms
         if args.samples < 0:
             raise ConfigError(f"--samples must be nonnegative, got {args.samples}")
-        jet = metric_jet(spec, points, scheme)
-        point = ChernPoint.from_jet(jet)
-        # the draws of a per-point, per-sample loop: real part, then imaginary
         rng = np.random.default_rng(args.seed)
-        draws = rng.normal(size=(len(points), args.samples, 2, spec.n, spec.n))
-        raw = draws[:, :, 0] + 1j * draws[:, :, 1]
-        forms, ok = psd_project_batch(raw @ np.conj(np.swapaxes(raw, -2, -1)))
-        if not ok.all():
-            raise NumericalError("projection collapsed to zero: no positive part")
         tau0 = TauParam(0.0, "target")
-        gaps = np.abs(rbc_forms(point, forms, tau0) - 0.5 * altered_hsc_forms(point, forms))
-        deviations = np.max(gaps, axis=-1, initial=0.0)
+        chunk = max(1, _COMPARE_FORMS // max(1, args.samples))
+        deviations, residuals = [], []
+        for start in range(0, len(points), chunk):
+            jet = metric_jet(spec, points[start:start + chunk], scheme)
+            point = ChernPoint.from_jet(jet)
+            # chunk by chunk, the draws of a per-point, per-sample loop:
+            # real part, then imaginary
+            draws = rng.normal(size=(len(jet.g), args.samples, 2, spec.n, spec.n))
+            raw = draws[:, :, 0] + 1j * draws[:, :, 1]
+            forms, ok = psd_project_batch(raw @ np.conj(np.swapaxes(raw, -2, -1)))
+            if not ok.all():
+                raise NumericalError("projection collapsed to zero: no positive part")
+            gaps = np.abs(rbc_forms(point, forms, tau0) - 0.5 * altered_hsc_forms(point, forms))
+            deviations += np.max(gaps, axis=-1, initial=0.0).tolist()
+            residuals += np.maximum(*pluriclosed_residuals(jet)).tolist()
         rows = _rows({
             "point": _complex_payload(points),
-            "deviation": deviations.tolist(),
-            "pluriclosed": np.maximum(*pluriclosed_residuals(jet)).tolist(),
+            "deviation": deviations,
+            "pluriclosed": residuals,
         })
-        worst = max(0.0, *deviations.tolist())
+        worst = max(0.0, *deviations)
         summary: dict = {"max_deviation": worst}
         if args.tol is not None and worst > args.tol:
             breached = True
@@ -274,8 +283,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             else:
                 raise ConfigError(f"unknown functional '{args.functional}'")
             rows.append(
-                {**vars(cert), "point": _complex_payload(z),
-                 "witness": _complex_payload(cert.witness)}
+                {
+                    "point": _complex_payload(z),
+                    "kind": cert.kind,
+                    "value": cert.value,
+                    "witness": _complex_payload(cert.witness),
+                    "samples": cert.samples,
+                    "ascent_iterations": cert.ascent_iterations,
+                    "tolerance": cert.tolerance,
+                }
             )
         summary = {
             "best_value": (max if args.kind == "sup" else min)(
@@ -316,8 +332,21 @@ def _cmd_schwarz(args: argparse.Namespace) -> int:
     worst = 0.0
     for z in points:
         rep = laplacian_identity_report(source, target, holo_map, z, scheme)
-        # every field of the report, one row per point
-        rows.append({**vars(rep), "point": _complex_payload(z)})
+        rows.append(
+            {
+                "point": _complex_payload(z),
+                "energy": rep.energy,
+                "laplacian": rep.laplacian,
+                "assembled": rep.assembled,
+                "hessian_square": rep.hessian_square,
+                "symmetric_square": rep.symmetric_square,
+                "skew_square": rep.skew_square,
+                "ricci_term": rep.ricci_term,
+                "target_term": rep.target_term,
+                "relative_residual": rep.relative_residual,
+                "skew_residual": rep.skew_residual,
+            }
+        )
         worst = max(worst, rep.relative_residual)
 
     report = {

@@ -163,24 +163,17 @@ class GridMetricField:
         Its derivatives are the grid's central differences:
         ``d_g[..., i, k, l] = d_i g_kl`` and ``dd_g[..., i, j, k, l] = d_i dbar_j g_kl``.
         """
-        n = self.box.n
         periodic = self.box.boundary == "periodic"
         h = self.box.spacing
-        real_first = [
-            _axis_derivative(self.values, h, axis, periodic) for axis in range(2 * n)
-        ]
-        d = [0.5 * (real_first[2 * i] - 1j * real_first[2 * i + 1]) for i in range(n)]
-        dd_rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                dx = _axis_derivative(d[i], h, 2 * j, periodic)
-                dy = _axis_derivative(d[i], h, 2 * j + 1, periodic)
-                row.append(0.5 * (dx + 1j * dy))
-            dd_rows.append(row)
-        d_stack = np.stack(d, axis=-3)
-        dd_stack = np.stack([np.stack(row, axis=-3) for row in dd_rows], axis=-4)
-        return MetricJet(self.node_points(), self.values, d_stack, dd_stack, exact=False)
+        grid_axes = range(2 * self.box.n)
+        # real derivatives along the grid axes x_1, y_1, x_2, ... stacked as axis -3
+        real_first = np.stack(
+            [_axis_derivative(self.values, h, a, periodic) for a in grid_axes], axis=-3
+        )
+        d = 0.5 * (real_first[..., 0::2, :, :] - 1j * real_first[..., 1::2, :, :])
+        real_second = np.stack([_axis_derivative(d, h, a, periodic) for a in grid_axes], axis=-3)
+        dd = 0.5 * (real_second[..., 0::2, :, :] + 1j * real_second[..., 1::2, :, :])
+        return MetricJet(self.node_points(), self.values, d, dd, exact=False)
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(hermitian_part(self.values)).min())

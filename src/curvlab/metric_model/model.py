@@ -175,12 +175,13 @@ class MetricJet:
 def metric_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
     """Metric matrices ``g_{k lbar}(z)``, ``(..., n, n)`` for points ``(..., n)``."""
     z = np.asarray(z, dtype=complex)
+    if z.shape[-1:] != (spec.n,):
+        raise ConfigError(f"points of shape {z.shape} need {spec.n} coordinates each")
     if spec.exact is not None:
         return np.asarray(spec.exact.value(z), dtype=complex)
     field = spec.entry_field()
-    if z.ndim == 1:
-        return field(z)
-    return np.array([field(p) for p in z.reshape(-1, spec.n)]).reshape(z.shape + (spec.n,))
+    values = np.array([field(p) for p in z.reshape(-1, spec.n)], dtype=complex)
+    return values.reshape(z.shape[:-1] + (spec.n, spec.n))
 
 
 def metric_jet(spec: MetricSpec, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME) -> MetricJet:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from curvlab import cli
 from curvlab.cli import _parse_metric, main
 from curvlab.errors import ConfigError
 
@@ -581,3 +582,14 @@ class TestBatchedRows:
                 want["deviation"] = row["deviation"]
             assert_rows_close(row, want, f"{name} row {k}")
         assert report["summary"]["max_deviation"] == max(row["deviation"] for row in rows)
+
+    @pytest.mark.parametrize("forms", [1, 7, 16])
+    def test_compare_chunks_continue_one_stream(self, capsys, monkeypatch, forms):
+        # chunks of 1, 2 and 5 points at 3 samples give the one-block report
+        argv = ["scan", "--metric", "builtin:example22", "--compare", "--seed", "5",
+                "--samples", "3", "--region", "7"]
+        _, whole, _ = run_cli(argv, capsys)
+        monkeypatch.setattr(cli, "_COMPARE_FORMS", forms)
+        code, chunked, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert chunked == whole

@@ -380,6 +380,17 @@ class TestBatchedJets:
         for k, z in enumerate(points):
             assert np.array_equal(stacked[0, k], metric_value(loaded, z))
 
+    @pytest.mark.parametrize("spec", [flat(2), load_metric(
+        {"n": 2, "entries": [["1", "0"], ["0", "1"]], "region": {"type": "ball", "radius": 1.0}}
+    )])
+    def test_points_need_n_coordinates(self, spec):
+        wrong = np.zeros((3, 4), dtype=complex)
+        for evaluate in (metric_value, metric_jet):
+            with pytest.raises(ConfigError, match="need 2 coordinates"):
+                evaluate(spec, wrong)
+            with pytest.raises(ConfigError, match="need 2 coordinates"):
+                evaluate(spec, np.zeros(3, dtype=complex))
+
     def test_region_contains_over_leading_axes(self):
         points = np.array([[[0.5, 0.5], [0.9, 0.5j]], [[0.0, 0.0], [0.2, 1.2]]], dtype=complex)
         assert Region("ball", 1.0).contains(points).tolist() == [[True, False], [True, False]]
