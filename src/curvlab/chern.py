@@ -22,6 +22,7 @@ single point and a whole grid alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -223,15 +224,9 @@ def pluriclosed_residuals(jet: MetricJet) -> tuple[np.ndarray, np.ndarray]:
 
 def _polynomial(coefficients: list[tuple[complex, Expr | None]]) -> Expr:
     """Sum of ``coeff * factor`` terms, skipping zero coefficients."""
-    acc: Expr | None = None
-    for coeff, factor in coefficients:
-        if coeff == 0:
-            continue
-        term: Expr = Const(complex(coeff))
-        if factor is not None:
-            term = Mul(term, factor)
-        acc = term if acc is None else Add(acc, term)
-    return acc if acc is not None else Const(0j)
+    terms = [Const(complex(coeff)) if factor is None else Mul(Const(complex(coeff)), factor)
+             for coeff, factor in coefficients if coeff != 0]
+    return reduce(Add, terms) if terms else Const(0j)
 
 
 @dataclass(frozen=True)
@@ -270,55 +265,25 @@ def normal_coordinates(
     rhs = -0.5 * np.transpose(sym, (2, 0, 1)).reshape(n, n * n)
     c = np.linalg.solve(chol.T, rhs).reshape(n, n, n)
 
-    # z_k(w) = p_k + sum_a S[k,a] w_a + (1/2) sum_{a,c} C[k,a,c] w_a w_c
-    phi: list[Expr] = []
-    jac: list[list[Expr]] = []
-    for k in range(n):
-        terms: list[tuple[complex, Expr | None]] = [(complex(p[k]), None)]
-        for a in range(n):
-            terms.append((complex(s[k, a]), Var(a)))
-        for a in range(n):
-            for ccol in range(n):
-                terms.append((0.5 * complex(c[k, a, ccol]), Mul(Var(a), Var(ccol))))
-        phi.append(_polynomial(terms))
-    for k in range(n):
-        row: list[Expr] = []
-        for a in range(n):
-            terms = [(complex(s[k, a]), None)]
-            for ccol in range(n):
-                terms.append((complex(c[k, a, ccol]), Var(ccol)))
-            row.append(_polynomial(terms))
-        jac.append(row)
-
-    entries = []
-    for a in range(n):
-        row_entries = []
-        for b in range(n):
-            acc: Expr | None = None
-            for k in range(n):
-                for l in range(n):
-                    pulled = substitute(spec.entries[k][l], phi)
-                    term = Mul(pulled, Mul(jac[k][a], Conj(jac[l][b])))
-                    acc = term if acc is None else Add(acc, term)
-            row_entries.append(acc if acc is not None else Const(0j))
-        entries.append(tuple(row_entries))
-
-    composed = MetricSpec(
-        name=f"{spec.name}:normal",
-        n=n,
-        entries=tuple(entries),
-        region=Region("ball", 0.05),
+    # z_k(w) = p_k + sum_a S[k,a] w_a + (1/2) sum_{a,e} C[k,a,e] w_a w_e, and its Jacobian
+    idx = range(n)
+    phi = [_polynomial([(p[k], None)] + [(s[k, a], Var(a)) for a in idx]
+                       + [(0.5 * c[k, a, e], Mul(Var(a), Var(e))) for a in idx for e in idx])
+           for k in idx]
+    jac = [[_polynomial([(s[k, a], None)] + [(c[k, a, e], Var(e)) for e in idx]) for a in idx]
+           for k in idx]
+    pulled = [[substitute(entry, phi) for entry in row] for row in spec.entries]
+    entries = tuple(
+        tuple(reduce(Add, [Mul(pulled[k][l], Mul(jac[k][a], Conj(jac[l][b])))
+                           for k in idx for l in idx]) for b in idx)
+        for a in idx
     )
+
+    composed = MetricSpec(name=f"{spec.name}:normal", n=n, entries=entries,
+                          region=Region("ball", 0.05))
 
     origin = np.zeros(n, dtype=complex)
-    fd_scheme = JetScheme(
-        h=scheme.h,
-        order=scheme.order,
-        richardson=scheme.richardson,
-        use_exact=False,
-        tol=scheme.tol,
-    )
-    hat = metric_jet(composed, origin, fd_scheme)
+    hat = metric_jet(composed, origin, scheme)
     torsion_hat = chern_torsion(hat)
     curvature_hat = chern_curvature(hat)
     rel1 = float(np.max(np.abs(hat.g - np.eye(n))))

@@ -528,8 +528,10 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--h", type=float, default=1e-3, help="derivative step")
-    sub.add_argument("--order", type=int, default=4, choices=(2, 4), help="stencil order")
+    sub.add_argument("--h", type=float, default=1e-3,
+                     help="stencil step (bianchi check, schwarz Laplacian)")
+    sub.add_argument("--order", type=int, default=4, choices=(2, 4),
+                     help="stencil order (bianchi check, schwarz Laplacian)")
     sub.add_argument("--seed", type=int, default=0, help="random seed")
     sub.add_argument("--tol", type=float, default=None, help="breach tolerance")
     sub.add_argument("--out", default=None, help="write the report to this path")

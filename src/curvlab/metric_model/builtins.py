@@ -1,19 +1,20 @@
-"""Built-in metric families with closed-form derivative jets.
+"""Built-in metric families, each defined once by its entry trees.
 
-Each family also carries expression-tree entries so that generic code paths
-(finite differences, chart recentring) work on it unchanged.  The four
-acceptance fixtures live in :data:`FIXTURES`.
+Values and exact jets come from the same folds over those trees as for
+metrics loaded from files.  The four acceptance fixtures live in
+:data:`FIXTURES`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
 from ..errors import ConfigError
 from .expr import Abs2, Add, Const, ConjVar, Div, Expr, Mul, Pow, Sub, Var
-from .model import ExactJets, MetricSpec, Region
+from .model import MetricSpec, Region
 
 __all__ = [
     "flat",
@@ -33,59 +34,21 @@ def _const_matrix_entries(n: int, matrix: np.ndarray) -> tuple:
 
 
 def _sum_terms(terms: list[Expr]) -> Expr:
-    if not terms:
-        return Const(0j)
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = Add(acc, term)
-    return acc
-
-
-def _diagonal(values: np.ndarray, rank: int) -> np.ndarray:
-    """``out[..., k, k, ..., k] = values[..., k]`` over ``rank`` trailing axes, zero elsewhere."""
-    n = values.shape[-1]
-    out = np.zeros(values.shape + (n,) * (rank - 1), dtype=complex)
-    out[(Ellipsis,) + (np.arange(n),) * rank] = values
-    return out
-
-
-def _batched(constant: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """A point-independent jet array repeated over the batch axes of ``z``."""
-    return np.broadcast_to(constant, z.shape[:-1] + constant.shape).copy()
+    return reduce(Add, terms) if terms else Const(0j)
 
 
 def flat(n: int) -> MetricSpec:
     """The flat metric ``g = I`` on all of C^n."""
-    eye = np.eye(n, dtype=complex)
-    exact = ExactJets(
-        value=lambda z: _batched(eye, z),
-        first=lambda z: np.zeros(z.shape[:-1] + (n,) * 3, dtype=complex),
-        mixed=lambda z: np.zeros(z.shape[:-1] + (n,) * 4, dtype=complex),
-    )
     return MetricSpec(
         name=f"flat({n})",
         n=n,
-        entries=_const_matrix_entries(n, eye),
+        entries=_const_matrix_entries(n, np.eye(n, dtype=complex)),
         region=Region("ball", math.inf),
-        exact=exact,
     )
 
 
 def poincare_polydisk(n: int) -> MetricSpec:
     """Product of Poincare disks: ``g_{k kbar} = (1 - |z_k|^2)^(-2)``."""
-
-    def value(z: np.ndarray) -> np.ndarray:
-        s = 1.0 - np.abs(z) ** 2
-        return _diagonal(s**-2.0, 2)
-
-    def first(z: np.ndarray) -> np.ndarray:
-        s = 1.0 - np.abs(z) ** 2
-        return _diagonal(2.0 * s**-3.0 * np.conj(z), 3)
-
-    def mixed(z: np.ndarray) -> np.ndarray:
-        s = 1.0 - np.abs(z) ** 2
-        return _diagonal(2.0 * s**-3.0 + 6.0 * np.abs(z) ** 2 * s**-4.0, 4)
-
     entries = tuple(
         tuple(
             Div(Const(1 + 0j), Pow(Sub(Const(1 + 0j), Abs2(Var(k))), 2))
@@ -100,7 +63,6 @@ def poincare_polydisk(n: int) -> MetricSpec:
         n=n,
         entries=entries,
         region=Region("polydisk", 1.0),
-        exact=ExactJets(value, first, mixed),
     )
 
 
@@ -125,81 +87,27 @@ def example22(n: int, a: np.ndarray, eps: float) -> MetricSpec:
     # b[i, j, k, l] = sum_p a[i,k,p] conj(a[j,l,p])
     b = np.einsum("ikp,jlp->ijkl", a, np.conj(a))
 
-    eye = np.eye(n, dtype=complex)
-    # mixed[i, j, k, l] = b[i, j, k, l] / 2 + eps delta_jk delta_il
-    mixed_constant = 0.5 * b + eps * np.einsum("il,jk->ijkl", eye, eye)
-
-    def value(z: np.ndarray) -> np.ndarray:
-        zbar = np.conj(z)
-        g = eye + np.einsum("ikl,...i->...kl", a, z)
-        g += np.einsum("ilk,...i->...kl", np.conj(a), zbar)
-        g += 0.5 * np.einsum("ijkl,...i,...j->...kl", b, z, zbar)
-        g += eps * (zbar[..., :, None] * z[..., None, :])
-        return g
-
-    def first(z: np.ndarray) -> np.ndarray:
-        zbar = np.conj(z)
-        d = a + 0.5 * np.einsum("ijkl,...j->...ikl", b, zbar)
-        # d[..., i, k, i] gains eps conj(z_k)
-        return d + eps * zbar[..., None, :, None] * eye[:, None, :]
-
-    def mixed(z: np.ndarray) -> np.ndarray:
-        return _batched(mixed_constant, z)
-
-    entries = []
-    for k in range(n):
-        row = []
-        for l in range(n):
-            terms: list[Expr] = []
-            if k == l:
-                terms.append(Const(1 + 0j))
-            for i in range(n):
-                if a[i, k, l] != 0:
-                    terms.append(Mul(Const(complex(a[i, k, l])), Var(i)))
-            for i in range(n):
-                if a[i, l, k] != 0:
-                    terms.append(Mul(Const(complex(np.conj(a[i, l, k]))), ConjVar(i)))
-            for i in range(n):
-                for j in range(n):
-                    if b[i, j, k, l] != 0:
-                        terms.append(
-                            Mul(
-                                Const(0.5 * complex(b[i, j, k, l])),
-                                Mul(Var(i), ConjVar(j)),
-                            )
-                        )
-            if eps != 0:
-                terms.append(Mul(Const(complex(eps)), Mul(Var(l), ConjVar(k))))
-            row.append(_sum_terms(terms))
-        entries.append(tuple(row))
+    def entry(k: int, l: int) -> Expr:
+        terms: list[Expr] = [Const(1 + 0j)] if k == l else []
+        terms += [Mul(Const(complex(a[i, k, l])), Var(i)) for i in range(n) if a[i, k, l] != 0]
+        terms += [Mul(Const(complex(np.conj(a[i, l, k]))), ConjVar(i))
+                  for i in range(n) if a[i, l, k] != 0]
+        terms += [Mul(Const(0.5 * complex(b[i, j, k, l])), Mul(Var(i), ConjVar(j)))
+                  for i in range(n) for j in range(n) if b[i, j, k, l] != 0]
+        if eps != 0:
+            terms.append(Mul(Const(complex(eps)), Mul(Var(l), ConjVar(k))))
+        return _sum_terms(terms)
 
     return MetricSpec(
         name=f"example22({n})",
         n=n,
-        entries=tuple(entries),
+        entries=tuple(tuple(entry(k, l) for l in range(n)) for k in range(n)),
         region=Region("ball", 0.25),
-        exact=ExactJets(value, first, mixed),
     )
 
 
 def hopf(n: int) -> MetricSpec:
     """The metric ``g = I / |z|^2`` on the punctured chart."""
-
-    eye = np.eye(n, dtype=complex)
-
-    def value(z: np.ndarray) -> np.ndarray:
-        r2 = np.sum(np.abs(z) ** 2, axis=-1)[..., None, None]
-        return eye / r2
-
-    def first(z: np.ndarray) -> np.ndarray:
-        r2 = np.sum(np.abs(z) ** 2, axis=-1)[..., None]
-        return (-np.conj(z) / r2**2)[..., None, None] * eye
-
-    def mixed(z: np.ndarray) -> np.ndarray:
-        r2 = np.sum(np.abs(z) ** 2, axis=-1)[..., None, None]
-        coeff = -(eye / r2**2) + 2.0 * np.conj(z)[..., :, None] * z[..., None, :] / r2**3
-        return coeff[..., None, None] * eye
-
     norm2 = _sum_terms([Abs2(Var(k)) for k in range(n)])
     entries = tuple(
         tuple(Div(Const(1 + 0j), norm2) if k == l else Const(0j) for l in range(n))
@@ -210,7 +118,6 @@ def hopf(n: int) -> MetricSpec:
         n=n,
         entries=entries,
         region=Region("punctured", math.inf),
-        exact=ExactJets(value, first, mixed),
     )
 
 

@@ -357,29 +357,134 @@ def to_text(node: Expr) -> str:
     return _render(node, _LEVEL_ADD)
 
 
-def eval_expr(node: Expr, z: np.ndarray) -> complex:
-    """Evaluate at a point ``z`` of complex coordinates."""
+class _Jet:
+    """Second-order Wirtinger jet of a scalar field at ``P`` points in ``m`` variables.
+
+    ``v`` has shape ``(P,)``, ``d[p, i] = d_i f`` and ``dbar[p, i] = dbar_i f``
+    have ``(P, m)``, and ``dd[p, i, j] = d_i dbar_j f`` has ``(P, m, m)``.
+    Python scalars act as constants.  Sums, products, quotients, integer
+    powers and conjugation close on these parts, so no pure second
+    derivatives are carried; each value is computed as the plain fold does.
+    """
+
+    __slots__ = ("v", "d", "dbar", "dd")
+
+    def __init__(self, v, d, dbar, dd) -> None:
+        self.v, self.d, self.dbar, self.dd = v, d, dbar, dd
+
+    @classmethod
+    def coordinates(cls, z: np.ndarray) -> "_Jet":
+        """Jets of the coordinates at points ``z`` of shape ``(P, m)``; ``[..., k]`` is ``z_k``."""
+        zero = np.zeros(z.shape + z.shape[-1:])
+        return cls(z, zero + np.eye(z.shape[-1]), zero, np.zeros(zero.shape + z.shape[-1:]))
+
+    def __getitem__(self, key: tuple) -> "_Jet":
+        s = (slice(None),)
+        return _Jet(self.v[key], self.d[key + s], self.dbar[key + s], self.dd[key + s + s])
+
+    def _each(self, f) -> "_Jet":
+        return _Jet(f(self.v), f(self.d), f(self.dbar), f(self.dd))
+
+    def __add__(self, other) -> "_Jet":
+        if not isinstance(other, _Jet):
+            return _Jet(self.v + other, self.d, self.dbar, self.dd)
+        return _Jet(self.v + other.v, self.d + other.d, self.dbar + other.dbar, self.dd + other.dd)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Jet":
+        return self._each(np.negative)
+
+    def __sub__(self, other) -> "_Jet":
+        return self + -other
+
+    def __rsub__(self, other) -> "_Jet":
+        return -self + other
+
+    def __mul__(self, other) -> "_Jet":
+        if not isinstance(other, _Jet):
+            return self._each(lambda part: part * other)
+        a, b = self.v[:, None], other.v[:, None]
+        return _Jet(self.v * other.v, self.d * b + a * other.d, self.dbar * b + a * other.dbar,
+                    self.dd * b[:, None] + a[:, None] * other.dd
+                    + _outer(self.d, other.dbar) + _outer(other.d, self.dbar))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_Jet":
+        if not isinstance(other, _Jet):
+            return self._each(lambda part: part / other)
+        # q = a / b: d q = d a / b - a d b / b^2 and d dbar q = d dbar a / b
+        # - (d a dbar b + d b dbar a + a d dbar b) / b^2 + 2 a d b dbar b / b^3
+        a, b = np.asarray(self.v)[..., None], other.v[:, None]
+        b2 = b * b
+        return _Jet(self.v / other.v, self.d / b - a * other.d / b2,
+                    self.dbar / b - a * other.dbar / b2,
+                    self.dd / b[:, None] - (_outer(self.d, other.dbar) + _outer(other.d, self.dbar)
+                                            + a[..., None] * other.dd) / b2[:, None]
+                    + 2 * a[..., None] * _outer(other.d, other.dbar) / (b2 * b)[:, None])
+
+    def __rtruediv__(self, other) -> "_Jet":
+        zero = np.zeros_like(self.d)
+        return _Jet(other, zero, zero, np.zeros_like(self.dd)) / self
+
+    def __pow__(self, k: int):
+        if k in (0, 1):  # never form v^(k-2), which is infinite at v = 0
+            return self if k else 1 + 0j
+        p1 = (k * self.v ** (k - 1))[:, None]
+        p2 = (k * (k - 1) * self.v ** (k - 2))[:, None, None]
+        return _Jet(self.v**k, p1 * self.d, p1 * self.dbar,
+                    p1[:, None] * self.dd + p2 * _outer(self.d, self.dbar))
+
+    def conjugate(self) -> "_Jet":
+        return _Jet(self.v.conjugate(), self.dbar.conjugate(), self.d.conjugate(),
+                    self.dd.conjugate().swapaxes(-1, -2))
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[:, :, None] * y[:, None, :]
+
+
+def _abs2(w):
+    """``w * conj(w)`` with an exactly real value ``re^2 + im^2``."""
+    if not isinstance(w, _Jet):
+        return w.real * w.real + w.imag * w.imag
+    out = w * w.conjugate()
+    out.v = _abs2(w.v)
+    return out
+
+
+def eval_expr(node: Expr, z):
+    """Evaluate at points ``z`` of shape ``(..., n)``, one value per point.
+
+    The tree is folded with Python operators over the leaves ``z[..., k]``,
+    so for the coordinate jets of a stack of points the fold gives the
+    entry's Wirtinger jet.  Constant subtrees stay Python numbers; a
+    division by zero among them raises :class:`ConfigError`.
+    """
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
-        return complex(z[node.index])
+        return z[..., node.index]
     if isinstance(node, ConjVar):
-        return complex(z[node.index]).conjugate()
+        return z[..., node.index].conjugate()
     if isinstance(node, Add):
         return eval_expr(node.left, z) + eval_expr(node.right, z)
     if isinstance(node, Sub):
         return eval_expr(node.left, z) - eval_expr(node.right, z)
     if isinstance(node, Mul):
         return eval_expr(node.left, z) * eval_expr(node.right, z)
-    if isinstance(node, Div):
-        return eval_expr(node.left, z) / eval_expr(node.right, z)
-    if isinstance(node, Pow):
-        return eval_expr(node.base, z) ** node.exponent
+    if isinstance(node, (Div, Pow)):
+        try:
+            if isinstance(node, Pow):
+                return eval_expr(node.base, z) ** node.exponent
+            return eval_expr(node.left, z) / eval_expr(node.right, z)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError(f"constant '{to_text(node)}' cannot be evaluated: {exc}") from exc
     if isinstance(node, Conj):
         return eval_expr(node.arg, z).conjugate()
     if isinstance(node, Abs2):
-        w = eval_expr(node.arg, z)
-        return complex(w.real * w.real + w.imag * w.imag)
+        return _abs2(eval_expr(node.arg, z))
     if isinstance(node, Neg):
         return -eval_expr(node.arg, z)
     raise ConfigError(f"unknown expression node {node!r}")

@@ -58,7 +58,8 @@ class JetScheme:
     richardson : int
         Richardson extrapolation levels, 0 or 1.
     use_exact : bool
-        Prefer closed-form jets when the metric provides them.
+        Metric jets are exact, folded over the entry trees; ``False``
+        selects this scheme's stencils instead.
     tol : float
         Default agreement tolerance for cross-checks quoted in reports.
     """

@@ -1,9 +1,10 @@
 """Metric specifications: entries, validity regions, and derivative jets.
 
 A metric is an ``n x n`` Hermitian matrix field ``g_{k lbar}(z)`` on a chart
-region.  Entries are expression trees; built-in families may additionally
-carry closed-form jets, used whenever the scheme allows.  The jet of a metric
-collects everything downstream curvature code needs at one point::
+region.  Its entries are expression trees, the only definition of a metric,
+built-in or loaded from a file: values and exact jets are both folds over
+those trees.  The jet of a metric collects everything downstream curvature
+code needs at one point::
 
     g[k, l]        = g_{k lbar}
     d_g[i, k, l]   = d_i g_{k lbar}
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .jets import DEFAULT_SCHEME, JetScheme, complex_jet2
 
 __all__ = [
     "Region",
-    "ExactJets",
     "MetricSpec",
     "MetricJet",
     "metric_value",
@@ -98,21 +97,6 @@ class Region:
 
 
 @dataclass(frozen=True)
-class ExactJets:
-    """Closed-form jets of a built-in metric family.
-
-    Each map takes points of shape ``(..., n)`` and returns, one point per
-    batch index, ``value`` of shape ``(..., n, n)``, ``first`` of
-    ``(..., n, n, n)`` and ``mixed`` of ``(..., n, n, n, n)``, laid out as the
-    fields ``g``, ``d_g`` and ``dd_g`` of :class:`MetricJet`.
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    first: Callable[[np.ndarray], np.ndarray]
-    mixed: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class MetricSpec:
     """An expression-backed Hermitian metric on a chart region."""
 
@@ -120,7 +104,6 @@ class MetricSpec:
     n: int
     entries: tuple
     region: Region
-    exact: Optional[ExactJets] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -134,18 +117,6 @@ class MetricSpec:
                     raise ConfigError(
                         f"entry uses z{top + 1} but the metric has n = {self.n}"
                     )
-
-    def entry_field(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The matrix-valued evaluation map built from the entry trees."""
-
-        def field(z: np.ndarray) -> np.ndarray:
-            out = np.empty((self.n, self.n), dtype=complex)
-            for k in range(self.n):
-                for l in range(self.n):
-                    out[k, l] = ex.eval_expr(self.entries[k][l], z)
-            return out
-
-        return field
 
 
 @dataclass(frozen=True)
@@ -172,70 +143,80 @@ class MetricJet:
         return metric_inverse_up(self.g)
 
 
-def metric_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
-    """Metric matrices ``g_{k lbar}(z)``, ``(..., n, n)`` for points ``(..., n)``."""
+def _points(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.shape[-1:] != (spec.n,):
         raise ConfigError(f"points of shape {z.shape} need {spec.n} coordinates each")
-    if spec.exact is not None:
-        return np.asarray(spec.exact.value(z), dtype=complex)
-    field = spec.entry_field()
-    values = np.array([field(p) for p in z.reshape(-1, spec.n)], dtype=complex)
-    return values.reshape(z.shape[:-1] + (spec.n, spec.n))
+    return z
+
+
+def metric_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
+    """Metric matrices ``g_{k lbar}(z)``, ``(..., n, n)`` for points ``(..., n)``.
+
+    Each entry tree is folded once over all points, under ``np.errstate``:
+    singular points give non-finite entries, which callers check.
+    """
+    z = _points(spec, z)
+    flat = z.reshape(-1, spec.n)
+    zero = np.zeros(len(flat))  # spreads constant entries over the points
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = [ex.eval_expr(entry, flat) + zero for row in spec.entries for entry in row]
+    return np.stack(g, -1).astype(complex).reshape(z.shape[:-1] + (spec.n, spec.n))
 
 
 def metric_jet(spec: MetricSpec, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME) -> MetricJet:
     """Second-order jet of the metric at the points ``z`` of shape ``(..., n)``.
 
-    The jet's arrays carry the batch axes of ``z``.  Closed-form jets, when
-    the spec carries them and the scheme allows, take all points in one call;
-    otherwise the entry field is differentiated with the scheme's stencils,
-    point by point.  Raises :class:`NumericalError` unless ``g``, ``d_g`` and
-    ``dd_g`` are finite at every point.
+    The jet's arrays carry the batch axes of ``z``.  By default each entry
+    tree is folded once over all points on Wirtinger jets, exact up to
+    rounding; ``scheme.use_exact = False`` differentiates the metric values
+    with the scheme's stencils instead, point by point.  Raises
+    :class:`NumericalError` unless ``g``, ``d_g`` and ``dd_g`` are finite at
+    every point.
     """
-    z = np.asarray(z, dtype=complex)
-    if z.shape[-1:] != (spec.n,):
-        raise ConfigError(f"points of shape {z.shape} need {spec.n} coordinates each")
-    exact = spec.exact is not None and scheme.use_exact
+    z = _points(spec, z)
+    flat = z.reshape(-1, spec.n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if exact:
-            parts = [spec.exact.value(z), spec.exact.first(z), spec.exact.mixed(z)]
+        if scheme.use_exact:
+            seed = ex._Jet.coordinates(flat)
+            zero = seed[..., 0] * 0.0  # a zero jet: spreads constant entries over the points
+            jets = [ex.eval_expr(entry, seed) + zero for row in spec.entries for entry in row]
+            parts = [np.stack([getattr(j, part) for j in jets], -1) for part in ("v", "d", "dd")]
         else:
-            field = spec.entry_field()
-            jets = [complex_jet2(field, p, scheme) for p in z.reshape(-1, spec.n)]
-            parts = [[j.value for j in jets], [j.d for j in jets], [j.dd for j in jets]]
-    g, d_g, dd_g = (
-        np.reshape(np.asarray(part, dtype=complex), z.shape[:-1] + (spec.n,) * rank)
-        for part, rank in zip(parts, (2, 3, 4))
-    )
+            jets = [complex_jet2(lambda w: metric_value(spec, w), p, scheme) for p in flat]
+            parts = [[getattr(j, part) for j in jets] for part in ("value", "d", "dd")]
+    g, d_g, dd_g = (np.reshape(np.asarray(part, dtype=complex), z.shape[:-1] + (spec.n,) * rank)
+                    for part, rank in zip(parts, (2, 3, 4)))
     finite = (np.isfinite(g).all((-2, -1)) & np.isfinite(d_g).all((-3, -2, -1))
               & np.isfinite(dd_g).all((-4, -3, -2, -1)))
     if not finite.all():
         raise NumericalError(f"metric jet is not finite at {z[~finite][0]}")
-    return MetricJet(z, g, d_g, dd_g, exact=exact)
+    return MetricJet(z, g, d_g, dd_g, exact=scheme.use_exact)
 
 
 def validate_metric(spec: MetricSpec, seed: int = 12345) -> None:
-    """Hermitian spot check at sampled points plus positivity at the base point.
+    """Finite, Hermitian values at sampled points plus positivity at the base point.
 
     Raises :class:`ConfigError` on failure.  The check is numerical: entries
     are compared against the conjugate transpose at ``_VALIDATION_POINTS``
-    deterministic region points.
+    deterministic region points and the base point, evaluated as one batch.
     """
     rng = np.random.default_rng(seed)
-    field = spec.entry_field()
-    points = spec.region.sample_points(spec.n, rng, _VALIDATION_POINTS)
-    for z in points:
-        g = field(z)
-        deviation = float(np.max(np.abs(g - g.conj().T)))
-        scale = max(1.0, float(np.max(np.abs(g))))
-        if deviation > _HERMITIAN_SPOT_TOL * scale:
-            raise ConfigError(
-                f"metric '{spec.name}' is not Hermitian at {z}: deviation {deviation:.3e}"
-            )
-    base = spec.region.base_point(spec.n)
-    g0 = metric_value(spec, base)
-    eigs = np.linalg.eigvalsh(0.5 * (g0 + g0.conj().T))
+    points = np.vstack([spec.region.sample_points(spec.n, rng, _VALIDATION_POINTS),
+                        spec.region.base_point(spec.n)])
+    g = metric_value(spec, points)
+    finite = np.isfinite(g).all((-2, -1))
+    if not finite.all():
+        raise ConfigError(f"metric '{spec.name}' is not finite at {points[~finite][0]}")
+    deviation = np.abs(g - np.swapaxes(g, -1, -2).conj()).max((-2, -1))
+    bad = deviation > _HERMITIAN_SPOT_TOL * np.maximum(1.0, np.abs(g).max((-2, -1)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConfigError(
+            f"metric '{spec.name}' is not Hermitian at {points[k]}: "
+            f"deviation {deviation[k]:.3e}"
+        )
+    eigs = np.linalg.eigvalsh(0.5 * (g[-1] + g[-1].conj().T))
     if eigs[0] <= 0:
         raise ConfigError(
             f"metric '{spec.name}' is not positive definite at its base point: "

@@ -510,6 +510,46 @@ class TestExitCodes:
         assert code == 2
         assert "outside" in err
 
+    @pytest.mark.parametrize(
+        "entry, region, command, code",
+        [
+            # a grid node on the puncture: the node value is not finite
+            ("1 / abs2(z1)", "punctured",
+             ["flow", "--center", "0", "--extent", "0.1", "--dt", "1e-4", "--steps", "1"], 3),
+            # constant subtrees that cannot be evaluated
+            ("1 + 1/(1-1)", "ball", ["curvature", "--points", "0.1"], 2),
+            ("1 + abs2(z1) + 0^-1", "ball", ["curvature", "--points", "0.1"], 2),
+        ],
+    )
+    def test_singular_expression_values(self, capsys, tmp_path, entry, region, command, code):
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(
+            {"n": 1, "entries": [[entry]], "region": {"type": region, "radius": 1.0}}))
+        got, out, err = run_cli(command[:1] + ["--metric", f"file:{path}"] + command[1:], capsys)
+        assert got == code
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "NaN" not in out
+
+
+class TestFileMetricAccuracy:
+    """A file: metric's jet is exact, so curvature holds up near the boundary."""
+
+    @pytest.mark.parametrize("radius", [0.9985, 0.9995])
+    def test_disk_curvature_near_the_boundary(self, capsys, tmp_path, radius):
+        path = tmp_path / "disk.json"
+        path.write_text(json.dumps({
+            "n": 1,
+            "entries": [["1 / (1 - z1 * conj(z1))^2"]],
+            "region": {"type": "ball", "radius": 1.0},
+        }))
+        code, report = run_json(
+            ["curvature", "--metric", f"file:{path}", "--points", repr(radius)], capsys
+        )
+        assert code == 0
+        got = complex(*report["points"][0]["curvature"][0][0][0][0])
+        closed = -2.0 / (1.0 - radius**2) ** 4
+        assert abs(got - closed) <= 1e-10 * abs(closed), f"R = {got} against {closed}"
+
 
 BATCH_METRICS = {
     "F1": "builtin:example22",

@@ -15,7 +15,6 @@ from curvlab.metric_model import (
     ConjVar,
     Const,
     Div,
-    ExactJets,
     JetScheme,
     MetricSpec,
     Mul,
@@ -399,24 +398,22 @@ class TestBatchedJets:
         assert bool(Region("ball", 1.0).contains(points[0, 0]))
 
     def test_non_finite_first_derivative_is_numerical_error(self):
-        base = flat(2)
-
-        def first(z):
-            # infinite only where Re z1 > 0.5, so g and dd_g stay finite
-            d = np.zeros(z.shape[:-1] + (2, 2, 2), dtype=complex)
-            d[z[..., 0].real > 0.5] = np.inf
-            return d
-
+        # On the line z1 = 0.7 the entry is 1 and its d_1 is z2 * 1e600, which
+        # overflows unless z2 = 0; g and dd_g stay finite there.
+        entry = parse_expr("1 + (z1 - 0.7) * (z2 * 1e300) * 1e300")
         spec = MetricSpec(
-            name="bad-first", n=2, entries=base.entries, region=base.region,
-            exact=ExactJets(base.exact.value, first, base.exact.mixed),
+            name="bad-first", n=2, entries=((entry, Const(0j)), (Const(0j), Const(1 + 0j))),
+            region=Region("ball", 1.0),
         )
-        assert np.isfinite(metric_jet(spec, np.zeros(2, dtype=complex)).d_g).all()
+        points = np.array([[0.7, 0.0], [0.7, 0.5], [0.7, 0.25j]], dtype=complex)
+        assert np.array_equal(metric_value(spec, points), np.broadcast_to(np.eye(2), (3, 2, 2)))
+        assert np.isfinite(metric_jet(spec, points[0]).d_g).all()
         with pytest.raises(NumericalError, match="not finite"):
-            metric_jet(spec, np.array([0.7, 0.0], dtype=complex))
-        points = np.array([[0.1, 0.0], [0.9 + 0.25j, 0.0], [0.2, 0.3]], dtype=complex)
-        with pytest.raises(NumericalError, match="not finite at .*0.9"):
+            metric_jet(spec, points[1])
+        with pytest.raises(NumericalError, match=r"not finite at \[0.7\+0.j 0.5\+0.j\]"):
             metric_jet(spec, points)
+        with pytest.raises(NumericalError, match=r"not finite at \[0.7\+0.j +0. +\+0.25j\]"):
+            metric_jet(spec, points[[0, 2, 1]][None])
 
     def test_singular_point_in_a_batch_is_numerical_error(self):
         # hopf divides by |z|^2; the warning is suppressed and the jet rejected
