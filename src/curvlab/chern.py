@@ -177,22 +177,22 @@ class ChernPoint:
 
 def first_bianchi_residual(
     spec: MetricSpec, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME
-) -> float:
+) -> np.ndarray:
     """Max deviation in ``dbar_m T^k_{ij} = sum_l X[k,l] (R[j,m,i,l] - R[i,m,j,l])``.
 
-    The left side differences the torsion field with the scheme's stencils;
-    the right side is assembled at the centre point.  Chart frame throughout,
-    so no connection terms enter.
+    One value per point of ``z`` of shape ``(..., n)``, shape ``(...)``.  The
+    left side differences the torsion field with the scheme's stencils, one
+    metric jet over the footprint of every point, which must lie in the
+    metric's region (else :class:`ConfigError`); the right side is assembled
+    at the centre points.  Chart frame throughout, so no connection terms enter.
     """
     jet = metric_jet(spec, z, scheme)
     r = chern_curvature(jet)
-
-    def torsion_field(w: np.ndarray) -> np.ndarray:
-        return chern_torsion(metric_jet(spec, w, scheme))
-
-    _, dbar_t = field_first(torsion_field, z, scheme)
-    rhs = np.einsum("kl,jmil->mijk", jet.g_up, r) - np.einsum("kl,imjl->mijk", jet.g_up, r)
-    return float(np.max(np.abs(dbar_t - rhs)))
+    _, dbar_t = field_first(lambda w: chern_torsion(metric_jet(spec, w, scheme)), jet.point,
+                            scheme, region=spec.region)
+    rhs = (np.einsum("...kl,...jmil->...mijk", jet.g_up, r)
+           - np.einsum("...kl,...imjl->...mijk", jet.g_up, r))
+    return np.abs(dbar_t - rhs).max(axis=(-4, -3, -2, -1))
 
 
 def _alternation(a: np.ndarray) -> np.ndarray:

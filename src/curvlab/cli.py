@@ -27,6 +27,7 @@ import json
 import math
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -202,8 +203,7 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
     rows = _rows({name: _complex_payload(value) for name, value in fields.items()})
     row_checks = {}
     if "bianchi" in checks:
-        # a stencil around each point: one point per call
-        row_checks["bianchi"] = [first_bianchi_residual(spec, z, scheme) for z in points]
+        row_checks["bianchi"] = first_bianchi_residual(spec, points, scheme).tolist()
     if "pluriclosed" in checks:
         row_checks["pluriclosed"] = np.maximum(*pluriclosed_residuals(jet)).tolist()
     for row, checks_at_point in zip(rows, _rows(row_checks)):
@@ -551,7 +551,9 @@ def _add_point_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``curvlab`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="curvlab",
         description="numerical laboratory for Hermitian metrics on charts",

@@ -419,8 +419,7 @@ def parabolic_schwarz_residual(
 
     def trace_field(w: np.ndarray) -> np.ndarray:
         xw = metric_inverse_up(metric_value(source, w))
-        hw = metric_value(reference, w)
-        return np.asarray(np.einsum("kl,kl->", xw, hw))
+        return np.einsum("...kl,...kl->...", xw, metric_value(reference, w))
 
     laplacian = scalar_laplacian(trace_field, source, z, scheme)
 

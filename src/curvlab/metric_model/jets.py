@@ -1,12 +1,16 @@
 """Finite-difference jets of complex-variable fields.
 
-Fields are callables ``f(z) -> scalar or ndarray`` of ``n`` complex
-coordinates, differentiated through the underlying ``2n`` real coordinates
-``(x_1 .. x_n, y_1 .. y_n)`` with ``z_k = x_k + i y_k``.  Central stencils of
-order 2 or 4, one optional Richardson extrapolation level, per-coordinate
-steps ``h * max(1, |z_k|)``, and a shared evaluation cache keyed by integer
-offsets make the jets deterministic: the same scheme at the same point always
-performs the identical float operations.
+A field is a callable ``f`` that maps points of shape ``(..., n)`` to values
+of shape ``(...) + S``, one value per point.  It is differentiated through
+the underlying ``2n`` real coordinates ``(x_1 .. x_n, y_1 .. y_n)`` with
+``z_k = x_k + i y_k``: central stencils of order 2 or 4, one optional
+Richardson extrapolation level, and per-coordinate steps
+``h * max(1, |z_k|)``.  Every derivative at every level reads one footprint,
+the integer half-step offsets of all its stencils, laid out once per
+dimension and scheme.  The field is called once, on the footprint around
+every centre of a stack, and each derivative is a weighted sum over it.  The
+jets are deterministic: the same scheme at the same point always performs
+the identical float operations, whatever other centres share the call.
 
 Wirtinger combinations turn the real jet into holomorphic data::
 
@@ -20,13 +24,14 @@ Wirtinger combinations turn the real jet into holomorphic data::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from ..errors import ConfigError
 
-__all__ = ["JetScheme", "ComplexJet2", "real_jet2", "complex_jet2", "field_first"]
+__all__ = ["JetScheme", "ComplexJet2", "complex_jet2", "field_first"]
 
 # 1D central stencils per order: offset -> weight, for unit spacing.
 _FIRST_WEIGHTS = {
@@ -91,143 +96,115 @@ class JetScheme:
 DEFAULT_SCHEME = JetScheme()
 
 
-class _StencilCache:
-    """Evaluates f(z0 + offset) once per integer offset vector.
+@cache
+def _footprint(m: int, order: int, levels: int, second: bool) -> tuple[np.ndarray, tuple]:
+    """Half-step offsets ``(F, m)`` of every stencil, and each derivative's terms.
 
-    Offsets are in half-steps of the per-coordinate spacing so one cache
-    serves both the base level and the Richardson half level.
+    Row 0 is the centre.  A derivative is ``(axes, terms)``: first in real
+    coordinate ``r`` for ``axes = (r,)``, second in ``r`` and ``s`` for
+    ``axes = (r, s)``; ``terms`` holds per level the ``(row, weight)`` pairs
+    in summation order.  Level 1 steps by two half-steps, level 2 by one.
     """
+    rows = {(0,) * m: 0}
 
-    def __init__(self, f: Callable, z0: np.ndarray, steps: np.ndarray) -> None:
-        self.f = f
-        self.z0 = np.asarray(z0, dtype=complex)
-        self.steps = steps
-        self.n = len(self.z0)
-        self.cache: dict[tuple[int, ...], np.ndarray] = {}
+    def lay_out(axes, moved, stencil):
+        terms = []
+        for unit in (2, 1)[:levels]:
+            level = []
+            for offsets, weight in stencil:
+                units = [0] * m
+                for axis, offset in zip(moved, offsets):
+                    units[axis] = offset * unit
+                level.append((rows.setdefault(tuple(units), len(rows)), weight))
+            terms.append(tuple(level))
+        return axes, tuple(terms)
 
-    def __call__(self, units: tuple[int, ...]) -> np.ndarray:
-        hit = self.cache.get(units)
-        if hit is not None:
-            return hit
-        z = self.z0.copy()
-        for r, u in enumerate(units):
-            if u:
-                k = r % self.n
-                delta = 0.5 * u * self.steps[r]
-                z[k] = z[k] + (delta if r < self.n else 1j * delta)
-        value = np.asarray(self.f(z), dtype=complex)
-        self.cache[units] = value
-        return value
-
-
-def _steps_for(z0: np.ndarray, h: float) -> np.ndarray:
-    n = len(z0)
-    scale = np.maximum(1.0, np.abs(np.asarray(z0, dtype=complex)))
-    return h * np.concatenate([scale, scale])
+    first = [((o,), w) for o, w in _FIRST_WEIGHTS[order]]
+    derivatives = [lay_out((r,), (r,), first) for r in range(m)]
+    if second:
+        diagonal = [((o,), w) for o, w in _SECOND_WEIGHTS[order]]
+        cross = [((a, b), wa * wb) for (a,), wa in first for (b,), wb in first]
+        for r in range(m):
+            derivatives.append(lay_out((r, r), (r,), diagonal))
+            derivatives += [lay_out((r, s), (r, s), cross) for s in range(r + 1, m)]
+    return np.array(list(rows), dtype=float), tuple(derivatives)
 
 
-def _unit_vector(m: int, r: int, amount: int) -> tuple[int, ...]:
-    units = [0] * m
-    units[r] = amount
-    return tuple(units)
+def _real_jet(f: Callable, z: np.ndarray, scheme: JetScheme, second: bool, region):
+    """Value ``(...) + S`` and real derivatives over one footprint at the centres ``z``.
 
-
-def _pair_vector(m: int, r: int, a: int, s: int, b: int) -> tuple[int, ...]:
-    units = [0] * m
-    units[r] = a
-    units[s] = b
-    return tuple(units)
-
-
-def _first_at_level(cache, m, r, order, level):
-    # level 1 uses spacing steps[r], level 2 uses steps[r] / 2
-    unit = 2 // level
-    spacing = cache.steps[r] * (0.5 * unit)
-    acc = None
-    for offset, weight in _FIRST_WEIGHTS[order]:
-        term = weight * cache(_unit_vector(m, r, offset * unit))
-        acc = term if acc is None else acc + term
-    return acc / spacing
-
-
-def _second_diag_at_level(cache, m, r, order, level):
-    unit = 2 // level
-    spacing = cache.steps[r] * (0.5 * unit)
-    acc = None
-    for offset, weight in _SECOND_WEIGHTS[order]:
-        term = weight * cache(_unit_vector(m, r, offset * unit))
-        acc = term if acc is None else acc + term
-    return acc / (spacing * spacing)
-
-
-def _second_cross_at_level(cache, m, r, s, order, level):
-    unit = 2 // level
-    spacing_r = cache.steps[r] * (0.5 * unit)
-    spacing_s = cache.steps[s] * (0.5 * unit)
-    acc = None
-    for off_r, w_r in _FIRST_WEIGHTS[order]:
-        for off_s, w_s in _FIRST_WEIGHTS[order]:
-            term = (w_r * w_s) * cache(
-                _pair_vector(m, r, off_r * unit, s, off_s * unit)
-            )
-            acc = term if acc is None else acc + term
-    return acc / (spacing_r * spacing_s)
-
-
-def _extrapolate(full: np.ndarray, half: np.ndarray, order: int) -> np.ndarray:
-    factor = float(2**order)
-    return (factor * half - full) / (factor - 1.0)
-
-
-def real_jet2(
-    f: Callable, z0: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, gradient, and Hessian of a field over the real coordinates.
-
-    Returns
-    -------
-    (value, D1, D2)
-        ``value`` has the field's shape ``S``; ``D1`` has shape ``(2n,) + S``
-        and ``D2`` shape ``(2n, 2n) + S`` with ``D2`` symmetric.
+    Returns ``(value, d1, d2)`` with the derivative axes first: ``d1`` of
+    shape ``(2n, ...) + S`` and ``d2``, symmetric, of ``(2n, 2n, ...) + S``
+    (None unless ``second``).
     """
-    z0 = np.asarray(z0, dtype=complex)
-    m = 2 * len(z0)
-    cache = _StencilCache(f, z0, _steps_for(z0, scheme.h))
-    value = cache(tuple([0] * m))
-    shape = value.shape
-
-    def combined(worker):
-        full = worker(1)
-        if scheme.richardson == 0:
-            return full
-        return _extrapolate(full, worker(2), scheme.order)
-
-    d1 = np.zeros((m,) + shape, dtype=complex)
-    d2 = np.zeros((m, m) + shape, dtype=complex)
-    for r in range(m):
-        d1[r] = combined(lambda level, r=r: _first_at_level(cache, m, r, scheme.order, level))
-        d2[r, r] = combined(
-            lambda level, r=r: _second_diag_at_level(cache, m, r, scheme.order, level)
-        )
-    for r in range(m):
-        for s in range(r + 1, m):
-            cross = combined(
-                lambda level, r=r, s=s: _second_cross_at_level(
-                    cache, m, r, s, scheme.order, level
-                )
+    z = np.asarray(z, dtype=complex)
+    batch, n = z.shape[:-1], z.shape[-1]
+    m = 2 * n
+    units, derivatives = _footprint(m, scheme.order, 1 + scheme.richardson, second)
+    scale = np.maximum(1.0, np.abs(z))
+    steps = scheme.h * np.concatenate([scale, scale], -1)
+    delta = 0.5 * units * steps[..., None, :]
+    points = z[..., None, :] + (delta[..., :n] + 1j * delta[..., n:])
+    if region is not None:
+        inside = region.contains(points).all(-1)
+        if not inside.all():
+            raise ConfigError(
+                f"the stencil around {z[~inside][0]} leaves the {region.kind} region; "
+                f"lower --h (now {scheme.h})"
             )
-            d2[r, s] = cross
-            d2[s, r] = cross
+
+    values = np.moveaxis(np.asarray(f(points), dtype=complex), len(batch), 0)
+    tail = values.ndim - 1 - len(batch)
+    steps = np.moveaxis(steps, -1, 0).reshape((m,) + batch + (1,) * tail)
+
+    def derivative(axes: tuple[int, ...], terms: tuple) -> np.ndarray:
+        found = []
+        for unit, level_terms in zip((2, 1), terms):
+            acc = None
+            for row, weight in level_terms:
+                term = weight * values[row]
+                acc = term if acc is None else acc + term
+            spacing = None
+            for axis in axes:
+                step = steps[axis] * (0.5 * unit)
+                spacing = step if spacing is None else spacing * step
+            found.append(acc / spacing)
+        if len(found) == 1:
+            return found[0]
+        factor = float(2**scheme.order)
+        return (factor * found[1] - found[0]) / (factor - 1.0)
+
+    value = values[0, ...].copy()
+    d1 = np.stack([derivative(axes, terms) for axes, terms in derivatives[:m]])
+    if not second:
+        return value, d1, None
+    d2 = np.empty((m,) + d1.shape, dtype=complex)
+    for (r, s), terms in derivatives[m:]:
+        d2[r, s] = d2[s, r] = derivative((r, s), terms)
     return value, d1, d2
+
+
+def _batch_first(a: np.ndarray, count: int, batch: int) -> np.ndarray:
+    """Move the ``count`` leading derivative axes behind ``batch`` axes, C-contiguous."""
+    moved = np.moveaxis(a, tuple(range(count)), tuple(range(batch, batch + count)))
+    return np.ascontiguousarray(moved)
+
+
+def _wirtinger_first(d1: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    n = len(d1) // 2
+    dx, dy = d1[:n], d1[n:]
+    return (_batch_first(0.5 * (dx - 1j * dy), 1, batch),
+            _batch_first(0.5 * (dx + 1j * dy), 1, batch))
 
 
 @dataclass(frozen=True)
 class ComplexJet2:
     """Wirtinger jet of a field: value, first, and second derivatives.
 
-    ``d[i]`` and ``dbar[i]`` are the holomorphic and anti-holomorphic firsts,
-    ``dd[i, j]`` the mixed second ``d_i dbar_j``, and ``dd_holo[i, j]`` the
-    pure holomorphic second ``d_i d_j``.
+    ``d[..., i]`` and ``dbar[..., i]`` are the holomorphic and
+    anti-holomorphic firsts, ``dd[..., i, j]`` the mixed second
+    ``d_i dbar_j``, and ``dd_holo[..., i, j]`` the pure holomorphic second
+    ``d_i d_j``; the field's axes ``S`` follow.
     """
 
     value: np.ndarray
@@ -238,44 +215,35 @@ class ComplexJet2:
 
 
 def complex_jet2(
-    f: Callable, z0: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME
+    f: Callable, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME, *, region=None
 ) -> ComplexJet2:
-    """Full Wirtinger jet of a field via the real finite-difference jet."""
-    z0 = np.asarray(z0, dtype=complex)
-    n = len(z0)
-    value, d1, d2 = real_jet2(f, z0, scheme)
-    dx = d1[:n]
-    dy = d1[n:]
-    d = 0.5 * (dx - 1j * dy)
-    dbar = 0.5 * (dx + 1j * dy)
-    dxx = d2[:n, :n]
-    dyy = d2[n:, n:]
-    dxy = d2[:n, n:]
-    dyx = d2[n:, :n]
-    dd = 0.25 * (dxx + dyy + 1j * (dxy - dyx))
-    dd_holo = 0.25 * (dxx - dyy - 1j * (dxy + dyx))
-    return ComplexJet2(value, d, dbar, dd, dd_holo)
+    """Full Wirtinger jet of a field at the centres ``z`` of shape ``(..., n)``.
+
+    ``f`` maps points ``(..., n)`` to values ``(...) + S``.  The jet has the
+    batch axes first: ``value`` of shape ``(...) + S``, ``d`` and ``dbar``
+    of ``(..., n) + S``, ``dd`` and ``dd_holo`` of ``(..., n, n) + S``.  With
+    a ``region``, a stencil that leaves it is a :class:`ConfigError`.
+    """
+    value, d1, d2 = _real_jet(f, z, scheme, True, region)
+    n = len(d1) // 2
+    batch = np.ndim(z) - 1
+    dxx, dyy, dxy, dyx = d2[:n, :n], d2[n:, n:], d2[:n, n:], d2[n:, :n]
+    return ComplexJet2(
+        value,
+        *_wirtinger_first(d1, batch),
+        _batch_first(0.25 * (dxx + dyy + 1j * (dxy - dyx)), 2, batch),
+        _batch_first(0.25 * (dxx - dyy - 1j * (dxy + dyx)), 2, batch),
+    )
 
 
 def field_first(
-    f: Callable, z0: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME
+    f: Callable, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME, *, region=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """First Wirtinger derivatives only; cheaper than a full jet.
 
-    Returns ``(d, dbar)`` of shape ``(n,) + S`` for a field of shape ``S``.
+    Returns ``(d, dbar)``, each of shape ``(..., n) + S`` for centres ``z``
+    of shape ``(..., n)`` and a field of shape ``S``; ``region`` as in
+    :func:`complex_jet2`.
     """
-    z0 = np.asarray(z0, dtype=complex)
-    n = len(z0)
-    m = 2 * n
-    cache = _StencilCache(f, z0, _steps_for(z0, scheme.h))
-    probe = cache(tuple([0] * m))
-    d1 = np.zeros((m,) + probe.shape, dtype=complex)
-    for r in range(m):
-        full = _first_at_level(cache, m, r, scheme.order, 1)
-        if scheme.richardson:
-            half = _first_at_level(cache, m, r, scheme.order, 2)
-            full = _extrapolate(full, half, scheme.order)
-        d1[r] = full
-    d = 0.5 * (d1[:n] - 1j * d1[n:])
-    dbar = 0.5 * (d1[:n] + 1j * d1[n:])
-    return d, dbar
+    _, d1, _ = _real_jet(f, z, scheme, False, region)
+    return _wirtinger_first(d1, np.ndim(z) - 1)

@@ -170,9 +170,10 @@ def metric_jet(spec: MetricSpec, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHE
     The jet's arrays carry the batch axes of ``z``.  By default each entry
     tree is folded once over all points on Wirtinger jets, exact up to
     rounding; ``scheme.use_exact = False`` differentiates the metric values
-    with the scheme's stencils instead, point by point.  Raises
-    :class:`NumericalError` unless ``g``, ``d_g`` and ``dd_g`` are finite at
-    every point.
+    with the scheme's stencils instead, one footprint around every point,
+    which must lie in the metric's region (else :class:`ConfigError`).
+    Raises :class:`NumericalError` unless ``g``, ``d_g`` and ``dd_g`` are
+    finite at every point.
     """
     z = _points(spec, z)
     flat = z.reshape(-1, spec.n)
@@ -183,9 +184,9 @@ def metric_jet(spec: MetricSpec, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHE
             jets = [ex.eval_expr(entry, seed) + zero for row in spec.entries for entry in row]
             parts = [np.stack([getattr(j, part) for j in jets], -1) for part in ("v", "d", "dd")]
         else:
-            jets = [complex_jet2(lambda w: metric_value(spec, w), p, scheme) for p in flat]
-            parts = [[getattr(j, part) for j in jets] for part in ("value", "d", "dd")]
-    g, d_g, dd_g = (np.reshape(np.asarray(part, dtype=complex), z.shape[:-1] + (spec.n,) * rank)
+            jet = complex_jet2(lambda w: metric_value(spec, w), flat, scheme, region=spec.region)
+            parts = [jet.value, jet.d, jet.dd]
+    g, d_g, dd_g = (np.reshape(part, z.shape[:-1] + (spec.n,) * rank)
                     for part, rank in zip(parts, (2, 3, 4)))
     finite = (np.isfinite(g).all((-2, -1)) & np.isfinite(d_g).all((-3, -2, -1))
               & np.isfinite(dd_g).all((-4, -3, -2, -1)))

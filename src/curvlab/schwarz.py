@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chern import ChernPoint, connection_coefficients
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .functionals import TauParam
 from .gauduchon import family_ricci_traces, gauduchon_family, rbc_tau_from_family, ric_tau_from_family
 from .metric_model import (
@@ -106,13 +106,31 @@ class HoloMap:
         return cls(tuple(parse_expr(t) for t in texts), n_source)
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        return np.array([eval_expr(c, z) for c in self.components], dtype=complex)
+        """Map values ``(..., n_target)`` at points ``(..., n_source)``."""
+        return _fold(self.components, np.asarray(z, dtype=complex), "value")
+
+
+def _fold(trees: Sequence[Expr], z: np.ndarray, what: str) -> np.ndarray:
+    """Each tree folded over the points ``z`` ``(..., n)``, stacked on a last axis.
+
+    Raises :class:`NumericalError` naming the first point where a value is
+    not finite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = [np.broadcast_to(eval_expr(tree, z), z.shape[:-1]) for tree in trees]
+    stacked = np.stack(values, -1).astype(complex, copy=False)
+    finite = np.isfinite(stacked).all(-1)
+    if not finite.all():
+        raise NumericalError(f"map {what} is not finite at {z[~finite][0]}")
+    return stacked
 
 
 @dataclass(frozen=True)
 class MapJet:
-    """Value, Jacobian ``J[a, i] = d_i f^a``, and holomorphic Hessian."""
+    """Value, Jacobian ``J[..., a, i] = d_i f^a``, and holomorphic Hessian.
+
+    The arrays carry the leading batch axes of the points, C-contiguous.
+    """
 
     point: np.ndarray
     value: np.ndarray
@@ -123,38 +141,27 @@ class MapJet:
 class MapJetEvaluator:
     """Evaluates a map together with its exact first and second derivatives.
 
-    The derivative trees are built once; evaluation is then cheap enough to
-    sit inside a finite-difference stencil.
+    The derivative trees are built once, flattened in ``(a, i)`` and
+    ``(a, i, j)`` order; evaluation folds them over a whole stack of points,
+    such as a finite-difference footprint.  A value, Jacobian or Hessian
+    that is not finite is a :class:`NumericalError`.
     """
 
     def __init__(self, holo_map: HoloMap) -> None:
         self.holo_map = holo_map
         n = holo_map.n_source
-        self._jac = [
-            [holomorphic_derivative(c, i) for i in range(n)] for c in holo_map.components
-        ]
-        self._hess = [
-            [[holomorphic_derivative(row[i], j) for j in range(n)] for i in range(n)]
-            for row in self._jac
-        ]
+        self._jac = [holomorphic_derivative(c, i) for c in holo_map.components for i in range(n)]
+        self._hess = [holomorphic_derivative(d, j) for d in self._jac for j in range(n)]
 
     def __call__(self, z: np.ndarray) -> MapJet:
         z = np.asarray(z, dtype=complex)
-        n = self.holo_map.n_source
-        m = self.holo_map.n_target
-        value = self.holo_map.value(z)
-        jacobian = np.array(
-            [[eval_expr(self._jac[a][i], z) for i in range(n)] for a in range(m)],
-            dtype=complex,
+        shape = z.shape[:-1] + (self.holo_map.n_target, self.holo_map.n_source)
+        return MapJet(
+            point=z.copy(),
+            value=self.holo_map.value(z),
+            jacobian=_fold(self._jac, z, "Jacobian").reshape(shape),
+            hessian=_fold(self._hess, z, "Hessian").reshape(shape + shape[-1:]),
         )
-        hessian = np.array(
-            [
-                [[eval_expr(self._hess[a][i][j], z) for j in range(n)] for i in range(n)]
-                for a in range(m)
-            ],
-            dtype=complex,
-        )
-        return MapJet(point=z.copy(), value=value, jacobian=jacobian, hessian=hessian)
 
 
 def holomorphy_residual(
@@ -258,14 +265,11 @@ def _energy_field(
     source: MetricSpec, target: MetricSpec, evaluator: MapJetEvaluator
 ) -> Callable[[np.ndarray], np.ndarray]:
     def field(w: np.ndarray) -> np.ndarray:
-        g = metric_value(source, w)
-        x = metric_inverse_up(g)
+        x = metric_inverse_up(metric_value(source, w))
         jet = evaluator(w)
         h = metric_value(target, jet.value)
-        total = np.einsum(
-            "ij,ab,ai,bj->", x, h, jet.jacobian, np.conj(jet.jacobian)
-        )
-        return np.asarray(total)
+        return np.einsum("...ij,...ab,...ai,...bj->...", x, h, jet.jacobian,
+                         np.conj(jet.jacobian))
 
     return field
 
@@ -284,10 +288,14 @@ def scalar_laplacian(
     z: np.ndarray,
     scheme: JetScheme = DEFAULT_SCHEME,
 ) -> float:
-    """Chern Laplacian ``g^{ij} d_i dbar_j`` of a scalar field at ``z``."""
+    """Chern Laplacian ``g^{ij} d_i dbar_j`` of a scalar field at ``z``.
+
+    ``field`` maps points ``(..., n)`` to values ``(...)``; the stencil
+    footprint must lie in the source region (else :class:`ConfigError`).
+    """
     z = np.asarray(z, dtype=complex)
     x = metric_inverse_up(metric_value(source, z))
-    jet = complex_jet2(field, z, scheme)
+    jet = complex_jet2(field, z, scheme, region=source.region)
     return float(np.real(np.einsum("ij,ij->", x, jet.dd)))
 
 

@@ -161,6 +161,16 @@ class TestStructuralIdentities:
             residual = first_bianchi_residual(fixture(name), z)
             assert residual < 1e-6, f"{name}: Bianchi residual {residual:.3e}"
 
+    def test_first_bianchi_stacks_per_point(self):
+        for name in ("F1", "F2", "F3", "F4"):
+            spec = fixture(name)
+            points = spec.region.sample_points(spec.n, np.random.default_rng(5), 6)
+            stacked = first_bianchi_residual(spec, points.reshape(2, 3, spec.n))
+            assert stacked.shape == (2, 3)
+            single = [first_bianchi_residual(spec, z) for z in points]
+            assert all(value.shape == () for value in single)
+            assert np.array_equal(stacked.reshape(-1), np.array(single)), name
+
     def test_pluriclosed_hopf_two(self):
         direct, symmetry = pluriclosed_residuals(self.hopf_jet())
         assert direct < 1e-12

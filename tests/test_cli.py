@@ -531,6 +531,75 @@ class TestExitCodes:
         assert "NaN" not in out
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "components, points, where",
+        [
+            # a pole at the point itself
+            ("0.1/(z1-0.5)", "0.5", "value is not finite at [0.5+0.j]"),
+            # a pole on the footprint of the Laplacian: the point plus one step
+            ("1e-5/(z1-0.001)", "0", "value is not finite at [0.001+0.j]"),
+        ],
+    )
+    def test_map_pole_is_numerical_failure(self, capsys, components, points, where):
+        code, out, err = run_cli(
+            ["schwarz", "--map", components, "--source", "builtin:poincare_polydisk(1)",
+             "--target", "builtin:poincare_polydisk(1)", "--points", points],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: map ") and where in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    def test_parser_keeps_no_state_between_calls(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["curvature", "--metric", "builtin:example22", "--points", "0.1,0"]
+        _, checked = run_json(argv + ["--check", "bianchi"], capsys)
+        _, plain = run_json(argv, capsys)
+        assert "checks" in checked["points"][0]
+        assert plain["config"]["check"] is None
+        assert "checks" not in plain["points"][0]
+        assert plain["worst_checks"] == {}
+
+
+class TestStencilFootprint:
+    """The stencil around a point must stay in the metric's region."""
+
+    @pytest.fixture
+    def disk(self, tmp_path):
+        path = tmp_path / "disk.json"
+        path.write_text(json.dumps({
+            "n": 1,
+            "entries": [["1 / (1 - z1 * conj(z1))^2"]],
+            "region": {"type": "ball", "radius": 1.0},
+        }))
+        return f"file:{path}"
+
+    # at 0.9995 the footprint hits the pole |z| = 1; at 0.9985 it reaches |z| = 1.0005
+    @pytest.mark.parametrize("radius", ["0.9985", "0.9995"])
+    def test_bianchi_footprint_leaving_the_region(self, capsys, disk, radius):
+        argv = ["curvature", "--metric", disk, "--points", radius, "--check", "bianchi"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"[{radius}+0.j]" in err and "lower --h" in err
+        code, report = run_json(argv + ["--h", "1e-4"], capsys)
+        assert code == 0
+        assert report["worst_checks"]["bianchi"] < 1e-3
+
+    def test_schwarz_laplacian_footprint_leaving_the_source(self, capsys):
+        code, out, err = run_cli(
+            ["schwarz", "--map", "id", "--source", "builtin:poincare_polydisk(1)",
+             "--target", "builtin:poincare_polydisk(1)", "--points", "0.9995"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "lower --h" in err and "Traceback" not in err
+
+
 class TestFileMetricAccuracy:
     """A file: metric's jet is exact, so curvature holds up near the boundary."""
 

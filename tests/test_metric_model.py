@@ -188,7 +188,7 @@ class TestJets:
     def test_polynomial_field_exact(self):
         # f = z1^2 conj(z1) + 3 z1: d = 2|z|^2 + 3, dbar = z^2, dd = 2z, ddh = 2 conj(z)
         def f(z):
-            return z[0] ** 2 * np.conj(z[0]) + 3.0 * z[0]
+            return z[..., 0] ** 2 * np.conj(z[..., 0]) + 3.0 * z[..., 0]
 
         z0 = np.array([0.4 + 0.3j])
         jet = complex_jet2(f, z0)
@@ -202,7 +202,7 @@ class TestJets:
     def test_cross_derivatives(self):
         # f = z1 z2 conj(z2): dd[1, 2] = d_1 dbar_2 f = z2... indices 0-based below
         def f(z):
-            return z[0] * z[1] * np.conj(z[1])
+            return z[..., 0] * z[..., 1] * np.conj(z[..., 1])
 
         z0 = np.array([0.2 - 0.1j, 0.3 + 0.5j])
         jet = complex_jet2(f, z0)
@@ -213,7 +213,7 @@ class TestJets:
 
     def test_field_first_matches_full_jet(self):
         def f(z):
-            return np.array([z[0] ** 3, np.conj(z[0]) * z[0]])
+            return np.stack([z[..., 0] ** 3, np.conj(z[..., 0]) * z[..., 0]], -1)
 
         z0 = np.array([0.7 + 0.2j])
         jet = complex_jet2(f, z0)
@@ -223,7 +223,7 @@ class TestJets:
 
     def test_determinism(self):
         def f(z):
-            return 1.0 / (1.0 - z[0] * np.conj(z[0]))
+            return 1.0 / (1.0 - z[..., 0] * np.conj(z[..., 0]))
 
         z0 = np.array([0.3 + 0.4j])
         first = complex_jet2(f, z0)
@@ -233,7 +233,7 @@ class TestJets:
 
     def test_order_controls_error(self):
         def f(z):
-            return np.exp(z[0] * np.conj(z[0]))
+            return np.exp(z[..., 0] * np.conj(z[..., 0]))
 
         z0 = np.array([0.5 + 0.1j])
         r2 = abs(z0[0]) ** 2
@@ -248,6 +248,38 @@ class TestJets:
         ratio4 = error(4e-2, 4) / error(2e-2, 4)
         assert 2.5 < ratio2 < 6.0, f"order-2 halving ratio {ratio2:.2f}"
         assert 10.0 < ratio4 < 26.0, f"order-4 halving ratio {ratio4:.2f}"
+
+    @pytest.mark.parametrize("batch", [(5,), (2, 3)])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_stacked_centres_equal_per_centre_calls(self, batch, vector):
+        def f(z):
+            scalar = z[..., 0] ** 2 * np.conj(z[..., 1]) + 1.0 / (2.0 - z[..., 0] * np.conj(z[..., 0]))
+            return np.stack([scalar, z[..., 1] ** 3], -1) if vector else scalar
+
+        rng = np.random.default_rng(3)
+        centres = 0.5 * (rng.normal(size=batch + (2,)) + 1j * rng.normal(size=batch + (2,)))
+        tail = (2,) if vector else ()
+        for scheme in (JetScheme(), JetScheme(order=2, richardson=0, h=1e-2)):
+            jet = complex_jet2(f, centres, scheme)
+            d, dbar = field_first(f, centres, scheme)
+            assert jet.value.shape == batch + tail
+            assert jet.d.shape == d.shape == dbar.shape == batch + (2,) + tail
+            assert jet.dd.shape == jet.dd_holo.shape == batch + (2, 2) + tail
+            for idx in np.ndindex(batch):
+                single = complex_jet2(f, centres[idx], scheme)
+                for part in ("value", "d", "dbar", "dd", "dd_holo"):
+                    assert np.array_equal(getattr(jet, part)[idx], getattr(single, part)), part
+                d_single, dbar_single = field_first(f, centres[idx], scheme)
+                assert np.array_equal(d[idx], d_single)
+                assert np.array_equal(dbar[idx], dbar_single)
+
+    def test_footprint_outside_region_names_the_centre(self):
+        region = Region("ball", 1.0)
+        centres = np.array([[0.5], [0.9995]], dtype=complex)
+        for jet in (complex_jet2, field_first):
+            with pytest.raises(ConfigError, match=r"stencil around \[0.9995\+0.j\].*lower --h"):
+                jet(lambda z: z[..., 0], centres, region=region)
+        assert abs(complex_jet2(lambda z: z[..., 0], centres[:1], region=region).d[0, 0] - 1) < 1e-10
 
     def test_scheme_validation(self):
         with pytest.raises(ConfigError):
