@@ -94,11 +94,14 @@ def ricci_traces(jet: MetricJet, curvature: np.ndarray | None = None) -> RicciTr
     """Contract the curvature with the inverse metric in all four ways."""
     r = chern_curvature(jet) if curvature is None else curvature
     x = jet.g_up
+    # swapped[..., i, j, k, l] = R[..., k, j, i, l]; one contiguous copy serves
+    # the third trace (slots 1, 2) and the fourth (slots 3, 4 of the copy)
+    swapped = np.ascontiguousarray(np.swapaxes(r, -4, -2))
     return RicciTraces(
         ric1=np.einsum("...ij,...klij->...kl", x, r),
         ric2=second_ricci(x, r),
-        ric3=np.einsum("...ij,...kjil->...kl", x, r),
-        ric4=np.einsum("...ij,...ilkj->...kl", x, r),
+        ric3=second_ricci(x, swapped),
+        ric4=np.einsum("...ij,...klij->...kl", x, swapped),
     )
 
 

@@ -35,7 +35,13 @@ import numpy as np
 from .chern import ChernPoint, first_bianchi_residual, pluriclosed_residuals, ricci_traces
 from .errors import ConfigError, NumericalError
 from .flow import GridBox, init_flow, run_flow, write_diagnostics_csv
-from .functionals import TauParam, altered_hsc_forms, extremize_hsc, extremize_rbc, rbc_forms
+from .functionals import (
+    TauParam,
+    altered_hsc_forms,
+    hsc_certificates,
+    rbc_certificates,
+    rbc_forms,
+)
 from .gauduchon import chern_from_family, gauduchon_family
 from .metric_model import (
     FIXTURES,
@@ -231,7 +237,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
     points = _parse_points(args, spec)
 
-    rows = []
     breached = False
     if args.compare:
         # pluriclosed comparison: RBC^0 against half the altered sectional
@@ -267,32 +272,20 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     else:
         if args.kind not in ("sup", "inf"):
             raise ConfigError(f"--kind must be sup or inf, got '{args.kind}'")
-        for z in points:
-            point = ChernPoint.from_spec(spec, z, scheme)
-            if args.functional == "hsc":
-                cert = extremize_hsc(
-                    point, args.kind, seed=args.seed, starts=args.starts,
-                    steps=args.ascent_steps,
-                )
-            elif args.functional == "rbc":
-                tau = _parse_tau(args.tau, "target")
-                cert = extremize_rbc(
-                    point, tau, args.kind, seed=args.seed, starts=args.starts,
-                    steps=args.ascent_steps,
-                )
-            else:
-                raise ConfigError(f"unknown functional '{args.functional}'")
-            rows.append(
-                {
-                    "point": _complex_payload(z),
-                    "kind": cert.kind,
-                    "value": cert.value,
-                    "witness": _complex_payload(cert.witness),
-                    "samples": cert.samples,
-                    "ascent_iterations": cert.ascent_iterations,
-                    "tolerance": cert.tolerance,
-                }
-            )
+        tau = _parse_tau(args.tau, "target") if args.functional == "rbc" else None
+        # one jet, one ChernPoint and one batched dual for all points
+        point = ChernPoint.from_jet(metric_jet(spec, points, scheme))
+        sizes = {"seed": args.seed, "starts": args.starts, "steps": args.ascent_steps}
+        if tau is None:
+            certs = hsc_certificates(point, args.kind, **sizes)
+        else:
+            certs = rbc_certificates(point, tau, args.kind, **sizes)
+        fields = ("kind", "value", "bound", "gap", "samples", "ascent_iterations", "tolerance")
+        rows = _rows({
+            "point": _complex_payload(points),
+            "witness": [_complex_payload(cert.witness) for cert in certs],
+            **{name: [getattr(cert, name) for cert in certs] for name in fields},
+        })
         summary = {
             "best_value": (max if args.kind == "sup" else min)(
                 row["value"] for row in rows

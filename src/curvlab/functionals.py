@@ -1,4 +1,4 @@
-"""Curvature functionals: sectional, bisectional, tempered, and extremizers.
+"""Curvature functionals: sectional, bisectional, tempered, and their extremal certificates.
 
 Every functional is evaluated in the unitary frame of the point, where the
 metric is the identity and norms are plain Euclidean.  Arguments:
@@ -11,6 +11,12 @@ The tempering parameter ``tau`` interpolates the torsion correction.  On the
 target side (real bisectional curvature) the correction weight is
 ``(1 - tau) / 4`` and ``tau`` ranges over ``[0, inf)``; on the source side
 (tempered Ricci) it is ``(1 - 1/tau) / 4`` with ``tau`` in ``(0, inf]``.
+
+The extremal certificates bracket the sup or inf of HSC and of ``RBC^tau``
+at every point of a stacked :class:`~curvlab.chern.ChernPoint`: a
+Lagrangian dual bound from one batched eigenvalue bisection, a witness with
+its exact value, and their gap.  The dual is exact for ``n <= 2``; a
+finite-difference ascent from seeded starts runs only where a gap stays open.
 """
 
 from __future__ import annotations
@@ -18,13 +24,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .chern import ChernPoint, q_squared_chart, q_squared_frame, second_ricci
-from .errors import ConfigError
-from .tensor_core import PSDForm, hermitian_part, psd_project, psd_project_batch
+from .errors import ConfigError, NumericalError
+from .tensor_core import PSDForm, hermitian_part, psd_project_batch
 
 __all__ = [
     "TauParam",
@@ -40,6 +47,8 @@ __all__ = [
     "frame_vector",
     "extremize_hsc",
     "extremize_rbc",
+    "hsc_certificates",
+    "rbc_certificates",
 ]
 
 _IMAG_TOL = 1e-10
@@ -207,15 +216,34 @@ def ric_tau(point: ChernPoint, tau: TauParam) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # extremizers
+#
+# In the real coordinates x of a Hermitian form over _hermitian_basis, both
+# functionals are x^T K x / x^T x: over rank-one forms for HSC, over PSD
+# forms for RBC.  x^T J x = e2(X) vanishes on the first and is nonnegative
+# on the second, so lambda_max(K + mu J) bounds the sup for every real mu
+# (HSC) and every mu >= 0 (RBC).  For n <= 2 the least such bound is the sup
+# (Polyak, JOTA 99 (1998); Polik & Terlaky, SIAM Rev. 49 (2007)).
+
+_TOLERANCE = 1e-12
+# halvings of the multiplier bracket, down to eps times its width
+_BISECTIONS = 53
+# eigenvalues within this of the top one, relative to max(1, |top|), count as
+# tied: a tenth of the gap tolerance, so mixing tied eigenvectors cannot open a gap
+_TIE = 1e-13
 
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Result of a multistart projected ascent.
+    """A two-sided certificate of the sup or inf of a functional at one point.
 
-    ``value`` re-evaluates exactly on ``witness``; ``samples`` counts the
-    random starts and ``ascent_iterations`` the accepted steps across all of
-    them.  ``kind`` is ``"sup"`` or ``"inf"``.
+    ``bound`` is the Lagrangian dual bound, above a sup and below an inf;
+    ``value`` re-evaluates exactly on ``witness``, so the extremum lies
+    between them.  ``gap`` is ``bound - value`` for a sup and ``value -
+    bound`` for an inf, nonnegative up to round-off.  ``samples`` counts the
+    seeded starts.  The ascent runs from them only where the gap of the dual
+    witness exceeds ``tolerance * max(1, |value|)``, and
+    ``ascent_iterations`` counts its accepted steps: 0 where the dual closed
+    the gap.  ``kind`` is ``"sup"`` or ``"inf"``.
     """
 
     kind: str
@@ -224,11 +252,14 @@ class BoundCertificate:
     samples: int
     ascent_iterations: int
     tolerance: float
+    bound: float
+    gap: float
 
 
 def _ascend(
-    objective: Callable[[np.ndarray], np.ndarray],
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x0: np.ndarray,
+    owner: np.ndarray,
     maximize: bool,
     steps: int,
     base_step: float = 1e-2,
@@ -236,11 +267,13 @@ def _ascend(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Central-difference gradient ascent of every row of ``x0`` at once.
 
-    ``objective`` maps ``(B, dim)`` rows to ``(B,)`` values.  Each start keeps
-    its own step size and accepted-step count; returns rows, values, counts.
+    ``objective(rows, owner)`` maps ``(B, dim)`` rows at the points
+    ``owner`` ``(B,)`` to ``(B,)`` values; row ``k`` of ``x0`` belongs to
+    point ``owner[k]``.  Each start keeps its own step size and
+    accepted-step count; returns rows, values, counts.
     """
     x = x0.copy()
-    value = objective(x)
+    value = objective(x, owner)
     count, dim = x.shape
     step = np.full(count, base_step)
     accepted = np.zeros(count, dtype=int)
@@ -254,7 +287,10 @@ def _ascend(
         high[:, axis, axis] += fd_step
         low = high.copy()
         low[:, axis, axis] -= 2 * fd_step
-        f_high, f_low = objective(np.concatenate([high, low]).reshape(-1, dim)).reshape(2, -1, dim)
+        probes = np.tile(np.repeat(owner[live], dim), 2)
+        f_high, f_low = objective(
+            np.concatenate([high, low]).reshape(-1, dim), probes
+        ).reshape(2, -1, dim)
         grad = (f_high - f_low) / (2 * fd_step)
         if not maximize:
             grad = -grad
@@ -266,7 +302,7 @@ def _ascend(
         live, grad, scale = live[moving], grad[moving], scale[moving]
         while live.size:
             candidate = x[live] + step[live, None] * grad / scale[:, None]
-            trial = objective(candidate)
+            trial = objective(candidate, owner[live])
             better = trial > value[live] if maximize else trial < value[live]
             won = live[better]
             x[won], value[won] = candidate[better], trial[better]
@@ -280,81 +316,7 @@ def _ascend(
     return x, value, accepted
 
 
-def _multistart(
-    objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    draw_start: Callable[[np.random.Generator], np.ndarray],
-    witness: Callable[[np.ndarray], np.ndarray],
-    kind: str,
-    seed: int,
-    starts: int,
-    steps: int,
-) -> BoundCertificate:
-    """Ascend from ``starts`` seeded draws and certify the best end point.
-
-    ``objective`` returns ``(values, keep)``: values for the rows ``keep``
-    selects; the other rows are outside the domain and score worst.
-    """
-    if kind not in ("sup", "inf"):
-        raise ConfigError(f"extremizer kind must be 'sup' or 'inf', got '{kind}'")
-    if starts < 1:
-        raise ConfigError(f"the ascent needs at least one start, got {starts}")
-    if steps < 0:
-        raise ConfigError(f"ascent steps must be nonnegative, got {steps}")
-    maximize = kind == "sup"
-
-    def scored(params: np.ndarray) -> np.ndarray:
-        values, keep = objective(params)
-        full = np.full(len(params), -math.inf if maximize else math.inf)
-        full[keep] = values
-        return full
-
-    rng = np.random.default_rng(seed)
-    initial = np.array([draw_start(rng) for _ in range(starts)])
-    params, values, accepted = _ascend(scored, initial, maximize, steps)
-    # deterministic reduction: best value, ties broken by the lowest start index
-    best = int(np.argmax(values) if maximize else np.argmin(values))
-    return BoundCertificate(
-        kind=kind,
-        value=float(values[best]),
-        witness=witness(params[best]),
-        samples=starts,
-        ascent_iterations=int(accepted.sum()),
-        tolerance=1e-12,
-    )
-
-
-def extremize_hsc(
-    point: ChernPoint,
-    kind: str,
-    seed: int = 0,
-    starts: int = 64,
-    steps: int = 200,
-) -> BoundCertificate:
-    """Multistart ascent of holomorphic sectional curvature over unit vectors.
-
-    The vector is parametrised by its ``2n`` real components; the functional
-    is scale invariant so the ascent wanders freely and the witness is
-    normalised at the end.
-    """
-    n = point.g.shape[0]
-    r = point.curvature_frame
-
-    def unpack(params: np.ndarray) -> np.ndarray:
-        zeta = params[..., :n] + 1j * params[..., n:]
-        return zeta / np.linalg.norm(zeta, axis=-1, keepdims=True)
-
-    def objective(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keep = np.linalg.norm(params, axis=1) >= 1e-12
-        forms = _rank_one(unpack(params[keep]))
-        return _form_values(r, forms, "holomorphic sectional curvature"), keep
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        raw = rng.normal(size=2 * n)
-        return raw / np.linalg.norm(raw)
-
-    return _multistart(objective, draw, unpack, kind, seed, starts, steps)
-
-
+@cache
 def _hermitian_basis(n: int) -> np.ndarray:
     """Orthonormal real basis of the Hermitian ``n x n`` matrices, ``(n*n, n, n)``.
 
@@ -366,7 +328,300 @@ def _hermitian_basis(n: int) -> np.ndarray:
     basis = [unit[k, k] for k in range(n)]
     for k, l in itertools.combinations(range(n), 2):
         basis += [s * unit[k, l] + s * unit[l, k], 1j * s * unit[k, l] - 1j * s * unit[l, k]]
-    return np.array(basis)
+    basis = np.array(basis)
+    basis.flags.writeable = False
+    return basis
+
+
+@cache
+def _minor_form(n: int) -> np.ndarray:
+    """``J`` with ``x^T J x = e2(X)``, the sum of the 2x2 principal minors of ``X``.
+
+    ``e2(X) = ((tr X)^2 - tr X^2) / 2`` and the basis is orthonormal, so
+    ``J = (t t^T - I) / 2`` with ``t_i = tr E_i``: zero for ``n = 1``, the
+    polarised determinant for ``n = 2``.  Its eigenvalues are ``(n - 1)/2``
+    and ``-1/2``.
+    """
+    t = np.real(np.trace(_hermitian_basis(n), axis1=-2, axis2=-1))
+    j = 0.5 * (np.outer(t, t) - np.eye(n * n))
+    j.flags.writeable = False
+    return j
+
+
+def _quadratic_forms(tensor: np.ndarray) -> np.ndarray:
+    """``K[..., i, j]`` with ``x^T K x = tensor[a, b, c, d] X[a, b] X[c, d]``, ``X = sum_i x_i E_i``.
+
+    Only the symmetric part of the real pairing enters a quadratic form.
+    """
+    basis = _hermitian_basis(tensor.shape[-1])
+    half = np.einsum("...abcd,jcd->...abj", tensor, basis)
+    k = np.einsum("iab,...abj->...ij", basis, half).real
+    return 0.5 * (k + np.swapaxes(k, -2, -1))
+
+
+def _dual_witnesses(eigs: np.ndarray, vecs: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Two unit candidates ``(P, 2, m)`` from the top of the spectrum of ``K + mu J``.
+
+    The first lies in the span of the eigenvectors tied with the top one.
+    With ``a_min <= a_max`` the extreme eigenvalues of ``J`` on that span and
+    ``u_min``, ``u_max`` their eigenvectors, it is ``sqrt(-a_min) u_max +
+    sqrt(a_max) u_min``: J-isotropic when ``a_min <= 0 <= a_max``, else the
+    eigenvector of the smaller ``|a|``.  The second adds the least multiple
+    of the highest untied eigenvector ``w`` that makes it J-isotropic, which
+    removes the multiplier's share ``mu x^T J x`` that an inexact ``mu``
+    leaves on a simple top eigenvector.
+    """
+    tied = eigs >= eigs[:, -1:] - _TIE * np.maximum(1.0, np.abs(eigs[:, -1:]))
+    projected = np.swapaxes(vecs, -2, -1) @ j @ vecs
+    block = np.where(tied[:, :, None] & tied[:, None, :], projected, 0.0)
+    # untied directions are parked at +-pad, beyond every eigenvalue of the block
+    pad = (np.abs(projected).sum(axis=(-2, -1)) + 1.0)[:, None] * ~tied
+    eye = np.eye(eigs.shape[-1])
+    a_low, u_low = np.linalg.eigh(block + pad[:, :, None] * eye)
+    a_high, u_high = np.linalg.eigh(block - pad[:, :, None] * eye)
+    y = (np.sqrt(np.maximum(-a_low[:, :1], 0.0)) * u_high[..., -1]
+         + np.sqrt(np.maximum(a_high[:, -1:], 0.0)) * u_low[..., 0])
+    # J vanishes on the span: any vector of it is isotropic
+    y = np.where(np.any(y != 0.0, axis=-1, keepdims=True), y, u_high[..., -1])
+    x = np.einsum("...ij,...j->...i", vecs, y)
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+
+    # the smaller root s of (x + s w)^T J (x + s w) = a + 2 c s + b s^2 = 0
+    below = np.sum(~tied, axis=-1) - 1
+    w = np.take_along_axis(vecs, np.maximum(below, 0)[:, None, None], axis=-1)[..., 0]
+    a = np.einsum("...i,ij,...j->...", x, j, x)
+    b = np.einsum("...i,ij,...j->...", w, j, w)
+    c = np.einsum("...i,ij,...j->...", x, j, w)
+    disc = c * c - a * b
+    root = c + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c)
+    solvable = (below >= 0) & (disc >= 0.0) & (root != 0.0)
+    s = np.where(solvable, -a / np.where(solvable, root, 1.0), 0.0)
+    moved = x + s[:, None] * w
+    moved /= np.linalg.norm(moved, axis=-1, keepdims=True)
+    return np.stack([x, moved], axis=1)
+
+
+def _dual_bound(tensor: np.ndarray, kind: str, free: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Lagrangian dual bound of the sup or inf of ``x^T K x / x^T x`` at every point.
+
+    ``tensor`` is ``(P, n, n, n, n)``; the multiplier ranges over the reals
+    if ``free`` (rank-one forms) and over ``mu >= 0`` otherwise (PSD forms).
+    ``phi(mu) = lambda_max(K + mu J)`` is convex with slope ``v^T J v`` at its
+    top eigenvector ``v``, so its minimum is bisected on the sign of that
+    slope, one ``eigh`` of the whole stack per halving.  The minimum lies in
+    ``|mu| <= 2 (lambda_max(K) - lambda_min(K))``: beyond it ``phi`` exceeds
+    ``phi(0)``, as ``J`` has eigenvalues ``(n - 1)/2 >= 1/2`` and ``-1/2``.
+    The bound adds the eigensolver's backward error, ``n^2 eps`` times the
+    larger of ``||K||_2`` and ``||K + mu J||_2``, and is sound for whatever
+    ``mu`` the search ends at.  An inf is minus the sup of ``-K``.  Returns the bounds
+    ``(P,)`` and two candidate witnesses per point, unit coordinate vectors
+    ``(P, 2, n*n)`` (:func:`_dual_witnesses`).
+    """
+    sign = 1.0 if kind == "sup" else -1.0
+    k = sign * _quadratic_forms(tensor)
+    m = k.shape[-1]
+    j = _minor_form(tensor.shape[-1])
+    spectrum = np.linalg.eigvalsh(k)
+    width = 2.0 * (spectrum[:, -1] - spectrum[:, 0])
+    low = -width if free else np.zeros_like(width)
+    high = width
+    for _ in range(_BISECTIONS):
+        mu = 0.5 * (low + high)
+        top = np.linalg.eigh(k + mu[:, None, None] * j)[1][..., -1]
+        rising = np.einsum("...i,ij,...j->...", top, j, top) > 0.0
+        low, high = np.where(rising, low, mu), np.where(rising, mu, high)
+    mu = 0.5 * (low + high)
+    eigs, vecs = np.linalg.eigh(k + mu[:, None, None] * j)
+    norm = np.maximum(np.abs(spectrum).max(-1), np.abs(eigs).max(-1))
+    bound = eigs[:, -1] + m * np.finfo(float).eps * norm
+    return sign * bound, _dual_witnesses(eigs, vecs, j)
+
+
+def _check_extremizer(kind: str, starts: int, steps: int) -> None:
+    if kind not in ("sup", "inf"):
+        raise ConfigError(f"extremizer kind must be 'sup' or 'inf', got '{kind}'")
+    if starts < 1:
+        raise ConfigError(f"the ascent needs at least one start, got {starts}")
+    if steps < 0:
+        raise ConfigError(f"ascent steps must be nonnegative, got {steps}")
+
+
+def _certify(
+    objective: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    draw_start: Callable[[np.random.Generator], np.ndarray],
+    witness: Callable[[np.ndarray], np.ndarray],
+    dual_start: np.ndarray,
+    bound: np.ndarray,
+    kind: str,
+    seed: int,
+    starts: int,
+    steps: int,
+) -> list[BoundCertificate]:
+    """Score each point's dual witness with the seeded starts; ascend where a gap stays open.
+
+    ``objective(params, owner)`` returns ``(values, keep)`` for rows at the
+    points ``owner``: values for the rows ``keep`` selects; the other rows
+    are outside the domain and score worst.  Every point gets the same
+    draws.  The first rows of a point are its dual witnesses
+    ``dual_start`` ``(P, R, dim)``, the next ``starts`` its starts; the best
+    row wins, ties going to the lowest.
+    """
+    maximize = kind == "sup"
+    sign = 1.0 if maximize else -1.0
+
+    def scored(params: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        values, keep = objective(params, owner)
+        full = np.full(len(params), -sign * math.inf)
+        full[keep] = values
+        return full
+
+    count, duals, dim = dual_start.shape
+    rng = np.random.default_rng(seed)
+    initial = np.array([draw_start(rng) for _ in range(starts)])
+    params = np.concatenate(
+        [dual_start, np.broadcast_to(initial, (count, starts, dim))], axis=1
+    )
+    owner = np.repeat(np.arange(count), duals + starts)
+    values = scored(params.reshape(-1, dim), owner).reshape(count, duals + starts)
+    accepted = np.zeros((count, starts), dtype=int)
+    best = sign * np.max(sign * values, axis=1)
+    open_gap = np.flatnonzero(sign * (bound - best) > _TOLERANCE * np.maximum(1.0, np.abs(best)))
+    if open_gap.size:
+        ends, end_values, counts = _ascend(
+            scored, params[open_gap, duals:].reshape(-1, dim), np.repeat(open_gap, starts),
+            maximize, steps,
+        )
+        params[open_gap, duals:] = ends.reshape(-1, starts, dim)
+        values[open_gap, duals:] = end_values.reshape(-1, starts)
+        accepted[open_gap] = counts.reshape(-1, starts)
+    rows = np.arange(count)
+    pick = np.argmax(sign * values, axis=1)
+    value = values[rows, pick]
+    witnesses = witness(params[rows, pick])
+    return [
+        BoundCertificate(
+            kind=kind,
+            value=float(value[p]),
+            witness=witnesses[p],
+            samples=starts,
+            ascent_iterations=int(accepted[p].sum()),
+            tolerance=_TOLERANCE,
+            bound=float(bound[p]),
+            gap=float(sign * (bound[p] - value[p])),
+        )
+        for p in range(count)
+    ]
+
+
+def _stack(tensor: np.ndarray) -> np.ndarray:
+    """A four-slot tensor with any batch axes as ``(P, n, n, n, n)``."""
+    return tensor.reshape((-1,) + tensor.shape[-4:])
+
+
+def hsc_certificates(
+    point: ChernPoint,
+    kind: str,
+    seed: int = 0,
+    starts: int = 64,
+    steps: int = 200,
+) -> list[BoundCertificate]:
+    """Certificates of the sup or inf of HSC over unit vectors, one per point.
+
+    ``point`` may carry batch axes; the certificates follow them in C
+    order.  The dual over rank-one forms gives the bound and a witness: the
+    eigenvector of largest magnitude of the form the dual returns.  Where a
+    gap stays open the vector is parametrised by its ``2n`` real components
+    and ascended; the functional is scale invariant, so the ascent wanders
+    freely and the witness is normalised at the end.
+    """
+    _check_extremizer(kind, starts, steps)
+    r = _stack(point.curvature_frame)
+    n = r.shape[-1]
+
+    def unpack(params: np.ndarray) -> np.ndarray:
+        zeta = params[..., :n] + 1j * params[..., n:]
+        return zeta / np.linalg.norm(zeta, axis=-1, keepdims=True)
+
+    def objective(params: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        keep = np.linalg.norm(params, axis=1) >= 1e-12
+        forms = _rank_one(unpack(params[keep]))[:, None]
+        values = _form_values(r[owner[keep]], forms, "holomorphic sectional curvature")
+        return values[:, 0], keep
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        raw = rng.normal(size=2 * n)
+        return raw / np.linalg.norm(raw)
+
+    bound, x = _dual_bound(r, kind, free=True)
+    eigs, vecs = np.linalg.eigh(np.tensordot(x, _hermitian_basis(n), axes=1))
+    largest = np.argmax(np.abs(eigs), axis=-1)[..., None, None]
+    zeta = np.take_along_axis(vecs, largest, axis=-1)[..., 0]
+    start = np.concatenate([zeta.real, zeta.imag], axis=-1)
+    return _certify(objective, draw, unpack, start, bound, kind, seed, starts, steps)
+
+
+def extremize_hsc(
+    point: ChernPoint,
+    kind: str,
+    seed: int = 0,
+    starts: int = 64,
+    steps: int = 200,
+) -> BoundCertificate:
+    """The certificate of :func:`hsc_certificates` at a single point."""
+    (cert,) = hsc_certificates(point, kind, seed, starts, steps)
+    return cert
+
+
+def rbc_certificates(
+    point: ChernPoint,
+    tau: TauParam,
+    kind: str,
+    seed: int = 0,
+    starts: int = 64,
+    steps: int = 200,
+) -> list[BoundCertificate]:
+    """Certificates of the sup or inf of ``RBC^tau`` over unit-norm PSD forms, one per point.
+
+    ``point`` may carry batch axes, as in :func:`hsc_certificates`.  The
+    dual over forms with ``e2 >= 0`` gives the bound and a witness, signed to
+    a nonnegative trace.  Where a gap stays open the ascent's iterate lives in
+    the real vector space of Hermitian matrices; every evaluation projects
+    onto the positive semidefinite shell first, so the reported witness is
+    always a valid form.
+    """
+    _check_extremizer(kind, starts, steps)
+    tensor = _stack(_tempered_tensor(point, tau))
+    n = tensor.shape[-1]
+    basis = _hermitian_basis(n)
+
+    def unpack(params: np.ndarray) -> np.ndarray:
+        return np.tensordot(params, basis, axes=1)
+
+    def objective(params: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = unpack(params)
+        # a collapsed projection (no positive part) is masked, never raised
+        forms, keep = psd_project_batch(m)
+        keep &= np.linalg.norm(m, axis=(1, 2)) >= 1e-12
+        values = _form_values(tensor[owner[keep]], forms[keep][:, None],
+                              "real bisectional curvature")
+        return values[:, 0], keep
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = hermitian_part(raw @ raw.conj().T)
+        coeffs = np.array([float(np.real(np.sum(h * np.conj(e)))) for e in basis])
+        return coeffs / np.linalg.norm(coeffs)
+
+    def witness(params: np.ndarray) -> np.ndarray:
+        forms, ok = psd_project_batch(unpack(params))
+        if not ok.all():
+            raise NumericalError("projection collapsed to zero: no positive part")
+        return forms
+
+    bound, x = _dual_bound(tensor, kind, free=False)
+    # the diagonal coordinates come first: their sum is the trace
+    start = np.where(x[..., :n].sum(axis=-1, keepdims=True) < 0.0, -x, x)
+    return _certify(objective, draw, witness, start, bound, kind, seed, starts, steps)
 
 
 def extremize_rbc(
@@ -377,33 +632,6 @@ def extremize_rbc(
     starts: int = 64,
     steps: int = 200,
 ) -> BoundCertificate:
-    """Multistart projected ascent of ``RBC^tau`` over unit-norm PSD forms.
-
-    The iterate lives in the real vector space of Hermitian matrices; every
-    evaluation projects onto the positive semidefinite shell first, so the
-    reported witness is always a valid form.
-    """
-    n = point.g.shape[0]
-    basis = _hermitian_basis(n)
-    tensor = _tempered_tensor(point, tau)
-
-    def unpack(params: np.ndarray) -> np.ndarray:
-        return np.tensordot(params, basis, axes=1)
-
-    def objective(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = unpack(params)
-        # a collapsed projection (no positive part) is masked, never raised
-        forms, keep = psd_project_batch(m)
-        keep &= np.linalg.norm(m, axis=(1, 2)) >= 1e-12
-        return _form_values(tensor, forms[keep], "real bisectional curvature"), keep
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = hermitian_part(raw @ raw.conj().T)
-        coeffs = np.array([float(np.real(np.sum(h * np.conj(e)))) for e in basis])
-        return coeffs / np.linalg.norm(coeffs)
-
-    def witness(params: np.ndarray) -> np.ndarray:
-        return psd_project(unpack(params)).entries
-
-    return _multistart(objective, draw, witness, kind, seed, starts, steps)
+    """The certificate of :func:`rbc_certificates` at a single point."""
+    (cert,) = rbc_certificates(point, tau, kind, seed, starts, steps)
+    return cert

@@ -326,3 +326,30 @@ class TestStackedJets:
         scale = max(1.0, float(np.max(np.abs(moved))))
         assert np.max(np.abs(chart - moved)) <= 1e-12 * scale
         assert np.max(np.abs(chart - np.conj(np.swapaxes(chart, -2, -1)))) <= 1e-12 * scale
+
+
+# The four traces as single einsums over the curvature's index patterns.
+TRACE_PATTERNS = {
+    "ric1": "...ij,...klij->...kl",
+    "ric2": "...ij,...ijkl->...kl",
+    "ric3": "...ij,...kjil->...kl",
+    "ric4": "...ij,...ilkj->...kl",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_METRICS))
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (2, 3)])
+def test_ricci_traces_match_direct_contractions(name, lead):
+    spec = STACK_METRICS[name]
+    count = max(1, int(np.prod(lead)))
+    points = spec.region.sample_points(spec.n, np.random.default_rng(11), count)
+    jet = metric_jet(spec, points.reshape(lead + (spec.n,)))
+    r = chern_curvature(jet)
+    traces = ricci_traces(jet, r)
+    for key, pattern in TRACE_PATTERNS.items():
+        want = np.einsum(pattern, jet.g_up, r)
+        got = getattr(traces, key)
+        assert got.shape == want.shape, key
+        scale = max(float(np.max(np.abs(want))), 1e-300)
+        ulps = float(np.max(np.abs(got - want))) / (np.finfo(float).eps * scale)
+        assert ulps <= 4.0, f"{name} {key} {lead}: off by {ulps:.1f} ulp of its largest entry"

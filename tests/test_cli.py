@@ -207,6 +207,22 @@ class TestScan:
         witness = np.array(report["results"][0]["witness"])
         assert witness.shape == (2, 2)
 
+    @pytest.mark.parametrize("functional", [["hsc"], ["rbc", "--tau", "0"]])
+    def test_certificate_rows_carry_bound_and_gap(self, capsys, functional):
+        # bidisk at the origin: both functionals range over [-2, -1]
+        argv = ["scan", "--metric", "builtin:poincare_polydisk(2)", "--points", "0,0;0.3,-0.2j",
+                "--functional", *functional, "--starts", "3"]
+        for kind, want in (("sup", -1.0), ("inf", -2.0)):
+            code, report = run_json(argv + ["--kind", kind], capsys)
+            assert code == 0
+            for row in report["results"]:
+                assert row["bound"] == pytest.approx(want, abs=1e-12)
+                assert row["value"] == pytest.approx(want, abs=1e-12)
+                assert 0.0 <= row["gap"] <= row["tolerance"]
+                assert row["gap"] == (row["bound"] - row["value"] if kind == "sup"
+                                      else row["value"] - row["bound"])
+                assert (row["samples"], row["ascent_iterations"]) == (3, 0)
+
     def test_scan_reruns_are_byte_identical(self, capsys):
         argv = [
             "scan",
@@ -634,7 +650,7 @@ def point_arg(pairs) -> str:
 
 
 def assert_rows_close(got, want, label: str, rtol: float = 1e-13) -> None:
-    """Same keys and shapes; every number within rtol * max(1, |want|)."""
+    """Same keys, shapes and strings; every number within rtol * max(1, |want|)."""
     if isinstance(want, dict):
         assert sorted(got) == sorted(want), label
         for key in want:
@@ -643,6 +659,8 @@ def assert_rows_close(got, want, label: str, rtol: float = 1e-13) -> None:
         assert len(got) == len(want), label
         for g, w in zip(got, want):
             assert_rows_close(g, w, label, rtol)
+    elif isinstance(want, str):
+        assert got == want, label
     else:
         assert abs(got - want) <= rtol * max(1.0, abs(want)), f"{label}: {got} vs {want}"
 
@@ -691,6 +709,22 @@ class TestBatchedRows:
                 want["deviation"] = row["deviation"]
             assert_rows_close(row, want, f"{name} row {k}")
         assert report["summary"]["max_deviation"] == max(row["deviation"] for row in rows)
+
+    @pytest.mark.parametrize("name", sorted(BATCH_METRICS))
+    @pytest.mark.parametrize("functional", [["hsc"], ["rbc", "--tau", "0"], ["rbc", "--tau", "2"]])
+    def test_scan_certificates_region(self, capsys, name, functional):
+        argv = ["scan", "--metric", BATCH_METRICS[name], "--functional", *functional,
+                "--starts", "4", "--ascent-steps", "30", "--seed", "2"]
+        for kind in ("sup", "inf"):
+            _, report = run_json(argv + ["--kind", kind, "--region", "4"], capsys)
+            rows = report["results"]
+            assert len(rows) == 4
+            for k, row in enumerate(rows):
+                _, single = run_json(argv + ["--kind", kind, "--points=" + point_arg(row["point"])],
+                                     capsys)
+                assert_rows_close(row, single["results"][0], f"{name} {kind} row {k}")
+            best = max if kind == "sup" else min
+            assert report["summary"]["best_value"] == best(row["value"] for row in rows)
 
     @pytest.mark.parametrize("forms", [1, 7, 16])
     def test_compare_chunks_continue_one_stream(self, capsys, monkeypatch, forms):

@@ -30,12 +30,15 @@ from curvlab.functionals import (
     frame_vector,
     hbc,
     hsc,
+    hsc_certificates,
     rbc,
+    rbc_certificates,
+    rbc_forms,
     ric_tau,
     ric_tau_frame,
 )
-from curvlab.metric_model import DEFAULT_SCHEME, builtin_metric, fixture, metric_jet
-from curvlab.tensor_core import PSDForm, psd_project
+from curvlab.metric_model import DEFAULT_SCHEME, builtin_metric, example22, fixture, metric_jet
+from curvlab.tensor_core import PSDForm, psd_project, psd_project_batch
 
 
 def point_of(name, z):
@@ -395,3 +398,177 @@ def test_batched_kernels_match_scalar_loop(which, seed, batch, tau):
         for xi in forms
     ]
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the Lagrangian dual: two-sided certificates
+
+
+def certificates(point, functional, kind, starts=4, steps=30, seed=0):
+    """``hsc`` or ``rbc<tau>`` certificates at the point(s) of ``point``."""
+    if functional == "hsc":
+        return hsc_certificates(point, kind, seed, starts, steps)
+    tau = TauParam(float(functional[3:]), "target")
+    return rbc_certificates(point, tau, kind, seed, starts, steps)
+
+
+def ascent_extremum(point, functional, kind, starts=16, steps=120, seed=0):
+    """The best end point of a plain multistart ascent, with no dual witness.
+
+    HSC is RBC at tau = 1 on rank-one forms; RBC forms are projected onto the
+    PSD cone, as in the extremizer, from real coordinates over a Hermitian basis.
+    """
+    n = point.g.shape[-1]
+    maximize = kind == "sup"
+    basis = functionals._hermitian_basis(n)
+    tau = TauParam(1.0 if functional == "hsc" else float(functional[3:]), "target")
+
+    def objective(rows, owner):
+        if functional == "hsc":
+            zeta = rows[:, :n] + 1j * rows[:, n:]
+            forms, keep = functionals._rank_one(zeta), np.linalg.norm(zeta, axis=1) > 1e-12
+        else:
+            forms, keep = psd_project_batch(np.tensordot(rows, basis, axes=1))
+        values = np.full(len(rows), -math.inf if maximize else math.inf)
+        values[keep] = rbc_forms(point, forms[keep], tau)
+        return values
+
+    rng = np.random.default_rng(seed)
+    if functional == "hsc":
+        x0 = rng.normal(size=(starts, 2 * n))
+    else:
+        x0 = np.real(np.einsum("sab,iab->si", sample_forms(rng, n, starts), np.conj(basis)))
+    _, values, _ = functionals._ascend(objective, x0, np.zeros(starts, dtype=int), maximize, steps)
+    return float(values.max() if maximize else values.min())
+
+
+def sample_forms(rng, n, count):
+    """Unit PSD forms ``(count, n, n)``: rank one, rank two, and near-singular full rank."""
+    forms = []
+    for k in range(count):
+        rank = 1 + k % min(n, 2)
+        v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        weights = np.zeros(n)
+        weights[:rank] = rng.uniform(0.1, 1.0, size=rank)
+        if k % 3 == 2:
+            weights[rank:] = 10.0 ** rng.uniform(-12, -6, size=n - rank)
+        v = v * np.sqrt(weights)
+        forms.append(v @ v.conj().T)
+    forms = np.array(forms)
+    return forms / np.linalg.norm(forms, axis=(1, 2), keepdims=True)
+
+
+_A3 = np.random.default_rng(5).normal(size=(3, 3, 3, 2)) @ np.array([1.0, 1.0j])
+SOUNDNESS_METRICS = {
+    "example22": fixture("F1"),
+    "poincare_polydisk(2)": builtin_metric("poincare_polydisk", 2),
+    "hopf(2)": builtin_metric("hopf", 2),
+    "hopf(3)": builtin_metric("hopf", 3),
+    "example22(3)": example22(3, 0.5 * (_A3 - np.swapaxes(_A3, 0, 1)), 0.2),
+}
+# the forms above probe the functional to round-off; the bound must hold to it
+ROUNDOFF = 1e-13
+
+
+class TestLagrangianDual:
+    def test_pinned_pool_gaps_close_without_ascent(self):
+        worst = 0.0
+        for name, functional, kind in sorted(PINNED):
+            spec, z = PINNED_POINTS[name]
+            pt = ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
+            (cert,) = certificates(pt, functional, kind)
+            assert cert.ascent_iterations == 0, (name, functional, kind)
+            assert cert.samples == 4
+            relative = cert.gap / max(1.0, abs(cert.value))
+            assert -ROUNDOFF <= relative <= cert.tolerance, (name, functional, kind, cert.gap)
+            worst = max(worst, relative)
+        print(f"\ndual: largest gap {worst:.2e} of max(1, |value|) over the "
+              f"{len(PINNED)} pinned certificates (tol 1e-12), no ascent steps")
+
+    def test_gaps_close_to_round_off_on_a_region(self):
+        # example22 has large torsion; with the multiplier bisected to eps,
+        # the top eigenvector alone leaves mu x^T J x of up to ~5e-13 there,
+        # which the isotropic second candidate removes
+        spec = fixture("F1")
+        points = spec.region.sample_points(2, np.random.default_rng(0), 256)
+        pt = ChernPoint.from_jet(metric_jet(spec, points, DEFAULT_SCHEME))
+        worst = 0.0
+        for functional in ("hsc", "rbc0", "rbc1", "rbc2"):
+            for kind in ("sup", "inf"):
+                for cert in certificates(pt, functional, kind, starts=1, steps=0):
+                    worst = max(worst, cert.gap / max(1.0, abs(cert.value)))
+        assert worst <= ROUNDOFF, worst
+
+    @pytest.mark.parametrize("name", sorted(PINNED_POINTS))
+    @pytest.mark.parametrize("functional", ["hsc", "rbc0", "rbc1", "rbc2"])
+    @pytest.mark.parametrize("kind", ["sup", "inf"])
+    def test_dual_matches_long_ascent(self, name, functional, kind):
+        spec, z = PINNED_POINTS[name]
+        pt = ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
+        (cert,) = certificates(pt, functional, kind)
+        climbed = ascent_extremum(pt, functional, kind)
+        assert abs(cert.value - climbed) <= 1e-12 * max(1.0, abs(climbed))
+        assert abs(cert.bound - climbed) <= 1e-12 * max(1.0, abs(climbed))
+
+    @pytest.mark.parametrize("functional", ["hsc", "rbc0", "rbc1", "rbc2"])
+    def test_closed_forms(self, functional):
+        # bidisk: HSC and RBC range over [-2, -1]; disk: -2; flat: 0
+        cases = [
+            (builtin_metric("poincare_polydisk", 2), [0.0, 0.0], -1.0, -2.0),
+            (builtin_metric("poincare_polydisk", 2), [0.3, -0.2j], -1.0, -2.0),
+            (builtin_metric("poincare_polydisk", 2), [-0.45 + 0.1j, 0.25j], -1.0, -2.0),
+            (builtin_metric("poincare_polydisk", 1), [0.35 - 0.2j], -2.0, -2.0),
+            (builtin_metric("flat", 2), [0.2, -0.1], 0.0, 0.0),
+        ]
+        for spec, z, top, bottom in cases:
+            pt = ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
+            for kind, want in (("sup", top), ("inf", bottom)):
+                (cert,) = certificates(pt, functional, kind)
+                assert abs(cert.value - want) <= 1e-12, (spec.name, z, kind, cert.value)
+                assert abs(cert.bound - want) <= 1e-12, (spec.name, z, kind, cert.bound)
+                assert cert.ascent_iterations == 0
+
+    @given(
+        name=st.sampled_from(sorted(SOUNDNESS_METRICS)),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        functional=st.sampled_from(["hsc", "rbc0", "rbc0.5", "rbc1", "rbc2"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_no_sample_beats_the_bound(self, name, seed, functional):
+        spec = SOUNDNESS_METRICS[name]
+        rng = np.random.default_rng(seed)
+        points = spec.region.sample_points(spec.n, rng, 3)
+        pt = ChernPoint.from_jet(metric_jet(spec, points, DEFAULT_SCHEME))
+        sup = certificates(pt, functional, "sup", starts=2, steps=5, seed=seed % 7)
+        inf = certificates(pt, functional, "inf", starts=2, steps=5, seed=seed % 7)
+        n = spec.n
+        if functional == "hsc":
+            zeta = rng.normal(size=(3, 60, n)) + 1j * rng.normal(size=(3, 60, n))
+            zeta /= np.linalg.norm(zeta, axis=-1, keepdims=True)
+            probes = rbc_forms(pt, zeta[..., :, None] * np.conj(zeta[..., None, :]),
+                               TauParam(1.0, "target"))
+        else:
+            forms = sample_forms(rng, n, 3 * 60).reshape(3, 60, n, n)
+            probes = rbc_forms(pt, forms, TauParam(float(functional[3:]), "target"))
+        for k in range(3):
+            low, high = inf[k].bound, sup[k].bound
+            slack = ROUNDOFF * max(1.0, abs(low), abs(high))
+            assert probes[k].max() <= high + slack, (name, functional, k, probes[k].max(), high)
+            assert probes[k].min() >= low - slack, (name, functional, k, probes[k].min(), low)
+            # the bracket is ordered, open or closed
+            assert low - slack <= inf[k].value <= sup[k].value <= high + slack
+            if n <= 2:
+                for cert in (sup[k], inf[k]):
+                    assert cert.gap <= cert.tolerance * max(1.0, abs(cert.value))
+                    assert cert.ascent_iterations == 0
+
+    def test_open_gaps_run_the_ascent_only_there(self):
+        # hopf(3) HSC sup leaves a duality gap; the RBC^0 sup there does not
+        spec = builtin_metric("hopf", 3)
+        points = spec.region.sample_points(3, np.random.default_rng(2), 2)
+        pt = ChernPoint.from_jet(metric_jet(spec, points, DEFAULT_SCHEME))
+        for cert in certificates(pt, "hsc", "sup"):
+            assert cert.gap > cert.tolerance and cert.ascent_iterations > 0
+            assert cert.value <= cert.bound
+        for cert in certificates(pt, "rbc0", "sup"):
+            assert cert.gap <= cert.tolerance and cert.ascent_iterations == 0

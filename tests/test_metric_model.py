@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,6 +289,72 @@ class TestJets:
             JetScheme(h=-1e-3)
         with pytest.raises(ConfigError):
             JetScheme(richardson=2)
+
+
+def _truncation_field(z):
+    z1, z2 = z[..., 0], z[..., 1]
+    return np.exp(z1 * np.conj(z2)) + z1**2 * np.conj(z1) / (1.5 - z2 * np.conj(z2))
+
+
+def _mp_truncation_field(x1, x2, y1, y2):
+    z1, z2 = mpmath.mpc(x1, y1), mpmath.mpc(x2, y2)
+    return mpmath.exp(z1 * mpmath.conj(z2)) + z1**2 * mpmath.conj(z1) / (1.5 - z2 * mpmath.conj(z2))
+
+
+TRUNCATION_CENTRE = np.array([0.3 + 0.2j, -0.25 + 0.1j])
+
+
+def _mp_wirtinger_jet() -> np.ndarray:
+    """``d``, ``dbar`` and ``dd`` of the field at the centre, at 50 digits, flattened."""
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(float(v)) for v in
+             (*TRUNCATION_CENTRE.real, *TRUNCATION_CENTRE.imag)]
+
+        def partial(*axes):
+            return mpmath.diff(_mp_truncation_field, x, tuple(axes.count(a) for a in range(4)))
+
+        n = 2
+        first = [partial(r) for r in range(2 * n)]
+        d = [(first[k] - 1j * first[n + k]) / 2 for k in range(n)]
+        dbar = [(first[k] + 1j * first[n + k]) / 2 for k in range(n)]
+        dd = [(partial(i, j) + partial(n + i, n + j)
+               + 1j * (partial(i, n + j) - partial(n + i, j))) / 4
+              for i in range(n) for j in range(n)]
+        return np.array([complex(v) for v in d + dbar + dd])
+
+
+@pytest.fixture(scope="module")
+def mp_jet():
+    return _mp_wirtinger_jet()
+
+
+def _stencil_error(scheme: JetScheme, reference: np.ndarray) -> np.ndarray:
+    jet = complex_jet2(_truncation_field, TRUNCATION_CENTRE, scheme)
+    return np.abs(np.concatenate([jet.d, jet.dbar, jet.dd.ravel()]) - reference)
+
+
+class TestStencilTruncation:
+    """The stencils against mpmath's derivatives at 50 digits, a reference free of truncation."""
+
+    @pytest.mark.parametrize("order, richardson, h, power", [
+        (2, 0, 0.04, 2), (4, 0, 0.08, 4), (4, 1, 0.16, 6),
+    ])
+    def test_error_falls_at_the_stencil_order(self, mp_jet, order, richardson, h, power):
+        # the steps are large enough that truncation dwarfs round-off
+        errors = [np.linalg.norm(_stencil_error(JetScheme(h=step, order=order,
+                                                          richardson=richardson), mp_jet))
+                  for step in (h, h / 2, h / 4)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert abs(np.log2(coarse / fine) - power) <= 0.25, errors
+
+    def test_default_scheme_is_at_round_off(self, mp_jet):
+        # h^6 truncation is ~1e-18 at h = 1e-3; what is left is round-off,
+        # eps / h on first derivatives and eps / h^2 on second ones
+        scheme = JetScheme()
+        error = _stencil_error(scheme, mp_jet)
+        eps = np.finfo(float).eps
+        assert error[:4].max() <= 100 * eps / scheme.h
+        assert error[4:].max() <= 100 * eps / scheme.h**2
 
 
 # ---------------------------------------------------------------------------
