@@ -427,6 +427,15 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     )
     reference = _parse_metric(args.reference) if args.reference else None
     state = init_flow(spec, box, tau, reference=reference)
+    seam_jump = None
+    if box.boundary == "periodic":
+        seam_jump, interior = state.field.seam_jumps()
+        if seam_jump > interior:
+            print(
+                f"warning: the periodic grid wraps a seam jump of {seam_jump:.3g}, above its "
+                f"largest interior neighbour difference {interior:.3g}",
+                file=sys.stderr,
+            )
     state = run_flow(state, dt=args.dt, steps=args.steps, method=args.method)
 
     config = _base_config(
@@ -456,7 +465,11 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     report = {
         "command": "flow",
         "config": config,
-        "grid": {"spacing": box.spacing, "nodes": args.resolution ** (2 * spec.n)},
+        "grid": {
+            "spacing": box.spacing,
+            "nodes": args.resolution ** (2 * spec.n),
+            "seam_jump": seam_jump,
+        },
         "result": {
             "time": state.time,
             "steps": state.steps_taken,
@@ -473,6 +486,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
                 "min_eigenvalue": row.min_eigenvalue,
                 "max_velocity": row.max_velocity,
                 "sup_trace": row.sup_trace,
+                "substeps": row.substeps,
+                "rejected": row.rejected,
             }
             for row in state.history
         ],

@@ -19,8 +19,14 @@ are second-order central differences; the boundary either stays frozen at
 its initial values (interior-only updates) or wraps periodically.  Time
 stepping is explicit: plain Euler (:func:`step_euler`) or the default
 two-stage explicit trapezoid, whose second-order accuracy the closed-form
-flat solution actually requires.  A parabolic CFL-style guard rejects steps
-that outrun the grid; rejected steps are retried with halved substeps.
+flat solution actually requires.  A parabolic CFL-style guard,
+``dt <= 0.2 h^2 g_min / v_max``, keeps each substep from outrunning the
+grid.  A step takes the least power-of-two count of substeps that the
+guard admits at its start field; only a guard or positivity failure later
+in the step halves the substeps again and restarts it.  Each field computes
+its velocity once: the velocity of a step's end field serves both the
+step's diagnostics row and the first stage of the next step (first same as
+last).
 
 The pointwise comparison inequality
 
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -110,6 +117,22 @@ class GridBox:
     def spacing(self) -> float:
         return 2.0 * self.half_width / (self.resolution - 1)
 
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """Chart coordinates of every node, shape ``(resolution,) * 2n + (n,)``.
+
+        Built once per box and read-only, since every field on the box shares it.
+        """
+        w = self.half_width
+        axes = []
+        for c in self.center:
+            axes += [np.linspace(c.real - w, c.real + w, self.resolution),
+                     np.linspace(c.imag - w, c.imag + w, self.resolution)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        points = np.stack([mesh[2 * k] + 1j * mesh[2 * k + 1] for k in range(self.n)], axis=-1)
+        points.flags.writeable = False
+        return points
+
 
 def _axis_derivative(values: np.ndarray, spacing: float, axis: int, periodic: bool) -> np.ndarray:
     if periodic:
@@ -118,7 +141,11 @@ def _axis_derivative(values: np.ndarray, spacing: float, axis: int, periodic: bo
 
 
 class GridMetricField:
-    """Hermitian metric values on every node of a :class:`GridBox`."""
+    """Hermitian metric values on every node of a :class:`GridBox`.
+
+    The smallest eigenvalue and the flow velocity are computed once and kept,
+    so ``values`` must not be changed in place after construction.
+    """
 
     def __init__(self, box: GridBox, values: np.ndarray) -> None:
         n = box.n
@@ -130,8 +157,10 @@ class GridMetricField:
         self.values = values
         if not np.isfinite(values).all():
             raise NumericalError("grid metric is not finite everywhere")
-        if not self.min_eigenvalue() > 0:
+        self._min_eigenvalue = float(np.linalg.eigvalsh(hermitian_part(values)).min())
+        if not self._min_eigenvalue > 0:
             raise NumericalError("grid metric is not positive definite everywhere")
+        self._velocity: tuple[TauParam, np.ndarray, float] | None = None
 
     @classmethod
     def from_spec(cls, spec: MetricSpec, box: GridBox) -> "GridMetricField":
@@ -146,16 +175,10 @@ class GridMetricField:
 
     @staticmethod
     def _node_points(box: GridBox) -> np.ndarray:
-        w = box.half_width
-        axes = []
-        for c in box.center:
-            axes += [np.linspace(c.real - w, c.real + w, box.resolution),
-                     np.linspace(c.imag - w, c.imag + w, box.resolution)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([mesh[2 * k] + 1j * mesh[2 * k + 1] for k in range(box.n)], axis=-1)
+        return box.nodes
 
     def node_points(self) -> np.ndarray:
-        return self._node_points(self.box)
+        return self.box.nodes
 
     def jets(self) -> MetricJet:
         """The metric jet at every node, one batch index per node.
@@ -173,20 +196,50 @@ class GridMetricField:
         d = 0.5 * (real_first[..., 0::2, :, :] - 1j * real_first[..., 1::2, :, :])
         real_second = np.stack([_axis_derivative(d, h, a, periodic) for a in grid_axes], axis=-3)
         dd = 0.5 * (real_second[..., 0::2, :, :] + 1j * real_second[..., 1::2, :, :])
-        return MetricJet(self.node_points(), self.values, d, dd, exact=False)
+        return MetricJet(self.box.nodes, self.values, d, dd, exact=False)
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(hermitian_part(self.values)).min())
+        return self._min_eigenvalue
+
+    def velocity(self, tau: TauParam) -> tuple[np.ndarray, float]:
+        """The flow velocity at every node and its largest eigenvalue modulus ``v_max``.
+
+        Both are computed at most once per ``tau``: the velocity of a step's end
+        field serves its diagnostics row and the first stage of the next step.
+        """
+        if self._velocity is None or self._velocity[0] != tau:
+            velocity = thcf_velocity(self.jets(), tau)
+            v_max = float(np.abs(np.linalg.eigvalsh(velocity)).max())
+            self._velocity = (tau, velocity, v_max)
+        return self._velocity[1], self._velocity[2]
+
+    def seam_jumps(self) -> tuple[float, float]:
+        """Largest wrap-around and largest interior neighbour difference of the values.
+
+        The first is ``|g(first node) - g(last node)|`` over every grid axis and
+        node line, the jump a periodic boundary differences across; the second
+        the same entry modulus between adjacent nodes inside the grid.
+        """
+        seam = interior = 0.0
+        for axis in range(2 * self.box.n):
+            wrap = np.take(self.values, 0, axis) - np.take(self.values, -1, axis)
+            seam = max(seam, float(np.abs(wrap).max()))
+            interior = max(interior, float(np.abs(np.diff(self.values, axis=axis)).max()))
+        return seam, interior
 
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
+    """One completed step; ``substeps`` were kept after ``rejected`` fallback halvings."""
+
     step: int
     time: float
     dt: float
     min_eigenvalue: float
     max_velocity: float
     sup_trace: float | None
+    substeps: int
+    rejected: int
 
 
 @dataclass(frozen=True)
@@ -245,14 +298,15 @@ def _apply_update(field: GridMetricField, update: np.ndarray) -> np.ndarray:
     return new_values
 
 
+def _guard_limit(field: GridMetricField, v_max: float) -> float:
+    """The parabolic guard's step limit ``0.2 h^2 g_min / v_max`` (for ``v_max > 0``)."""
+    return 0.2 * field.box.spacing**2 * field.min_eigenvalue() / v_max
+
+
 def _guarded_velocity(field: GridMetricField, tau: TauParam, dt: float) -> np.ndarray:
-    velocity = thcf_velocity(field.jets(), tau)
-    g_min = field.min_eigenvalue()
-    v_max = float(np.abs(np.linalg.eigvalsh(velocity)).max())
-    if v_max > 0:
-        limit = 0.2 * field.box.spacing**2 * g_min / v_max
-        if dt > limit:
-            raise _StepRejected
+    velocity, v_max = field.velocity(tau)
+    if v_max > 0 and dt > _guard_limit(field, v_max):
+        raise _StepRejected
     return velocity
 
 
@@ -274,39 +328,56 @@ def _substep(field: GridMetricField, tau: TauParam, dt: float, method: str) -> G
         raise _StepRejected from exc
 
 
+def _doubled(pieces: int, dt: float) -> int:
+    if pieces >= 2**8:
+        raise NumericalError(f"flow step dt={dt} still rejected after 8 halvings")
+    return 2 * pieces
+
+
 def flow_step(state: FlowState, dt: float, method: str = "heun") -> FlowState:
     """Advance the flow by ``dt``; appends one diagnostics row.
 
     The default method is the two-stage explicit trapezoid; ``"euler"``
-    selects the one-stage update.  A step rejected by the parabolic guard or
-    by positivity is retried as halved substeps, up to eight halvings.
+    selects the one-stage update.  The step is split into the least power of
+    two of equal substeps that the parabolic guard admits at the start field,
+    the count a halve-on-rejection loop would reach.  If the guard or
+    positivity still rejects a later stage, the substeps are halved again and
+    the step restarts from its start field, up to 2^8 substeps in all.  The
+    row records the substeps kept and the halvings this fallback took.
     """
     if dt <= 0:
         raise ConfigError(f"time step must be positive, got {dt}")
     if method not in ("heun", "euler"):
         raise ConfigError(f"unknown stepping method '{method}'")
+    start = state.field
+    _, v_max = start.velocity(state.tau)
     pieces = 1
+    if v_max > 0:
+        # each smaller count fails the guard on this same velocity and g_min
+        limit = _guard_limit(start, v_max)
+        while dt / pieces > limit:
+            pieces = _doubled(pieces, dt)
+    rejected = 0
     while True:
         sub = dt / pieces
-        field = state.field
+        field = start
         try:
             for _ in range(pieces):
                 field = _substep(field, state.tau, sub, method)
             break
         except _StepRejected:
-            pieces *= 2
-            if pieces > 2**8:
-                raise NumericalError(
-                    f"flow step dt={dt} still rejected after 8 halvings"
-                ) from None
-    velocity = thcf_velocity(field.jets(), state.tau)
+            pieces = _doubled(pieces, dt)
+            rejected += 1
+    _, max_velocity = field.velocity(state.tau)
     row = DiagnosticsRow(
         step=state.steps_taken + 1,
         time=state.time + dt,
         dt=dt,
         min_eigenvalue=field.min_eigenvalue(),
-        max_velocity=float(np.abs(np.linalg.eigvalsh(velocity)).max()),
+        max_velocity=max_velocity,
         sup_trace=_sup_trace(state, field.values),
+        substeps=pieces,
+        rejected=rejected,
     )
     return replace(
         state, time=state.time + dt, field=field, history=state.history + (row,)

@@ -471,6 +471,37 @@ class TestFlow:
         assert report["command"] == "flow"
 
 
+class TestFlowSeam:
+    """The periodic seam: its jump in the report, and a warning when it stands out."""
+
+    def flow(self, metric, boundary, capsys):
+        return run_cli(
+            ["flow", "--metric", metric, "--tau", "2", "--dt", "1e-4", "--steps", "1",
+             "--extent", "0.1", "--boundary", boundary],
+            capsys,
+        )
+
+    def test_flat_periodic_has_no_seam(self, capsys):
+        code, out, err = self.flow("builtin:flat(2)", "periodic", capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["grid"]["seam_jump"] == 0.0
+
+    def test_fixture_periodic_warns(self, capsys):
+        code, out, err = self.flow("builtin:F1", "periodic", capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["grid"]["seam_jump"] > 0
+        assert err.startswith("warning: ") and "seam jump" in err
+        assert err.count("\n") == 1
+        rows = report["history"]
+        assert [(row["substeps"], row["rejected"]) for row in rows] == [(8, 0)]
+
+    def test_frozen_reports_null(self, capsys):
+        code, out, err = self.flow("builtin:F1", "frozen", capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["grid"]["seam_jump"] is None
+
+
 class TestFixtures:
     def test_listing(self, capsys):
         code, report = run_json(["fixtures"], capsys)

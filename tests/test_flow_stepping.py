@@ -1,0 +1,227 @@
+"""Flow stepping: the guard-derived substep count against the halve-and-retry loop.
+
+``flow_step`` derives its substep count from the parabolic guard at the start
+field and evaluates each field's velocity once.  The oracle below is the
+earlier stepping loop, kept verbatim in behaviour: it tries 1, 2, 4, ...
+substeps from the start field and recomputes every velocity and smallest
+eigenvalue it needs.  Both must give the same field values and the same
+history values bit for bit.
+
+Run with ``-s`` to print, for each pinned configuration, the substeps kept,
+the fallback halvings and the velocity evaluations per step of both loops.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from curvlab import flow
+from curvlab.flow import GridBox, GridMetricField, flow_step, init_flow
+from curvlab.functionals import TauParam
+from curvlab.metric_model import builtin_metric, fixture
+from curvlab.tensor_core import hermitian_part
+
+
+class _Rejected(Exception):
+    pass
+
+
+class OldLoop:
+    """The halve-and-retry stepping loop that the derived count replaces."""
+
+    def __init__(self, tau: TauParam, method: str):
+        self.tau = tau
+        self.method = method
+        self.velocity_evals = 0
+
+    def min_eigenvalue(self, field):
+        return float(np.linalg.eigvalsh(hermitian_part(field.values)).min())
+
+    def max_velocity(self, velocity):
+        return float(np.abs(np.linalg.eigvalsh(velocity)).max())
+
+    def velocity(self, field):
+        self.velocity_evals += 1
+        return flow.thcf_velocity(field.jets(), self.tau)
+
+    def apply_update(self, field, update):
+        new_values = field.values.copy()
+        if field.box.boundary == "frozen":
+            region = tuple(slice(1, -1) for _ in range(2 * field.box.n))
+            new_values[region] += update[region]
+        else:
+            new_values += update
+        return new_values
+
+    def guarded_velocity(self, field, dt):
+        velocity = self.velocity(field)
+        g_min = self.min_eigenvalue(field)
+        v_max = self.max_velocity(velocity)
+        if v_max > 0:
+            limit = 0.2 * field.box.spacing**2 * g_min / v_max
+            if dt > limit:
+                raise _Rejected
+        return velocity
+
+    def build(self, box, values):
+        try:
+            return GridMetricField(box, values)
+        except flow.NumericalError as exc:
+            raise _Rejected from exc
+
+    def substep(self, field, dt):
+        v1 = self.guarded_velocity(field, dt)
+        if self.method == "euler":
+            update = dt * v1
+        else:
+            predictor = self.build(field.box, self.apply_update(field, dt * v1))
+            v2 = self.guarded_velocity(predictor, dt)
+            update = 0.5 * dt * (v1 + v2)
+        return self.build(field.box, self.apply_update(field, update))
+
+    def step(self, field, dt):
+        """(end field, pieces kept, max_velocity, min_eigenvalue) of one step."""
+        pieces = 1
+        while True:
+            sub = dt / pieces
+            end = field
+            try:
+                for _ in range(pieces):
+                    end = self.substep(end, sub)
+                break
+            except _Rejected:
+                pieces *= 2
+                if pieces > 2**8:
+                    raise flow.NumericalError("still rejected after 8 halvings") from None
+        velocity = self.velocity(end)
+        return end, pieces, self.max_velocity(velocity), self.min_eigenvalue(end)
+
+
+def source_tau(value):
+    return TauParam(value, "source")
+
+
+# name: (metric, center, half width, resolution, boundary, tau, method, dt, steps,
+#        substeps kept, fallback halvings per step)
+PINNED = {
+    "flat(1) guard split": (builtin_metric("flat", 1), (0j,), 0.5, 5, "periodic",
+                            1.0, "heun", 0.05, 2, 4, 0),
+    "F1 tau 2 periodic res 5": (fixture("F1"), (0j, 0j), 0.1, 5, "periodic",
+                                2.0, "heun", 1e-4, 2, 8, 0),
+    "P1 res 41 tau 1 heun": (builtin_metric("poincare_polydisk", 1), (0.1 + 0.05j,), 0.3, 41,
+                             "frozen", 1.0, "heun", 1e-4, 3, 4, 0),
+    "P1 res 41 tau inf euler": (builtin_metric("poincare_polydisk", 1), (0.1 + 0.05j,), 0.3,
+                                41, "frozen", math.inf, "euler", 1e-4, 3, 4, 0),
+    # spacing 5: the guard admits the whole step, but the predictor (heun) or
+    # the end field (euler) 1 - 2 and then 1 - 1 is not positive, so the
+    # fallback halves twice
+    "flat(1) predictor loses positivity": (builtin_metric("flat", 1), (0j,), 10.0, 5,
+                                           "periodic", 1.0, "heun", 2.0, 2, 4, 2),
+    "flat(1) euler end loses positivity": (builtin_metric("flat", 1), (0j,), 10.0, 5,
+                                           "periodic", 1.0, "euler", 2.0, 2, 4, 2),
+}
+
+
+def pinned_state(name):
+    metric, center, width, resolution, boundary, tau, *_ = PINNED[name]
+    box = GridBox(center, half_width=width, resolution=resolution, boundary=boundary)
+    return init_flow(metric, box, source_tau(tau))
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns the list of its calls' first arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_bit_identical_to_the_retry_loop(name, monkeypatch):
+    *_, tau, method, dt, steps, substeps, rejected = PINNED[name]
+    state = pinned_state(name)
+    oracle = OldLoop(source_tau(tau), method)
+    old_field = state.field
+    velocity_calls = counting(monkeypatch, flow, "thcf_velocity")
+    for k in range(steps):
+        state = flow_step(state, dt, method)
+        old_field, pieces, max_velocity, min_eigenvalue = oracle.step(old_field, dt)
+        row = state.history[-1]
+        assert np.array_equal(state.field.values, old_field.values), f"step {k + 1}"
+        assert (row.max_velocity, row.min_eigenvalue) == (max_velocity, min_eigenvalue)
+        assert (row.substeps, row.rejected) == (pieces, rejected) == (substeps, rejected)
+    new_evals = len(velocity_calls) - oracle.velocity_evals
+    print(
+        f"\n{name}: {substeps} substeps, {rejected} fallback halvings per step; "
+        f"velocity evaluations per step {new_evals / steps:.2f} "
+        f"(halve-and-retry loop {oracle.velocity_evals / steps:.2f})"
+    )
+
+
+def test_eight_halvings_abort_before_any_substep(monkeypatch):
+    # spacing 0.25 gives a guard limit of 0.0125 on the flat metric; 2^9 of
+    # them need more than 2^8 substeps, which the derived count sees at once
+    state = pinned_state("flat(1) guard split")
+    velocity_calls = counting(monkeypatch, flow, "thcf_velocity")
+    with pytest.raises(flow.NumericalError, match="8 halvings"):
+        flow_step(state, 0.0125 * 2**9)
+    assert len(velocity_calls) == 1
+    assert flow_step(state, 0.012 * 2**8).history[-1].substeps == 2**8
+
+
+@pytest.mark.parametrize(
+    "name, stages",
+    [("flat(1) guard split", 2), ("F1 tau 2 periodic res 5", 2), ("P1 res 41 tau inf euler", 1)],
+)
+def test_velocity_evaluations_and_field_eigensolves(name, stages, monkeypatch):
+    """k steps of p substeps: one velocity per field, one eigvalsh per field's values."""
+    *_, method, dt, steps, substeps, rejected = PINNED[name]
+    assert rejected == 0
+    velocity_calls = counting(monkeypatch, flow, "thcf_velocity")
+    eigvalsh_calls = counting(monkeypatch, flow.np.linalg, "eigvalsh")
+    built = []
+    original_init = GridMetricField.__init__
+
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(GridMetricField, "__init__", init)
+    state = pinned_state(name)
+    for _ in range(steps):
+        state = flow_step(state, dt, method)
+    assert len(velocity_calls) == 1 + steps * substeps * stages
+    assert len(built) == 1 + steps * substeps * stages
+    # the rest of the eigensolves are one per velocity, for v_max
+    assert len(eigvalsh_calls) == len(built) + len(velocity_calls)
+    for field in built:
+        own = [a for a in eigvalsh_calls if np.array_equal(a, hermitian_part(field.values))]
+        assert len(own) == 1
+    before = len(eigvalsh_calls), len(velocity_calls)
+    state.field.min_eigenvalue()
+    state.field.velocity(state.tau)
+    assert (len(eigvalsh_calls), len(velocity_calls)) == before
+
+
+def test_velocity_kept_per_tau():
+    state = pinned_state("F1 tau 2 periodic res 5")
+    field = state.field
+    first, v_max = field.velocity(source_tau(2.0))
+    assert field.velocity(source_tau(2.0))[0] is first
+    other, _ = field.velocity(source_tau(math.inf))
+    assert not np.array_equal(other, first)
+    again, again_max = field.velocity(source_tau(2.0))
+    assert np.array_equal(again, first) and again_max == v_max
+
+
+def test_node_points_built_once_per_box():
+    state = pinned_state("F1 tau 2 periodic res 5")
+    field = state.field
+    assert field.jets().point is field.jets().point is field.node_points()
+    assert not field.node_points().flags.writeable
