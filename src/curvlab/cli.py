@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 tolerance breach, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -321,26 +322,10 @@ def _cmd_schwarz(args: argparse.Namespace) -> int:
         components = [c for c in args.map.split(";") if c.strip()]
     holo_map = HoloMap.parse(components, source.n)
 
-    rows = []
-    worst = 0.0
-    for z in points:
-        rep = laplacian_identity_report(source, target, holo_map, z, scheme)
-        rows.append(
-            {
-                "point": _complex_payload(z),
-                "energy": rep.energy,
-                "laplacian": rep.laplacian,
-                "assembled": rep.assembled,
-                "hessian_square": rep.hessian_square,
-                "symmetric_square": rep.symmetric_square,
-                "skew_square": rep.skew_square,
-                "ricci_term": rep.ricci_term,
-                "target_term": rep.target_term,
-                "relative_residual": rep.relative_residual,
-                "skew_residual": rep.skew_residual,
-            }
-        )
-        worst = max(worst, rep.relative_residual)
+    identity = laplacian_identity_report(source, target, holo_map, points, scheme)
+    columns = {f.name: getattr(identity, f.name).tolist() for f in dataclasses.fields(identity)}
+    rows = _rows({"point": _complex_payload(points), **columns})
+    worst = max(0.0, *columns["relative_residual"])
 
     report = {
         "command": "schwarz",
@@ -478,19 +463,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             "sup_trace": last.sup_trace,
             "center_metric": _complex_payload(state.field.values[center_index]),
         },
-        "history": [
-            {
-                "step": row.step,
-                "time": row.time,
-                "dt": row.dt,
-                "min_eigenvalue": row.min_eigenvalue,
-                "max_velocity": row.max_velocity,
-                "sup_trace": row.sup_trace,
-                "substeps": row.substeps,
-                "rejected": row.rejected,
-            }
-            for row in state.history
-        ],
+        "history": [dataclasses.asdict(row) for row in state.history],
     }
     _emit_json(report, args)
     return 0

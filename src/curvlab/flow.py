@@ -170,12 +170,8 @@ class GridMetricField:
             raise ConfigError("grid flow supports dimensions 1 and 2")
         # a node on a singularity gives a non-finite value, which __init__ rejects
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = metric_value(spec, cls._node_points(box))
+            values = metric_value(spec, box.nodes)
         return cls(box, values)
-
-    @staticmethod
-    def _node_points(box: GridBox) -> np.ndarray:
-        return box.nodes
 
     def node_points(self) -> np.ndarray:
         return self.box.nodes
@@ -298,14 +294,21 @@ def _apply_update(field: GridMetricField, update: np.ndarray) -> np.ndarray:
     return new_values
 
 
-def _guard_limit(field: GridMetricField, v_max: float) -> float:
-    """The parabolic guard's step limit ``0.2 h^2 g_min / v_max`` (for ``v_max > 0``)."""
-    return 0.2 * field.box.spacing**2 * field.min_eigenvalue() / v_max
+# relative allowance of the guard: a step sitting exactly on the limit is not
+# rejected for the last-bit rounding of 0.2 h^2 g_min / v_max
+_GUARD_ROUNDING = 1.0 + 4.0 * np.finfo(float).eps
+
+
+def _guard_rejects(field: GridMetricField, v_max: float, dt: float) -> bool:
+    """Whether the parabolic guard ``dt <= 0.2 h^2 g_min / v_max`` rejects ``dt`` at ``field``."""
+    return v_max > 0 and dt > _GUARD_ROUNDING * (
+        0.2 * field.box.spacing**2 * field.min_eigenvalue() / v_max
+    )
 
 
 def _guarded_velocity(field: GridMetricField, tau: TauParam, dt: float) -> np.ndarray:
     velocity, v_max = field.velocity(tau)
-    if v_max > 0 and dt > _guard_limit(field, v_max):
+    if _guard_rejects(field, v_max, dt):
         raise _StepRejected
     return velocity
 
@@ -352,11 +355,9 @@ def flow_step(state: FlowState, dt: float, method: str = "heun") -> FlowState:
     start = state.field
     _, v_max = start.velocity(state.tau)
     pieces = 1
-    if v_max > 0:
-        # each smaller count fails the guard on this same velocity and g_min
-        limit = _guard_limit(start, v_max)
-        while dt / pieces > limit:
-            pieces = _doubled(pieces, dt)
+    # each smaller count fails the guard on this same velocity and g_min
+    while _guard_rejects(start, v_max, dt / pieces):
+        pieces = _doubled(pieces, dt)
     rejected = 0
     while True:
         sub = dt / pieces
@@ -460,10 +461,10 @@ def parabolic_schwarz_residual(
     """Evaluates the comparison inequality for the flow at time zero.
 
     The time derivative of ``tr(h)`` comes from the velocity,
-    ``d/dt tr = -g^{pl} g^{kq} h_{kl} v_{pq}``, the Laplacian from the jet
-    scheme applied to the trace field.  ``velocity`` defaults to the THCF
-    velocity at the point; any Hermitian chart form may be supplied, e.g.
-    zero for a static flow.  ``kappa0`` should certify
+    ``d/dt tr = -g^{pl} g^{kq} h_{kl} v_{pq}``; the trace and its Laplacian
+    come from one stencil jet of the trace field.  ``velocity`` defaults to
+    the THCF velocity at the point; any Hermitian chart form may be
+    supplied, e.g. zero for a static flow.  ``kappa0`` should certify
     ``RBC^tau(reference) <= -kappa0``; the supersolution precondition is
     asserted numerically and reported, never fatal.
     """
@@ -483,16 +484,14 @@ def parabolic_schwarz_residual(
                 f"velocity has shape {velocity.shape}, expected {(source.n, source.n)}"
             )
 
-    h = metric_value(reference, z)
-    x = point.g_up
-    trace = float(np.real(np.einsum("kl,kl->", x, h)))
-    dt_trace = -float(np.real(np.einsum("pl,kq,kl,pq->", x, x, h, velocity)))
-
     def trace_field(w: np.ndarray) -> np.ndarray:
         xw = metric_inverse_up(metric_value(source, w))
         return np.einsum("...kl,...kl->...", xw, metric_value(reference, w))
 
-    laplacian = scalar_laplacian(trace_field, source, z, scheme)
+    value, laplacian = scalar_laplacian(trace_field, source, jet, scheme)
+    trace, laplacian = float(np.real(value)), float(laplacian)
+    h = metric_value(reference, z)
+    dt_trace = -float(np.real(np.einsum("pl,kq,kl,pq->", jet.g_up, jet.g_up, h, velocity)))
 
     lhs = dt_trace - laplacian
     rhs = -(kappa0 / source.n) * trace * trace + trace

@@ -124,6 +124,19 @@ def family_ricci_traces(tensors: ConnectionTensors) -> tuple[np.ndarray, ...]:
     )
 
 
+def _torsion_quadratics(torsion: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The torsion quadratics ``(S_a, S_c, X)`` of the tempered Ricci display, at one point.
+
+    ``S_a[k, l] = sum T[i,k,r] conj(T[i,l,r])``, ``S_c[k, l] = sum T[i,r,l] conj(T[i,r,k])``
+    and ``X[k, l] = sum T[k,r,l] conj(eta[r])`` with ``eta[r] = sum T[i,r,i]``.
+    """
+    conj = np.conj(torsion)
+    s_a = np.einsum("ikr,ilr->kl", torsion, conj)
+    s_c = np.einsum("irl,irk->kl", torsion, conj)
+    eta = np.einsum("iri->r", torsion)
+    return s_a, s_c, np.einsum("krl,r->kl", torsion, np.conj(eta))
+
+
 def ric_tau_from_family(tensors: ConnectionTensors, tau: TauParam) -> np.ndarray:
     """Tempered Chern Ricci assembled from family-``t`` data alone.
 
@@ -134,8 +147,6 @@ def ric_tau_from_family(tensors: ConnectionTensors, tau: TauParam) -> np.ndarray
     """
     t = tensors.t
     _check_parameter(t)
-    tt = tensors.torsion
-    conj_tt = np.conj(tt)
     trace1, trace2, trace3, trace4 = family_ricci_traces(tensors)
 
     den = 2.0 * t * (2.0 * t - 1.0)
@@ -148,11 +159,7 @@ def ric_tau_from_family(tensors: ConnectionTensors, tau: TauParam) -> np.ndarray
     b3 = u * u * (t * t + 2.0 * t - 1.0) / (8.0 * t**3 * (2.0 * t - 1.0))
     b3 = b3 + tau.source_weight / (t * t)
 
-    s_a = np.einsum("ikr,ilr->kl", tt, conj_tt)
-    s_c = np.einsum("irl,irk->kl", tt, conj_tt)
-    eta = np.einsum("iri->r", tt)
-    x = np.einsum("krl,r->kl", tt, np.conj(eta))
-
+    s_a, s_c, x = _torsion_quadratics(tensors.torsion)
     return (
         a1 * trace2
         + a2 * trace1
@@ -160,6 +167,19 @@ def ric_tau_from_family(tensors: ConnectionTensors, tau: TauParam) -> np.ndarray
         + b1 * s_a
         + b2 * hermitian_part(x)
         + b3 * s_c
+    )
+
+
+def _bisectional_pairings(tensors: ConnectionTensors, xi: np.ndarray) -> tuple[complex, ...]:
+    """The pairings ``(Rb, Rb', S1, S2, S3)`` of a family member with ``xi (x) xi``, at one point."""
+    tt, tr = tensors.torsion, tensors.curvature
+    conj_tt = np.conj(tt)
+    return (
+        np.einsum("ijkl,ij,kl->", tr, xi, xi),
+        np.einsum("ilkj,ij,kl->", tr, xi, xi),
+        np.einsum("ikr,jlr,ij,kl->", tt, conj_tt, xi, xi),
+        np.einsum("irl,jrk,ij,kl->", tt, conj_tt, xi, xi),
+        np.einsum("irj,lrk,ij,kl->", tt, conj_tt, xi, xi),
     )
 
 
@@ -178,9 +198,6 @@ def rbc_tau_from_family(
     norm2 = float(np.real(np.sum(entries * np.conj(entries))))
     if norm2 == 0.0:
         raise ConfigError("real bisectional curvature needs a nonzero form")
-    tt = tensors.torsion
-    tr = tensors.curvature
-    conj_tt = np.conj(tt)
 
     c1 = t / (2.0 * t - 1.0)
     c2 = (t - 1.0) / (2.0 * t - 1.0)
@@ -189,12 +206,7 @@ def rbc_tau_from_family(
     d2 = u * u / (4.0 * t * (2.0 * t - 1.0))
     d3 = u**3 / (4.0 * t * t * (2.0 * t - 1.0))
 
-    rb = np.einsum("ijkl,ij,kl->", tr, entries, entries)
-    rb_alt = np.einsum("ilkj,ij,kl->", tr, entries, entries)
-    s1 = np.einsum("ikr,jlr,ij,kl->", tt, conj_tt, entries, entries)
-    s2 = np.einsum("irl,jrk,ij,kl->", tt, conj_tt, entries, entries)
-    s3 = np.einsum("irj,lrk,ij,kl->", tt, conj_tt, entries, entries)
-
+    rb, rb_alt, s1, s2, s3 = _bisectional_pairings(tensors, entries)
     value = (
         _real(complex(rb), "family bisectional term") * c1
         + _real(complex(rb_alt), "family swapped term") * c2

@@ -22,6 +22,12 @@ invariant; :func:`connection_invariance_residual` checks that numerically.
 Map components are expression trees; their first and second derivatives are
 taken symbolically, so the only finite differencing anywhere is the outer
 Laplacian.
+
+The reports take points ``(..., n)``, one entry per point equal to that of a
+one-point call.  A call assembles the map jet, both metric jets and their
+``ChernPoint`` once, and differentiates one stencil jet of the energy
+density that folds only the map's value and Jacobian trees: its centre value
+is the energy, its mixed second derivative traced with ``g^{-1}`` the Laplacian.
 """
 
 from __future__ import annotations
@@ -35,7 +41,14 @@ import numpy as np
 from .chern import ChernPoint, connection_coefficients
 from .errors import ConfigError, NumericalError
 from .functionals import TauParam
-from .gauduchon import family_ricci_traces, gauduchon_family, rbc_tau_from_family, ric_tau_from_family
+from .gauduchon import (
+    _bisectional_pairings,
+    _torsion_quadratics,
+    family_ricci_traces,
+    gauduchon_family,
+    rbc_tau_from_family,
+    ric_tau_from_family,
+)
 from .metric_model import (
     DEFAULT_SCHEME,
     Expr,
@@ -111,18 +124,18 @@ class HoloMap:
 
 
 def _fold(trees: Sequence[Expr], z: np.ndarray, what: str) -> np.ndarray:
-    """Each tree folded over the points ``z`` ``(..., n)``, stacked on a last axis.
+    """Each tree folded over the points ``z`` ``(..., n)`` as one ``(P, n)`` stack.
 
-    Raises :class:`NumericalError` naming the first point where a value is
-    not finite.
+    Raises :class:`NumericalError` naming the first point where a value is not finite.
     """
+    flat = z.reshape(-1, z.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = [np.broadcast_to(eval_expr(tree, z), z.shape[:-1]) for tree in trees]
+        values = [np.broadcast_to(eval_expr(tree, flat), flat.shape[:-1]) for tree in trees]
     stacked = np.stack(values, -1).astype(complex, copy=False)
     finite = np.isfinite(stacked).all(-1)
     if not finite.all():
-        raise NumericalError(f"map {what} is not finite at {z[~finite][0]}")
-    return stacked
+        raise NumericalError(f"map {what} is not finite at {flat[~finite][0]}")
+    return stacked.reshape(z.shape[:-1] + (len(trees),))
 
 
 @dataclass(frozen=True)
@@ -153,15 +166,17 @@ class MapJetEvaluator:
         self._jac = [holomorphic_derivative(c, i) for c in holo_map.components for i in range(n)]
         self._hess = [holomorphic_derivative(d, j) for d in self._jac for j in range(n)]
 
-    def __call__(self, z: np.ndarray) -> MapJet:
+    def first(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values ``(..., n_target)`` and Jacobians ``(..., n_target, n_source)`` only."""
         z = np.asarray(z, dtype=complex)
         shape = z.shape[:-1] + (self.holo_map.n_target, self.holo_map.n_source)
-        return MapJet(
-            point=z.copy(),
-            value=self.holo_map.value(z),
-            jacobian=_fold(self._jac, z, "Jacobian").reshape(shape),
-            hessian=_fold(self._hess, z, "Hessian").reshape(shape + shape[-1:]),
-        )
+        return self.holo_map.value(z), _fold(self._jac, z, "Jacobian").reshape(shape)
+
+    def __call__(self, z: np.ndarray) -> MapJet:
+        z = np.asarray(z, dtype=complex)
+        value, jacobian = self.first(z)
+        hessian = _fold(self._hess, z, "Hessian").reshape(jacobian.shape + jacobian.shape[-1:])
+        return MapJet(point=z.copy(), value=value, jacobian=jacobian, hessian=hessian)
 
 
 def holomorphy_residual(
@@ -178,9 +193,10 @@ def holomorphy_residual(
 
 @dataclass(frozen=True)
 class MapAssembly:
-    """Pointwise data of a map between two metrics, chart and frame."""
+    """Data of a map between two metrics at the points ``z``, with their batch axes."""
 
     z: np.ndarray
+    evaluator: MapJetEvaluator
     map_jet: MapJet
     source_jet: MetricJet
     target_jet: MetricJet
@@ -196,6 +212,10 @@ def assemble_map(
     z: np.ndarray,
     scheme: JetScheme = DEFAULT_SCHEME,
 ) -> MapAssembly:
+    """Map jet, metric jets and Chern data at the points ``z`` ``(..., n)``.
+
+    The first image point outside the target region is a :class:`ConfigError`.
+    """
     if holo_map.n_source != source.n:
         raise ConfigError(
             f"map expects source dimension {holo_map.n_source}, metric has {source.n}"
@@ -208,24 +228,21 @@ def assemble_map(
     evaluator = MapJetEvaluator(holo_map)
     map_jet = evaluator(z)
     image = map_jet.value
-    if not target.region.contains(image):
-        raise ConfigError(f"image point {image} leaves the target region")
+    outside = ~target.region.contains(image)
+    if outside.any():
+        raise ConfigError(
+            f"image point {image[outside][0]} of {z[outside][0]} leaves the target region"
+        )
     source_jet = metric_jet(source, z, scheme)
     target_jet = metric_jet(target, image, scheme)
     source_point = ChernPoint.from_jet(source_jet)
     target_point = ChernPoint.from_jet(target_jet)
     jac_frame = (
-        target_point.frame.L.T @ map_jet.jacobian @ source_point.frame.L_inv.T
+        np.swapaxes(target_point.frame.L, -1, -2) @ map_jet.jacobian
+        @ np.swapaxes(source_point.frame.L_inv, -1, -2)
     )
-    return MapAssembly(
-        z=z,
-        map_jet=map_jet,
-        source_jet=source_jet,
-        target_jet=target_jet,
-        source_point=source_point,
-        target_point=target_point,
-        jac_frame=jac_frame,
-    )
+    return MapAssembly(z, evaluator, map_jet, source_jet, target_jet, source_point, target_point,
+                       jac_frame)
 
 
 def _hessian_chart(
@@ -234,23 +251,29 @@ def _hessian_chart(
     jac = map_jet.jacobian
     return (
         map_jet.hessian
-        + np.einsum("gra,gi,rj->aij", gamma_target, jac, jac)
-        - np.einsum("ijp,ap->aij", gamma_source, jac)
+        + np.einsum("...gra,...gi,...rj->...aij", gamma_target, jac, jac)
+        - np.einsum("...ijp,...ap->...aij", gamma_source, jac)
     )
 
 
 def _frame_hessian(assembly: MapAssembly, chart: np.ndarray) -> np.ndarray:
-    lh_t = assembly.target_point.frame.L.T
+    lh = assembly.target_point.frame.L
     lg_inv = assembly.source_point.frame.L_inv
-    return np.einsum("Aa,Ii,Jj,aij->AIJ", lh_t, lg_inv, lg_inv, chart)
+    return np.einsum("...aA,...Ii,...Jj,...aij->...AIJ", lh, lg_inv, lg_inv, chart)
 
 
 def hessian_tensors(assembly: MapAssembly) -> tuple[np.ndarray, np.ndarray]:
-    """Chern Hessian of the map in chart and frame indices."""
+    """Chern Hessian of the map in chart and frame indices, ``(..., a, i, j)``."""
     gamma_source = connection_coefficients(assembly.source_jet)
     gamma_target = connection_coefficients(assembly.target_jet)
     chart = _hessian_chart(assembly.map_jet, gamma_target, gamma_source)
     return chart, _frame_hessian(assembly, chart)
+
+
+def _symmetric_and_skew(hessian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parts of a Hessian symmetric and antisymmetric in its two lower slots."""
+    swapped = np.swapaxes(hessian, -2, -1)
+    return 0.5 * (hessian + swapped), 0.5 * (hessian - swapped)
 
 
 def torsion_difference_frame(assembly: MapAssembly) -> np.ndarray:
@@ -258,61 +281,81 @@ def torsion_difference_frame(assembly: MapAssembly) -> np.ndarray:
     f = assembly.jac_frame
     th = assembly.target_point.torsion_frame
     tg = assembly.source_point.torsion_frame
-    return np.einsum("gra,gi,rj->aij", th, f, f) - np.einsum("ijp,ap->aij", tg, f)
+    return (np.einsum("...gra,...gi,...rj->...aij", th, f, f)
+            - np.einsum("...ijp,...ap->...aij", tg, f))
 
 
-def _energy_field(
-    source: MetricSpec, target: MetricSpec, evaluator: MapJetEvaluator
-) -> Callable[[np.ndarray], np.ndarray]:
-    def field(w: np.ndarray) -> np.ndarray:
-        x = metric_inverse_up(metric_value(source, w))
-        jet = evaluator(w)
-        h = metric_value(target, jet.value)
-        return np.einsum("...ij,...ab,...ai,...bj->...", x, h, jet.jacobian,
-                         np.conj(jet.jacobian))
+def _pushforward(f: np.ndarray) -> np.ndarray:
+    """The pushforward form ``xi[..., a, b] = sum_i f[a, i] conj(f[b, i])``."""
+    return np.einsum("...ai,...bi->...ab", f, np.conj(f))
 
-    return field
+
+def _ricci_term(ricci: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """A source Ricci form on the differential, ``sum Ric[q, p] f[a, p] conj(f[a, q])``."""
+    return np.real(np.einsum("...qp,...ap,...aq->...", ricci, f, np.conj(f)))
+
+
+def _energy(source: MetricSpec, target: MetricSpec, evaluator: MapJetEvaluator, w: np.ndarray):
+    """``g^{ij} h_{ab}(f) d_i f^a conj(d_j f^b)`` at points ``w``; folds no Hessian tree."""
+    value, jacobian = evaluator.first(w)
+    x = metric_inverse_up(metric_value(source, w))
+    h = metric_value(target, value)
+    return np.einsum("...ij,...ab,...ai,...bj->...", x, h, jacobian, np.conj(jacobian))
 
 
 def energy_density(
     source: MetricSpec, target: MetricSpec, holo_map: HoloMap, z: np.ndarray
-) -> float:
-    """``|df|^2`` at ``z``: trace of the pulled-back target metric."""
-    field = _energy_field(source, target, MapJetEvaluator(holo_map))
-    return float(np.real(field(np.asarray(z, dtype=complex))))
+) -> np.ndarray:
+    """``|df|^2`` at the points ``z`` ``(..., n)``: trace of the pulled-back target metric."""
+    return np.real(_energy(source, target, MapJetEvaluator(holo_map), z))[()]
 
 
 def scalar_laplacian(
     field: Callable[[np.ndarray], np.ndarray],
     source: MetricSpec,
-    z: np.ndarray,
+    jet: MetricJet,
     scheme: JetScheme = DEFAULT_SCHEME,
-) -> float:
-    """Chern Laplacian ``g^{ij} d_i dbar_j`` of a scalar field at ``z``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value and Chern Laplacian ``g^{ij} d_i dbar_j`` of a scalar field at ``jet.point``.
 
-    ``field`` maps points ``(..., n)`` to values ``(...)``; the stencil
+    ``field`` maps points ``(..., n)`` to values ``(...)``; ``jet`` is the
+    source metric's jet.  Both come from one stencil jet of the field, whose
     footprint must lie in the source region (else :class:`ConfigError`).
     """
-    z = np.asarray(z, dtype=complex)
-    x = metric_inverse_up(metric_value(source, z))
-    jet = complex_jet2(field, z, scheme, region=source.region)
-    return float(np.real(np.einsum("ij,ij->", x, jet.dd)))
+    stencil = complex_jet2(field, jet.point, scheme, region=source.region)
+    return stencil.value, np.real(np.einsum("...ij,...ij->...", jet.g_up, stencil.dd))
+
+
+def _energy_and_laplacian(
+    source: MetricSpec, target: MetricSpec, assembly: MapAssembly, scheme: JetScheme
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energy density and its Laplacian at the assembly's points, from one stencil jet."""
+    def field(w: np.ndarray) -> np.ndarray:
+        return _energy(source, target, assembly.evaluator, w)
+
+    energy, laplacian = scalar_laplacian(field, source, assembly.source_jet, scheme)
+    return np.real(energy), laplacian
+
+
+def _pointwise(report_type: type, **fields):
+    """A report whose fields carry the points' batch axes; numpy floats for one point."""
+    return report_type(**{name: np.asarray(value)[()] for name, value in fields.items()})
 
 
 @dataclass(frozen=True)
 class LaplacianIdentityReport:
-    """Both sides of the energy-density expansion at one point."""
+    """Both sides of the energy-density expansion, one entry per point."""
 
-    energy: float
-    laplacian: float
-    hessian_square: float
-    symmetric_square: float
-    skew_square: float
-    ricci_term: float
-    target_term: float
-    assembled: float
-    relative_residual: float
-    skew_residual: float
+    energy: np.ndarray
+    laplacian: np.ndarray
+    hessian_square: np.ndarray
+    symmetric_square: np.ndarray
+    skew_square: np.ndarray
+    ricci_term: np.ndarray
+    target_term: np.ndarray
+    assembled: np.ndarray
+    relative_residual: np.ndarray
+    skew_residual: np.ndarray
 
 
 def laplacian_identity_report(
@@ -322,40 +365,37 @@ def laplacian_identity_report(
     z: np.ndarray,
     scheme: JetScheme = DEFAULT_SCHEME,
 ) -> LaplacianIdentityReport:
+    """Both sides of the expansion at the points ``z`` ``(..., n)``.
+
+    Each field has the batch axes of ``z``; the entry of a point equals the
+    field of a one-point call at that point.
+    """
     assembly = assemble_map(source, target, holo_map, z, scheme)
     _, frame_hessian = hessian_tensors(assembly)
-    sym = 0.5 * (frame_hessian + frame_hessian.swapaxes(1, 2))
-    skew = 0.5 * (frame_hessian - frame_hessian.swapaxes(1, 2))
+    sym, skew = _symmetric_and_skew(frame_hessian)
+    tensor_axes = (-3, -2, -1)
     difference = torsion_difference_frame(assembly)
-    skew_residual = float(np.max(np.abs(2.0 * skew - difference)))
+    skew_residual = np.max(np.abs(2.0 * skew - difference), axis=tensor_axes)
 
-    hessian_square = float(np.sum(np.abs(frame_hessian) ** 2))
-    symmetric_square = float(np.sum(np.abs(sym) ** 2))
-    skew_square = float(np.sum(np.abs(skew) ** 2))
+    hessian_square = np.sum(np.abs(frame_hessian) ** 2, axis=tensor_axes)
+    symmetric_square = np.sum(np.abs(sym) ** 2, axis=tensor_axes)
+    skew_square = np.sum(np.abs(skew) ** 2, axis=tensor_axes)
 
     f = assembly.jac_frame
-    ric2 = np.einsum("iikl->kl", assembly.source_point.curvature_frame)
-    ricci_term = float(np.real(np.einsum("qp,ap,aq->", ric2, f, np.conj(f))))
-    xi = np.einsum("ai,bi->ab", f, np.conj(f))
+    ric2 = np.einsum("...iikl->...kl", assembly.source_point.curvature_frame)
+    ricci_term = _ricci_term(ric2, f)
+    xi = _pushforward(f)
     r_target = assembly.target_point.curvature_frame
-    target_term = float(np.real(np.einsum("abcd,ab,cd->", r_target, xi, xi)))
+    target_term = np.real(np.einsum("...abcd,...ab,...cd->...", r_target, xi, xi))
     assembled = hessian_square + ricci_term - target_term
 
-    field = _energy_field(source, target, MapJetEvaluator(holo_map))
-    energy = float(np.real(field(assembly.z)))
-    laplacian = scalar_laplacian(field, source, assembly.z, scheme)
-    relative_residual = abs(laplacian - assembled) / max(1.0, abs(laplacian))
-    return LaplacianIdentityReport(
-        energy=energy,
-        laplacian=laplacian,
-        hessian_square=hessian_square,
-        symmetric_square=symmetric_square,
-        skew_square=skew_square,
-        ricci_term=ricci_term,
-        target_term=target_term,
-        assembled=assembled,
-        relative_residual=relative_residual,
-        skew_residual=skew_residual,
+    energy, laplacian = _energy_and_laplacian(source, target, assembly, scheme)
+    relative_residual = np.abs(laplacian - assembled) / np.maximum(1.0, np.abs(laplacian))
+    return _pointwise(
+        LaplacianIdentityReport, energy=energy, laplacian=laplacian,
+        hessian_square=hessian_square, symmetric_square=symmetric_square, skew_square=skew_square,
+        ricci_term=ricci_term, target_term=target_term, assembled=assembled,
+        relative_residual=relative_residual, skew_residual=skew_residual,
     )
 
 
@@ -373,21 +413,19 @@ def connection_invariance_residual(
 
     Both connections are moved along the canonical family,
     ``Gamma_t = Gamma - ((1 - t)/2) T``; the symmetric part must not move.
+    The largest drift over all points of ``z`` is returned.
     """
     if assembly is None:
         assembly = assemble_map(source, target, holo_map, z, scheme)
-    gamma_source = connection_coefficients(assembly.source_jet)
-    gamma_target = connection_coefficients(assembly.target_jet)
-
-    base = _frame_hessian(assembly, _hessian_chart(assembly.map_jet, gamma_target, gamma_source))
-    shifted_source = gamma_source - ((1.0 - t_source) / 2.0) * assembly.source_point.torsion
-    shifted_target = gamma_target - ((1.0 - t_target) / 2.0) * assembly.target_point.torsion
+    _, base = hessian_tensors(assembly)
+    shifted_source = (connection_coefficients(assembly.source_jet)
+                      - ((1.0 - t_source) / 2.0) * assembly.source_point.torsion)
+    shifted_target = (connection_coefficients(assembly.target_jet)
+                      - ((1.0 - t_target) / 2.0) * assembly.target_point.torsion)
     moved = _frame_hessian(
         assembly, _hessian_chart(assembly.map_jet, shifted_target, shifted_source)
     )
-    sym_base = 0.5 * (base + base.swapaxes(1, 2))
-    sym_moved = 0.5 * (moved + moved.swapaxes(1, 2))
-    return float(np.max(np.abs(sym_moved - sym_base)))
+    return float(np.max(np.abs(_symmetric_and_skew(moved)[0] - _symmetric_and_skew(base)[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +483,13 @@ def energy_upper_bound(c1: float, c2: float, kappa0: float, r: int, n: int) -> f
 
 @dataclass(frozen=True)
 class SchwarzReport:
-    """The differential inequality behind the energy ceiling, at one point."""
+    """The differential inequality behind the energy ceiling, one entry per point."""
 
-    energy: float
-    laplacian: float
-    rhs: float
-    slack: float
-    energy_bound: float
+    energy: np.ndarray
+    laplacian: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    energy_bound: np.ndarray
 
 
 def schwarz_inequality_report(
@@ -465,22 +503,19 @@ def schwarz_inequality_report(
     r: int,
     scheme: JetScheme = DEFAULT_SCHEME,
 ) -> SchwarzReport:
-    """Evaluates ``Delta e >= -c1 e + (kappa0/r + c2/n) e^2`` at ``z``.
+    """Evaluates ``Delta e >= -c1 e + (kappa0/r + c2/n) e^2`` at the points ``z``.
 
     ``r`` is the caller's rank bound for the differential.  The report also
     carries the closed-form ceiling on ``e`` implied by the inequality.
+    Fields have the batch axes of ``z`` ``(..., n)``.
     """
-    field = _energy_field(source, target, MapJetEvaluator(holo_map))
-    z = np.asarray(z, dtype=complex)
-    energy = float(np.real(field(z)))
-    laplacian = scalar_laplacian(field, source, z, scheme)
+    energy_bound = energy_upper_bound(c1, c2, kappa0, r, source.n)
+    assembly = assemble_map(source, target, holo_map, z, scheme)
+    energy, laplacian = _energy_and_laplacian(source, target, assembly, scheme)
     rhs = -c1 * energy + (kappa0 / r + c2 / source.n) * energy * energy
-    return SchwarzReport(
-        energy=energy,
-        laplacian=laplacian,
-        rhs=rhs,
-        slack=laplacian - rhs,
-        energy_bound=energy_upper_bound(c1, c2, kappa0, r, source.n),
+    return _pointwise(
+        SchwarzReport, energy=energy, laplacian=laplacian, rhs=rhs, slack=laplacian - rhs,
+        energy_bound=np.full(np.shape(energy), energy_bound),
     )
 
 
@@ -519,6 +554,7 @@ def bismut_comparison_report(
     tau: float,
     scheme: JetScheme = DEFAULT_SCHEME,
 ) -> BismutComparisonReport:
+    """Both readings of the comparison bound at one point ``z`` ``(n,)``."""
     if not (tau > 0 and math.isfinite(tau)):
         raise ConfigError(f"the comparison needs tau in (0, inf), got {tau}")
     tau_source = TauParam(tau, "source")
@@ -526,30 +562,22 @@ def bismut_comparison_report(
 
     assembly = assemble_map(source, target, holo_map, z, scheme)
     f = assembly.jac_frame
-    xi = np.einsum("ai,bi->ab", f, np.conj(f))
+    xi = _pushforward(f)
     xi_norm2 = float(np.real(np.sum(xi * np.conj(xi))))
 
     member_g = gauduchon_family(assembly.source_point, -1.0)
     member_h = gauduchon_family(assembly.target_point, -1.0)
 
-    def contract_ric(matrix: np.ndarray) -> float:
-        return float(np.real(np.einsum("qp,ap,aq->", matrix, f, np.conj(f))))
-
     # exact route: tempered Ricci and tempered bisectional term, both
     # reassembled from the t = -1 tensors
-    src_exact = contract_ric(ric_tau_from_family(member_g, tau_source))
+    src_exact = float(_ricci_term(ric_tau_from_family(member_g, tau_source), f))
     tgt_exact = rbc_tau_from_family(member_h, xi, tau_target) * xi_norm2
     exact_bound = src_exact - tgt_exact
 
     # printed route, source block: fractions as published (they agree with
     # the exact route)
     trace1, trace2, trace3, trace4 = family_ricci_traces(member_g)
-    bt = member_g.torsion
-    conj_bt = np.conj(bt)
-    s_a = np.einsum("ikr,ilr->kl", bt, conj_bt)
-    s_c = np.einsum("irl,irk->kl", bt, conj_bt)
-    eta = np.einsum("iri->r", bt)
-    x = np.einsum("krl,r->kl", bt, np.conj(eta))
+    s_a, s_c, x = _torsion_quadratics(member_g.torsion)
     ric_printed = (
         -trace2 / 3.0
         + 2.0 * trace1 / 3.0
@@ -558,37 +586,23 @@ def bismut_comparison_report(
         + 2.0 * hermitian_part(x) / 3.0
         - ((3.0 + tau) / (12.0 * tau)) * s_c
     )
-    src_printed = contract_ric(ric_printed)
+    src_printed = float(_ricci_term(ric_printed, f))
 
     # printed route, target block: the published lines carry the opposite
     # sign on the curvature pair and a different torsion-square coefficient
-    bth = member_h.torsion
-    brh = member_h.curvature
-    conj_bth = np.conj(bth)
-    rb = float(np.real(np.einsum("ijkl,ij,kl->", brh, xi, xi)))
-    rb_alt = float(np.real(np.einsum("ilkj,ij,kl->", brh, xi, xi)))
-    s1 = float(np.real(np.einsum("ikr,jlr,ij,kl->", bth, conj_bth, xi, xi)))
-    s2 = float(np.real(np.einsum("irl,jrk,ij,kl->", bth, conj_bth, xi, xi)))
-    s3 = float(np.real(np.einsum("irj,lrk,ij,kl->", bth, conj_bth, xi, xi)))
+    rb, rb_alt, s1, s2, s3 = (float(np.real(v)) for v in _bisectional_pairings(member_h, xi))
     tgt_printed = (rb + 2.0 * rb_alt) / 3.0 + (
         s2 + 2.0 * s3 + (1.0 - (1.0 - tau) / 12.0) * s1
     ) / 3.0
     printed_bound = src_printed + tgt_printed
 
-    field = _energy_field(source, target, MapJetEvaluator(holo_map))
-    laplacian = scalar_laplacian(field, source, assembly.z, scheme)
-
+    laplacian = float(_energy_and_laplacian(source, target, assembly, scheme)[1])
     exact_margin = laplacian - exact_bound
     printed_margin = laplacian - printed_bound
     return BismutComparisonReport(
-        tau=tau,
-        laplacian=laplacian,
-        exact_bound=exact_bound,
-        exact_margin=exact_margin,
-        exact_holds=exact_margin >= -1e-8,
-        printed_bound=printed_bound,
-        printed_margin=printed_margin,
-        printed_holds=printed_margin >= -1e-8,
+        tau=tau, laplacian=laplacian, exact_bound=exact_bound, exact_margin=exact_margin,
+        exact_holds=exact_margin >= -1e-8, printed_bound=printed_bound,
+        printed_margin=printed_margin, printed_holds=printed_margin >= -1e-8,
         source_display_deviation=abs(src_printed - src_exact),
         target_display_deviation=abs(tgt_printed - (-tgt_exact)),
     )

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from curvlab import cli
+from curvlab import cli, schwarz
 from curvlab.cli import _parse_metric, main
 from curvlab.errors import ConfigError
 
@@ -767,3 +767,66 @@ class TestBatchedRows:
         code, chunked, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
         assert chunked == whole
+
+
+class TestSchwarzBatch:
+    """`schwarz` evaluates all its points with one report call."""
+
+    ARGV = ["schwarz", "--map", "(z1 + z2)/2; z1*z2 - z2^2",
+            "--source", "builtin:F1", "--target", "builtin:F2"]
+
+    def test_rows_equal_one_point_calls(self, capsys):
+        _, report = run_json(self.ARGV + ["--region", "6", "--seed", "4"], capsys)
+        rows = report["results"]
+        assert len(rows) == 6
+        for row in rows:
+            _, single = run_json(self.ARGV + ["--points=" + point_arg(row["point"])], capsys)
+            assert single["results"] == [row]
+        assert report["max_relative_residual"] == max(row["relative_residual"] for row in rows)
+
+    def test_one_evaluator_and_one_stencil_jet_per_call(self, capsys, monkeypatch):
+        builds, stencil_centres, hessian_points = [], [], []
+        init, jet, fold = schwarz.MapJetEvaluator.__init__, schwarz.complex_jet2, schwarz._fold
+
+        def counted_init(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        def counted_jet(field, z, *args, **kwargs):
+            stencil_centres.append(z.shape)
+            return jet(field, z, *args, **kwargs)
+
+        def counted_fold(trees, z, what):
+            if what == "Hessian":
+                hessian_points.append(z.shape)
+            return fold(trees, z, what)
+
+        monkeypatch.setattr(schwarz.MapJetEvaluator, "__init__", counted_init)
+        monkeypatch.setattr(schwarz, "complex_jet2", counted_jet)
+        monkeypatch.setattr(schwarz, "_fold", counted_fold)
+        _, report = run_json(
+            ["schwarz", "--map", "z1^2;z2^2", "--source", "builtin:poincare_polydisk(2)",
+             "--target", "builtin:poincare_polydisk(2)", "--region", "16"],
+            capsys,
+        )
+        assert len(report["results"]) == 16
+        assert len(builds) == 1
+        assert stencil_centres == [(16, 2)]
+        # the Hessian trees are folded at the points only, never on the footprint
+        assert hessian_points == [(16, 2)]
+
+    @pytest.mark.parametrize(
+        "components, code, message",
+        [
+            ("3*z1", 2, "image point [1.2+0.j] of [0.4+0.j] leaves the target region"),
+            ("0.1/((z1 - 0.4)*(z1 - 0.2))", 3, "map value is not finite at [0.4+0.j]"),
+        ],
+    )
+    def test_first_bad_point_of_a_stack_is_named(self, capsys, components, code, message):
+        got, out, err = run_cli(
+            ["schwarz", "--map", components, "--source", "builtin:poincare_polydisk(1)",
+             "--target", "builtin:poincare_polydisk(1)", "--points", "0.1;0.4;0.2;0.5"],
+            capsys,
+        )
+        assert (got, out) == (code, "")
+        assert err == f"error: {message}\n"

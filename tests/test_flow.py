@@ -118,7 +118,7 @@ class TestGrid:
 
     def test_node_points_layout(self):
         box = GridBox((0.1 + 0.2j,), half_width=0.5, resolution=5)
-        points = GridMetricField._node_points(box)
+        points = box.nodes
         assert points.shape == (5, 5, 1)
         assert points[0, 0, 0] == pytest.approx(-0.4 - 0.3j)
         assert points[4, 2, 0] == pytest.approx(0.6 + 0.2j)

@@ -225,3 +225,11 @@ def test_node_points_built_once_per_box():
     field = state.field
     assert field.jets().point is field.jets().point is field.node_points()
     assert not field.node_points().flags.writeable
+
+
+def test_step_on_the_guard_limit_is_admitted():
+    # 2^8 substeps of exactly the limit 0.0125: later fields round
+    # 0.2 h^2 g_min / v_max to one ulp below it, which the guard's allowance admits
+    state = flow_step(pinned_state("flat(1) guard split"), 0.0125 * 2**8)
+    row = state.history[-1]
+    assert (row.substeps, row.rejected) == (2**8, 0)

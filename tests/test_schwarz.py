@@ -4,6 +4,7 @@ The expansion residual is pure finite-difference truncation (the assembled
 side is exact), so it also serves as an order check for the scheme.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -320,3 +321,61 @@ class TestBismutComparison:
             bismut_comparison_report(source, target, m, z, tau=0.0)
         with pytest.raises(ConfigError):
             bismut_comparison_report(source, target, m, z, tau=math.inf)
+
+
+class TestBatchedReports:
+    """A stacked call gives, point by point, exactly the numbers of one-point calls.
+
+    The maps' trees are deeper than one operation.  A one-point fold through
+    numpy scalars, rather than a one-row stack, rounds the product of two
+    sums differently, which the curvature of hopf(2) carries into the rows.
+    Run with ``-s`` to print the largest row difference.
+    """
+
+    @staticmethod
+    def stack(target="F2", components=CASES["ball_to_polydisk"]["map"]):
+        source = fixture("F1")
+        points = source.region.sample_points(2, np.random.default_rng(7), 6)
+        return source, fixture(target), HoloMap.parse(components, 2), points
+
+    @pytest.mark.parametrize(
+        "target, components",
+        [("F2", CASES["ball_to_polydisk"]["map"]), ("F3", ("(z1 + z2)*(z1 - z2)", "z1*z2 - z2^2"))],
+    )
+    def test_identity_rows_equal_one_point_calls(self, target, components):
+        source, target_metric, m, points = self.stack(target, components)
+        stacked = laplacian_identity_report(source, target_metric, m, points)
+        singles = [laplacian_identity_report(source, target_metric, m, z) for z in points]
+        columns = {
+            field.name: (getattr(stacked, field.name),
+                         np.array([getattr(report, field.name) for report in singles]))
+            for field in dataclasses.fields(stacked)
+        }
+        largest = max(float(np.max(np.abs(got - want))) for got, want in columns.values())
+        print(f"\nF1 -> {target}, {'; '.join(components)}: largest difference between "
+              f"stacked and one-point identity rows over {len(points)} points: {largest:.1e}")
+        for name, (got, want) in columns.items():
+            assert got.shape == (len(points),), name
+            assert np.array_equal(got, want), name
+
+    def test_batch_axes_are_kept(self):
+        source, target, m, points = self.stack()
+        flat = laplacian_identity_report(source, target, m, points)
+        grid = laplacian_identity_report(source, target, m, points.reshape(2, 3, 2))
+        for field in dataclasses.fields(flat):
+            got = getattr(grid, field.name)
+            assert got.shape == (2, 3), field.name
+            assert np.array_equal(got.ravel(), getattr(flat, field.name)), field.name
+
+    def test_schwarz_report_and_energy_rows(self):
+        source, target, m, points = self.stack()
+        stacked = schwarz_inequality_report(source, target, m, points, c1=2.0, c2=0.5,
+                                            kappa0=1.5, r=2)
+        for k, z in enumerate(points):
+            single = schwarz_inequality_report(source, target, m, z, c1=2.0, c2=0.5,
+                                               kappa0=1.5, r=2)
+            for field in dataclasses.fields(single):
+                assert getattr(stacked, field.name)[k] == getattr(single, field.name), field.name
+        energies = energy_density(source, target, m, points)
+        assert np.array_equal(energies, stacked.energy)
+        assert np.array_equal(energies, [energy_density(source, target, m, z) for z in points])
