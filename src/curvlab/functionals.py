@@ -14,9 +14,10 @@ target side (real bisectional curvature) the correction weight is
 
 The extremal certificates bracket the sup or inf of HSC and of ``RBC^tau``
 at every point of a stacked :class:`~curvlab.chern.ChernPoint`: a
-Lagrangian dual bound from one batched eigenvalue bisection, a witness with
-its exact value, and their gap.  The dual is exact for ``n <= 2``; a
-finite-difference ascent from seeded starts runs only where a gap stays open.
+Lagrangian dual bound from one batched safeguarded Newton search over its
+multiplier, a witness with its exact value, and their gap.  The dual is
+exact for ``n <= 2``; a finite-difference ascent from seeded starts runs only
+where a gap stays open.
 """
 
 from __future__ import annotations
@@ -225,11 +226,15 @@ def ric_tau(point: ChernPoint, tau: TauParam) -> np.ndarray:
 # (Polyak, JOTA 99 (1998); Polik & Terlaky, SIAM Rev. 49 (2007)).
 
 _TOLERANCE = 1e-12
-# halvings of the multiplier bracket, down to eps times its width
-_BISECTIONS = 53
 # eigenvalues within this of the top one, relative to max(1, |top|), count as
 # tied: a tenth of the gap tolerance, so mixing tied eigenvectors cannot open a gap
 _TIE = 1e-13
+# evaluations of phi per point at most, and the fraction of its bracket's
+# width that ends the multiplier search: what 53 halvings would reach
+_EVALUATIONS = 53
+_RESOLUTION = 2.0**-53
+# a Newton step below this fraction of the bracket's width ends it too
+_NEWTON_STOP = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -359,30 +364,57 @@ def _quadratic_forms(tensor: np.ndarray) -> np.ndarray:
     return 0.5 * (k + np.swapaxes(k, -2, -1))
 
 
+def _tied_block(eigs: np.ndarray, vecs: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``J`` on the span of the eigenvectors of ``K + mu J`` tied with the top one.
+
+    ``eigs`` ``(P, m)`` and ``vecs`` ``(P, m, m)`` decompose ``K + mu J``.
+    Returns the tied mask ``(P, m)``, ``V^T J V`` ``(P, m, m)``, the extreme
+    eigenvalues ``a_min <= a_max`` ``(P,)`` of ``J`` on the span and their
+    eigenvectors ``u_min``, ``u_max`` ``(P, m)`` in the coordinates of
+    ``vecs``.  ``[a_min, a_max]`` is the subdifferential of ``phi`` at ``mu``.
+    """
+    top = eigs[:, -1:]
+    tied = top - eigs <= _TIE * np.maximum(1.0, np.abs(top))
+    projected = np.swapaxes(vecs, -2, -1) @ j @ vecs
+    # a simple top eigenvector is the whole span
+    a_min, a_max = projected[:, -1, -1].copy(), projected[:, -1, -1].copy()
+    u_min = np.zeros(eigs.shape)
+    u_min[:, -1] = 1.0
+    u_max = u_min.copy()
+    several = np.flatnonzero(tied.sum(axis=-1) > 1)
+    if several.size:
+        span = tied[several]
+        block = np.where(span[:, :, None] & span[:, None, :], projected[several], 0.0)
+        # untied directions are parked at pad, beyond every eigenvalue of the
+        # block, so the block's eigenvalues come first
+        pad = np.abs(projected[several]).sum(axis=(-2, -1)) + 1.0
+        diagonal = np.arange(eigs.shape[-1])
+        block[:, diagonal, diagonal] += pad[:, None] * ~span
+        a, u = np.linalg.eigh(block)
+        last = span.sum(axis=-1)[:, None] - 1
+        a_min[several], u_min[several] = a[:, 0], u[..., 0]
+        a_max[several] = np.take_along_axis(a, last, axis=-1)[:, 0]
+        u_max[several] = np.take_along_axis(u, last[:, None, :], axis=-1)[..., 0]
+    return tied, projected, a_min, u_min, a_max, u_max
+
+
 def _dual_witnesses(eigs: np.ndarray, vecs: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Two unit candidates ``(P, 2, m)`` from the top of the spectrum of ``K + mu J``.
 
     The first lies in the span of the eigenvectors tied with the top one.
     With ``a_min <= a_max`` the extreme eigenvalues of ``J`` on that span and
-    ``u_min``, ``u_max`` their eigenvectors, it is ``sqrt(-a_min) u_max +
-    sqrt(a_max) u_min``: J-isotropic when ``a_min <= 0 <= a_max``, else the
-    eigenvector of the smaller ``|a|``.  The second adds the least multiple
-    of the highest untied eigenvector ``w`` that makes it J-isotropic, which
-    removes the multiplier's share ``mu x^T J x`` that an inexact ``mu``
-    leaves on a simple top eigenvector.
+    ``u_min``, ``u_max`` their eigenvectors (:func:`_tied_block`), it is
+    ``sqrt(-a_min) u_max + sqrt(a_max) u_min``: J-isotropic when ``a_min <=
+    0 <= a_max``, else the eigenvector of the smaller ``|a|``.  The second
+    adds the least multiple of the highest untied eigenvector ``w`` that
+    makes it J-isotropic, which removes the multiplier's share ``mu x^T J x``
+    that an inexact ``mu`` leaves on a simple top eigenvector.
     """
-    tied = eigs >= eigs[:, -1:] - _TIE * np.maximum(1.0, np.abs(eigs[:, -1:]))
-    projected = np.swapaxes(vecs, -2, -1) @ j @ vecs
-    block = np.where(tied[:, :, None] & tied[:, None, :], projected, 0.0)
-    # untied directions are parked at +-pad, beyond every eigenvalue of the block
-    pad = (np.abs(projected).sum(axis=(-2, -1)) + 1.0)[:, None] * ~tied
-    eye = np.eye(eigs.shape[-1])
-    a_low, u_low = np.linalg.eigh(block + pad[:, :, None] * eye)
-    a_high, u_high = np.linalg.eigh(block - pad[:, :, None] * eye)
-    y = (np.sqrt(np.maximum(-a_low[:, :1], 0.0)) * u_high[..., -1]
-         + np.sqrt(np.maximum(a_high[:, -1:], 0.0)) * u_low[..., 0])
+    tied, _, a_min, u_min, a_max, u_max = _tied_block(eigs, vecs, j)
+    y = (np.sqrt(np.maximum(-a_min, 0.0))[:, None] * u_max
+         + np.sqrt(np.maximum(a_max, 0.0))[:, None] * u_min)
     # J vanishes on the span: any vector of it is isotropic
-    y = np.where(np.any(y != 0.0, axis=-1, keepdims=True), y, u_high[..., -1])
+    y = np.where(np.any(y != 0.0, axis=-1, keepdims=True), y, u_max)
     x = np.einsum("...ij,...j->...i", vecs, y)
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
 
@@ -406,32 +438,84 @@ def _dual_bound(tensor: np.ndarray, kind: str, free: bool) -> tuple[np.ndarray, 
 
     ``tensor`` is ``(P, n, n, n, n)``; the multiplier ranges over the reals
     if ``free`` (rank-one forms) and over ``mu >= 0`` otherwise (PSD forms).
-    ``phi(mu) = lambda_max(K + mu J)`` is convex with slope ``v^T J v`` at its
-    top eigenvector ``v``, so its minimum is bisected on the sign of that
-    slope, one ``eigh`` of the whole stack per halving.  The minimum lies in
+    ``phi(mu) = lambda_max(K + mu J)`` is convex and its minimum lies in
     ``|mu| <= 2 (lambda_max(K) - lambda_min(K))``: beyond it ``phi`` exceeds
     ``phi(0)``, as ``J`` has eigenvalues ``(n - 1)/2 >= 1/2`` and ``-1/2``.
+
+    A safeguarded Newton search (Overton, SIAM J. Matrix Anal. Appl. 9
+    (1988)) shrinks that bracket from ``mu = 0``, one ``eigh`` of the live
+    points per step.  The subdifferential of ``phi`` is ``J`` on the tied
+    top eigenspace (:func:`_tied_block`); at a simple top eigenvector ``v``
+    it is the slope ``s = v^T J v``, and ``phi'' = 2 sum_i (v_i^T J v)^2 /
+    (lambda_top - lambda_i)`` over the untied eigenvectors ``v_i``.  The
+    next trial is the Newton step ``-s / phi''`` if it lands inside the
+    bracket and at most halves the previous one, else the crossing of the
+    tangents at the bracket's ends, else the midpoint.  A point stops where
+    0 is a subgradient, where its Newton step is below ``2^-40`` of the
+    bracket's width, where the bracket has shrunk to ``2^-53`` of it (at
+    once for PSD forms where ``phi`` rises from ``mu = 0``), or after 53
+    evaluations, and leaves the stack.
+
     The bound adds the eigensolver's backward error, ``n^2 eps`` times the
     larger of ``||K||_2`` and ``||K + mu J||_2``, and is sound for whatever
-    ``mu`` the search ends at.  An inf is minus the sup of ``-K``.  Returns the bounds
-    ``(P,)`` and two candidate witnesses per point, unit coordinate vectors
-    ``(P, 2, n*n)`` (:func:`_dual_witnesses`).
+    ``mu`` the search ends at.  An inf is minus the sup of ``-K``.  Returns
+    the bounds ``(P,)`` and two candidate witnesses per point, unit
+    coordinate vectors ``(P, 2, n*n)`` (:func:`_dual_witnesses`), both from
+    the last evaluation.
     """
     sign = 1.0 if kind == "sup" else -1.0
     k = sign * _quadratic_forms(tensor)
-    m = k.shape[-1]
+    count, m = k.shape[:2]
     j = _minor_form(tensor.shape[-1])
     spectrum = np.linalg.eigvalsh(k)
-    width = 2.0 * (spectrum[:, -1] - spectrum[:, 0])
-    low = -width if free else np.zeros_like(width)
-    high = width
-    for _ in range(_BISECTIONS):
-        mu = 0.5 * (low + high)
-        top = np.linalg.eigh(k + mu[:, None, None] * j)[1][..., -1]
-        rising = np.einsum("...i,ij,...j->...", top, j, top) > 0.0
-        low, high = np.where(rising, low, mu), np.where(rising, mu, high)
-    mu = 0.5 * (low + high)
-    eigs, vecs = np.linalg.eigh(k + mu[:, None, None] * j)
+    eigs = np.empty((count, m))
+    vecs = np.empty((count, m, m))
+
+    # per live point: its row, mu, and (mu, phi, slope towards the inside) at
+    # the low and high end of the bracket, phi and slope nan until evaluated
+    rows = np.arange(count)
+    mu = np.zeros(count)
+    reach = 2.0 * (spectrum[:, -1] - spectrum[:, 0])
+    ends = np.full((count, 2, 3), math.nan)
+    ends[:, 0, 0] = -reach if free else 0.0
+    ends[:, 1, 0] = reach
+    width = ends[:, 1, 0] - ends[:, 0, 0]
+    last_newton = np.full(count, math.inf)
+    for _ in range(_EVALUATIONS):
+        e, v = np.linalg.eigh(k + mu[:, None, None] * j)
+        eigs[rows], vecs[rows] = e, v
+        tied, projected, a_min, _, a_max, _ = _tied_block(e, v, j)
+        optimal = (a_min <= 0.0) & (a_max >= 0.0)
+        # the tied terms of phi'' drop out rather than divide by 0
+        gaps = np.where(tied, math.inf, e[:, -1:] - e)
+        curvature = 2.0 * (projected[:, :, -1] ** 2 / gaps).sum(axis=-1)
+        newton = (tied.sum(axis=-1) == 1) & (curvature > 0.0)
+        step = -a_max / np.where(newton, curvature, 1.0)
+        converged = newton & (np.abs(step) <= _NEWTON_STOP * width)
+
+        # a rising phi moves the high end here, a falling one the low end; for
+        # PSD forms phi rising at mu = 0 closes the bracket there
+        rising = a_min > 0.0
+        here = np.arange(len(rows))
+        ends[here, rising.astype(int)] = np.stack(
+            [mu, e[:, -1], np.where(rising, a_min, a_max)], axis=-1
+        )
+        going = ~(optimal | converged | (ends[:, 1, 0] - ends[:, 0, 0] <= _RESOLUTION * width))
+        if not going.all():
+            rows, k, mu, step, newton = rows[going], k[going], mu[going], step[going], newton[going]
+            ends, width, last_newton = ends[going], width[going], last_newton[going]
+            if rows.size == 0:
+                break
+
+        low, high = ends[:, 0, 0], ends[:, 1, 0]
+        trial = mu + step
+        accept = newton & (np.abs(step) <= 0.5 * last_newton) & (low < trial) & (trial < high)
+        last_newton = np.where(newton, np.abs(step), last_newton)
+        # once both ends are evaluated their slopes have opposite signs
+        intercept = ends[:, :, 1] - ends[:, :, 2] * ends[:, :, 0]
+        crossing = (intercept[:, 1] - intercept[:, 0]) / (ends[:, 0, 2] - ends[:, 1, 2])
+        inside = (low < crossing) & (crossing < high)
+        mu = np.where(accept, trial, np.where(inside, crossing, 0.5 * (low + high)))
     norm = np.maximum(np.abs(spectrum).max(-1), np.abs(eigs).max(-1))
     bound = eigs[:, -1] + m * np.finfo(float).eps * norm
     return sign * bound, _dual_witnesses(eigs, vecs, j)

@@ -557,6 +557,9 @@ def bismut_comparison_report(
     """Both readings of the comparison bound at one point ``z`` ``(n,)``."""
     if not (tau > 0 and math.isfinite(tau)):
         raise ConfigError(f"the comparison needs tau in (0, inf), got {tau}")
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (source.n,):
+        raise ConfigError(f"the comparison takes one point z of shape ({source.n},), got {z.shape}")
     tau_source = TauParam(tau, "source")
     tau_target = TauParam(tau, "target")
 

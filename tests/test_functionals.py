@@ -12,6 +12,7 @@ Frozen reference values used below:
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -572,3 +573,201 @@ class TestLagrangianDual:
             assert cert.value <= cert.bound
         for cert in certificates(pt, "rbc0", "sup"):
             assert cert.gap <= cert.tolerance and cert.ascent_iterations == 0
+
+
+# ---------------------------------------------------------------------------
+# the multiplier search against the bisection it replaced
+
+
+def bisection_bound(tensor, kind, free):
+    """The dual bound after 53 halvings of the multiplier bracket, and ``||K||_2``.
+
+    The bisection walks the same bracket on the sign of the slope at the top
+    eigenvector and evaluates the bound at the midpoint of the last bracket.
+    """
+    sign = 1.0 if kind == "sup" else -1.0
+    k = sign * functionals._quadratic_forms(tensor)
+    m = k.shape[-1]
+    j = functionals._minor_form(tensor.shape[-1])
+    spectrum = np.linalg.eigvalsh(k)
+    width = 2.0 * (spectrum[:, -1] - spectrum[:, 0])
+    low = -width if free else np.zeros_like(width)
+    high = width
+    for _ in range(53):
+        mu = 0.5 * (low + high)
+        top = np.linalg.eigh(k + mu[:, None, None] * j)[1][..., -1]
+        rising = np.einsum("...i,ij,...j->...", top, j, top) > 0.0
+        low, high = np.where(rising, low, mu), np.where(rising, mu, high)
+    mu = 0.5 * (low + high)
+    eigs = np.linalg.eigvalsh(k + mu[:, None, None] * j)
+    norm = np.maximum(np.abs(spectrum).max(-1), np.abs(eigs).max(-1))
+    return sign * (eigs[:, -1] + m * np.finfo(float).eps * norm), np.abs(spectrum).max(-1)
+
+
+def dual_tensor(point, functional):
+    """The stacked tensor and multiplier range of the dual of ``hsc`` or ``rbc<tau>``."""
+    if functional == "hsc":
+        return functionals._stack(point.curvature_frame), True
+    tau = TauParam(float(functional[3:]), "target")
+    return functionals._stack(functionals._tempered_tensor(point, tau)), False
+
+
+def region_point(spec, count, seed):
+    points = spec.region.sample_points(spec.n, np.random.default_rng(seed), count)
+    return ChernPoint.from_jet(metric_jet(spec, points, DEFAULT_SCHEME))
+
+
+ORACLE_POINTS = {
+    **{f"pinned {name}": (spec, z) for name, (spec, z) in PINNED_POINTS.items()},
+    "F1 region": (fixture("F1"), 256),
+    "hopf(3) region": (SOUNDNESS_METRICS["hopf(3)"], 8),
+    "example22(3) region": (SOUNDNESS_METRICS["example22(3)"], 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_POINTS))
+def test_search_matches_bisection_oracle(case):
+    # hopf(3) and example22(3) keep duality gaps open: there the bound is the
+    # certificate's only upper side and must not come out looser
+    spec, where = ORACLE_POINTS[case]
+    if isinstance(where, int):
+        pt = region_point(spec, where, seed=3)
+    else:
+        pt = ChernPoint.from_spec(spec, np.asarray(where, dtype=complex))
+    worst = 0.0
+    for functional in ("hsc", "rbc0", "rbc1", "rbc2"):
+        tensor, free = dual_tensor(pt, functional)
+        m = tensor.shape[-1] ** 2
+        for kind in ("sup", "inf"):
+            bound, _ = functionals._dual_bound(tensor, kind, free)
+            oracle, norm = bisection_bound(tensor, kind, free)
+            slack = 4 * m * np.finfo(float).eps * norm
+            assert np.all(np.abs(bound - oracle) <= slack), (case, functional, kind)
+            worst = max(worst, float(np.max(np.abs(bound - oracle) / slack)))
+    print(f"\n{case}: largest distance to the bisection bound {worst:.2f} of 4 m eps ||K||_2")
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The matrix stacks of every ``eigh`` call the multiplier search makes, in order."""
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if sys._getframe(1).f_code is functionals._dual_bound.__code__:
+            stacks.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return stacks
+
+
+class TestMultiplierSearch:
+    def test_pinned_pool_eigensolves(self, searches):
+        counts = {}
+        for name, functional, kind in sorted(PINNED):
+            spec, z = PINNED_POINTS[name]
+            pt = ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
+            searches.clear()
+            certificates(pt, functional, kind)
+            counts[name, functional, kind] = len(searches)
+        rows = [f"{name} {functional} {kind}: {count}"
+                for (name, functional, kind), count in sorted(counts.items())]
+        print("\neigh calls per certificate (the bisection took 54):\n  " + "\n  ".join(rows))
+        print(f"largest {max(counts.values())}, median {np.median(list(counts.values()))}")
+        assert max(counts.values()) <= 8, counts
+
+    @pytest.mark.parametrize("name,count,seed", [
+        ("example22", 256, 0), ("poincare_polydisk(2)", 24, 11), ("hopf(2)", 24, 11),
+    ])
+    def test_region_eigensolves(self, searches, name, count, seed):
+        # Newton steps that do not halve fall back to the tangents: on some
+        # hopf(2) points they would otherwise cycle for up to 40 evaluations
+        pt = region_point(SOUNDNESS_METRICS[name], count, seed)
+        for functional in ("hsc", "rbc0", "rbc1", "rbc2"):
+            for kind in ("sup", "inf"):
+                searches.clear()
+                certificates(pt, functional, kind, starts=1, steps=0)
+                assert len(searches) <= 8, (functional, kind, len(searches))
+                # points leave the stack as they stop
+                assert [len(stack) for stack in searches] == sorted(
+                    (len(stack) for stack in searches), reverse=True
+                )
+
+    @pytest.mark.parametrize("name", ["poincare_polydisk", "hopf"])
+    def test_one_dimension_stops_at_once(self, searches, name):
+        # for n = 1 there are no 2x2 minors: J = 0 and every mu is optimal
+        pt = region_point(builtin_metric(name, 1), 3, seed=1)
+        for functional in ("hsc", "rbc0", "rbc1", "rbc2"):
+            for kind in ("sup", "inf"):
+                searches.clear()
+                certificates(pt, functional, kind, starts=1, steps=0)
+                assert [len(stack) for stack in searches] == [3], (functional, kind)
+
+    def test_rbc_sup_at_the_end_of_the_multiplier_range(self, searches):
+        # hopf(2): the top eigenvector of K has e2 > 0, so phi rises from mu = 0
+        # and the first evaluation is optimal: the bound is lambda_max(K)
+        spec, z = PINNED_POINTS["H2"]
+        pt = ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
+        tensor, free = dual_tensor(pt, "rbc0")
+        k = functionals._quadratic_forms(tensor)
+        eigs, vecs = np.linalg.eigh(k)
+        top = vecs[0, :, -1]
+        assert top @ functionals._minor_form(2) @ top > 0.1
+        searches.clear()
+        bound, _ = functionals._dual_bound(tensor, "sup", free)
+        assert len(searches) == 1 and np.array_equal(searches[0], k)
+        assert 0.0 < bound[0] - eigs[0, -1] <= 5 * np.finfo(float).eps * np.abs(eigs).max()
+
+    @pytest.mark.parametrize("functional", ["hsc", "rbc0", "rbc1", "rbc2"])
+    def test_tied_bidisk_top(self, searches, functional):
+        # the bidisk's sup sits where two branches of phi cross: the search
+        # stops where J on the tied top eigenspace has eigenvalues of both signs
+        spec, z = PINNED_POINTS["P2"]
+        pt = ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
+        tensor, free = dual_tensor(pt, functional)
+        searches.clear()
+        bound, _ = functionals._dual_bound(tensor, "sup", free)
+        assert len(searches) <= 3
+        eigs, vecs = np.linalg.eigh(searches[-1])
+        assert eigs[0, -1] - eigs[0, -2] <= functionals._TIE
+        j_top = vecs[0, :, -2:].T @ functionals._minor_form(2) @ vecs[0, :, -2:]
+        low, high = np.linalg.eigvalsh(j_top)
+        assert low < 0.0 < high
+        assert abs(bound[0] + 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("curvatures", [(-2.0, -1.0), (-3.0, -0.5), (-1.0, -0.1)])
+    def test_unequal_bidisk_sup_at_a_kink(self, searches, curvatures):
+        # the product of two disks of curvatures c1 != c2: HSC = (c1 |z1|^4 +
+        # c2 |z2|^4) / |z|^4, whose sup c1 c2 / (c1 + c2) sits on a kink of phi
+        # off the bracket's midpoint, where only the tangents' crossing is quick
+        c1, c2 = curvatures
+        r = np.zeros((1, 2, 2, 2, 2), dtype=complex)
+        r[0, 0, 0, 0, 0], r[0, 1, 1, 1, 1] = c1, c2
+        for free in (True, False):
+            searches.clear()
+            bound, _ = functionals._dual_bound(r, "sup", free)
+            assert len(searches) <= 8, (curvatures, free, len(searches))
+            assert abs(bound[0] - c1 * c2 / (c1 + c2)) <= 1e-14, (curvatures, free, bound[0])
+
+    @pytest.mark.parametrize("kind", ["sup", "inf"])
+    def test_mixed_stack_rows_match_one_point_calls(self, searches, kind):
+        # F1 points take several steps; the bidisk stops on a tied top, hopf(2)
+        # at mu = 0 and the flat metric at once
+        points = [region_point(fixture("F1"), 4, seed=5)] + [
+            ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
+            for spec, z in (PINNED_POINTS["P2"], PINNED_POINTS["H2"],
+                            (builtin_metric("flat", 2), [0.2, -0.1]))
+        ]
+        tensor = np.concatenate([dual_tensor(pt, "rbc0")[0] for pt in points])
+        searches.clear()
+        bound, witnesses = functionals._dual_bound(tensor, kind, free=False)
+        stacked = [len(stack) for stack in searches]
+        counts = []
+        for p in range(len(tensor)):
+            searches.clear()
+            one, pair = functionals._dual_bound(tensor[p:p + 1], kind, free=False)
+            counts.append(len(searches))
+            assert one[0] == bound[p] and np.array_equal(pair[0], witnesses[p]), p
+        assert len(stacked) == max(counts) and sum(stacked) == sum(counts)
+        assert max(counts) <= 8 and min(counts) == 1, counts

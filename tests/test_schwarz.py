@@ -322,6 +322,13 @@ class TestBismutComparison:
         with pytest.raises(ConfigError):
             bismut_comparison_report(source, target, m, z, tau=math.inf)
 
+    def test_one_point_only(self):
+        # a stack of points is a configuration error naming the shape, not a numpy traceback
+        source, target, m, z = build("disk_square")
+        for bad in (np.stack([z, 0.5 * z]), z[:1], z[0]):
+            with pytest.raises(ConfigError, match=r"shape \(2,\)"):
+                bismut_comparison_report(source, target, m, bad, tau=1.0)
+
 
 class TestBatchedReports:
     """A stacked call gives, point by point, exactly the numbers of one-point calls.
