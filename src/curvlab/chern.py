@@ -17,12 +17,16 @@ jet with ``g`` of shape ``(..., n, n)`` gives torsion ``(..., n, n, n)`` and
 curvature ``(..., n, n, n, n)``, one point per batch index.  Every formula is
 a chain of two-operand contractions over those axes, so one call serves a
 single point and a whole grid alike.
+
+The frame algebra that the family transforms and functionals share lives here
+too: torsion products, slot swaps, frame traces and the pairing with forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +45,12 @@ __all__ = [
     "chern_curvature",
     "ricci_traces",
     "second_ricci",
+    "frame_traces",
+    "torsion_product_a",
+    "torsion_product_b",
+    "swap13",
+    "swap24",
+    "form_pairing",
     "q_squared_frame",
     "q_squared_chart",
     "torsion_trace_frame",
@@ -80,8 +90,7 @@ def second_ricci(x: np.ndarray, curvature: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ijkl->...kl", x, curvature)
 
 
-@dataclass(frozen=True)
-class RicciTraces:
+class RicciTraces(NamedTuple):
     """The four curvature traces, indexed ``[..., k, l] = (k, lbar)``."""
 
     ric1: np.ndarray
@@ -94,15 +103,51 @@ def ricci_traces(jet: MetricJet, curvature: np.ndarray | None = None) -> RicciTr
     """Contract the curvature with the inverse metric in all four ways."""
     r = chern_curvature(jet) if curvature is None else curvature
     x = jet.g_up
-    # swapped[..., i, j, k, l] = R[..., k, j, i, l]; one contiguous copy serves
-    # the third trace (slots 1, 2) and the fourth (slots 3, 4 of the copy)
-    swapped = np.ascontiguousarray(np.swapaxes(r, -4, -2))
+    # one contiguous copy of r^13 serves the third trace (slots 1, 2) and the
+    # fourth (slots 3, 4 of the copy)
+    swapped = np.ascontiguousarray(swap13(r))
     return RicciTraces(
         ric1=np.einsum("...ij,...klij->...kl", x, r),
         ric2=second_ricci(x, r),
         ric3=second_ricci(x, swapped),
         ric4=np.einsum("...ij,...klij->...kl", x, swapped),
     )
+
+
+def frame_traces(r: np.ndarray) -> RicciTraces:
+    """The four traces of a frame tensor, where the metric is the identity.
+
+    ``ric1[k, l] = sum_i r[k, l, i, i]``, ``ric2 = sum_i r[i, i, k, l]``,
+    ``ric3 = sum_i r[k, i, i, l]`` and ``ric4 = sum_i r[i, l, k, i]``.
+    """
+    subscripts = ("klii", "iikl", "kiil", "ilki")
+    return RicciTraces(*(np.einsum(f"...{s}->...kl", r) for s in subscripts))
+
+
+def torsion_product_a(torsion: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """``TTA[..., i, j, k, l] = sum_r T[i, k, r] conj(U[j, l, r])``, with ``U = T`` by default."""
+    other = torsion if other is None else other
+    return np.einsum("...ikr,...jlr->...ijkl", torsion, np.conj(other))
+
+
+def torsion_product_b(torsion: np.ndarray) -> np.ndarray:
+    """``TTB[..., i, j, k, l] = sum_r T[i, r, l] conj(T[j, r, k])``."""
+    return np.einsum("...irl,...jrk->...ijkl", torsion, np.conj(torsion))
+
+
+def swap13(a: np.ndarray) -> np.ndarray:
+    """Holomorphic slots exchanged: ``a^13[..., i, j, k, l] = a[..., k, j, i, l]``, a view."""
+    return np.swapaxes(a, -4, -2)
+
+
+def swap24(a: np.ndarray) -> np.ndarray:
+    """Antiholomorphic slots exchanged: ``a^24[..., i, j, k, l] = a[..., i, l, k, j]``, a view."""
+    return np.swapaxes(a, -3, -1)
+
+
+def form_pairing(tensor: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``tensor[..., a, b, c, d] left[..., x, a, b] right[..., x, c, d]`` for every row ``x``."""
+    return np.einsum("...abcd,...xab,...xcd->...x", tensor, left, right)
 
 
 def q_squared_frame(torsion_frame: np.ndarray) -> np.ndarray:
@@ -199,9 +244,9 @@ def first_bianchi_residual(
 
 
 def _alternation(a: np.ndarray) -> np.ndarray:
-    """``a[i,j,k,l] - a[k,j,i,l] - a[i,l,k,j] + a[k,l,i,j]`` over the last four axes."""
-    swapped = np.swapaxes(a, -4, -2)
-    return a - swapped - np.swapaxes(a, -3, -1) + np.swapaxes(swapped, -3, -1)
+    """``a - a^13 - a^24 + a^1324``: ``a[i,j,k,l] - a[k,j,i,l] - a[i,l,k,j] + a[k,l,i,j]``."""
+    swapped = swap13(a)
+    return a - swapped - swap24(a) + swap24(swapped)
 
 
 def pluriclosed_residuals(jet: MetricJet) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +263,7 @@ def pluriclosed_residuals(jet: MetricJet) -> tuple[np.ndarray, np.ndarray]:
     gamma = connection_coefficients(jet)
     t = chern_torsion(jet, gamma)
     # sum_{p,q} T[i,k,p] conj(T[j,l,q]) g[p,q], the torsion lowered first
-    lowered = np.einsum("...ikp,...pq->...ikq", t, jet.g)
-    rhs = np.einsum("...ikq,...jlq->...ijkl", lowered, np.conj(t))
+    rhs = torsion_product_a(np.einsum("...ikp,...pq->...ikq", t, jet.g), t)
     lhs = _alternation(chern_curvature(jet, gamma))
     r_symmetry = np.abs(lhs - rhs).max(axis=entries)
     return r_direct, r_symmetry

@@ -66,9 +66,14 @@ _BUILTIN_REF = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\((?P<args>[^)]*
 
 
 def _parse_metric(ref: str) -> MetricSpec:
-    """Resolve ``builtin:name(args)`` or ``file:path`` to a metric."""
+    """Resolve ``builtin:name(args)`` or ``file:path``; a builtin is built once per process."""
     if ref.startswith("file:"):
         return load_metric(ref[len("file:"):])
+    return _builtin(ref)
+
+
+@cache
+def _builtin(ref: str) -> MetricSpec:
     if not ref.startswith("builtin:"):
         raise ConfigError(
             f"metric reference must start with 'builtin:' or 'file:', got '{ref}'"
@@ -196,16 +201,12 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 
     jet = metric_jet(spec, points, scheme)
     point = ChernPoint.from_jet(jet)
-    traces = ricci_traces(jet, point.curvature)
     fields = {
         "point": points,
         "g": jet.g,
         "torsion": point.torsion,
         "curvature": point.curvature,
-        "ric1": traces.ric1,
-        "ric2": traces.ric2,
-        "ric3": traces.ric3,
-        "ric4": traces.ric4,
+        **ricci_traces(jet, point.curvature)._asdict(),
     }
     rows = _rows({name: _complex_payload(value) for name, value in fields.items()})
     row_checks = {}

@@ -271,7 +271,7 @@ def init_flow(
 def _sup_trace(state: FlowState, values: np.ndarray) -> float | None:
     if state.reference_values is None:
         return None
-    x = np.conj(np.linalg.inv(values))
+    x = metric_inverse_up(values)
     traces = np.real(np.einsum("...kl,...kl->...", x, state.reference_values))
     return float(traces.max())
 

@@ -30,13 +30,15 @@ from typing import Callable
 
 import numpy as np
 
-from .chern import ChernPoint, q_squared_chart, q_squared_frame, second_ricci
+from .chern import (ChernPoint, form_pairing, frame_traces, q_squared_chart, q_squared_frame,
+                    second_ricci, swap24, torsion_product_a)
 from .errors import ConfigError, NumericalError
 from .tensor_core import PSDForm, hermitian_part, psd_project_batch
 
 __all__ = [
     "TauParam",
     "BoundCertificate",
+    "real_part",
     "hsc",
     "hbc",
     "rbc",
@@ -94,7 +96,7 @@ class TauParam:
         return (1.0 - 1.0 / self.value) / 4.0
 
 
-def _real(values, label: str, scale=1.0):
+def real_part(values, label: str, scale=1.0):
     """``values / scale`` for real ``scale``; ConfigError unless every result is real."""
     real = values.real / scale
     imag = values.imag / scale
@@ -118,12 +120,7 @@ def _form_values(tensor: np.ndarray, forms: np.ndarray, label: str) -> np.ndarra
     norm2 = np.real(np.sum(forms * np.conj(forms), axis=(-2, -1)))
     if np.any(norm2 == 0.0):
         raise ConfigError(f"{label} needs a nonzero argument")
-    return _real(_pairing(tensor, forms, forms), label, norm2)
-
-
-def _pairing(tensor: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``tensor[..., a, b, c, d] left[..., x, a, b] right[..., x, c, d]`` for every row ``x``."""
-    return np.einsum("...abcd,...xab,...xcd->...x", tensor, left, right)
+    return real_part(form_pairing(tensor, forms, forms), label, norm2)
 
 
 def _tempered_tensor(point: ChernPoint, tau: TauParam) -> np.ndarray:
@@ -132,8 +129,7 @@ def _tempered_tensor(point: ChernPoint, tau: TauParam) -> np.ndarray:
     weight = tau.target_weight
     if weight == 0.0:
         return r
-    t = point.torsion_frame
-    return r - weight * np.einsum("...acr,...bdr->...abcd", t, np.conj(t))
+    return r - weight * torsion_product_a(point.torsion_frame)
 
 
 def frame_vector(point: ChernPoint, v_chart: np.ndarray) -> np.ndarray:
@@ -155,8 +151,8 @@ def hbc(point: ChernPoint, zeta: np.ndarray, nu: np.ndarray) -> float:
     norm2 = float(np.real(np.vdot(zeta, zeta))) * float(np.real(np.vdot(nu, nu)))
     if norm2 == 0.0:
         raise ConfigError("bisectional curvature needs nonzero vectors")
-    value = _pairing(point.curvature_frame, _rank_one(zeta[None]), _rank_one(nu[None]))
-    return float(_real(value, "holomorphic bisectional curvature", norm2)[0])
+    value = form_pairing(point.curvature_frame, _rank_one(zeta[None]), _rank_one(nu[None]))
+    return float(real_part(value, "holomorphic bisectional curvature", norm2)[0])
 
 
 def _one_form(xi: PSDForm | np.ndarray) -> np.ndarray:
@@ -190,8 +186,7 @@ def altered_hsc(point: ChernPoint, xi: PSDForm | np.ndarray) -> float:
 def altered_hsc_forms(point: ChernPoint, forms: np.ndarray) -> np.ndarray:
     """:func:`altered_hsc` of each form of ``forms`` ``(..., B, n, n)`` at the point(s) given."""
     r = point.curvature_frame
-    total = r + np.swapaxes(r, -3, -1)
-    return _form_values(total, forms, "altered sectional curvature")
+    return _form_values(r + swap24(r), forms, "altered sectional curvature")
 
 
 def ric_tau_frame(point: ChernPoint, tau: TauParam) -> np.ndarray:
@@ -200,8 +195,7 @@ def ric_tau_frame(point: ChernPoint, tau: TauParam) -> np.ndarray:
     ``Ric^tau = Ric^(2) + ((1 - 1/tau)/4) Q`` with ``Q`` the torsion square.
     At ``tau = 1`` this returns the second Ricci trace unchanged.
     """
-    r = point.curvature_frame
-    ric2 = np.einsum("iikl->kl", r)
+    ric2 = frame_traces(point.curvature_frame).ric2
     if tau.value == 1.0:
         return ric2
     return ric2 + tau.source_weight * q_squared_frame(point.torsion_frame)

@@ -84,8 +84,8 @@ def example22(n: int, a: np.ndarray, eps: float) -> MetricSpec:
     if float(np.max(np.abs(a + np.swapaxes(a, 0, 1)))) > 1e-14:
         raise ConfigError("coefficient array must be antisymmetric in its first two slots")
 
-    # b[i, j, k, l] = sum_p a[i,k,p] conj(a[j,l,p])
-    b = np.einsum("ikp,jlp->ijkl", a, np.conj(a))
+    from ..chern import torsion_product_a  # at call time: chern imports this package
+    b = torsion_product_a(a)  # b[i, j, k, l] = sum_p a[i,k,p] conj(a[j,l,p])
 
     def entry(k: int, l: int) -> Expr:
         terms: list[Expr] = [Const(1 + 0j)] if k == l else []

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, NumericalError
-from ..tensor_core import metric_inverse_up
+from ..tensor_core import hermitian_part, metric_inverse_up
 from . import expr as ex
 from .jets import DEFAULT_SCHEME, JetScheme, complex_jet2
 
@@ -217,7 +217,7 @@ def validate_metric(spec: MetricSpec, seed: int = 12345) -> None:
             f"metric '{spec.name}' is not Hermitian at {points[k]}: "
             f"deviation {deviation[k]:.3e}"
         )
-    eigs = np.linalg.eigvalsh(0.5 * (g[-1] + g[-1].conj().T))
+    eigs = np.linalg.eigvalsh(hermitian_part(g[-1]))
     if eigs[0] <= 0:
         raise ConfigError(
             f"metric '{spec.name}' is not positive definite at its base point: "

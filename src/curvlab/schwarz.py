@@ -38,16 +38,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chern import ChernPoint, connection_coefficients
+from .chern import ChernPoint, connection_coefficients, form_pairing, frame_traces
 from .errors import ConfigError, NumericalError
 from .functionals import TauParam
 from .gauduchon import (
-    _bisectional_pairings,
-    _torsion_quadratics,
-    family_ricci_traces,
+    bisectional_display,
     gauduchon_family,
     rbc_tau_from_family,
     ric_tau_from_family,
+    ricci_display,
 )
 from .metric_model import (
     DEFAULT_SCHEME,
@@ -65,7 +64,7 @@ from .metric_model import (
     metric_value,
     parse_expr,
 )
-from .tensor_core import hermitian_part, metric_inverse_up
+from .tensor_core import metric_inverse_up
 
 __all__ = [
     "HoloMap",
@@ -382,11 +381,9 @@ def laplacian_identity_report(
     skew_square = np.sum(np.abs(skew) ** 2, axis=tensor_axes)
 
     f = assembly.jac_frame
-    ric2 = np.einsum("...iikl->...kl", assembly.source_point.curvature_frame)
-    ricci_term = _ricci_term(ric2, f)
-    xi = _pushforward(f)
-    r_target = assembly.target_point.curvature_frame
-    target_term = np.real(np.einsum("...abcd,...ab,...cd->...", r_target, xi, xi))
+    ricci_term = _ricci_term(frame_traces(assembly.source_point.curvature_frame).ric2, f)
+    xi = _pushforward(f)[..., None, :, :]
+    target_term = np.real(form_pairing(assembly.target_point.curvature_frame, xi, xi)[..., 0])
     assembled = hessian_square + ricci_term - target_term
 
     energy, laplacian = _energy_and_laplacian(source, target, assembly, scheme)
@@ -579,24 +576,15 @@ def bismut_comparison_report(
 
     # printed route, source block: fractions as published (they agree with
     # the exact route)
-    trace1, trace2, trace3, trace4 = family_ricci_traces(member_g)
-    s_a, s_c, x = _torsion_quadratics(member_g.torsion)
-    ric_printed = (
-        -trace2 / 3.0
-        + 2.0 * trace1 / 3.0
-        + (trace3 + trace4) / 3.0
-        + s_a
-        + 2.0 * hermitian_part(x) / 3.0
-        - ((3.0 + tau) / (12.0 * tau)) * s_c
+    ric_printed = ricci_display(
+        member_g, (-1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0, 2.0 / 3.0, -(3.0 + tau) / (12.0 * tau))
     )
     src_printed = float(_ricci_term(ric_printed, f))
 
     # printed route, target block: the published lines carry the opposite
     # sign on the curvature pair and a different torsion-square coefficient
-    rb, rb_alt, s1, s2, s3 = (float(np.real(v)) for v in _bisectional_pairings(member_h, xi))
-    tgt_printed = (rb + 2.0 * rb_alt) / 3.0 + (
-        s2 + 2.0 * s3 + (1.0 - (1.0 - tau) / 12.0) * s1
-    ) / 3.0
+    weights = (1.0 / 3.0, 2.0 / 3.0, (1.0 - (1.0 - tau) / 12.0) / 3.0, 1.0 / 3.0, 2.0 / 3.0)
+    tgt_printed = float(bisectional_display(member_h, xi, weights)) * xi_norm2
     printed_bound = src_printed + tgt_printed
 
     laplacian = float(_energy_and_laplacian(source, target, assembly, scheme)[1])

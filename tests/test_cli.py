@@ -42,6 +42,27 @@ class TestMetricReferences:
             with pytest.raises(ConfigError):
                 _parse_metric(ref)
 
+    def test_builtins_are_built_once_per_process(self):
+        assert _parse_metric("builtin:example22") is _parse_metric("builtin:example22")
+        assert _parse_metric("builtin:hopf(3)") is _parse_metric("builtin:hopf(3)")
+        for _ in range(2):
+            for ref in ("builtin:nope(1)", "builtin:flat(two)", "builtin:(2)", "flat(2)"):
+                with pytest.raises(ConfigError):
+                    _parse_metric(ref)
+
+    def test_file_reference_is_read_on_every_call(self, tmp_path):
+        path = tmp_path / "disk.json"
+        payload = {"n": 1, "entries": [["1"]], "region": {"type": "ball", "radius": 1.0}}
+        path.write_text(json.dumps(payload))
+        first = _parse_metric(f"file:{path}")
+        payload["entries"] = [["2 + z1 * conj(z1)"]]
+        path.write_text(json.dumps(payload))
+        second = _parse_metric(f"file:{path}")
+        assert first is not second and first.entries != second.entries
+        path.write_text("{")
+        with pytest.raises(ConfigError):
+            _parse_metric(f"file:{path}")
+
     def test_file_reference_round_trip(self, tmp_path):
         payload = {
             "n": 1,

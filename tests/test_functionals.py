@@ -487,9 +487,9 @@ class TestLagrangianDual:
               f"{len(PINNED)} pinned certificates (tol 1e-12), no ascent steps")
 
     def test_gaps_close_to_round_off_on_a_region(self):
-        # example22 has large torsion; with the multiplier bisected to eps,
-        # the top eigenvector alone leaves mu x^T J x of up to ~5e-13 there,
-        # which the isotropic second candidate removes
+        # example22 has large torsion; wherever the Newton search stops short
+        # of the optimal multiplier, the top eigenvector alone leaves its share
+        # mu x^T J x, which the isotropic second candidate removes
         spec = fixture("F1")
         points = spec.region.sample_points(2, np.random.default_rng(0), 256)
         pt = ChernPoint.from_jet(metric_jet(spec, points, DEFAULT_SCHEME))
