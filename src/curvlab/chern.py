@@ -218,10 +218,6 @@ class ChernPoint:
     ) -> "ChernPoint":
         return cls.from_jet(metric_jet(spec, z, scheme))
 
-    def q_squared_chart(self) -> np.ndarray:
-        """The torsion square as a chart Hermitian form ``L Q L^H``."""
-        return q_squared_chart(self.torsion, self.g, self.g_up)
-
 
 def first_bianchi_residual(
     spec: MetricSpec, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME

@@ -62,6 +62,10 @@ __all__ = ["main"]
 # forms over --samples, one point per chunk at least
 _COMPARE_FORMS = 4096
 
+# integer arguments of each builtin, in the order `fixtures` lists them: a
+# family takes its dimension; bare example22 (the fixture F1) and the fixtures none
+_BUILTIN_ARITY = {"flat": 1, "poincare_polydisk": 1, "hopf": 1, "example22": 0,
+                  **dict.fromkeys(FIXTURES, 0)}
 _BUILTIN_REF = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\((?P<args>[^)]*)\))?$")
 
 
@@ -84,8 +88,6 @@ def _builtin(ref: str) -> MetricSpec:
         raise ConfigError(f"malformed builtin reference '{ref}'")
     name = match.group("name")
     arg_text = match.group("args")
-    if name == "example22" and not arg_text:
-        return fixture("F1")
     args: list[int] = []
     if arg_text:
         for token in arg_text.split(","):
@@ -95,6 +97,12 @@ def _builtin(ref: str) -> MetricSpec:
                 raise ConfigError(
                     f"builtin arguments must be integers, got '{token.strip()}'"
                 ) from exc
+    arity = _BUILTIN_ARITY.get(name)
+    if arity is not None and len(args) != arity:
+        form = f"'builtin:{name}(n)' with one integer n" if arity else f"'builtin:{name}'"
+        raise ConfigError(f"malformed builtin reference '{ref}': expected {form}")
+    if name == "example22":
+        return fixture("F1")
     return builtin_metric(name, *args)
 
 
@@ -490,16 +498,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
         "command": "fixtures",
         "config": _base_config(args),
         "fixtures": rows,
-        "builtins": [
-            "flat(n)",
-            "poincare_polydisk(n)",
-            "hopf(n)",
-            "example22",
-            "F1",
-            "F2",
-            "F3",
-            "F4",
-        ],
+        "builtins": [f"{name}(n)" if arity else name for name, arity in _BUILTIN_ARITY.items()],
     }
     _emit_json(report, args)
     return 0

@@ -9,9 +9,10 @@ form, and ``tau`` a source-role tempering parameter.  At ``tau = 1`` the
 torsion term drops and the flat metric contracts exactly like ``e^{-t}``.
 
 One velocity, :func:`thcf_velocity`, serves a single point's jet and a whole
-grid's batched jet alike; it is assembled from the formulas of
-:mod:`curvlab.chern`, with the torsion square as a chart form, so no frame is
-built on the grid.
+grid's batched jet alike.  It is ``-Ric^tau - g`` with ``Ric^tau`` from
+:func:`~curvlab.functionals.ric_tau_chart`, the function behind
+:func:`~curvlab.functionals.ric_tau`, on the jet's chart tensors, so no frame
+is built on the grid.
 
 Space is a regular lattice over a rectangle in chart coordinates (axes
 ordered ``x1, y1, x2, y2``), dimensions one and two.  Spatial derivatives
@@ -32,9 +33,9 @@ The pointwise comparison inequality
 
     (d/dt - Laplacian) tr >= -(kappa0/n) tr^2 + tr   (as a residual LHS - RHS)
 
-is evaluated at time zero directly from metric specifications, with the
-time derivative taken through the flow velocity and the Laplacian through
-the jet scheme, so no time stepping enters the check.
+is evaluated at time zero, at points ``(..., n)``, directly from metric
+specifications, with the time derivative taken through the flow velocity and
+the Laplacian through the jet scheme, so no time stepping enters the check.
 """
 
 from __future__ import annotations
@@ -46,18 +47,11 @@ from typing import IO
 
 import numpy as np
 
-from .chern import (
-    ChernPoint,
-    chern_curvature,
-    chern_torsion,
-    connection_coefficients,
-    q_squared_chart,
-    second_ricci,
-)
+from .chern import ChernPoint, chern_curvature, chern_torsion, connection_coefficients
 from .errors import ConfigError, NumericalError
-from .functionals import TauParam, ric_tau
+from .functionals import TauParam, ric_tau, ric_tau_chart
 from .metric_model import DEFAULT_SCHEME, JetScheme, MetricJet, MetricSpec, metric_jet, metric_value
-from .schwarz import scalar_laplacian
+from .schwarz import pointwise_report, scalar_laplacian
 from .tensor_core import hermitian_part, metric_inverse_up
 
 __all__ = [
@@ -81,15 +75,13 @@ def thcf_velocity(jet: MetricJet, tau: TauParam) -> np.ndarray:
     """Flow velocity ``-Ric^tau - g`` as a Hermitian chart form at every point of ``jet``.
 
     The jet may hold one point or a grid of them (:meth:`GridMetricField.jets`).
-    No frame is built: the torsion square enters as its chart form.  ``tau = 1``
-    returns ``-Ric2 - g`` with no torsion arithmetic at all.
+    ``Ric^tau`` is :func:`~curvlab.functionals.ric_tau_chart` of the jet's
+    chart tensors, so no frame is built.
     """
     gamma = connection_coefficients(jet)
-    velocity = -second_ricci(jet.g_up, chern_curvature(jet, gamma)) - jet.g
-    if tau.value != 1.0:
-        q_chart = q_squared_chart(chern_torsion(jet, gamma), jet.g, jet.g_up)
-        velocity = velocity - tau.source_weight * q_chart
-    return hermitian_part(velocity)
+    ric = ric_tau_chart(chern_torsion(jet, gamma), chern_curvature(jet, gamma), jet.g, jet.g_up,
+                        tau)
+    return hermitian_part(-ric - jet.g)
 
 
 @dataclass(frozen=True)
@@ -280,14 +272,10 @@ class _StepRejected(Exception):
     pass
 
 
-def _interior(box: GridBox) -> tuple[slice, ...]:
-    return tuple(slice(1, -1) for _ in range(2 * box.n))
-
-
 def _apply_update(field: GridMetricField, update: np.ndarray) -> np.ndarray:
     new_values = field.values.copy()
     if field.box.boundary == "frozen":
-        region = _interior(field.box)
+        region = (slice(1, -1),) * (2 * field.box.n)
         new_values[region] += update[region]
     else:
         new_values += update
@@ -421,32 +409,33 @@ def write_diagnostics_csv(state: FlowState, stream: IO[str]) -> None:
 
 def supersolution_slacks(
     velocity: np.ndarray, point: ChernPoint, tau: TauParam
-) -> tuple[float, float]:
-    """Slack of ``dg/dt >= -Ric^tau - g`` in eigenvalue and trace order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slack of ``dg/dt >= -Ric^tau - g`` in eigenvalue and trace order, one entry per point.
 
     Matrix inequalities can be read on forms or on traces; both slacks are
     returned (eigenvalue first) and both vanish identically for the THCF
     velocity, where the tempered form is exactly the negated velocity.
+    ``velocity`` ``(..., n, n)`` carries the batch axes of ``point``.
     """
     defect = hermitian_part(velocity + ric_tau(point, tau) + point.g)
-    eigenvalue_slack = float(np.linalg.eigvalsh(defect).min())
-    trace_slack = float(np.real(np.einsum("kl,kl->", point.g_up, defect)))
-    return eigenvalue_slack, trace_slack
+    eigenvalue_slack = np.linalg.eigvalsh(defect)[..., 0]
+    trace_slack = np.real(np.einsum("...kl,...kl->...", point.g_up, defect))
+    return eigenvalue_slack[()], trace_slack[()]
 
 
 @dataclass(frozen=True)
 class ParabolicResidualReport:
-    """LHS - RHS of the trace comparison inequality at one point."""
+    """LHS - RHS of the trace comparison inequality, one entry per point."""
 
-    residual: float
-    lhs: float
-    rhs: float
-    trace: float
-    dt_trace: float
-    laplacian: float
-    eigenvalue_slack: float
-    trace_slack: float
-    preconditions_hold: bool
+    residual: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    trace: np.ndarray
+    dt_trace: np.ndarray
+    laplacian: np.ndarray
+    eigenvalue_slack: np.ndarray
+    trace_slack: np.ndarray
+    preconditions_hold: np.ndarray
 
 
 def parabolic_schwarz_residual(
@@ -458,15 +447,16 @@ def parabolic_schwarz_residual(
     scheme: JetScheme = DEFAULT_SCHEME,
     velocity: np.ndarray | None = None,
 ) -> ParabolicResidualReport:
-    """Evaluates the comparison inequality for the flow at time zero.
+    """Evaluates the comparison inequality for the flow at time zero at the points ``z``.
 
     The time derivative of ``tr(h)`` comes from the velocity,
     ``d/dt tr = -g^{pl} g^{kq} h_{kl} v_{pq}``; the trace and its Laplacian
     come from one stencil jet of the trace field.  ``velocity`` defaults to
-    the THCF velocity at the point; any Hermitian chart form may be
-    supplied, e.g. zero for a static flow.  ``kappa0`` should certify
-    ``RBC^tau(reference) <= -kappa0``; the supersolution precondition is
-    asserted numerically and reported, never fatal.
+    the THCF velocity at the points; any Hermitian chart forms
+    ``(..., n, n)`` may be supplied, e.g. zero for a static flow.  ``kappa0``
+    should certify ``RBC^tau(reference) <= -kappa0``; the supersolution
+    precondition is asserted numerically and reported, never fatal.  Fields
+    have the batch axes of ``z`` ``(..., n)``.
     """
     if kappa0 < 0:
         raise ConfigError(f"kappa0 must be nonnegative, got {kappa0}")
@@ -479,31 +469,24 @@ def parabolic_schwarz_residual(
         velocity = thcf_velocity(jet, tau)
     else:
         velocity = np.asarray(velocity, dtype=complex)
-        if velocity.shape != (source.n, source.n):
-            raise ConfigError(
-                f"velocity has shape {velocity.shape}, expected {(source.n, source.n)}"
-            )
+        if velocity.shape != jet.g.shape:
+            raise ConfigError(f"velocity has shape {velocity.shape}, expected {jet.g.shape}")
 
     def trace_field(w: np.ndarray) -> np.ndarray:
         xw = metric_inverse_up(metric_value(source, w))
         return np.einsum("...kl,...kl->...", xw, metric_value(reference, w))
 
     value, laplacian = scalar_laplacian(trace_field, source, jet, scheme)
-    trace, laplacian = float(np.real(value)), float(laplacian)
+    trace = np.real(value)
     h = metric_value(reference, z)
-    dt_trace = -float(np.real(np.einsum("pl,kq,kl,pq->", jet.g_up, jet.g_up, h, velocity)))
+    dt_trace = -np.real(np.einsum("...pl,...kq,...kl,...pq->...", jet.g_up, jet.g_up, h, velocity))
 
     lhs = dt_trace - laplacian
     rhs = -(kappa0 / source.n) * trace * trace + trace
     eigenvalue_slack, trace_slack = supersolution_slacks(velocity, point, tau)
-    return ParabolicResidualReport(
-        residual=lhs - rhs,
-        lhs=lhs,
-        rhs=rhs,
-        trace=trace,
-        dt_trace=dt_trace,
-        laplacian=laplacian,
-        eigenvalue_slack=eigenvalue_slack,
+    return pointwise_report(
+        ParabolicResidualReport, residual=lhs - rhs, lhs=lhs, rhs=rhs, trace=trace,
+        dt_trace=dt_trace, laplacian=laplacian, eigenvalue_slack=eigenvalue_slack,
         trace_slack=trace_slack,
-        preconditions_hold=eigenvalue_slack >= -1e-8 and trace_slack >= -1e-8,
+        preconditions_hold=(eigenvalue_slack >= -1e-8) & (trace_slack >= -1e-8),
     )

@@ -46,6 +46,7 @@ __all__ = [
     "altered_hsc",
     "altered_hsc_forms",
     "ric_tau_frame",
+    "ric_tau_chart",
     "ric_tau",
     "frame_vector",
     "extremize_hsc",
@@ -201,12 +202,24 @@ def ric_tau_frame(point: ChernPoint, tau: TauParam) -> np.ndarray:
     return ric2 + tau.source_weight * q_squared_frame(point.torsion_frame)
 
 
-def ric_tau(point: ChernPoint, tau: TauParam) -> np.ndarray:
-    """Tempered Ricci form in chart coordinates."""
-    ric2 = second_ricci(point.g_up, point.curvature)
+def ric_tau_chart(
+    torsion: np.ndarray, curvature: np.ndarray, g: np.ndarray, g_up: np.ndarray, tau: TauParam
+) -> np.ndarray:
+    """Tempered Ricci form ``Ric^(2) + ((1 - 1/tau)/4) Q`` from chart tensors, no frame.
+
+    The tensors may carry any leading batch axes; ``Q`` enters as its chart
+    form.  At ``tau = 1`` this returns the second Ricci trace unchanged and
+    the torsion is not read.
+    """
+    ric2 = second_ricci(g_up, curvature)
     if tau.value == 1.0:
         return ric2
-    return ric2 + tau.source_weight * q_squared_chart(point.torsion, point.g, point.g_up)
+    return ric2 + tau.source_weight * q_squared_chart(torsion, g, g_up)
+
+
+def ric_tau(point: ChernPoint, tau: TauParam) -> np.ndarray:
+    """Tempered Ricci form in chart coordinates at the point(s) of ``point``."""
+    return ric_tau_chart(point.torsion, point.curvature, point.g, point.g_up, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +233,9 @@ def ric_tau(point: ChernPoint, tau: TauParam) -> np.ndarray:
 # (Polyak, JOTA 99 (1998); Polik & Terlaky, SIAM Rev. 49 (2007)).
 
 _TOLERANCE = 1e-12
+# the ascent's first step length and its central-difference step
+_BASE_STEP = 1e-2
+_FD_STEP = 1e-5
 # eigenvalues within this of the top one, relative to max(1, |top|), count as
 # tied: a tenth of the gap tolerance, so mixing tied eigenvectors cannot open a gap
 _TIE = 1e-13
@@ -261,8 +277,6 @@ def _ascend(
     owner: np.ndarray,
     maximize: bool,
     steps: int,
-    base_step: float = 1e-2,
-    fd_step: float = 1e-5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Central-difference gradient ascent of every row of ``x0`` at once.
 
@@ -274,7 +288,7 @@ def _ascend(
     x = x0.copy()
     value = objective(x, owner)
     count, dim = x.shape
-    step = np.full(count, base_step)
+    step = np.full(count, _BASE_STEP)
     accepted = np.zeros(count, dtype=int)
     active = np.ones(count, dtype=bool)
     axis = np.arange(dim)
@@ -283,14 +297,14 @@ def _ascend(
         if live.size == 0:
             break
         high = np.repeat(x[live, None, :], dim, axis=1)
-        high[:, axis, axis] += fd_step
+        high[:, axis, axis] += _FD_STEP
         low = high.copy()
-        low[:, axis, axis] -= 2 * fd_step
+        low[:, axis, axis] -= 2 * _FD_STEP
         probes = np.tile(np.repeat(owner[live], dim), 2)
         f_high, f_low = objective(
             np.concatenate([high, low]).reshape(-1, dim), probes
         ).reshape(2, -1, dim)
-        grad = (f_high - f_low) / (2 * fd_step)
+        grad = (f_high - f_low) / (2 * _FD_STEP)
         if not maximize:
             grad = -grad
         scale = np.linalg.norm(grad, axis=1)

@@ -23,8 +23,9 @@ Map components are expression trees; their first and second derivatives are
 taken symbolically, so the only finite differencing anywhere is the outer
 Laplacian.
 
-The reports take points ``(..., n)``, one entry per point equal to that of a
-one-point call.  A call assembles the map jet, both metric jets and their
+The reports, the Bismut comparison among them, take points ``(..., n)``, one
+entry per point equal to that of a one-point call; the map fold checks that
+shape.  A call assembles the map jet, both metric jets and their
 ``ChernPoint`` once, and differentiates one stencil jet of the energy
 density that folds only the map's value and Jacobian trees: its centre value
 is the energy, its mixed second derivative traced with ``g^{-1}`` the Laplacian.
@@ -118,8 +119,15 @@ class HoloMap:
         return cls(tuple(parse_expr(t) for t in texts), n_source)
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        """Map values ``(..., n_target)`` at points ``(..., n_source)``."""
-        return _fold(self.components, np.asarray(z, dtype=complex), "value")
+        """Map values ``(..., n_target)`` at points ``(..., n_source)``.
+
+        Every map fold starts here, so a point of another shape is a :class:`ConfigError`.
+        """
+        z = np.asarray(z, dtype=complex)
+        if z.shape[-1:] != (self.n_source,):
+            raise ConfigError(f"the map takes points of shape (..., {self.n_source}), "
+                              f"got {z.shape}")
+        return _fold(self.components, z, "value")
 
 
 def _fold(trees: Sequence[Expr], z: np.ndarray, what: str) -> np.ndarray:
@@ -336,8 +344,8 @@ def _energy_and_laplacian(
     return np.real(energy), laplacian
 
 
-def _pointwise(report_type: type, **fields):
-    """A report whose fields carry the points' batch axes; numpy floats for one point."""
+def pointwise_report(report_type: type, **fields):
+    """A report whose fields carry the points' batch axes; numpy scalars for one point."""
     return report_type(**{name: np.asarray(value)[()] for name, value in fields.items()})
 
 
@@ -388,7 +396,7 @@ def laplacian_identity_report(
 
     energy, laplacian = _energy_and_laplacian(source, target, assembly, scheme)
     relative_residual = np.abs(laplacian - assembled) / np.maximum(1.0, np.abs(laplacian))
-    return _pointwise(
+    return pointwise_report(
         LaplacianIdentityReport, energy=energy, laplacian=laplacian,
         hessian_square=hessian_square, symmetric_square=symmetric_square, skew_square=skew_square,
         ricci_term=ricci_term, target_term=target_term, assembled=assembled,
@@ -510,7 +518,7 @@ def schwarz_inequality_report(
     assembly = assemble_map(source, target, holo_map, z, scheme)
     energy, laplacian = _energy_and_laplacian(source, target, assembly, scheme)
     rhs = -c1 * energy + (kappa0 / r + c2 / source.n) * energy * energy
-    return _pointwise(
+    return pointwise_report(
         SchwarzReport, energy=energy, laplacian=laplacian, rhs=rhs, slack=laplacian - rhs,
         energy_bound=np.full(np.shape(energy), energy_bound),
     )
@@ -522,25 +530,25 @@ def schwarz_inequality_report(
 
 @dataclass(frozen=True)
 class BismutComparisonReport:
-    """Two readings of the comparison bound assembled from t = -1 data.
+    """Two readings of the comparison bound assembled from t = -1 data, one entry per point.
 
     ``exact_bound`` rebuilds the tempered source and target contractions
     through the family transforms, which is provably below the Laplacian.
     ``printed_bound`` keeps the literal coefficients of the published
     display; its target block disagrees with the exact route, and the
-    deviations record by how much at this point.
+    deviations record by how much at each point.
     """
 
-    tau: float
-    laplacian: float
-    exact_bound: float
-    exact_margin: float
-    exact_holds: bool
-    printed_bound: float
-    printed_margin: float
-    printed_holds: bool
-    source_display_deviation: float
-    target_display_deviation: float
+    tau: np.ndarray
+    laplacian: np.ndarray
+    exact_bound: np.ndarray
+    exact_margin: np.ndarray
+    exact_holds: np.ndarray
+    printed_bound: np.ndarray
+    printed_margin: np.ndarray
+    printed_holds: np.ndarray
+    source_display_deviation: np.ndarray
+    target_display_deviation: np.ndarray
 
 
 def bismut_comparison_report(
@@ -551,26 +559,21 @@ def bismut_comparison_report(
     tau: float,
     scheme: JetScheme = DEFAULT_SCHEME,
 ) -> BismutComparisonReport:
-    """Both readings of the comparison bound at one point ``z`` ``(n,)``."""
-    if not (tau > 0 and math.isfinite(tau)):
-        raise ConfigError(f"the comparison needs tau in (0, inf), got {tau}")
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (source.n,):
-        raise ConfigError(f"the comparison takes one point z of shape ({source.n},), got {z.shape}")
+    """Both readings of the comparison bound, ``tau`` in ``(0, inf)``, at the points ``z``."""
     tau_source = TauParam(tau, "source")
     tau_target = TauParam(tau, "target")
 
     assembly = assemble_map(source, target, holo_map, z, scheme)
     f = assembly.jac_frame
     xi = _pushforward(f)
-    xi_norm2 = float(np.real(np.sum(xi * np.conj(xi))))
+    xi_norm2 = np.real(np.sum(xi * np.conj(xi), axis=(-2, -1)))
 
     member_g = gauduchon_family(assembly.source_point, -1.0)
     member_h = gauduchon_family(assembly.target_point, -1.0)
 
     # exact route: tempered Ricci and tempered bisectional term, both
     # reassembled from the t = -1 tensors
-    src_exact = float(_ricci_term(ric_tau_from_family(member_g, tau_source), f))
+    src_exact = _ricci_term(ric_tau_from_family(member_g, tau_source), f)
     tgt_exact = rbc_tau_from_family(member_h, xi, tau_target) * xi_norm2
     exact_bound = src_exact - tgt_exact
 
@@ -579,21 +582,22 @@ def bismut_comparison_report(
     ric_printed = ricci_display(
         member_g, (-1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0, 2.0 / 3.0, -(3.0 + tau) / (12.0 * tau))
     )
-    src_printed = float(_ricci_term(ric_printed, f))
+    src_printed = _ricci_term(ric_printed, f)
 
     # printed route, target block: the published lines carry the opposite
     # sign on the curvature pair and a different torsion-square coefficient
     weights = (1.0 / 3.0, 2.0 / 3.0, (1.0 - (1.0 - tau) / 12.0) / 3.0, 1.0 / 3.0, 2.0 / 3.0)
-    tgt_printed = float(bisectional_display(member_h, xi, weights)) * xi_norm2
+    tgt_printed = bisectional_display(member_h, xi, weights) * xi_norm2
     printed_bound = src_printed + tgt_printed
 
-    laplacian = float(_energy_and_laplacian(source, target, assembly, scheme)[1])
+    laplacian = _energy_and_laplacian(source, target, assembly, scheme)[1]
     exact_margin = laplacian - exact_bound
     printed_margin = laplacian - printed_bound
-    return BismutComparisonReport(
-        tau=tau, laplacian=laplacian, exact_bound=exact_bound, exact_margin=exact_margin,
-        exact_holds=exact_margin >= -1e-8, printed_bound=printed_bound,
-        printed_margin=printed_margin, printed_holds=printed_margin >= -1e-8,
-        source_display_deviation=abs(src_printed - src_exact),
-        target_display_deviation=abs(tgt_printed - (-tgt_exact)),
+    return pointwise_report(
+        BismutComparisonReport, tau=np.full(np.shape(laplacian), tau), laplacian=laplacian,
+        exact_bound=exact_bound, exact_margin=exact_margin, exact_holds=exact_margin >= -1e-8,
+        printed_bound=printed_bound, printed_margin=printed_margin,
+        printed_holds=printed_margin >= -1e-8,
+        source_display_deviation=np.abs(src_printed - src_exact),
+        target_display_deviation=np.abs(tgt_printed + tgt_exact),
     )

@@ -286,7 +286,7 @@ def chern_quantities(jet: MetricJet) -> dict:
         "torsion_frame": point.torsion_frame,
         "curvature_frame": point.curvature_frame,
         "q_frame": q_squared_frame(point.torsion_frame),
-        "q_chart": point.q_squared_chart(),
+        "q_chart": q_squared_chart(point.torsion, point.g, point.g_up),
         "eta": torsion_trace_frame(point.torsion_frame),
     }
 

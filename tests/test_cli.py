@@ -543,6 +543,16 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "metric", ["builtin:hopf()", "builtin:flat(1,2)", "builtin:example22(3)", "builtin:F1(2)"]
+    )
+    def test_builtin_argument_count(self, capsys, metric):
+        code, out, err = run_cli(["curvature", "--metric", metric], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "expected 'builtin:" in err
+        assert "Traceback" not in err
+
     def test_wrong_point_dimension(self, capsys):
         code, _, err = run_cli(
             ["curvature", "--metric", "builtin:flat(2)", "--points", "0.1"], capsys

@@ -16,6 +16,7 @@ Frozen reference values used below:
   LHS = RHS = -1 and the comparison residual vanishes.
 """
 
+import dataclasses
 import io
 import math
 
@@ -39,6 +40,7 @@ from curvlab.flow import (
 )
 from curvlab.functionals import TauParam, ric_tau
 from curvlab.metric_model import MetricJet, builtin_metric, fixture, metric_jet, metric_value
+from curvlab.tensor_core import hermitian_part
 
 
 def source_tau(value):
@@ -458,3 +460,74 @@ class TestParabolicResidual:
                 kappa0=1.0,
                 velocity=np.zeros((2, 2)),
             )
+
+
+class TestStackedComparison:
+    """Point stacks give, point by point, exactly the numbers of one-point calls.
+
+    Run with ``-s`` to print the largest row difference.
+    """
+
+    TAUS = (0.5, 1.0, 2.0, math.inf)
+
+    @staticmethod
+    def points(count=6):
+        return fixture("F1").region.sample_points(2, np.random.default_rng(11), count)
+
+    @pytest.mark.parametrize("source, reference", [("F1", "F4"), ("F2", "F1")])
+    def test_residual_rows_equal_one_point_calls(self, source, reference):
+        source_spec, reference_spec = fixture(source), fixture(reference)
+        points = self.points()
+        for value in self.TAUS:
+            tau = source_tau(value)
+            stacked = parabolic_schwarz_residual(source_spec, reference_spec, points, tau, 1.5)
+            grid = parabolic_schwarz_residual(source_spec, reference_spec,
+                                              points.reshape(2, 3, 2), tau, 1.5)
+            singles = [parabolic_schwarz_residual(source_spec, reference_spec, z, tau, 1.5)
+                       for z in points]
+            largest = 0.0
+            for field in dataclasses.fields(stacked):
+                got = getattr(stacked, field.name)
+                want = np.array([getattr(report, field.name) for report in singles])
+                assert got.shape == (len(points),), field.name
+                assert np.array_equal(got, want), field.name
+                assert np.array_equal(getattr(grid, field.name), got.reshape(2, 3)), field.name
+                largest = max(largest, float(np.max(np.abs(got.astype(float) - want))))
+            print(f"\n{source} against {reference}, tau {value}: largest difference between "
+                  f"stacked and one-point comparison rows over {len(points)} points: {largest:.1e}")
+
+    @pytest.mark.parametrize("name", ["F1", "F2"])
+    def test_slack_rows_equal_one_point_calls(self, name):
+        spec = fixture(name)
+        points = self.points()
+        for value in self.TAUS:
+            tau = source_tau(value)
+            jet = metric_jet(spec, points.reshape(2, 3, 2))
+            # a velocity off the THCF one, so the slacks do not vanish
+            velocity = thcf_velocity(jet, tau) - 0.1 * jet.g
+            point = ChernPoint.from_jet(jet)
+            stacked = supersolution_slacks(velocity, point, tau)
+            defect = hermitian_part(velocity + ric_tau(point, tau) + jet.g)
+            assert np.array_equal(stacked[0], np.linalg.eigvalsh(defect).min(axis=-1))
+            for k, z in enumerate(points):
+                index = np.unravel_index(k, (2, 3))
+                one = metric_jet(spec, z)
+                single = supersolution_slacks(velocity[index], ChernPoint.from_jet(one), tau)
+                for got, want in zip(stacked, single):
+                    assert got.shape == (2, 3)
+                    assert got[index] == want
+
+    @pytest.mark.parametrize("value", TAUS)
+    def test_stacked_velocity_is_the_tempered_ricci(self, value):
+        tau = source_tau(value)
+        jet = metric_jet(fixture("F1"), self.points().reshape(2, 3, 2))
+        want = hermitian_part(-ric_tau(ChernPoint.from_jet(jet), tau) - jet.g)
+        assert np.array_equal(thcf_velocity(jet, tau), want)
+
+    def test_velocity_stack_shape_checked(self):
+        spec = fixture("F1")
+        points = self.points()
+        for shape in ((2, 2), (5, 2, 2), (6, 1, 1)):
+            with pytest.raises(ConfigError, match="velocity has shape"):
+                parabolic_schwarz_residual(spec, spec, points, source_tau(1.0), 1.0,
+                                           velocity=np.zeros(shape))

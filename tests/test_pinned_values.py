@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvlab.chern import ChernPoint
+from curvlab.chern import ChernPoint, q_squared_chart
 from curvlab.cli import main
 from curvlab.flow import GridBox, init_flow, run_flow
 from curvlab.functionals import TauParam
@@ -92,7 +92,7 @@ def point_values(name: str) -> dict:
     return {
         "torsion_frame": point.torsion_frame,
         "curvature_frame": point.curvature_frame,
-        "q_squared_chart": point.q_squared_chart(),
+        "q_squared_chart": q_squared_chart(point.torsion, point.g, point.g_up),
     }
 
 

@@ -109,6 +109,22 @@ class TestAssembly:
         with pytest.raises(ConfigError):
             assemble_map(source, source, m, np.array([0.1, 0.2]))
 
+    def test_point_shape_checked_at_map_fold(self):
+        # a point of the wrong shape is a configuration error naming the shape,
+        # not a numpy traceback, in every report that folds the map
+        source, target, m, z = build("disk_square")
+        reports = (
+            lambda bad: laplacian_identity_report(source, target, m, bad),
+            lambda bad: schwarz_inequality_report(source, target, m, bad, c1=2.0, c2=0.5,
+                                                  kappa0=1.5, r=2),
+            lambda bad: energy_density(source, target, m, bad),
+            lambda bad: bismut_comparison_report(source, target, m, bad, tau=1.0),
+        )
+        for report in reports:
+            for bad in (z[:1], z[0], np.zeros((3, 1), dtype=complex)):
+                with pytest.raises(ConfigError, match=r"shape \(\.\.\., 2\)"):
+                    report(bad)
+
     def test_frame_energy_matches_chart_energy(self):
         for case in CASES:
             source, target, m, z = build(case)
@@ -322,13 +338,6 @@ class TestBismutComparison:
         with pytest.raises(ConfigError):
             bismut_comparison_report(source, target, m, z, tau=math.inf)
 
-    def test_one_point_only(self):
-        # a stack of points is a configuration error naming the shape, not a numpy traceback
-        source, target, m, z = build("disk_square")
-        for bad in (np.stack([z, 0.5 * z]), z[:1], z[0]):
-            with pytest.raises(ConfigError, match=r"shape \(2,\)"):
-                bismut_comparison_report(source, target, m, bad, tau=1.0)
-
 
 class TestBatchedReports:
     """A stacked call gives, point by point, exactly the numbers of one-point calls.
@@ -345,10 +354,10 @@ class TestBatchedReports:
         points = source.region.sample_points(2, np.random.default_rng(7), 6)
         return source, fixture(target), HoloMap.parse(components, 2), points
 
-    @pytest.mark.parametrize(
-        "target, components",
-        [("F2", CASES["ball_to_polydisk"]["map"]), ("F3", ("(z1 + z2)*(z1 - z2)", "z1*z2 - z2^2"))],
-    )
+    MAPS = [("F2", CASES["ball_to_polydisk"]["map"]),
+            ("F3", ("(z1 + z2)*(z1 - z2)", "z1*z2 - z2^2"))]
+
+    @pytest.mark.parametrize("target, components", MAPS)
     def test_identity_rows_equal_one_point_calls(self, target, components):
         source, target_metric, m, points = self.stack(target, components)
         stacked = laplacian_identity_report(source, target_metric, m, points)
@@ -386,3 +395,23 @@ class TestBatchedReports:
         energies = energy_density(source, target, m, points)
         assert np.array_equal(energies, stacked.energy)
         assert np.array_equal(energies, [energy_density(source, target, m, z) for z in points])
+
+    @pytest.mark.parametrize("target, components", MAPS)
+    def test_bismut_rows_equal_one_point_calls(self, target, components):
+        source, target_metric, m, points = self.stack(target, components)
+        for tau in (0.8, 1.0, 2.5):
+            stacked = bismut_comparison_report(source, target_metric, m, points, tau=tau)
+            grid = bismut_comparison_report(source, target_metric, m, points.reshape(2, 3, 2),
+                                            tau=tau)
+            singles = [bismut_comparison_report(source, target_metric, m, z, tau=tau)
+                       for z in points]
+            largest = 0.0
+            for field in dataclasses.fields(stacked):
+                got = getattr(stacked, field.name)
+                want = np.array([getattr(report, field.name) for report in singles])
+                assert got.shape == (len(points),), field.name
+                assert np.array_equal(got, want), field.name
+                assert np.array_equal(getattr(grid, field.name), got.reshape(2, 3)), field.name
+                largest = max(largest, float(np.max(np.abs(got.astype(float) - want))))
+            print(f"\nF1 -> {target}, tau {tau}: largest difference between stacked and "
+                  f"one-point Bismut rows over {len(points)} points: {largest:.1e}")
