@@ -145,8 +145,6 @@ def _parse_points(args: argparse.Namespace, spec: MetricSpec) -> np.ndarray:
 
 
 def _parse_tau(text: str, role: str) -> TauParam:
-    if text.strip() == "inf":
-        return TauParam(math.inf, role)
     try:
         value = float(text)
     except ValueError as exc:
@@ -182,16 +180,9 @@ def _emit_json(report: dict, args: argparse.Namespace) -> None:
     _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
 
 
-def _base_config(args: argparse.Namespace, **extra) -> dict:
-    config = {
-        "h": args.h,
-        "order": args.order,
-        "seed": args.seed,
-        "tol": args.tol,
-        "format": args.format,
-    }
-    config.update(extra)
-    return config
+def _config(args: argparse.Namespace) -> dict:
+    """Every flag of the subcommand as parsed, except ``--out``."""
+    return {k: v for k, v in vars(args).items() if k not in ("out", "command", "func")}
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +219,7 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 
     report = {
         "command": "curvature",
-        "config": _base_config(
-            args, metric=args.metric, points=args.points, region=args.region,
-            check=args.check,
-        ),
+        "config": _config(args),
         "scheme": scheme.describe(),
         "points": rows,
         "worst_checks": worst,
@@ -304,12 +292,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     report = {
         "command": "scan",
-        "config": _base_config(
-            args, metric=args.metric, points=args.points, region=args.region,
-            functional=args.functional, kind=args.kind, tau=args.tau,
-            starts=args.starts, ascent_steps=args.ascent_steps,
-            compare=args.compare, samples=args.samples,
-        ),
+        "config": _config(args),
         "scheme": scheme.describe(),
         "results": rows,
         "summary": summary,
@@ -338,10 +321,7 @@ def _cmd_schwarz(args: argparse.Namespace) -> int:
 
     report = {
         "command": "schwarz",
-        "config": _base_config(
-            args, source=args.source, target=args.target, map=args.map,
-            points=args.points, region=args.region,
-        ),
+        "config": _config(args),
         "scheme": scheme.describe(),
         "results": rows,
         "max_relative_residual": worst,
@@ -387,10 +367,7 @@ def _cmd_gauduchon(args: argparse.Namespace) -> int:
 
     report = {
         "command": "gauduchon",
-        "config": _base_config(
-            args, metric=args.metric, points=args.points, region=args.region,
-            t=args.t, roundtrip=args.roundtrip,
-        ),
+        "config": _config(args),
         "scheme": scheme.describe(),
         "results": rows,
     }
@@ -432,27 +409,17 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             )
     state = run_flow(state, dt=args.dt, steps=args.steps, method=args.method)
 
-    config = _base_config(
-        args,
-        metric=args.metric,
-        tau=args.tau,
-        dt=args.dt,
-        steps=args.steps,
-        method=args.method,
-        reference_metric=args.reference,
-        grid={
-            "extent": args.extent,
-            "resolution": args.resolution,
-            "boundary": args.boundary,
-            "center": [(c.real, c.imag) for c in center],
-        },
-    )
-
     if args.format == "csv":
         stream = io.StringIO()
         write_diagnostics_csv(state, stream)
         _emit(stream.getvalue(), args.out)
         return 0
+
+    config = _config(args)
+    config["reference_metric"] = config.pop("reference")
+    grid_flags = ("extent", "resolution", "boundary", "center")
+    config["grid"] = {key: config.pop(key) for key in grid_flags}
+    config["grid"]["center"] = [(c.real, c.imag) for c in center]
 
     center_index = tuple(args.resolution // 2 for _ in range(2 * spec.n))
     last = state.history[-1]
@@ -496,7 +463,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
         )
     report = {
         "command": "fixtures",
-        "config": _base_config(args),
+        "config": _config(args),
         "fixtures": rows,
         "builtins": [f"{name}(n)" if arity else name for name, arity in _BUILTIN_ARITY.items()],
     }
@@ -605,6 +572,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and not math.isfinite(args.tol):
+            raise ConfigError(f"--tol must be finite, got {args.tol}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

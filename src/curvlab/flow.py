@@ -94,8 +94,10 @@ class GridBox:
     boundary: str = "frozen"
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0:
-            raise ConfigError(f"grid half width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise ConfigError(f"grid half width must be positive and finite, got {self.half_width}")
+        if not np.isfinite(self.center).all():
+            raise ConfigError(f"grid center must be finite, got {self.center}")
         if self.resolution < 3:
             raise ConfigError(f"grid needs at least 3 nodes per axis, got {self.resolution}")
         if self.boundary not in ("frozen", "periodic"):
@@ -336,8 +338,8 @@ def flow_step(state: FlowState, dt: float, method: str = "heun") -> FlowState:
     the step restarts from its start field, up to 2^8 substeps in all.  The
     row records the substeps kept and the halvings this fallback took.
     """
-    if dt <= 0:
-        raise ConfigError(f"time step must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ConfigError(f"time step must be positive and finite, got {dt}")
     if method not in ("heun", "euler"):
         raise ConfigError(f"unknown stepping method '{method}'")
     start = state.field

@@ -63,6 +63,8 @@ def _inverse_weights(t: float) -> tuple[float, ...]:
     + q4 (TTB^13 + TTB^24)``, the products built from ``tT``.  Raises
     :class:`~curvlab.errors.ConfigError` at the poles ``t = 0`` and ``t = 1/2``.
     """
+    if not np.isfinite(t):
+        raise ConfigError(f"family parameter must be finite, got {t}")
     if t == 0.0 or t == 0.5:
         raise ConfigError(f"family transform degenerates at t = {t}")
     den = 2.0 * t * (2.0 * t - 1.0)
@@ -77,6 +79,8 @@ def _inverse_weights(t: float) -> tuple[float, ...]:
 
 def gauduchon_family(point: ChernPoint, t: float) -> ConnectionTensors:
     """Torsion and curvature of the parameter-``t`` connection at the point(s)."""
+    if not np.isfinite(t):
+        raise ConfigError(f"family parameter must be finite, got {t}")
     ct, cr = point.torsion_frame, point.curvature_frame
     if t == 1.0:
         return ConnectionTensors(1.0, ct.copy(), cr.copy())

@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 
 from ..errors import ConfigError
-from .expr import Abs2, Add, Const, ConjVar, Div, Expr, Mul, Pow, Sub, Var
+from .expr import Abs2, Add, Conj, Const, Div, Expr, Mul, Pow, Sub, Var
 from .model import MetricSpec, Region
 
 __all__ = [
@@ -27,12 +27,6 @@ __all__ = [
 ]
 
 
-def _const_matrix_entries(n: int, matrix: np.ndarray) -> tuple:
-    return tuple(
-        tuple(Const(complex(matrix[k, l])) for l in range(n)) for k in range(n)
-    )
-
-
 def _sum_terms(terms: list[Expr]) -> Expr:
     return reduce(Add, terms) if terms else Const(0j)
 
@@ -42,7 +36,7 @@ def flat(n: int) -> MetricSpec:
     return MetricSpec(
         name=f"flat({n})",
         n=n,
-        entries=_const_matrix_entries(n, np.eye(n, dtype=complex)),
+        entries=tuple(tuple(Const(1 + 0j if k == l else 0j) for l in range(n)) for k in range(n)),
         region=Region("ball", math.inf),
     )
 
@@ -90,12 +84,12 @@ def example22(n: int, a: np.ndarray, eps: float) -> MetricSpec:
     def entry(k: int, l: int) -> Expr:
         terms: list[Expr] = [Const(1 + 0j)] if k == l else []
         terms += [Mul(Const(complex(a[i, k, l])), Var(i)) for i in range(n) if a[i, k, l] != 0]
-        terms += [Mul(Const(complex(np.conj(a[i, l, k]))), ConjVar(i))
+        terms += [Mul(Const(complex(np.conj(a[i, l, k]))), Conj(Var(i)))
                   for i in range(n) if a[i, l, k] != 0]
-        terms += [Mul(Const(0.5 * complex(b[i, j, k, l])), Mul(Var(i), ConjVar(j)))
+        terms += [Mul(Const(0.5 * complex(b[i, j, k, l])), Mul(Var(i), Conj(Var(j))))
                   for i in range(n) for j in range(n) if b[i, j, k, l] != 0]
         if eps != 0:
-            terms.append(Mul(Const(complex(eps)), Mul(Var(l), ConjVar(k))))
+            terms.append(Mul(Const(complex(eps)), Mul(Var(l), Conj(Var(k)))))
         return _sum_terms(terms)
 
     return MetricSpec(

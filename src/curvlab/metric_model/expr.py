@@ -10,7 +10,8 @@ Grammar (whitespace insensitive)::
 
 Numbers are decimal literals with optional exponent; a trailing ``i`` makes
 the literal imaginary (``2i``, ``0.5i``).  Variables are ``z1`` through
-``zN``.  ``conj`` is complex conjugation and ``abs2(w)`` is ``w * conj(w)``.
+``zN``.  ``conj`` is complex conjugation and ``abs2(w)`` is ``w * conj(w)``;
+each operation has one node kind, so ``conj(z2)`` parses to ``Conj(Var(1))``.
 ``^`` takes a literal, optionally negated, integer exponent and binds tighter
 than ``*``; unary minus binds tighter still, so ``-z1^2`` is ``(-z1)^2``.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -33,7 +35,6 @@ __all__ = [
     "Expr",
     "Const",
     "Var",
-    "ConjVar",
     "Add",
     "Sub",
     "Mul",
@@ -59,11 +60,6 @@ class Const:
 
 @dataclass(frozen=True)
 class Var:
-    index: int
-
-
-@dataclass(frozen=True)
-class ConjVar:
     index: int
 
 
@@ -112,7 +108,7 @@ class Neg:
     arg: "Expr"
 
 
-Expr = Union[Const, Var, ConjVar, Add, Sub, Mul, Div, Pow, Conj, Abs2, Neg]
+Expr = Union[Const, Var, Add, Sub, Mul, Div, Pow, Conj, Abs2, Neg]
 
 
 @dataclass(frozen=True)
@@ -268,11 +264,7 @@ class _Parser:
             self.expect("(")
             inner = self.expr()
             self.expect(")")
-            if token.kind == "abs2":
-                return Abs2(inner)
-            if isinstance(inner, Var):
-                return ConjVar(inner.index)
-            return Conj(inner)
+            return Abs2(inner) if token.kind == "abs2" else Conj(inner)
         raise ConfigError(
             f"line {token.line}, col {token.col}: expected a value, "
             f"got '{token.text or 'end of input'}'"
@@ -325,8 +317,6 @@ def _render(node: Expr, required: int) -> str:
         text = _const_text(node.value)
     elif isinstance(node, Var):
         text = f"z{node.index + 1}"
-    elif isinstance(node, ConjVar):
-        text = f"conj(z{node.index + 1})"
     elif isinstance(node, Conj):
         text = f"conj({_render(node.arg, _LEVEL_ADD)})"
     elif isinstance(node, Abs2):
@@ -466,8 +456,6 @@ def eval_expr(node: Expr, z):
         return node.value
     if isinstance(node, Var):
         return z[..., node.index]
-    if isinstance(node, ConjVar):
-        return z[..., node.index].conjugate()
     if isinstance(node, Add):
         return eval_expr(node.left, z) + eval_expr(node.right, z)
     if isinstance(node, Sub):
@@ -490,64 +478,54 @@ def eval_expr(node: Expr, z):
     raise ConfigError(f"unknown expression node {node!r}")
 
 
+_OPERANDS = {
+    Const: lambda node: (),
+    Var: lambda node: (),
+    **dict.fromkeys((Add, Sub, Mul, Div), attrgetter("left", "right")),
+    Pow: lambda node: (node.base,),
+    **dict.fromkeys((Conj, Abs2, Neg), lambda node: (node.arg,)),
+}
+
+
+def _operands(node: Expr) -> tuple:
+    """The subtrees of ``node`` in field order; the one place that lists each kind's.
+
+    ``Pow``'s exponent is an integer, not a subtree.
+    """
+    try:
+        operands = _OPERANDS[type(node)]
+    except KeyError:
+        raise ConfigError(f"unknown expression node {node!r}") from None
+    return operands(node)
+
+
 def substitute(node: Expr, subs: Sequence[Expr]) -> Expr:
-    """Replace ``z_k`` by ``subs[k]`` and ``conj(z_k)`` by ``conj(subs[k])``."""
-    if isinstance(node, Const):
-        return node
+    """Replace ``z_k`` by ``subs[k]``, so ``conj(z_k)`` becomes ``conj(subs[k])``."""
     if isinstance(node, Var):
         return subs[node.index]
-    if isinstance(node, ConjVar):
-        replacement = subs[node.index]
-        if isinstance(replacement, Var):
-            return ConjVar(replacement.index)
-        return Conj(replacement)
-    if isinstance(node, Add):
-        return Add(substitute(node.left, subs), substitute(node.right, subs))
-    if isinstance(node, Sub):
-        return Sub(substitute(node.left, subs), substitute(node.right, subs))
-    if isinstance(node, Mul):
-        return Mul(substitute(node.left, subs), substitute(node.right, subs))
-    if isinstance(node, Div):
-        return Div(substitute(node.left, subs), substitute(node.right, subs))
+    operands = [substitute(operand, subs) for operand in _operands(node)]
     if isinstance(node, Pow):
-        return Pow(substitute(node.base, subs), node.exponent)
-    if isinstance(node, Conj):
-        return Conj(substitute(node.arg, subs))
-    if isinstance(node, Abs2):
-        return Abs2(substitute(node.arg, subs))
-    if isinstance(node, Neg):
-        return Neg(substitute(node.arg, subs))
-    raise ConfigError(f"unknown expression node {node!r}")
+        return Pow(*operands, node.exponent)
+    return type(node)(*operands) if operands else node
 
 
 def is_holomorphic(node: Expr) -> bool:
     """True when the tree contains no conjugation and no squared modulus."""
-    if isinstance(node, (Conj, ConjVar, Abs2)):
+    if isinstance(node, (Conj, Abs2)):
         return False
-    if isinstance(node, (Const, Var)):
-        return True
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return is_holomorphic(node.left) and is_holomorphic(node.right)
-    if isinstance(node, Pow):
-        return is_holomorphic(node.base)
-    if isinstance(node, Neg):
-        return is_holomorphic(node.arg)
-    raise ConfigError(f"unknown expression node {node!r}")
+    return all(map(is_holomorphic, _operands(node)))
 
 
 def max_var_index(node: Expr) -> int:
     """Largest zero-based variable index in the tree, or -1 when constant."""
-    if isinstance(node, (Var, ConjVar)):
+    if isinstance(node, Var):
         return node.index
-    if isinstance(node, Const):
-        return -1
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return max(max_var_index(node.left), max_var_index(node.right))
-    if isinstance(node, Pow):
-        return max_var_index(node.base)
-    if isinstance(node, (Conj, Abs2, Neg)):
-        return max_var_index(node.arg)
-    raise ConfigError(f"unknown expression node {node!r}")
+    top = -1
+    for operand in _operands(node):
+        index = max_var_index(operand)
+        if index > top:
+            top = index
+    return top
 
 
 def _is_zero(node: Expr) -> bool:
@@ -591,7 +569,7 @@ def holomorphic_derivative(node: Expr, index: int) -> Expr:
     factors) so repeated differentiation stays small.  Trees containing
     ``conj`` or ``abs2`` have no holomorphic derivative and are rejected.
     """
-    if isinstance(node, (Conj, ConjVar, Abs2)):
+    if isinstance(node, (Conj, Abs2)):
         raise ConfigError("cannot differentiate a non-holomorphic expression")
     if isinstance(node, Const):
         return Const(0)

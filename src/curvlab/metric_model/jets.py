@@ -76,8 +76,8 @@ class JetScheme:
     tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ConfigError(f"step must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise ConfigError(f"step must be positive and finite, got {self.h}")
         if self.order not in (2, 4):
             raise ConfigError(f"stencil order must be 2 or 4, got {self.order}")
         if self.richardson not in (0, 1):

@@ -123,11 +123,14 @@ class HoloMap:
 
         Every map fold starts here, so a point of another shape is a :class:`ConfigError`.
         """
+        return _fold(self.components, self._points(z), "value")
+
+    def _points(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         if z.shape[-1:] != (self.n_source,):
             raise ConfigError(f"the map takes points of shape (..., {self.n_source}), "
                               f"got {z.shape}")
-        return _fold(self.components, z, "value")
+        return z
 
 
 def _fold(trees: Sequence[Expr], z: np.ndarray, what: str) -> np.ndarray:
@@ -194,7 +197,7 @@ def holomorphy_residual(
     The parser already rejects conjugations; this is the numerical
     counterpart, useful as a scheme sanity check.
     """
-    _, dbar = field_first(holo_map.value, np.asarray(z, dtype=complex), scheme)
+    _, dbar = field_first(holo_map.value, holo_map._points(z), scheme)
     return float(np.max(np.abs(dbar)))
 
 

@@ -1,5 +1,6 @@
 """Command line behaviour: parsing, reports, determinism, exit codes."""
 
+import argparse
 import json
 import math
 
@@ -535,6 +536,34 @@ class TestFixtures:
         assert f3["region"]["radius"] == "inf"
 
 
+class TestReportConfig:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "curvature --metric builtin:F4",
+            "scan --metric builtin:F4 --starts 1 --ascent-steps 1",
+            "schwarz --map id --source builtin:F4 --target builtin:F4",
+            "gauduchon --metric builtin:F4 --t 2",
+            "flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --resolution 3",
+            "fixtures",
+        ],
+    )
+    def test_config_holds_every_flag_but_out(self, capsys, command):
+        # the report's config is the parsed flags; flow nests its grid flags
+        # and names --reference reference_metric
+        name = command.split()[0]
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = {action.dest for action in subparsers.choices[name]._actions} - {"help", "out"}
+        _, report = run_json(command.split(), capsys)
+        config = report["config"]
+        if name == "flow":
+            grid = {"extent", "resolution", "boundary", "center"}
+            assert set(config["grid"]) == grid
+            flags = flags - grid - {"reference"} | {"grid", "reference_metric"}
+        assert set(config) == flags
+
+
 class TestExitCodes:
     def test_config_error_from_bad_reference(self, capsys):
         code, _, err = run_cli(
@@ -551,6 +580,37 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "expected 'builtin:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("metric", ["builtin:flat(-1)", "builtin:flat(0)"])
+    def test_builtin_dimension(self, capsys, metric):
+        code, out, err = run_cli(["curvature", "--metric", metric], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "dimension must be >= 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "curvature --metric builtin:example22 --h nan",
+            "curvature --metric builtin:example22 --h inf",
+            "curvature --metric builtin:example22 --check bianchi --tol nan",
+            "gauduchon --metric builtin:F2 --t nan --roundtrip",
+            "gauduchon --metric builtin:F2 --t 2,inf",
+            "flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --extent inf",
+            "flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --extent nan",
+            "flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --center nan",
+            "flow --metric builtin:poincare_polydisk(1) --dt 1e-4 --steps 1 --center nan",
+            "flow --metric builtin:flat(1) --dt nan --steps 1",
+            "flow --metric builtin:flat(1) --dt inf --steps 1",
+        ],
+    )
+    def test_non_finite_numeric_flag(self, capsys, command):
+        code, out, err = run_cli(command.split(), capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
         assert "Traceback" not in err
 
     def test_wrong_point_dimension(self, capsys):

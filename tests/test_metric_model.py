@@ -13,7 +13,6 @@ from curvlab.metric_model import (
     Abs2,
     Add,
     Conj,
-    ConjVar,
     Const,
     Div,
     JetScheme,
@@ -33,6 +32,7 @@ from curvlab.metric_model import (
     hopf,
     is_holomorphic,
     load_metric,
+    max_var_index,
     metric_jet,
     metric_value,
     parse_expr,
@@ -67,7 +67,7 @@ class TestParser:
         assert eval_expr(node, np.array([1 + 0j])) == pytest.approx(2j)
 
     def test_conj_of_variable_folds(self):
-        assert parse_expr("conj(z2)") == ConjVar(1)
+        assert parse_expr("conj(z2)") == Conj(Var(1))
 
     def test_abs2(self):
         node = parse_expr("abs2(z1 + 1i)")
@@ -102,7 +102,7 @@ def _leaves():
         nonneg_float.map(lambda x: Const(complex(x))),
         nonneg_float.map(lambda x: Const(complex(0.0, x))),
         st.integers(0, 2).map(Var),
-        st.integers(0, 2).map(ConjVar),
+        st.integers(0, 2).map(lambda k: Conj(Var(k))),
     )
 
 
@@ -114,7 +114,7 @@ def _trees():
             st.builds(Mul, children, children),
             st.builds(Div, children, children),
             st.builds(Pow, children, st.integers(-3, 5)),
-            st.builds(Conj, children.filter(lambda c: not isinstance(c, Var))),
+            st.builds(Conj, children),
             st.builds(Abs2, children),
             st.builds(Neg, children),
         )
@@ -134,9 +134,19 @@ class TestPrinter:
         assert to_text(parse_expr("(z1 + z2) * z1")) == "(z1 + z2) * z1"
 
 
+# one wrapper per operand position of every node kind
+_WRAPPERS = [
+    lambda e: Add(e, Const(1)), lambda e: Add(Const(1), e),
+    lambda e: Sub(e, Const(1)), lambda e: Sub(Const(1), e),
+    lambda e: Mul(e, Const(2)), lambda e: Mul(Const(2), e),
+    lambda e: Div(e, Const(2)), lambda e: Div(Const(2), e),
+    lambda e: Pow(e, 3), Conj, Abs2, Neg,
+]
+
+
 class TestSubstitute:
     def test_conj_var_becomes_conj_of_replacement(self):
-        tree = Add(Var(0), ConjVar(0))
+        tree = Add(Var(0), Conj(Var(0)))
         replaced = substitute(tree, [Mul(Const(2 + 0j), Var(1))])
         z = np.array([0.0, 1 + 2j])
         assert eval_expr(replaced, z) == pytest.approx((2 + 4j) + (2 - 4j))
@@ -145,6 +155,13 @@ class TestSubstitute:
         assert is_holomorphic(parse_expr("z1^2 + 3 * z2"))
         assert not is_holomorphic(parse_expr("z1 + conj(z2)"))
         assert not is_holomorphic(parse_expr("abs2(z1)"))
+
+    @pytest.mark.parametrize("wrap", _WRAPPERS)
+    def test_walks_reach_every_operand(self, wrap):
+        tree = wrap(Var(2))
+        assert max_var_index(tree) == 2
+        assert substitute(tree, [Var(0), Var(1), Var(1)]) == wrap(Var(1))
+        assert not is_holomorphic(wrap(Conj(Var(0))))
 
 
 class TestHolomorphicDerivative:

@@ -119,6 +119,8 @@ class TestAssembly:
                                                   kappa0=1.5, r=2),
             lambda bad: energy_density(source, target, m, bad),
             lambda bad: bismut_comparison_report(source, target, m, bad, tau=1.0),
+            lambda bad: holomorphy_residual(m, bad),
+            lambda bad: holomorphy_residual(HoloMap.parse(("z1", "z2"), 2), bad),
         )
         for report in reports:
             for bad in (z[:1], z[0], np.zeros((3, 1), dtype=complex)):

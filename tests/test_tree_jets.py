@@ -17,7 +17,6 @@ from curvlab.metric_model import (
     Abs2,
     Add,
     Conj,
-    ConjVar,
     Const,
     Div,
     MetricSpec,
@@ -165,7 +164,7 @@ _POINTS = np.array([[0.3 + 0.4j, -0.5 + 0.2j], [0.6 - 0.1j, 0.2 + 0.7j]])
 _leaves = st.one_of(
     st.sampled_from([Const(0.5 + 0j), Const(-1.25 + 0j), Const(2 + 0j), Const(0.3 + 0.7j)]),
     st.builds(Var, st.integers(0, 1)),
-    st.builds(ConjVar, st.integers(0, 1)),
+    st.builds(lambda k: Conj(Var(k)), st.integers(0, 1)),
 )
 _trees = st.recursive(
     _leaves,
@@ -183,7 +182,7 @@ _trees = st.recursive(
 )
 # one tree with every node kind
 _EVERY_KIND = Add(
-    Div(Abs2(Sub(Var(0), Const(0.3 + 0.7j))), Pow(Mul(ConjVar(1), Var(0)), -2)),
+    Div(Abs2(Sub(Var(0), Const(0.3 + 0.7j))), Pow(Mul(Conj(Var(1)), Var(0)), -2)),
     Neg(Conj(Pow(Add(Var(1), Const(2 + 0j)), 3))),
 )
 
@@ -193,8 +192,6 @@ def _sympy(node):
         return sympy.Float(node.value.real, 30) + sympy.I * sympy.Float(node.value.imag, 30)
     if isinstance(node, Var):
         return _Z[node.index]
-    if isinstance(node, ConjVar):
-        return sympy.conjugate(_Z[node.index])
     if isinstance(node, Conj):
         return sympy.conjugate(_sympy(node.arg))
     if isinstance(node, Abs2):
