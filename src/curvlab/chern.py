@@ -213,10 +213,8 @@ class ChernPoint:
         )
 
     @classmethod
-    def from_spec(
-        cls, spec: MetricSpec, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME
-    ) -> "ChernPoint":
-        return cls.from_jet(metric_jet(spec, z, scheme))
+    def from_spec(cls, spec: MetricSpec, z: np.ndarray) -> "ChernPoint":
+        return cls.from_jet(metric_jet(spec, z))
 
 
 def first_bianchi_residual(
@@ -230,10 +228,10 @@ def first_bianchi_residual(
     metric's region (else :class:`ConfigError`); the right side is assembled
     at the centre points.  Chart frame throughout, so no connection terms enter.
     """
-    jet = metric_jet(spec, z, scheme)
+    jet = metric_jet(spec, z)
     r = chern_curvature(jet)
-    _, dbar_t = field_first(lambda w: chern_torsion(metric_jet(spec, w, scheme)), jet.point,
-                            scheme, region=spec.region)
+    _, dbar_t = field_first(lambda w: chern_torsion(metric_jet(spec, w)), jet.point, scheme,
+                            region=spec.region)
     rhs = (np.einsum("...kl,...jmil->...mijk", jet.g_up, r)
            - np.einsum("...kl,...imjl->...mijk", jet.g_up, r))
     return np.abs(dbar_t - rhs).max(axis=(-4, -3, -2, -1))
@@ -289,12 +287,10 @@ class NormalChart:
     residuals: dict[str, float]
 
 
-def normal_coordinates(
-    spec: MetricSpec, p: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME
-) -> NormalChart:
+def normal_coordinates(spec: MetricSpec, p: np.ndarray) -> NormalChart:
     """Build the adapted quadratic chart at ``p`` and verify its relations."""
     p = np.asarray(p, dtype=complex)
-    jet = metric_jet(spec, p, scheme)
+    jet = metric_jet(spec, p)
     n = jet.n
     try:
         chol = np.linalg.cholesky(jet.g)
@@ -326,7 +322,7 @@ def normal_coordinates(
                           region=Region("ball", 0.05))
 
     origin = np.zeros(n, dtype=complex)
-    hat = metric_jet(composed, origin, scheme)
+    hat = metric_jet(composed, origin)
     torsion_hat = chern_torsion(hat)
     curvature_hat = chern_curvature(hat)
     rel1 = float(np.max(np.abs(hat.g - np.eye(n))))

@@ -12,8 +12,9 @@ fixtures    list built-in metric families and standard fixtures
 Metric references are ``builtin:name(args)`` or ``file:path`` where the file
 holds a JSON metric payload.  Reports are JSON with sorted keys; identical
 configuration and seed produce byte-identical output.  Every report embeds
-its resolved configuration and the derivative scheme behind the numbers.
-CSV output exists only for the flow time series.
+its resolved configuration; ``curvature`` and ``schwarz`` reports also embed
+the stencil scheme of their checks.  CSV output exists only for the flow
+time series.
 
 Exit codes: 0 success, 1 tolerance breach, 2 configuration error,
 3 numerical failure.
@@ -152,10 +153,6 @@ def _parse_tau(text: str, role: str) -> TauParam:
     return TauParam(value, role)
 
 
-def _scheme(args: argparse.Namespace) -> JetScheme:
-    return JetScheme(h=args.h, order=args.order)
-
-
 def _complex_payload(array: np.ndarray) -> list:
     """Nested ``[re, im]`` pairs; JSON has no complex numbers."""
     a = np.asarray(array, dtype=complex)
@@ -175,8 +172,6 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(report: dict, args: argparse.Namespace) -> None:
-    if args.format != "json":
-        raise ConfigError(f"subcommand '{report['command']}' only writes json")
     _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
 
 
@@ -191,14 +186,14 @@ def _config(args: argparse.Namespace) -> dict:
 
 def _cmd_curvature(args: argparse.Namespace) -> int:
     spec = _parse_metric(args.metric)
-    scheme = _scheme(args)
+    scheme = JetScheme(h=args.h, order=args.order)
     points = _parse_points(args, spec)
     checks = [c for c in (args.check or "").split(",") if c]
     for check in checks:
         if check not in ("bianchi", "pluriclosed"):
             raise ConfigError(f"unknown check '{check}'")
 
-    jet = metric_jet(spec, points, scheme)
+    jet = metric_jet(spec, points)
     point = ChernPoint.from_jet(jet)
     fields = {
         "point": points,
@@ -220,7 +215,7 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
     report = {
         "command": "curvature",
         "config": _config(args),
-        "scheme": scheme.describe(),
+        "scheme": dataclasses.asdict(scheme),
         "points": rows,
         "worst_checks": worst,
     }
@@ -232,7 +227,6 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     spec = _parse_metric(args.metric)
-    scheme = _scheme(args)
     points = _parse_points(args, spec)
 
     breached = False
@@ -246,7 +240,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         chunk = max(1, _COMPARE_FORMS // max(1, args.samples))
         deviations, residuals = [], []
         for start in range(0, len(points), chunk):
-            jet = metric_jet(spec, points[start:start + chunk], scheme)
+            jet = metric_jet(spec, points[start:start + chunk])
             point = ChernPoint.from_jet(jet)
             # chunk by chunk, the draws of a per-point, per-sample loop:
             # real part, then imaginary
@@ -272,7 +266,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             raise ConfigError(f"--kind must be sup or inf, got '{args.kind}'")
         tau = _parse_tau(args.tau, "target") if args.functional == "rbc" else None
         # one jet, one ChernPoint and one batched dual for all points
-        point = ChernPoint.from_jet(metric_jet(spec, points, scheme))
+        point = ChernPoint.from_spec(spec, points)
         sizes = {"seed": args.seed, "starts": args.starts, "steps": args.ascent_steps}
         if tau is None:
             certs = hsc_certificates(point, args.kind, **sizes)
@@ -293,7 +287,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     report = {
         "command": "scan",
         "config": _config(args),
-        "scheme": scheme.describe(),
         "results": rows,
         "summary": summary,
     }
@@ -304,7 +297,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_schwarz(args: argparse.Namespace) -> int:
     source = _parse_metric(args.source)
     target = _parse_metric(args.target)
-    scheme = _scheme(args)
+    scheme = JetScheme(h=args.h, order=args.order)
     points = _parse_points(args, source)
     if args.map == "id":
         if source.n != target.n:
@@ -322,7 +315,7 @@ def _cmd_schwarz(args: argparse.Namespace) -> int:
     report = {
         "command": "schwarz",
         "config": _config(args),
-        "scheme": scheme.describe(),
+        "scheme": dataclasses.asdict(scheme),
         "results": rows,
         "max_relative_residual": worst,
     }
@@ -334,14 +327,13 @@ def _cmd_schwarz(args: argparse.Namespace) -> int:
 
 def _cmd_gauduchon(args: argparse.Namespace) -> int:
     spec = _parse_metric(args.metric)
-    scheme = _scheme(args)
     points = _parse_points(args, spec)
     try:
         parameters = [float(tok) for tok in args.t.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse --t '{args.t}'") from exc
 
-    point = ChernPoint.from_jet(metric_jet(spec, points, scheme))
+    point = ChernPoint.from_spec(spec, points)
 
     def per_point(a: np.ndarray) -> np.ndarray:
         return a.reshape(len(points), -1)
@@ -368,7 +360,6 @@ def _cmd_gauduchon(args: argparse.Namespace) -> int:
     report = {
         "command": "gauduchon",
         "config": _config(args),
-        "scheme": scheme.describe(),
         "results": rows,
     }
     if args.roundtrip:
@@ -475,19 +466,6 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--h", type=float, default=1e-3,
-                     help="stencil step (bianchi check, schwarz Laplacian)")
-    sub.add_argument("--order", type=int, default=4, choices=(2, 4),
-                     help="stencil order (bianchi check, schwarz Laplacian)")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument("--tol", type=float, default=None, help="breach tolerance")
-    sub.add_argument("--out", default=None, help="write the report to this path")
-    sub.add_argument(
-        "--format", default="json", choices=("json", "csv"), help="report format"
-    )
-
-
 def _add_point_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--points", default=None,
@@ -497,6 +475,15 @@ def _add_point_flags(sub: argparse.ArgumentParser) -> None:
         "--region", type=int, default=None,
         help="sample this many points from the metric's region instead",
     )
+    sub.add_argument("--seed", type=int, default=0, help="random seed")
+    sub.add_argument("--tol", type=float, default=None, help="breach tolerance")
+
+
+def _add_stencil_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--h", type=float, default=1e-3,
+                     help="stencil step (bianchi check, schwarz Laplacian)")
+    sub.add_argument("--order", type=int, default=4, choices=(2, 4),
+                     help="stencil order (bianchi check, schwarz Laplacian)")
 
 
 @cache
@@ -512,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True)
     _add_point_flags(p)
     p.add_argument("--check", default=None, help="comma list: bianchi,pluriclosed")
-    _add_common(p)
+    _add_stencil_flags(p)
     p.set_defaults(func=_cmd_curvature)
 
     p = subparsers.add_parser("scan", help="extremal certificates and comparisons")
@@ -528,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare RBC^0 with half the altered sectional functional",
     )
     p.add_argument("--samples", type=int, default=8, help="forms per point in --compare")
-    _add_common(p)
     p.set_defaults(func=_cmd_scan)
 
     p = subparsers.add_parser("schwarz", help="map energy expansion residuals")
@@ -536,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     _add_point_flags(p)
-    _add_common(p)
+    _add_stencil_flags(p)
     p.set_defaults(func=_cmd_schwarz)
 
     p = subparsers.add_parser("gauduchon", help="connection family transforms")
@@ -544,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(p)
     p.add_argument("--t", required=True, help="comma list of family parameters")
     p.add_argument("--roundtrip", action="store_true", help="check reconstruction")
-    _add_common(p)
     p.set_defaults(func=_cmd_gauduchon)
 
     p = subparsers.add_parser("flow", help="tempered curvature flow on a grid")
@@ -558,13 +543,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", default=None, help="grid center coordinates")
     p.add_argument("--reference", default=None, help="reference metric for traces")
     p.add_argument("--method", default="heun", choices=("heun", "euler"))
-    _add_common(p)
+    p.add_argument("--format", default="json", choices=("json", "csv"), help="report format")
     p.set_defaults(func=_cmd_flow)
 
     p = subparsers.add_parser("fixtures", help="list built-in metrics")
-    _add_common(p)
     p.set_defaults(func=_cmd_fixtures)
 
+    for p in subparsers.choices.values():
+        p.add_argument("--out", default=None, help="write the report to this path")
+        p.allow_abbrev = False  # else a foreign --h would abbreviate --help
     return parser
 
 
@@ -572,8 +559,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is not None and not math.isfinite(args.tol):
-            raise ConfigError(f"--tol must be finite, got {args.tol}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not math.isfinite(tol):
+            raise ConfigError(f"--tol must be finite, got {tol}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

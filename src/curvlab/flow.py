@@ -102,6 +102,9 @@ class GridBox:
             raise ConfigError(f"grid needs at least 3 nodes per axis, got {self.resolution}")
         if self.boundary not in ("frozen", "periodic"):
             raise ConfigError(f"unknown boundary policy '{self.boundary}'")
+        corners = [abs(x) + self.half_width for c in self.center for x in (c.real, c.imag)]
+        if not np.isfinite([self.spacing, *corners]).all():
+            raise ConfigError(f"grid half width {self.half_width} overflows the grid coordinates")
 
     @property
     def n(self) -> int:
@@ -186,7 +189,7 @@ class GridMetricField:
         d = 0.5 * (real_first[..., 0::2, :, :] - 1j * real_first[..., 1::2, :, :])
         real_second = np.stack([_axis_derivative(d, h, a, periodic) for a in grid_axes], axis=-3)
         dd = 0.5 * (real_second[..., 0::2, :, :] + 1j * real_second[..., 1::2, :, :])
-        return MetricJet(self.box.nodes, self.values, d, dd, exact=False)
+        return MetricJet(self.box.nodes, self.values, d, dd)
 
     def min_eigenvalue(self) -> float:
         return self._min_eigenvalue
@@ -465,7 +468,7 @@ def parabolic_schwarz_residual(
     if source.n != reference.n:
         raise ConfigError("source and reference metrics must share a dimension")
     z = np.asarray(z, dtype=complex)
-    jet = metric_jet(source, z, scheme)
+    jet = metric_jet(source, z)
     point = ChernPoint.from_jet(jet)
     if velocity is None:
         velocity = thcf_velocity(jet, tau)

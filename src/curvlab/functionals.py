@@ -134,8 +134,8 @@ def _tempered_tensor(point: ChernPoint, tau: TauParam) -> np.ndarray:
 
 
 def frame_vector(point: ChernPoint, v_chart: np.ndarray) -> np.ndarray:
-    """Frame components of a chart tangent vector (holomorphic up index)."""
-    return point.frame.L.T @ np.asarray(v_chart, dtype=complex)
+    """Frame components ``(..., n)`` of chart tangent vectors (holomorphic up index)."""
+    return np.einsum("...ki,...k->...i", point.frame.L, np.asarray(v_chart, dtype=complex))
 
 
 def hsc(point: ChernPoint, zeta: np.ndarray) -> float:

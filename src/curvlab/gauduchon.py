@@ -31,7 +31,7 @@ import numpy as np
 
 from .chern import (ChernPoint, RicciTraces, form_pairing, frame_traces, swap13, swap24,
                     torsion_product_a, torsion_product_b)
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .functionals import TauParam, real_part
 from .tensor_core import hermitian_part
 
@@ -61,20 +61,27 @@ def _inverse_weights(t: float) -> tuple[float, ...]:
 
     ``R = a1 tR + a2 tR^1324 + a3 (tR^13 + tR^24) + q1 TTA + q2 TTB + q3 TTB^1324
     + q4 (TTB^13 + TTB^24)``, the products built from ``tT``.  Raises
-    :class:`~curvlab.errors.ConfigError` at the poles ``t = 0`` and ``t = 1/2``.
+    :class:`~curvlab.errors.ConfigError` at the poles ``t = 0`` and ``t = 1/2``,
+    and :class:`~curvlab.errors.NumericalError` where a weight is not finite.
     """
     if not np.isfinite(t):
         raise ConfigError(f"family parameter must be finite, got {t}")
     if t == 0.0 or t == 0.5:
         raise ConfigError(f"family transform degenerates at t = {t}")
-    den = 2.0 * t * (2.0 * t - 1.0)
-    u = t - 1.0
-    a1, a2, a3 = (t * t + 2.0 * t - 1.0) / den, u * u / den, u / (2.0 * (2.0 * t - 1.0))
-    q1 = -(u * u) / (4.0 * t * t * (2.0 * t - 1.0))
-    q2 = u * u * (t * t + 2.0 * t - 1.0) / (8.0 * t**3 * (2.0 * t - 1.0))
-    q3 = u**4 / (8.0 * t**3 * (2.0 * t - 1.0))
-    q4 = u**3 / (8.0 * t * t * (2.0 * t - 1.0))
-    return a1, a2, a3, q1, q2, q3, q4
+    try:
+        den = 2.0 * t * (2.0 * t - 1.0)
+        u = t - 1.0
+        a1, a2, a3 = (t * t + 2.0 * t - 1.0) / den, u * u / den, u / (2.0 * (2.0 * t - 1.0))
+        q1 = -(u * u) / (4.0 * t * t * (2.0 * t - 1.0))
+        q2 = u * u * (t * t + 2.0 * t - 1.0) / (8.0 * t**3 * (2.0 * t - 1.0))
+        q3 = u**4 / (8.0 * t**3 * (2.0 * t - 1.0))
+        q4 = u**3 / (8.0 * t * t * (2.0 * t - 1.0))
+        weights = (a1, a2, a3, q1, q2, q3, q4)
+        if np.isfinite(weights).all():
+            return weights
+    except ArithmeticError:  # t**3 overflows, or a denominator underflows to zero
+        pass
+    raise NumericalError(f"the inverse family weights are not finite at t = {t}")
 
 
 def gauduchon_family(point: ChernPoint, t: float) -> ConnectionTensors:
@@ -85,12 +92,16 @@ def gauduchon_family(point: ChernPoint, t: float) -> ConnectionTensors:
     if t == 1.0:
         return ConnectionTensors(1.0, ct.copy(), cr.copy())
     s = (1.0 - t) / 2.0
-    curvature = (
-        t * cr
-        + s * (swap13(cr) + swap24(cr))
-        + s * s * (torsion_product_a(ct) - torsion_product_b(ct))
-    )
-    return ConnectionTensors(t, t * ct, curvature)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curvature = (
+            t * cr
+            + s * (swap13(cr) + swap24(cr))
+            + s * s * (torsion_product_a(ct) - torsion_product_b(ct))
+        )
+        torsion = t * ct
+    if not (np.isfinite(curvature).all() and np.isfinite(torsion).all()):
+        raise NumericalError(f"the family member at t = {t} is not finite")
+    return ConnectionTensors(t, torsion, curvature)
 
 
 def chern_from_family(tensors: ConnectionTensors) -> tuple[np.ndarray, np.ndarray]:

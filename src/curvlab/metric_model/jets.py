@@ -62,18 +62,11 @@ class JetScheme:
         Stencil order, 2 or 4.
     richardson : int
         Richardson extrapolation levels, 0 or 1.
-    use_exact : bool
-        Metric jets are exact, folded over the entry trees; ``False``
-        selects this scheme's stencils instead.
-    tol : float
-        Default agreement tolerance for cross-checks quoted in reports.
     """
 
     h: float = 1e-3
     order: int = 4
     richardson: int = 1
-    use_exact: bool = True
-    tol: float = 1e-7
 
     def __post_init__(self) -> None:
         if not 0 < self.h < np.inf:
@@ -82,15 +75,6 @@ class JetScheme:
             raise ConfigError(f"stencil order must be 2 or 4, got {self.order}")
         if self.richardson not in (0, 1):
             raise ConfigError(f"richardson levels must be 0 or 1, got {self.richardson}")
-
-    def describe(self) -> dict:
-        return {
-            "h": self.h,
-            "order": self.order,
-            "richardson": self.richardson,
-            "use_exact": self.use_exact,
-            "tol": self.tol,
-        }
 
 
 DEFAULT_SCHEME = JetScheme()

@@ -27,7 +27,6 @@ import numpy as np
 from ..errors import ConfigError, NumericalError
 from ..tensor_core import hermitian_part, metric_inverse_up
 from . import expr as ex
-from .jets import DEFAULT_SCHEME, JetScheme, complex_jet2
 
 __all__ = [
     "Region",
@@ -65,11 +64,11 @@ class Region:
     def contains(self, z: np.ndarray) -> np.ndarray:
         """Whether each point of ``z`` of shape ``(..., n)`` lies inside, shape ``(...)``."""
         z = np.asarray(z, dtype=complex)
-        if self.kind == "ball":
-            return np.linalg.norm(z, axis=-1) < self.radius
         if self.kind == "polydisk":
             return np.max(np.abs(z), axis=-1) < self.radius
-        return np.linalg.norm(z, axis=-1) > 0.0
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, correctly outside
+            norm = np.linalg.norm(z, axis=-1)
+        return norm < self.radius if self.kind == "ball" else norm > 0.0
 
     def base_point(self, n: int) -> np.ndarray:
         z = np.zeros(n, dtype=complex)
@@ -131,7 +130,6 @@ class MetricJet:
     g: np.ndarray
     d_g: np.ndarray
     dd_g: np.ndarray
-    exact: bool
 
     @property
     def n(self) -> int:
@@ -164,35 +162,27 @@ def metric_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
     return np.stack(g, -1).astype(complex).reshape(z.shape[:-1] + (spec.n, spec.n))
 
 
-def metric_jet(spec: MetricSpec, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME) -> MetricJet:
+def metric_jet(spec: MetricSpec, z: np.ndarray) -> MetricJet:
     """Second-order jet of the metric at the points ``z`` of shape ``(..., n)``.
 
-    The jet's arrays carry the batch axes of ``z``.  By default each entry
-    tree is folded once over all points on Wirtinger jets, exact up to
-    rounding; ``scheme.use_exact = False`` differentiates the metric values
-    with the scheme's stencils instead, one footprint around every point,
-    which must lie in the metric's region (else :class:`ConfigError`).
+    The jet's arrays carry the batch axes of ``z``.  Each entry tree is
+    folded once over all points on Wirtinger jets, exact up to rounding.
     Raises :class:`NumericalError` unless ``g``, ``d_g`` and ``dd_g`` are
     finite at every point.
     """
     z = _points(spec, z)
-    flat = z.reshape(-1, spec.n)
+    seed = ex._Jet.coordinates(z.reshape(-1, spec.n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if scheme.use_exact:
-            seed = ex._Jet.coordinates(flat)
-            zero = seed[..., 0] * 0.0  # a zero jet: spreads constant entries over the points
-            jets = [ex.eval_expr(entry, seed) + zero for row in spec.entries for entry in row]
-            parts = [np.stack([getattr(j, part) for j in jets], -1) for part in ("v", "d", "dd")]
-        else:
-            jet = complex_jet2(lambda w: metric_value(spec, w), flat, scheme, region=spec.region)
-            parts = [jet.value, jet.d, jet.dd]
+        zero = seed[..., 0] * 0.0  # a zero jet: spreads constant entries over the points
+        jets = [ex.eval_expr(entry, seed) + zero for row in spec.entries for entry in row]
+    parts = [np.stack([getattr(j, part) for j in jets], -1) for part in ("v", "d", "dd")]
     g, d_g, dd_g = (np.reshape(part, z.shape[:-1] + (spec.n,) * rank)
                     for part, rank in zip(parts, (2, 3, 4)))
     finite = (np.isfinite(g).all((-2, -1)) & np.isfinite(d_g).all((-3, -2, -1))
               & np.isfinite(dd_g).all((-4, -3, -2, -1)))
     if not finite.all():
         raise NumericalError(f"metric jet is not finite at {z[~finite][0]}")
-    return MetricJet(z, g, d_g, dd_g, exact=scheme.use_exact)
+    return MetricJet(z, g, d_g, dd_g)
 
 
 def validate_metric(spec: MetricSpec, seed: int = 12345) -> None:

@@ -220,7 +220,6 @@ def assemble_map(
     target: MetricSpec,
     holo_map: HoloMap,
     z: np.ndarray,
-    scheme: JetScheme = DEFAULT_SCHEME,
 ) -> MapAssembly:
     """Map jet, metric jets and Chern data at the points ``z`` ``(..., n)``.
 
@@ -243,8 +242,8 @@ def assemble_map(
         raise ConfigError(
             f"image point {image[outside][0]} of {z[outside][0]} leaves the target region"
         )
-    source_jet = metric_jet(source, z, scheme)
-    target_jet = metric_jet(target, image, scheme)
+    source_jet = metric_jet(source, z)
+    target_jet = metric_jet(target, image)
     source_point = ChernPoint.from_jet(source_jet)
     target_point = ChernPoint.from_jet(target_jet)
     jac_frame = (
@@ -380,7 +379,7 @@ def laplacian_identity_report(
     Each field has the batch axes of ``z``; the entry of a point equals the
     field of a one-point call at that point.
     """
-    assembly = assemble_map(source, target, holo_map, z, scheme)
+    assembly = assemble_map(source, target, holo_map, z)
     _, frame_hessian = hessian_tensors(assembly)
     sym, skew = _symmetric_and_skew(frame_hessian)
     tensor_axes = (-3, -2, -1)
@@ -414,7 +413,6 @@ def connection_invariance_residual(
     z: np.ndarray,
     t_source: float,
     t_target: float,
-    scheme: JetScheme = DEFAULT_SCHEME,
     assembly: MapAssembly | None = None,
 ) -> float:
     """Drift of the symmetric map Hessian under a change of connections.
@@ -424,7 +422,7 @@ def connection_invariance_residual(
     The largest drift over all points of ``z`` is returned.
     """
     if assembly is None:
-        assembly = assemble_map(source, target, holo_map, z, scheme)
+        assembly = assemble_map(source, target, holo_map, z)
     _, base = hessian_tensors(assembly)
     shifted_source = (connection_coefficients(assembly.source_jet)
                       - ((1.0 - t_source) / 2.0) * assembly.source_point.torsion)
@@ -518,7 +516,7 @@ def schwarz_inequality_report(
     Fields have the batch axes of ``z`` ``(..., n)``.
     """
     energy_bound = energy_upper_bound(c1, c2, kappa0, r, source.n)
-    assembly = assemble_map(source, target, holo_map, z, scheme)
+    assembly = assemble_map(source, target, holo_map, z)
     energy, laplacian = _energy_and_laplacian(source, target, assembly, scheme)
     rhs = -c1 * energy + (kappa0 / r + c2 / source.n) * energy * energy
     return pointwise_report(
@@ -566,7 +564,7 @@ def bismut_comparison_report(
     tau_source = TauParam(tau, "source")
     tau_target = TauParam(tau, "target")
 
-    assembly = assemble_map(source, target, holo_map, z, scheme)
+    assembly = assemble_map(source, target, holo_map, z)
     f = assembly.jac_frame
     xi = _pushforward(f)
     xi_norm2 = np.real(np.sum(xi * np.conj(xi), axis=(-2, -1)))

@@ -31,7 +31,6 @@ from curvlab.chern import (
     torsion_trace_frame,
 )
 from curvlab.metric_model import (
-    JetScheme,
     MetricJet,
     fixture,
     flat,
@@ -223,14 +222,10 @@ class TestNormalChart:
         "spec, point",
         [(fixture("F1"), [0.05 + 0.02j, -0.03j]), (hopf(2), [0.6 + 0.2j, -0.4 + 0.3j])],
     )
-    def test_exact_and_stencil_charts(self, spec, point):
-        point = np.array(point, dtype=complex)
-        exact = normal_coordinates(spec, point)
-        stencil = normal_coordinates(spec, point, JetScheme(use_exact=False))
-        for key, value in exact.residuals.items():
+    def test_exact_charts(self, spec, point):
+        chart = normal_coordinates(spec, np.array(point, dtype=complex))
+        for key, value in chart.residuals.items():
             assert value < 1e-14, key
-            assert stencil.residuals[key] < 1e-8, key
-        assert np.array_equal(exact.S, stencil.S)
 
 
 STACK_METRICS = {
@@ -251,11 +246,11 @@ def stacked_jet(spec, points: np.ndarray) -> MetricJet:
             lead + getattr(jets[0], name).shape
         )
 
-    return MetricJet(stack("point"), stack("g"), stack("d_g"), stack("dd_g"), exact=True)
+    return MetricJet(stack("point"), stack("g"), stack("d_g"), stack("dd_g"))
 
 
 def one_jet(jet: MetricJet, idx: tuple) -> MetricJet:
-    return MetricJet(jet.point[idx], jet.g[idx], jet.d_g[idx], jet.dd_g[idx], jet.exact)
+    return MetricJet(jet.point[idx], jet.g[idx], jet.d_g[idx], jet.dd_g[idx])
 
 
 def assert_close(batched: np.ndarray, single: np.ndarray, label: str) -> None:

@@ -155,10 +155,9 @@ class TestCurvature:
         assert "mutually exclusive" in err
 
     def test_csv_format_rejected(self, capsys):
-        code, _, err = run_cli(
-            ["curvature", "--metric", "builtin:F4", "--format", "csv"], capsys
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["curvature", "--metric", "builtin:F4", "--format", "csv"])
+        assert exc.value.code == 2
 
 
 class TestScan:
@@ -536,18 +535,27 @@ class TestFixtures:
         assert f3["region"]["radius"] == "inf"
 
 
+# one cheap valid call per subcommand
+COMMANDS = {
+    "curvature": "curvature --metric builtin:F4",
+    "scan": "scan --metric builtin:F4 --starts 1 --ascent-steps 1",
+    "schwarz": "schwarz --map id --source builtin:F4 --target builtin:F4",
+    "gauduchon": "gauduchon --metric builtin:F4 --t 2",
+    "flow": "flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --resolution 3",
+    "fixtures": "fixtures",
+}
+
+# flags a subcommand does not take, each with a value it would parse
+FOREIGN_FLAGS = (
+    [(name, flag) for name in ("scan", "gauduchon", "flow", "fixtures")
+     for flag in ("--h=1e-3", "--order=4")]
+    + [(name, flag) for name in ("flow", "fixtures") for flag in ("--seed=0", "--tol=1")]
+    + [(name, "--format=json") for name in COMMANDS if name != "flow"]
+)
+
+
 class TestReportConfig:
-    @pytest.mark.parametrize(
-        "command",
-        [
-            "curvature --metric builtin:F4",
-            "scan --metric builtin:F4 --starts 1 --ascent-steps 1",
-            "schwarz --map id --source builtin:F4 --target builtin:F4",
-            "gauduchon --metric builtin:F4 --t 2",
-            "flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --resolution 3",
-            "fixtures",
-        ],
-    )
+    @pytest.mark.parametrize("command", COMMANDS.values())
     def test_config_holds_every_flag_but_out(self, capsys, command):
         # the report's config is the parsed flags; flow nests its grid flags
         # and names --reference reference_metric
@@ -562,6 +570,23 @@ class TestReportConfig:
             assert set(config["grid"]) == grid
             flags = flags - grid - {"reference"} | {"grid", "reference_metric"}
         assert set(config) == flags
+
+    @pytest.mark.parametrize("name, flag", FOREIGN_FLAGS)
+    def test_foreign_flag_is_a_usage_error(self, capsys, name, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(COMMANDS[name].split() + [flag])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
+
+    @pytest.mark.parametrize("name", sorted(set(COMMANDS) - {"flow", "fixtures"}))
+    def test_scheme_only_where_stencils_run(self, capsys, name):
+        _, report = run_json(COMMANDS[name].split(), capsys)
+        if name in ("curvature", "schwarz"):
+            assert report["scheme"] == {"h": 1e-3, "order": 4, "richardson": 1}
+        else:
+            assert "scheme" not in report
 
 
 class TestExitCodes:
@@ -612,6 +637,33 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            # the family member overflows: s * s, or a torsion product it scales
+            ("gauduchon --metric builtin:F2 --t 1e200 --roundtrip", 3),
+            ("gauduchon --metric builtin:F2 --t 1e200", 3),
+            ("gauduchon --metric builtin:F1 --t 1e160", 3),
+            # a finite member whose inverse weights overflow, or divide by zero
+            ("gauduchon --metric builtin:F2 --t 1e120 --roundtrip", 3),
+            ("gauduchon --metric builtin:F2 --t 1e-200 --roundtrip", 3),
+            # the grid spacing, or a grid corner, overflows
+            ("flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --extent 1e308", 2),
+            ("flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --center 1.7e308 "
+             "--extent 1e307", 2),
+            # the norm of a stencil point overflows: it lies outside the region
+            ("curvature --metric builtin:F4 --h 1e300 --check bianchi", 2),
+            ("schwarz --map id --source builtin:F4 --target builtin:F4 --h 1e300", 2),
+        ],
+    )
+    def test_overflow_is_one_error_line(self, capsys, command, code):
+        got, out, err = run_cli(command.split(), capsys)
+        assert got == code
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_wrong_point_dimension(self, capsys):
         code, _, err = run_cli(

@@ -228,7 +228,7 @@ class TestGridVelocity:
         grid = GridMetricField.from_spec(metric, box).jets()
         v = thcf_velocity(grid, source_tau(tau))
         for idx in np.ndindex(*grid.g.shape[:-2]):
-            node = MetricJet(grid.point[idx], grid.g[idx], grid.d_g[idx], grid.dd_g[idx], False)
+            node = MetricJet(grid.point[idx], grid.g[idx], grid.d_g[idx], grid.dd_g[idx])
             one = thcf_velocity(node, source_tau(tau))
             gap = np.abs(v[idx] - one).max()
             assert gap <= 1e-13 * np.abs(one).max(), f"node {idx}: off by {gap:.3e}"

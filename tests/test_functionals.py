@@ -38,7 +38,7 @@ from curvlab.functionals import (
     ric_tau,
     ric_tau_frame,
 )
-from curvlab.metric_model import DEFAULT_SCHEME, builtin_metric, example22, fixture, metric_jet
+from curvlab.metric_model import builtin_metric, example22, fixture, metric_jet
 from curvlab.tensor_core import PSDForm, psd_project, psd_project_batch
 
 
@@ -82,6 +82,20 @@ class TestSectional:
         e2 = frame_vector(pt, np.array([0.0, 1.0]))
         assert abs(hsc(pt, e1) + 2.0) < 1e-10, f"axis HSC {hsc(pt, e1)}"
         assert abs(hsc(pt, e2) + 2.0) < 1e-10
+
+    @pytest.mark.parametrize("name, points", [
+        ("F2", [[0.3, -0.2j], [0.1, 0.25]]),
+        ("F1", [[0.05, -0.02], [0.01j, 0.03], [0.0, 0.1 - 0.05j]]),
+    ])
+    def test_frame_vector_stacks_per_point(self, name, points):
+        points = np.array(points, dtype=complex)
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=points.shape) + 1j * rng.normal(size=points.shape)
+        stacked = frame_vector(point_of(name, points), vectors)
+        assert stacked.shape == points.shape
+        for k, z in enumerate(points):
+            np.testing.assert_allclose(stacked[k], frame_vector(point_of(name, z), vectors[k]),
+                                       rtol=1e-14, atol=0)
 
     def test_poincare_polydisk_range(self):
         pt = point_of("F2", [0.1, 0.25])
@@ -129,7 +143,7 @@ class TestRbc:
         # hopf(2) is pluriclosed; the relation is specific to that class
         pt = point_of("F3", [0.6, -0.3 + 0.2j])
         r_direct, _ = pluriclosed_residuals(
-            metric_jet(fixture("F3"), np.array([0.6, -0.3 + 0.2j]), DEFAULT_SCHEME)
+            metric_jet(fixture("F3"), np.array([0.6, -0.3 + 0.2j]))
         )
         assert r_direct < 1e-6, f"hopf should be pluriclosed, got {r_direct}"
         rng = np.random.default_rng(23)
@@ -492,7 +506,7 @@ class TestLagrangianDual:
         # mu x^T J x, which the isotropic second candidate removes
         spec = fixture("F1")
         points = spec.region.sample_points(2, np.random.default_rng(0), 256)
-        pt = ChernPoint.from_jet(metric_jet(spec, points, DEFAULT_SCHEME))
+        pt = ChernPoint.from_jet(metric_jet(spec, points))
         worst = 0.0
         for functional in ("hsc", "rbc0", "rbc1", "rbc2"):
             for kind in ("sup", "inf"):
@@ -539,7 +553,7 @@ class TestLagrangianDual:
         spec = SOUNDNESS_METRICS[name]
         rng = np.random.default_rng(seed)
         points = spec.region.sample_points(spec.n, rng, 3)
-        pt = ChernPoint.from_jet(metric_jet(spec, points, DEFAULT_SCHEME))
+        pt = ChernPoint.from_jet(metric_jet(spec, points))
         sup = certificates(pt, functional, "sup", starts=2, steps=5, seed=seed % 7)
         inf = certificates(pt, functional, "inf", starts=2, steps=5, seed=seed % 7)
         n = spec.n
@@ -567,7 +581,7 @@ class TestLagrangianDual:
         # hopf(3) HSC sup leaves a duality gap; the RBC^0 sup there does not
         spec = builtin_metric("hopf", 3)
         points = spec.region.sample_points(3, np.random.default_rng(2), 2)
-        pt = ChernPoint.from_jet(metric_jet(spec, points, DEFAULT_SCHEME))
+        pt = ChernPoint.from_jet(metric_jet(spec, points))
         for cert in certificates(pt, "hsc", "sup"):
             assert cert.gap > cert.tolerance and cert.ascent_iterations > 0
             assert cert.value <= cert.bound
@@ -614,7 +628,7 @@ def dual_tensor(point, functional):
 
 def region_point(spec, count, seed):
     points = spec.region.sample_points(spec.n, np.random.default_rng(seed), count)
-    return ChernPoint.from_jet(metric_jet(spec, points, DEFAULT_SCHEME))
+    return ChernPoint.from_jet(metric_jet(spec, points))
 
 
 ORACLE_POINTS = {

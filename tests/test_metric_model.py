@@ -16,6 +16,7 @@ from curvlab.metric_model import (
     Const,
     Div,
     JetScheme,
+    MetricJet,
     MetricSpec,
     Mul,
     Neg,
@@ -378,6 +379,12 @@ class TestStencilTruncation:
 # built-in metrics and the loader
 
 
+def stencil_jet(spec: MetricSpec, z: np.ndarray) -> MetricJet:
+    """The stencil oracle: the metric's values differentiated by the default stencils."""
+    jet = complex_jet2(lambda w: metric_value(spec, w), z, JetScheme(), region=spec.region)
+    return MetricJet(np.asarray(z, dtype=complex), jet.value, jet.d, jet.dd)
+
+
 class TestBuiltins:
     def test_flat_jets_vanish(self):
         spec = flat(2)
@@ -406,9 +413,7 @@ class TestBuiltins:
     def test_exact_jets_match_finite_differences(self, factory, point):
         spec = factory()
         exact = metric_jet(spec, point)
-        assert exact.exact
-        fd = metric_jet(spec, point, JetScheme(use_exact=False))
-        assert not fd.exact
+        fd = stencil_jet(spec, point)
         assert np.max(np.abs(exact.g - fd.g)) < 1e-12
         assert np.max(np.abs(exact.d_g - fd.d_g)) < 1e-8, (
             f"first derivatives disagree by {np.max(np.abs(exact.d_g - fd.d_g)):.3e}"
@@ -465,7 +470,6 @@ class TestBatchedJets:
         count = int(np.prod(lead, dtype=int))
         points = spec.region.sample_points(spec.n, rng, count).reshape(lead + (spec.n,))
         jet = metric_jet(spec, points)
-        assert jet.exact
         for part, rank in (("g", 2), ("d_g", 3), ("dd_g", 4)):
             assert getattr(jet, part).shape == lead + (spec.n,) * rank
         values = metric_value(spec, points)
@@ -480,11 +484,9 @@ class TestBatchedJets:
     def test_stencil_and_expression_routes_stack_per_point(self):
         spec = poincare_polydisk(2)
         points = np.array([[0.3 + 0.1j, -0.2j], [0.1, 0.4 - 0.1j]])
-        scheme = JetScheme(use_exact=False)
-        jet = metric_jet(spec, points, scheme)
-        assert not jet.exact
+        jet = stencil_jet(spec, points)
         for k, z in enumerate(points):
-            single = metric_jet(spec, z, scheme)
+            single = stencil_jet(spec, z)
             for part in ("g", "d_g", "dd_g"):
                 assert np.array_equal(getattr(jet, part)[k], getattr(single, part)), part
         payload = {"n": 2, "entries": [["1 + abs2(z1)", "0"], ["0", "1 + abs2(z2)"]],

@@ -130,7 +130,6 @@ def test_tree_jets_match_closed_forms(name, lead):
     count = int(np.prod(lead, dtype=int))
     points = spec.region.sample_points(spec.n, rng, count).reshape(lead + (spec.n,))
     jet = metric_jet(spec, points)
-    assert jet.exact
     for part, got, ref in zip(("g", "d_g", "dd_g"), (jet.g, jet.d_g, jet.dd_g), oracle(points)):
         assert_relative(got, np.asarray(ref), 1e-13, f"{name} {part}")
     assert_relative(metric_value(spec, points), np.asarray(oracle(points)[0]), 1e-13,
