@@ -1,12 +1,16 @@
 """Chern connection data: torsion, curvature, Ricci traces, normal charts.
 
-All formulas act on a metric jet in chart coordinates.  With ``X`` the
-raised-index inverse of ``g``:
+A :class:`ChernPoint` is a metric jet in chart coordinates whose Chern
+tensors are formed on first read and kept.  With ``X`` the raised-index
+inverse of ``g``:
 
     Gamma[i, k, p] = Gamma^p_{ik}     = sum_q X[p, q] d_i g_{k qbar}
     T[i, j, k]     = T^k_{ij}         = Gamma[i, j, k] - Gamma[j, i, k]
     R[i, j, k, l]  = R_{i jbar k lbar}
                    = - d_i dbar_j g_{k lbar} + sum_p Gamma[i, k, p] conj(d_j g_{l pbar})
+
+The unitary frame and the frame tensors are formed only when a frame tensor
+is read, so code that needs chart tensors alone never builds a frame.
 
 The four Ricci traces contract the curvature with ``X`` over the four
 possible index pairs.  The first two are Hermitian; the third and fourth are
@@ -25,12 +29,11 @@ too: torsion products, slot swaps, frame traces and the pairing with forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
 from .metric_model.expr import Add, Conj, Const, Expr, Mul, Var, substitute
 from .metric_model.jets import DEFAULT_SCHEME, JetScheme, field_first
 from .metric_model.model import MetricJet, MetricSpec, Region, metric_jet
@@ -40,9 +43,6 @@ __all__ = [
     "RicciTraces",
     "ChernPoint",
     "NormalChart",
-    "connection_coefficients",
-    "chern_torsion",
-    "chern_curvature",
     "ricci_traces",
     "second_ricci",
     "frame_traces",
@@ -60,31 +60,6 @@ __all__ = [
 ]
 
 
-def connection_coefficients(jet: MetricJet) -> np.ndarray:
-    """Connection coefficients ``Gamma[..., i, k, p] = Gamma^p_{ik}``."""
-    return np.einsum("...pq,...ikq->...ikp", jet.g_up, jet.d_g)
-
-
-def chern_torsion(jet: MetricJet, gamma: np.ndarray | None = None) -> np.ndarray:
-    """Torsion ``T[..., i, j, k] = T^k_{ij}``, antisymmetric in ``(i, j)``.
-
-    ``gamma`` reuses connection coefficients already computed from ``jet``.
-    """
-    gamma = connection_coefficients(jet) if gamma is None else gamma
-    return gamma - np.swapaxes(gamma, -3, -2)
-
-
-def chern_curvature(jet: MetricJet, gamma: np.ndarray | None = None) -> np.ndarray:
-    """Curvature ``R[..., i, j, k, l] = R_{i jbar k lbar}``.
-
-    Hermitian symmetry ``R[i, j, k, l] = conj(R[j, i, l, k])`` holds exactly
-    at the level of the formula; tests pin it down numerically.  ``gamma``
-    reuses connection coefficients already computed from ``jet``.
-    """
-    gamma = connection_coefficients(jet) if gamma is None else gamma
-    return -jet.dd_g + np.einsum("...ikp,...jlp->...ijkl", gamma, np.conj(jet.d_g))
-
-
 def second_ricci(x: np.ndarray, curvature: np.ndarray) -> np.ndarray:
     """The second Ricci trace ``Ric2[..., k, l] = sum_{i,j} X[i, j] R[i, j, k, l]``."""
     return np.einsum("...ij,...ijkl->...kl", x, curvature)
@@ -99,10 +74,10 @@ class RicciTraces(NamedTuple):
     ric4: np.ndarray
 
 
-def ricci_traces(jet: MetricJet, curvature: np.ndarray | None = None) -> RicciTraces:
+def ricci_traces(jet: MetricJet) -> RicciTraces:
     """Contract the curvature with the inverse metric in all four ways."""
-    r = chern_curvature(jet) if curvature is None else curvature
-    x = jet.g_up
+    point = ChernPoint.from_jet(jet)
+    r, x = point.curvature, point.g_up
     # one contiguous copy of r^13 serves the third trace (slots 1, 2) and the
     # fourth (slots 3, 4 of the copy)
     swapped = np.ascontiguousarray(swap13(r))
@@ -176,45 +151,65 @@ def torsion_trace_frame(torsion_frame: np.ndarray) -> np.ndarray:
     return np.einsum("...iji->...j", torsion_frame)
 
 
-@dataclass(frozen=True)
-class ChernPoint:
-    """Everything the functional layer needs at one point, or at a batch of them.
+class ChernPoint(MetricJet):
+    """A metric jet with its Chern tensors, each formed on first read and kept.
 
-    Chart-frame tensors plus their unitary-frame versions, with the frame
-    built from the Cholesky factor of the metric.  A stacked jet gives a
-    ChernPoint whose arrays all carry the jet's batch axes.
+    ``gamma``, ``torsion`` and ``curvature`` are chart tensors; ``frame`` is
+    the unitary frame from the Cholesky factor of the metric, and
+    ``torsion_frame`` and ``curvature_frame`` are the tensors moved into it.
+    A stacked jet gives tensors that all carry the jet's batch axes.
     """
-
-    point: np.ndarray
-    g: np.ndarray
-    g_up: np.ndarray
-    frame: UnitaryFrame
-    torsion: np.ndarray
-    curvature: np.ndarray
-    torsion_frame: np.ndarray
-    curvature_frame: np.ndarray
 
     @classmethod
     def from_jet(cls, jet: MetricJet) -> "ChernPoint":
-        gamma = connection_coefficients(jet)
-        torsion = chern_torsion(jet, gamma)
-        curvature = chern_curvature(jet, gamma)
-        frame = UnitaryFrame.from_metric(jet.g)
-        torsion_frame, curvature_frame = frame.to_frame(torsion, curvature)
-        return cls(
-            point=jet.point,
-            g=jet.g,
-            g_up=jet.g_up,
-            frame=frame,
-            torsion=torsion,
-            curvature=curvature,
-            torsion_frame=torsion_frame,
-            curvature_frame=curvature_frame,
-        )
+        """``jet`` itself if it is a ChernPoint, else a ChernPoint on its arrays."""
+        if isinstance(jet, ChernPoint):
+            return jet
+        return cls(jet.point, jet.g, jet.d_g, jet.dd_g)
 
     @classmethod
     def from_spec(cls, spec: MetricSpec, z: np.ndarray) -> "ChernPoint":
         return cls.from_jet(metric_jet(spec, z))
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Connection coefficients ``Gamma[..., i, k, p] = Gamma^p_{ik}``."""
+        return np.einsum("...pq,...ikq->...ikp", self.g_up, self.d_g)
+
+    @cached_property
+    def torsion(self) -> np.ndarray:
+        """Torsion ``T[..., i, j, k] = T^k_{ij}``, antisymmetric in ``(i, j)``."""
+        return self.gamma - np.swapaxes(self.gamma, -3, -2)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """Curvature ``R[..., i, j, k, l] = R_{i jbar k lbar}``.
+
+        Hermitian symmetry ``R[i, j, k, l] = conj(R[j, i, l, k])`` holds exactly
+        at the level of the formula; tests pin it down numerically.
+        """
+        return -self.dd_g + np.einsum("...ikp,...jlp->...ijkl", self.gamma, np.conj(self.d_g))
+
+    @cached_property
+    def frame(self) -> UnitaryFrame:
+        """The unitary frame of the Cholesky factor of ``g``.
+
+        ``g_up`` is formed first, so a singular metric fails as singular.
+        """
+        self.g_up
+        return UnitaryFrame.from_metric(self.g)
+
+    @cached_property
+    def _frame_tensors(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.frame.to_frame(self.torsion, self.curvature)
+
+    @cached_property
+    def torsion_frame(self) -> np.ndarray:
+        return self._frame_tensors[0]
+
+    @cached_property
+    def curvature_frame(self) -> np.ndarray:
+        return self._frame_tensors[1]
 
 
 def first_bianchi_residual(
@@ -228,12 +223,12 @@ def first_bianchi_residual(
     metric's region (else :class:`ConfigError`); the right side is assembled
     at the centre points.  Chart frame throughout, so no connection terms enter.
     """
-    jet = metric_jet(spec, z)
-    r = chern_curvature(jet)
-    _, dbar_t = field_first(lambda w: chern_torsion(metric_jet(spec, w)), jet.point, scheme,
+    point = ChernPoint.from_spec(spec, z)
+    r = point.curvature
+    _, dbar_t = field_first(lambda w: ChernPoint.from_spec(spec, w).torsion, point.point, scheme,
                             region=spec.region)
-    rhs = (np.einsum("...kl,...jmil->...mijk", jet.g_up, r)
-           - np.einsum("...kl,...imjl->...mijk", jet.g_up, r))
+    rhs = (np.einsum("...kl,...jmil->...mijk", point.g_up, r)
+           - np.einsum("...kl,...imjl->...mijk", point.g_up, r))
     return np.abs(dbar_t - rhs).max(axis=(-4, -3, -2, -1))
 
 
@@ -251,14 +246,14 @@ def pluriclosed_residuals(jet: MetricJet) -> tuple[np.ndarray, np.ndarray]:
     direct second-derivative alternation, and of the curvature-torsion
     symmetry that characterises the same condition through connection data.
     """
+    point = ChernPoint.from_jet(jet)
     entries = (-4, -3, -2, -1)
-    r_direct = np.abs(_alternation(jet.dd_g)).max(axis=entries)
+    r_direct = np.abs(_alternation(point.dd_g)).max(axis=entries)
 
-    gamma = connection_coefficients(jet)
-    t = chern_torsion(jet, gamma)
+    t = point.torsion
     # sum_{p,q} T[i,k,p] conj(T[j,l,q]) g[p,q], the torsion lowered first
-    rhs = torsion_product_a(np.einsum("...ikp,...pq->...ikq", t, jet.g), t)
-    lhs = _alternation(chern_curvature(jet, gamma))
+    rhs = torsion_product_a(np.einsum("...ikp,...pq->...ikq", t, point.g), t)
+    lhs = _alternation(point.curvature)
     r_symmetry = np.abs(lhs - rhs).max(axis=entries)
     return r_direct, r_symmetry
 
@@ -290,16 +285,12 @@ class NormalChart:
 def normal_coordinates(spec: MetricSpec, p: np.ndarray) -> NormalChart:
     """Build the adapted quadratic chart at ``p`` and verify its relations."""
     p = np.asarray(p, dtype=complex)
-    jet = metric_jet(spec, p)
-    n = jet.n
-    try:
-        chol = np.linalg.cholesky(jet.g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"metric not positive definite at {p}: {exc}") from exc
-    s = np.linalg.solve(chol, np.eye(n, dtype=complex)).T
+    point = ChernPoint.from_spec(spec, p)
+    n = point.n
+    chol, s = point.frame.L, point.frame.L_inv.T
 
     # D[a, e, b] pulls the first derivatives back through S.
-    d_pulled = np.einsum("ikl,ia,ke,lb->aeb", jet.d_g, s, s, np.conj(s))
+    d_pulled = np.einsum("ikl,ia,ke,lb->aeb", point.d_g, s, s, np.conj(s))
     sym = d_pulled + np.transpose(d_pulled, (1, 0, 2))
     rhs = -0.5 * np.transpose(sym, (2, 0, 1)).reshape(n, n * n)
     c = np.linalg.solve(chol.T, rhs).reshape(n, n, n)
@@ -322,9 +313,9 @@ def normal_coordinates(spec: MetricSpec, p: np.ndarray) -> NormalChart:
                           region=Region("ball", 0.05))
 
     origin = np.zeros(n, dtype=complex)
-    hat = metric_jet(composed, origin)
-    torsion_hat = chern_torsion(hat)
-    curvature_hat = chern_curvature(hat)
+    hat = ChernPoint.from_spec(composed, origin)
+    torsion_hat = hat.torsion
+    curvature_hat = hat.curvature
     rel1 = float(np.max(np.abs(hat.g - np.eye(n))))
     rel2 = float(np.max(np.abs(hat.d_g - 0.5 * torsion_hat)))
     quartic = 0.25 * np.einsum("ikp,jlq,pq->ijkl", torsion_hat, np.conj(torsion_hat), hat.g)

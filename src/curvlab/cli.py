@@ -46,13 +46,13 @@ from .functionals import (
 )
 from .gauduchon import chern_from_family, gauduchon_family
 from .metric_model import (
+    BUILTIN_ARITY,
     FIXTURES,
     JetScheme,
     MetricSpec,
     builtin_metric,
     fixture,
     load_metric,
-    metric_jet,
 )
 from .schwarz import HoloMap, laplacian_identity_report
 from .tensor_core import psd_project_batch
@@ -63,10 +63,6 @@ __all__ = ["main"]
 # forms over --samples, one point per chunk at least
 _COMPARE_FORMS = 4096
 
-# integer arguments of each builtin, in the order `fixtures` lists them: a
-# family takes its dimension; bare example22 (the fixture F1) and the fixtures none
-_BUILTIN_ARITY = {"flat": 1, "poincare_polydisk": 1, "hopf": 1, "example22": 0,
-                  **dict.fromkeys(FIXTURES, 0)}
 _BUILTIN_REF = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\((?P<args>[^)]*)\))?$")
 
 
@@ -98,12 +94,6 @@ def _builtin(ref: str) -> MetricSpec:
                 raise ConfigError(
                     f"builtin arguments must be integers, got '{token.strip()}'"
                 ) from exc
-    arity = _BUILTIN_ARITY.get(name)
-    if arity is not None and len(args) != arity:
-        form = f"'builtin:{name}(n)' with one integer n" if arity else f"'builtin:{name}'"
-        raise ConfigError(f"malformed builtin reference '{ref}': expected {form}")
-    if name == "example22":
-        return fixture("F1")
     return builtin_metric(name, *args)
 
 
@@ -193,21 +183,20 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
         if check not in ("bianchi", "pluriclosed"):
             raise ConfigError(f"unknown check '{check}'")
 
-    jet = metric_jet(spec, points)
-    point = ChernPoint.from_jet(jet)
+    point = ChernPoint.from_spec(spec, points)
     fields = {
         "point": points,
-        "g": jet.g,
+        "g": point.g,
         "torsion": point.torsion,
         "curvature": point.curvature,
-        **ricci_traces(jet, point.curvature)._asdict(),
+        **ricci_traces(point)._asdict(),
     }
     rows = _rows({name: _complex_payload(value) for name, value in fields.items()})
     row_checks = {}
     if "bianchi" in checks:
         row_checks["bianchi"] = first_bianchi_residual(spec, points, scheme).tolist()
     if "pluriclosed" in checks:
-        row_checks["pluriclosed"] = np.maximum(*pluriclosed_residuals(jet)).tolist()
+        row_checks["pluriclosed"] = np.maximum(*pluriclosed_residuals(point)).tolist()
     for row, checks_at_point in zip(rows, _rows(row_checks)):
         row["checks"] = checks_at_point
     worst = {name: max(0.0, *values) for name, values in row_checks.items()}
@@ -240,18 +229,17 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         chunk = max(1, _COMPARE_FORMS // max(1, args.samples))
         deviations, residuals = [], []
         for start in range(0, len(points), chunk):
-            jet = metric_jet(spec, points[start:start + chunk])
-            point = ChernPoint.from_jet(jet)
+            point = ChernPoint.from_spec(spec, points[start:start + chunk])
             # chunk by chunk, the draws of a per-point, per-sample loop:
             # real part, then imaginary
-            draws = rng.normal(size=(len(jet.g), args.samples, 2, spec.n, spec.n))
+            draws = rng.normal(size=(len(point.g), args.samples, 2, spec.n, spec.n))
             raw = draws[:, :, 0] + 1j * draws[:, :, 1]
             forms, ok = psd_project_batch(raw @ np.conj(np.swapaxes(raw, -2, -1)))
             if not ok.all():
                 raise NumericalError("projection collapsed to zero: no positive part")
             gaps = np.abs(rbc_forms(point, forms, tau0) - 0.5 * altered_hsc_forms(point, forms))
             deviations += np.max(gaps, axis=-1, initial=0.0).tolist()
-            residuals += np.maximum(*pluriclosed_residuals(jet)).tolist()
+            residuals += np.maximum(*pluriclosed_residuals(point)).tolist()
         rows = _rows({
             "point": _complex_payload(points),
             "deviation": deviations,
@@ -341,11 +329,16 @@ def _cmd_gauduchon(args: argparse.Namespace) -> int:
     rows_per_t = []
     for t in parameters:
         family = gauduchon_family(point, t)
+        with np.errstate(over="ignore"):
+            norms = [np.linalg.norm(per_point(a), axis=-1)
+                     for a in (family.torsion, family.curvature)]
+        if not np.isfinite(norms).all():
+            raise NumericalError(f"the norm of the family member at t = {t} is not finite")
         columns = {
             "point": _complex_payload(points),
             "t": [t] * len(points),
-            "torsion_norm": np.linalg.norm(per_point(family.torsion), axis=-1).tolist(),
-            "curvature_norm": np.linalg.norm(per_point(family.curvature), axis=-1).tolist(),
+            "torsion_norm": norms[0].tolist(),
+            "curvature_norm": norms[1].tolist(),
         }
         if args.roundtrip:
             torsion_back, curvature_back = chern_from_family(family)
@@ -456,7 +449,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
         "command": "fixtures",
         "config": _config(args),
         "fixtures": rows,
-        "builtins": [f"{name}(n)" if arity else name for name, arity in _BUILTIN_ARITY.items()],
+        "builtins": [f"{name}(n)" if arity else name for name, arity in BUILTIN_ARITY.items()],
     }
     _emit_json(report, args)
     return 0

@@ -10,9 +10,9 @@ torsion term drops and the flat metric contracts exactly like ``e^{-t}``.
 
 One velocity, :func:`thcf_velocity`, serves a single point's jet and a whole
 grid's batched jet alike.  It is ``-Ric^tau - g`` with ``Ric^tau`` from
-:func:`~curvlab.functionals.ric_tau_chart`, the function behind
-:func:`~curvlab.functionals.ric_tau`, on the jet's chart tensors, so no frame
-is built on the grid.
+:func:`~curvlab.functionals.ric_tau` on the jet's
+:class:`~curvlab.chern.ChernPoint`, which reads chart tensors only, so no
+frame is built on the grid.
 
 Space is a regular lattice over a rectangle in chart coordinates (axes
 ordered ``x1, y1, x2, y2``), dimensions one and two.  Spatial derivatives
@@ -47,10 +47,10 @@ from typing import IO
 
 import numpy as np
 
-from .chern import ChernPoint, chern_curvature, chern_torsion, connection_coefficients
+from .chern import ChernPoint
 from .errors import ConfigError, NumericalError
-from .functionals import TauParam, ric_tau, ric_tau_chart
-from .metric_model import DEFAULT_SCHEME, JetScheme, MetricJet, MetricSpec, metric_jet, metric_value
+from .functionals import TauParam, ric_tau
+from .metric_model import DEFAULT_SCHEME, JetScheme, MetricJet, MetricSpec, metric_value
 from .schwarz import pointwise_report, scalar_laplacian
 from .tensor_core import hermitian_part, metric_inverse_up
 
@@ -75,13 +75,10 @@ def thcf_velocity(jet: MetricJet, tau: TauParam) -> np.ndarray:
     """Flow velocity ``-Ric^tau - g`` as a Hermitian chart form at every point of ``jet``.
 
     The jet may hold one point or a grid of them (:meth:`GridMetricField.jets`).
-    ``Ric^tau`` is :func:`~curvlab.functionals.ric_tau_chart` of the jet's
-    chart tensors, so no frame is built.
+    ``Ric^tau`` is :func:`~curvlab.functionals.ric_tau` of the jet's chart
+    tensors, so no frame is built.
     """
-    gamma = connection_coefficients(jet)
-    ric = ric_tau_chart(chern_torsion(jet, gamma), chern_curvature(jet, gamma), jet.g, jet.g_up,
-                        tau)
-    return hermitian_part(-ric - jet.g)
+    return hermitian_part(-ric_tau(ChernPoint.from_jet(jet), tau) - jet.g)
 
 
 @dataclass(frozen=True)
@@ -461,30 +458,30 @@ def parabolic_schwarz_residual(
     ``(..., n, n)`` may be supplied, e.g. zero for a static flow.  ``kappa0``
     should certify ``RBC^tau(reference) <= -kappa0``; the supersolution
     precondition is asserted numerically and reported, never fatal.  Fields
-    have the batch axes of ``z`` ``(..., n)``.
+    have the batch axes of ``z`` ``(..., n)``.  One :class:`~curvlab.chern.ChernPoint`
+    serves the velocity, the Laplacian and the slacks, and no frame is built.
     """
     if kappa0 < 0:
         raise ConfigError(f"kappa0 must be nonnegative, got {kappa0}")
     if source.n != reference.n:
         raise ConfigError("source and reference metrics must share a dimension")
-    z = np.asarray(z, dtype=complex)
-    jet = metric_jet(source, z)
-    point = ChernPoint.from_jet(jet)
+    point = ChernPoint.from_spec(source, z)
     if velocity is None:
-        velocity = thcf_velocity(jet, tau)
+        velocity = thcf_velocity(point, tau)
     else:
         velocity = np.asarray(velocity, dtype=complex)
-        if velocity.shape != jet.g.shape:
-            raise ConfigError(f"velocity has shape {velocity.shape}, expected {jet.g.shape}")
+        if velocity.shape != point.g.shape:
+            raise ConfigError(f"velocity has shape {velocity.shape}, expected {point.g.shape}")
 
     def trace_field(w: np.ndarray) -> np.ndarray:
         xw = metric_inverse_up(metric_value(source, w))
         return np.einsum("...kl,...kl->...", xw, metric_value(reference, w))
 
-    value, laplacian = scalar_laplacian(trace_field, source, jet, scheme)
+    value, laplacian = scalar_laplacian(trace_field, source, point, scheme)
     trace = np.real(value)
-    h = metric_value(reference, z)
-    dt_trace = -np.real(np.einsum("...pl,...kq,...kl,...pq->...", jet.g_up, jet.g_up, h, velocity))
+    h = metric_value(reference, point.point)
+    dt_trace = -np.real(np.einsum("...pl,...kq,...kl,...pq->...", point.g_up, point.g_up, h,
+                                  velocity))
 
     lhs = dt_trace - laplacian
     rhs = -(kappa0 / source.n) * trace * trace + trace

@@ -1,7 +1,10 @@
 """Curvature functionals: sectional, bisectional, tempered, and their extremal certificates.
 
-Every functional is evaluated in the unitary frame of the point, where the
-metric is the identity and norms are plain Euclidean.  Arguments:
+Every functional takes a :class:`~curvlab.chern.ChernPoint` and is evaluated
+in its unitary frame, where the metric is the identity and norms are plain
+Euclidean.  The tempered Ricci form also has a chart version,
+:func:`ric_tau`, beside :func:`ric_tau_frame`: it reads only chart tensors,
+so the point forms no frame.  Arguments:
 
 * ``zeta``, ``nu``: nonzero frame vectors (holomorphic up indices),
 * ``xi``: a positive semidefinite Hermitian form with raised indices,
@@ -46,7 +49,6 @@ __all__ = [
     "altered_hsc",
     "altered_hsc_forms",
     "ric_tau_frame",
-    "ric_tau_chart",
     "ric_tau",
     "frame_vector",
     "extremize_hsc",
@@ -202,24 +204,17 @@ def ric_tau_frame(point: ChernPoint, tau: TauParam) -> np.ndarray:
     return ric2 + tau.source_weight * q_squared_frame(point.torsion_frame)
 
 
-def ric_tau_chart(
-    torsion: np.ndarray, curvature: np.ndarray, g: np.ndarray, g_up: np.ndarray, tau: TauParam
-) -> np.ndarray:
-    """Tempered Ricci form ``Ric^(2) + ((1 - 1/tau)/4) Q`` from chart tensors, no frame.
+def ric_tau(point: ChernPoint, tau: TauParam) -> np.ndarray:
+    """Tempered Ricci form ``Ric^(2) + ((1 - 1/tau)/4) Q`` in chart coordinates.
 
-    The tensors may carry any leading batch axes; ``Q`` enters as its chart
-    form.  At ``tau = 1`` this returns the second Ricci trace unchanged and
-    the torsion is not read.
+    ``Q`` enters as its chart form, so no frame is built; the point may carry
+    any leading batch axes.  At ``tau = 1`` this returns the second Ricci
+    trace unchanged and the torsion is not read.
     """
-    ric2 = second_ricci(g_up, curvature)
+    ric2 = second_ricci(point.g_up, point.curvature)
     if tau.value == 1.0:
         return ric2
-    return ric2 + tau.source_weight * q_squared_chart(torsion, g, g_up)
-
-
-def ric_tau(point: ChernPoint, tau: TauParam) -> np.ndarray:
-    """Tempered Ricci form in chart coordinates at the point(s) of ``point``."""
-    return ric_tau_chart(point.torsion, point.curvature, point.g, point.g_up, tau)
+    return ric2 + tau.source_weight * q_squared_chart(point.torsion, point.g, point.g_up)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ __all__ = [
     "hopf",
     "FIXTURES",
     "fixture",
+    "BUILTIN_ARITY",
     "builtin_metric",
 ]
 
@@ -138,18 +139,26 @@ def fixture(name: str) -> MetricSpec:
         raise ConfigError(f"unknown fixture '{name}'") from exc
 
 
-def builtin_metric(name: str, *args) -> MetricSpec:
-    """Construct a built-in family by name; used by the command line."""
-    table = {
-        "flat": flat,
-        "poincare_polydisk": poincare_polydisk,
-        "example22": example22,
-        "hopf": hopf,
-    }
-    if name in FIXTURES:
-        return fixture(name)
-    try:
-        factory = table[name]
-    except KeyError as exc:
-        raise ConfigError(f"unknown builtin metric '{name}'") from exc
-    return factory(*args)
+# integer arguments of each builtin, in the order the `fixtures` report lists
+# them: a family takes its dimension; bare example22 (the fixture F1) and the
+# fixtures none
+BUILTIN_ARITY = {"flat": 1, "poincare_polydisk": 1, "hopf": 1, "example22": 0,
+                 **dict.fromkeys(FIXTURES, 0)}
+
+
+def builtin_metric(name: str, *args: int) -> MetricSpec:
+    """A built-in metric by name and its :data:`BUILTIN_ARITY` integer arguments.
+
+    ``flat``, ``poincare_polydisk`` and ``hopf`` take the dimension; bare
+    ``example22`` is the fixture F1.  An unknown name or another argument
+    count is a :class:`ConfigError`.
+    """
+    if name not in BUILTIN_ARITY:
+        raise ConfigError(f"unknown builtin metric '{name}'")
+    arity = BUILTIN_ARITY[name]
+    if len(args) != arity:
+        form = f"'builtin:{name}(n)' with one integer n" if arity else f"'builtin:{name}'"
+        raise ConfigError(f"builtin metric '{name}' with {len(args)} arguments: expected {form}")
+    if not arity:
+        return fixture("F1" if name == "example22" else name)
+    return {"flat": flat, "poincare_polydisk": poincare_polydisk, "hopf": hopf}[name](*args)

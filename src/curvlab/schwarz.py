@@ -25,8 +25,9 @@ Laplacian.
 
 The reports, the Bismut comparison among them, take points ``(..., n)``, one
 entry per point equal to that of a one-point call; the map fold checks that
-shape.  A call assembles the map jet, both metric jets and their
-``ChernPoint`` once, and differentiates one stencil jet of the energy
+shape.  A call assembles the map jet and the two metric jets once, as
+``ChernPoint`` records whose connection coefficients and tensors are formed
+on first read, and differentiates one stencil jet of the energy
 density that folds only the map's value and Jacobian trees: its centre value
 is the energy, its mixed second derivative traced with ``g^{-1}`` the Laplacian.
 """
@@ -39,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chern import ChernPoint, connection_coefficients, form_pairing, frame_traces
+from .chern import ChernPoint, form_pairing, frame_traces
 from .errors import ConfigError, NumericalError
 from .functionals import TauParam
 from .gauduchon import (
@@ -61,7 +62,6 @@ from .metric_model import (
     holomorphic_derivative,
     is_holomorphic,
     max_var_index,
-    metric_jet,
     metric_value,
     parse_expr,
 )
@@ -208,8 +208,6 @@ class MapAssembly:
     z: np.ndarray
     evaluator: MapJetEvaluator
     map_jet: MapJet
-    source_jet: MetricJet
-    target_jet: MetricJet
     source_point: ChernPoint
     target_point: ChernPoint
     jac_frame: np.ndarray
@@ -242,16 +240,12 @@ def assemble_map(
         raise ConfigError(
             f"image point {image[outside][0]} of {z[outside][0]} leaves the target region"
         )
-    source_jet = metric_jet(source, z)
-    target_jet = metric_jet(target, image)
-    source_point = ChernPoint.from_jet(source_jet)
-    target_point = ChernPoint.from_jet(target_jet)
-    jac_frame = (
-        np.swapaxes(target_point.frame.L, -1, -2) @ map_jet.jacobian
-        @ np.swapaxes(source_point.frame.L_inv, -1, -2)
-    )
-    return MapAssembly(z, evaluator, map_jet, source_jet, target_jet, source_point, target_point,
-                       jac_frame)
+    source_point = ChernPoint.from_spec(source, z)
+    target_point = ChernPoint.from_spec(target, image)
+    source_inverse = source_point.frame.L_inv  # the source's failures are named first
+    jac_frame = (np.swapaxes(target_point.frame.L, -1, -2) @ map_jet.jacobian
+                 @ np.swapaxes(source_inverse, -1, -2))
+    return MapAssembly(z, evaluator, map_jet, source_point, target_point, jac_frame)
 
 
 def _hessian_chart(
@@ -271,12 +265,11 @@ def _frame_hessian(assembly: MapAssembly, chart: np.ndarray) -> np.ndarray:
     return np.einsum("...aA,...Ii,...Jj,...aij->...AIJ", lh, lg_inv, lg_inv, chart)
 
 
-def hessian_tensors(assembly: MapAssembly) -> tuple[np.ndarray, np.ndarray]:
-    """Chern Hessian of the map in chart and frame indices, ``(..., a, i, j)``."""
-    gamma_source = connection_coefficients(assembly.source_jet)
-    gamma_target = connection_coefficients(assembly.target_jet)
-    chart = _hessian_chart(assembly.map_jet, gamma_target, gamma_source)
-    return chart, _frame_hessian(assembly, chart)
+def hessian_tensors(assembly: MapAssembly) -> np.ndarray:
+    """Chern Hessian of the map in frame indices, ``(..., a, i, j)``."""
+    chart = _hessian_chart(assembly.map_jet, assembly.target_point.gamma,
+                           assembly.source_point.gamma)
+    return _frame_hessian(assembly, chart)
 
 
 def _symmetric_and_skew(hessian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +335,7 @@ def _energy_and_laplacian(
     def field(w: np.ndarray) -> np.ndarray:
         return _energy(source, target, assembly.evaluator, w)
 
-    energy, laplacian = scalar_laplacian(field, source, assembly.source_jet, scheme)
+    energy, laplacian = scalar_laplacian(field, source, assembly.source_point, scheme)
     return np.real(energy), laplacian
 
 
@@ -380,7 +373,7 @@ def laplacian_identity_report(
     field of a one-point call at that point.
     """
     assembly = assemble_map(source, target, holo_map, z)
-    _, frame_hessian = hessian_tensors(assembly)
+    frame_hessian = hessian_tensors(assembly)
     sym, skew = _symmetric_and_skew(frame_hessian)
     tensor_axes = (-3, -2, -1)
     difference = torsion_difference_frame(assembly)
@@ -423,10 +416,10 @@ def connection_invariance_residual(
     """
     if assembly is None:
         assembly = assemble_map(source, target, holo_map, z)
-    _, base = hessian_tensors(assembly)
-    shifted_source = (connection_coefficients(assembly.source_jet)
+    base = hessian_tensors(assembly)
+    shifted_source = (assembly.source_point.gamma
                       - ((1.0 - t_source) / 2.0) * assembly.source_point.torsion)
-    shifted_target = (connection_coefficients(assembly.target_jet)
+    shifted_target = (assembly.target_point.gamma
                       - ((1.0 - t_target) / 2.0) * assembly.target_point.torsion)
     moved = _frame_hessian(
         assembly, _hessian_chart(assembly.map_jet, shifted_target, shifted_source)

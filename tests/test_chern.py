@@ -19,9 +19,6 @@ from hypothesis import strategies as st
 
 from curvlab.chern import (
     ChernPoint,
-    chern_curvature,
-    chern_torsion,
-    connection_coefficients,
     first_bianchi_residual,
     normal_coordinates,
     pluriclosed_residuals,
@@ -65,31 +62,30 @@ def hopf_torsion_oracle(z: np.ndarray) -> np.ndarray:
 
 class TestFixtureOneOrigin:
     def setup_method(self):
-        self.jet = metric_jet(fixture("F1"), np.zeros(2, dtype=complex))
+        self.point = ChernPoint.from_spec(fixture("F1"), np.zeros(2, dtype=complex))
 
     def test_torsion(self):
-        t = chern_torsion(self.jet)
+        t = self.point.torsion
         assert t[0, 1, 0] == pytest.approx(2.0)
         assert t[1, 0, 0] == pytest.approx(-2.0)
         assert np.max(np.abs(t + np.swapaxes(t, 0, 1))) < 1e-14
 
     def test_curvature_entries(self):
-        r = chern_curvature(self.jet)
+        r = self.point.curvature
         assert r[0, 0, 1, 1] == pytest.approx(0.5)
         assert r[0, 0, 0, 0] == pytest.approx(-0.1)
         assert r[1, 1, 0, 0] == pytest.approx(0.5)
 
     def test_ricci_traces(self):
-        traces = ricci_traces(self.jet)
+        traces = ricci_traces(self.point)
         assert traces.ric2[0, 0] == pytest.approx(0.4)
         assert traces.ric1[0, 0] == pytest.approx(0.4)
         assert traces.ric2[1, 1] == pytest.approx(0.4)
 
     def test_torsion_square_and_trace(self):
-        point = ChernPoint.from_jet(self.jet)
-        q = q_squared_frame(point.torsion_frame)
+        q = q_squared_frame(self.point.torsion_frame)
         assert q[0, 0] == pytest.approx(8.0)
-        eta = torsion_trace_frame(point.torsion_frame)
+        eta = torsion_trace_frame(self.point.torsion_frame)
         assert eta[0] == pytest.approx(0.0)
         assert eta[1] == pytest.approx(2.0)
 
@@ -98,12 +94,11 @@ class TestPoincareDisk:
     def test_curvature_closed_form(self):
         spec = poincare_polydisk(1)
         for z in (0.3 + 0.2j, -0.5j, 0.7 + 0j):
-            jet = metric_jet(spec, np.array([z]))
-            r = chern_curvature(jet)
+            point = ChernPoint.from_spec(spec, np.array([z]))
+            r = point.curvature
             s = 1 - abs(z) ** 2
             assert r[0, 0, 0, 0] == pytest.approx(-2.0 * s**-4, rel=1e-12)
-            t = chern_torsion(jet)
-            assert np.max(np.abs(t)) == 0.0
+            assert np.max(np.abs(point.torsion)) == 0.0
 
     def test_einstein_property(self):
         spec = poincare_polydisk(2)
@@ -115,25 +110,22 @@ class TestPoincareDisk:
 
 class TestHopf:
     def setup_method(self):
-        self.spec = hopf(2)
         self.z = np.array([0.6 + 0.2j, -0.4 + 0.3j])
-        self.jet = metric_jet(self.spec, self.z)
+        self.point = ChernPoint.from_spec(hopf(2), self.z)
 
     def test_curvature_closed_form(self):
-        r = chern_curvature(self.jet)
-        assert np.allclose(r, hopf_curvature_oracle(self.z), atol=1e-13)
+        assert np.allclose(self.point.curvature, hopf_curvature_oracle(self.z), atol=1e-13)
 
     def test_torsion_closed_form(self):
-        t = chern_torsion(self.jet)
-        assert np.allclose(t, hopf_torsion_oracle(self.z), atol=1e-13)
+        assert np.allclose(self.point.torsion, hopf_torsion_oracle(self.z), atol=1e-13)
 
     def test_hermitian_symmetry(self):
-        r = chern_curvature(self.jet)
+        r = self.point.curvature
         swapped = np.conj(np.transpose(r, (1, 0, 3, 2)))
         assert np.max(np.abs(r - swapped)) < 1e-13
 
     def test_trace_structure(self):
-        traces = ricci_traces(self.jet)
+        traces = ricci_traces(self.point)
         assert np.max(np.abs(traces.ric1 - traces.ric1.conj().T)) < 1e-13
         assert np.max(np.abs(traces.ric2 - traces.ric2.conj().T)) < 1e-13
         # the mixed traces are mutual conjugate transposes
@@ -260,17 +252,16 @@ def assert_close(batched: np.ndarray, single: np.ndarray, label: str) -> None:
 
 
 def chern_quantities(jet: MetricJet) -> dict:
-    gamma = connection_coefficients(jet)
-    torsion = chern_torsion(jet)
-    curvature = chern_curvature(jet)
     traces = ricci_traces(jet)
     point = ChernPoint.from_jet(jet)
+    gamma = point.gamma  # read first: torsion and curvature below reuse it
+    fresh = ChernPoint.from_jet(jet)
     return {
         "gamma": gamma,
-        "torsion": torsion,
-        "torsion(gamma)": chern_torsion(jet, gamma),
-        "curvature": curvature,
-        "curvature(gamma)": chern_curvature(jet, gamma),
+        "torsion": fresh.torsion,
+        "torsion(gamma)": point.torsion,
+        "curvature": fresh.curvature,
+        "curvature(gamma)": point.curvature,
         "ric1": traces.ric1,
         "ric2": traces.ric2,
         "ric3": traces.ric3,
@@ -339,8 +330,9 @@ def test_ricci_traces_match_direct_contractions(name, lead):
     count = max(1, int(np.prod(lead)))
     points = spec.region.sample_points(spec.n, np.random.default_rng(11), count)
     jet = metric_jet(spec, points.reshape(lead + (spec.n,)))
-    r = chern_curvature(jet)
-    traces = ricci_traces(jet, r)
+    point = ChernPoint.from_jet(jet)
+    r = point.curvature
+    traces = ricci_traces(point)
     for key, pattern in TRACE_PATTERNS.items():
         want = np.einsum(pattern, jet.g_up, r)
         got = getattr(traces, key)

@@ -10,6 +10,7 @@ import pytest
 from curvlab import cli, schwarz
 from curvlab.cli import _parse_metric, main
 from curvlab.errors import ConfigError
+from curvlab.metric_model import builtin_metric, fixture, hopf
 
 
 def run_cli(argv, capsys):
@@ -607,6 +608,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and "expected 'builtin:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, args", [("hopf", ()), ("flat", (1, 2)), ("example22", (3,)), ("F1", (3,))]
+    )
+    def test_builtin_metric_checks_its_argument_count(self, name, args):
+        with pytest.raises(ConfigError, match="expected 'builtin:"):
+            builtin_metric(name, *args)
+
+    def test_builtin_metric_names(self):
+        assert builtin_metric("example22") == builtin_metric("F1") == fixture("F1")
+        assert builtin_metric("hopf", 3) == hopf(3)
+        with pytest.raises(ConfigError, match="unknown builtin metric 'nope'"):
+            builtin_metric("nope", 1)
+
     @pytest.mark.parametrize("metric", ["builtin:flat(-1)", "builtin:flat(0)"])
     def test_builtin_dimension(self, capsys, metric):
         code, out, err = run_cli(["curvature", "--metric", metric], capsys)
@@ -649,6 +663,9 @@ class TestExitCodes:
             # a finite member whose inverse weights overflow, or divide by zero
             ("gauduchon --metric builtin:F2 --t 1e120 --roundtrip", 3),
             ("gauduchon --metric builtin:F2 --t 1e-200 --roundtrip", 3),
+            # a finite member whose norm overflows as it squares the entries
+            ("gauduchon --metric builtin:F1 --t 1e100", 3),
+            ("gauduchon --metric builtin:F1 --t 1e140", 3),
             # the grid spacing, or a grid corner, overflows
             ("flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --extent 1e308", 2),
             ("flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --center 1.7e308 "

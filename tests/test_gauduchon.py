@@ -23,7 +23,7 @@ from curvlab.gauduchon import (
     ric_tau_from_family,
 )
 from curvlab.metric_model import example22, fixture, hopf
-from curvlab.tensor_core import UnitaryFrame, psd_project
+from curvlab.tensor_core import psd_project
 
 PARAMS = (-2.0, -1.0, -0.5, 0.25, 0.75, 2.0, 5.0)
 
@@ -259,11 +259,8 @@ def oracle_stacks():
 
 
 def point_at(point, idx):
-    """The one-point ChernPoint at index ``idx`` of a stacked one."""
-    frame = UnitaryFrame(point.frame.L[idx], point.frame.L_inv[idx])
-    fields = {f.name: getattr(point, f.name)[idx] for f in dataclasses.fields(point)
-              if f.name != "frame"}
-    return ChernPoint(frame=frame, **fields)
+    """The one-point ChernPoint on the jet at index ``idx`` of a stacked one."""
+    return ChernPoint(*(getattr(point, f.name)[idx] for f in dataclasses.fields(point)))
 
 
 class TestStackOracle:

@@ -166,7 +166,7 @@ class TestIdentityReport:
     def test_torsion_difference_matches_skew(self):
         source, target, m, z = build("ball_to_polydisk")
         assembly = assemble_map(source, target, m, z)
-        _, frame_h = hessian_tensors(assembly)
+        frame_h = hessian_tensors(assembly)
         skew = 0.5 * (frame_h - frame_h.swapaxes(1, 2))
         diff = torsion_difference_frame(assembly)
         assert np.max(np.abs(2.0 * skew - diff)) <= 1e-10
@@ -199,11 +199,10 @@ class TestConnectionInvariance:
         # only the symmetric part is invariant; the raw tensor shifts
         source, target, m, z = build("hopf_shear")
         assembly = assemble_map(source, target, m, z)
-        from curvlab.chern import connection_coefficients
         from curvlab.schwarz import _frame_hessian, _hessian_chart
 
-        gamma_s = connection_coefficients(assembly.source_jet)
-        gamma_t = connection_coefficients(assembly.target_jet)
+        gamma_s = assembly.source_point.gamma
+        gamma_t = assembly.target_point.gamma
         base = _frame_hessian(assembly, _hessian_chart(assembly.map_jet, gamma_t, gamma_s))
         shifted_s = gamma_s - 1.0 * assembly.source_point.torsion
         shifted_t = gamma_t - 1.0 * assembly.target_point.torsion
