@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NumericalError
 from .metric_model.expr import Add, Conj, Const, Expr, Mul, Var, substitute
 from .metric_model.jets import DEFAULT_SCHEME, JetScheme, field_first
 from .metric_model.model import MetricJet, MetricSpec, Region, metric_jet
@@ -151,6 +152,16 @@ def torsion_trace_frame(torsion_frame: np.ndarray) -> np.ndarray:
     return np.einsum("...iji->...j", torsion_frame)
 
 
+def _first_indefinite(g: np.ndarray) -> int:
+    """Flat index of the first matrix of a stack that has no Cholesky factor."""
+    for k, matrix in enumerate(g.reshape((-1,) + g.shape[-2:])):
+        try:
+            np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            return k
+    return 0
+
+
 class ChernPoint(MetricJet):
     """A metric jet with its Chern tensors, each formed on first read and kept.
 
@@ -169,7 +180,21 @@ class ChernPoint(MetricJet):
 
     @classmethod
     def from_spec(cls, spec: MetricSpec, z: np.ndarray) -> "ChernPoint":
-        return cls.from_jet(metric_jet(spec, z))
+        """The record of the metric jet at the points ``z`` ``(..., n)``.
+
+        One Cholesky factorisation of the ``g`` stack checks that the metric is
+        positive definite at every point, so no tensor of a form that is not a
+        metric is formed; the first point that fails is a :class:`NumericalError`.
+        """
+        jet = metric_jet(spec, z)
+        try:
+            np.linalg.cholesky(jet.g)
+        except np.linalg.LinAlgError:
+            points = jet.point.reshape(-1, jet.n)
+            raise NumericalError(
+                f"metric is not positive definite at {points[_first_indefinite(jet.g)]}"
+            ) from None
+        return cls.from_jet(jet)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -213,20 +238,24 @@ class ChernPoint(MetricJet):
 
 
 def first_bianchi_residual(
-    spec: MetricSpec, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME
+    spec: MetricSpec, at: np.ndarray | MetricJet, scheme: JetScheme = DEFAULT_SCHEME
 ) -> np.ndarray:
     """Max deviation in ``dbar_m T^k_{ij} = sum_l X[k,l] (R[j,m,i,l] - R[i,m,j,l])``.
 
-    One value per point of ``z`` of shape ``(..., n)``, shape ``(...)``.  The
-    left side differences the torsion field with the scheme's stencils, one
-    metric jet over the footprint of every point, which must lie in the
-    metric's region (else :class:`ConfigError`); the right side is assembled
-    at the centre points.  Chart frame throughout, so no connection terms enter.
+    ``at`` is the points ``(..., n)`` or the caller's jet of ``spec`` there,
+    whose record then serves the centres.  One value per point, shape
+    ``(...)``.  The left side differences the torsion field with the scheme's
+    stencils, one metric jet over the footprint of every point, which must lie
+    in the metric's region (else :class:`ConfigError`); the right side is
+    assembled at the centre points.  Chart frame throughout, so no connection
+    terms enter.
     """
-    point = ChernPoint.from_spec(spec, z)
+    is_jet = isinstance(at, MetricJet)
+    point = ChernPoint.from_jet(at) if is_jet else ChernPoint.from_spec(spec, at)
     r = point.curvature
-    _, dbar_t = field_first(lambda w: ChernPoint.from_spec(spec, w).torsion, point.point, scheme,
-                            region=spec.region)
+    # the footprint's torsion needs an invertible g there, not a definite one
+    _, dbar_t = field_first(lambda w: ChernPoint.from_jet(metric_jet(spec, w)).torsion,
+                            point.point, scheme, region=spec.region)
     rhs = (np.einsum("...kl,...jmil->...mijk", point.g_up, r)
            - np.einsum("...kl,...imjl->...mijk", point.g_up, r))
     return np.abs(dbar_t - rhs).max(axis=(-4, -3, -2, -1))

@@ -10,11 +10,13 @@ flow        tempered curvature flow on a grid
 fixtures    list built-in metric families and standard fixtures
 
 Metric references are ``builtin:name(args)`` or ``file:path`` where the file
-holds a JSON metric payload.  Reports are JSON with sorted keys; identical
-configuration and seed produce byte-identical output.  Every report embeds
-its resolved configuration; ``curvature`` and ``schwarz`` reports also embed
-the stencil scheme of their checks.  CSV output exists only for the flow
-time series.
+holds a JSON metric payload.  Reports are JSON with sorted keys, indented by
+two spaces with one key or list item per line, except that every numeric
+array, complex entries as ``[re, im]`` pairs, sits on one line with the
+default ``", "`` separator.  Identical configuration and seed produce
+byte-identical output.  Every report embeds its resolved configuration;
+``curvature`` and ``schwarz`` reports also embed the stencil scheme of their
+checks.  CSV output exists only for the flow time series.
 
 Exit codes: 0 success, 1 tolerance breach, 2 configuration error,
 3 numerical failure.
@@ -30,6 +32,7 @@ import math
 import re
 import sys
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -143,14 +146,14 @@ def _parse_tau(text: str, role: str) -> TauParam:
     return TauParam(value, role)
 
 
-def _complex_payload(array: np.ndarray) -> list:
-    """Nested ``[re, im]`` pairs; JSON has no complex numbers."""
+def _complex_payload(array: np.ndarray) -> np.ndarray:
+    """``[re, im]`` pairs on a new last axis; JSON has no complex numbers."""
     a = np.asarray(array, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
+    return np.stack([a.real, a.imag], -1)
 
 
-def _rows(columns: dict[str, list]) -> list[dict]:
-    """One dict per point from equally long per-point lists."""
+def _rows(columns: dict) -> list[dict]:
+    """One dict per point from equally long per-point columns; arrays give slices."""
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
@@ -161,8 +164,27 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# An array's place in the report skeleton.  No flag can spell it: an argument
+# vector holds no NUL character.
+_ARRAY = "\0"
+_ARRAY_TEXT = json.dumps(_ARRAY)
+
+
 def _emit_json(report: dict, args: argparse.Namespace) -> None:
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+    """Write the report with sorted keys and two-space indentation, each array on one line.
+
+    The stdlib encoder writes the skeleton, where every ``ndarray`` stands as a
+    marker, and each array is encoded by the C encoder on its own, in the
+    order the skeleton's markers appear.
+    """
+    arrays = []
+
+    def inline(array: np.ndarray) -> str:
+        arrays.append(json.dumps(array.tolist()))
+        return _ARRAY
+
+    parts = json.dumps(report, sort_keys=True, indent=2, default=inline).split(_ARRAY_TEXT)
+    _emit("".join(chain.from_iterable(zip(parts, arrays))) + parts[-1] + "\n", args.out)
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -194,7 +216,7 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
     rows = _rows({name: _complex_payload(value) for name, value in fields.items()})
     row_checks = {}
     if "bianchi" in checks:
-        row_checks["bianchi"] = first_bianchi_residual(spec, points, scheme).tolist()
+        row_checks["bianchi"] = first_bianchi_residual(spec, point, scheme).tolist()
     if "pluriclosed" in checks:
         row_checks["pluriclosed"] = np.maximum(*pluriclosed_residuals(point)).tolist()
     for row, checks_at_point in zip(rows, _rows(row_checks)):
@@ -403,7 +425,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     config["reference_metric"] = config.pop("reference")
     grid_flags = ("extent", "resolution", "boundary", "center")
     config["grid"] = {key: config.pop(key) for key in grid_flags}
-    config["grid"]["center"] = [(c.real, c.imag) for c in center]
+    config["grid"]["center"] = _complex_payload(center)
 
     center_index = tuple(args.resolution // 2 for _ in range(2 * spec.n))
     last = state.history[-1]

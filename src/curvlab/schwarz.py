@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -210,7 +211,13 @@ class MapAssembly:
     map_jet: MapJet
     source_point: ChernPoint
     target_point: ChernPoint
-    jac_frame: np.ndarray
+
+    @cached_property
+    def jac_frame(self) -> np.ndarray:
+        """The map's differential between the two unitary frames, formed on first read."""
+        source_inverse = self.source_point.frame.L_inv  # the source's failures are named first
+        return (np.swapaxes(self.target_point.frame.L, -1, -2) @ self.map_jet.jacobian
+                @ np.swapaxes(source_inverse, -1, -2))
 
 
 def assemble_map(
@@ -240,12 +247,8 @@ def assemble_map(
         raise ConfigError(
             f"image point {image[outside][0]} of {z[outside][0]} leaves the target region"
         )
-    source_point = ChernPoint.from_spec(source, z)
-    target_point = ChernPoint.from_spec(target, image)
-    source_inverse = source_point.frame.L_inv  # the source's failures are named first
-    jac_frame = (np.swapaxes(target_point.frame.L, -1, -2) @ map_jet.jacobian
-                 @ np.swapaxes(source_inverse, -1, -2))
-    return MapAssembly(z, evaluator, map_jet, source_point, target_point, jac_frame)
+    source_point = ChernPoint.from_spec(source, z)  # the source's failures are named first
+    return MapAssembly(z, evaluator, map_jet, source_point, ChernPoint.from_spec(target, image))
 
 
 def _hessian_chart(

@@ -15,7 +15,7 @@ from curvlab.cli import main
 from curvlab.flow import parabolic_schwarz_residual
 from curvlab.functionals import TauParam
 from curvlab.metric_model import fixture, hopf, metric_jet
-from curvlab.schwarz import HoloMap, connection_invariance_residual
+from curvlab.schwarz import HoloMap, connection_invariance_residual, schwarz_inequality_report
 from curvlab.tensor_core import UnitaryFrame
 
 PROPERTIES = ("gamma", "torsion", "curvature", "frame", "torsion_frame", "curvature_frame")
@@ -64,6 +64,13 @@ def parabolic():
     return parabolic_schwarz_residual(spec, spec, points, TauParam(2.0, "source"), 1.0)
 
 
+def inequality():
+    holo_map = HoloMap.parse(("(z1 + z2)/2", "z1*z2 - z2^2"), 2)
+    points = np.array([[0.1, -0.05 + 0.08j], [0.02, 0.03j]])
+    return schwarz_inequality_report(fixture("F1"), fixture("F2"), holo_map, points,
+                                     1.0, 0.5, 1.0, 2)
+
+
 def invariance():
     source, target = fixture("F1"), fixture("F2")
     holo_map = HoloMap.parse(("(z1 + z2)/2", "z1*z2 - z2^2"), 2)
@@ -79,11 +86,15 @@ COMMANDS = {
     "curvature --check pluriclosed": (
         ["curvature", "--metric", "builtin:F1", "--region", "128", "--check", "pluriclosed"],
         1, 0),
+    "curvature --check bianchi,pluriclosed": (
+        ["curvature", "--metric", "builtin:F1", "--region", "8", "--check", "bianchi,pluriclosed"],
+        2, 0),
     "scan --compare": (["scan", "--metric", "builtin:hopf(2)", "--region", "6", "--compare"],
                        1, 1),
     "schwarz": (["schwarz", "--map", "id", "--source", "builtin:F1", "--target",
                  "builtin:hopf(2)", "--points", "0.1,0.05;0.02,-0.1j"], 2, 2),
     "connection_invariance_residual": (invariance, 2, 2),
+    "schwarz_inequality_report": (inequality, 0, 0),
     "parabolic_schwarz_residual": (parabolic, 1, 0),
 }
 

@@ -738,6 +738,28 @@ class TestExitCodes:
         assert "NaN" not in out
 
 
+    @pytest.mark.parametrize(
+        "entries, flags, where",
+        [
+            ([["1 - abs2(z1)*4"]], ["--points", "0.9"], "[0.9+0.j]"),
+            # the first point of the stack whose g is not positive definite is named
+            ([["1 - abs2(z1)*4"]], ["--points", "0.1;0.95;0.9"], "[0.95+0.j]"),
+            ([["1 + abs2(3)", "0.1*(z1)"], ["0.1*conj(z1)", "(1e-3)^5"]],
+             ["--region", "5", "--seed", "55"], "["),
+        ],
+    )
+    @pytest.mark.parametrize("checks", [[], ["--check", "bianchi,pluriclosed"]])
+    def test_metric_that_is_not_positive_definite(self, capsys, tmp_path, entries, flags, where,
+                                                  checks):
+        path = tmp_path / "indefinite.json"
+        path.write_text(json.dumps(
+            {"n": len(entries), "entries": entries, "region": {"type": "ball", "radius": 1.0}}))
+        got, out, err = run_cli(["curvature", "--metric", f"file:{path}", *flags, *checks],
+                                capsys)
+        assert (got, out) == (3, "")
+        assert err.startswith(f"error: metric is not positive definite at {where}")
+        assert err.count("\n") == 1
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "components, points, where",
@@ -990,3 +1012,62 @@ class TestSchwarzBatch:
         )
         assert (got, out) == (code, "")
         assert err == f"error: {message}\n"
+
+
+LAYOUT_COMMANDS = {
+    "curvature": "curvature --metric builtin:F1 --region 3 --check bianchi,pluriclosed",
+    "scan": "scan --metric builtin:hopf(2) --region 2 --functional rbc --tau 2",
+    "scan --compare": "scan --metric builtin:hopf(2) --region 3 --compare --samples 4",
+    "schwarz": "schwarz --map id --source builtin:F1 --target builtin:hopf(2) --region 2",
+    "gauduchon": "gauduchon --metric builtin:F2 --region 2 --t=-1,2 --roundtrip",
+    "flow": "flow --metric builtin:flat(1) --tau 1 --dt 0.01 --steps 2",
+    "fixtures": "fixtures",
+}
+
+
+def _sorted_object(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys), keys
+    return dict(pairs)
+
+
+class TestReportLayout:
+    """Sorted keys, two-space indentation, every numeric array on one line."""
+
+    @pytest.fixture
+    def reports(self, monkeypatch):
+        """The report objects the commands hand to the writer, while installed."""
+        kept = []
+        emit = cli._emit_json
+
+        def keep(report, args):
+            kept.append(report)
+            emit(report, args)
+
+        monkeypatch.setattr(cli, "_emit_json", keep)
+        return kept
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_COMMANDS))
+    def test_layout(self, capsys, tmp_path, reports, name):
+        argv = LAYOUT_COMMANDS[name].split()
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        # the old encoding of the same report object is the oracle of its value
+        oracle = json.dumps(reports[0], sort_keys=True, indent=2, default=np.ndarray.tolist)
+        assert json.loads(out, object_pairs_hook=_sorted_object) == json.loads(oracle)
+        for line in out.splitlines():
+            with pytest.raises(ValueError):
+                float(line.strip().rstrip(","))
+        assert out.startswith("{\n  \"") and out.endswith("\n}\n")
+        assert run_cli(argv, capsys)[1] == out
+        path = tmp_path / "report.json"
+        assert run_cli(argv + ["--out", str(path)], capsys)[1] == ""
+        assert path.read_text() == out
+
+    def test_arrays_sit_on_one_line_with_the_default_separator(self, capsys, reports):
+        _, out, _ = run_cli(LAYOUT_COMMANDS["curvature"].split(), capsys)
+        lines = [line.rstrip(",") for line in out.splitlines()]
+        for name, value in reports[0]["points"][1].items():
+            if name != "checks":
+                assert isinstance(value, np.ndarray)
+                assert f'      "{name}": {json.dumps(value.tolist())}' in lines, name
