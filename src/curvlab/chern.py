@@ -38,7 +38,7 @@ from .errors import NumericalError
 from .metric_model.expr import Add, Conj, Const, Expr, Mul, Var, substitute
 from .metric_model.jets import DEFAULT_SCHEME, JetScheme, field_first
 from .metric_model.model import MetricJet, MetricSpec, Region, metric_jet
-from .tensor_core import UnitaryFrame
+from .tensor_core import UnitaryFrame, cholesky_factor
 
 __all__ = [
     "RicciTraces",
@@ -185,16 +185,22 @@ class ChernPoint(MetricJet):
         One Cholesky factorisation of the ``g`` stack checks that the metric is
         positive definite at every point, so no tensor of a form that is not a
         metric is formed; the first point that fails is a :class:`NumericalError`.
+        The factor is kept as :attr:`cholesky` for the frame.
         """
-        jet = metric_jet(spec, z)
+        point = cls.from_jet(metric_jet(spec, z))
         try:
-            np.linalg.cholesky(jet.g)
-        except np.linalg.LinAlgError:
-            points = jet.point.reshape(-1, jet.n)
+            point.cholesky
+        except NumericalError:
+            points = point.point.reshape(-1, point.n)
             raise NumericalError(
-                f"metric is not positive definite at {points[_first_indefinite(jet.g)]}"
+                f"metric is not positive definite at {points[_first_indefinite(point.g)]}"
             ) from None
-        return cls.from_jet(jet)
+        return point
+
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """The lower Cholesky factor ``L`` of ``g = L L^H``."""
+        return cholesky_factor(self.g)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -217,12 +223,12 @@ class ChernPoint(MetricJet):
 
     @cached_property
     def frame(self) -> UnitaryFrame:
-        """The unitary frame of the Cholesky factor of ``g``.
+        """The unitary frame of :attr:`cholesky`.
 
         ``g_up`` is formed first, so a singular metric fails as singular.
         """
         self.g_up
-        return UnitaryFrame.from_metric(self.g)
+        return UnitaryFrame.from_factor(self.cholesky)
 
     @cached_property
     def _frame_tensors(self) -> tuple[np.ndarray, np.ndarray]:

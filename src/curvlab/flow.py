@@ -18,16 +18,17 @@ Space is a regular lattice over a rectangle in chart coordinates (axes
 ordered ``x1, y1, x2, y2``), dimensions one and two.  Spatial derivatives
 are second-order central differences; the boundary either stays frozen at
 its initial values (interior-only updates) or wraps periodically.  Time
-stepping is explicit: plain Euler (:func:`step_euler`) or the default
-two-stage explicit trapezoid, whose second-order accuracy the closed-form
-flat solution actually requires.  A parabolic CFL-style guard,
-``dt <= 0.2 h^2 g_min / v_max``, keeps each substep from outrunning the
-grid.  A step takes the least power-of-two count of substeps that the
-guard admits at its start field; only a guard or positivity failure later
-in the step halves the substeps again and restarts it.  Each field computes
-its velocity once: the velocity of a step's end field serves both the
-step's diagnostics row and the first stage of the next step (first same as
-last).
+stepping is explicit: plain Euler (``flow_step(..., "euler")``) or the
+default two-stage explicit trapezoid, whose second-order accuracy the
+closed-form flat solution actually requires.  A diffusion bound,
+``dt <= 0.2 h^2 g_min``, keeps each substep within the explicit stability
+limit of the grid's second differences.  A step takes the least power-of-two
+count of substeps that the bound admits at its start field, derived from
+``g_min`` alone before any velocity is evaluated; only a bound or positivity
+failure later in the step halves the substeps again and restarts it.  Each
+field computes its velocity once: the velocity of a step's end field serves
+both the step's diagnostics row and the first stage of the next step (first
+same as last).
 
 The pointwise comparison inequality
 
@@ -62,7 +63,6 @@ __all__ = [
     "FlowState",
     "init_flow",
     "flow_step",
-    "step_euler",
     "run_flow",
     "write_diagnostics_csv",
     "ParabolicResidualReport",
@@ -154,7 +154,7 @@ class GridMetricField:
         self._min_eigenvalue = float(np.linalg.eigvalsh(hermitian_part(values)).min())
         if not self._min_eigenvalue > 0:
             raise NumericalError("grid metric is not positive definite everywhere")
-        self._velocity: tuple[TauParam, np.ndarray, float] | None = None
+        self._velocity: tuple[TauParam, np.ndarray] | None = None
 
     @classmethod
     def from_spec(cls, spec: MetricSpec, box: GridBox) -> "GridMetricField":
@@ -191,17 +191,19 @@ class GridMetricField:
     def min_eigenvalue(self) -> float:
         return self._min_eigenvalue
 
-    def velocity(self, tau: TauParam) -> tuple[np.ndarray, float]:
-        """The flow velocity at every node and its largest eigenvalue modulus ``v_max``.
+    def velocity(self, tau: TauParam) -> np.ndarray:
+        """The flow velocity at every node, computed at most once per ``tau``.
 
-        Both are computed at most once per ``tau``: the velocity of a step's end
-        field serves its diagnostics row and the first stage of the next step.
+        The velocity of a step's end field serves its diagnostics row and the
+        first stage of the next step.
         """
         if self._velocity is None or self._velocity[0] != tau:
-            velocity = thcf_velocity(self.jets(), tau)
-            v_max = float(np.abs(np.linalg.eigvalsh(velocity)).max())
-            self._velocity = (tau, velocity, v_max)
-        return self._velocity[1], self._velocity[2]
+            self._velocity = (tau, thcf_velocity(self.jets(), tau))
+        return self._velocity[1]
+
+    def max_velocity(self, tau: TauParam) -> float:
+        """The largest eigenvalue modulus of the velocity, a diagnostic only."""
+        return float(np.abs(np.linalg.eigvalsh(self.velocity(tau))).max())
 
     def seam_jumps(self) -> tuple[float, float]:
         """Largest wrap-around and largest interior neighbour difference of the values.
@@ -285,22 +287,19 @@ def _apply_update(field: GridMetricField, update: np.ndarray) -> np.ndarray:
 
 
 # relative allowance of the guard: a step sitting exactly on the limit is not
-# rejected for the last-bit rounding of 0.2 h^2 g_min / v_max
+# rejected for the last-bit rounding of 0.2 h^2 g_min
 _GUARD_ROUNDING = 1.0 + 4.0 * np.finfo(float).eps
 
 
-def _guard_rejects(field: GridMetricField, v_max: float, dt: float) -> bool:
-    """Whether the parabolic guard ``dt <= 0.2 h^2 g_min / v_max`` rejects ``dt`` at ``field``."""
-    return v_max > 0 and dt > _GUARD_ROUNDING * (
-        0.2 * field.box.spacing**2 * field.min_eigenvalue() / v_max
-    )
+def _guard_rejects(field: GridMetricField, dt: float) -> bool:
+    """Whether the diffusion bound ``dt <= 0.2 h^2 g_min`` rejects ``dt`` at ``field``."""
+    return dt > _GUARD_ROUNDING * (0.2 * field.box.spacing**2 * field.min_eigenvalue())
 
 
 def _guarded_velocity(field: GridMetricField, tau: TauParam, dt: float) -> np.ndarray:
-    velocity, v_max = field.velocity(tau)
-    if _guard_rejects(field, v_max, dt):
+    if _guard_rejects(field, dt):
         raise _StepRejected
-    return velocity
+    return field.velocity(tau)
 
 
 def _substep(field: GridMetricField, tau: TauParam, dt: float, method: str) -> GridMetricField:
@@ -332,21 +331,23 @@ def flow_step(state: FlowState, dt: float, method: str = "heun") -> FlowState:
 
     The default method is the two-stage explicit trapezoid; ``"euler"``
     selects the one-stage update.  The step is split into the least power of
-    two of equal substeps that the parabolic guard admits at the start field,
-    the count a halve-on-rejection loop would reach.  If the guard or
-    positivity still rejects a later stage, the substeps are halved again and
-    the step restarts from its start field, up to 2^8 substeps in all.  The
-    row records the substeps kept and the halvings this fallback took.
+    two of equal substeps that the diffusion bound ``dt <= 0.2 h^2 g_min``
+    admits at the start field, the count a halve-on-rejection loop would
+    reach; it needs ``g_min`` only, so no velocity is evaluated for it.  If
+    the bound or positivity still rejects a later stage, the substeps are
+    halved again and the step restarts from its start field, up to 2^8
+    substeps in all.  The row records the substeps kept, the halvings this
+    fallback took, and ``max_velocity``, the largest velocity eigenvalue
+    modulus at the end field.
     """
     if not 0 < dt < np.inf:
         raise ConfigError(f"time step must be positive and finite, got {dt}")
     if method not in ("heun", "euler"):
         raise ConfigError(f"unknown stepping method '{method}'")
     start = state.field
-    _, v_max = start.velocity(state.tau)
     pieces = 1
-    # each smaller count fails the guard on this same velocity and g_min
-    while _guard_rejects(start, v_max, dt / pieces):
+    # each smaller count fails the bound on this same g_min
+    while _guard_rejects(start, dt / pieces):
         pieces = _doubled(pieces, dt)
     rejected = 0
     while True:
@@ -359,13 +360,12 @@ def flow_step(state: FlowState, dt: float, method: str = "heun") -> FlowState:
         except _StepRejected:
             pieces = _doubled(pieces, dt)
             rejected += 1
-    _, max_velocity = field.velocity(state.tau)
     row = DiagnosticsRow(
         step=state.steps_taken + 1,
         time=state.time + dt,
         dt=dt,
         min_eigenvalue=field.min_eigenvalue(),
-        max_velocity=max_velocity,
+        max_velocity=field.max_velocity(state.tau),
         sup_trace=_sup_trace(state, field.values),
         substeps=pieces,
         rejected=rejected,
@@ -373,11 +373,6 @@ def flow_step(state: FlowState, dt: float, method: str = "heun") -> FlowState:
     return replace(
         state, time=state.time + dt, field=field, history=state.history + (row,)
     )
-
-
-def step_euler(state: FlowState, dt: float) -> FlowState:
-    """One explicit Euler step; first-order accurate in ``dt``."""
-    return flow_step(state, dt, method="euler")
 
 
 def run_flow(state: FlowState, dt: float, steps: int, method: str = "heun") -> FlowState:

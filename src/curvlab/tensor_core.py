@@ -28,6 +28,7 @@ from .errors import ConfigError, NumericalError
 __all__ = [
     "PSDForm",
     "UnitaryFrame",
+    "cholesky_factor",
     "hermitian_part",
     "metric_inverse_up",
     "psd_project",
@@ -135,6 +136,17 @@ def psd_project(m: np.ndarray) -> PSDForm:
     return PSDForm(entries[0])
 
 
+def cholesky_factor(g: np.ndarray) -> np.ndarray:
+    """The lower factor ``L`` of ``G = L L^H`` over any batch axes.
+
+    A metric with no factor, one not positive definite, is a :class:`NumericalError`.
+    """
+    try:
+        return np.linalg.cholesky(np.asarray(g, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"metric is not positive definite at this point: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class UnitaryFrame:
     """Frame change built from the Cholesky factor ``L`` of ``G = L L^H``.
@@ -151,14 +163,12 @@ class UnitaryFrame:
 
     @classmethod
     def from_metric(cls, g: np.ndarray) -> "UnitaryFrame":
-        g = np.asarray(g, dtype=complex)
-        try:
-            L = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"metric is not positive definite at this point: {exc}"
-            ) from exc
-        eye = np.broadcast_to(np.eye(g.shape[-1], dtype=complex), g.shape)
+        return cls.from_factor(cholesky_factor(g))
+
+    @classmethod
+    def from_factor(cls, L: np.ndarray) -> "UnitaryFrame":
+        """The frame of a Cholesky factor already formed, such as ``ChernPoint.cholesky``."""
+        eye = np.broadcast_to(np.eye(L.shape[-1], dtype=complex), L.shape)
         return cls(L, np.linalg.solve(L, eye))
 
     def to_frame(

@@ -1,7 +1,8 @@
 """A ChernPoint forms each tensor once, and its frame only when a frame tensor is read.
 
 Each command below counts how often connection coefficients and unitary
-frames are formed; run with ``-s`` to print the counts.
+frames are formed, and the frame reuses the Cholesky factor that checked the
+metric's positivity; run with ``-s`` to print the counts.
 """
 
 from functools import cached_property
@@ -26,29 +27,29 @@ def formed(monkeypatch):
     """Counts of formed connection coefficients and unitary frames, while installed."""
     counts = {"gamma": 0, "frames": 0}
     form_gamma = ChernPoint.gamma.func
-    from_metric = UnitaryFrame.from_metric.__func__
+    from_factor = UnitaryFrame.from_factor.__func__
 
     def gamma(self):
         counts["gamma"] += 1
         return form_gamma(self)
 
-    def frame(cls, g):
+    def frame(cls, factor):
         counts["frames"] += 1
-        return from_metric(cls, g)
+        return from_factor(cls, factor)
 
     counted = cached_property(gamma)
     counted.__set_name__(ChernPoint, "gamma")
     monkeypatch.setattr(ChernPoint, "gamma", counted)
-    monkeypatch.setattr(UnitaryFrame, "from_metric", classmethod(frame))
+    monkeypatch.setattr(UnitaryFrame, "from_factor", classmethod(frame))
     return counts
 
 
 @pytest.fixture
 def no_frames(monkeypatch):
-    def refuse(cls, g):
+    def refuse(cls, factor):
         raise AssertionError("a unitary frame was formed")
 
-    monkeypatch.setattr(UnitaryFrame, "from_metric", classmethod(refuse))
+    monkeypatch.setattr(UnitaryFrame, "from_factor", classmethod(refuse))
 
 
 def run_quietly(argv, capsys):
@@ -130,6 +131,38 @@ def test_tensors_and_frames_formed_per_command(name, formed, capsys):
     print(f"\n{name}: connection coefficients formed {formed['gamma']} times "
           f"(expected {gammas}), unitary frames {formed['frames']} (expected {frames})")
     assert formed == {"gamma": gammas, "frames": frames}
+
+
+# commands that read frames, each formed from the factor that checked positivity
+FACTORED = {
+    "scan --compare": COMMANDS["scan --compare"][0],
+    "gauduchon --roundtrip": ["gauduchon", "--metric", "builtin:hopf(2)", "--region", "6",
+                              "--t=-1,0.25,2", "--roundtrip"],
+    "schwarz": COMMANDS["schwarz"][0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED))
+def test_one_cholesky_per_point_stack(name, formed, monkeypatch, capsys):
+    stacks, factorisations = [], []
+    from_spec = ChernPoint.from_spec.__func__
+    cholesky = np.linalg.cholesky
+
+    def record(cls, spec, z):
+        stacks.append(z)
+        return from_spec(cls, spec, z)
+
+    def factor(g):
+        factorisations.append(g)
+        return cholesky(g)
+
+    monkeypatch.setattr(ChernPoint, "from_spec", classmethod(record))
+    monkeypatch.setattr(np.linalg, "cholesky", factor)
+    run_quietly(FACTORED[name], capsys)
+    print(f"\n{name}: {len(stacks)} point stacks, {len(factorisations)} Cholesky "
+          f"factorisations, {formed['frames']} unitary frames")
+    assert formed["frames"] > 0
+    assert len(factorisations) == len(stacks)
 
 
 def test_flow_forms_one_record_per_velocity_and_no_frame(formed, monkeypatch, capsys):

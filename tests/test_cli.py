@@ -516,7 +516,7 @@ class TestFlowSeam:
         assert err.startswith("warning: ") and "seam jump" in err
         assert err.count("\n") == 1
         rows = report["history"]
-        assert [(row["substeps"], row["rejected"]) for row in rows] == [(8, 0)]
+        assert [(row["substeps"], row["rejected"]) for row in rows] == [(1, 0)]
 
     def test_frozen_reports_null(self, capsys):
         code, out, err = self.flow("builtin:F1", "frozen", capsys)

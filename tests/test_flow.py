@@ -33,7 +33,6 @@ from curvlab.flow import (
     init_flow,
     parabolic_schwarz_residual,
     run_flow,
-    step_euler,
     supersolution_slacks,
     thcf_velocity,
     write_diagnostics_csv,
@@ -250,7 +249,7 @@ class TestStepping:
     def test_euler_is_first_order(self):
         state = self.flat_state()
         for _ in range(10):
-            state = step_euler(state, 0.01)
+            state = flow_step(state, 0.01, "euler")
         error = abs(state.field.values[2, 2, 0, 0] - math.exp(-0.1))
         assert 1e-4 < error < 1e-3, f"one-stage error {error}"
 

@@ -1,14 +1,18 @@
 """Flow stepping: the guard-derived substep count against the halve-and-retry loop.
 
-``flow_step`` derives its substep count from the parabolic guard at the start
-field and evaluates each field's velocity once.  The oracle below is the
-earlier stepping loop, kept verbatim in behaviour: it tries 1, 2, 4, ...
-substeps from the start field and recomputes every velocity and smallest
-eigenvalue it needs.  Both must give the same field values and the same
-history values bit for bit.
+``flow_step`` derives its substep count from the diffusion bound
+``dt <= 0.2 h^2 g_min`` at the start field and evaluates each field's velocity
+once.  The oracle below is a plain stepping loop under the same bound: it
+tries 1, 2, 4, ... substeps from the start field and recomputes every
+velocity and smallest eigenvalue it needs.  Both must give the same field
+values and the same history values bit for bit.
+
+The bound is checked for stability on the periodic F1 seam grid, where a
+node perturbation must decay over 30 substeps taken at the limit.
 
 Run with ``-s`` to print, for each pinned configuration, the substeps kept,
-the fallback halvings and the velocity evaluations per step of both loops.
+the fallback halvings and the velocity evaluations per step of both loops,
+and the perturbation's growth at 1, 5 and 10 times the limit.
 """
 
 import math
@@ -28,7 +32,7 @@ class _Rejected(Exception):
 
 
 class OldLoop:
-    """The halve-and-retry stepping loop that the derived count replaces."""
+    """The halve-and-retry stepping loop that the derived count replaces, on the diffusion bound."""
 
     def __init__(self, tau: TauParam, method: str):
         self.tau = tau
@@ -56,12 +60,8 @@ class OldLoop:
 
     def guarded_velocity(self, field, dt):
         velocity = self.velocity(field)
-        g_min = self.min_eigenvalue(field)
-        v_max = self.max_velocity(velocity)
-        if v_max > 0:
-            limit = 0.2 * field.box.spacing**2 * g_min / v_max
-            if dt > limit:
-                raise _Rejected
+        if dt > 0.2 * field.box.spacing**2 * self.min_eigenvalue(field):
+            raise _Rejected
         return velocity
 
     def build(self, box, values):
@@ -105,20 +105,25 @@ def source_tau(value):
 # name: (metric, center, half width, resolution, boundary, tau, method, dt, steps,
 #        substeps kept, fallback halvings per step)
 PINNED = {
+    # spacing 0.25: the limit 0.0125 g_min shrinks as the flat metric
+    # contracts, and 0.045 / 4 stays under it through both steps
     "flat(1) guard split": (builtin_metric("flat", 1), (0j,), 0.5, 5, "periodic",
-                            1.0, "heun", 0.05, 2, 4, 0),
+                            1.0, "heun", 0.045, 2, 4, 0),
+    # spacing 0.01: the limit 2e-5 g_min needs all 2^8 substeps of 5e-3
+    "flat(1) 2^8 substeps": (builtin_metric("flat", 1), (0j,), 0.02, 5, "periodic",
+                             1.0, "heun", 5e-3, 1, 2**8, 0),
     "F1 tau 2 periodic res 5": (fixture("F1"), (0j, 0j), 0.1, 5, "periodic",
-                                2.0, "heun", 1e-4, 2, 8, 0),
+                                2.0, "heun", 1e-4, 2, 1, 0),
     "P1 res 41 tau 1 heun": (builtin_metric("poincare_polydisk", 1), (0.1 + 0.05j,), 0.3, 41,
                              "frozen", 1.0, "heun", 1e-4, 3, 4, 0),
     "P1 res 41 tau inf euler": (builtin_metric("poincare_polydisk", 1), (0.1 + 0.05j,), 0.3,
                                 41, "frozen", math.inf, "euler", 1e-4, 3, 4, 0),
-    # spacing 5: the guard admits the whole step, but the predictor (heun) or
-    # the end field (euler) 1 - 2 and then 1 - 1 is not positive, so the
-    # fallback halves twice
-    "flat(1) predictor loses positivity": (builtin_metric("flat", 1), (0j,), 10.0, 5,
+    # spacing 50: the bound 500 g_min admits each whole step, but the
+    # predictor (heun) or the end field (euler) g (1 - 2) and then g (1 - 1)
+    # is not positive, so the fallback halves twice in both steps
+    "flat(1) predictor loses positivity": (builtin_metric("flat", 1), (0j,), 100.0, 5,
                                            "periodic", 1.0, "heun", 2.0, 2, 4, 2),
-    "flat(1) euler end loses positivity": (builtin_metric("flat", 1), (0j,), 10.0, 5,
+    "flat(1) euler end loses positivity": (builtin_metric("flat", 1), (0j,), 100.0, 5,
                                            "periodic", 1.0, "euler", 2.0, 2, 4, 2),
 }
 
@@ -165,14 +170,27 @@ def test_bit_identical_to_the_retry_loop(name, monkeypatch):
 
 
 def test_eight_halvings_abort_before_any_substep(monkeypatch):
-    # spacing 0.25 gives a guard limit of 0.0125 on the flat metric; 2^9 of
-    # them need more than 2^8 substeps, which the derived count sees at once
+    # spacing 0.25 gives a limit of 0.0125 on the flat metric at g_min = 1;
+    # 2^9 of them need more than 2^8 substeps, which the derived count sees
+    # from g_min alone, before any velocity
     state = pinned_state("flat(1) guard split")
     velocity_calls = counting(monkeypatch, flow, "thcf_velocity")
     with pytest.raises(flow.NumericalError, match="8 halvings"):
         flow_step(state, 0.0125 * 2**9)
-    assert len(velocity_calls) == 1
-    assert flow_step(state, 0.012 * 2**8).history[-1].substeps == 2**8
+    assert velocity_calls == []
+    assert flow_step(pinned_state("flat(1) 2^8 substeps"), 5e-3).history[-1].substeps == 2**8
+
+
+def test_eight_halvings_abort_in_the_fallback(monkeypatch):
+    # the start field admits 2^8 substeps of 0.012, but the metric contracts
+    # to g_min < 0.96 within a few of them, where the limit falls below 0.012
+    state = pinned_state("flat(1) guard split")
+    velocity_calls = counting(monkeypatch, flow, "thcf_velocity")
+    with pytest.raises(flow.NumericalError, match="8 halvings"):
+        flow_step(state, 0.012 * 2**8)
+    assert velocity_calls
+    with pytest.raises(flow.NumericalError, match="8 halvings"):
+        OldLoop(source_tau(1.0), "heun").step(state.field, 0.012 * 2**8)
 
 
 @pytest.mark.parametrize(
@@ -198,8 +216,8 @@ def test_velocity_evaluations_and_field_eigensolves(name, stages, monkeypatch):
         state = flow_step(state, dt, method)
     assert len(velocity_calls) == 1 + steps * substeps * stages
     assert len(built) == 1 + steps * substeps * stages
-    # the rest of the eigensolves are one per velocity, for v_max
-    assert len(eigvalsh_calls) == len(built) + len(velocity_calls)
+    # the rest of the eigensolves are one per step, for its max_velocity
+    assert len(eigvalsh_calls) == len(built) + steps
     for field in built:
         own = [a for a in eigvalsh_calls if np.array_equal(a, hermitian_part(field.values))]
         assert len(own) == 1
@@ -212,12 +230,13 @@ def test_velocity_evaluations_and_field_eigensolves(name, stages, monkeypatch):
 def test_velocity_kept_per_tau():
     state = pinned_state("F1 tau 2 periodic res 5")
     field = state.field
-    first, v_max = field.velocity(source_tau(2.0))
-    assert field.velocity(source_tau(2.0))[0] is first
-    other, _ = field.velocity(source_tau(math.inf))
+    first = field.velocity(source_tau(2.0))
+    assert field.velocity(source_tau(2.0)) is first
+    other = field.velocity(source_tau(math.inf))
     assert not np.array_equal(other, first)
-    again, again_max = field.velocity(source_tau(2.0))
-    assert np.array_equal(again, first) and again_max == v_max
+    again = field.velocity(source_tau(2.0))
+    assert np.array_equal(again, first)
+    assert field.max_velocity(source_tau(2.0)) == float(np.abs(np.linalg.eigvalsh(first)).max())
 
 
 def test_node_points_built_once_per_box():
@@ -228,8 +247,36 @@ def test_node_points_built_once_per_box():
 
 
 def test_step_on_the_guard_limit_is_admitted():
-    # 2^8 substeps of exactly the limit 0.0125: later fields round
-    # 0.2 h^2 g_min / v_max to one ulp below it, which the guard's allowance admits
-    state = flow_step(pinned_state("flat(1) guard split"), 0.0125 * 2**8)
-    row = state.history[-1]
-    assert (row.substeps, row.rejected) == (2**8, 0)
+    # half width 0.35 gives spacing 0.175 and the limit 0.2 * 0.175^2 = 0.006125
+    # on the flat metric; the floats round it to one ulp below the literal,
+    # which the guard's allowance admits as one Euler substep
+    box = GridBox((0j,), half_width=0.35, resolution=5, boundary="periodic")
+    state = init_flow(builtin_metric("flat", 1), box, source_tau(1.0))
+    assert 0.006125 > 0.2 * box.spacing**2 * state.field.min_eigenvalue()
+    row = flow_step(state, 0.006125, "euler").history[-1]
+    assert (row.substeps, row.rejected) == (1, 0)
+
+
+def _heun(field, tau, dt):
+    """One unguarded two-stage substep of a periodic field."""
+    v1 = field.velocity(tau)
+    predictor = GridMetricField(field.box, field.values + dt * v1)
+    return GridMetricField(field.box, field.values + 0.5 * dt * (v1 + predictor.velocity(tau)))
+
+
+def test_node_perturbation_decays_at_the_limit():
+    """A 1e-7 I kick at one node of the periodic F1 seam grid shrinks over 30 substeps."""
+    state = pinned_state("F1 tau 2 periodic res 5")
+    tau, base, box = state.tau, state.field, state.field.box
+    kick = np.zeros_like(base.values)
+    kick[(2,) * 4] = 1e-7 * np.eye(2)
+    limit = 0.2 * box.spacing**2 * base.min_eigenvalue()
+    growth = {}
+    for multiple in (1, 5, 10):
+        field, kicked = base, GridMetricField(box, base.values + kick)
+        for _ in range(30):
+            field, kicked = _heun(field, tau, multiple * limit), _heun(kicked, tau, multiple * limit)
+        growth[multiple] = float(np.abs(kicked.values - field.values).max()) / 1e-7
+    print("\nperturbation growth over 30 substeps: "
+          + ", ".join(f"{k}x the limit {g:.3g}" for k, g in growth.items()))
+    assert growth[1] < 1

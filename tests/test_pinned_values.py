@@ -4,6 +4,11 @@
 and flow histories computed at commit 8e7da75, before the Chern formulas were
 rewritten over batch axes and the flow's private copy of them was deleted.
 Every quantity here must still match to 1e-12 relative to its array's scale.
+The flow ``F1-tau2-periodic-heun`` was recorded again when the flow's substep
+guard became the diffusion bound ``dt <= 0.2 h^2 g_min``: the periodic seam
+grid then takes 1 substep per step instead of 8, and the values moved by
+about 1.5e-7 relative.  A 64-substep reference run checks that entry's
+accuracy.
 
 ``tests/data/pinned_cli.json`` holds ``scan --compare`` deviations and
 ``gauduchon`` family norms computed at commit 7328989, where both commands
@@ -14,12 +19,17 @@ and must match to 1e-12 relative to ``max(1, |entry|)``.
 To record both files again from the code in this checkout::
 
     PYTHONPATH=src python3 tests/test_pinned_values.py
+
+and to record only some flows of ``pinned_values.json`` again, name them::
+
+    PYTHONPATH=src python3 tests/test_pinned_values.py F1-tau2-periodic-heun
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +37,7 @@ import pytest
 
 from curvlab.chern import ChernPoint, q_squared_chart
 from curvlab.cli import main
-from curvlab.flow import GridBox, init_flow, run_flow
+from curvlab.flow import FlowState, GridBox, init_flow, run_flow
 from curvlab.functionals import TauParam
 from curvlab.metric_model import fixture, hopf, metric_jet, poincare_polydisk
 
@@ -96,10 +106,15 @@ def point_values(name: str) -> dict:
     }
 
 
-def flow_values(name: str) -> dict:
-    spec, center, extent, res, boundary, tau, method, dt, steps = FLOWS[name]
+def flow_start(name: str) -> FlowState:
+    spec, center, extent, res, boundary, tau, *_ = FLOWS[name]
     box = GridBox(center, half_width=extent, resolution=res, boundary=boundary)
-    state = run_flow(init_flow(spec, box, TauParam(tau, "source")), dt, steps, method)
+    return init_flow(spec, box, TauParam(tau, "source"))
+
+
+def flow_values(name: str) -> dict:
+    spec, _, _, res, _, _, method, dt, steps = FLOWS[name]
+    state = run_flow(flow_start(name), dt, steps, method)
     mid = (res // 2,) * (2 * spec.n)
     off = (res // 2 - 1,) + (res // 2 + 1,) * (2 * spec.n - 1)
     return {
@@ -160,6 +175,22 @@ def test_flow_history_matches_pinned(pinned, name):
         assert_matches(value, _complex(pinned["flows"][name][key]), f"{name} {key}")
 
 
+def test_periodic_flow_matches_a_64_substep_reference():
+    """One substep per step on the seam grid is within 1e-6 of 64 substeps per step."""
+    *_, method, dt, steps = FLOWS["F1-tau2-periodic-heun"]
+    start = flow_start("F1-tau2-periodic-heun")
+    state = run_flow(start, dt, steps, method)
+    reference = run_flow(start, dt / 64, 64 * steps, method)
+    ref_values = reference.field.values
+    grid = float(np.abs(state.field.values - ref_values).max() / np.abs(ref_values).max())
+    velocity = max(abs(row.max_velocity - ref.max_velocity) / abs(ref.max_velocity)
+                   for row, ref in zip(state.history, reference.history[63::64]))
+    print(f"\nF1-tau2-periodic-heun against 64 substeps per step: grid {grid:.2e}, "
+          f"max_velocity {velocity:.2e} relative")
+    assert [row.substeps for row in state.history] == [1] * steps
+    assert grid <= 1e-6 and velocity <= 1e-6
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CALLS))
 def test_cli_values_match_pinned(pinned_cli, name):
     new = cli_values(name)
@@ -170,7 +201,14 @@ def test_cli_values_match_pinned(pinned_cli, name):
 
 
 if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(record(), indent=1) + "\n")
-    cli = {name: cli_values(name).tolist() for name in CLI_CALLS}
-    CLI_DATA.write_text(json.dumps(cli, indent=1) + "\n")
+    if sys.argv[1:]:
+        data = json.loads(DATA.read_text())
+        flows = record()["flows"]
+        for name in sys.argv[1:]:
+            data["flows"][name] = flows[name]
+        DATA.write_text(json.dumps(data, indent=1) + "\n")
+    else:
+        DATA.parent.mkdir(exist_ok=True)
+        DATA.write_text(json.dumps(record(), indent=1) + "\n")
+        cli = {name: cli_values(name).tolist() for name in CLI_CALLS}
+        CLI_DATA.write_text(json.dumps(cli, indent=1) + "\n")
