@@ -20,7 +20,9 @@ The jet, and so every tensor built from it, may carry leading batch axes: a
 jet with ``g`` of shape ``(..., n, n)`` gives torsion ``(..., n, n, n)`` and
 curvature ``(..., n, n, n, n)``, one point per batch index.  Every formula is
 a chain of two-operand contractions over those axes, so one call serves a
-single point and a whole grid alike.
+single point and a whole grid alike.  On a stack the contractions run with the
+point axes innermost, so einsum loops over the points rather than over core
+axes of at most four entries, and give einsum's bits.
 
 The frame algebra that the family transforms and functionals share lives here
 too: torsion products, slot swaps, frame traces and the pairing with forms.
@@ -29,7 +31,8 @@ too: torsion products, slot swaps, frame traces and the pairing with forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -61,9 +64,44 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _points_last(subscripts: str) -> tuple[str, tuple[int, ...]]:
+    """``"...ab,...bc->...ac"`` as ``("ab...,bc...->ac...", (2, 2))``.
+
+    The subscripts with the point axes last, and each operand's count of core axes.
+    """
+    inputs, output = subscripts.split("->")
+    cores = [term.removeprefix("...") for term in inputs.split(",")]
+    moved = ",".join(core + "..." for core in cores) + "->" + output.removeprefix("...") + "..."
+    return moved, tuple(len(core) for core in cores)
+
+
+def _contract(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, a, b)`` for ``"...ab,...bc->...ac"`` subscripts, bit for bit.
+
+    Over a stack of more than one point, each operand's point axes are moved
+    last as a C-contiguous copy, so einsum's inner loop runs over all the
+    points instead of a core axis of at most four entries; the sum over each
+    contracted index keeps its order, so every value is einsum's.  The result
+    is a C-contiguous array with the point axes first.  With one point or
+    ``n = 1`` the move changes no memory order, so those stacks, and operands
+    whose point axes differ (broadcasting), take einsum directly.
+    """
+    last, (rank_a, rank_b) = _points_last(subscripts)
+    points = a.ndim - rank_a
+    batch = a.shape[:points]
+    if prod(batch) <= 1 or a.shape[-1] == 1 or b.shape[:b.ndim - rank_b] != batch:
+        return np.einsum(subscripts, a, b)
+    moved = [np.ascontiguousarray(x.transpose(*range(points, x.ndim), *range(points)))
+             for x in (a, b)]
+    out = np.einsum(last, *moved)
+    core = out.ndim - points
+    return np.ascontiguousarray(out.transpose(*range(core, out.ndim), *range(core)))
+
+
 def second_ricci(x: np.ndarray, curvature: np.ndarray) -> np.ndarray:
     """The second Ricci trace ``Ric2[..., k, l] = sum_{i,j} X[i, j] R[i, j, k, l]``."""
-    return np.einsum("...ij,...ijkl->...kl", x, curvature)
+    return _contract("...ij,...ijkl->...kl", x, curvature)
 
 
 class RicciTraces(NamedTuple):
@@ -83,10 +121,10 @@ def ricci_traces(jet: MetricJet) -> RicciTraces:
     # fourth (slots 3, 4 of the copy)
     swapped = np.ascontiguousarray(swap13(r))
     return RicciTraces(
-        ric1=np.einsum("...ij,...klij->...kl", x, r),
+        ric1=_contract("...ij,...klij->...kl", x, r),
         ric2=second_ricci(x, r),
         ric3=second_ricci(x, swapped),
-        ric4=np.einsum("...ij,...klij->...kl", x, swapped),
+        ric4=_contract("...ij,...klij->...kl", x, swapped),
     )
 
 
@@ -103,12 +141,12 @@ def frame_traces(r: np.ndarray) -> RicciTraces:
 def torsion_product_a(torsion: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
     """``TTA[..., i, j, k, l] = sum_r T[i, k, r] conj(U[j, l, r])``, with ``U = T`` by default."""
     other = torsion if other is None else other
-    return np.einsum("...ikr,...jlr->...ijkl", torsion, np.conj(other))
+    return _contract("...ikr,...jlr->...ijkl", torsion, np.conj(other))
 
 
 def torsion_product_b(torsion: np.ndarray) -> np.ndarray:
     """``TTB[..., i, j, k, l] = sum_r T[i, r, l] conj(T[j, r, k])``."""
-    return np.einsum("...irl,...jrk->...ijkl", torsion, np.conj(torsion))
+    return _contract("...irl,...jrk->...ijkl", torsion, np.conj(torsion))
 
 
 def swap13(a: np.ndarray) -> np.ndarray:
@@ -131,7 +169,7 @@ def q_squared_frame(torsion_frame: np.ndarray) -> np.ndarray:
 
     Positive semidefinite by construction; unitary-frame input expected.
     """
-    return np.einsum("...pql,...pqk->...kl", torsion_frame, np.conj(torsion_frame))
+    return _contract("...pql,...pqk->...kl", torsion_frame, np.conj(torsion_frame))
 
 
 def q_squared_chart(torsion: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -141,10 +179,10 @@ def q_squared_chart(torsion: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.nda
     lowered torsion ``Tb[i, j, l] = sum_m T[i, j, m] g[m, l]`` and ``x`` the
     raised-index inverse of ``g``.  Equals ``L q_squared_frame(T_frame) L^H``.
     """
-    lowered = np.einsum("...ijm,...ml->...ijl", torsion, g)
-    raised = np.einsum("...ia,...abk->...ibk", x, np.conj(lowered))
-    raised = np.einsum("...jb,...ibk->...ijk", x, raised)
-    return np.einsum("...ijl,...ijk->...kl", lowered, raised)
+    lowered = _contract("...ijm,...ml->...ijl", torsion, g)
+    raised = _contract("...ia,...abk->...ibk", x, np.conj(lowered))
+    raised = _contract("...jb,...ibk->...ijk", x, raised)
+    return _contract("...ijl,...ijk->...kl", lowered, raised)
 
 
 def torsion_trace_frame(torsion_frame: np.ndarray) -> np.ndarray:
@@ -205,7 +243,7 @@ class ChernPoint(MetricJet):
     @cached_property
     def gamma(self) -> np.ndarray:
         """Connection coefficients ``Gamma[..., i, k, p] = Gamma^p_{ik}``."""
-        return np.einsum("...pq,...ikq->...ikp", self.g_up, self.d_g)
+        return _contract("...pq,...ikq->...ikp", self.g_up, self.d_g)
 
     @cached_property
     def torsion(self) -> np.ndarray:
@@ -219,7 +257,7 @@ class ChernPoint(MetricJet):
         Hermitian symmetry ``R[i, j, k, l] = conj(R[j, i, l, k])`` holds exactly
         at the level of the formula; tests pin it down numerically.
         """
-        return -self.dd_g + np.einsum("...ikp,...jlp->...ijkl", self.gamma, np.conj(self.d_g))
+        return -self.dd_g + _contract("...ikp,...jlp->...ijkl", self.gamma, np.conj(self.d_g))
 
     @cached_property
     def frame(self) -> UnitaryFrame:
@@ -262,8 +300,8 @@ def first_bianchi_residual(
     # the footprint's torsion needs an invertible g there, not a definite one
     _, dbar_t = field_first(lambda w: ChernPoint.from_jet(metric_jet(spec, w)).torsion,
                             point.point, scheme, region=spec.region)
-    rhs = (np.einsum("...kl,...jmil->...mijk", point.g_up, r)
-           - np.einsum("...kl,...imjl->...mijk", point.g_up, r))
+    rhs = (_contract("...kl,...jmil->...mijk", point.g_up, r)
+           - _contract("...kl,...imjl->...mijk", point.g_up, r))
     return np.abs(dbar_t - rhs).max(axis=(-4, -3, -2, -1))
 
 
@@ -287,7 +325,7 @@ def pluriclosed_residuals(jet: MetricJet) -> tuple[np.ndarray, np.ndarray]:
 
     t = point.torsion
     # sum_{p,q} T[i,k,p] conj(T[j,l,q]) g[p,q], the torsion lowered first
-    rhs = torsion_product_a(np.einsum("...ikp,...pq->...ikq", t, point.g), t)
+    rhs = torsion_product_a(_contract("...ikp,...pq->...ikq", t, point.g), t)
     lhs = _alternation(point.curvature)
     r_symmetry = np.abs(lhs - rhs).max(axis=entries)
     return r_direct, r_symmetry

@@ -137,8 +137,9 @@ def _axis_derivative(values: np.ndarray, spacing: float, axis: int, periodic: bo
 class GridMetricField:
     """Hermitian metric values on every node of a :class:`GridBox`.
 
-    The smallest eigenvalue and the flow velocity are computed once and kept,
-    so ``values`` must not be changed in place after construction.
+    The smallest eigenvalue, the inverse metric and the flow velocity are
+    computed once and kept, so ``values`` must not be changed in place after
+    construction.
     """
 
     def __init__(self, box: GridBox, values: np.ndarray) -> None:
@@ -155,6 +156,7 @@ class GridMetricField:
         if not self._min_eigenvalue > 0:
             raise NumericalError("grid metric is not positive definite everywhere")
         self._velocity: tuple[TauParam, np.ndarray] | None = None
+        self._g_up: np.ndarray | None = None
 
     @classmethod
     def from_spec(cls, spec: MetricSpec, box: GridBox) -> "GridMetricField":
@@ -195,11 +197,21 @@ class GridMetricField:
         """The flow velocity at every node, computed at most once per ``tau``.
 
         The velocity of a step's end field serves its diagnostics row and the
-        first stage of the next step.
+        first stage of the next step.  Of the Chern record it forms, the field
+        keeps only the inverse metric (:meth:`g_up`): the record's tensors
+        take several times the memory of the values.
         """
         if self._velocity is None or self._velocity[0] != tau:
-            self._velocity = (tau, thcf_velocity(self.jets(), tau))
+            point = ChernPoint.from_jet(self.jets())
+            self._velocity = (tau, thcf_velocity(point, tau))
+            self._g_up = point.g_up
         return self._velocity[1]
+
+    def g_up(self) -> np.ndarray:
+        """The raised-index inverse of the values: the velocity's, else formed here and kept."""
+        if self._g_up is None:
+            self._g_up = metric_inverse_up(self.values)
+        return self._g_up
 
     def max_velocity(self, tau: TauParam) -> float:
         """The largest eigenvalue modulus of the velocity, a diagnostic only."""
@@ -264,11 +276,10 @@ def init_flow(
     )
 
 
-def _sup_trace(state: FlowState, values: np.ndarray) -> float | None:
+def _sup_trace(state: FlowState, field: GridMetricField) -> float | None:
     if state.reference_values is None:
         return None
-    x = metric_inverse_up(values)
-    traces = np.real(np.einsum("...kl,...kl->...", x, state.reference_values))
+    traces = np.real(np.einsum("...kl,...kl->...", field.g_up(), state.reference_values))
     return float(traces.max())
 
 
@@ -366,7 +377,7 @@ def flow_step(state: FlowState, dt: float, method: str = "heun") -> FlowState:
         dt=dt,
         min_eigenvalue=field.min_eigenvalue(),
         max_velocity=field.max_velocity(state.tau),
-        sup_trace=_sup_trace(state, field.values),
+        sup_trace=_sup_trace(state, field),
         substeps=pieces,
         rejected=rejected,
     )

@@ -23,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+from curvlab import flow
 from curvlab.chern import ChernPoint
 from curvlab.errors import ConfigError, NumericalError
 from curvlab.flow import (
@@ -232,6 +233,20 @@ class TestGridVelocity:
             gap = np.abs(v[idx] - one).max()
             assert gap <= 1e-13 * np.abs(one).max(), f"node {idx}: off by {gap:.3e}"
 
+    @pytest.mark.parametrize("boundary", ["frozen", "periodic"])
+    def test_node_velocity_does_not_depend_on_the_stack(self, boundary):
+        # the 625-node grid contracts with the point axes innermost, a one-node
+        # slice with einsum's own layout: the bits must agree
+        box = GridBox((0.03 + 0.01j, -0.02j), half_width=0.1, resolution=5, boundary=boundary)
+        grid = GridMetricField.from_spec(fixture("F1"), box).jets()
+        assert grid.g.shape[:-2] == (5,) * 4
+        nodes = np.random.default_rng(18).choice(625, size=5, replace=False)
+        for tau in (source_tau(2.0), source_tau(math.inf)):
+            v = thcf_velocity(grid, tau)
+            for idx in (np.unravel_index(k, (5,) * 4) for k in nodes):
+                node = MetricJet(grid.point[idx], grid.g[idx], grid.d_g[idx], grid.dd_g[idx])
+                assert v[idx].tobytes() == thcf_velocity(node, tau).tobytes(), idx
+
 
 class TestStepping:
     def flat_state(self, boundary="periodic", n=1, tau=1.0):
@@ -333,11 +348,42 @@ class TestDiagnostics:
             reference=builtin_metric("flat", 2),
         )
         # node (2, 1, 1, 1) sits at (0.5, 0): trace = (1 - 0.25)^2 + 1.
-        traces = _sup_trace(state, state.field.values)
+        traces = _sup_trace(state, state.field)
         x = np.conj(np.linalg.inv(state.field.values[2, 1, 1, 1]))
         node_trace = float(np.real(np.trace(x)))
         assert node_trace == pytest.approx(1.5625, abs=1e-12)
         assert traces >= node_trace
+
+    @pytest.mark.parametrize("method, inverses", [("heun", [3, 2, 2]), ("euler", [2, 1, 1])])
+    def test_sup_trace_reads_the_velocity_inverse(self, method, inverses, monkeypatch):
+        # each field inverts its values once, for its velocity; the sup trace
+        # of the end field reads that inverse instead of forming its own
+        box = GridBox((0.05 + 0j, 0.02j), half_width=0.1, resolution=5, boundary="frozen")
+        state = init_flow(fixture("F1"), box, source_tau(2.0), reference=fixture("F4"))
+        counts = {"inv": 0, "velocity": 0}
+        inv, velocity = np.linalg.inv, flow.thcf_velocity
+
+        def counted_inv(a):
+            counts["inv"] += 1
+            return inv(a)
+
+        def counted_velocity(jet, tau):
+            counts["velocity"] += 1
+            return velocity(jet, tau)
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        monkeypatch.setattr(flow, "thcf_velocity", counted_velocity)
+        per_step = []
+        for _ in inverses:
+            before = dict(counts)
+            state = flow_step(state, 1e-4, method)
+            per_step.append({k: counts[k] - before[k] for k in counts})
+        assert [row.substeps for row in state.history] == [1, 1, 1]
+        assert [step["inv"] for step in per_step] == inverses
+        assert [step["velocity"] for step in per_step] == inverses
+        x = np.conj(inv(state.field.values))
+        want = float(np.real(np.einsum("...kl,...kl->...", x, state.reference_values)).max())
+        assert state.history[-1].sup_trace == want
 
     def test_history_rows_and_csv(self):
         box = GridBox((0j,), half_width=0.5, resolution=5, boundary="periodic")
