@@ -20,9 +20,9 @@ The jet, and so every tensor built from it, may carry leading batch axes: a
 jet with ``g`` of shape ``(..., n, n)`` gives torsion ``(..., n, n, n)`` and
 curvature ``(..., n, n, n, n)``, one point per batch index.  Every formula is
 a chain of two-operand contractions over those axes, so one call serves a
-single point and a whole grid alike.  On a stack the contractions run with the
-point axes innermost, so einsum loops over the points rather than over core
-axes of at most four entries, and give einsum's bits.
+single point and a whole grid alike.  On a stack, all but the second Ricci
+trace run with the point axes innermost, so einsum loops over the points, not
+over core axes of at most four entries, and give einsum's bits.
 
 The frame algebra that the family transforms and functionals share lives here
 too: torsion products, slot swaps, frame traces and the pairing with forms.
@@ -57,7 +57,6 @@ __all__ = [
     "form_pairing",
     "q_squared_frame",
     "q_squared_chart",
-    "torsion_trace_frame",
     "first_bianchi_residual",
     "pluriclosed_residuals",
     "normal_coordinates",
@@ -101,7 +100,8 @@ def _contract(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def second_ricci(x: np.ndarray, curvature: np.ndarray) -> np.ndarray:
     """The second Ricci trace ``Ric2[..., k, l] = sum_{i,j} X[i, j] R[i, j, k, l]``."""
-    return _contract("...ij,...ijkl->...kl", x, curvature)
+    # in place: einsum's inner loop already runs over the contiguous kl block
+    return np.einsum("...ij,...ijkl->...kl", x, curvature)
 
 
 class RicciTraces(NamedTuple):
@@ -183,11 +183,6 @@ def q_squared_chart(torsion: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.nda
     raised = _contract("...ia,...abk->...ibk", x, np.conj(lowered))
     raised = _contract("...jb,...ibk->...ijk", x, raised)
     return _contract("...ijl,...ijk->...kl", lowered, raised)
-
-
-def torsion_trace_frame(torsion_frame: np.ndarray) -> np.ndarray:
-    """Torsion trace ``eta[..., j] = sum_i T[i, j, i]`` in a unitary frame."""
-    return np.einsum("...iji->...j", torsion_frame)
 
 
 def _first_indefinite(g: np.ndarray) -> int:

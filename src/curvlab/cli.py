@@ -13,10 +13,10 @@ Metric references are ``builtin:name(args)`` or ``file:path`` where the file
 holds a JSON metric payload.  Reports are JSON with sorted keys, indented by
 two spaces with one key or list item per line, except that every numeric
 array, complex entries as ``[re, im]`` pairs, sits on one line with the
-default ``", "`` separator.  Identical configuration and seed produce
-byte-identical output.  Every report embeds its resolved configuration;
-``curvature`` and ``schwarz`` reports also embed the stencil scheme of their
-checks.  CSV output exists only for the flow time series.
+default ``", "`` separator; per-point rows are written from columns.  Identical
+configuration and seed produce byte-identical output.  Every report embeds its
+resolved configuration; ``curvature`` and ``schwarz`` reports also embed the
+stencil scheme of their checks.  CSV output exists only for the flow series.
 
 Exit codes: 0 success, 1 tolerance breach, 2 configuration error,
 3 numerical failure.
@@ -32,8 +32,9 @@ import math
 import re
 import sys
 from functools import cache
-from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,9 +153,14 @@ def _complex_payload(array: np.ndarray) -> np.ndarray:
     return np.stack([a.real, a.imag], -1)
 
 
-def _rows(columns: dict) -> list[dict]:
-    """One dict per point from equally long per-point columns; arrays give slices."""
-    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+class _Table(dict):
+    """Per-point rows held as equally long columns: ndarrays, lists, tables or ``_Repeated``."""
+
+
+class _Repeated(NamedTuple):
+    """A column whose every row stands ``times`` times in a row."""
+    column: object
+    times: int
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -164,27 +170,58 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-# An array's place in the report skeleton.  No flag can spell it: an argument
-# vector holds no NUL character.
-_ARRAY = "\0"
-_ARRAY_TEXT = json.dumps(_ARRAY)
+_FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value, level: int) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` at indentation ``level``,
+    but each ``ndarray`` on one line and each ``_Table`` as its row dicts."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_TEXT.get(text, text)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple, _Table)):
+        items, brackets = _cells(value, level + 1), "[]"
+    elif isinstance(value, dict):
+        items, brackets = [f"{encode_basestring_ascii(key)}: {_json(value[key], level + 1)}"
+                           for key in sorted(value)], "{}"
+    else:
+        return json.dumps(value.tolist())
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * level}{brackets[1]}"
+
+
+def _cells(column, level: int) -> list[str]:
+    """The text of each row's entry of a column, at indentation ``level``.
+
+    A table's entries are its row dicts.  A numeric array of ``d`` inner axes is
+    encoded by one C encoder call and cut at ``"]" * d + ", " + "[" * d``, which
+    separates its rows and occurs nowhere inside one; an empty one goes row by row.
+    """
+    if isinstance(column, _Repeated):
+        return [cell for cell in _cells(column.column, level) for _ in range(column.times)]
+    if isinstance(column, _Table):
+        keys, inner = sorted(column), ",\n" + "  " * (level + 1)
+        row = inner.join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+        row = "{\n" + "  " * (level + 1) + row + "\n" + "  " * level + "}"
+        return [row % cells for cells in zip(*(_cells(column[key], level + 1) for key in keys))]
+    if not isinstance(column, np.ndarray) or column.size == 0:
+        return [_json(value, level) for value in column]
+    d = column.ndim - 1
+    text = json.dumps(column.tolist())[1 + d:-1 - d]
+    return ["[" * d + cell + "]" * d for cell in text.split("]" * d + ", " + "[" * d)]
 
 
 def _emit_json(report: dict, args: argparse.Namespace) -> None:
-    """Write the report with sorted keys and two-space indentation, each array on one line.
-
-    The stdlib encoder writes the skeleton, where every ``ndarray`` stands as a
-    marker, and each array is encoded by the C encoder on its own, in the
-    order the skeleton's markers appear.
-    """
-    arrays = []
-
-    def inline(array: np.ndarray) -> str:
-        arrays.append(json.dumps(array.tolist()))
-        return _ARRAY
-
-    parts = json.dumps(report, sort_keys=True, indent=2, default=inline).split(_ARRAY_TEXT)
-    _emit("".join(chain.from_iterable(zip(parts, arrays))) + parts[-1] + "\n", args.out)
+    """Write the report with sorted keys and two-space indentation, each array on one line."""
+    _emit(_json(report, 0) + "\n", args.out)
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -213,15 +250,15 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
         "curvature": point.curvature,
         **ricci_traces(point)._asdict(),
     }
-    rows = _rows({name: _complex_payload(value) for name, value in fields.items()})
-    row_checks = {}
+    rows = _Table({name: _complex_payload(value) for name, value in fields.items()})
+    row_checks = _Table()
     if "bianchi" in checks:
-        row_checks["bianchi"] = first_bianchi_residual(spec, point, scheme).tolist()
+        row_checks["bianchi"] = first_bianchi_residual(spec, point, scheme)
     if "pluriclosed" in checks:
-        row_checks["pluriclosed"] = np.maximum(*pluriclosed_residuals(point)).tolist()
-    for row, checks_at_point in zip(rows, _rows(row_checks)):
-        row["checks"] = checks_at_point
-    worst = {name: max(0.0, *values) for name, values in row_checks.items()}
+        row_checks["pluriclosed"] = np.maximum(*pluriclosed_residuals(point))
+    if row_checks:
+        rows["checks"] = row_checks
+    worst = {name: max(0.0, *values.tolist()) for name, values in row_checks.items()}
 
     report = {
         "command": "curvature",
@@ -260,14 +297,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             if not ok.all():
                 raise NumericalError("projection collapsed to zero: no positive part")
             gaps = np.abs(rbc_forms(point, forms, tau0) - 0.5 * altered_hsc_forms(point, forms))
-            deviations += np.max(gaps, axis=-1, initial=0.0).tolist()
-            residuals += np.maximum(*pluriclosed_residuals(point)).tolist()
-        rows = _rows({
-            "point": _complex_payload(points),
-            "deviation": deviations,
-            "pluriclosed": residuals,
-        })
-        worst = max(0.0, *deviations)
+            deviations.append(np.max(gaps, axis=-1, initial=0.0))
+            residuals.append(np.maximum(*pluriclosed_residuals(point)))
+        rows = _Table(point=_complex_payload(points), deviation=np.concatenate(deviations),
+                      pluriclosed=np.concatenate(residuals))
+        worst = max(0.0, *rows["deviation"].tolist())
         summary: dict = {"max_deviation": worst}
         if args.tol is not None and worst > args.tol:
             breached = True
@@ -283,16 +317,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         else:
             certs = rbc_certificates(point, tau, args.kind, **sizes)
         fields = ("kind", "value", "bound", "gap", "samples", "ascent_iterations", "tolerance")
-        rows = _rows({
-            "point": _complex_payload(points),
-            "witness": [_complex_payload(cert.witness) for cert in certs],
-            **{name: [getattr(cert, name) for cert in certs] for name in fields},
-        })
-        summary = {
-            "best_value": (max if args.kind == "sup" else min)(
-                row["value"] for row in rows
-            )
-        }
+        rows = _Table(point=_complex_payload(points),
+                      witness=_complex_payload([cert.witness for cert in certs]),
+                      **{name: [getattr(cert, name) for cert in certs] for name in fields})
+        summary = {"best_value": (max if args.kind == "sup" else min)(rows["value"])}
 
     report = {
         "command": "scan",
@@ -318,9 +346,8 @@ def _cmd_schwarz(args: argparse.Namespace) -> int:
     holo_map = HoloMap.parse(components, source.n)
 
     identity = laplacian_identity_report(source, target, holo_map, points, scheme)
-    columns = {f.name: getattr(identity, f.name).tolist() for f in dataclasses.fields(identity)}
-    rows = _rows({"point": _complex_payload(points), **columns})
-    worst = max(0.0, *columns["relative_residual"])
+    rows = _Table(point=_complex_payload(points), **vars(identity))
+    worst = max(0.0, *rows["relative_residual"].tolist())
 
     report = {
         "command": "schwarz",
@@ -348,37 +375,33 @@ def _cmd_gauduchon(args: argparse.Namespace) -> int:
     def per_point(a: np.ndarray) -> np.ndarray:
         return a.reshape(len(points), -1)
 
-    rows_per_t = []
+    norms, residuals = [], []
     for t in parameters:
         family = gauduchon_family(point, t)
         with np.errstate(over="ignore"):
-            norms = [np.linalg.norm(per_point(a), axis=-1)
-                     for a in (family.torsion, family.curvature)]
-        if not np.isfinite(norms).all():
+            norms.append([np.linalg.norm(per_point(a), axis=-1)
+                          for a in (family.torsion, family.curvature)])
+        if not np.isfinite(norms[-1]).all():
             raise NumericalError(f"the norm of the family member at t = {t} is not finite")
-        columns = {
-            "point": _complex_payload(points),
-            "t": [t] * len(points),
-            "torsion_norm": norms[0].tolist(),
-            "curvature_norm": norms[1].tolist(),
-        }
         if args.roundtrip:
             torsion_back, curvature_back = chern_from_family(family)
-            columns["roundtrip_residual"] = np.maximum(
+            residuals.append(np.maximum(
                 np.abs(per_point(torsion_back - point.torsion_frame)).max(axis=-1),
                 np.abs(per_point(curvature_back - point.curvature_frame)).max(axis=-1),
-            ).tolist()
-        rows_per_t.append(_rows(columns))
-    rows = [row for rows_at_point in zip(*rows_per_t) for row in rows_at_point]
-    worst = max(0.0, *(row.get("roundtrip_residual", 0.0) for row in rows))
-
+            ))
+    # one row per (point, t), points outermost
+    torsion_norm, curvature_norm = np.transpose(norms, (1, 2, 0)).reshape(2, -1)
+    rows = _Table(point=_Repeated(_complex_payload(points), len(parameters)),
+                  t=np.tile(parameters, len(points)),
+                  torsion_norm=torsion_norm, curvature_norm=curvature_norm)
     report = {
         "command": "gauduchon",
         "config": _config(args),
         "results": rows,
     }
     if args.roundtrip:
-        report["max_roundtrip_residual"] = worst
+        rows["roundtrip_residual"] = np.transpose(residuals).ravel()
+        worst = report["max_roundtrip_residual"] = max(0.0, *rows["roundtrip_residual"].tolist())
     _emit_json(report, args)
     if args.roundtrip and args.tol is not None and worst > args.tol:
         return 1

@@ -43,14 +43,12 @@ __all__ = [
     "BoundCertificate",
     "real_part",
     "hsc",
-    "hbc",
     "rbc",
     "rbc_forms",
     "altered_hsc",
     "altered_hsc_forms",
     "ric_tau_frame",
     "ric_tau",
-    "frame_vector",
     "extremize_hsc",
     "extremize_rbc",
     "hsc_certificates",
@@ -135,27 +133,11 @@ def _tempered_tensor(point: ChernPoint, tau: TauParam) -> np.ndarray:
     return r - weight * torsion_product_a(point.torsion_frame)
 
 
-def frame_vector(point: ChernPoint, v_chart: np.ndarray) -> np.ndarray:
-    """Frame components ``(..., n)`` of chart tangent vectors (holomorphic up index)."""
-    return np.einsum("...ki,...k->...i", point.frame.L, np.asarray(v_chart, dtype=complex))
-
-
 def hsc(point: ChernPoint, zeta: np.ndarray) -> float:
     """Holomorphic sectional curvature of the frame vector ``zeta``."""
     forms = _rank_one(np.asarray(zeta, dtype=complex)[None])
     value = _form_values(point.curvature_frame, forms, "holomorphic sectional curvature")
     return float(value[0])
-
-
-def hbc(point: ChernPoint, zeta: np.ndarray, nu: np.ndarray) -> float:
-    """Holomorphic bisectional curvature of the frame pair ``(zeta, nu)``."""
-    zeta = np.asarray(zeta, dtype=complex)
-    nu = np.asarray(nu, dtype=complex)
-    norm2 = float(np.real(np.vdot(zeta, zeta))) * float(np.real(np.vdot(nu, nu)))
-    if norm2 == 0.0:
-        raise ConfigError("bisectional curvature needs nonzero vectors")
-    value = form_pairing(point.curvature_frame, _rank_one(zeta[None]), _rank_one(nu[None]))
-    return float(real_part(value, "holomorphic bisectional curvature", norm2)[0])
 
 
 def _one_form(xi: PSDForm | np.ndarray) -> np.ndarray:

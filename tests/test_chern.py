@@ -25,7 +25,6 @@ from curvlab.chern import (
     q_squared_chart,
     q_squared_frame,
     ricci_traces,
-    torsion_trace_frame,
 )
 from curvlab.metric_model import (
     MetricJet,
@@ -85,7 +84,7 @@ class TestFixtureOneOrigin:
     def test_torsion_square_and_trace(self):
         q = q_squared_frame(self.point.torsion_frame)
         assert q[0, 0] == pytest.approx(8.0)
-        eta = torsion_trace_frame(self.point.torsion_frame)
+        eta = np.einsum("iji->j", self.point.torsion_frame)  # the torsion trace
         assert eta[0] == pytest.approx(0.0)
         assert eta[1] == pytest.approx(2.0)
 
@@ -273,7 +272,7 @@ def chern_quantities(jet: MetricJet) -> dict:
         "curvature_frame": point.curvature_frame,
         "q_frame": q_squared_frame(point.torsion_frame),
         "q_chart": q_squared_chart(point.torsion, point.g, point.g_up),
-        "eta": torsion_trace_frame(point.torsion_frame),
+        "eta": np.einsum("...iji->...j", point.torsion_frame),
     }
 
 

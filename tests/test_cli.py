@@ -11,6 +11,7 @@ from curvlab import cli, schwarz
 from curvlab.cli import _parse_metric, main
 from curvlab.errors import ConfigError
 from curvlab.metric_model import builtin_metric, fixture, hopf
+from test_report_writer import expanded, oracle as splice_oracle
 
 
 def run_cli(argv, capsys):
@@ -1053,8 +1054,10 @@ class TestReportLayout:
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
         # the old encoding of the same report object is the oracle of its value
-        oracle = json.dumps(reports[0], sort_keys=True, indent=2, default=np.ndarray.tolist)
+        oracle = json.dumps(expanded(reports[0]), sort_keys=True, indent=2,
+                            default=np.ndarray.tolist)
         assert json.loads(out, object_pairs_hook=_sorted_object) == json.loads(oracle)
+        assert out == splice_oracle(reports[0])
         for line in out.splitlines():
             with pytest.raises(ValueError):
                 float(line.strip().rstrip(","))
@@ -1067,7 +1070,7 @@ class TestReportLayout:
     def test_arrays_sit_on_one_line_with_the_default_separator(self, capsys, reports):
         _, out, _ = run_cli(LAYOUT_COMMANDS["curvature"].split(), capsys)
         lines = [line.rstrip(",") for line in out.splitlines()]
-        for name, value in reports[0]["points"][1].items():
+        for name, value in expanded(reports[0])["points"][1].items():
             if name != "checks":
                 assert isinstance(value, np.ndarray)
                 assert f'      "{name}": {json.dumps(value.tolist())}' in lines, name

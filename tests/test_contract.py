@@ -45,8 +45,20 @@ def operands(subscripts, n, batch, pool, rng):
 
 
 def test_every_contraction_of_chern_is_served():
-    assert len(SUBSCRIPTS) == 14
+    assert len(SUBSCRIPTS) == 13
     assert all(s.startswith("...") and s.count(",") == 1 for s in SUBSCRIPTS)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_second_ricci_gives_the_bits_of_both_layouts(n):
+    # second_ricci runs einsum in place: its bits are einsum's, and so those
+    # of the points-last route it left, on a grid-sized stack
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(625, n, n)) + 1j * rng.normal(size=(625, n, n))
+    r = rng.normal(size=(625,) + (n,) * 4) + 1j * rng.normal(size=(625,) + (n,) * 4)
+    got = chern.second_ricci(x, r).tobytes()
+    assert got == np.einsum("...ij,...ijkl->...kl", x, r).tobytes()
+    assert got == _contract("...ij,...ijkl->...kl", x, r).tobytes()
 
 
 @pytest.mark.parametrize("subscripts", SUBSCRIPTS)
