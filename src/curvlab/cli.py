@@ -334,7 +334,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_schwarz(args: argparse.Namespace) -> int:
     source = _parse_metric(args.source)
-    target = _parse_metric(args.target)
+    target = source if args.target == args.source else _parse_metric(args.target)
     scheme = JetScheme(h=args.h, order=args.order)
     points = _parse_points(args, source)
     if args.map == "id":

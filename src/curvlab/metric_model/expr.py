@@ -18,14 +18,26 @@ than ``*``; unary minus binds tighter still, so ``-z1^2`` is ``(-z1)^2``.
 The printer emits text that parses back to the same tree for any tree the
 parser itself can produce.  Constants with both real and imaginary part, or
 negative constants, print as evaluation-equivalent expressions instead.
+
+Trees are evaluated by compiling a set of them, such as a metric's entries,
+into a :class:`TreeProgram` (:func:`compile_trees`): one postorder list of
+unique steps, equal subtrees merged across the set and constant subtrees
+folded to Python numbers.  A run applies each step's Python operator to its
+operand slots, so one program serves arrays of points, numpy scalars and
+packed Wirtinger jets (``_Jet``), whose values are those of the recursive
+fold over four separate arrays, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
+import struct
 from dataclasses import dataclass
+from functools import cache
 from operator import attrgetter
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +58,8 @@ __all__ = [
     "parse_expr",
     "to_text",
     "eval_expr",
+    "TreeProgram",
+    "compile_trees",
     "substitute",
     "is_holomorphic",
     "max_var_index",
@@ -111,8 +125,7 @@ class Neg:
 Expr = Union[Const, Var, Add, Sub, Mul, Div, Pow, Conj, Abs2, Neg]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     value: complex
@@ -347,137 +360,6 @@ def to_text(node: Expr) -> str:
     return _render(node, _LEVEL_ADD)
 
 
-class _Jet:
-    """Second-order Wirtinger jet of a scalar field at ``P`` points in ``m`` variables.
-
-    ``v`` has shape ``(P,)``, ``d[p, i] = d_i f`` and ``dbar[p, i] = dbar_i f``
-    have ``(P, m)``, and ``dd[p, i, j] = d_i dbar_j f`` has ``(P, m, m)``.
-    Python scalars act as constants.  Sums, products, quotients, integer
-    powers and conjugation close on these parts, so no pure second
-    derivatives are carried; each value is computed as the plain fold does.
-    """
-
-    __slots__ = ("v", "d", "dbar", "dd")
-
-    def __init__(self, v, d, dbar, dd) -> None:
-        self.v, self.d, self.dbar, self.dd = v, d, dbar, dd
-
-    @classmethod
-    def coordinates(cls, z: np.ndarray) -> "_Jet":
-        """Jets of the coordinates at points ``z`` of shape ``(P, m)``; ``[..., k]`` is ``z_k``."""
-        zero = np.zeros(z.shape + z.shape[-1:])
-        return cls(z, zero + np.eye(z.shape[-1]), zero, np.zeros(zero.shape + z.shape[-1:]))
-
-    def __getitem__(self, key: tuple) -> "_Jet":
-        s = (slice(None),)
-        return _Jet(self.v[key], self.d[key + s], self.dbar[key + s], self.dd[key + s + s])
-
-    def _each(self, f) -> "_Jet":
-        return _Jet(f(self.v), f(self.d), f(self.dbar), f(self.dd))
-
-    def __add__(self, other) -> "_Jet":
-        if not isinstance(other, _Jet):
-            return _Jet(self.v + other, self.d, self.dbar, self.dd)
-        return _Jet(self.v + other.v, self.d + other.d, self.dbar + other.dbar, self.dd + other.dd)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_Jet":
-        return self._each(np.negative)
-
-    def __sub__(self, other) -> "_Jet":
-        return self + -other
-
-    def __rsub__(self, other) -> "_Jet":
-        return -self + other
-
-    def __mul__(self, other) -> "_Jet":
-        if not isinstance(other, _Jet):
-            return self._each(lambda part: part * other)
-        a, b = self.v[:, None], other.v[:, None]
-        return _Jet(self.v * other.v, self.d * b + a * other.d, self.dbar * b + a * other.dbar,
-                    self.dd * b[:, None] + a[:, None] * other.dd
-                    + _outer(self.d, other.dbar) + _outer(other.d, self.dbar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "_Jet":
-        if not isinstance(other, _Jet):
-            return self._each(lambda part: part / other)
-        # q = a / b: d q = d a / b - a d b / b^2 and d dbar q = d dbar a / b
-        # - (d a dbar b + d b dbar a + a d dbar b) / b^2 + 2 a d b dbar b / b^3
-        a, b = np.asarray(self.v)[..., None], other.v[:, None]
-        b2 = b * b
-        return _Jet(self.v / other.v, self.d / b - a * other.d / b2,
-                    self.dbar / b - a * other.dbar / b2,
-                    self.dd / b[:, None] - (_outer(self.d, other.dbar) + _outer(other.d, self.dbar)
-                                            + a[..., None] * other.dd) / b2[:, None]
-                    + 2 * a[..., None] * _outer(other.d, other.dbar) / (b2 * b)[:, None])
-
-    def __rtruediv__(self, other) -> "_Jet":
-        zero = np.zeros_like(self.d)
-        return _Jet(other, zero, zero, np.zeros_like(self.dd)) / self
-
-    def __pow__(self, k: int):
-        if k in (0, 1):  # never form v^(k-2), which is infinite at v = 0
-            return self if k else 1 + 0j
-        p1 = (k * self.v ** (k - 1))[:, None]
-        p2 = (k * (k - 1) * self.v ** (k - 2))[:, None, None]
-        return _Jet(self.v**k, p1 * self.d, p1 * self.dbar,
-                    p1[:, None] * self.dd + p2 * _outer(self.d, self.dbar))
-
-    def conjugate(self) -> "_Jet":
-        return _Jet(self.v.conjugate(), self.dbar.conjugate(), self.d.conjugate(),
-                    self.dd.conjugate().swapaxes(-1, -2))
-
-
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x[:, :, None] * y[:, None, :]
-
-
-def _abs2(w):
-    """``w * conj(w)`` with an exactly real value ``re^2 + im^2``."""
-    if not isinstance(w, _Jet):
-        return w.real * w.real + w.imag * w.imag
-    out = w * w.conjugate()
-    out.v = _abs2(w.v)
-    return out
-
-
-def eval_expr(node: Expr, z):
-    """Evaluate at points ``z`` of shape ``(..., n)``, one value per point.
-
-    The tree is folded with Python operators over the leaves ``z[..., k]``,
-    so for the coordinate jets of a stack of points the fold gives the
-    entry's Wirtinger jet.  Constant subtrees stay Python numbers; a
-    division by zero among them raises :class:`ConfigError`.
-    """
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return z[..., node.index]
-    if isinstance(node, Add):
-        return eval_expr(node.left, z) + eval_expr(node.right, z)
-    if isinstance(node, Sub):
-        return eval_expr(node.left, z) - eval_expr(node.right, z)
-    if isinstance(node, Mul):
-        return eval_expr(node.left, z) * eval_expr(node.right, z)
-    if isinstance(node, (Div, Pow)):
-        try:
-            if isinstance(node, Pow):
-                return eval_expr(node.base, z) ** node.exponent
-            return eval_expr(node.left, z) / eval_expr(node.right, z)
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise ConfigError(f"constant '{to_text(node)}' cannot be evaluated: {exc}") from exc
-    if isinstance(node, Conj):
-        return eval_expr(node.arg, z).conjugate()
-    if isinstance(node, Abs2):
-        return _abs2(eval_expr(node.arg, z))
-    if isinstance(node, Neg):
-        return -eval_expr(node.arg, z)
-    raise ConfigError(f"unknown expression node {node!r}")
-
-
 _OPERANDS = {
     Const: lambda node: (),
     Var: lambda node: (),
@@ -497,6 +379,349 @@ def _operands(node: Expr) -> tuple:
     except KeyError:
         raise ConfigError(f"unknown expression node {node!r}") from None
     return operands(node)
+
+
+# ---------------------------------------------------------------------------
+# compiled tree programs
+
+
+class _Jet:
+    """Second-order Wirtinger jets of a scalar field at ``P`` points in ``m`` variables.
+
+    One packed array ``a`` of shape ``(P, (m + 1)^2)`` holds per point the
+    value, ``d_i f``, ``dbar_i f`` and ``d_i dbar_j f`` row by row:
+    ``[v | d | dbar | dd]``.  Python scalars act as constants.  Sums,
+    products, quotients, integer powers and conjugation close on these
+    parts, so no pure second derivatives are carried.
+
+    Every number is the one a fold over the four parts as separate arrays
+    gives.  There a coordinate's derivatives are float64, and so are sums,
+    negations, conjugates and real multiples of float parts, and a squared
+    modulus has a float64 value.  ``real`` flags such (value, derivative)
+    parts: they hold their float numbers with imaginary part ``+0``, which
+    is what numpy's cast to complex makes of them, and each operation keeps
+    them so.  A product or quotient of two flagged parts is the float one;
+    a part mixed with a complex one meets it as that cast.  No operation
+    writes into an operand's array.
+    """
+
+    __slots__ = ("a", "real")
+
+    def __init__(self, a: np.ndarray, real: tuple) -> None:
+        self.a, self.real = a, real
+
+    @classmethod
+    def coordinates(cls, z: np.ndarray) -> list:
+        """The jets of ``z_k`` at points ``z`` of shape ``(P, m)``, one per ``k``."""
+        p, m = z.shape
+        a = np.zeros((m, p, (m + 1) ** 2), dtype=complex)
+        a[:, :, 0] = z.T
+        a[np.arange(m), :, 1 + np.arange(m)] = 1.0
+        return [cls(part, (False, True)) for part in a]
+
+    @property
+    def m(self) -> int:
+        return math.isqrt(self.a.shape[1]) - 1
+
+    def parts(self) -> tuple:
+        """Views ``v``, ``[d | dbar]`` ``(P, 2m)`` and ``dd`` ``(P, m, m)``; flagged ones float64."""
+        m = self.m
+        v = self.a[:, 0].real if self.real[0] else self.a[:, 0]
+        rest = self.a.real if self.real[1] else self.a
+        return v, rest[:, 1:1 + 2 * m], rest[:, 1 + 2 * m:].reshape(-1, m, m)
+
+    def _firsts(self, m: int) -> tuple:
+        """Views ``d`` and ``dbar`` ``(P, m)``; float64 when the derivatives are flagged."""
+        a = self.a.real if self.real[1] else self.a
+        return a[:, 1:1 + m], a[:, 1 + m:1 + 2 * m]
+
+    def __add__(self, other) -> "_Jet":
+        if isinstance(other, _Jet):
+            (rv, rd), (ov, od) = self.real, other.real
+            return _Jet(self.a + other.a, (rv and ov, rd and od))
+        a = self.a.copy()
+        a[:, 0] += other
+        return _Jet(a, (self.real[0] and not isinstance(other, complex), self.real[1]))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Jet":
+        return _Jet(_zero_imag(-self.a, self.real), self.real)
+
+    def __sub__(self, other) -> "_Jet":
+        return self + -other
+
+    def __rsub__(self, other) -> "_Jet":
+        return -self + other
+
+    def __mul__(self, other) -> "_Jet":
+        if not isinstance(other, _Jet):
+            return self._scaled(np.multiply, other)
+        (rv, rd), (ov, od) = self.real, other.real
+        left = _zero_imag(self.a * other.a[:, :1], (rv and ov, rd and ov))
+        right = _zero_imag(self.a[:, :1] * other.a, (False, rv and od))
+        out = left + right
+        out[:, 0] = left[:, 0]
+        m = self.m
+        d, dbar = self._firsts(m)
+        other_d, other_dbar = other._firsts(m)
+        dd = out[:, 1 + 2 * m:].reshape(-1, m, m)
+        dd += _outer(d, other_dbar)
+        dd += _outer(other_d, dbar)
+        return _Jet(out, (rv and ov, rv and ov and rd and od))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_Jet":
+        if not isinstance(other, _Jet):
+            return self._scaled(np.true_divide, other)
+        return _quotient(self.parts(), other.parts())
+
+    def __rtruediv__(self, other) -> "_Jet":
+        v, first, dd = self.parts()
+        return _quotient((other, np.zeros_like(first), np.zeros_like(dd)), (v, first, dd))
+
+    def __pow__(self, k: int):
+        if k in (0, 1):  # never form v^(k-2), which is infinite at v = 0
+            return self if k else 1 + 0j
+        rv, rd = self.real
+        # a float value is a contiguous array in the part fold
+        v = self.a[:, 0].real.copy() if rv else self.a[:, 0]
+        p1 = (k * v ** (k - 1))[:, None]
+        p2 = (k * (k - 1) * v ** (k - 2))[:, None, None]
+        out = _zero_imag(p1 * self.a, (False, rv and rd))
+        out[:, 0] = v**k
+        m = self.m
+        dd = out[:, 1 + 2 * m:].reshape(-1, m, m)
+        dd += p2 * _outer(*self._firsts(m))
+        return _Jet(out, (rv, rv and rd))
+
+    def conjugate(self) -> "_Jet":
+        out = self.a[:, _conjugate_order(self.m)]
+        np.conjugate(out, out=out)
+        return _Jet(_zero_imag(out, self.real), self.real)
+
+    def _scaled(self, op, c) -> "_Jet":
+        """``op(part, c)`` for every part; a flagged part with a real ``c`` stays float."""
+        a = op(self.a, c)
+        if isinstance(c, complex):
+            return _Jet(a, (False, False))
+        lo, hi = _flagged_columns(self.real, a.shape[1])
+        a[:, lo:hi] = op(self.a.real[:, lo:hi], c)
+        return _Jet(a, self.real)
+
+
+def _flagged_columns(real: tuple, width: int) -> tuple[int, int]:
+    """The columns of the flagged parts, ``[lo, hi)``; empty when none is flagged."""
+    if not any(real):
+        return 0, 0
+    return (0 if real[0] else 1), (width if real[1] else 1)
+
+
+def _zero_imag(a: np.ndarray, real: tuple) -> np.ndarray:
+    """Set the imaginary parts of the flagged parts of ``a`` to ``+0``, in place."""
+    lo, hi = _flagged_columns(real, a.shape[1])
+    if hi > lo:
+        a.imag[:, lo:hi] = 0.0
+    return a
+
+
+@cache
+def _conjugate_order(m: int) -> np.ndarray:
+    """Columns of a conjugate: ``v``, ``dbar`` as ``d``, ``d`` as ``dbar``, ``dd`` transposed."""
+    dd = 1 + 2 * m + np.arange(m * m).reshape(m, m).T.ravel()
+    return np.concatenate([[0], np.arange(1 + m, 1 + 2 * m), np.arange(1, 1 + m), dd])
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[:, :, None] * y[:, None, :]
+
+
+def _quotient(p: tuple, q: tuple) -> _Jet:
+    """The jet of ``p / q`` from their :meth:`_Jet.parts`, operation by operation as a part
+    fold does; ``d`` and ``dbar`` share each operation."""
+    # q = a / b: d q = d a / b - a d b / b^2 and d dbar q = d dbar a / b
+    # - (d a dbar b + d b dbar a + a d dbar b) / b^2 + 2 a d b dbar b / b^3
+    (pv, pfirst, pdd), (qv, qfirst, qdd) = p, q
+    m = pdd.shape[-1]
+    (pd, pdbar), (qd, qdbar) = (pfirst[:, :m], pfirst[:, m:]), (qfirst[:, :m], qfirst[:, m:])
+    a, b = np.asarray(pv)[..., None], qv[:, None]
+    b2 = b * b
+    dd = (pdd / b[:, None] - (_outer(pd, qdbar) + _outer(qd, pdbar) + a[..., None] * qdd)
+          / b2[:, None] + 2 * a[..., None] * _outer(qd, qdbar) / (b2 * b)[:, None])
+    v, first = pv / qv, pfirst / b - a * qfirst / b2
+    out = np.empty((len(v), (m + 1) ** 2), dtype=complex)
+    out[:, 0] = v
+    out[:, 1:1 + 2 * m] = first
+    out[:, 1 + 2 * m:] = dd.reshape(len(v), m * m)
+    return _Jet(out, (v.dtype.kind != "c", first.dtype.kind != "c"))
+
+
+def _abs2(w):
+    """``w * conj(w)`` with an exactly real value ``re^2 + im^2``."""
+    if not isinstance(w, _Jet):
+        return w.real * w.real + w.imag * w.imag
+    out = w * w.conjugate()
+    out.a[:, 0] = _abs2(w.a[:, 0])
+    return _Jet(out.a, (True, out.real[1]))
+
+
+# One step per node kind: ``step(x, y)`` with ``y`` the second operand, the
+# exponent of a power, or ``x`` again for the one-operand kinds.
+_STEPS = {
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+    Pow: operator.pow,
+    Conj: lambda x, _: x.conjugate(),
+    Abs2: lambda x, _: _abs2(x),
+    Neg: lambda x, _: -x,
+}
+
+
+def _cannot_evaluate(node: Expr, exc: Exception) -> ConfigError:
+    return ConfigError(f"constant '{to_text(node)}' cannot be evaluated: {exc}")
+
+
+class TreeProgram:
+    """A set of expression trees compiled into one postorder list of unique steps.
+
+    Slots hold the variables the trees read, their constants and one
+    result per step.  Equal subtrees, by node kind, variable index or
+    constant bits and operand slots, share one slot, within a tree and
+    across the set.  Constant subtrees are folded to Python numbers when
+    the program is compiled.  :meth:`run` folds the steps with Python
+    operators over the leaves, so every value is the one the recursive fold
+    of each tree gives.  ``len`` is the slot count.
+    """
+
+    __slots__ = ("_template", "_variables", "_steps", "_outputs", "_sources")
+
+    def __init__(self, template, variables, steps, outputs, sources) -> None:
+        self._template = template  # constants in their slots, None elsewhere
+        self._variables = variables  # (slot, k): the slot of z_k
+        self._steps = steps  # (slot, step, operand slot, operand slot)
+        self._outputs = outputs  # the slot of each tree
+        self._sources = sources  # slot -> node, for the quotients and powers
+
+    def __len__(self) -> int:
+        return len(self._template)
+
+    def run(self, leaves) -> list:
+        """One value per tree, with ``z_k`` read as ``leaves[k]``.
+
+        Leaves are arrays of points, numpy scalars or Wirtinger jets.  A
+        quotient or power that raises is a :class:`ConfigError`.
+        """
+        slots = self._template.copy()
+        for slot, k in self._variables:
+            slots[slot] = leaves[k]
+        try:
+            for slot, step, x, y in self._steps:
+                slots[slot] = step(slots[x], slots[y])
+        except (ZeroDivisionError, OverflowError) as exc:
+            if slot not in self._sources:
+                raise
+            raise _cannot_evaluate(self._sources[slot], exc) from exc
+        return [slots[slot] for slot in self._outputs]
+
+    def fold(self, z) -> list:
+        """:meth:`run` over the leaves ``z[..., k]`` of points ``z`` of shape ``(..., n)``."""
+        return self.run([z[..., k] for k in range(np.shape(z)[-1])])
+
+
+def _constant_key(value) -> tuple:
+    """A constant by type and bits, so that ``0`` and ``-0`` never share a slot."""
+    if isinstance(value, complex):
+        return Const, type(value), struct.pack("<dd", value.real, value.imag)
+    if isinstance(value, float):
+        return Const, type(value), struct.pack("<d", value)
+    return Const, type(value), value
+
+
+class _Compiler:
+    """Visits trees in postorder; a visit returns a slot, or ``(value,)`` for a constant."""
+
+    def __init__(self) -> None:
+        self.template: list = []
+        self.variables: list = []
+        self.steps: list = []
+        self.sources: dict = {}
+        self.slots: dict = {}  # structural key -> slot
+        self.seen: dict = {}  # id(node) -> slot or (value,)
+
+    def slot(self, ref) -> int:
+        """The slot of a visit's result; a constant gets one when first an operand or output."""
+        if type(ref) is int:
+            return ref
+        key = _constant_key(ref[0])
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = len(self.template)
+            self.template.append(ref[0])
+        return slot
+
+    def visit(self, node: Expr):
+        ref = self.seen.get(id(node))
+        if ref is not None:
+            return ref
+        kind = type(node)
+        if kind is Const:
+            ref = (node.value,)
+        elif kind is Var:
+            key = (Var, node.index)
+            ref = self.slots.get(key)
+            if ref is None:
+                ref = self.slots[key] = len(self.template)
+                self.template.append(None)
+                self.variables.append((ref, node.index))
+        else:
+            operands = [self.visit(operand) for operand in _operands(node)]
+            x = operands[0]
+            y = (node.exponent,) if kind is Pow else operands[-1]
+            step = _STEPS[kind]
+            if type(x) is tuple and type(y) is tuple:
+                try:
+                    ref = (step(x[0], y[0]),)
+                except (ZeroDivisionError, OverflowError) as exc:
+                    if kind is not Div and kind is not Pow:
+                        raise
+                    raise _cannot_evaluate(node, exc) from exc
+            else:
+                key = (kind, self.slot(x), self.slot(y))
+                ref = self.slots.get(key)
+                if ref is None:
+                    ref = self.slots[key] = len(self.template)
+                    self.template.append(None)
+                    self.steps.append((ref, step, key[1], key[2]))
+                    if kind is Div or kind is Pow:
+                        self.sources[ref] = node
+        self.seen[id(node)] = ref
+        return ref
+
+
+def compile_trees(trees: Sequence[Expr]) -> TreeProgram:
+    """Compile a set of trees into one :class:`TreeProgram`, subtrees shared.
+
+    A constant subtree whose quotient or power cannot be evaluated is a
+    :class:`ConfigError`, as it is for the recursive fold.
+    """
+    compiler = _Compiler()
+    outputs = tuple(compiler.slot(compiler.visit(tree)) for tree in trees)
+    return TreeProgram(compiler.template, tuple(compiler.variables), tuple(compiler.steps),
+                       outputs, compiler.sources)
+
+
+def eval_expr(node: Expr, z):
+    """Evaluate at points ``z`` of shape ``(..., n)``, one value per point.
+
+    The tree is compiled and run over the leaves ``z[..., k]``, so an
+    ``(n,)`` point folds through numpy scalars.  Constant subtrees stay
+    Python numbers; a division by zero among them raises
+    :class:`ConfigError`.
+    """
+    return compile_trees((node,)).fold(z)[0]
 
 
 def substitute(node: Expr, subs: Sequence[Expr]) -> Expr:

@@ -2,9 +2,11 @@
 
 A metric is an ``n x n`` Hermitian matrix field ``g_{k lbar}(z)`` on a chart
 region.  Its entries are expression trees, the only definition of a metric,
-built-in or loaded from a file: values and exact jets are both folds over
-those trees.  The jet of a metric collects everything downstream curvature
-code needs at one point::
+built-in or loaded from a file.  They are compiled once per spec into one
+program with shared subtrees (``MetricSpec.program``); values and exact jets
+are both runs of it, over arrays of points or over packed Wirtinger jets.
+The jet of a metric collects everything downstream curvature code needs at
+one point::
 
     g[k, l]        = g_{k lbar}
     d_g[i, k, l]   = d_i g_{k lbar}
@@ -117,6 +119,11 @@ class MetricSpec:
                         f"entry uses z{top + 1} but the metric has n = {self.n}"
                     )
 
+    @cached_property
+    def program(self) -> ex.TreeProgram:
+        """The entry trees, row by row, compiled once into one program."""
+        return ex.compile_trees([entry for row in self.entries for entry in row])
+
 
 @dataclass(frozen=True)
 class MetricJet:
@@ -151,33 +158,40 @@ def _points(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
 def metric_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
     """Metric matrices ``g_{k lbar}(z)``, ``(..., n, n)`` for points ``(..., n)``.
 
-    Each entry tree is folded once over all points, under ``np.errstate``:
+    The entry program runs once over all points, under ``np.errstate``:
     singular points give non-finite entries, which callers check.
     """
     z = _points(spec, z)
     flat = z.reshape(-1, spec.n)
     zero = np.zeros(len(flat))  # spreads constant entries over the points
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = [ex.eval_expr(entry, flat) + zero for row in spec.entries for entry in row]
+        g = [value + zero for value in spec.program.fold(flat)]
     return np.stack(g, -1).astype(complex).reshape(z.shape[:-1] + (spec.n, spec.n))
 
 
 def metric_jet(spec: MetricSpec, z: np.ndarray) -> MetricJet:
     """Second-order jet of the metric at the points ``z`` of shape ``(..., n)``.
 
-    The jet's arrays carry the batch axes of ``z``.  Each entry tree is
-    folded once over all points on Wirtinger jets, exact up to rounding.
+    The jet's arrays carry the batch axes of ``z``.  The entry program runs
+    once over all points on packed Wirtinger jets, exact up to rounding.
+    ``d_g`` and ``dd_g`` are float64 when every entry's derivatives are
+    flagged float (see ``expr._Jet``), as for the constant ``flat(n)``.
     Raises :class:`NumericalError` unless ``g``, ``d_g`` and ``dd_g`` are
     finite at every point.
     """
     z = _points(spec, z)
-    seed = ex._Jet.coordinates(z.reshape(-1, spec.n))
+    n = spec.n
+    leaves = ex._Jet.coordinates(z.reshape(-1, n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        zero = seed[..., 0] * 0.0  # a zero jet: spreads constant entries over the points
-        jets = [ex.eval_expr(entry, seed) + zero for row in spec.entries for entry in row]
-    parts = [np.stack([getattr(j, part) for j in jets], -1) for part in ("v", "d", "dd")]
-    g, d_g, dd_g = (np.reshape(part, z.shape[:-1] + (spec.n,) * rank)
-                    for part, rank in zip(parts, (2, 3, 4)))
+        zero = leaves[0] * 0.0  # a zero jet: spreads constant entries over the points
+        jets = [value + zero for value in spec.program.run(leaves)]
+    packed = np.array([jet.a for jet in jets])  # (n^2, P, (n + 1)^2)
+    derivatives = packed[..., 1:]
+    if all(jet.real[1] for jet in jets):  # float64 in a fold over separate parts
+        derivatives = derivatives.real
+    g, d_g, dd_g = (part.transpose(1, 2, 0).copy().reshape(z.shape[:-1] + (n,) * rank)
+                    for part, rank in ((packed[..., :1], 2), (derivatives[..., :n], 3),
+                                       (derivatives[..., 2 * n:], 4)))
     finite = (np.isfinite(g).all((-2, -1)) & np.isfinite(d_g).all((-3, -2, -1))
               & np.isfinite(dd_g).all((-4, -3, -2, -1)))
     if not finite.all():

@@ -57,8 +57,9 @@ from .metric_model import (
     JetScheme,
     MetricJet,
     MetricSpec,
+    TreeProgram,
+    compile_trees,
     complex_jet2,
-    eval_expr,
     field_first,
     holomorphic_derivative,
     is_holomorphic,
@@ -119,12 +120,17 @@ class HoloMap:
     def parse(cls, texts: Sequence[str], n_source: int) -> "HoloMap":
         return cls(tuple(parse_expr(t) for t in texts), n_source)
 
+    @cached_property
+    def program(self) -> TreeProgram:
+        """The component trees compiled once into one program."""
+        return compile_trees(self.components)
+
     def value(self, z: np.ndarray) -> np.ndarray:
         """Map values ``(..., n_target)`` at points ``(..., n_source)``.
 
         Every map fold starts here, so a point of another shape is a :class:`ConfigError`.
         """
-        return _fold(self.components, self._points(z), "value")
+        return _fold(self.program, self._points(z), "value")
 
     def _points(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -134,19 +140,19 @@ class HoloMap:
         return z
 
 
-def _fold(trees: Sequence[Expr], z: np.ndarray, what: str) -> np.ndarray:
-    """Each tree folded over the points ``z`` ``(..., n)`` as one ``(P, n)`` stack.
+def _fold(program: TreeProgram, z: np.ndarray, what: str) -> np.ndarray:
+    """The program's trees folded over the points ``z`` ``(..., n)`` as one ``(P, n)`` stack.
 
     Raises :class:`NumericalError` naming the first point where a value is not finite.
     """
     flat = z.reshape(-1, z.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = [np.broadcast_to(eval_expr(tree, flat), flat.shape[:-1]) for tree in trees]
+        values = [np.broadcast_to(value, flat.shape[:-1]) for value in program.fold(flat)]
     stacked = np.stack(values, -1).astype(complex, copy=False)
     finite = np.isfinite(stacked).all(-1)
     if not finite.all():
         raise NumericalError(f"map {what} is not finite at {flat[~finite][0]}")
-    return stacked.reshape(z.shape[:-1] + (len(trees),))
+    return stacked.reshape(z.shape[:-1] + (len(values),))
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,8 @@ class MapJetEvaluator:
     """Evaluates a map together with its exact first and second derivatives.
 
     The derivative trees are built once, flattened in ``(a, i)`` and
-    ``(a, i, j)`` order; evaluation folds them over a whole stack of points,
+    ``(a, i, j)`` order, and each order is compiled into one program when
+    it is first folded; evaluation folds them over a whole stack of points,
     such as a finite-difference footprint.  A value, Jacobian or Hessian
     that is not finite is a :class:`NumericalError`.
     """
@@ -174,8 +181,18 @@ class MapJetEvaluator:
     def __init__(self, holo_map: HoloMap) -> None:
         self.holo_map = holo_map
         n = holo_map.n_source
-        self._jac = [holomorphic_derivative(c, i) for c in holo_map.components for i in range(n)]
-        self._hess = [holomorphic_derivative(d, j) for d in self._jac for j in range(n)]
+        self._jac_trees = [holomorphic_derivative(c, i) for c in holo_map.components
+                           for i in range(n)]
+        self._hess_trees = [holomorphic_derivative(d, j) for d in self._jac_trees
+                            for j in range(n)]
+
+    @cached_property
+    def _jac(self) -> TreeProgram:
+        return compile_trees(self._jac_trees)
+
+    @cached_property
+    def _hess(self) -> TreeProgram:
+        return compile_trees(self._hess_trees)
 
     def first(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values ``(..., n_target)`` and Jacobians ``(..., n_target, n_source)`` only."""

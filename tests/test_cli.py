@@ -295,6 +295,26 @@ class TestScan:
 
 
 class TestSchwarz:
+    @pytest.mark.parametrize("components", ["id", "z1^2;z2^2"])
+    def test_one_file_for_source_and_target_is_loaded_once(self, capsys, monkeypatch, tmp_path,
+                                                           components):
+        payload = {"n": 2, "entries": [["1 / (1 - abs2(z1))^2", "0"], ["0", "1 / (1 - abs2(z2))^2"]],
+                   "region": {"type": "polydisk", "radius": 1.0}}
+        paths = [tmp_path / side / "P2.json" for side in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text(json.dumps(payload))
+        loads, load = [], cli.load_metric
+        monkeypatch.setattr(cli, "load_metric", lambda source: loads.append(source) or load(source))
+        argv = ["schwarz", "--map", components, "--points", "0.3+0.2j,-0.1+0.25j;0.1,0.2j",
+                "--source", f"file:{paths[0]}", "--target"]
+        code, same, err = run_cli(argv + [f"file:{paths[0]}"], capsys)
+        assert (code, err, len(loads)) == (0, "", 1)
+        # a copy of the file under another path is loaded and validated again
+        code, two, err = run_cli(argv + [f"file:{paths[1]}"], capsys)
+        assert (code, err, len(loads)) == (0, "", 3)
+        assert two.replace(str(paths[1]), str(paths[0])) == same
+
     def test_identity_map_between_metrics(self, capsys):
         code, report = run_json(
             [

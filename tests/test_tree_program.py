@@ -1,0 +1,574 @@
+"""The compiled tree program against the recursive fold it replaced, byte for byte.
+
+The oracle is the recursive ``eval_expr`` and the four-array Wirtinger jet
+the library folded trees with before it compiled them, kept here verbatim
+as ``recursive_eval`` and ``FourArrayJet``.  Metric jets (bytes and dtype),
+metric values, ``eval_expr`` and the map folds are compared on point stacks
+``()``, ``(1,)``, ``(7,)``, ``(2, 3)`` and ``(33,)``: on random multi-entry
+trees with shared subtrees, on every built-in metric and on the file
+metrics of the benchmark reference.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from curvlab.errors import ConfigError, NumericalError
+from curvlab.metric_model import (
+    Abs2,
+    Add,
+    Conj,
+    Const,
+    Div,
+    Expr,
+    MetricSpec,
+    Mul,
+    Neg,
+    Pow,
+    Region,
+    Sub,
+    Var,
+    compile_trees,
+    eval_expr,
+    example22,
+    fixture,
+    flat,
+    holomorphic_derivative,
+    hopf,
+    load_metric,
+    metric_jet,
+    metric_value,
+    poincare_polydisk,
+    substitute,
+    to_text,
+)
+from curvlab.metric_model.expr import _Jet, _operands
+from curvlab.schwarz import HoloMap, MapJetEvaluator
+
+STACKS = [(), (1,), (7,), (2, 3), (33,)]
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+# ---------------------------------------------------------------------------
+# the oracle: the recursive fold over four-array jets
+
+
+class FourArrayJet:
+    """Second-order Wirtinger jet of a scalar field at ``P`` points in ``m`` variables.
+
+    ``v`` has shape ``(P,)``, ``d[p, i] = d_i f`` and ``dbar[p, i] = dbar_i f``
+    have ``(P, m)``, and ``dd[p, i, j] = d_i dbar_j f`` has ``(P, m, m)``.
+    Python scalars act as constants.  Sums, products, quotients, integer
+    powers and conjugation close on these parts, so no pure second
+    derivatives are carried; each value is computed as the plain fold does.
+    """
+
+    __slots__ = ("v", "d", "dbar", "dd")
+
+    def __init__(self, v, d, dbar, dd) -> None:
+        self.v, self.d, self.dbar, self.dd = v, d, dbar, dd
+
+    @classmethod
+    def coordinates(cls, z: np.ndarray) -> "FourArrayJet":
+        """Jets of the coordinates at points ``z`` of shape ``(P, m)``; ``[..., k]`` is ``z_k``."""
+        zero = np.zeros(z.shape + z.shape[-1:])
+        return cls(z, zero + np.eye(z.shape[-1]), zero, np.zeros(zero.shape + z.shape[-1:]))
+
+    def __getitem__(self, key: tuple) -> "FourArrayJet":
+        s = (slice(None),)
+        return FourArrayJet(self.v[key], self.d[key + s], self.dbar[key + s], self.dd[key + s + s])
+
+    def _each(self, f) -> "FourArrayJet":
+        return FourArrayJet(f(self.v), f(self.d), f(self.dbar), f(self.dd))
+
+    def __add__(self, other) -> "FourArrayJet":
+        if not isinstance(other, FourArrayJet):
+            return FourArrayJet(self.v + other, self.d, self.dbar, self.dd)
+        return FourArrayJet(self.v + other.v, self.d + other.d, self.dbar + other.dbar, self.dd + other.dd)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FourArrayJet":
+        return self._each(np.negative)
+
+    def __sub__(self, other) -> "FourArrayJet":
+        return self + -other
+
+    def __rsub__(self, other) -> "FourArrayJet":
+        return -self + other
+
+    def __mul__(self, other) -> "FourArrayJet":
+        if not isinstance(other, FourArrayJet):
+            return self._each(lambda part: part * other)
+        a, b = self.v[:, None], other.v[:, None]
+        return FourArrayJet(self.v * other.v, self.d * b + a * other.d, self.dbar * b + a * other.dbar,
+                    self.dd * b[:, None] + a[:, None] * other.dd
+                    + _outer(self.d, other.dbar) + _outer(other.d, self.dbar))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "FourArrayJet":
+        if not isinstance(other, FourArrayJet):
+            return self._each(lambda part: part / other)
+        # q = a / b: d q = d a / b - a d b / b^2 and d dbar q = d dbar a / b
+        # - (d a dbar b + d b dbar a + a d dbar b) / b^2 + 2 a d b dbar b / b^3
+        a, b = np.asarray(self.v)[..., None], other.v[:, None]
+        b2 = b * b
+        return FourArrayJet(self.v / other.v, self.d / b - a * other.d / b2,
+                    self.dbar / b - a * other.dbar / b2,
+                    self.dd / b[:, None] - (_outer(self.d, other.dbar) + _outer(other.d, self.dbar)
+                                            + a[..., None] * other.dd) / b2[:, None]
+                    + 2 * a[..., None] * _outer(other.d, other.dbar) / (b2 * b)[:, None])
+
+    def __rtruediv__(self, other) -> "FourArrayJet":
+        zero = np.zeros_like(self.d)
+        return FourArrayJet(other, zero, zero, np.zeros_like(self.dd)) / self
+
+    def __pow__(self, k: int):
+        if k in (0, 1):  # never form v^(k-2), which is infinite at v = 0
+            return self if k else 1 + 0j
+        p1 = (k * self.v ** (k - 1))[:, None]
+        p2 = (k * (k - 1) * self.v ** (k - 2))[:, None, None]
+        return FourArrayJet(self.v**k, p1 * self.d, p1 * self.dbar,
+                    p1[:, None] * self.dd + p2 * _outer(self.d, self.dbar))
+
+    def conjugate(self) -> "FourArrayJet":
+        return FourArrayJet(self.v.conjugate(), self.dbar.conjugate(), self.d.conjugate(),
+                    self.dd.conjugate().swapaxes(-1, -2))
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[:, :, None] * y[:, None, :]
+
+
+def _abs2(w):
+    """``w * conj(w)`` with an exactly real value ``re^2 + im^2``."""
+    if not isinstance(w, FourArrayJet):
+        return w.real * w.real + w.imag * w.imag
+    out = w * w.conjugate()
+    out.v = _abs2(w.v)
+    return out
+
+
+def recursive_eval(node: Expr, z):
+    """Evaluate at points ``z`` of shape ``(..., n)``, one value per point.
+
+    The tree is folded with Python operators over the leaves ``z[..., k]``,
+    so for the coordinate jets of a stack of points the fold gives the
+    entry's Wirtinger jet.  Constant subtrees stay Python numbers; a
+    division by zero among them raises :class:`ConfigError`.
+    """
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return z[..., node.index]
+    if isinstance(node, Add):
+        return recursive_eval(node.left, z) + recursive_eval(node.right, z)
+    if isinstance(node, Sub):
+        return recursive_eval(node.left, z) - recursive_eval(node.right, z)
+    if isinstance(node, Mul):
+        return recursive_eval(node.left, z) * recursive_eval(node.right, z)
+    if isinstance(node, (Div, Pow)):
+        try:
+            if isinstance(node, Pow):
+                return recursive_eval(node.base, z) ** node.exponent
+            return recursive_eval(node.left, z) / recursive_eval(node.right, z)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError(f"constant '{to_text(node)}' cannot be evaluated: {exc}") from exc
+    if isinstance(node, Conj):
+        return recursive_eval(node.arg, z).conjugate()
+    if isinstance(node, Abs2):
+        return _abs2(recursive_eval(node.arg, z))
+    if isinstance(node, Neg):
+        return -recursive_eval(node.arg, z)
+    raise ConfigError(f"unknown expression node {node!r}")
+
+
+
+
+def oracle_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
+    flat = z.reshape(-1, spec.n)
+    zero = np.zeros(len(flat))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = [recursive_eval(entry, flat) + zero for row in spec.entries for entry in row]
+    return np.stack(g, -1).astype(complex).reshape(z.shape[:-1] + (spec.n, spec.n))
+
+
+def oracle_jet(spec: MetricSpec, z: np.ndarray) -> tuple:
+    """``g``, ``d_g`` and ``dd_g``; a :class:`NumericalError` unless they are finite."""
+    seed = FourArrayJet.coordinates(z.reshape(-1, spec.n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        zero = seed[..., 0] * 0.0
+        jets = [recursive_eval(entry, seed) + zero for row in spec.entries for entry in row]
+    parts = [np.stack([getattr(j, part) for j in jets], -1) for part in ("v", "d", "dd")]
+    g, d_g, dd_g = (np.reshape(part, z.shape[:-1] + (spec.n,) * rank)
+                    for part, rank in zip(parts, (2, 3, 4)))
+    finite = (np.isfinite(g).all((-2, -1)) & np.isfinite(d_g).all((-3, -2, -1))
+              & np.isfinite(dd_g).all((-4, -3, -2, -1)))
+    if not finite.all():
+        raise NumericalError(f"metric jet is not finite at {z[~finite][0]}")
+    return g, d_g, dd_g
+
+
+def oracle_fold(trees, z: np.ndarray) -> np.ndarray:
+    """The map fold: each tree over the points, stacked; not checked for finiteness."""
+    flat = z.reshape(-1, z.shape[-1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = [np.broadcast_to(recursive_eval(tree, flat), flat.shape[:-1]) for tree in trees]
+    return np.stack(values, -1).astype(complex, copy=False).reshape(z.shape[:-1] + (len(trees),))
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+def assert_same(got, want, label: str) -> None:
+    """Same type, dtype, shape and bytes."""
+    assert type(got) is type(want), f"{label}: {type(got)} against {type(want)}"
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), label
+    assert got.tobytes() == want.tobytes(), f"{label}: {got} against {want}"
+
+
+def outcome(call) -> tuple:
+    """``(value, None)``, or ``(None, (type, text))`` of the library error ``call`` raises."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return call(), None
+    except (ConfigError, NumericalError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_same_outcome(call, oracle, label: str) -> None:
+    (got, got_error), (want, want_error) = outcome(call), outcome(oracle)
+    assert got_error == want_error, label
+    if want_error is None:
+        assert_same(got, want, label)
+
+
+def check_metric(spec: MetricSpec, z: np.ndarray) -> None:
+    (jet, error), (want, want_error) = outcome(lambda: metric_jet(spec, z)), outcome(
+        lambda: oracle_jet(spec, z))
+    assert error == want_error
+    if error is None:
+        for part, ref, label in zip((jet.g, jet.d_g, jet.dd_g), want, ("g", "d_g", "dd_g")):
+            assert_same(part, ref, f"{label} of {spec.name} at {z.shape}")
+            assert part.flags.c_contiguous
+    assert_same_outcome(lambda: metric_value(spec, z), lambda: oracle_value(spec, z), "g")
+    flat = z.reshape(-1, spec.n)
+    check_packed_jets(spec, flat)
+    for k, entry in enumerate(e for row in spec.entries for e in row):
+        for leaves in (flat, flat[0]):
+            assert_same_outcome(lambda: eval_expr(entry, leaves),
+                                lambda: recursive_eval(entry, leaves), f"entry {k}")
+
+
+def oracle_map_jet(holo_map: HoloMap, z: np.ndarray, orders: int) -> list:
+    """Value, Jacobian and Hessian folds in turn, as the evaluator makes them."""
+    n = holo_map.n_source
+    jacobian = [holomorphic_derivative(c, i) for c in holo_map.components for i in range(n)]
+    hessian = [holomorphic_derivative(d, j) for d in jacobian for j in range(n)]
+    flat = z.reshape(-1, n)
+    folds = []
+    for what, trees in list(zip(("value", "Jacobian", "Hessian"),
+                                (holo_map.components, jacobian, hessian)))[:orders]:
+        values = oracle_fold(trees, flat)
+        finite = np.isfinite(values).all(-1)
+        if not finite.all():
+            raise NumericalError(f"map {what} is not finite at {flat[~finite][0]}")
+        folds.append(values.reshape(z.shape[:-1] + values.shape[-1:]))
+    return folds
+
+
+def one_nan(a: np.ndarray) -> np.ndarray:
+    """``a`` with every NaN real or imaginary part replaced by the one quiet NaN.
+
+    NaN signs are not compared: they follow which operand a processor
+    propagates, and no report holds a NaN (a jet with one raises).
+    """
+    out = a.copy()
+    out.real[np.isnan(a.real)] = np.nan
+    out.imag[np.isnan(a.imag)] = np.nan
+    return out
+
+
+def check_packed_jets(spec: MetricSpec, flat: np.ndarray) -> None:
+    """Each entry's packed jet holds the four parts of the recursive fold, cast to complex.
+
+    The flags name the parts that fold keeps as float64; their imaginary
+    parts are ``+0``, as the cast makes them.
+    """
+    seed = FourArrayJet.coordinates(flat)
+    entries = [entry for row in spec.entries for entry in row]
+    (got, error), (want, want_error) = outcome(
+        lambda: spec.program.run(_Jet.coordinates(flat))), outcome(
+        lambda: [recursive_eval(entry, seed) for entry in entries])
+    assert error == want_error
+    for k, (jet, ref) in enumerate(zip(got or [], want or [])):
+        if not isinstance(ref, FourArrayJet):
+            assert_same(jet, ref, f"constant entry {k}")
+            continue
+        parts = [np.asarray(part, dtype=complex).reshape(len(flat), -1)
+                 for part in (ref.v, ref.d, ref.dbar, ref.dd)]
+        assert_same(one_nan(jet.a), one_nan(np.concatenate(parts, axis=1)), f"entry {k}")
+        assert jet.real == (ref.v.dtype.kind != "c", ref.d.dtype.kind != "c"), f"entry {k}"
+
+
+def check_map(holo_map: HoloMap, z: np.ndarray) -> None:
+    evaluator = MapJetEvaluator(holo_map)
+    calls = {1: lambda: [holo_map.value(z)], 2: lambda: list(evaluator.first(z)),
+             3: lambda: (lambda jet: [jet.value, jet.jacobian, jet.hessian])(evaluator(z))}
+    for orders, call in calls.items():
+        (got, error), (want, want_error) = outcome(call), outcome(
+            lambda: oracle_map_jet(holo_map, z, orders))
+        assert error == want_error, orders
+        for part, ref, what in zip(got or [], want or [], ("value", "Jacobian", "Hessian")):
+            assert_same(part.reshape(ref.shape), ref, what)
+
+
+# ---------------------------------------------------------------------------
+# points: random, with exact zeros of both signs among the coordinates
+
+
+def points(rng: np.random.Generator, stack: tuple, n: int, scale: float = 0.45) -> np.ndarray:
+    z = scale * (rng.normal(size=stack + (n,)) + 1j * rng.normal(size=stack + (n,)))
+    signed_zero = rng.choice([0.0, -0.0], size=z.shape)
+    re = np.where(rng.random(z.shape) < 0.2, signed_zero, z.real)
+    im = np.where(rng.random(z.shape) < 0.2, signed_zero[::-1] if z.ndim == 1 else signed_zero,
+                  z.imag)
+    return re + 1j * im
+
+
+# ---------------------------------------------------------------------------
+# random trees with shared subtrees
+
+
+CONSTANTS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j, -1 + 0j,
+             0.5 + 0j, 2 - 1j, 0.25j, 0, 2, -1, 3, 0.5, -0.0, 0.3, -2.5]
+
+
+def atoms(n: int):
+    other = min(1, n - 1)
+    return st.one_of(
+        st.integers(0, n - 1).map(Var),
+        st.integers(0, n - 1).map(lambda k: Conj(Var(k))),
+        st.sampled_from(CONSTANTS).map(Const),
+        st.just(Neg(Var(0))),  # -z1
+        st.just(Sub(Const(1 + 0j), Var(0))),  # 1 - z1
+        st.just(Sub(Var(0), Conj(Var(other)))),  # z1 - conj(z2)
+    )
+
+
+def trees(n: int):
+    def extend(inner):
+        return st.one_of(
+            st.tuples(st.sampled_from([Add, Sub, Mul, Div]), inner, inner).map(
+                lambda t: t[0](t[1], t[2])),
+            st.tuples(inner, st.integers(-3, 3)).map(lambda t: Pow(*t)),
+            st.tuples(st.sampled_from([Conj, Abs2, Neg]), inner).map(lambda t: t[0](t[1])),
+        )
+
+    return st.recursive(atoms(n), extend, max_leaves=8)
+
+
+def copy_tree(tree: Expr, n: int) -> Expr:
+    """A structurally equal tree of new nodes."""
+    return substitute(tree, [Var(k) for k in range(n)])
+
+
+@st.composite
+def shared_entries(draw):
+    """An ``n x n`` matrix of entries built from a small pool of shared subtrees."""
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(trees(n), min_size=1, max_size=4))
+
+    def entry(_):
+        pick = st.sampled_from(pool)
+        return draw(st.one_of(
+            pick,  # the same node objects as another entry
+            pick.map(lambda t: copy_tree(t, n)),  # equal nodes, new objects
+            st.tuples(st.sampled_from([Add, Sub, Mul, Div]), pick, pick).map(
+                lambda t: t[0](t[1], t[2])),
+            st.tuples(pick, st.integers(-2, 2)).map(lambda t: Pow(*t)),
+            trees(n),
+            st.sampled_from(CONSTANTS).map(Const),  # a constant-only entry
+        ))
+
+    return n, tuple(tuple(entry((k, l)) for l in range(n)) for k in range(n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(shared_entries(), st.integers(0, 2**32 - 1))
+def test_random_tree_sets_fold_to_the_recursive_bytes(matrix, seed):
+    n, entries = matrix
+    spec = MetricSpec(name="random", n=n, entries=entries, region=Region("ball", 1.0))
+    rng = np.random.default_rng(seed)
+    for stack in STACKS:
+        check_metric(spec, points(rng, stack, n))
+
+
+@st.composite
+def holomorphic_maps(draw):
+    n = draw(st.integers(1, 2))
+    holomorphic = trees(n).filter(lambda t: "conj" not in to_text(t) and "abs2" not in to_text(t))
+    pool = draw(st.lists(holomorphic, min_size=1, max_size=3))
+    components = draw(st.lists(st.one_of(st.sampled_from(pool), holomorphic),
+                               min_size=1, max_size=2))
+    return HoloMap(tuple(components), n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(holomorphic_maps(), st.integers(0, 2**32 - 1))
+def test_random_map_folds_match_the_recursive_bytes(holo_map, seed):
+    rng = np.random.default_rng(seed)
+    for stack in STACKS:
+        check_map(holo_map, points(rng, stack, holo_map.n_source))
+
+
+# ---------------------------------------------------------------------------
+# every built-in metric and the benchmark's file metrics
+
+
+def reference_files() -> dict:
+    files = {}
+    for path in sorted(REFERENCE.glob("*.json")):
+        for name, payload in json.loads(path.read_text()).get("files", {}).items():
+            files[f"{path.stem}:{name}"] = payload
+    return files
+
+
+BUILTINS = {
+    **{f"flat({n})": (lambda n=n: flat(n)) for n in (1, 2, 3)},
+    **{f"poincare_polydisk({n})": (lambda n=n: poincare_polydisk(n)) for n in (1, 2, 3)},
+    **{f"hopf({n})": (lambda n=n: hopf(n)) for n in (1, 2, 3)},
+    **{name: (lambda name=name: fixture(name)) for name in ("F1", "F2", "F3", "F4")},
+    "example22(3)": lambda: example22(3, _antisymmetric(3), 0.05),
+    **{f"file {name}": (lambda payload=payload: load_metric(payload))
+       for name, payload in reference_files().items()},
+}
+
+
+def _antisymmetric(n: int) -> np.ndarray:
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
+    return 0.2 * (a - np.swapaxes(a, 0, 1))
+
+
+def test_the_reference_files_are_found():
+    assert len(reference_files()) >= 4
+
+
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_builtin_metrics_fold_to_the_recursive_bytes(name):
+    spec = BUILTINS[name]()
+    rng = np.random.default_rng(11)
+    for stack in STACKS:
+        count = int(np.prod(stack, dtype=int))
+        z = spec.region.sample_points(spec.n, rng, count).reshape(stack + (spec.n,))
+        check_metric(spec, z)
+    check_metric(spec, spec.region.base_point(spec.n))
+
+
+@pytest.mark.parametrize("tree", [
+    Mul(Neg(Var(0)), Const(-1)),  # float derivatives times a negative real: -1 * -1
+    Div(Neg(Var(0)), Const(-2.5)),
+    Mul(Const(-0.0), Sub(Const(1 + 0j), Var(1))),
+    Div(Abs2(Var(0)), Const(3)),  # a float value over a real constant
+    Mul(Neg(Abs2(Var(1))), Const(-1)),
+    Add(Neg(Var(0)), Const(-2)),
+    Conj(Sub(Var(0), Conj(Var(1)))),
+    Pow(Neg(Abs2(Var(0))), -2),
+    Mul(Neg(Var(0)), Conj(Neg(Var(1)))),
+])
+def test_real_parts_stay_float(tree):
+    spec = MetricSpec(name=to_text(tree), n=2, entries=((tree, Const(0j)), (Const(0j), tree)),
+                      region=Region("ball", 1.0))
+    z = np.array([[0.3 - 0.2j, -0.1 + 0.4j], [0j, complex(-0.0, -0.0)], [-0.5, 0.25j]])
+    check_packed_jets(spec, z)
+    check_metric(spec, z)
+
+
+def test_flat_derivatives_stay_float64():
+    jet = metric_jet(flat(2), np.zeros((3, 2), dtype=complex))
+    assert jet.g.dtype == complex
+    assert jet.d_g.dtype == jet.dd_g.dtype == np.float64
+
+
+@pytest.mark.parametrize("components", [("z1^2", "z2 * z1 - z2^3"), ("1 / (z1 - 2)", "z1 + 0 * z2"),
+                                        ("z1 * z2 / (3 + z2^2)^2",)])
+def test_map_folds_match_the_recursive_bytes(components):
+    holo_map = HoloMap.parse(components, 2)
+    rng = np.random.default_rng(3)
+    for stack in STACKS:
+        check_map(holo_map, points(rng, stack, 2))
+
+
+# ---------------------------------------------------------------------------
+# the program itself
+
+
+def node_count(tree: Expr) -> int:
+    return 1 + sum(map(node_count, _operands(tree)))
+
+
+def test_equal_subtrees_share_one_slot():
+    shared = Add(Abs2(Var(0)), Abs2(Var(1)))
+    trees = [Div(Const(1 + 0j), shared), Mul(copy_tree(shared, 2), Var(0)), Conj(Abs2(Var(1)))]
+    program = compile_trees(trees)
+    assert sum(map(node_count, trees)) == 17
+    # z1, z2, 1, |z1|^2, |z2|^2, the sum, the quotient, the product, the conjugate
+    assert len(program) == 9
+
+
+def test_hopf_entries_share_the_norm():
+    spec = hopf(3)
+    nodes = sum(node_count(e) for row in spec.entries for e in row)
+    assert len(spec.program) < nodes / 3
+
+
+@pytest.mark.parametrize("values", [(0j, complex(-0.0, 0.0)), (0j, 0), (0.0, -0.0), (1, 1.0, 1 + 0j)])
+def test_constants_share_a_slot_only_with_equal_bits(values):
+    program = compile_trees([Const(v) for v in values])
+    got = program.run([])
+    assert len(program) == len(values)
+    for value, want in zip(got, values):
+        assert_same(value, want, repr(want))
+
+
+def test_constant_subtrees_fold_to_python_numbers():
+    program = compile_trees([Add(Mul(Const(2 + 0j), Const(3j)), Var(0)),
+                             Pow(Conj(Const(1 + 1j)), 2)])
+    assert len(program) == 4  # z1, 6i, the sum and (1 - i)^2
+    value, constant = program.run([np.array([1 + 0j])])
+    assert_same(constant, (1 - 1j) ** 2, "constant")
+    assert_same(value, np.array([1 + 6j]), "value")
+
+
+@pytest.mark.parametrize("tree", [
+    Add(Var(0), Div(Const(1 + 0j), Sub(Const(1 + 0j), Const(1 + 0j)))),
+    Mul(Pow(Const(0j), -1), Abs2(Var(0))),
+    Div(Const(1), Const(0)),
+])
+def test_constants_that_cannot_be_evaluated_are_config_errors(tree):
+    with pytest.raises(ConfigError) as got:
+        compile_trees([tree])
+    with pytest.raises(ConfigError) as want:
+        recursive_eval(tree, np.zeros(1, dtype=complex))
+    assert str(got.value) == str(want.value)
+    assert "cannot be evaluated" in str(got.value)
+
+
+def test_a_run_leaves_its_leaves_and_earlier_results_alone():
+    spec = fixture("F1")
+    z = np.array([[0.1 + 0.05j, -0.02 + 0.1j], [0.0, -0.0j]])
+    kept = z.copy()
+    first = metric_jet(spec, z)
+    second = metric_jet(spec, z)
+    assert np.array_equal(z, kept)
+    for a, b in zip((first.g, first.d_g, first.dd_g), (second.g, second.d_g, second.dd_g)):
+        assert a.tobytes() == b.tobytes()
