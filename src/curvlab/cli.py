@@ -31,7 +31,7 @@ import json
 import math
 import re
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
@@ -53,6 +53,7 @@ from .metric_model import (
     BUILTIN_ARITY,
     FIXTURES,
     JetScheme,
+    MetricFile,
     MetricSpec,
     builtin_metric,
     fixture,
@@ -71,10 +72,19 @@ _BUILTIN_REF = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\((?P<args>[^)]*
 
 
 def _parse_metric(ref: str) -> MetricSpec:
-    """Resolve ``builtin:name(args)`` or ``file:path``; a builtin is built once per process."""
+    """Resolve ``builtin:name(args)`` or ``file:path`` once per process.
+
+    A builtin is built once per reference.  A file is read on every call, so a
+    changed file is seen, and loaded once per path and bytes.
+    """
     if ref.startswith("file:"):
-        return load_metric(ref[len("file:"):])
+        return _file_metric(MetricFile.read(ref[len("file:"):]))
     return _builtin(ref)
+
+
+@lru_cache(maxsize=16)
+def _file_metric(file: MetricFile) -> MetricSpec:
+    return load_metric(file)
 
 
 @cache
@@ -334,7 +344,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_schwarz(args: argparse.Namespace) -> int:
     source = _parse_metric(args.source)
-    target = source if args.target == args.source else _parse_metric(args.target)
+    target = _parse_metric(args.target)
     scheme = JetScheme(h=args.h, order=args.order)
     points = _parse_points(args, source)
     if args.map == "id":
@@ -343,7 +353,7 @@ def _cmd_schwarz(args: argparse.Namespace) -> int:
         components = [f"z{k + 1}" for k in range(source.n)]
     else:
         components = [c for c in args.map.split(";") if c.strip()]
-    holo_map = HoloMap.parse(components, source.n)
+    holo_map = _holo_map(tuple(components), source.n)
 
     identity = laplacian_identity_report(source, target, holo_map, points, scheme)
     rows = _Table(point=_complex_payload(points), **vars(identity))
@@ -360,6 +370,12 @@ def _cmd_schwarz(args: argparse.Namespace) -> int:
     if args.tol is not None and worst > args.tol:
         return 1
     return 0
+
+
+@lru_cache(maxsize=16)
+def _holo_map(components: tuple[str, ...], n_source: int) -> HoloMap:
+    """A map parsed once per process; its evaluator is built on first use and kept."""
+    return HoloMap.parse(components, n_source)
 
 
 def _cmd_gauduchon(args: argparse.Namespace) -> int:

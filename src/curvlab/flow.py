@@ -165,8 +165,13 @@ class GridMetricField:
         if spec.n > 2:
             raise ConfigError("grid flow supports dimensions 1 and 2")
         # a node on a singularity gives a non-finite value, which __init__ rejects
+        # first; a finite node outside the region is a configuration error
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             values = metric_value(spec, box.nodes)
+        outside = ~spec.region.contains(box.nodes)
+        if outside.any() and np.isfinite(values).all():
+            raise ConfigError(f"grid node {box.nodes[outside][0]} lies outside the "
+                              f"{spec.region.kind} region of {spec.name}")
         return cls(box, values)
 
     def node_points(self) -> np.ndarray:

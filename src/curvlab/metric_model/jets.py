@@ -82,36 +82,46 @@ DEFAULT_SCHEME = JetScheme()
 
 @cache
 def _footprint(m: int, order: int, levels: int, second: bool) -> tuple[np.ndarray, tuple]:
-    """Half-step offsets ``(F, m)`` of every stencil, and each derivative's terms.
+    """Half-step offsets ``(F, m)`` of every stencil, and the derivatives by term group.
 
-    Row 0 is the centre.  A derivative is ``(axes, terms)``: first in real
-    coordinate ``r`` for ``axes = (r,)``, second in ``r`` and ``s`` for
-    ``axes = (r, s)``; ``terms`` holds per level the ``(row, weight)`` pairs
-    in summation order.  Level 1 steps by two half-steps, level 2 by one.
+    Row 0 is the centre.  A group holds the derivatives with equally many
+    terms as ``(axes, rows, weights)``: ``axes`` of shape ``(k, a)`` names
+    each derivative's real coordinates, ``(r,)`` for a first and ``(r, s)``
+    for a second; ``rows`` of shape ``(levels, T, k)`` holds per level and
+    term the footprint row of every derivative; ``weights`` of shape ``(T,)``
+    holds the term weights, which the group shares, in summation order.  The
+    groups are the firsts, then the diagonal and the cross seconds.  Level 1
+    steps by two half-steps, level 2 by one.
     """
     rows = {(0,) * m: 0}
 
-    def lay_out(axes, moved, stencil):
+    def lay_out(moved, stencil):
         terms = []
         for unit in (2, 1)[:levels]:
             level = []
-            for offsets, weight in stencil:
+            for offsets, _ in stencil:
                 units = [0] * m
                 for axis, offset in zip(moved, offsets):
                     units[axis] = offset * unit
-                level.append((rows.setdefault(tuple(units), len(rows)), weight))
-            terms.append(tuple(level))
-        return axes, tuple(terms)
+                level.append(rows.setdefault(tuple(units), len(rows)))
+            terms.append(level)
+        return terms
 
     first = [((o,), w) for o, w in _FIRST_WEIGHTS[order]]
-    derivatives = [lay_out((r,), (r,), first) for r in range(m)]
+    diagonal = [((o,), w) for o, w in _SECOND_WEIGHTS[order]]
+    cross = [((a, b), wa * wb) for (a,), wa in first for (b,), wb in first]
+    groups = [(first, [((r,), lay_out((r,), first)) for r in range(m)])]
     if second:
-        diagonal = [((o,), w) for o, w in _SECOND_WEIGHTS[order]]
-        cross = [((a, b), wa * wb) for (a,), wa in first for (b,), wb in first]
-        for r in range(m):
-            derivatives.append(lay_out((r, r), (r,), diagonal))
-            derivatives += [lay_out((r, s), (r, s), cross) for s in range(r + 1, m)]
-    return np.array(list(rows), dtype=float), tuple(derivatives)
+        diagonals, crosses = [], []
+        for r in range(m):  # rows in the order of a layout derivative by derivative
+            diagonals.append(((r, r), lay_out((r,), diagonal)))
+            crosses += [((r, s), lay_out((r, s), cross)) for s in range(r + 1, m)]
+        groups += [(diagonal, diagonals), (cross, crosses)]
+    return np.array(list(rows), dtype=float), tuple(
+        (np.array([axes for axes, _ in members]),
+         np.array([terms for _, terms in members]).transpose(1, 2, 0),
+         np.array([weight for _, weight in stencil]))
+        for stencil, members in groups)
 
 
 def _real_jet(f: Callable, z: np.ndarray, scheme: JetScheme, second: bool, region):
@@ -119,12 +129,15 @@ def _real_jet(f: Callable, z: np.ndarray, scheme: JetScheme, second: bool, regio
 
     Returns ``(value, d1, d2)`` with the derivative axes first: ``d1`` of
     shape ``(2n, ...) + S`` and ``d2``, symmetric, of ``(2n, 2n, ...) + S``
-    (None unless ``second``).
+    (None unless ``second``).  A group of derivatives forms its weighted
+    terms in one product and sums them in order with one accumulate, so each
+    derivative goes through the float operations of its own sum, term by
+    term, as a real weight ``w`` times a value is ``(w + 0j)`` times it.
     """
     z = np.asarray(z, dtype=complex)
     batch, n = z.shape[:-1], z.shape[-1]
     m = 2 * n
-    units, derivatives = _footprint(m, scheme.order, 1 + scheme.richardson, second)
+    units, groups = _footprint(m, scheme.order, 1 + scheme.richardson, second)
     scale = np.maximum(1.0, np.abs(z))
     steps = scheme.h * np.concatenate([scale, scale], -1)
     delta = 0.5 * units * steps[..., None, :]
@@ -141,17 +154,16 @@ def _real_jet(f: Callable, z: np.ndarray, scheme: JetScheme, second: bool, regio
     tail = values.ndim - 1 - len(batch)
     steps = np.moveaxis(steps, -1, 0).reshape((m,) + batch + (1,) * tail)
 
-    def derivative(axes: tuple[int, ...], terms: tuple) -> np.ndarray:
+    def derivatives(axes: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The group's derivatives ``(k, ...) + S``, in the order of ``axes``."""
         found = []
-        for unit, level_terms in zip((2, 1), terms):
-            acc = None
-            for row, weight in level_terms:
-                term = weight * values[row]
-                acc = term if acc is None else acc + term
-            spacing = None
-            for axis in axes:
-                step = steps[axis] * (0.5 * unit)
-                spacing = step if spacing is None else spacing * step
+        weights = weights.reshape(weights.shape + (1,) * values.ndim)
+        for unit, level_rows in zip((2, 1), rows):
+            terms = weights * values[level_rows]  # (T, k, ...) + S
+            acc = np.add.accumulate(terms)[-1]  # term by term, never pairwise
+            spacing = steps[axes[:, 0]] * (0.5 * unit)
+            for axis in axes.T[1:]:
+                spacing = spacing * (steps[axis] * (0.5 * unit))
             found.append(acc / spacing)
         if len(found) == 1:
             return found[0]
@@ -159,12 +171,13 @@ def _real_jet(f: Callable, z: np.ndarray, scheme: JetScheme, second: bool, regio
         return (factor * found[1] - found[0]) / (factor - 1.0)
 
     value = values[0, ...].copy()
-    d1 = np.stack([derivative(axes, terms) for axes, terms in derivatives[:m]])
+    d1 = derivatives(*groups[0])
     if not second:
         return value, d1, None
     d2 = np.empty((m,) + d1.shape, dtype=complex)
-    for (r, s), terms in derivatives[m:]:
-        d2[r, s] = d2[s, r] = derivative((r, s), terms)
+    for axes, rows, weights in groups[1:]:
+        r, s = axes.T
+        d2[r, s] = d2[s, r] = derivatives(axes, rows, weights)
     return value, d1, d2
 
 

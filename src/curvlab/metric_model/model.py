@@ -18,11 +18,13 @@ The anti-holomorphic first derivative is not stored: Hermitian symmetry gives
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "metric_value",
     "metric_jet",
     "validate_metric",
+    "MetricFile",
     "load_metric",
 ]
 
@@ -229,23 +232,40 @@ def validate_metric(spec: MetricSpec, seed: int = 12345) -> None:
         )
 
 
-def load_metric(source) -> MetricSpec:
-    """Build a metric from a JSON file path or an already-parsed dict.
+class MetricFile(NamedTuple):
+    """A metric file's path and the bytes read from it."""
 
-    Expected shape::
+    path: str
+    data: bytes
+
+    @classmethod
+    def read(cls, path) -> "MetricFile":
+        """The file's bytes as they are now; an unreadable file is a :class:`ConfigError`."""
+        try:
+            return cls(str(path), Path(path).read_bytes())
+        except OSError as exc:
+            raise ConfigError(f"cannot read metric file: {exc}") from exc
+
+
+def load_metric(source) -> MetricSpec:
+    """Build a metric from a JSON file path, a :class:`MetricFile` or an already-parsed dict.
+
+    A path is read into a :class:`MetricFile`, whose bytes are decoded as
+    ``Path.read_text`` decodes them.  Expected shape::
 
         {"n": 2,
          "entries": [["1", "0"], ["0", "1"]],
          "region": {"type": "ball", "radius": 1.0}}
     """
     if isinstance(source, (str, Path)):
+        source = MetricFile.read(source)
+    if isinstance(source, MetricFile):
+        text = io.TextIOWrapper(io.BytesIO(source.data), encoding=io.text_encoding(None)).read()
         try:
-            payload = json.loads(Path(source).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read metric file: {exc}") from exc
+            payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"metric file is not valid JSON: {exc}") from exc
-        name = Path(source).stem
+        name = Path(source.path).stem
     elif isinstance(source, dict):
         payload = source
         name = str(payload.get("name", "inline"))

@@ -125,6 +125,11 @@ class HoloMap:
         """The component trees compiled once into one program."""
         return compile_trees(self.components)
 
+    @cached_property
+    def evaluator(self) -> "MapJetEvaluator":
+        """The map's jet evaluator, built on first use and kept with the map."""
+        return MapJetEvaluator(self)
+
     def value(self, z: np.ndarray) -> np.ndarray:
         """Map values ``(..., n_target)`` at points ``(..., n_source)``.
 
@@ -175,7 +180,8 @@ class MapJetEvaluator:
     ``(a, i, j)`` order, and each order is compiled into one program when
     it is first folded; evaluation folds them over a whole stack of points,
     such as a finite-difference footprint.  A value, Jacobian or Hessian
-    that is not finite is a :class:`NumericalError`.
+    that is not finite is a :class:`NumericalError`.  A map keeps one as
+    :attr:`HoloMap.evaluator`, which every report on the map reuses.
     """
 
     def __init__(self, holo_map: HoloMap) -> None:
@@ -256,7 +262,7 @@ def assemble_map(
             f"map has {holo_map.n_target} components, target metric has dimension {target.n}"
         )
     z = np.asarray(z, dtype=complex)
-    evaluator = MapJetEvaluator(holo_map)
+    evaluator = holo_map.evaluator
     map_jet = evaluator(z)
     image = map_jet.value
     outside = ~target.region.contains(image)
@@ -329,7 +335,7 @@ def energy_density(
     source: MetricSpec, target: MetricSpec, holo_map: HoloMap, z: np.ndarray
 ) -> np.ndarray:
     """``|df|^2`` at the points ``z`` ``(..., n)``: trace of the pulled-back target metric."""
-    return np.real(_energy(source, target, MapJetEvaluator(holo_map), z))[()]
+    return np.real(_energy(source, target, holo_map.evaluator, z))[()]
 
 
 def scalar_laplacian(

@@ -310,9 +310,10 @@ class TestSchwarz:
                 "--source", f"file:{paths[0]}", "--target"]
         code, same, err = run_cli(argv + [f"file:{paths[0]}"], capsys)
         assert (code, err, len(loads)) == (0, "", 1)
-        # a copy of the file under another path is loaded and validated again
+        # the same file again is not loaded again, but a copy of it under another
+        # path is loaded and validated
         code, two, err = run_cli(argv + [f"file:{paths[1]}"], capsys)
-        assert (code, err, len(loads)) == (0, "", 3)
+        assert (code, err, len(loads)) == (0, "", 2)
         assert two.replace(str(paths[1]), str(paths[0])) == same
 
     def test_identity_map_between_metrics(self, capsys):
@@ -489,6 +490,17 @@ class TestFlow:
         assert code == 3
         assert "NaN" not in out and out == ""
         assert err.startswith("error: ") and "not finite" in err
+
+    def test_grid_outside_the_region_is_a_configuration_error(self, capsys):
+        # finite nodes at |z| > 1, off the disk where the metric is defined
+        code, out, err = run_cli(
+            ["flow", "--metric", "builtin:poincare_polydisk(1)", "--center", "0.93",
+             "--extent", "0.1", "--dt", "1e-7", "--steps", "1", "--boundary", "frozen"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: grid node [1.03-0.1j] lies outside the polydisk region of "
+                       "poincare_polydisk(1)\n")
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "flow.json"

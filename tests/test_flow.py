@@ -39,7 +39,8 @@ from curvlab.flow import (
     write_diagnostics_csv,
 )
 from curvlab.functionals import TauParam, ric_tau
-from curvlab.metric_model import MetricJet, builtin_metric, fixture, metric_jet, metric_value
+from curvlab.metric_model import (MetricJet, builtin_metric, fixture, load_metric, metric_jet,
+                                  metric_value)
 from curvlab.tensor_core import hermitian_part
 
 
@@ -152,6 +153,20 @@ class TestGrid:
         # a node on hopf's puncture: no warning escapes, the grid is rejected
         with pytest.raises(NumericalError, match="not finite"):
             GridMetricField.from_spec(builtin_metric("hopf", 1), box)
+
+    def test_finite_nodes_outside_the_region_rejected(self):
+        box = GridBox((0.93 + 0j,), half_width=0.1, resolution=3)
+        with pytest.raises(ConfigError, match=r"grid node \[1.03-0.1j\] lies outside the polydisk"):
+            GridMetricField.from_spec(builtin_metric("poincare_polydisk", 1), box)
+        # the region is checked before positivity: 1 - |z|^2 is negative off the disk
+        shrinking = load_metric({"n": 1, "entries": [["1 - abs2(z1)"]],
+                                 "region": {"type": "ball", "radius": 1.0}})
+        with pytest.raises(ConfigError, match="outside the ball region"):
+            GridMetricField.from_spec(shrinking, GridBox((1.2 + 0j,), half_width=0.1, resolution=3))
+        # so is a reference metric's grid
+        with pytest.raises(ConfigError, match="outside the polydisk region"):
+            init_flow(builtin_metric("flat", 1), box, source_tau(1.0),
+                      reference=builtin_metric("poincare_polydisk", 1))
 
     def test_grid_jets_match_exact_jets(self):
         spec = builtin_metric("poincare_polydisk", 1)
