@@ -41,13 +41,7 @@ import numpy as np
 from .chern import ChernPoint, first_bianchi_residual, pluriclosed_residuals, ricci_traces
 from .errors import ConfigError, NumericalError
 from .flow import GridBox, init_flow, run_flow, write_diagnostics_csv
-from .functionals import (
-    TauParam,
-    altered_hsc_forms,
-    hsc_certificates,
-    rbc_certificates,
-    rbc_forms,
-)
+from .functionals import TauParam, comparison_deviation, hsc_certificates, rbc_certificates
 from .gauduchon import chern_from_family, gauduchon_family
 from .metric_model import (
     BUILTIN_ARITY,
@@ -60,13 +54,8 @@ from .metric_model import (
     load_metric,
 )
 from .schwarz import HoloMap, laplacian_identity_report
-from .tensor_core import psd_project_batch
 
 __all__ = ["main"]
-
-# forms held at once by `scan --compare`: its points go in chunks of this many
-# forms over --samples, one point per chunk at least
-_COMPARE_FORMS = 4096
 
 _BUILTIN_REF = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\((?P<args>[^)]*)\))?$")
 
@@ -289,28 +278,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     breached = False
     if args.compare:
-        # pluriclosed comparison: RBC^0 against half the altered sectional
-        # functional on seeded random PSD forms
-        if args.samples < 0:
-            raise ConfigError(f"--samples must be nonnegative, got {args.samples}")
-        rng = np.random.default_rng(args.seed)
-        tau0 = TauParam(0.0, "target")
-        chunk = max(1, _COMPARE_FORMS // max(1, args.samples))
-        deviations, residuals = [], []
-        for start in range(0, len(points), chunk):
-            point = ChernPoint.from_spec(spec, points[start:start + chunk])
-            # chunk by chunk, the draws of a per-point, per-sample loop:
-            # real part, then imaginary
-            draws = rng.normal(size=(len(point.g), args.samples, 2, spec.n, spec.n))
-            raw = draws[:, :, 0] + 1j * draws[:, :, 1]
-            forms, ok = psd_project_batch(raw @ np.conj(np.swapaxes(raw, -2, -1)))
-            if not ok.all():
-                raise NumericalError("projection collapsed to zero: no positive part")
-            gaps = np.abs(rbc_forms(point, forms, tau0) - 0.5 * altered_hsc_forms(point, forms))
-            deviations.append(np.max(gaps, axis=-1, initial=0.0))
-            residuals.append(np.maximum(*pluriclosed_residuals(point)))
-        rows = _Table(point=_complex_payload(points), deviation=np.concatenate(deviations),
-                      pluriclosed=np.concatenate(residuals))
+        # pluriclosed comparison: the largest gap between RBC^0 and half the
+        # altered sectional functional over unit Hermitian forms
+        point = ChernPoint.from_spec(spec, points)
+        rows = _Table(point=_complex_payload(points), deviation=comparison_deviation(point),
+                      pluriclosed=np.maximum(*pluriclosed_residuals(point)))
         worst = max(0.0, *rows["deviation"].tolist())
         summary: dict = {"max_deviation": worst}
         if args.tol is not None and worst > args.tol:
@@ -568,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare", action="store_true",
         help="compare RBC^0 with half the altered sectional functional",
     )
-    p.add_argument("--samples", type=int, default=8, help="forms per point in --compare")
     p.set_defaults(func=_cmd_scan)
 
     p = subparsers.add_parser("schwarz", help="map energy expansion residuals")

@@ -20,7 +20,8 @@ at every point of a stacked :class:`~curvlab.chern.ChernPoint`: a
 Lagrangian dual bound from one batched safeguarded Newton search over its
 multiplier, a witness with its exact value, and their gap.  The dual is
 exact for ``n <= 2``; a finite-difference ascent from seeded starts runs only
-where a gap stays open.
+where a gap stays open.  :func:`comparison_deviation` bounds the pluriclosed
+identity ``RBC^0 = altered HSC / 2`` over every unit Hermitian form at once.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "rbc_forms",
     "altered_hsc",
     "altered_hsc_forms",
+    "comparison_deviation",
     "ric_tau_frame",
     "ric_tau",
     "extremize_hsc",
@@ -168,10 +170,29 @@ def altered_hsc(point: ChernPoint, xi: PSDForm | np.ndarray) -> float:
     return float(altered_hsc_forms(point, _one_form(xi))[0])
 
 
+def _altered_tensor(point: ChernPoint) -> np.ndarray:
+    """``R + R^24`` in the frame, the tensor of :func:`altered_hsc`."""
+    r = point.curvature_frame
+    return r + swap24(r)
+
+
 def altered_hsc_forms(point: ChernPoint, forms: np.ndarray) -> np.ndarray:
     """:func:`altered_hsc` of each form of ``forms`` ``(..., B, n, n)`` at the point(s) given."""
-    r = point.curvature_frame
-    return _form_values(r + swap24(r), forms, "altered sectional curvature")
+    return _form_values(_altered_tensor(point), forms, "altered sectional curvature")
+
+
+def comparison_deviation(point: ChernPoint) -> np.ndarray:
+    """Largest ``|RBC^0(xi) - altered_hsc(xi) / 2|`` over unit Hermitian forms ``xi``.
+
+    Both sides are quadratic forms in ``xi`` over the same norm, so the gap is
+    the quadratic form ``K_d`` (:func:`_quadratic_forms`) of the difference
+    tensor ``(R - TT*/4) - (R + R^24)/2``, and its largest magnitude over unit
+    forms is the spectral radius of ``K_d``.  PSD forms are Hermitian, so this
+    bounds the gap of every PSD form; it vanishes for pluriclosed metrics.  One
+    value per point, with the point's batch axes.
+    """
+    difference = _tempered_tensor(point, TauParam(0.0, "target")) - 0.5 * _altered_tensor(point)
+    return np.max(np.abs(np.linalg.eigvalsh(_quadratic_forms(difference))), axis=-1)
 
 
 def ric_tau_frame(point: ChernPoint, tau: TauParam) -> np.ndarray:

@@ -260,9 +260,11 @@ def load_metric(source) -> MetricSpec:
     if isinstance(source, (str, Path)):
         source = MetricFile.read(source)
     if isinstance(source, MetricFile):
-        text = io.TextIOWrapper(io.BytesIO(source.data), encoding=io.text_encoding(None)).read()
         try:
+            text = io.TextIOWrapper(io.BytesIO(source.data), encoding=io.text_encoding(None)).read()
             payload = json.loads(text)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"metric file is not text in the locale encoding: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"metric file is not valid JSON: {exc}") from exc
         name = Path(source.path).stem

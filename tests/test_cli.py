@@ -1,6 +1,7 @@
 """Command line behaviour: parsing, reports, determinism, exit codes."""
 
 import argparse
+import io
 import json
 import math
 
@@ -18,6 +19,15 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def decodes_as_file_text(data: bytes) -> bool:
+    """Whether metric file bytes decode as ``Path.read_text`` decodes them."""
+    try:
+        io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def run_json(argv, capsys):
@@ -172,8 +182,6 @@ class TestScan:
                 "--points",
                 "1,0;0.6,0.3",
                 "--compare",
-                "--samples",
-                "4",
                 "--seed",
                 "3",
                 "--tol",
@@ -194,8 +202,6 @@ class TestScan:
                 "--points",
                 "0,0",
                 "--compare",
-                "--samples",
-                "4",
                 "--seed",
                 "0",
                 "--tol",
@@ -285,13 +291,14 @@ class TestScan:
         assert err.startswith("error: ")
 
 
-    def test_negative_compare_samples_is_config_error(self, capsys):
-        code, out, err = run_cli(
-            ["scan", "--metric", "builtin:F4", "--compare", "--samples", "-1"], capsys
-        )
-        assert code == 2
-        assert out == ""
-        assert "--samples" in err
+    @pytest.mark.parametrize("count", ["8", "-1"])
+    def test_samples_flag_is_a_usage_error(self, capsys, count):
+        # the comparison is exact, so it draws no forms and takes no count
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--metric", "builtin:F4", "--compare", "--samples", count])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "unrecognized arguments: --samples" in err
 
 
 class TestSchwarz:
@@ -770,6 +777,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "NaN" not in out
 
+    @pytest.mark.skipif(decodes_as_file_text(b"\xff"),
+                        reason="the locale encoding decodes every byte")
+    def test_metric_file_that_is_not_text(self, capsys, tmp_path):
+        # a 0xff byte inside a JSON string is not UTF-8
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"n": 1, "entries": [["1"]], "note": "\xff", '
+                         b'"region": {"type": "ball", "radius": 1.0}}')
+        got, out, err = run_cli(["curvature", "--metric", f"file:{path}"], capsys)
+        assert (got, out) == (2, "")
+        assert err.startswith("error: metric file is not text in the locale encoding: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "entries, flags, where",
@@ -887,7 +905,6 @@ BATCH_METRICS = {
     "P2": "builtin:poincare_polydisk(2)",
     "H2": "builtin:hopf(2)",
 }
-PLURICLOSED = {"P2", "H2"}
 
 
 def point_arg(pairs) -> str:
@@ -947,13 +964,7 @@ class TestBatchedRows:
         assert len(rows) == 8
         for k, row in enumerate(rows):
             _, single = run_json(argv + ["--points=" + point_arg(row["point"])], capsys)
-            want = dict(single["results"][0])
-            if name not in PLURICLOSED and k > 0:
-                # the forms of point k are the seed's draws k * samples onwards,
-                # where a one-point call starts at the first; the deviation is
-                # not a noise-level zero here, so only row 0 can match
-                want["deviation"] = row["deviation"]
-            assert_rows_close(row, want, f"{name} row {k}")
+            assert_rows_close(row, single["results"][0], f"{name} row {k}")
         assert report["summary"]["max_deviation"] == max(row["deviation"] for row in rows)
 
     @pytest.mark.parametrize("name", sorted(BATCH_METRICS))
@@ -971,17 +982,6 @@ class TestBatchedRows:
                 assert_rows_close(row, single["results"][0], f"{name} {kind} row {k}")
             best = max if kind == "sup" else min
             assert report["summary"]["best_value"] == best(row["value"] for row in rows)
-
-    @pytest.mark.parametrize("forms", [1, 7, 16])
-    def test_compare_chunks_continue_one_stream(self, capsys, monkeypatch, forms):
-        # chunks of 1, 2 and 5 points at 3 samples give the one-block report
-        argv = ["scan", "--metric", "builtin:example22", "--compare", "--seed", "5",
-                "--samples", "3", "--region", "7"]
-        _, whole, _ = run_cli(argv, capsys)
-        monkeypatch.setattr(cli, "_COMPARE_FORMS", forms)
-        code, chunked, err = run_cli(argv, capsys)
-        assert (code, err) == (0, "")
-        assert chunked == whole
 
 
 class TestSchwarzBatch:
@@ -1050,7 +1050,7 @@ class TestSchwarzBatch:
 LAYOUT_COMMANDS = {
     "curvature": "curvature --metric builtin:F1 --region 3 --check bianchi,pluriclosed",
     "scan": "scan --metric builtin:hopf(2) --region 2 --functional rbc --tau 2",
-    "scan --compare": "scan --metric builtin:hopf(2) --region 3 --compare --samples 4",
+    "scan --compare": "scan --metric builtin:hopf(2) --region 3 --compare",
     "schwarz": "schwarz --map id --source builtin:F1 --target builtin:hopf(2) --region 2",
     "gauduchon": "gauduchon --metric builtin:F2 --region 2 --t=-1,2 --roundtrip",
     "flow": "flow --metric builtin:flat(1) --tau 1 --dt 0.01 --steps 2",
