@@ -37,11 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
 from .metric_model.expr import Add, Conj, Const, Expr, Mul, Var, substitute
 from .metric_model.jets import DEFAULT_SCHEME, JetScheme, field_first
 from .metric_model.model import MetricJet, MetricSpec, Region, metric_jet
-from .tensor_core import UnitaryFrame, cholesky_factor
+from .tensor_core import UnitaryFrame
 
 __all__ = [
     "RicciTraces",
@@ -185,16 +184,6 @@ def q_squared_chart(torsion: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.nda
     return _contract("...ijl,...ijk->...kl", lowered, raised)
 
 
-def _first_indefinite(g: np.ndarray) -> int:
-    """Flat index of the first matrix of a stack that has no Cholesky factor."""
-    for k, matrix in enumerate(g.reshape((-1,) + g.shape[-2:])):
-        try:
-            np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            return k
-    return 0
-
-
 class ChernPoint(MetricJet):
     """A metric jet with its Chern tensors, each formed on first read and kept.
 
@@ -206,34 +195,17 @@ class ChernPoint(MetricJet):
 
     @classmethod
     def from_jet(cls, jet: MetricJet) -> "ChernPoint":
-        """``jet`` itself if it is a ChernPoint, else a ChernPoint on its arrays."""
+        """``jet`` itself if a ChernPoint, else a ChernPoint on its arrays and formed factors."""
         if isinstance(jet, ChernPoint):
             return jet
-        return cls(jet.point, jet.g, jet.d_g, jet.dd_g)
+        point = cls(jet.point, jet.g, jet.d_g, jet.dd_g)
+        vars(point).update(vars(jet))
+        return point
 
     @classmethod
     def from_spec(cls, spec: MetricSpec, z: np.ndarray) -> "ChernPoint":
-        """The record of the metric jet at the points ``z`` ``(..., n)``.
-
-        One Cholesky factorisation of the ``g`` stack checks that the metric is
-        positive definite at every point, so no tensor of a form that is not a
-        metric is formed; the first point that fails is a :class:`NumericalError`.
-        The factor is kept as :attr:`cholesky` for the frame.
-        """
-        point = cls.from_jet(metric_jet(spec, z))
-        try:
-            point.cholesky
-        except NumericalError:
-            points = point.point.reshape(-1, point.n)
-            raise NumericalError(
-                f"metric is not positive definite at {points[_first_indefinite(point.g)]}"
-            ) from None
-        return point
-
-    @cached_property
-    def cholesky(self) -> np.ndarray:
-        """The lower Cholesky factor ``L`` of ``g = L L^H``."""
-        return cholesky_factor(self.g)
+        """The record of the checked metric jet at the points ``z`` ``(..., n)``."""
+        return cls.from_jet(metric_jet(spec, z))
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -284,15 +256,14 @@ def first_bianchi_residual(
     ``at`` is the points ``(..., n)`` or the caller's jet of ``spec`` there,
     whose record then serves the centres.  One value per point, shape
     ``(...)``.  The left side differences the torsion field with the scheme's
-    stencils, one metric jet over the footprint of every point, which must lie
-    in the metric's region (else :class:`ConfigError`); the right side is
-    assembled at the centre points.  Chart frame throughout, so no connection
+    stencils, one checked metric jet over the footprint of every point, which
+    must lie in the metric's region (else :class:`ConfigError`); the right
+    side is assembled at the centre points.  Chart frame throughout, so no connection
     terms enter.
     """
     is_jet = isinstance(at, MetricJet)
     point = ChernPoint.from_jet(at) if is_jet else ChernPoint.from_spec(spec, at)
     r = point.curvature
-    # the footprint's torsion needs an invertible g there, not a definite one
     _, dbar_t = field_first(lambda w: ChernPoint.from_jet(metric_jet(spec, w)).torsion,
                             point.point, scheme, region=spec.region)
     rhs = (_contract("...kl,...jmil->...mijk", point.g_up, r)

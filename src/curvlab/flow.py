@@ -51,7 +51,8 @@ import numpy as np
 from .chern import ChernPoint
 from .errors import ConfigError, NumericalError
 from .functionals import TauParam, ric_tau
-from .metric_model import DEFAULT_SCHEME, JetScheme, MetricJet, MetricSpec, metric_value
+from .metric_model import (DEFAULT_SCHEME, JetScheme, MetricJet, MetricSpec, check_footprint,
+                           metric_value)
 from .schwarz import pointwise_report, scalar_laplacian
 from .tensor_core import hermitian_part, metric_inverse_up
 
@@ -485,6 +486,7 @@ def parabolic_schwarz_residual(
             raise ConfigError(f"velocity has shape {velocity.shape}, expected {point.g.shape}")
 
     def trace_field(w: np.ndarray) -> np.ndarray:
+        check_footprint(reference.region, w, point.point, scheme, whose="the reference's")
         xw = metric_inverse_up(metric_value(source, w))
         return np.einsum("...kl,...kl->...", xw, metric_value(reference, w))
 

@@ -630,6 +630,24 @@ class TreeProgram:
         """:meth:`run` over the leaves ``z[..., k]`` of points ``z`` of shape ``(..., n)``."""
         return self.run([z[..., k] for k in range(np.shape(z)[-1])])
 
+    def jets(self, z: np.ndarray) -> tuple:
+        """Value ``(P, T)``, ``d`` ``(P, m, T)`` and ``d dbar`` ``(P, m, m, T)`` of the trees.
+
+        :meth:`run` on the Wirtinger jets (``_Jet``) of the points ``z`` ``(P, m)``: exact up
+        to rounding, unchecked, C-contiguous; derivatives float64 when all are flagged float.
+        """
+        p, m = z.shape
+        leaves = _Jet.coordinates(z)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            zero = leaves[0] * 0.0  # a zero jet: spreads constant trees over the points
+            jets = [value + zero for value in self.run(leaves)]
+        packed = np.array([jet.a for jet in jets])  # (T, P, (m + 1)^2)
+        derivatives = packed[..., 1:]
+        if all(jet.real[1] for jet in jets):  # float64 in a fold over separate parts
+            derivatives = derivatives.real
+        parts = packed[..., 0], derivatives[..., :m], derivatives[..., 2 * m:].reshape(-1, p, m, m)
+        return tuple(part.transpose(*range(1, part.ndim), 0).copy() for part in parts)
+
 
 def _constant_key(value) -> tuple:
     """A constant by type and bits, so that ``0`` and ``-0`` never share a slot."""

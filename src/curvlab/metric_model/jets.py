@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import ConfigError
 
-__all__ = ["JetScheme", "ComplexJet2", "complex_jet2", "field_first"]
+__all__ = ["JetScheme", "ComplexJet2", "complex_jet2", "field_first", "check_footprint"]
 
 # 1D central stencils per order: offset -> weight, for unit spacing.
 _FIRST_WEIGHTS = {
@@ -124,6 +124,19 @@ def _footprint(m: int, order: int, levels: int, second: bool) -> tuple[np.ndarra
         for stencil, members in groups)
 
 
+def check_footprint(region, points: np.ndarray, z: np.ndarray, scheme: JetScheme,
+                    what: str = "the stencil", whose: str = "the") -> None:
+    """A :class:`ConfigError` unless ``region`` holds every footprint point.
+
+    ``points`` of shape ``(..., F, k)`` are the footprint of the centres ``z``
+    ``(..., n)``, or its images; the error names the first centre that fails.
+    """
+    inside = region.contains(points).all(-1)
+    if not inside.all():
+        raise ConfigError(f"{what} around {z[~inside][0]} leaves {whose} {region.kind} region; "
+                          f"lower --h (now {scheme.h})")
+
+
 def _real_jet(f: Callable, z: np.ndarray, scheme: JetScheme, second: bool, region):
     """Value ``(...) + S`` and real derivatives over one footprint at the centres ``z``.
 
@@ -143,12 +156,7 @@ def _real_jet(f: Callable, z: np.ndarray, scheme: JetScheme, second: bool, regio
     delta = 0.5 * units * steps[..., None, :]
     points = z[..., None, :] + (delta[..., :n] + 1j * delta[..., n:])
     if region is not None:
-        inside = region.contains(points).all(-1)
-        if not inside.all():
-            raise ConfigError(
-                f"the stencil around {z[~inside][0]} leaves the {region.kind} region; "
-                f"lower --h (now {scheme.h})"
-            )
+        check_footprint(region, points, z, scheme)
 
     values = np.moveaxis(np.asarray(f(points), dtype=complex), len(batch), 0)
     tail = values.ndim - 1 - len(batch)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConfigError, NumericalError
-from ..tensor_core import hermitian_part, metric_inverse_up
+from ..tensor_core import cholesky_factor, metric_inverse_up
 from . import expr as ex
 
 __all__ = [
@@ -150,6 +150,27 @@ class MetricJet:
         """Raised-index inverse of ``g``, computed once per jet."""
         return metric_inverse_up(self.g)
 
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """The lower Cholesky factor ``L`` of ``g = L L^H``, computed once per jet."""
+        return _cholesky(self.g, self.point)
+
+
+def _cholesky(g: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The one positivity test: Cholesky factors of ``g`` ``(..., n, n)`` at ``points``.
+
+    The first point whose ``g`` has none is a :class:`NumericalError` that names it.
+    """
+    try:
+        return cholesky_factor(g)
+    except NumericalError:
+        for point, matrix in zip(points.reshape(-1, g.shape[-1]), g.reshape(-1, *g.shape[-2:])):
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                break
+        raise NumericalError(f"metric is not positive definite at {point}") from None
+
 
 def _points(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
@@ -175,31 +196,21 @@ def metric_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
 def metric_jet(spec: MetricSpec, z: np.ndarray) -> MetricJet:
     """Second-order jet of the metric at the points ``z`` of shape ``(..., n)``.
 
-    The jet's arrays carry the batch axes of ``z``.  The entry program runs
-    once over all points on packed Wirtinger jets, exact up to rounding.
-    ``d_g`` and ``dd_g`` are float64 when every entry's derivatives are
-    flagged float (see ``expr._Jet``), as for the constant ``flat(n)``.
-    Raises :class:`NumericalError` unless ``g``, ``d_g`` and ``dd_g`` are
-    finite at every point.
+    The entry program's jets (``TreeProgram.jets``) with the batch axes of
+    ``z``; ``d_g`` and ``dd_g`` are float64 for the constant ``flat(n)``.
+    Raises :class:`NumericalError`, naming the first point that fails, unless
+    the jet is finite and ``g`` positive definite, whose factor is kept.
     """
     z = _points(spec, z)
-    n = spec.n
-    leaves = ex._Jet.coordinates(z.reshape(-1, n))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        zero = leaves[0] * 0.0  # a zero jet: spreads constant entries over the points
-        jets = [value + zero for value in spec.program.run(leaves)]
-    packed = np.array([jet.a for jet in jets])  # (n^2, P, (n + 1)^2)
-    derivatives = packed[..., 1:]
-    if all(jet.real[1] for jet in jets):  # float64 in a fold over separate parts
-        derivatives = derivatives.real
-    g, d_g, dd_g = (part.transpose(1, 2, 0).copy().reshape(z.shape[:-1] + (n,) * rank)
-                    for part, rank in ((packed[..., :1], 2), (derivatives[..., :n], 3),
-                                       (derivatives[..., 2 * n:], 4)))
-    finite = (np.isfinite(g).all((-2, -1)) & np.isfinite(d_g).all((-3, -2, -1))
-              & np.isfinite(dd_g).all((-4, -3, -2, -1)))
-    if not finite.all():
-        raise NumericalError(f"metric jet is not finite at {z[~finite][0]}")
-    return MetricJet(z, g, d_g, dd_g)
+    flat = z.reshape(-1, spec.n)
+    parts = spec.program.jets(flat)
+    if not all(np.isfinite(part).all() for part in parts):
+        finite = np.all([np.isfinite(part).reshape(len(flat), -1).all(-1) for part in parts], 0)
+        raise NumericalError(f"metric jet is not finite at {flat[~finite][0]}")
+    jet = MetricJet(z, *(part.reshape(z.shape[:-1] + (spec.n,) * rank)
+                         for part, rank in zip(parts, (2, 3, 4))))
+    jet.cholesky  # the positivity check; the factor is kept
+    return jet
 
 
 def validate_metric(spec: MetricSpec, seed: int = 12345) -> None:
@@ -224,12 +235,11 @@ def validate_metric(spec: MetricSpec, seed: int = 12345) -> None:
             f"metric '{spec.name}' is not Hermitian at {points[k]}: "
             f"deviation {deviation[k]:.3e}"
         )
-    eigs = np.linalg.eigvalsh(hermitian_part(g[-1]))
-    if eigs[0] <= 0:
-        raise ConfigError(
-            f"metric '{spec.name}' is not positive definite at its base point: "
-            f"min eigenvalue {eigs[0]:.3e}"
-        )
+    try:
+        _cholesky(g[-1], points[-1])
+    except NumericalError as exc:
+        raise ConfigError(f"metric '{spec.name}' is not positive definite at its base point "
+                          f"{points[-1]}") from exc
 
 
 class MetricFile(NamedTuple):

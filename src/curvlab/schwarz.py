@@ -58,6 +58,7 @@ from .metric_model import (
     MetricJet,
     MetricSpec,
     TreeProgram,
+    check_footprint,
     compile_trees,
     complex_jet2,
     field_first,
@@ -323,9 +324,9 @@ def _ricci_term(ricci: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("...qp,...ap,...aq->...", ricci, f, np.conj(f)))
 
 
-def _energy(source: MetricSpec, target: MetricSpec, evaluator: MapJetEvaluator, w: np.ndarray):
-    """``g^{ij} h_{ab}(f) d_i f^a conj(d_j f^b)`` at points ``w``; folds no Hessian tree."""
-    value, jacobian = evaluator.first(w)
+def _energy(source: MetricSpec, target: MetricSpec, w: np.ndarray, value: np.ndarray,
+            jacobian: np.ndarray):
+    """``g^{ij} h_{ab}(f) d_i f^a conj(d_j f^b)`` at points ``w`` with images ``value``."""
     x = metric_inverse_up(metric_value(source, w))
     h = metric_value(target, value)
     return np.einsum("...ij,...ab,...ai,...bj->...", x, h, jacobian, np.conj(jacobian))
@@ -335,7 +336,7 @@ def energy_density(
     source: MetricSpec, target: MetricSpec, holo_map: HoloMap, z: np.ndarray
 ) -> np.ndarray:
     """``|df|^2`` at the points ``z`` ``(..., n)``: trace of the pulled-back target metric."""
-    return np.real(_energy(source, target, holo_map.evaluator, z))[()]
+    return np.real(_energy(source, target, z, *holo_map.evaluator.first(z)))[()]
 
 
 def scalar_laplacian(
@@ -348,18 +349,29 @@ def scalar_laplacian(
 
     ``field`` maps points ``(..., n)`` to values ``(...)``; ``jet`` is the
     source metric's jet.  Both come from one stencil jet of the field, whose
-    footprint must lie in the source region (else :class:`ConfigError`).
+    footprint must lie in the source region (else :class:`ConfigError`).  A
+    Laplacian that is not finite is a :class:`NumericalError`.
     """
     stencil = complex_jet2(field, jet.point, scheme, region=source.region)
-    return stencil.value, np.real(np.einsum("...ij,...ij->...", jet.g_up, stencil.dd))
+    laplacian = np.real(np.einsum("...ij,...ij->...", jet.g_up, stencil.dd))
+    finite = np.isfinite(laplacian)
+    if not finite.all():
+        raise NumericalError(f"the Laplacian is not finite at {jet.point[~finite][0]}")
+    return stencil.value, laplacian
 
 
 def _energy_and_laplacian(
     source: MetricSpec, target: MetricSpec, assembly: MapAssembly, scheme: JetScheme
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Energy density and its Laplacian at the assembly's points, from one stencil jet."""
+    """Energy density and its Laplacian at the assembly's points, from one stencil jet.
+
+    The stencil's images must lie in the target region (else :class:`ConfigError`).
+    """
     def field(w: np.ndarray) -> np.ndarray:
-        return _energy(source, target, assembly.evaluator, w)
+        value, jacobian = assembly.evaluator.first(w)
+        check_footprint(target.region, value, assembly.z, scheme, "the image of the stencil",
+                        "the target's")
+        return _energy(source, target, w, value, jacobian)
 
     energy, laplacian = scalar_laplacian(field, source, assembly.source_point, scheme)
     return np.real(energy), laplacian

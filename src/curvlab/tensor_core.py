@@ -167,7 +167,7 @@ class UnitaryFrame:
 
     @classmethod
     def from_factor(cls, L: np.ndarray) -> "UnitaryFrame":
-        """The frame of a Cholesky factor already formed, such as ``ChernPoint.cholesky``."""
+        """The frame of a Cholesky factor already formed, such as ``MetricJet.cholesky``."""
         eye = np.broadcast_to(np.eye(L.shape[-1], dtype=complex), L.shape)
         return cls(L, np.linalg.solve(L, eye))
 

@@ -879,6 +879,40 @@ class TestStencilFootprint:
         assert out == ""
         assert err.startswith("error: ") and "lower --h" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "target, point, message",
+        [
+            # the images reach the pole |w| = 1 (once a NaN Laplacian with exit 0)
+            ("builtin:poincare_polydisk(1)", "0.9995", "the target's polydisk region"),
+            # the images reach |w| = 1.00001 (once a Laplacian of -6.4e15)
+            ("builtin:poincare_polydisk(1)", "0.99999", "the target's polydisk region"),
+            # the images reach the puncture w = 0
+            ("builtin:hopf(1)", "0.0005", "the target's punctured region"),
+        ],
+    )
+    def test_schwarz_energy_images_leaving_the_target(self, capsys, target, point, message):
+        code, out, err = run_cli(
+            ["schwarz", "--map", "z1", "--source", "builtin:flat(1)", "--target", target,
+             "--points", point, "--tol", "1e-4"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"error: the image of the stencil around [{point}+0.j] leaves {message}; "
+                       f"lower --h (now 0.001)\n")
+
+    def test_bianchi_footprint_leaving_the_positive_cone(self, capsys, tmp_path):
+        # g is positive definite at the centre (det g = 1 - 5|z1|^2 = 0.0032) but not at the
+        # footprint point 0.4475, where det g = 1 - 5 * 0.4475^2 < 0
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"n": 2, "entries": [["1 - abs2(z1)*4", "z1"],
+                                                        ["conj(z1)", "1"]],
+                                    "region": {"type": "ball", "radius": 1.0}}))
+        argv = ["curvature", "--metric", f"file:{path}", "--points", "0.4465,0"]
+        assert run_json(argv, capsys)[0] == 0
+        code, out, err = run_cli(argv + ["--check", "bianchi"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: metric is not positive definite at [0.4475+0.j 0.    +0.j]\n"
+
 
 class TestFileMetricAccuracy:
     """A file: metric's jet is exact, so curvature holds up near the boundary."""

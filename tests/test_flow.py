@@ -521,6 +521,17 @@ class TestParabolicResidual:
                 velocity=np.zeros((2, 2)),
             )
 
+    def test_stencil_leaving_the_reference_region(self):
+        # the reference is evaluated on the trace field's footprint, which at
+        # 0.9995 reaches the pole |z| = 1 (once a NaN residual with
+        # preconditions_hold True)
+        flat_1, disk = builtin_metric("flat", 1), builtin_metric("poincare_polydisk", 1)
+        with pytest.raises(ConfigError, match=r"around \[0.9995\+0.j\] leaves the reference's "
+                                              r"polydisk region; lower --h"):
+            parabolic_schwarz_residual(flat_1, disk, np.array([0.9995]), source_tau(1.0), 1.0)
+        report = parabolic_schwarz_residual(flat_1, disk, np.array([0.99]), source_tau(1.0), 1.0)
+        assert np.isfinite(report.residual) and report.preconditions_hold
+
 
 class TestStackedComparison:
     """Point stacks give, point by point, exactly the numbers of one-point calls.

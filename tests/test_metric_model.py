@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvlab.chern import ChernPoint
 from curvlab.errors import ConfigError, NumericalError
 from curvlab.metric_model import (
     Abs2,
@@ -539,6 +540,20 @@ class TestBatchedJets:
         with pytest.raises(NumericalError, match="not finite"):
             metric_jet(hopf(2), points)
 
+    def test_metric_that_is_not_positive_definite_is_numerical_error(self):
+        # g = 1 - 4|z1|^2 is -2.24 at 0.9: no jet, so no Chern tensors of it
+        spec = load_metric({"n": 1, "entries": [["1 - abs2(z1)*4"]],
+                            "region": {"type": "ball", "radius": 1.0}})
+        with pytest.raises(NumericalError, match=r"not positive definite at \[0.9\+0.j\]"):
+            ChernPoint.from_jet(metric_jet(spec, np.array([0.9])))
+        # the first point of a stack, in C order, is named
+        stack = np.array([0.1, 0.3, 0.95, 0.9]).reshape(2, 2, 1)
+        with pytest.raises(NumericalError, match=r"not positive definite at \[0.95\+0.j\]$"):
+            ChernPoint.from_jet(metric_jet(spec, stack))
+        jet = metric_jet(spec, stack[0])
+        assert np.array_equal(jet.cholesky, np.sqrt(jet.g))
+        assert ChernPoint.from_jet(jet).cholesky is jet.cholesky
+
 
 class TestLoader:
     def test_round_trip(self, tmp_path):
@@ -589,3 +604,14 @@ class TestLoader:
         }
         with pytest.raises(ConfigError, match="positive definite"):
             load_metric(payload)
+
+    def test_indefinite_base_point_rejected(self):
+        # Hermitian and finite everywhere; at the base point, the origin, g has
+        # eigenvalues 3 and -1
+        spec = MetricSpec(name="saddle", n=2, entries=((Const(1 + 0j), Add(Const(2 + 0j), Var(0))),
+                                                       (Add(Const(2 + 0j), Conj(Var(0))),
+                                                        Const(1 + 0j))),
+                          region=Region("ball", 0.5))
+        with pytest.raises(ConfigError, match=r"^metric 'saddle' is not positive definite at its "
+                                              r"base point \[0\.\+0\.j 0\.\+0\.j\]$"):
+            validate_metric(spec)

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab.errors import ConfigError
+from curvlab.errors import ConfigError, NumericalError
 from curvlab.functionals import TauParam, rbc, ric_tau_frame
-from curvlab.metric_model import DEFAULT_SCHEME, JetScheme, complex_jet2, fixture
+from curvlab.metric_model import DEFAULT_SCHEME, JetScheme, complex_jet2, fixture, metric_jet
 from curvlab.schwarz import (
     HoloMap,
     MapJetEvaluator,
@@ -26,6 +26,7 @@ from curvlab.schwarz import (
     hessian_tensors,
     holomorphy_residual,
     laplacian_identity_report,
+    scalar_laplacian,
     schwarz_inequality_report,
     singular_square_bound_slack,
     torsion_difference_frame,
@@ -62,6 +63,21 @@ def build(case):
         HoloMap.parse(data["map"], fixture(data["source"]).n),
         data["z"],
     )
+
+
+def test_laplacian_that_is_not_finite_is_numerical_error():
+    spec = fixture("F1")
+    points = np.array([[0.1, 0.05j], [0.02, -0.1]])
+    jet = metric_jet(spec, points)
+
+    def field(w):  # NaN on the footprint of the second centre only
+        return np.where(np.abs(w[..., 0] - 0.02) < 0.01, np.nan, 1.0)
+
+    with pytest.raises(NumericalError, match="^the Laplacian is not finite at") as info:
+        scalar_laplacian(field, spec, jet)
+    assert str(info.value).endswith(str(points[1].astype(complex)))
+    value, laplacian = scalar_laplacian(lambda w: np.ones(w.shape[:-1]), spec, jet)
+    assert laplacian.shape == (2,) and np.abs(laplacian).max() < 1e-8
 
 
 class TestHoloMap:

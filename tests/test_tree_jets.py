@@ -12,7 +12,7 @@ import sympy
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from curvlab.errors import ConfigError, NumericalError
+from curvlab.errors import ConfigError
 from curvlab.metric_model import (
     Abs2,
     Add,
@@ -26,6 +26,7 @@ from curvlab.metric_model import (
     Region,
     Sub,
     Var,
+    compile_trees,
     example22,
     fixture,
     flat,
@@ -227,23 +228,25 @@ def _sympy_jets(tree):
 @example(_EVERY_KIND)
 @given(_trees)
 def test_random_trees_match_sympy_wirtinger_derivatives(tree):
-    # the conjugate entry carries dbar: d_i conj(f) = conj(dbar_i f)
-    spec = MetricSpec(name="tree", n=2, entries=((tree, Const(0j)), (Const(0j), Conj(tree))),
-                      region=Region("ball", 1.0))
+    # the tree set's own jets, which need no metric; the conjugate tree
+    # carries dbar: d_i conj(f) = conj(dbar_i f)
     try:
-        jet = metric_jet(spec, _POINTS)
+        jets = compile_trees([tree, Conj(tree)]).jets(_POINTS)
+        if not all(np.isfinite(part).all() for part in jets):
+            reject()  # a point on a singularity of the tree
         value, d, dbar, dd = _sympy_jets(tree)
-    except (ConfigError, NumericalError, ZeroDivisionError, OverflowError):
+    except (ConfigError, ZeroDivisionError, OverflowError):
         reject()  # a constant or a point on a singularity of the tree
     if not all(np.isfinite(part).all() and np.abs(part).max() < 1e6
                for part in (value, d, dbar, dd)):
         reject()  # too close to a singularity for a fixed tolerance
+    v, first, mixed = jets
     for got, ref, label in (
-        (jet.g[:, 0, 0], value, "value"),
-        (jet.d_g[:, :, 0, 0], d, "d"),
-        (np.conj(jet.d_g[:, :, 1, 1]), dbar, "dbar"),
-        (jet.dd_g[:, :, :, 0, 0], dd, "d dbar"),
-        (np.conj(jet.dd_g[:, :, :, 1, 1]).swapaxes(-1, -2), dd, "d dbar of conj"),
+        (v[:, 0], value, "value"),
+        (first[:, :, 0], d, "d"),
+        (np.conj(first[:, :, 1]), dbar, "dbar"),
+        (mixed[..., 0], dd, "d dbar"),
+        (np.conj(mixed[..., 1]).swapaxes(-1, -2), dd, "d dbar of conj"),
     ):
         gap = float(np.max(np.abs(got - ref)))
         assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(ref)))), (
@@ -270,10 +273,11 @@ def scalar_spec(text: str) -> MetricSpec:
     ],
 )
 def test_powers_at_the_origin_are_finite_and_exact(text, value, d, dd):
-    jet = metric_jet(scalar_spec(text), np.zeros((3, 1), dtype=complex))
-    assert np.array_equal(jet.g, np.full((3, 1, 1), value + 0j))
-    assert np.array_equal(jet.d_g, np.full((3, 1, 1, 1), d + 0j))
-    assert np.array_equal(jet.dd_g, np.full((3, 1, 1, 1, 1), dd + 0j))
+    # the tree set's own jets: a field vanishing at the origin is not a metric there
+    got = compile_trees([parse_expr(text)]).jets(np.zeros((3, 1), dtype=complex))
+    assert np.array_equal(got[0], np.full((3, 1), value + 0j))
+    assert np.array_equal(got[1], np.full((3, 1, 1), d + 0j))
+    assert np.array_equal(got[2], np.full((3, 1, 1, 1), dd + 0j))
 
 
 def test_abs2_values_are_exactly_real():

@@ -2,14 +2,17 @@
 
 The oracle is the recursive ``eval_expr`` and the four-array Wirtinger jet
 the library folded trees with before it compiled them, kept here verbatim
-as ``recursive_eval`` and ``FourArrayJet``.  Metric jets (bytes and dtype),
-metric values, ``eval_expr`` and the map folds are compared on point stacks
-``()``, ``(1,)``, ``(7,)``, ``(2, 3)`` and ``(33,)``: on random multi-entry
-trees with shared subtrees, on every built-in metric and on the file
-metrics of the benchmark reference.
+as ``recursive_eval`` and ``FourArrayJet``.  The entry program's jets
+(``TreeProgram.jets``, bytes and dtype), ``metric_jet`` where the trees form
+a metric, metric values, ``eval_expr`` and the map folds are compared on
+point stacks ``()``, ``(1,)``, ``(7,)``, ``(2, 3)`` and ``(33,)``: on random
+multi-entry trees with shared subtrees, on every built-in metric and on the
+file metrics of the benchmark reference.
 """
 
 import json
+import statistics
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,7 @@ from curvlab.metric_model import (
     Region,
     Sub,
     Var,
+    builtin_metric,
     compile_trees,
     eval_expr,
     example22,
@@ -198,19 +202,21 @@ def oracle_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
 
 
 def oracle_jet(spec: MetricSpec, z: np.ndarray) -> tuple:
-    """``g``, ``d_g`` and ``dd_g``; a :class:`NumericalError` unless they are finite."""
+    """``g``, ``d_g`` and ``dd_g`` of the entries, unchecked."""
     seed = FourArrayJet.coordinates(z.reshape(-1, spec.n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         zero = seed[..., 0] * 0.0
         jets = [recursive_eval(entry, seed) + zero for row in spec.entries for entry in row]
     parts = [np.stack([getattr(j, part) for j in jets], -1) for part in ("v", "d", "dd")]
-    g, d_g, dd_g = (np.reshape(part, z.shape[:-1] + (spec.n,) * rank)
-                    for part, rank in zip(parts, (2, 3, 4)))
-    finite = (np.isfinite(g).all((-2, -1)) & np.isfinite(d_g).all((-3, -2, -1))
-              & np.isfinite(dd_g).all((-4, -3, -2, -1)))
-    if not finite.all():
-        raise NumericalError(f"metric jet is not finite at {z[~finite][0]}")
-    return g, d_g, dd_g
+    return tuple(np.reshape(part, z.shape[:-1] + (spec.n,) * rank)
+                 for part, rank in zip(parts, (2, 3, 4)))
+
+
+def tree_jet(spec: MetricSpec, z: np.ndarray) -> tuple:
+    """``g``, ``d_g`` and ``dd_g`` as ``metric_jet`` reshapes the entry program's jets, unchecked."""
+    parts = spec.program.jets(z.reshape(-1, spec.n))
+    return tuple(part.reshape(z.shape[:-1] + (spec.n,) * rank)
+                 for part, rank in zip(parts, (2, 3, 4)))
 
 
 def oracle_fold(trees, z: np.ndarray) -> np.ndarray:
@@ -249,14 +255,23 @@ def assert_same_outcome(call, oracle, label: str) -> None:
         assert_same(got, want, label)
 
 
-def check_metric(spec: MetricSpec, z: np.ndarray) -> None:
-    (jet, error), (want, want_error) = outcome(lambda: metric_jet(spec, z)), outcome(
+def check_metric(spec: MetricSpec, z: np.ndarray, is_metric: bool = False) -> None:
+    """The entry program's jets against the oracle's, and ``metric_jet`` against them.
+
+    ``metric_jet`` may refuse a set of trees that is not a metric at ``z``;
+    when it returns, its arrays are the program's jets.
+    """
+    (jet, error), (want, want_error) = outcome(lambda: tree_jet(spec, z)), outcome(
         lambda: oracle_jet(spec, z))
     assert error == want_error
-    if error is None:
-        for part, ref, label in zip((jet.g, jet.d_g, jet.dd_g), want, ("g", "d_g", "dd_g")):
-            assert_same(part, ref, f"{label} of {spec.name} at {z.shape}")
-            assert part.flags.c_contiguous
+    for part, ref, label in zip(jet or (), want or (), ("g", "d_g", "dd_g")):
+        assert_same(one_nan(part), one_nan(ref), f"{label} of {spec.name} at {z.shape}")
+        assert part.flags.c_contiguous
+    checked, checked_error = outcome(lambda: metric_jet(spec, z))
+    assert checked_error is None or not is_metric, checked_error
+    if checked_error is None:
+        for part, ref in zip((checked.g, checked.d_g, checked.dd_g), jet):
+            assert_same(part, ref, f"metric jet of {spec.name} at {z.shape}")
     assert_same_outcome(lambda: metric_value(spec, z), lambda: oracle_value(spec, z), "g")
     flat = z.reshape(-1, spec.n)
     check_packed_jets(spec, flat)
@@ -291,7 +306,8 @@ def one_nan(a: np.ndarray) -> np.ndarray:
     """
     out = a.copy()
     out.real[np.isnan(a.real)] = np.nan
-    out.imag[np.isnan(a.imag)] = np.nan
+    if out.dtype.kind == "c":
+        out.imag[np.isnan(a.imag)] = np.nan
     return out
 
 
@@ -470,8 +486,8 @@ def test_builtin_metrics_fold_to_the_recursive_bytes(name):
     for stack in STACKS:
         count = int(np.prod(stack, dtype=int))
         z = spec.region.sample_points(spec.n, rng, count).reshape(stack + (spec.n,))
-        check_metric(spec, z)
-    check_metric(spec, spec.region.base_point(spec.n))
+        check_metric(spec, z, is_metric=True)
+    check_metric(spec, spec.region.base_point(spec.n), is_metric=True)
 
 
 @pytest.mark.parametrize("tree", [
@@ -491,6 +507,37 @@ def test_real_parts_stay_float(tree):
     z = np.array([[0.3 - 0.2j, -0.1 + 0.4j], [0j, complex(-0.0, -0.0)], [-0.5, 0.25j]])
     check_packed_jets(spec, z)
     check_metric(spec, z)
+
+
+def median_us(run, repeats: int = 100) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e6
+
+
+@pytest.mark.parametrize("name, args", [("example22", ()), ("poincare_polydisk", (2,)),
+                                        ("hopf", (2,)), ("hopf", (3,))])
+def test_metric_jet_is_the_reshaped_program_jets(name, args):
+    """``metric_jet`` adds checks, not numbers; prints both times, slots and tree nodes."""
+    spec = builtin_metric(name, *args)
+    rng = np.random.default_rng(0)
+    stacks = {"1 point": spec.region.sample_points(spec.n, rng, 1)[0],
+              "33 points": spec.region.sample_points(spec.n, rng, 33)}
+    times = []
+    for label, z in stacks.items():
+        jet = metric_jet(spec, z)
+        for part, ref, what in zip((jet.g, jet.d_g, jet.dd_g), tree_jet(spec, z),
+                                   ("g", "d_g", "dd_g")):
+            assert_same(part, ref, f"{what} of {spec.name} at {label}")
+        flat = z.reshape(-1, spec.n)
+        times.append(f"{label} {median_us(lambda: metric_jet(spec, z)):.0f} / "
+                     f"{median_us(lambda: spec.program.jets(flat)):.0f} us")
+    nodes = sum(node_count(entry) for row in spec.entries for entry in row)
+    print(f"\n{spec.name}: metric_jet / TreeProgram.jets {', '.join(times)}; "
+          f"program of {len(spec.program)} slots for {nodes} tree nodes")
 
 
 def test_flat_derivatives_stay_float64():
