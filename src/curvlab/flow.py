@@ -28,7 +28,10 @@ count of substeps that the bound admits at its start field, derived from
 failure later in the step halves the substeps again and restarts it.  Each
 field computes its velocity once: the velocity of a step's end field serves
 both the step's diagnostics row and the first stage of the next step (first
-same as last).
+same as last).  The grid's ``g_min``, the ``max_velocity`` diagnostic and
+the inverse metric are the closed-form eigenvalues and inverses of
+:mod:`~curvlab.tensor_core` for the grid's dimensions one and two, so no
+node pays a LAPACK call.
 
 The pointwise comparison inequality
 
@@ -54,7 +57,7 @@ from .functionals import TauParam, ric_tau
 from .metric_model import (DEFAULT_SCHEME, JetScheme, MetricJet, MetricSpec, check_footprint,
                            metric_value)
 from .schwarz import pointwise_report, scalar_laplacian
-from .tensor_core import hermitian_part, metric_inverse_up
+from .tensor_core import hermitian_eigenvalues, hermitian_part, metric_inverse_up
 
 __all__ = [
     "thcf_velocity",
@@ -153,7 +156,7 @@ class GridMetricField:
         self.values = values
         if not np.isfinite(values).all():
             raise NumericalError("grid metric is not finite everywhere")
-        self._min_eigenvalue = float(np.linalg.eigvalsh(hermitian_part(values)).min())
+        self._min_eigenvalue = float(hermitian_eigenvalues(hermitian_part(values)).min())
         if not self._min_eigenvalue > 0:
             raise NumericalError("grid metric is not positive definite everywhere")
         self._velocity: tuple[TauParam, np.ndarray] | None = None
@@ -221,7 +224,7 @@ class GridMetricField:
 
     def max_velocity(self, tau: TauParam) -> float:
         """The largest eigenvalue modulus of the velocity, a diagnostic only."""
-        return float(np.abs(np.linalg.eigvalsh(self.velocity(tau))).max())
+        return float(np.abs(hermitian_eigenvalues(self.velocity(tau))).max())
 
     def seam_jumps(self) -> tuple[float, float]:
         """Largest wrap-around and largest interior neighbour difference of the values.
@@ -432,7 +435,7 @@ def supersolution_slacks(
     ``velocity`` ``(..., n, n)`` carries the batch axes of ``point``.
     """
     defect = hermitian_part(velocity + ric_tau(point, tau) + point.g)
-    eigenvalue_slack = np.linalg.eigvalsh(defect)[..., 0]
+    eigenvalue_slack = hermitian_eigenvalues(defect)[..., 0]
     trace_slack = np.real(np.einsum("...kl,...kl->...", point.g_up, defect))
     return eigenvalue_slack[()], trace_slack[()]
 

@@ -244,6 +244,15 @@ class MapAssembly:
                 @ np.swapaxes(source_inverse, -1, -2))
 
 
+def _check_images(target: MetricSpec, z: np.ndarray, image: np.ndarray) -> None:
+    """:class:`ConfigError` naming the first image point outside the target region."""
+    outside = ~target.region.contains(image)
+    if outside.any():
+        raise ConfigError(
+            f"image point {image[outside][0]} of {z[outside][0]} leaves the target region"
+        )
+
+
 def assemble_map(
     source: MetricSpec,
     target: MetricSpec,
@@ -266,11 +275,7 @@ def assemble_map(
     evaluator = holo_map.evaluator
     map_jet = evaluator(z)
     image = map_jet.value
-    outside = ~target.region.contains(image)
-    if outside.any():
-        raise ConfigError(
-            f"image point {image[outside][0]} of {z[outside][0]} leaves the target region"
-        )
+    _check_images(target, z, image)
     source_point = ChernPoint.from_spec(source, z)  # the source's failures are named first
     return MapAssembly(z, evaluator, map_jet, source_point, ChernPoint.from_spec(target, image))
 
@@ -335,8 +340,14 @@ def _energy(source: MetricSpec, target: MetricSpec, w: np.ndarray, value: np.nda
 def energy_density(
     source: MetricSpec, target: MetricSpec, holo_map: HoloMap, z: np.ndarray
 ) -> np.ndarray:
-    """``|df|^2`` at the points ``z`` ``(..., n)``: trace of the pulled-back target metric."""
-    return np.real(_energy(source, target, z, *holo_map.evaluator.first(z)))[()]
+    """``|df|^2`` at the points ``z`` ``(..., n)``: trace of the pulled-back target metric.
+
+    The first image point outside the target region is a :class:`ConfigError`.
+    """
+    z = np.asarray(z, dtype=complex)
+    value, jacobian = holo_map.evaluator.first(z)
+    _check_images(target, z, value)
+    return np.real(_energy(source, target, z, value, jacobian))[()]
 
 
 def scalar_laplacian(

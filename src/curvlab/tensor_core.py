@@ -1,4 +1,4 @@
-"""Metric inverses, positive semidefinite forms and unitary frame changes.
+"""Metric inverses and eigenvalues, positive semidefinite forms and unitary frame changes.
 
 Conventions used throughout the package, with n the complex dimension and all
 arrays of dtype complex128:
@@ -13,8 +13,13 @@ arrays of dtype complex128:
 A unitary frame is obtained from the Cholesky factorisation ``G = L L^H`` via
 ``e_a = sum_k inv(L)[a, k] d/dz^k``.  Torsion and curvature are the only
 tensors the package moves to a frame; :meth:`UnitaryFrame.to_frame` applies
-their two fixed slot patterns.  Metric inverses and frames act on any leading
-batch axes ``(...)``.
+their two fixed slot patterns.  Metric inverses, Hermitian eigenvalues and
+frames act on any leading batch axes ``(...)``.
+
+The lab's metrics have n = 1 or 2 in most uses, where LAPACK's fixed cost per
+matrix exceeds the arithmetic; so :func:`metric_inverse_up` and
+:func:`hermitian_eigenvalues` are closed forms there, written once here, and
+LAPACK for n >= 3.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "PSDForm",
     "UnitaryFrame",
     "cholesky_factor",
+    "hermitian_eigenvalues",
     "hermitian_part",
     "metric_inverse_up",
     "psd_project",
@@ -45,14 +51,61 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def metric_inverse_up(g: np.ndarray) -> np.ndarray:
     """Raised-index inverse ``X[..., p, q] = g^{p qbar}`` of the metric matrices.
 
-    ``X = conj(inv(G))``; for Hermitian ``G`` this equals ``inv(G).T``.
+    ``X = conj(inv(G))``; for Hermitian ``G`` this equals ``inv(G).T``.  For
+    n = 1 the inverse is ``1 / g``, bit for bit LAPACK's on a real ``g``.  For
+    n = 2 it is the closed form through the Schur complement ``s = d - b c / a``
+    of ``a = G[0, 0]``, which divides by ``a`` before it multiplies, so no
+    product of two large or two small entries leaves the float range; a
+    metric has ``a > 0``.  For n >= 3 it is LAPACK's.  An inverse that is not
+    finite, as of a singular metric, is a :class:`NumericalError`.
     """
     g = np.asarray(g, dtype=complex)
-    try:
-        inv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"metric matrix is singular: {exc}") from exc
+    n = g.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if n == 1:
+            inv = 1.0 / g
+        elif n == 2:
+            a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+            ba, ca = b / a, c / a
+            s_inv = 1.0 / (d - b * ca)
+            inv = np.empty_like(g)
+            inv[..., 0, 0] = 1.0 / a + ba * ca * s_inv
+            inv[..., 0, 1] = -ba * s_inv
+            inv[..., 1, 0] = -ca * s_inv
+            inv[..., 1, 1] = s_inv
+        else:
+            try:
+                inv = np.linalg.inv(g)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"metric matrix is singular: {exc}") from exc
+    if not np.isfinite(inv).all():
+        raise NumericalError("metric matrix is singular: its inverse is not finite")
     return np.conj(inv)
+
+
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian matrices ``m`` ``(..., n, n)`` in ascending order.
+
+    Like ``np.linalg.eigvalsh``, it reads the diagonal's real part and the
+    lower triangle.  For n = 1 the eigenvalue is the real diagonal, LAPACK's
+    bits.  For n = 2, with diagonal ``a, d`` and ``c = m[1, 0]``, they are
+    ``mid -+ hypot((a - d) / 2, |c|)`` about ``mid = (a + d) / 2``, within a
+    few ``eps * |m|_2`` of LAPACK's.  For n >= 3 they are
+    ``np.linalg.eigvalsh``'s.
+    """
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[-1]
+    if n > 2:
+        return np.linalg.eigvalsh(m)
+    if n == 1:
+        return m[..., 0].real.copy()  # the one entry, with its axis
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    mid = 0.5 * (a + d)
+    radius = np.hypot(0.5 * (a - d), np.abs(m[..., 1, 0]))
+    eigenvalues = np.empty(m.shape[:-1])
+    eigenvalues[..., 0] = mid - radius
+    eigenvalues[..., 1] = mid + radius
+    return eigenvalues
 
 
 @dataclass(frozen=True)
@@ -93,7 +146,7 @@ def _check_psd_forms(entries: np.ndarray) -> None:
     deviation = float(np.abs(entries - np.conj(np.swapaxes(entries, -2, -1))).max())
     if deviation > 1e-10:
         raise ConfigError(f"form is not Hermitian: deviation {deviation:.3e}")
-    min_eig = float(np.linalg.eigvalsh(entries)[..., 0].min())
+    min_eig = float(hermitian_eigenvalues(entries)[..., 0].min())
     if min_eig < -1e-10:
         raise ConfigError(f"form is not positive semidefinite: min eig {min_eig:.3e}")
     norms = np.linalg.norm(entries, axis=(-2, -1)).ravel()

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from curvlab.errors import ConfigError, NumericalError
 from curvlab.functionals import TauParam, rbc, ric_tau_frame
-from curvlab.metric_model import DEFAULT_SCHEME, JetScheme, complex_jet2, fixture, metric_jet
+from curvlab.metric_model import (DEFAULT_SCHEME, JetScheme, builtin_metric, complex_jet2, fixture,
+                                  metric_jet)
 from curvlab.schwarz import (
     HoloMap,
     MapJetEvaluator,
@@ -118,6 +119,15 @@ class TestAssembly:
         with pytest.raises(ConfigError):
             # z1^2 at 1.2 leaves the unit polydisk
             assemble_map(source, target, m, np.array([1.2, 0.0]))
+
+    @pytest.mark.parametrize("point", [[1.5], [1.0]])
+    def test_energy_density_images_leaving_the_target(self, point):
+        # the disk's metric read at 1.5 is finite (0.64) and at 1.0 is NaN,
+        # so an unchecked image gives a silent wrong number
+        m = HoloMap.parse(("z1",), 1)
+        with pytest.raises(ConfigError, match=r"image point \[1\.\d*\+0\.j\] .* leaves the target"):
+            energy_density(builtin_metric("flat", 1), builtin_metric("poincare_polydisk", 1), m,
+                           point)
 
     def test_dimension_mismatch(self):
         source = fixture("F2")
