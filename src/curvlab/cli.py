@@ -346,7 +346,7 @@ def _cmd_schwarz(args: argparse.Namespace) -> int:
 
 @lru_cache(maxsize=16)
 def _holo_map(components: tuple[str, ...], n_source: int) -> HoloMap:
-    """A map parsed once per process; its evaluator is built on first use and kept."""
+    """A map parsed once per process; its two programs are compiled on first use and kept."""
     return HoloMap.parse(components, n_source)
 
 

@@ -476,8 +476,8 @@ def parabolic_schwarz_residual(
     have the batch axes of ``z`` ``(..., n)``.  One :class:`~curvlab.chern.ChernPoint`
     serves the velocity, the Laplacian and the slacks, and no frame is built.
     """
-    if kappa0 < 0:
-        raise ConfigError(f"kappa0 must be nonnegative, got {kappa0}")
+    if not 0 <= kappa0 < np.inf:
+        raise ConfigError(f"kappa0 must be finite and nonnegative, got {kappa0}")
     if source.n != reference.n:
         raise ConfigError("source and reference metrics must share a dimension")
     point = ChernPoint.from_spec(source, z)

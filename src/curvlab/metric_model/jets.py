@@ -17,8 +17,6 @@ Wirtinger combinations turn the real jet into holomorphic data::
     d    f = (f_x - i f_y) / 2              dbar f = (f_x + i f_y) / 2
     dd   [i, j] = d_i dbar_j f = (f_{x_i x_j} + f_{y_i y_j}
                                   + i (f_{x_i y_j} - f_{y_i x_j})) / 4
-    ddh  [i, j] = d_i d_j f    = (f_{x_i x_j} - f_{y_i y_j}
-                                  - i (f_{x_i y_j} + f_{y_i x_j})) / 4
 """
 
 from __future__ import annotations
@@ -207,16 +205,14 @@ class ComplexJet2:
     """Wirtinger jet of a field: value, first, and second derivatives.
 
     ``d[..., i]`` and ``dbar[..., i]`` are the holomorphic and
-    anti-holomorphic firsts, ``dd[..., i, j]`` the mixed second
-    ``d_i dbar_j``, and ``dd_holo[..., i, j]`` the pure holomorphic second
-    ``d_i d_j``; the field's axes ``S`` follow.
+    anti-holomorphic firsts and ``dd[..., i, j]`` the mixed second
+    ``d_i dbar_j``; the field's axes ``S`` follow.
     """
 
     value: np.ndarray
     d: np.ndarray
     dbar: np.ndarray
     dd: np.ndarray
-    dd_holo: np.ndarray
 
 
 def complex_jet2(
@@ -226,19 +222,15 @@ def complex_jet2(
 
     ``f`` maps points ``(..., n)`` to values ``(...) + S``.  The jet has the
     batch axes first: ``value`` of shape ``(...) + S``, ``d`` and ``dbar``
-    of ``(..., n) + S``, ``dd`` and ``dd_holo`` of ``(..., n, n) + S``.  With
+    of ``(..., n) + S``, ``dd`` of ``(..., n, n) + S``.  With
     a ``region``, a stencil that leaves it is a :class:`ConfigError`.
     """
     value, d1, d2 = _real_jet(f, z, scheme, True, region)
     n = len(d1) // 2
     batch = np.ndim(z) - 1
     dxx, dyy, dxy, dyx = d2[:n, :n], d2[n:, n:], d2[:n, n:], d2[n:, :n]
-    return ComplexJet2(
-        value,
-        *_wirtinger_first(d1, batch),
-        _batch_first(0.25 * (dxx + dyy + 1j * (dxy - dyx)), 2, batch),
-        _batch_first(0.25 * (dxx - dyy - 1j * (dxy + dyx)), 2, batch),
-    )
+    return ComplexJet2(value, *_wirtinger_first(d1, batch),
+                       _batch_first(0.25 * (dxx + dyy + 1j * (dxy - dyx)), 2, batch))
 
 
 def field_first(

@@ -21,14 +21,16 @@ invariant; :func:`connection_invariance_residual` checks that numerically.
 
 Map components are expression trees; their first and second derivatives are
 taken symbolically, so the only finite differencing anywhere is the outer
-Laplacian.
+Laplacian.  A map compiles one program per jet order, value and Jacobian
+(:meth:`HoloMap.first`) or those and the Hessian (:meth:`HoloMap.jet`), and
+each call is one fold of one program.
 
 The reports, the Bismut comparison among them, take points ``(..., n)``, one
 entry per point equal to that of a one-point call; the map fold checks that
 shape.  A call assembles the map jet and the two metric jets once, as
 ``ChernPoint`` records whose connection coefficients and tensors are formed
 on first read, and differentiates one stencil jet of the energy
-density that folds only the map's value and Jacobian trees: its centre value
+density that folds only the map's first-order program: its centre value
 is the energy, its mixed second derivative traced with ``g^{-1}`` the Laplacian.
 """
 
@@ -61,7 +63,6 @@ from .metric_model import (
     check_footprint,
     compile_trees,
     complex_jet2,
-    field_first,
     holomorphic_derivative,
     is_holomorphic,
     max_var_index,
@@ -73,9 +74,7 @@ from .tensor_core import metric_inverse_up
 __all__ = [
     "HoloMap",
     "MapJet",
-    "MapJetEvaluator",
     "MapAssembly",
-    "holomorphy_residual",
     "assemble_map",
     "hessian_tensors",
     "torsion_difference_frame",
@@ -95,8 +94,28 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class MapJet:
+    """Value, Jacobian ``J[..., a, i] = d_i f^a``, and holomorphic Hessian.
+
+    The arrays carry the leading batch axes of the points, C-contiguous.
+    """
+
+    value: np.ndarray
+    jacobian: np.ndarray
+    hessian: np.ndarray
+
+
+@dataclass(frozen=True)
 class HoloMap:
-    """A holomorphic map given by one expression tree per target coordinate."""
+    """A holomorphic map given by one expression tree per target coordinate.
+
+    Its exact derivatives come from two programs, compiled once on first use:
+    the component trees with their Jacobian trees, and those with the Hessian
+    trees, flattened in ``(a,)``, ``(a, i)`` and ``(a, i, j)`` order.  A call
+    folds one of them over a whole stack of points, such as a
+    finite-difference footprint; a part that is not finite is a
+    :class:`NumericalError`.
+    """
 
     components: tuple[Expr, ...]
     n_source: int
@@ -104,6 +123,8 @@ class HoloMap:
     def __post_init__(self) -> None:
         if self.n_source < 1:
             raise ConfigError("map needs a positive source dimension")
+        if not self.components:
+            raise ConfigError("map needs at least one component")
         for k, comp in enumerate(self.components):
             if not is_holomorphic(comp):
                 raise ConfigError(f"map component {k + 1} is not holomorphic")
@@ -122,108 +143,48 @@ class HoloMap:
         return cls(tuple(parse_expr(t) for t in texts), n_source)
 
     @cached_property
-    def program(self) -> TreeProgram:
-        """The component trees compiled once into one program."""
-        return compile_trees(self.components)
-
-    @cached_property
-    def evaluator(self) -> "MapJetEvaluator":
-        """The map's jet evaluator, built on first use and kept with the map."""
-        return MapJetEvaluator(self)
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        """Map values ``(..., n_target)`` at points ``(..., n_source)``.
-
-        Every map fold starts here, so a point of another shape is a :class:`ConfigError`.
-        """
-        return _fold(self.program, self._points(z), "value")
-
-    def _points(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if z.shape[-1:] != (self.n_source,):
-            raise ConfigError(f"the map takes points of shape (..., {self.n_source}), "
-                              f"got {z.shape}")
-        return z
-
-
-def _fold(program: TreeProgram, z: np.ndarray, what: str) -> np.ndarray:
-    """The program's trees folded over the points ``z`` ``(..., n)`` as one ``(P, n)`` stack.
-
-    Raises :class:`NumericalError` naming the first point where a value is not finite.
-    """
-    flat = z.reshape(-1, z.shape[-1])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = [np.broadcast_to(value, flat.shape[:-1]) for value in program.fold(flat)]
-    stacked = np.stack(values, -1).astype(complex, copy=False)
-    finite = np.isfinite(stacked).all(-1)
-    if not finite.all():
-        raise NumericalError(f"map {what} is not finite at {flat[~finite][0]}")
-    return stacked.reshape(z.shape[:-1] + (len(values),))
-
-
-@dataclass(frozen=True)
-class MapJet:
-    """Value, Jacobian ``J[..., a, i] = d_i f^a``, and holomorphic Hessian.
-
-    The arrays carry the leading batch axes of the points, C-contiguous.
-    """
-
-    point: np.ndarray
-    value: np.ndarray
-    jacobian: np.ndarray
-    hessian: np.ndarray
-
-
-class MapJetEvaluator:
-    """Evaluates a map together with its exact first and second derivatives.
-
-    The derivative trees are built once, flattened in ``(a, i)`` and
-    ``(a, i, j)`` order, and each order is compiled into one program when
-    it is first folded; evaluation folds them over a whole stack of points,
-    such as a finite-difference footprint.  A value, Jacobian or Hessian
-    that is not finite is a :class:`NumericalError`.  A map keeps one as
-    :attr:`HoloMap.evaluator`, which every report on the map reuses.
-    """
-
-    def __init__(self, holo_map: HoloMap) -> None:
-        self.holo_map = holo_map
-        n = holo_map.n_source
-        self._jac_trees = [holomorphic_derivative(c, i) for c in holo_map.components
-                           for i in range(n)]
-        self._hess_trees = [holomorphic_derivative(d, j) for d in self._jac_trees
-                            for j in range(n)]
-
-    @cached_property
-    def _jac(self) -> TreeProgram:
-        return compile_trees(self._jac_trees)
-
-    @cached_property
-    def _hess(self) -> TreeProgram:
-        return compile_trees(self._hess_trees)
+    def _programs(self) -> tuple[TreeProgram, TreeProgram]:
+        """The first-order and the second-order program, subtrees shared within each."""
+        n = self.n_source
+        jacobian = [holomorphic_derivative(c, i) for c in self.components for i in range(n)]
+        hessian = [holomorphic_derivative(d, j) for d in jacobian for j in range(n)]
+        first = [*self.components, *jacobian]
+        return compile_trees(first), compile_trees(first + hessian)
 
     def first(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values ``(..., n_target)`` and Jacobians ``(..., n_target, n_source)`` only."""
+        """Values ``(..., n_target)`` and Jacobians ``(..., n_target, n_source)``."""
+        return tuple(self._fold(z, 1))
+
+    def jet(self, z: np.ndarray) -> MapJet:
+        """Value, Jacobian and Hessian at the points ``z`` ``(..., n_source)``."""
+        return MapJet(*self._fold(z, 2))
+
+    def _fold(self, z: np.ndarray, order: int) -> list[np.ndarray]:
+        """The parts up to ``order`` from one fold over the points as one ``(P, n)`` stack.
+
+        A point of another shape is a :class:`ConfigError`; the first part, in
+        order, that is not finite is a :class:`NumericalError` naming its first
+        point.
+        """
         z = np.asarray(z, dtype=complex)
-        shape = z.shape[:-1] + (self.holo_map.n_target, self.holo_map.n_source)
-        return self.holo_map.value(z), _fold(self._jac, z, "Jacobian").reshape(shape)
-
-    def __call__(self, z: np.ndarray) -> MapJet:
-        z = np.asarray(z, dtype=complex)
-        value, jacobian = self.first(z)
-        hessian = _fold(self._hess, z, "Hessian").reshape(jacobian.shape + jacobian.shape[-1:])
-        return MapJet(point=z.copy(), value=value, jacobian=jacobian, hessian=hessian)
-
-
-def holomorphy_residual(
-    holo_map: HoloMap, z: np.ndarray, scheme: JetScheme = DEFAULT_SCHEME
-) -> float:
-    """Largest antiholomorphic first derivative of the map at ``z``.
-
-    The parser already rejects conjugations; this is the numerical
-    counterpart, useful as a scheme sanity check.
-    """
-    _, dbar = field_first(holo_map.value, holo_map._points(z), scheme)
-    return float(np.max(np.abs(dbar)))
+        n = self.n_source
+        if z.shape[-1:] != (n,):
+            raise ConfigError(f"the map takes points of shape (..., {n}), got {z.shape}")
+        flat = z.reshape(-1, n)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = [np.broadcast_to(value, flat.shape[:-1])
+                      for value in self._programs[order - 1].fold(flat)]
+        m, parts, start = self.n_target, [], 0
+        shapes = ((m,), (m, n), (m, n, n))[:order + 1]
+        for what, shape in zip(("value", "Jacobian", "Hessian"), shapes):
+            stop = start + math.prod(shape)
+            stacked = np.stack(values[start:stop], -1).astype(complex, copy=False)
+            finite = np.isfinite(stacked).all(-1)
+            if not finite.all():
+                raise NumericalError(f"map {what} is not finite at {flat[~finite][0]}")
+            parts.append(stacked.reshape(z.shape[:-1] + shape))
+            start = stop
+        return parts
 
 
 @dataclass(frozen=True)
@@ -231,7 +192,7 @@ class MapAssembly:
     """Data of a map between two metrics at the points ``z``, with their batch axes."""
 
     z: np.ndarray
-    evaluator: MapJetEvaluator
+    holo_map: HoloMap
     map_jet: MapJet
     source_point: ChernPoint
     target_point: ChernPoint
@@ -272,12 +233,11 @@ def assemble_map(
             f"map has {holo_map.n_target} components, target metric has dimension {target.n}"
         )
     z = np.asarray(z, dtype=complex)
-    evaluator = holo_map.evaluator
-    map_jet = evaluator(z)
+    map_jet = holo_map.jet(z)
     image = map_jet.value
     _check_images(target, z, image)
     source_point = ChernPoint.from_spec(source, z)  # the source's failures are named first
-    return MapAssembly(z, evaluator, map_jet, source_point, ChernPoint.from_spec(target, image))
+    return MapAssembly(z, holo_map, map_jet, source_point, ChernPoint.from_spec(target, image))
 
 
 def _hessian_chart(
@@ -345,7 +305,7 @@ def energy_density(
     The first image point outside the target region is a :class:`ConfigError`.
     """
     z = np.asarray(z, dtype=complex)
-    value, jacobian = holo_map.evaluator.first(z)
+    value, jacobian = holo_map.first(z)
     _check_images(target, z, value)
     return np.real(_energy(source, target, z, value, jacobian))[()]
 
@@ -379,7 +339,7 @@ def _energy_and_laplacian(
     The stencil's images must lie in the target region (else :class:`ConfigError`).
     """
     def field(w: np.ndarray) -> np.ndarray:
-        value, jacobian = assembly.evaluator.first(w)
+        value, jacobian = assembly.holo_map.first(w)
         check_footprint(target.region, value, assembly.z, scheme, "the image of the stencil",
                         "the target's")
         return _energy(source, target, w, value, jacobian)
@@ -496,6 +456,13 @@ def young_split_slack(a: np.ndarray, b: np.ndarray, tau: float) -> float:
     return 0.25 * (diff2 - (1.0 - tau) * a2 - (1.0 - 1.0 / tau) * b2)
 
 
+def _check_finite(**parameters: float) -> None:
+    """:class:`ConfigError` naming the first parameter that is not a finite number."""
+    for name, value in parameters.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def singular_square_bound_slack(
     squares: Sequence[float], c1: float, c2: float, n: int
 ) -> float:
@@ -506,11 +473,14 @@ def singular_square_bound_slack(
     Cauchy-Schwarz inequality; ``c1`` cancels and is accepted only to keep
     call sites readable.
     """
+    if not n >= 1:
+        raise ConfigError(f"the dimension must be at least 1, got {n}")
+    _check_finite(c1=c1, c2=c2)
     squares = np.asarray(squares, dtype=float)
     if squares.size > n:
         raise ConfigError(f"{squares.size} singular values in dimension {n}")
-    if np.any(squares < 0):
-        raise ConfigError("squared singular values must be nonnegative")
+    if not np.all((squares >= 0) & (squares < math.inf)):
+        raise ConfigError("squared singular values must be finite and nonnegative")
     e = float(np.sum(squares))
     lhs = -c1 * e + c2 * float(np.sum(squares**2))
     rhs = -c1 * e + (c2 / n) * e * e
@@ -519,9 +489,10 @@ def singular_square_bound_slack(
 
 def energy_upper_bound(c1: float, c2: float, kappa0: float, r: int, n: int) -> float:
     """The closed-form ceiling ``c1 r n / (kappa0 n + r c2)``."""
+    _check_finite(c1=c1, c2=c2, kappa0=kappa0)
     if kappa0 <= 0:
         raise ConfigError(f"the bound needs kappa0 > 0, got {kappa0}")
-    if r < 1 or n < 1:
+    if not (r >= 1 and n >= 1):
         raise ConfigError("rank and dimension must be at least 1")
     denominator = kappa0 * n + r * c2
     if denominator <= 0:

@@ -1,6 +1,7 @@
 """Command line behaviour: parsing, reports, determinism, exit codes."""
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from curvlab import cli, schwarz
 from curvlab.cli import _parse_metric, main
 from curvlab.errors import ConfigError
 from curvlab.metric_model import builtin_metric, fixture, hopf
+from curvlab.schwarz import HoloMap
 from test_report_writer import expanded, oracle as splice_oracle
 
 
@@ -595,6 +597,18 @@ FOREIGN_FLAGS = (
 )
 
 
+def test_flag_counts():
+    # every added flag shows here; the counts print under -s
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    counts = {name: sum(a.dest != "help" for a in parser._actions if a.option_strings)
+              for name, parser in subparsers.choices.items()}
+    print("\n" + ", ".join(f"{name} {count}" for name, count in counts.items())
+          + f", total {sum(counts.values())}")
+    assert counts == {"curvature": 9, "scan": 12, "schwarz": 10, "gauduchon": 8, "flow": 12,
+                      "fixtures": 1}
+
+
 class TestReportConfig:
     @pytest.mark.parametrize("command", COMMANDS.values())
     def test_config_holds_every_flag_but_out(self, capsys, command):
@@ -1033,36 +1047,40 @@ class TestSchwarzBatch:
             assert single["results"] == [row]
         assert report["max_relative_residual"] == max(row["relative_residual"] for row in rows)
 
-    def test_one_evaluator_and_one_stencil_jet_per_call(self, capsys, monkeypatch):
-        builds, stencil_centres, hessian_points = [], [], []
-        init, jet, fold = schwarz.MapJetEvaluator.__init__, schwarz.complex_jet2, schwarz._fold
+    def test_one_program_build_and_one_stencil_jet_per_call(self, capsys, monkeypatch):
+        builds, stencil_centres, folds = [], [], []
+        programs, jet, fold = HoloMap._programs.func, schwarz.complex_jet2, HoloMap._fold
 
-        def counted_init(self, *args):
-            builds.append(args)
-            init(self, *args)
+        def counted_programs(self):
+            builds.append(self)
+            return programs(self)
 
         def counted_jet(field, z, *args, **kwargs):
             stencil_centres.append(z.shape)
             return jet(field, z, *args, **kwargs)
 
-        def counted_fold(trees, z, what):
-            if what == "Hessian":
-                hessian_points.append(z.shape)
-            return fold(trees, z, what)
+        def counted_fold(self, z, order):
+            folds.append((order, np.shape(z)))
+            return fold(self, z, order)
 
-        monkeypatch.setattr(schwarz.MapJetEvaluator, "__init__", counted_init)
+        counted = functools.cached_property(counted_programs)
+        counted.__set_name__(HoloMap, "_programs")
+        monkeypatch.setattr(HoloMap, "_programs", counted)
         monkeypatch.setattr(schwarz, "complex_jet2", counted_jet)
-        monkeypatch.setattr(schwarz, "_fold", counted_fold)
+        monkeypatch.setattr(HoloMap, "_fold", counted_fold)
         _, report = run_json(
             ["schwarz", "--map", "z1^2;z2^2", "--source", "builtin:poincare_polydisk(2)",
              "--target", "builtin:poincare_polydisk(2)", "--region", "16"],
             capsys,
         )
+        print(f"\nschwarz, 16 points: {len(builds)} program build, "
+              f"{len(stencil_centres)} stencil jet on {stencil_centres}, "
+              f"folds (order, points) {folds}")
         assert len(report["results"]) == 16
         assert len(builds) == 1
         assert stencil_centres == [(16, 2)]
         # the Hessian trees are folded at the points only, never on the footprint
-        assert hessian_points == [(16, 2)]
+        assert [points for order, points in folds if order == 2] == [(16, 2)]
 
     @pytest.mark.parametrize(
         "components, code, message",

@@ -523,6 +523,13 @@ class TestParabolicResidual:
                 velocity=np.zeros((2, 2)),
             )
 
+    @pytest.mark.parametrize("kappa0", [math.nan, math.inf])
+    def test_non_finite_kappa0_is_a_config_error(self, kappa0):
+        disk = builtin_metric("poincare_polydisk", 1)
+        with pytest.raises(ConfigError,
+                           match=f"^kappa0 must be finite and nonnegative, got {kappa0}$"):
+            parabolic_schwarz_residual(disk, disk, np.array([0.3 + 0j]), source_tau(1.0), kappa0)
+
     def test_stencil_leaving_the_reference_region(self):
         # the reference is evaluated on the trace field's footprint, which at
         # 0.9995 reaches the pole |z| = 1 (once a NaN residual with

@@ -206,7 +206,7 @@ class TestHolomorphicDerivative:
 
 class TestJets:
     def test_polynomial_field_exact(self):
-        # f = z1^2 conj(z1) + 3 z1: d = 2|z|^2 + 3, dbar = z^2, dd = 2z, ddh = 2 conj(z)
+        # f = z1^2 conj(z1) + 3 z1: d = 2|z|^2 + 3, dbar = z^2, dd = 2z
         def f(z):
             return z[..., 0] ** 2 * np.conj(z[..., 0]) + 3.0 * z[..., 0]
 
@@ -217,7 +217,6 @@ class TestJets:
         assert abs(jet.d[0] - (2 * abs(w) ** 2 + 3)) < 1e-10
         assert abs(jet.dbar[0] - w**2) < 1e-10
         assert abs(jet.dd[0, 0] - 2 * w) < 5e-8
-        assert abs(jet.dd_holo[0, 0] - 2 * np.conj(w)) < 5e-8
 
     def test_cross_derivatives(self):
         # f = z1 z2 conj(z2): dd[1, 2] = d_1 dbar_2 f = z2... indices 0-based below
@@ -228,7 +227,6 @@ class TestJets:
         jet = complex_jet2(f, z0)
         assert abs(jet.dd[0, 1] - z0[1]) < 5e-8
         assert abs(jet.dd[1, 0]) < 5e-8
-        assert abs(jet.dd_holo[0, 1] - np.conj(z0[1])) < 5e-8
         assert abs(jet.d[0] - z0[1] * np.conj(z0[1])) < 1e-10
 
     def test_field_first_matches_full_jet(self):
@@ -284,10 +282,10 @@ class TestJets:
             d, dbar = field_first(f, centres, scheme)
             assert jet.value.shape == batch + tail
             assert jet.d.shape == d.shape == dbar.shape == batch + (2,) + tail
-            assert jet.dd.shape == jet.dd_holo.shape == batch + (2, 2) + tail
+            assert jet.dd.shape == batch + (2, 2) + tail
             for idx in np.ndindex(batch):
                 single = complex_jet2(f, centres[idx], scheme)
-                for part in ("value", "d", "dbar", "dd", "dd_holo"):
+                for part in ("value", "d", "dbar", "dd"):
                     assert np.array_equal(getattr(jet, part)[idx], getattr(single, part)), part
                 d_single, dbar_single = field_first(f, centres[idx], scheme)
                 assert np.array_equal(d[idx], d_single)

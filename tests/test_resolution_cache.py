@@ -4,11 +4,12 @@ A ``file:`` reference is read on every call and loaded (parsed, compiled
 and validated) once per distinct ``(path, bytes)``; the last 16 loads are
 kept.  A failed load is not kept, so a bad file fails the same way on every
 call.  A ``schwarz`` map is parsed once per ``(components, n_source)`` and
-keeps its jet evaluator.  Run with ``-s`` to print the loads and
+keeps its two compiled programs.  Run with ``-s`` to print the loads and
 validations of a call sequence like the benchmark's single_points cycle,
 and the time per call that the Bianchi check spends in its stencil on F1.
 """
 
+import functools
 import json
 import statistics
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from curvlab import chern, cli, schwarz
+from curvlab import chern, cli
 from curvlab.errors import ConfigError
 from curvlab.metric_model import MetricFile, expr, model
 from curvlab.schwarz import HoloMap
@@ -139,13 +140,14 @@ def test_cache_stays_bounded(counted, tmp_path):
     assert cli._file_metric.cache_info().currsize == size
 
 
-def test_one_map_and_one_evaluator_per_distinct_map(capsys, monkeypatch):
+def test_one_map_and_one_program_build_per_distinct_map(capsys, monkeypatch):
     parses, builds = [], []
-    parse, init = HoloMap.parse.__func__, schwarz.MapJetEvaluator.__init__
+    parse, programs = HoloMap.parse.__func__, HoloMap._programs.func
     monkeypatch.setattr(HoloMap, "parse",
                         classmethod(lambda cls, *args: parses.append(args) or parse(cls, *args)))
-    monkeypatch.setattr(schwarz.MapJetEvaluator, "__init__",
-                        lambda self, holo_map: builds.append(holo_map) or init(self, holo_map))
+    counted = functools.cached_property(lambda self: builds.append(self) or programs(self))
+    counted.__set_name__(HoloMap, "_programs")
+    monkeypatch.setattr(HoloMap, "_programs", counted)
     outputs = {}
     for components in ("z1^2;z2^2", "id", "z1^2;z2^2", "id", "z1^2;z2^2"):
         argv = ["schwarz", "--map", components, "--source", "builtin:poincare_polydisk(2)",
@@ -154,7 +156,7 @@ def test_one_map_and_one_evaluator_per_distinct_map(capsys, monkeypatch):
     assert all(len(runs) == 1 and next(iter(runs))[0] == 0 for runs in outputs.values())
     assert [args[0] for args in parses] == [("z1^2", "z2^2"), ("z1", "z2")]
     assert builds == [cli._holo_map(("z1^2", "z2^2"), 2), cli._holo_map(("z1", "z2"), 2)]
-    assert builds[0].evaluator is builds[0].evaluator
+    assert builds[0]._programs is builds[0]._programs
     # a map that fails to parse is not kept
     for _ in range(2):
         code, out, err = run(["schwarz", "--map", "conj(z1)", "--source", "builtin:F1",

@@ -14,18 +14,15 @@ from hypothesis import strategies as st
 
 from curvlab.errors import ConfigError, NumericalError
 from curvlab.functionals import TauParam, rbc, ric_tau_frame
-from curvlab.metric_model import (DEFAULT_SCHEME, JetScheme, builtin_metric, complex_jet2, fixture,
-                                  metric_jet)
+from curvlab.metric_model import JetScheme, builtin_metric, field_first, fixture, metric_jet
 from curvlab.schwarz import (
     HoloMap,
-    MapJetEvaluator,
     assemble_map,
     bismut_comparison_report,
     connection_invariance_residual,
     energy_density,
     energy_upper_bound,
     hessian_tensors,
-    holomorphy_residual,
     laplacian_identity_report,
     scalar_laplacian,
     schwarz_inequality_report,
@@ -94,23 +91,25 @@ class TestHoloMap:
 
     def test_exact_jet_matches_finite_differences(self):
         m = HoloMap.parse(("z1^2*z2 + 3*z2", "z1 - z2^3"), 2)
-        evaluator = MapJetEvaluator(m)
         z = np.array([0.4 - 0.1j, 0.2 + 0.3j])
-        jet = evaluator(z)
-        fd = complex_jet2(m.value, z, DEFAULT_SCHEME)
-        assert np.allclose(jet.value, fd.value, atol=1e-14)
-        assert np.allclose(jet.jacobian, fd.d.T, atol=1e-9)
-        assert np.allclose(jet.hessian, np.transpose(fd.dd_holo, (2, 0, 1)), atol=1e-6)
-
-    def test_holomorphy_residual_small(self):
-        m = HoloMap.parse(("z1*z2", "z1 + z2^2"), 2)
-        res = holomorphy_residual(m, np.array([0.3, -0.2 + 0.1j]))
-        assert res <= 1e-9, f"antiholomorphic leak {res:.3e}"
+        jet = m.jet(z)
+        assert np.array_equal(jet.value, m.first(z)[0])
+        d, dbar = field_first(lambda w: m.first(w)[0], z)
+        assert np.allclose(jet.jacobian, d.T, atol=1e-9)
+        # the Jacobian's stencil: its holomorphic first is the Hessian, and its
+        # antiholomorphic first vanishes, as it does for a holomorphic map
+        d, dbar = field_first(lambda w: m.first(w)[1], z)
+        assert np.allclose(jet.hessian, np.transpose(d, (1, 2, 0)), atol=1e-9)
+        assert np.abs(dbar).max() <= 1e-9, f"antiholomorphic leak {np.abs(dbar).max():.3e}"
 
     def test_hessian_symmetric(self):
         m = HoloMap.parse(("z1^3*z2^2",), 2)
-        jet = MapJetEvaluator(m)(np.array([0.5, 0.25 - 0.4j]))
+        jet = m.jet(np.array([0.5, 0.25 - 0.4j]))
         assert np.allclose(jet.hessian, jet.hessian.swapaxes(1, 2), atol=1e-14)
+
+    def test_a_map_with_no_components_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^map needs at least one component$"):
+            energy_density(fixture("F2"), fixture("F2"), HoloMap.parse([], 2), [0.1, 0.1])
 
 
 class TestAssembly:
@@ -145,8 +144,9 @@ class TestAssembly:
                                                   kappa0=1.5, r=2),
             lambda bad: energy_density(source, target, m, bad),
             lambda bad: bismut_comparison_report(source, target, m, bad, tau=1.0),
-            lambda bad: holomorphy_residual(m, bad),
-            lambda bad: holomorphy_residual(HoloMap.parse(("z1", "z2"), 2), bad),
+            m.first,
+            m.jet,
+            HoloMap.parse(("z1", "z2"), 2).first,
         )
         for report in reports:
             for bad in (z[:1], z[0], np.zeros((3, 1), dtype=complex)):
@@ -289,6 +289,28 @@ class TestScalarInequalities:
         with pytest.raises(ConfigError):
             energy_upper_bound(2.0, -5.0, 1.0, 2, 2)
 
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0.5, math.nan, 2, 2), "kappa0 must be finite, got nan"),
+        ((math.nan, 0.5, 1.0, 2, 2), "c1 must be finite, got nan"),
+        ((1.0, math.inf, 1.0, 2, 2), "c2 must be finite, got inf"),
+        ((1.0, 0.5, 1.0, math.nan, 2), "rank and dimension must be at least 1"),
+    ])
+    def test_energy_upper_bound_needs_finite_parameters(self, args, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            energy_upper_bound(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        (([], 1.0, 1.0, 0), "the dimension must be at least 1, got 0"),
+        (([1.0], 1.0, 1.0, math.nan), "the dimension must be at least 1, got nan"),
+        (([1.0], 1.0, math.nan, 2), "c2 must be finite, got nan"),
+        (([1.0], math.inf, 1.0, 2), "c1 must be finite, got inf"),
+        (([math.nan], 1.0, 1.0, 2), "squared singular values must be finite and nonnegative"),
+        (([math.inf], 1.0, 1.0, 2), "squared singular values must be finite and nonnegative"),
+    ])
+    def test_singular_square_bound_needs_finite_parameters(self, args, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            singular_square_bound_slack(*args)
+
 
 class TestSchwarzReport:
     def test_poincare_identity_is_the_equality_case(self):
@@ -313,6 +335,12 @@ class TestSchwarzReport:
         )
         assert report.energy < report.energy_bound
         assert report.slack > 0.0
+
+    def test_non_finite_kappa0_is_a_config_error(self):
+        source, target, m, _ = build("disk_square")
+        with pytest.raises(ConfigError, match="^kappa0 must be finite, got nan$"):
+            schwarz_inequality_report(source, target, m, np.array([0.1, 0.1]), c1=2.0, c2=0.5,
+                                      kappa0=math.nan, r=2)
 
 
 class TestBismutComparison:
