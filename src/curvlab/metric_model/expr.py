@@ -24,8 +24,7 @@ into a :class:`TreeProgram` (:func:`compile_trees`): one postorder list of
 unique steps, equal subtrees merged across the set and constant subtrees
 folded to Python numbers.  A run applies each step's Python operator to its
 operand slots, so one program serves arrays of points, numpy scalars and
-packed Wirtinger jets (``_Jet``), whose values are those of the recursive
-fold over four separate arrays, bit for bit.
+packed complex Wirtinger jets (``_Jet``).
 """
 
 from __future__ import annotations
@@ -388,27 +387,18 @@ def _operands(node: Expr) -> tuple:
 class _Jet:
     """Second-order Wirtinger jets of a scalar field at ``P`` points in ``m`` variables.
 
-    One packed array ``a`` of shape ``(P, (m + 1)^2)`` holds per point the
-    value, ``d_i f``, ``dbar_i f`` and ``d_i dbar_j f`` row by row:
-    ``[v | d | dbar | dd]``.  Python scalars act as constants.  Sums,
+    One packed complex array ``a`` of shape ``(P, (m + 1)^2)`` holds per
+    point the value, ``d_i f``, ``dbar_i f`` and ``d_i dbar_j f`` row by
+    row: ``[v | d | dbar | dd]``.  Python scalars act as constants.  Sums,
     products, quotients, integer powers and conjugation close on these
-    parts, so no pure second derivatives are carried.
-
-    Every number is the one a fold over the four parts as separate arrays
-    gives.  There a coordinate's derivatives are float64, and so are sums,
-    negations, conjugates and real multiples of float parts, and a squared
-    modulus has a float64 value.  ``real`` flags such (value, derivative)
-    parts: they hold their float numbers with imaginary part ``+0``, which
-    is what numpy's cast to complex makes of them, and each operation keeps
-    them so.  A product or quotient of two flagged parts is the float one;
-    a part mixed with a complex one meets it as that cast.  No operation
-    writes into an operand's array.
+    parts, so no pure second derivatives are carried.  Every operation is
+    plain complex numpy arithmetic, and none writes into an operand's array.
     """
 
-    __slots__ = ("a", "real")
+    __slots__ = ("a",)
 
-    def __init__(self, a: np.ndarray, real: tuple) -> None:
-        self.a, self.real = a, real
+    def __init__(self, a: np.ndarray) -> None:
+        self.a = a
 
     @classmethod
     def coordinates(cls, z: np.ndarray) -> list:
@@ -417,36 +407,28 @@ class _Jet:
         a = np.zeros((m, p, (m + 1) ** 2), dtype=complex)
         a[:, :, 0] = z.T
         a[np.arange(m), :, 1 + np.arange(m)] = 1.0
-        return [cls(part, (False, True)) for part in a]
+        return [cls(part) for part in a]
 
     @property
     def m(self) -> int:
         return math.isqrt(self.a.shape[1]) - 1
 
     def parts(self) -> tuple:
-        """Views ``v``, ``[d | dbar]`` ``(P, 2m)`` and ``dd`` ``(P, m, m)``; flagged ones float64."""
+        """Views ``v``, ``[d | dbar]`` ``(P, 2m)`` and ``dd`` ``(P, m, m)``."""
         m = self.m
-        v = self.a[:, 0].real if self.real[0] else self.a[:, 0]
-        rest = self.a.real if self.real[1] else self.a
-        return v, rest[:, 1:1 + 2 * m], rest[:, 1 + 2 * m:].reshape(-1, m, m)
-
-    def _firsts(self, m: int) -> tuple:
-        """Views ``d`` and ``dbar`` ``(P, m)``; float64 when the derivatives are flagged."""
-        a = self.a.real if self.real[1] else self.a
-        return a[:, 1:1 + m], a[:, 1 + m:1 + 2 * m]
+        return self.a[:, 0], self.a[:, 1:1 + 2 * m], self.a[:, 1 + 2 * m:].reshape(-1, m, m)
 
     def __add__(self, other) -> "_Jet":
         if isinstance(other, _Jet):
-            (rv, rd), (ov, od) = self.real, other.real
-            return _Jet(self.a + other.a, (rv and ov, rd and od))
+            return _Jet(self.a + other.a)
         a = self.a.copy()
         a[:, 0] += other
-        return _Jet(a, (self.real[0] and not isinstance(other, complex), self.real[1]))
+        return _Jet(a)
 
     __radd__ = __add__
 
     def __neg__(self) -> "_Jet":
-        return _Jet(_zero_imag(-self.a, self.real), self.real)
+        return _Jet(-self.a)
 
     def __sub__(self, other) -> "_Jet":
         return self + -other
@@ -456,25 +438,21 @@ class _Jet:
 
     def __mul__(self, other) -> "_Jet":
         if not isinstance(other, _Jet):
-            return self._scaled(np.multiply, other)
-        (rv, rd), (ov, od) = self.real, other.real
-        left = _zero_imag(self.a * other.a[:, :1], (rv and ov, rd and ov))
-        right = _zero_imag(self.a[:, :1] * other.a, (False, rv and od))
-        out = left + right
+            return _Jet(self.a * other)
+        left = self.a * other.a[:, :1]
+        out = left + self.a[:, :1] * other.a
         out[:, 0] = left[:, 0]
         m = self.m
-        d, dbar = self._firsts(m)
-        other_d, other_dbar = other._firsts(m)
         dd = out[:, 1 + 2 * m:].reshape(-1, m, m)
-        dd += _outer(d, other_dbar)
-        dd += _outer(other_d, dbar)
-        return _Jet(out, (rv and ov, rv and ov and rd and od))
+        dd += _outer(self.a[:, 1:1 + m], other.a[:, 1 + m:1 + 2 * m])
+        dd += _outer(other.a[:, 1:1 + m], self.a[:, 1 + m:1 + 2 * m])
+        return _Jet(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "_Jet":
         if not isinstance(other, _Jet):
-            return self._scaled(np.true_divide, other)
+            return _Jet(self.a / other)
         return _quotient(self.parts(), other.parts())
 
     def __rtruediv__(self, other) -> "_Jet":
@@ -484,46 +462,20 @@ class _Jet:
     def __pow__(self, k: int):
         if k in (0, 1):  # never form v^(k-2), which is infinite at v = 0
             return self if k else 1 + 0j
-        rv, rd = self.real
-        # a float value is a contiguous array in the part fold
-        v = self.a[:, 0].real.copy() if rv else self.a[:, 0]
+        v = self.a[:, 0]
         p1 = (k * v ** (k - 1))[:, None]
         p2 = (k * (k - 1) * v ** (k - 2))[:, None, None]
-        out = _zero_imag(p1 * self.a, (False, rv and rd))
+        out = p1 * self.a
         out[:, 0] = v**k
         m = self.m
         dd = out[:, 1 + 2 * m:].reshape(-1, m, m)
-        dd += p2 * _outer(*self._firsts(m))
-        return _Jet(out, (rv, rv and rd))
+        dd += p2 * _outer(self.a[:, 1:1 + m], self.a[:, 1 + m:1 + 2 * m])
+        return _Jet(out)
 
     def conjugate(self) -> "_Jet":
         out = self.a[:, _conjugate_order(self.m)]
         np.conjugate(out, out=out)
-        return _Jet(_zero_imag(out, self.real), self.real)
-
-    def _scaled(self, op, c) -> "_Jet":
-        """``op(part, c)`` for every part; a flagged part with a real ``c`` stays float."""
-        a = op(self.a, c)
-        if isinstance(c, complex):
-            return _Jet(a, (False, False))
-        lo, hi = _flagged_columns(self.real, a.shape[1])
-        a[:, lo:hi] = op(self.a.real[:, lo:hi], c)
-        return _Jet(a, self.real)
-
-
-def _flagged_columns(real: tuple, width: int) -> tuple[int, int]:
-    """The columns of the flagged parts, ``[lo, hi)``; empty when none is flagged."""
-    if not any(real):
-        return 0, 0
-    return (0 if real[0] else 1), (width if real[1] else 1)
-
-
-def _zero_imag(a: np.ndarray, real: tuple) -> np.ndarray:
-    """Set the imaginary parts of the flagged parts of ``a`` to ``+0``, in place."""
-    lo, hi = _flagged_columns(real, a.shape[1])
-    if hi > lo:
-        a.imag[:, lo:hi] = 0.0
-    return a
+        return _Jet(out)
 
 
 @cache
@@ -554,7 +506,7 @@ def _quotient(p: tuple, q: tuple) -> _Jet:
     out[:, 0] = v
     out[:, 1:1 + 2 * m] = first
     out[:, 1 + 2 * m:] = dd.reshape(len(v), m * m)
-    return _Jet(out, (v.dtype.kind != "c", first.dtype.kind != "c"))
+    return _Jet(out)
 
 
 def _abs2(w):
@@ -563,7 +515,7 @@ def _abs2(w):
         return w.real * w.real + w.imag * w.imag
     out = w * w.conjugate()
     out.a[:, 0] = _abs2(w.a[:, 0])
-    return _Jet(out.a, (True, out.real[1]))
+    return out
 
 
 # One step per node kind: ``step(x, y)`` with ``y`` the second operand, the
@@ -633,19 +585,17 @@ class TreeProgram:
     def jets(self, z: np.ndarray) -> tuple:
         """Value ``(P, T)``, ``d`` ``(P, m, T)`` and ``d dbar`` ``(P, m, m, T)`` of the trees.
 
-        :meth:`run` on the Wirtinger jets (``_Jet``) of the points ``z`` ``(P, m)``: exact up
-        to rounding, unchecked, C-contiguous; derivatives float64 when all are flagged float.
+        :meth:`run` on the Wirtinger jets (``_Jet``) of the points ``z`` ``(P, m)``: complex,
+        exact up to rounding, unchecked and C-contiguous.
         """
         p, m = z.shape
         leaves = _Jet.coordinates(z)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             zero = leaves[0] * 0.0  # a zero jet: spreads constant trees over the points
-            jets = [value + zero for value in self.run(leaves)]
-        packed = np.array([jet.a for jet in jets])  # (T, P, (m + 1)^2)
-        derivatives = packed[..., 1:]
-        if all(jet.real[1] for jet in jets):  # float64 in a fold over separate parts
-            derivatives = derivatives.real
-        parts = packed[..., 0], derivatives[..., :m], derivatives[..., 2 * m:].reshape(-1, p, m, m)
+            # (T, P, (m + 1)^2)
+            packed = np.array([(value + zero).a for value in self.run(leaves)])
+        parts = (packed[..., 0], packed[..., 1:1 + m],
+                 packed[..., 1 + 2 * m:].reshape(len(packed), p, m, m))
         return tuple(part.transpose(*range(1, part.ndim), 0).copy() for part in parts)
 
 

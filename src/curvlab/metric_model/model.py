@@ -196,10 +196,10 @@ def metric_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
 def metric_jet(spec: MetricSpec, z: np.ndarray) -> MetricJet:
     """Second-order jet of the metric at the points ``z`` of shape ``(..., n)``.
 
-    The entry program's jets (``TreeProgram.jets``) with the batch axes of
-    ``z``; ``d_g`` and ``dd_g`` are float64 for the constant ``flat(n)``.
-    Raises :class:`NumericalError`, naming the first point that fails, unless
-    the jet is finite and ``g`` positive definite, whose factor is kept.
+    The entry program's complex jets (``TreeProgram.jets``) with the batch
+    axes of ``z``.  Raises :class:`NumericalError`, naming the first point
+    that fails, unless the jet is finite and ``g`` positive definite, whose
+    factor is kept.
     """
     z = _points(spec, z)
     flat = z.reshape(-1, spec.n)

@@ -19,6 +19,8 @@ Frozen reference values used below:
 import dataclasses
 import io
 import math
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +48,25 @@ from curvlab.tensor_core import hermitian_eigenvalues, hermitian_part, metric_in
 
 def source_tau(value):
     return TauParam(value, "source")
+
+
+def assert_node_by_node(grid, tau) -> None:
+    """The grid velocity equals each node's own, to 1e-13 of its largest entry."""
+    v = thcf_velocity(grid, tau)
+    for idx in np.ndindex(*grid.g.shape[:-2]):
+        node = MetricJet(grid.point[idx], grid.g[idx], grid.d_g[idx], grid.dd_g[idx])
+        one = thcf_velocity(node, tau)
+        gap = np.abs(v[idx] - one).max()
+        assert gap <= 1e-13 * np.abs(one).max(), f"node {idx}: off by {gap:.3e}"
+
+
+def median_s(run, repeats: int = 60) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 class TestVelocity:
@@ -241,12 +262,25 @@ class TestGridVelocity:
     def test_grid_equals_node_by_node(self, metric, center, tau):
         box = GridBox(center, half_width=0.05, resolution=5, boundary="periodic")
         grid = GridMetricField.from_spec(metric, box).jets()
-        v = thcf_velocity(grid, source_tau(tau))
-        for idx in np.ndindex(*grid.g.shape[:-2]):
-            node = MetricJet(grid.point[idx], grid.g[idx], grid.d_g[idx], grid.dd_g[idx])
-            one = thcf_velocity(node, source_tau(tau))
-            gap = np.abs(v[idx] - one).max()
-            assert gap <= 1e-13 * np.abs(one).max(), f"node {idx}: off by {gap:.3e}"
+        assert_node_by_node(grid, source_tau(tau))
+
+    @pytest.mark.parametrize("name, metric, box, tau", [
+        ("F1", fixture("F1"), GridBox((0.05, 0.02j), 0.1, 5, "periodic"), 2.0),
+        ("P1", builtin_metric("poincare_polydisk", 1), GridBox((0.1,), 0.3, 41, "frozen"), 1.0),
+    ], ids=["F1", "P1"])
+    def test_grid_velocity_per_node(self, name, metric, box, tau):
+        """The grid velocity is the node-by-node one; prints its time per node and the
+        Chern tensors' share of it."""
+        grid = GridMetricField.from_spec(metric, box).jets()
+        assert_node_by_node(grid, source_tau(tau))
+        nodes = grid.g.size // metric.n**2
+        velocity = median_s(lambda: thcf_velocity(ChernPoint.from_jet(grid), source_tau(tau)))
+        point = ChernPoint.from_jet(grid)
+        point.g_up
+        tensors = median_s(lambda: [ChernPoint.gamma.func(point), ChernPoint.torsion.func(point),
+                                    ChernPoint.curvature.func(point)])
+        print(f"\n{name} ({nodes} nodes): velocity {velocity / nodes * 1e6:.2f} us per node, "
+              f"Chern tensors (gamma, T, R) {tensors / velocity:.0%} of it")
 
     @pytest.mark.parametrize("boundary", ["frozen", "periodic"])
     def test_node_velocity_does_not_depend_on_the_stack(self, boundary):

@@ -9,6 +9,8 @@ as a NUL marker that is then replaced by the array's one-line C encoding.
 import argparse
 import io
 import json
+import statistics
+import time
 from contextlib import redirect_stdout
 from itertools import chain
 
@@ -160,3 +162,39 @@ def test_array_rows_are_cut_at_their_separator():
     column = np.arange(24.0).reshape(3, 2, 2, 2)
     assert cli._cells(column, 0) == [json.dumps(row.tolist()) for row in column]
     assert cli._cells(np.zeros((2, 0)), 0) == ["[]", "[]"]
+
+
+COMMANDS = {
+    "curvature, 128 points":
+        "curvature --metric builtin:example22 --region 128 --check pluriclosed",
+    "gauduchon, 224 points x 3 t":
+        "gauduchon --metric builtin:example22 --region 224 --t=-1,0.25,2 --roundtrip",
+    "scan certificate, 1 point":
+        "scan --metric builtin:hopf(2) --points 0.3,0.1 --functional rbc --tau 2",
+}
+
+
+def test_command_reports_match_the_marker_splice(monkeypatch):
+    """Each report's bytes are the oracle's; prints its size, ``main()`` and writer times."""
+    emit, writer, reports = cli._emit_json, [], []
+
+    def timed(report, args):
+        reports.append(report)
+        start = time.perf_counter()
+        emit(report, args)
+        writer.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(cli, "_emit_json", timed)
+    for name, argv in COMMANDS.items():
+        writer.clear()
+        total = []
+        for _ in range(12):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                start = time.perf_counter()
+                assert cli.main(argv.split()) == 0
+                total.append(time.perf_counter() - start)
+        assert out.getvalue() == oracle(reports[-1]), name
+        main_s, writer_s = statistics.median(total[1:]), statistics.median(writer[1:])
+        print(f"\n{name}: {len(out.getvalue().encode())} bytes, main() {main_s * 1e3:.2f} ms, "
+              f"writer {writer_s * 1e3:.2f} ms ({writer_s / main_s:.0%} of main)")

@@ -1,8 +1,9 @@
 """The compiled tree program against the recursive fold it replaced, byte for byte.
 
 The oracle is the recursive ``eval_expr`` and the four-array Wirtinger jet
-the library folded trees with before it compiled them, kept here verbatim
-as ``recursive_eval`` and ``FourArrayJet``.  The entry program's jets
+the library folded trees with before it compiled them, kept here as
+``recursive_eval`` and ``FourArrayJet``; its parts are complex from the
+coordinates on, as the packed jet's are.  The entry program's jets
 (``TreeProgram.jets``, bytes and dtype), ``metric_jet`` where the trees form
 a metric, metric values, ``eval_expr`` and the map folds are compared on
 point stacks ``()``, ``(1,)``, ``(7,)``, ``(2, 3)`` and ``(33,)``: on random
@@ -20,7 +21,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from curvlab.chern import ChernPoint
 from curvlab.errors import ConfigError, NumericalError
+from curvlab.functionals import TauParam, comparison_deviation, hsc_certificates, rbc_certificates
 from curvlab.metric_model import (
     Abs2,
     Add,
@@ -51,7 +54,7 @@ from curvlab.metric_model import (
     to_text,
 )
 from curvlab.metric_model.expr import _Jet, _operands
-from curvlab.schwarz import HoloMap
+from curvlab.schwarz import HoloMap, laplacian_identity_report
 
 STACKS = [(), (1,), (7,), (2, 3), (33,)]
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -78,8 +81,9 @@ class FourArrayJet:
     @classmethod
     def coordinates(cls, z: np.ndarray) -> "FourArrayJet":
         """Jets of the coordinates at points ``z`` of shape ``(P, m)``; ``[..., k]`` is ``z_k``."""
-        zero = np.zeros(z.shape + z.shape[-1:])
-        return cls(z, zero + np.eye(z.shape[-1]), zero, np.zeros(zero.shape + z.shape[-1:]))
+        zero = np.zeros(z.shape + z.shape[-1:], dtype=complex)
+        dd = np.zeros(zero.shape + z.shape[-1:], dtype=complex)
+        return cls(z, zero + np.eye(z.shape[-1]), zero, dd)
 
     def __getitem__(self, key: tuple) -> "FourArrayJet":
         s = (slice(None),)
@@ -153,7 +157,7 @@ def _abs2(w):
     if not isinstance(w, FourArrayJet):
         return w.real * w.real + w.imag * w.imag
     out = w * w.conjugate()
-    out.v = _abs2(w.v)
+    out.v = _abs2(w.v).astype(complex)
     return out
 
 
@@ -316,11 +320,7 @@ def one_nan(a: np.ndarray) -> np.ndarray:
 
 
 def check_packed_jets(spec: MetricSpec, flat: np.ndarray) -> None:
-    """Each entry's packed jet holds the four parts of the recursive fold, cast to complex.
-
-    The flags name the parts that fold keeps as float64; their imaginary
-    parts are ``+0``, as the cast makes them.
-    """
+    """Each entry's packed jet holds the four parts of the recursive fold."""
     seed = FourArrayJet.coordinates(flat)
     entries = [entry for row in spec.entries for entry in row]
     (got, error), (want, want_error) = outcome(
@@ -331,10 +331,9 @@ def check_packed_jets(spec: MetricSpec, flat: np.ndarray) -> None:
         if not isinstance(ref, FourArrayJet):
             assert_same(jet, ref, f"constant entry {k}")
             continue
-        parts = [np.asarray(part, dtype=complex).reshape(len(flat), -1)
+        parts = [part.reshape(len(flat), -1)
                  for part in (ref.v, ref.d, ref.dbar, ref.dd)]
         assert_same(one_nan(jet.a), one_nan(np.concatenate(parts, axis=1)), f"entry {k}")
-        assert jet.real == (ref.v.dtype.kind != "c", ref.d.dtype.kind != "c"), f"entry {k}"
 
 
 def check_map(holo_map: HoloMap, z: np.ndarray) -> None:
@@ -461,6 +460,15 @@ def reference_files() -> dict:
     return files
 
 
+# Constant-free real-valued subtrees divided or raised to a power outside
+# {-1, 0, 1, 2}: their jets differ from the plain fold by up to an ulp.
+MOVED = {
+    "m1": {"n": 1, "entries": [["abs2(z1)^-3"]], "region": {"type": "punctured"}},
+    "m2": {"n": 2, "entries": [["(abs2(z1) + abs2(z2))^-3", "0"],
+                               ["0", "(abs2(z1) + abs2(z2))^3 / abs2(z1)"]],
+           "region": {"type": "punctured"}},
+}
+
 BUILTINS = {
     **{f"flat({n})": (lambda n=n: flat(n)) for n in (1, 2, 3)},
     **{f"poincare_polydisk({n})": (lambda n=n: poincare_polydisk(n)) for n in (1, 2, 3)},
@@ -469,6 +477,8 @@ BUILTINS = {
     "example22(3)": lambda: example22(3, _antisymmetric(3), 0.05),
     **{f"file {name}": (lambda payload=payload: load_metric(payload))
        for name, payload in reference_files().items()},
+    **{f"moved {name}": (lambda payload=payload: load_metric(payload))
+       for name, payload in MOVED.items()},
 }
 
 
@@ -493,18 +503,41 @@ def test_builtin_metrics_fold_to_the_recursive_bytes(name):
     check_metric(spec, spec.region.base_point(spec.n), is_metric=True)
 
 
+def jet_and_plain_values(name: str) -> tuple:
+    spec = BUILTINS[name]()
+    z = spec.region.sample_points(spec.n, np.random.default_rng(7), 200)
+    return metric_jet(spec, z).g, metric_value(spec, z)
+
+
+# example22(3) is left out: numpy multiplies a packed jet by a non-real
+# constant in a contiguous loop that rounds otherwise than its strided loop
+# over a column of points, here and at the parent alike.
+@pytest.mark.parametrize("name", [name for name in BUILTINS
+                                  if name != "example22(3)" and not name.startswith("moved ")])
+def test_metric_jet_values_are_the_plain_fold_bytes(name):
+    g, value = jet_and_plain_values(name)
+    assert_same(g, value, name)
+
+
+@pytest.mark.parametrize("name", [f"moved {name}" for name in MOVED])
+def test_moved_trees_jet_values_are_the_plain_fold_to_a_few_ulp(name):
+    """Complex division and power round otherwise than the plain fold's float ones."""
+    g, value = jet_and_plain_values(name)
+    assert np.all(np.abs(g - value) <= 4 * np.finfo(float).eps * np.abs(value))
+
+
 @pytest.mark.parametrize("tree", [
-    Mul(Neg(Var(0)), Const(-1)),  # float derivatives times a negative real: -1 * -1
+    Mul(Neg(Var(0)), Const(-1)),  # real derivatives times a negative real: -1 * -1
     Div(Neg(Var(0)), Const(-2.5)),
     Mul(Const(-0.0), Sub(Const(1 + 0j), Var(1))),
-    Div(Abs2(Var(0)), Const(3)),  # a float value over a real constant
+    Div(Abs2(Var(0)), Const(3)),  # a real value over a real constant
     Mul(Neg(Abs2(Var(1))), Const(-1)),
     Add(Neg(Var(0)), Const(-2)),
     Conj(Sub(Var(0), Conj(Var(1)))),
     Pow(Neg(Abs2(Var(0))), -2),
     Mul(Neg(Var(0)), Conj(Neg(Var(1)))),
 ])
-def test_real_parts_stay_float(tree):
+def test_real_valued_parts_keep_the_zero_signs_of_the_complex_fold(tree):
     spec = MetricSpec(name=to_text(tree), n=2, entries=((tree, Const(0j)), (Const(0j), tree)),
                       region=Region("ball", 1.0))
     z = np.array([[0.3 - 0.2j, -0.1 + 0.4j], [0j, complex(-0.0, -0.0)], [-0.5, 0.25j]])
@@ -543,10 +576,11 @@ def test_metric_jet_is_the_reshaped_program_jets(name, args):
           f"program of {len(spec.program)} slots for {nodes} tree nodes")
 
 
-def test_flat_derivatives_stay_float64():
+def test_flat_derivatives_are_complex_positive_zeros():
     jet = metric_jet(flat(2), np.zeros((3, 2), dtype=complex))
-    assert jet.g.dtype == complex
-    assert jet.d_g.dtype == jet.dd_g.dtype == np.float64
+    for part in (jet.d_g, jet.dd_g):
+        assert part.dtype == complex
+        assert part.tobytes() == np.zeros(part.shape, dtype=complex).tobytes()
 
 
 @pytest.mark.parametrize("components", [("z1^2", "z2 * z1 - z2^3"), ("1 / (z1 - 2)", "z1 + 0 * z2"),
@@ -622,3 +656,21 @@ def test_a_run_leaves_its_leaves_and_earlier_results_alone():
     assert np.array_equal(z, kept)
     for a, b in zip((first.g, first.d_g, first.dd_g), (second.g, second.d_g, second.dd_g)):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["F1", "hopf(3)", "flat(2)"])
+@pytest.mark.parametrize("stack", [(0,), (2, 0)], ids=str)
+def test_empty_point_stacks_give_empty_results(name, stack):
+    spec = {"F1": fixture("F1"), "hopf(3)": hopf(3), "flat(2)": flat(2)}[name]
+    n = spec.n
+    z = np.zeros(stack + (n,), dtype=complex)
+    jet = metric_jet(spec, z)
+    assert (jet.g.shape, jet.d_g.shape, jet.dd_g.shape) == (
+        metric_value(spec, z).shape, stack + (n,) * 3, stack + (n,) * 4)
+    point = ChernPoint.from_spec(spec, z)
+    assert point.curvature.shape == stack + (n,) * 4
+    assert comparison_deviation(point).shape == stack
+    assert hsc_certificates(point, "sup") == []
+    assert rbc_certificates(point, TauParam(1.0, "target"), "inf") == []
+    identity = HoloMap.parse([f"z{k + 1}" for k in range(n)], n)
+    assert laplacian_identity_report(spec, spec, identity, z).relative_residual.shape == stack
