@@ -17,21 +17,24 @@ frame is built on the grid.
 Space is a regular lattice over a rectangle in chart coordinates (axes
 ordered ``x1, y1, x2, y2``), dimensions one and two.  Spatial derivatives
 are second-order central differences; the boundary either stays frozen at
-its initial values (interior-only updates) or wraps periodically.  Time
-stepping is explicit: plain Euler (``flow_step(..., "euler")``) or the
-default two-stage explicit trapezoid, whose second-order accuracy the
-closed-form flat solution actually requires.  A diffusion bound,
+its initial values (interior-only updates, one-sided second-order
+differences at the edges) or wraps periodically.  Time stepping is
+explicit: plain Euler (``flow_step(..., "euler")``) or the default
+two-stage explicit trapezoid, whose second-order accuracy the closed-form
+flat solution actually requires; its predictor's velocity is formed only
+at the nodes a step moves (:attr:`GridBox.updated`).  A diffusion bound,
 ``dt <= 0.2 h^2 g_min``, keeps each substep within the explicit stability
 limit of the grid's second differences.  A step takes the least power-of-two
 count of substeps that the bound admits at its start field, derived from
-``g_min`` alone before any velocity is evaluated; only a bound or positivity
-failure later in the step halves the substeps again and restarts it.  Each
-field computes its velocity once: the velocity of a step's end field serves
-both the step's diagnostics row and the first stage of the next step (first
-same as last).  The grid's ``g_min``, the ``max_velocity`` diagnostic and
-the inverse metric are the closed-form eigenvalues and inverses of
-:mod:`~curvlab.tensor_core` for the grid's dimensions one and two, so no
-node pays a LAPACK call.
+``g_min`` alone before any velocity is evaluated; only a bound, positivity
+or finiteness failure later in the step halves the substeps again and
+restarts it.  A start field whose velocity is not finite fails at once.
+Each field computes its velocity once: the velocity of a step's end field
+serves both the step's diagnostics row and the first stage of the next step
+(first same as last).  The grid's ``g_min``, the ``max_velocity``
+diagnostic and the inverse metric are the closed-form eigenvalues and
+inverses of :mod:`~curvlab.tensor_core` for the grid's dimensions one and
+two, so no node pays a LAPACK call.
 
 The pointwise comparison inequality
 
@@ -45,6 +48,7 @@ the Laplacian through the jet scheme, so no time stepping enters the check.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import IO
@@ -126,16 +130,36 @@ class GridBox:
         for c in self.center:
             axes += [np.linspace(c.real - w, c.real + w, self.resolution),
                      np.linspace(c.imag - w, c.imag + w, self.resolution)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([mesh[2 * k] + 1j * mesh[2 * k + 1] for k in range(self.n)], axis=-1)
+        mesh = np.array(np.meshgrid(*axes, indexing="ij"))
+        points = np.ascontiguousarray(np.moveaxis(mesh[0::2] + 1j * mesh[1::2], 0, -1))
         points.flags.writeable = False
         return points
 
+    @property
+    def updated(self) -> tuple[slice, ...]:
+        """Index of the nodes a flow step moves: the interior if frozen, all nodes if periodic."""
+        return (slice(1, -1) if self.boundary == "frozen" else slice(None),) * (2 * self.n)
 
-def _axis_derivative(values: np.ndarray, spacing: float, axis: int, periodic: bool) -> np.ndarray:
-    if periodic:
-        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * spacing)
-    return np.gradient(values, spacing, axis=axis, edge_order=2)
+
+def _differences(f: np.ndarray, h: float, lead: int, axes: int, periodic: bool) -> np.ndarray:
+    """``out[a]``: the central difference of ``f`` along its axis ``lead + a``, for ``a < axes``.
+
+    Edges wrap if ``periodic``, else take the one-sided second-order difference.
+    """
+    out = np.empty((axes,) + f.shape, dtype=f.dtype)
+    for a in range(axes):
+        shape = (math.prod(f.shape[:lead + a]), f.shape[lead + a], -1)  # outer, r, inner
+        x, dx = f.reshape(shape), out[a].reshape(shape)
+        np.subtract(x[:, 2:], x[:, :-2], out=dx[:, 1:-1])
+        if periodic:
+            np.subtract(x[:, 1], x[:, -1], out=dx[:, 0])
+            np.subtract(x[:, 0], x[:, -2], out=dx[:, -1])
+            dx /= 2.0 * h
+        else:
+            dx[:, 1:-1] /= 2.0 * h
+            dx[:, 0] = (-1.5 / h) * x[:, 0] + (2.0 / h) * x[:, 1] + (-0.5 / h) * x[:, 2]
+            dx[:, -1] = (0.5 / h) * x[:, -3] + (-2.0 / h) * x[:, -2] + (1.5 / h) * x[:, -1]
+    return out
 
 
 class GridMetricField:
@@ -186,18 +210,17 @@ class GridMetricField:
 
         Its derivatives are the grid's central differences:
         ``d_g[..., i, k, l] = d_i g_kl`` and ``dd_g[..., i, j, k, l] = d_i dbar_j g_kl``.
+        Frozen edge nodes take one-sided second-order differences; periodic ones wrap.
         """
-        periodic = self.box.boundary == "periodic"
-        h = self.box.spacing
-        grid_axes = range(2 * self.box.n)
-        # real derivatives along the grid axes x_1, y_1, x_2, ... stacked as axis -3
-        real_first = np.stack(
-            [_axis_derivative(self.values, h, a, periodic) for a in grid_axes], axis=-3
-        )
-        d = 0.5 * (real_first[..., 0::2, :, :] - 1j * real_first[..., 1::2, :, :])
-        real_second = np.stack([_axis_derivative(d, h, a, periodic) for a in grid_axes], axis=-3)
-        dd = 0.5 * (real_second[..., 0::2, :, :] + 1j * real_second[..., 1::2, :, :])
-        return MetricJet(self.box.nodes, self.values, d, dd)
+        box = self.box
+        h, axes, periodic = box.spacing, 2 * box.n, box.boundary == "periodic"
+        # real derivatives along the grid axes x_1, y_1, x_2, ... on axis 0
+        first = _differences(self.values, h, 0, axes, periodic)
+        d = 0.5 * (first[0::2] - 1j * first[1::2])  # d[i] = d_i g
+        second = _differences(d, h, 1, axes, periodic)
+        dd = 0.5 * (second[0::2] + 1j * second[1::2])  # dd[j, i] = dbar_j d_i g
+        return MetricJet(box.nodes, self.values, np.ascontiguousarray(np.moveaxis(d, 0, -3)),
+                         np.ascontiguousarray(np.moveaxis(dd, (1, 0), (-4, -3))))
 
     def min_eigenvalue(self) -> float:
         return self._min_eigenvalue
@@ -208,13 +231,29 @@ class GridMetricField:
         The velocity of a step's end field serves its diagnostics row and the
         first stage of the next step.  Of the Chern record it forms, the field
         keeps only the inverse metric (:meth:`g_up`): the record's tensors
-        take several times the memory of the values.
+        take several times the memory of the values.  A velocity that is not
+        finite is a :class:`NumericalError`.
         """
         if self._velocity is None or self._velocity[0] != tau:
-            point = ChernPoint.from_jet(self.jets())
-            self._velocity = (tau, thcf_velocity(point, tau))
-            self._g_up = point.g_up
+            point, velocity = self._velocity_at(tau, ())
+            self._velocity, self._g_up = (tau, velocity), point.g_up
         return self._velocity[1]
+
+    def _velocity_at(self, tau: TauParam, nodes: tuple) -> tuple[ChernPoint, np.ndarray]:
+        """The Chern record and the velocity at ``nodes`` only, formed on contiguous copies.
+
+        Strided complex loops can round otherwise.  Overflow raises no numpy warning; a
+        velocity that is not finite is a :class:`NumericalError` naming its first node.
+        """
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            jet = self.jets()
+            point = ChernPoint(*(np.ascontiguousarray(a[nodes])
+                                 for a in (jet.point, jet.g, jet.d_g, jet.dd_g)))
+            velocity = thcf_velocity(point, tau)
+        finite = np.isfinite(velocity).all(axis=(-2, -1))
+        if not finite.all():
+            raise NumericalError(f"flow velocity is not finite at node {point.point[~finite][0]}")
+        return point, velocity
 
     def g_up(self) -> np.ndarray:
         """The raised-index inverse of the values: the velocity's, else formed here and kept."""
@@ -297,12 +336,9 @@ class _StepRejected(Exception):
 
 
 def _apply_update(field: GridMetricField, update: np.ndarray) -> np.ndarray:
+    """The values of ``field`` plus ``update`` at the nodes a step moves."""
     new_values = field.values.copy()
-    if field.box.boundary == "frozen":
-        region = (slice(1, -1),) * (2 * field.box.n)
-        new_values[region] += update[region]
-    else:
-        new_values += update
+    new_values[field.box.updated] += update
     return new_values
 
 
@@ -316,25 +352,20 @@ def _guard_rejects(field: GridMetricField, dt: float) -> bool:
     return dt > _GUARD_ROUNDING * (0.2 * field.box.spacing**2 * field.min_eigenvalue())
 
 
-def _guarded_velocity(field: GridMetricField, tau: TauParam, dt: float) -> np.ndarray:
-    if _guard_rejects(field, dt):
-        raise _StepRejected
-    return field.velocity(tau)
-
-
 def _substep(field: GridMetricField, tau: TauParam, dt: float, method: str) -> GridMetricField:
-    v1 = _guarded_velocity(field, tau, dt)
-    if method == "euler":
-        update = dt * v1
-    else:
-        predictor_values = _apply_update(field, dt * v1)
-        try:
-            predictor = GridMetricField(field.box, predictor_values)
-        except NumericalError as exc:
-            raise _StepRejected from exc
-        v2 = _guarded_velocity(predictor, tau, dt)
-        update = 0.5 * dt * (v1 + v2)
+    """One substep from ``field``; the predictor's velocity is formed at the moved nodes only."""
+    updated = field.box.updated
     try:
+        if _guard_rejects(field, dt):
+            raise _StepRejected
+        v1 = field.velocity(tau)[updated]
+        if method == "euler":
+            update = dt * v1
+        else:
+            predictor = GridMetricField(field.box, _apply_update(field, dt * v1))
+            if _guard_rejects(predictor, dt):
+                raise _StepRejected
+            update = 0.5 * dt * (v1 + predictor._velocity_at(tau, updated)[1])
         return GridMetricField(field.box, _apply_update(field, update))
     except NumericalError as exc:
         raise _StepRejected from exc
@@ -354,11 +385,12 @@ def flow_step(state: FlowState, dt: float, method: str = "heun") -> FlowState:
     two of equal substeps that the diffusion bound ``dt <= 0.2 h^2 g_min``
     admits at the start field, the count a halve-on-rejection loop would
     reach; it needs ``g_min`` only, so no velocity is evaluated for it.  If
-    the bound or positivity still rejects a later stage, the substeps are
-    halved again and the step restarts from its start field, up to 2^8
-    substeps in all.  The row records the substeps kept, the halvings this
-    fallback took, and ``max_velocity``, the largest velocity eigenvalue
-    modulus at the end field.
+    the bound, positivity or a finite velocity still rejects a later stage,
+    the substeps are halved again and the step restarts from its start field,
+    up to 2^8 substeps in all; a start field whose velocity is not finite is a
+    :class:`NumericalError` at once.  The row records the substeps kept, the
+    halvings this fallback took, and ``max_velocity``, the largest velocity
+    eigenvalue modulus at the end field.
     """
     if not 0 < dt < np.inf:
         raise ConfigError(f"time step must be positive and finite, got {dt}")
@@ -369,6 +401,8 @@ def flow_step(state: FlowState, dt: float, method: str = "heun") -> FlowState:
     # each smaller count fails the bound on this same g_min
     while _guard_rejects(start, dt / pieces):
         pieces = _doubled(pieces, dt)
+    # the first substep reads this velocity; no substep count mends a non-finite one
+    start.velocity(state.tau)
     rejected = 0
     while True:
         sub = dt / pieces

@@ -60,6 +60,25 @@ def assert_node_by_node(grid, tau) -> None:
         assert gap <= 1e-13 * np.abs(one).max(), f"node {idx}: off by {gap:.3e}"
 
 
+def oracle_derivative(values, spacing, axis, periodic):
+    """One grid axis's central difference by ``np.roll`` (periodic) or ``np.gradient`` (frozen)."""
+    if periodic:
+        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * spacing)
+    return np.gradient(values, spacing, axis=axis, edge_order=2)
+
+
+def oracle_jets(field):
+    """``(d_g, dd_g)`` of ``field`` by per-axis ``oracle_derivative`` and ``np.stack``."""
+    periodic = field.box.boundary == "periodic"
+    h = field.box.spacing
+    axes = range(2 * field.box.n)
+    real_first = np.stack([oracle_derivative(field.values, h, a, periodic) for a in axes], axis=-3)
+    d = 0.5 * (real_first[..., 0::2, :, :] - 1j * real_first[..., 1::2, :, :])
+    real_second = np.stack([oracle_derivative(d, h, a, periodic) for a in axes], axis=-3)
+    dd = 0.5 * (real_second[..., 0::2, :, :] + 1j * real_second[..., 1::2, :, :])
+    return d, dd
+
+
 def median_s(run, repeats: int = 60) -> float:
     times = []
     for _ in range(repeats):
@@ -221,6 +240,70 @@ class TestGrid:
             grid = field.jets()
             assert np.abs(grid.d_g).max() == 0.0
             assert np.abs(grid.dd_g).max() == 0.0
+
+
+def extreme_entries(rng, shape):
+    """Random complex entries, a tenth of each part a signed zero and a tenth near 1e+-300."""
+    parts = []
+    for _ in range(2):
+        part = rng.standard_normal(shape)
+        pick = rng.random(shape)
+        part[pick < 0.05] = 0.0
+        part[(0.05 <= pick) & (pick < 0.1)] = -0.0
+        part[(0.1 <= pick) & (pick < 0.15)] *= 1e300
+        part[(0.15 <= pick) & (pick < 0.2)] *= 1e-300
+        parts.append(part)
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = parts  # no complex arithmetic, which would sign the zeros anew
+    return z
+
+
+class TestGridDifferences:
+    """The grid-jet difference kernel against the ``np.gradient`` / ``np.roll`` route, by bytes.
+
+    Run with ``-s`` to print the grid-jet time per call of both routes on the
+    benchmark's F1 (625 nodes) and P1 (1681 nodes) grids.
+    """
+
+    @pytest.mark.parametrize("boundary", ["frozen", "periodic"])
+    @pytest.mark.parametrize("lead", [0, 1], ids=["values", "d"])
+    @pytest.mark.parametrize("n, resolution", [(1, 3), (1, 4), (1, 5), (1, 9), (1, 41),
+                                               (2, 3), (2, 4), (2, 5)])
+    def test_differences_are_the_oracle_bytes(self, n, resolution, lead, boundary):
+        # value-shaped fields (lead 0) and d-shaped ones, with the derivative
+        # index first (lead 1); spacing 1e-10 overflows the entries near 1e300
+        rng = np.random.default_rng([n, resolution, lead])
+        shape = (n,) * lead + (resolution,) * (2 * n) + (n, n)
+        f = extreme_entries(rng, shape)
+        periodic = boundary == "periodic"
+        for h in (0.0371, 1e-10):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = flow._differences(f, h, lead, 2 * n, periodic)
+                want = [oracle_derivative(f, h, lead + a, periodic) for a in range(2 * n)]
+            assert out.shape == (2 * n,) + shape
+            for a in range(2 * n):
+                assert out[a].tobytes() == want[a].tobytes(), f"h {h}, grid axis {a}"
+
+    @pytest.mark.parametrize("boundary", ["frozen", "periodic"])
+    @pytest.mark.parametrize("name, metric, box", [
+        ("F1", fixture("F1"), GridBox((0.05, 0.02j), 0.1, 5)),
+        ("P1", builtin_metric("poincare_polydisk", 1), GridBox((0.1,), 0.3, 41)),
+        ("hopf(2)", builtin_metric("hopf", 2), GridBox((0.3 + 0.1j, 0.2), 0.05, 4)),
+    ], ids=["F1", "P1", "hopf2"])
+    def test_grid_jets_are_the_oracle_bytes(self, name, metric, box, boundary):
+        """Prints the grid-jet time per call of the kernel and of the oracle route."""
+        box = dataclasses.replace(box, boundary=boundary)
+        field = GridMetricField.from_spec(metric, box)
+        jet = field.jets()
+        assert jet.point is box.nodes and jet.g is field.values
+        for got, want in zip((jet.d_g, jet.dd_g), oracle_jets(field)):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+        kernel = median_s(field.jets)
+        oracle = median_s(lambda: oracle_jets(field))
+        nodes = box.resolution ** (2 * box.n)
+        print(f"\n{name} {boundary} ({nodes} nodes): grid jets {kernel * 1e3:.3f} ms per call, "
+              f"np.gradient/np.roll route {oracle * 1e3:.3f} ms ({oracle / kernel:.2f}x)")
 
 
 class TestGridVelocity:

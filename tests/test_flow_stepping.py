@@ -10,17 +10,23 @@ values and the same history values bit for bit.
 The bound is checked for stability on the periodic F1 seam grid, where a
 node perturbation must decay over 30 substeps taken at the limit.
 
+The two-stage predictor forms its velocity only at the nodes a step moves,
+which must be the bytes of the whole grid's velocity there; a velocity that
+is not finite fails the step at once instead of halving it eight times.
+
 Run with ``-s`` to print, for each pinned configuration, the substeps kept,
 the fallback halvings and the velocity evaluations per step of both loops,
 and the perturbation's growth at 1, 5 and 10 times the limit.
 """
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from curvlab import flow
+from curvlab import cli, flow
 from curvlab.flow import GridBox, GridMetricField, flow_step, init_flow
 from curvlab.functionals import TauParam
 from curvlab.metric_model import builtin_metric, fixture
@@ -225,6 +231,51 @@ def test_velocity_evaluations_and_field_eigensolves(name, stages, monkeypatch):
     state.field.min_eigenvalue()
     state.field.velocity(state.tau)
     assert (len(eigenvalue_calls), len(velocity_calls)) == before
+
+
+@pytest.mark.parametrize("boundary", ["frozen", "periodic"])
+@pytest.mark.parametrize("metric, box, tau", [
+    (fixture("F1"), GridBox((0.05, 0.02j), 0.1, 5), 2.0),
+    (builtin_metric("poincare_polydisk", 1), GridBox((0.1,), 0.3, 41), 1.0),
+    (builtin_metric("hopf", 2), GridBox((0.3 + 0.1j, 0.2), 0.05, 5), math.inf),
+], ids=["F1", "P1", "hopf2"])
+def test_predictor_velocity_is_the_grid_velocity_at_the_moved_nodes(metric, box, tau, boundary):
+    box = GridBox(box.center, box.half_width, box.resolution, boundary)
+    field = GridMetricField.from_spec(metric, box)
+    point, velocity = field._velocity_at(source_tau(tau), box.updated)
+    assert point.g.shape[:-2] == field.values[box.updated].shape[:-2]
+    assert velocity.tobytes() == field.velocity(source_tau(tau))[box.updated].tobytes()
+
+
+@pytest.mark.parametrize("boundary, updated, predictor", [
+    ("frozen", (slice(1, -1),) * 4, (3,) * 4),
+    ("periodic", (slice(None),) * 4, (5,) * 4),
+])
+def test_predictor_record_only_at_the_moved_nodes(boundary, updated, predictor, monkeypatch):
+    box = GridBox((0.05, 0.02j), half_width=0.1, resolution=5, boundary=boundary)
+    assert box.updated == updated
+    state = init_flow(fixture("F1"), box, source_tau(2.0))
+    jets = counting(monkeypatch, flow, "thcf_velocity")
+    flow_step(state, 1e-4, "heun")
+    # the start field, the predictor, and the end field for max_velocity
+    assert [jet.g.shape[:-2] for jet in jets] == [(5,) * 4, predictor, (5,) * 4]
+
+
+def test_non_finite_velocity_fails_the_step_at_once(tmp_path, monkeypatch, capsys):
+    # the values near 2e306 are finite, but their differences overflow
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"n": 1, "entries": [["1e306*(1+abs2(z1)^100)"]],
+                                "region": {"type": "ball", "radius": 100.0}}))
+    velocity_calls = counting(monkeypatch, flow, "thcf_velocity")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["flow", "--metric", f"file:{path}", "--center", "1", "--extent", "0.02",
+                         "--dt", "1e-300", "--steps", "1", "--boundary", "frozen"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("error: flow velocity is not finite at node")
+    assert caught == []
+    assert len(velocity_calls) == 1
 
 
 def test_velocity_kept_per_tau():
