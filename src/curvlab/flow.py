@@ -43,6 +43,7 @@ The pointwise comparison inequality
 is evaluated at time zero, at points ``(..., n)``, directly from metric
 specifications, with the time derivative taken through the flow velocity and
 the Laplacian through the jet scheme, so no time stepping enters the check.
+The trace is the Schwarz energy of the identity map ``(M, g) -> (M, h)``.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ import numpy as np
 from .chern import ChernPoint
 from .errors import ConfigError, NumericalError
 from .functionals import TauParam, ric_tau
-from .metric_model import (DEFAULT_SCHEME, JetScheme, MetricJet, MetricSpec, check_footprint,
-                           metric_value)
-from .schwarz import pointwise_report, scalar_laplacian
+from .metric_model import DEFAULT_SCHEME, JetScheme, MetricJet, MetricSpec, Var, metric_value
+from .schwarz import HoloMap, energy_and_laplacian, pointwise_report
 from .tensor_core import hermitian_eigenvalues, hermitian_part, metric_inverse_up
 
 __all__ = [
@@ -502,9 +502,9 @@ def parabolic_schwarz_residual(
 
     The time derivative of ``tr(h)`` comes from the velocity,
     ``d/dt tr = -g^{pl} g^{kq} h_{kl} v_{pq}``; the trace and its Laplacian
-    come from one stencil jet of the trace field.  ``velocity`` defaults to
-    the THCF velocity at the points; any Hermitian chart forms
-    ``(..., n, n)`` may be supplied, e.g. zero for a static flow.  ``kappa0``
+    come from one stencil jet of the identity map's energy into the reference.
+    ``velocity`` defaults to the THCF velocity at the points; any Hermitian chart
+    forms ``(..., n, n)`` may be supplied, e.g. zero for a static flow.  ``kappa0``
     should certify ``RBC^tau(reference) <= -kappa0``; the supersolution
     precondition is asserted numerically and reported, never fatal.  Fields
     have the batch axes of ``z`` ``(..., n)``.  One :class:`~curvlab.chern.ChernPoint`
@@ -522,13 +522,8 @@ def parabolic_schwarz_residual(
         if velocity.shape != point.g.shape:
             raise ConfigError(f"velocity has shape {velocity.shape}, expected {point.g.shape}")
 
-    def trace_field(w: np.ndarray) -> np.ndarray:
-        check_footprint(reference.region, w, point.point, scheme, whose="the reference's")
-        xw = metric_inverse_up(metric_value(source, w))
-        return np.einsum("...kl,...kl->...", xw, metric_value(reference, w))
-
-    value, laplacian = scalar_laplacian(trace_field, source, point, scheme)
-    trace = np.real(value)
+    identity = HoloMap(tuple(Var(k) for k in range(source.n)), source.n)
+    trace, laplacian = energy_and_laplacian(source, reference, identity, point, scheme)
     h = metric_value(reference, point.point)
     dt_trace = -np.real(np.einsum("...pl,...kq,...kl,...pq->...", point.g_up, point.g_up, h,
                                   velocity))

@@ -71,9 +71,12 @@ class Region:
         z = np.asarray(z, dtype=complex)
         if self.kind == "polydisk":
             return np.max(np.abs(z), axis=-1) < self.radius
-        with np.errstate(over="ignore"):  # an overflowed norm is inf, correctly outside
+        with np.errstate(over="ignore", invalid="ignore"):  # inf: outside a ball; NaN: outside
             norm = np.linalg.norm(z, axis=-1)
-        return norm < self.radius if self.kind == "ball" else norm > 0.0
+        if self.kind == "ball":
+            return norm < self.radius
+        zero = norm == 0.0  # at the origin, or off it with all entries below about 1e-162
+        return norm > 0.0 if not zero.any() else (norm > 0.0) | zero & (z != 0.0).any(-1)
 
     def base_point(self, n: int) -> np.ndarray:
         z = np.zeros(n, dtype=complex)

@@ -32,6 +32,8 @@ shape.  A call assembles the map jet and the two metric jets once, as
 on first read, and differentiates one stencil jet of the energy
 density that folds only the map's first-order program: its centre value
 is the energy, its mixed second derivative traced with ``g^{-1}`` the Laplacian.
+That jet is :func:`energy_and_laplacian`, which the flow's comparison calls
+with the identity map, whose energy is the trace ``tr_g h`` it differentiates.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,7 +80,7 @@ __all__ = [
     "assemble_map",
     "hessian_tensors",
     "torsion_difference_frame",
-    "scalar_laplacian",
+    "energy_and_laplacian",
     "energy_density",
     "LaplacianIdentityReport",
     "laplacian_identity_report",
@@ -189,10 +191,8 @@ class HoloMap:
 
 @dataclass(frozen=True)
 class MapAssembly:
-    """Data of a map between two metrics at the points ``z``, with their batch axes."""
+    """A map's jet and both metrics' Chern data at the points and images, with their batch axes."""
 
-    z: np.ndarray
-    holo_map: HoloMap
     map_jet: MapJet
     source_point: ChernPoint
     target_point: ChernPoint
@@ -237,7 +237,7 @@ def assemble_map(
     image = map_jet.value
     _check_images(target, z, image)
     source_point = ChernPoint.from_spec(source, z)  # the source's failures are named first
-    return MapAssembly(z, holo_map, map_jet, source_point, ChernPoint.from_spec(target, image))
+    return MapAssembly(map_jet, source_point, ChernPoint.from_spec(target, image))
 
 
 def _hessian_chart(
@@ -310,42 +310,24 @@ def energy_density(
     return np.real(_energy(source, target, z, value, jacobian))[()]
 
 
-def scalar_laplacian(
-    field: Callable[[np.ndarray], np.ndarray],
-    source: MetricSpec,
-    jet: MetricJet,
-    scheme: JetScheme = DEFAULT_SCHEME,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Value and Chern Laplacian ``g^{ij} d_i dbar_j`` of a scalar field at ``jet.point``.
+def energy_and_laplacian(source: MetricSpec, target: MetricSpec, holo_map: HoloMap,
+                         point: MetricJet, scheme: JetScheme = DEFAULT_SCHEME):
+    """Energy density and its Chern Laplacian ``g^{ij} d_i dbar_j e`` at the source jet's points.
 
-    ``field`` maps points ``(..., n)`` to values ``(...)``; ``jet`` is the
-    source metric's jet.  Both come from one stencil jet of the field, whose
-    footprint must lie in the source region (else :class:`ConfigError`).  A
-    Laplacian that is not finite is a :class:`NumericalError`.
-    """
-    stencil = complex_jet2(field, jet.point, scheme, region=source.region)
-    laplacian = np.real(np.einsum("...ij,...ij->...", jet.g_up, stencil.dd))
-    finite = np.isfinite(laplacian)
-    if not finite.all():
-        raise NumericalError(f"the Laplacian is not finite at {jet.point[~finite][0]}")
-    return stencil.value, laplacian
-
-
-def _energy_and_laplacian(
-    source: MetricSpec, target: MetricSpec, assembly: MapAssembly, scheme: JetScheme
-) -> tuple[np.ndarray, np.ndarray]:
-    """Energy density and its Laplacian at the assembly's points, from one stencil jet.
-
-    The stencil's images must lie in the target region (else :class:`ConfigError`).
-    """
+    Both from one stencil jet: its footprint outside the source region, or its images outside
+    the target's, is a :class:`ConfigError`, a Laplacian not finite a :class:`NumericalError`."""
     def field(w: np.ndarray) -> np.ndarray:
-        value, jacobian = assembly.holo_map.first(w)
-        check_footprint(target.region, value, assembly.z, scheme, "the image of the stencil",
+        value, jacobian = holo_map.first(w)
+        check_footprint(target.region, value, point.point, scheme, "the image of the stencil",
                         "the target's")
         return _energy(source, target, w, value, jacobian)
 
-    energy, laplacian = scalar_laplacian(field, source, assembly.source_point, scheme)
-    return np.real(energy), laplacian
+    stencil = complex_jet2(field, point.point, scheme, region=source.region)
+    laplacian = np.real(np.einsum("...ij,...ij->...", point.g_up, stencil.dd))
+    finite = np.isfinite(laplacian)
+    if not finite.all():
+        raise NumericalError(f"the Laplacian is not finite at {point.point[~finite][0]}")
+    return np.real(stencil.value), laplacian
 
 
 def pointwise_report(report_type: type, **fields):
@@ -398,7 +380,8 @@ def laplacian_identity_report(
     target_term = np.real(form_pairing(assembly.target_point.curvature_frame, xi, xi)[..., 0])
     assembled = hessian_square + ricci_term - target_term
 
-    energy, laplacian = _energy_and_laplacian(source, target, assembly, scheme)
+    energy, laplacian = energy_and_laplacian(source, target, holo_map, assembly.source_point,
+                                             scheme)
     relative_residual = np.abs(laplacian - assembled) / np.maximum(1.0, np.abs(laplacian))
     return pointwise_report(
         LaplacianIdentityReport, energy=energy, laplacian=laplacian,
@@ -530,7 +513,8 @@ def schwarz_inequality_report(
     """
     energy_bound = energy_upper_bound(c1, c2, kappa0, r, source.n)
     assembly = assemble_map(source, target, holo_map, z)
-    energy, laplacian = _energy_and_laplacian(source, target, assembly, scheme)
+    energy, laplacian = energy_and_laplacian(source, target, holo_map, assembly.source_point,
+                                             scheme)
     rhs = -c1 * energy + (kappa0 / r + c2 / source.n) * energy * energy
     return pointwise_report(
         SchwarzReport, energy=energy, laplacian=laplacian, rhs=rhs, slack=laplacian - rhs,
@@ -604,7 +588,7 @@ def bismut_comparison_report(
     tgt_printed = bisectional_display(member_h, xi, weights) * xi_norm2
     printed_bound = src_printed + tgt_printed
 
-    laplacian = _energy_and_laplacian(source, target, assembly, scheme)[1]
+    laplacian = energy_and_laplacian(source, target, holo_map, assembly.source_point, scheme)[1]
     exact_margin = laplacian - exact_bound
     printed_margin = laplacian - printed_bound
     return pointwise_report(

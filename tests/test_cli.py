@@ -762,6 +762,15 @@ class TestExitCodes:
         assert out == ""
         assert "outside" in err and "Traceback" not in err
 
+    def test_tiny_point_is_not_the_puncture(self, capsys):
+        # its norm underflows to 0, but the point reaches hopf's metric,
+        # which divides by |z|^2 and overflows there
+        code, out, err = run_cli(
+            ["curvature", "--metric", "builtin:hopf(2)", "--points", "1e-170,0"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: metric jet is not finite at [1.e-170+0.j 0.e+000+0.j]\n"
+
     def test_schwarz_source_point_outside_region(self, capsys):
         code, _, err = run_cli(
             ["schwarz", "--map", "id", "--source", "builtin:poincare_polydisk(1)",

@@ -41,8 +41,9 @@ from curvlab.flow import (
     write_diagnostics_csv,
 )
 from curvlab.functionals import TauParam, ric_tau
-from curvlab.metric_model import (MetricJet, builtin_metric, fixture, load_metric, metric_jet,
-                                  metric_value)
+from curvlab.metric_model import (MetricJet, Var, builtin_metric, fixture, load_metric,
+                                  metric_jet, metric_value)
+from curvlab.schwarz import HoloMap, laplacian_identity_report
 from curvlab.tensor_core import hermitian_eigenvalues, hermitian_part, metric_inverse_up
 
 
@@ -640,6 +641,27 @@ class TestParabolicResidual:
                 velocity=np.zeros((2, 2)),
             )
 
+    @pytest.mark.parametrize("source, reference, region", [
+        ("F1", "F4", "F1"), ("F2", "F1", "F1"), ("F3", "F3", "F1"), ("P1", "P1", "P1"),
+    ])
+    def test_trace_is_the_energy_of_the_identity_map(self, source, reference, region):
+        # the Wu-Yau comparison applies the Schwarz lemma to the identity map
+        # (M, g) -> (M, h), whose energy density is tr_g h
+        specs = {name: fixture(name) for name in ("F1", "F2", "F3", "F4")}
+        specs["P1"] = builtin_metric("poincare_polydisk", 1)
+        source, reference = specs[source], specs[reference]
+        n = source.n
+        z = specs[region].region.sample_points(n, np.random.default_rng(11), 6)
+        identity = HoloMap(tuple(Var(k) for k in range(n)), n)
+        expansion = laplacian_identity_report(source, reference, identity, z)
+        for value in (0.5, 1.0, math.inf):
+            report = parabolic_schwarz_residual(source, reference, z, source_tau(value), 1.5)
+            assert report.trace.tobytes() == expansion.energy.tobytes()
+            assert report.laplacian.tobytes() == expansion.laplacian.tobytes()
+        # against the expansion's other side, assembled from exact Chern tensors
+        gap = np.abs(report.laplacian - expansion.assembled)
+        assert np.all(gap <= 1e-6 * np.maximum(1.0, np.abs(expansion.assembled)))
+
     @pytest.mark.parametrize("kappa0", [math.nan, math.inf])
     def test_non_finite_kappa0_is_a_config_error(self, kappa0):
         disk = builtin_metric("poincare_polydisk", 1)
@@ -648,12 +670,12 @@ class TestParabolicResidual:
             parabolic_schwarz_residual(disk, disk, np.array([0.3 + 0j]), source_tau(1.0), kappa0)
 
     def test_stencil_leaving_the_reference_region(self):
-        # the reference is evaluated on the trace field's footprint, which at
-        # 0.9995 reaches the pole |z| = 1 (once a NaN residual with
-        # preconditions_hold True)
+        # the reference is the target of the identity map, evaluated on the
+        # images of the energy's footprint, which at 0.9995 reach the pole
+        # |z| = 1 (once a NaN residual with preconditions_hold True)
         flat_1, disk = builtin_metric("flat", 1), builtin_metric("poincare_polydisk", 1)
-        with pytest.raises(ConfigError, match=r"around \[0.9995\+0.j\] leaves the reference's "
-                                              r"polydisk region; lower --h"):
+        with pytest.raises(ConfigError, match=r"^the image of the stencil around \[0.9995\+0.j\] "
+                                              r"leaves the target's polydisk region; lower --h"):
             parabolic_schwarz_residual(flat_1, disk, np.array([0.9995]), source_tau(1.0), 1.0)
         report = parabolic_schwarz_residual(flat_1, disk, np.array([0.99]), source_tau(1.0), 1.0)
         assert np.isfinite(report.residual) and report.preconditions_hold

@@ -1,6 +1,7 @@
 """Tests for the expression DSL, FD jets, built-in metrics, and the loader."""
 
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -513,6 +514,26 @@ class TestBatchedJets:
         assert Region("polydisk", 1.0).contains(points).tolist() == [[True, True], [True, False]]
         assert Region("punctured", 1.0).contains(points).tolist() == [[True, True], [False, True]]
         assert bool(Region("ball", 1.0).contains(points[0, 0]))
+
+    def test_region_contains_over_scales(self):
+        # the Euclidean norm squares the entries, which underflow below about
+        # 1e-162; a point off the origin must still read as off the puncture
+        rng = np.random.default_rng(3)
+        unit = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
+        unit[::4, 1] = 0.0
+        punctured = Region("punctured", math.inf)
+        for exponent in range(-300, 301, 10):
+            points = unit * 10.0**exponent
+            exact = np.array([math.hypot(*np.abs(z)) for z in points])
+            assert punctured.contains(points).tolist() == (exact > 0.0).tolist(), exponent
+            if exponent < 150:  # an overflowed norm reads inf, outside every ball
+                for radius in (1.0, math.inf):
+                    inside = Region("ball", radius).contains(points)
+                    assert inside.tolist() == (exact < radius).tolist(), (exponent, radius)
+        assert not punctured.contains(np.zeros(2))
+        assert punctured.contains(np.array([0.0, 1e-320j]))
+        for bad in ([math.nan, 0.0], [math.inf, math.nan]):
+            assert not punctured.contains(np.array(bad))
 
     def test_non_finite_first_derivative_is_numerical_error(self):
         # On the line z1 = 0.7 the entry is 1 and its d_1 is z2 * 1e600, which

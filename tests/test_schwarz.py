@@ -14,17 +14,18 @@ from hypothesis import strategies as st
 
 from curvlab.errors import ConfigError, NumericalError
 from curvlab.functionals import TauParam, rbc, ric_tau_frame
-from curvlab.metric_model import JetScheme, builtin_metric, field_first, fixture, metric_jet
+from curvlab.metric_model import (Const, JetScheme, MetricSpec, Region, builtin_metric,
+                                  field_first, fixture, metric_jet, parse_expr)
 from curvlab.schwarz import (
     HoloMap,
     assemble_map,
     bismut_comparison_report,
     connection_invariance_residual,
+    energy_and_laplacian,
     energy_density,
     energy_upper_bound,
     hessian_tensors,
     laplacian_identity_report,
-    scalar_laplacian,
     schwarz_inequality_report,
     singular_square_bound_slack,
     torsion_difference_frame,
@@ -64,18 +65,20 @@ def build(case):
 
 
 def test_laplacian_that_is_not_finite_is_numerical_error():
-    spec = fixture("F1")
+    source = fixture("F1")
     points = np.array([[0.1, 0.05j], [0.02, -0.1]])
-    jet = metric_jet(spec, points)
-
-    def field(w):  # NaN on the footprint of the second centre only
-        return np.where(np.abs(w[..., 0] - 0.02) < 0.01, np.nan, 1.0)
-
+    identity = HoloMap.parse(("z1", "z2"), 2)
+    # the target's pole z1 = 0.02 lies on the footprint of the second centre only
+    pole = MetricSpec("pole", 2, ((parse_expr("1 + 0.001/abs2(z1 - 0.02)"), Const(0j)),
+                                  (Const(0j), Const(1 + 0j))), Region("ball", 1.0))
     with pytest.raises(NumericalError, match="^the Laplacian is not finite at") as info:
-        scalar_laplacian(field, spec, jet)
+        energy_and_laplacian(source, pole, identity, metric_jet(source, points))
     assert str(info.value).endswith(str(points[1].astype(complex)))
-    value, laplacian = scalar_laplacian(lambda w: np.ones(w.shape[:-1]), spec, jet)
+    # the identity of a flat metric has the constant energy n
+    flat = builtin_metric("flat", 2)
+    energy, laplacian = energy_and_laplacian(flat, flat, identity, metric_jet(flat, points))
     assert laplacian.shape == (2,) and np.abs(laplacian).max() < 1e-8
+    assert np.abs(energy - 2.0).max() < 1e-12
 
 
 class TestHoloMap:
