@@ -37,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NumericalError
 from .metric_model.expr import Add, Conj, Const, Expr, Mul, Var, substitute
 from .metric_model.jets import DEFAULT_SCHEME, JetScheme, field_first
 from .metric_model.model import MetricJet, MetricSpec, Region, metric_jet
@@ -259,7 +260,7 @@ def first_bianchi_residual(
     stencils, one checked metric jet over the footprint of every point, which
     must lie in the metric's region (else :class:`ConfigError`); the right
     side is assembled at the centre points.  Chart frame throughout, so no connection
-    terms enter.
+    terms enter.  A residual that is not finite is a :class:`NumericalError`.
     """
     is_jet = isinstance(at, MetricJet)
     point = ChernPoint.from_jet(at) if is_jet else ChernPoint.from_spec(spec, at)
@@ -268,7 +269,11 @@ def first_bianchi_residual(
                             point.point, scheme, region=spec.region)
     rhs = (_contract("...kl,...jmil->...mijk", point.g_up, r)
            - _contract("...kl,...imjl->...mijk", point.g_up, r))
-    return np.abs(dbar_t - rhs).max(axis=(-4, -3, -2, -1))
+    residual = np.abs(dbar_t - rhs).max(axis=(-4, -3, -2, -1))
+    finite = np.isfinite(residual)
+    if not finite.all():
+        raise NumericalError(f"the Bianchi residual is not finite at {point.point[~finite][0]}")
+    return residual
 
 
 def _alternation(a: np.ndarray) -> np.ndarray:

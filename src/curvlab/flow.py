@@ -202,9 +202,6 @@ class GridMetricField:
                               f"{spec.region.kind} region of {spec.name}")
         return cls(box, values)
 
-    def node_points(self) -> np.ndarray:
-        return self.box.nodes
-
     def jets(self) -> MetricJet:
         """The metric jet at every node, one batch index per node.
 

@@ -269,6 +269,7 @@ class BoundCertificate:
     gap: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ascend(
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -439,10 +440,22 @@ def _dual_witnesses(eigs: np.ndarray, vecs: np.ndarray, j: np.ndarray) -> np.nda
     return np.stack([x, moved], axis=1)
 
 
-def _dual_bound(tensor: np.ndarray, kind: str, free: bool) -> tuple[np.ndarray, np.ndarray]:
+def _finite_forms(forms: np.ndarray, points: np.ndarray, free: bool) -> np.ndarray:
+    """``forms`` ``(P, m, m)``, unless one is not finite: ``eigh`` fails or lies on those."""
+    finite = np.isfinite(forms).all(axis=(-2, -1))
+    if not finite.all():
+        what = "holomorphic sectional" if free else "real bisectional"
+        raise NumericalError(f"the {what} curvature quadratic form is not finite at "
+                             f"{points[~finite][0]}")
+    return forms
+
+
+def _dual_bound(tensor: np.ndarray, kind: str, free: bool,
+                points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lagrangian dual bound of the sup or inf of ``x^T K x / x^T x`` at every point.
 
-    ``tensor`` is ``(P, n, n, n, n)``; the multiplier ranges over the reals
+    ``tensor`` is ``(P, n, n, n, n)`` at ``points`` ``(P, n)``, which name
+    a form that overflows (:func:`_finite_forms`); the multiplier ranges over the reals
     if ``free`` (rank-one forms) and over ``mu >= 0`` otherwise (PSD forms).
     ``phi(mu) = lambda_max(K + mu J)`` is convex and its minimum lies in
     ``|mu| <= 2 (lambda_max(K) - lambda_min(K))``: beyond it ``phi`` exceeds
@@ -473,7 +486,7 @@ def _dual_bound(tensor: np.ndarray, kind: str, free: bool) -> tuple[np.ndarray, 
     k = sign * _quadratic_forms(tensor)
     count, m = k.shape[:2]
     j = _minor_form(tensor.shape[-1])
-    spectrum = np.linalg.eigvalsh(k)
+    spectrum = np.linalg.eigvalsh(_finite_forms(k, points, free))
     eigs = np.empty((count, m))
     vecs = np.empty((count, m, m))
 
@@ -488,7 +501,7 @@ def _dual_bound(tensor: np.ndarray, kind: str, free: bool) -> tuple[np.ndarray, 
     width = ends[:, 1, 0] - ends[:, 0, 0]
     last_newton = np.full(count, math.inf)
     for _ in range(_EVALUATIONS):
-        e, v = np.linalg.eigh(k + mu[:, None, None] * j)
+        e, v = np.linalg.eigh(_finite_forms(k + mu[:, None, None] * j, points[rows], free))
         eigs[rows], vecs[rows] = e, v
         tied, projected, a_min, _, a_max, _ = _tied_block(e, v, j)
         optimal = (a_min <= 0.0) & (a_max >= 0.0)
@@ -642,7 +655,8 @@ def hsc_certificates(
         raw = rng.normal(size=2 * n)
         return raw / np.linalg.norm(raw)
 
-    bound, x = _dual_bound(r, kind, free=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # a form that overflows is named
+        bound, x = _dual_bound(r, kind, True, point.point.reshape(-1, n))
     eigs, vecs = np.linalg.eigh(np.tensordot(x, _hermitian_basis(n), axes=1))
     largest = np.argmax(np.abs(eigs), axis=-1)[..., None, None]
     zeta = np.take_along_axis(vecs, largest, axis=-1)[..., 0]
@@ -680,8 +694,10 @@ def rbc_certificates(
     always a valid form.
     """
     _check_extremizer(kind, starts, steps)
-    tensor = _stack(_tempered_tensor(point, tau))
-    n = tensor.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a form that overflows is named
+        tensor = _stack(_tempered_tensor(point, tau))
+        n = tensor.shape[-1]
+        bound, x = _dual_bound(tensor, kind, False, point.point.reshape(-1, n))
     basis = _hermitian_basis(n)
 
     def unpack(params: np.ndarray) -> np.ndarray:
@@ -708,7 +724,6 @@ def rbc_certificates(
             raise NumericalError("projection collapsed to zero: no positive part")
         return forms
 
-    bound, x = _dual_bound(tensor, kind, free=False)
     # the diagonal coordinates come first: their sum is the trace
     start = np.where(x[..., :n].sum(axis=-1, keepdims=True) < 0.0, -x, x)
     return _certify(objective, draw, witness, start, bound, kind, seed, starts, steps)

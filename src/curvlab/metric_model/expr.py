@@ -24,7 +24,8 @@ into a :class:`TreeProgram` (:func:`compile_trees`): one postorder list of
 unique steps, equal subtrees merged across the set and constant subtrees
 folded to Python numbers.  A run applies each step's Python operator to its
 operand slots, so one program serves arrays of points, numpy scalars and
-packed complex Wirtinger jets (``_Jet``).
+packed complex Wirtinger jets (``_Jet``), the one derivative engine: seeded
+holomorphically, they differentiate holomorphic maps too.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ __all__ = [
     "substitute",
     "is_holomorphic",
     "max_var_index",
-    "holomorphic_derivative",
 ]
 
 
@@ -393,6 +393,13 @@ class _Jet:
     products, quotients, integer powers and conjugation close on these
     parts, so no pure second derivatives are carried.  Every operation is
     plain complex numpy arithmetic, and none writes into an operand's array.
+
+    In the ring ``R[eps, delta] / (eps_i eps_k, delta_j delta_l)`` a jet is
+    ``v + d.eps + dbar.delta + eps^T dd delta``; the coordinates' seeds fix
+    what the parts mean.  Seeded holomorphically, ``dbar z_k = e_k`` like
+    ``d z_k``, a conjugation-free tree's jet is the hyper-dual number
+    ``f(z + eps + delta)`` (Fike and Alonso, AIAA 2011-886): ``d`` is its
+    Jacobian row and ``dd`` its holomorphic Hessian ``d_i d_j f``.
     """
 
     __slots__ = ("a",)
@@ -401,12 +408,15 @@ class _Jet:
         self.a = a
 
     @classmethod
-    def coordinates(cls, z: np.ndarray) -> list:
-        """The jets of ``z_k`` at points ``z`` of shape ``(P, m)``, one per ``k``."""
+    def coordinates(cls, z: np.ndarray, holomorphic: bool = False) -> list:
+        """The jets of ``z_k`` at points ``z`` ``(P, m)``: ``d z_k = e_k``, ``dbar z_k`` too if
+        ``holomorphic``, else 0."""
         p, m = z.shape
         a = np.zeros((m, p, (m + 1) ** 2), dtype=complex)
         a[:, :, 0] = z.T
         a[np.arange(m), :, 1 + np.arange(m)] = 1.0
+        if holomorphic:
+            a[np.arange(m), :, 1 + m + np.arange(m)] = 1.0
         return [cls(part) for part in a]
 
     @property
@@ -582,14 +592,15 @@ class TreeProgram:
         """:meth:`run` over the leaves ``z[..., k]`` of points ``z`` of shape ``(..., n)``."""
         return self.run([z[..., k] for k in range(np.shape(z)[-1])])
 
-    def jets(self, z: np.ndarray) -> tuple:
+    def jets(self, z: np.ndarray, holomorphic: bool = False) -> tuple:
         """Value ``(P, T)``, ``d`` ``(P, m, T)`` and ``d dbar`` ``(P, m, m, T)`` of the trees.
 
-        :meth:`run` on the Wirtinger jets (``_Jet``) of the points ``z`` ``(P, m)``: complex,
-        exact up to rounding, unchecked and C-contiguous.
+        :meth:`run` on the Wirtinger jets (``_Jet``) of the points ``z`` ``(P, m)``; seeded
+        ``holomorphic``ally, conjugation-free trees get the Hessian ``d d`` in place of
+        ``d dbar``.  Complex, exact up to rounding, unchecked and C-contiguous.
         """
         p, m = z.shape
-        leaves = _Jet.coordinates(z)
+        leaves = _Jet.coordinates(z, holomorphic)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             zero = leaves[0] * 0.0  # a zero jet: spreads constant trees over the points
             # (T, P, (m + 1)^2)
@@ -719,87 +730,3 @@ def max_var_index(node: Expr) -> int:
         if index > top:
             top = index
     return top
-
-
-def _is_zero(node: Expr) -> bool:
-    return isinstance(node, Const) and node.value == 0
-
-
-def _is_one(node: Expr) -> bool:
-    return isinstance(node, Const) and node.value == 1
-
-
-def _add(left: Expr, right: Expr) -> Expr:
-    if _is_zero(left):
-        return right
-    if _is_zero(right):
-        return left
-    return Add(left, right)
-
-
-def _sub(left: Expr, right: Expr) -> Expr:
-    if _is_zero(right):
-        return left
-    if _is_zero(left):
-        return Neg(right)
-    return Sub(left, right)
-
-
-def _mul(left: Expr, right: Expr) -> Expr:
-    if _is_zero(left) or _is_zero(right):
-        return Const(0)
-    if _is_one(left):
-        return right
-    if _is_one(right):
-        return left
-    return Mul(left, right)
-
-
-def holomorphic_derivative(node: Expr, index: int) -> Expr:
-    """Derivative with respect to ``z_index`` of a conjugation-free tree.
-
-    The result is lightly folded (dropped zero summands, absorbed unit
-    factors) so repeated differentiation stays small.  Trees containing
-    ``conj`` or ``abs2`` have no holomorphic derivative and are rejected.
-    """
-    if isinstance(node, (Conj, Abs2)):
-        raise ConfigError("cannot differentiate a non-holomorphic expression")
-    if isinstance(node, Const):
-        return Const(0)
-    if isinstance(node, Var):
-        return Const(1 if node.index == index else 0)
-    if isinstance(node, Add):
-        return _add(
-            holomorphic_derivative(node.left, index),
-            holomorphic_derivative(node.right, index),
-        )
-    if isinstance(node, Sub):
-        return _sub(
-            holomorphic_derivative(node.left, index),
-            holomorphic_derivative(node.right, index),
-        )
-    if isinstance(node, Mul):
-        return _add(
-            _mul(holomorphic_derivative(node.left, index), node.right),
-            _mul(node.left, holomorphic_derivative(node.right, index)),
-        )
-    if isinstance(node, Div):
-        numerator = _sub(
-            _mul(holomorphic_derivative(node.left, index), node.right),
-            _mul(node.left, holomorphic_derivative(node.right, index)),
-        )
-        if _is_zero(numerator):
-            return Const(0)
-        return Div(numerator, Pow(node.right, 2))
-    if isinstance(node, Pow):
-        if node.exponent == 0:
-            return Const(0)
-        inner = holomorphic_derivative(node.base, index)
-        if node.exponent == 1:
-            return inner
-        chain = _mul(Const(node.exponent), _mul(Pow(node.base, node.exponent - 1), inner))
-        return chain
-    if isinstance(node, Neg):
-        inner = holomorphic_derivative(node.arg, index)
-        return Const(0) if _is_zero(inner) else Neg(inner)
-    raise ConfigError(f"unknown expression node {node!r}")

@@ -161,20 +161,21 @@ def _real_jet(f: Callable, z: np.ndarray, scheme: JetScheme, second: bool, regio
     steps = np.moveaxis(steps, -1, 0).reshape((m,) + batch + (1,) * tail)
 
     def derivatives(axes: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """The group's derivatives ``(k, ...) + S``, in the order of ``axes``."""
+        """The group's derivatives ``(k, ...) + S``, in the order of ``axes``; unchecked."""
         found = []
         weights = weights.reshape(weights.shape + (1,) * values.ndim)
-        for unit, level_rows in zip((2, 1), rows):
-            terms = weights * values[level_rows]  # (T, k, ...) + S
-            acc = np.add.accumulate(terms)[-1]  # term by term, never pairwise
-            spacing = steps[axes[:, 0]] * (0.5 * unit)
-            for axis in axes.T[1:]:
-                spacing = spacing * (steps[axis] * (0.5 * unit))
-            found.append(acc / spacing)
-        if len(found) == 1:
-            return found[0]
-        factor = float(2**scheme.order)
-        return (factor * found[1] - found[0]) / (factor - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # callers check
+            for unit, level_rows in zip((2, 1), rows):
+                terms = weights * values[level_rows]  # (T, k, ...) + S
+                acc = np.add.accumulate(terms)[-1]  # term by term, never pairwise
+                spacing = steps[axes[:, 0]] * (0.5 * unit)
+                for axis in axes.T[1:]:
+                    spacing = spacing * (steps[axis] * (0.5 * unit))
+                found.append(acc / spacing)
+            if len(found) == 1:
+                return found[0]
+            factor = float(2**scheme.order)
+            return (factor * found[1] - found[0]) / (factor - 1.0)
 
     value = values[0, ...].copy()
     d1 = derivatives(*groups[0])

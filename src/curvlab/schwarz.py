@@ -19,18 +19,17 @@ connections by other members of the canonical family shifts ``H`` by terms
 antisymmetric in the two lower slots, so the symmetric part is family
 invariant; :func:`connection_invariance_residual` checks that numerically.
 
-Map components are expression trees; their first and second derivatives are
-taken symbolically, so the only finite differencing anywhere is the outer
-Laplacian.  A map compiles one program per jet order, value and Jacobian
-(:meth:`HoloMap.first`) or those and the Hessian (:meth:`HoloMap.jet`), and
-each call is one fold of one program.
+Map components are expression trees; their exact first and second
+derivatives come from one fold of the map's one compiled program over
+holomorphically seeded jets, hyper-dual numbers, so the only finite
+differencing anywhere is the outer Laplacian.
 
 The reports, the Bismut comparison among them, take points ``(..., n)``, one
 entry per point equal to that of a one-point call; the map fold checks that
 shape.  A call assembles the map jet and the two metric jets once, as
 ``ChernPoint`` records whose connection coefficients and tensors are formed
 on first read, and differentiates one stencil jet of the energy
-density that folds only the map's first-order program: its centre value
+density, whose map folds check only values and Jacobians: its centre value
 is the energy, its mixed second derivative traced with ``g^{-1}`` the Laplacian.
 That jet is :func:`energy_and_laplacian`, which the flow's comparison calls
 with the identity map, whose energy is the trace ``tr_g h`` it differentiates.
@@ -65,7 +64,6 @@ from .metric_model import (
     check_footprint,
     compile_trees,
     complex_jet2,
-    holomorphic_derivative,
     is_holomorphic,
     max_var_index,
     metric_value,
@@ -111,12 +109,9 @@ class MapJet:
 class HoloMap:
     """A holomorphic map given by one expression tree per target coordinate.
 
-    Its exact derivatives come from two programs, compiled once on first use:
-    the component trees with their Jacobian trees, and those with the Hessian
-    trees, flattened in ``(a,)``, ``(a, i)`` and ``(a, i, j)`` order.  A call
-    folds one of them over a whole stack of points, such as a
-    finite-difference footprint; a part that is not finite is a
-    :class:`NumericalError`.
+    Its exact derivatives come from one program of the components, compiled
+    on first use; a call folds it over holomorphically seeded jets
+    (:meth:`TreeProgram.jets`) at a whole stack of points, such as a stencil.
     """
 
     components: tuple[Expr, ...]
@@ -145,13 +140,9 @@ class HoloMap:
         return cls(tuple(parse_expr(t) for t in texts), n_source)
 
     @cached_property
-    def _programs(self) -> tuple[TreeProgram, TreeProgram]:
-        """The first-order and the second-order program, subtrees shared within each."""
-        n = self.n_source
-        jacobian = [holomorphic_derivative(c, i) for c in self.components for i in range(n)]
-        hessian = [holomorphic_derivative(d, j) for d in jacobian for j in range(n)]
-        first = [*self.components, *jacobian]
-        return compile_trees(first), compile_trees(first + hessian)
+    def program(self) -> TreeProgram:
+        """The component trees, compiled, subtrees shared."""
+        return compile_trees(self.components)
 
     def first(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values ``(..., n_target)`` and Jacobians ``(..., n_target, n_source)``."""
@@ -173,19 +164,14 @@ class HoloMap:
         if z.shape[-1:] != (n,):
             raise ConfigError(f"the map takes points of shape (..., {n}), got {z.shape}")
         flat = z.reshape(-1, n)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = [np.broadcast_to(value, flat.shape[:-1])
-                      for value in self._programs[order - 1].fold(flat)]
-        m, parts, start = self.n_target, [], 0
-        shapes = ((m,), (m, n), (m, n, n))[:order + 1]
-        for what, shape in zip(("value", "Jacobian", "Hessian"), shapes):
-            stop = start + math.prod(shape)
-            stacked = np.stack(values[start:stop], -1).astype(complex, copy=False)
-            finite = np.isfinite(stacked).all(-1)
+        parts = []
+        for what, part in zip(("value", "Jacobian", "Hessian")[:order + 1],
+                              self.program.jets(flat, holomorphic=True)):
+            finite = np.isfinite(part).all(tuple(range(1, part.ndim)))
             if not finite.all():
                 raise NumericalError(f"map {what} is not finite at {flat[~finite][0]}")
-            parts.append(stacked.reshape(z.shape[:-1] + shape))
-            start = stop
+            part = np.ascontiguousarray(np.moveaxis(part, -1, 1))  # target axis first
+            parts.append(part.reshape(z.shape[:-1] + part.shape[1:]))
         return parts
 
 

@@ -727,6 +727,11 @@ class TestExitCodes:
             # the norm of a stencil point overflows: it lies outside the region
             ("curvature --metric builtin:F4 --h 1e300 --check bianchi", 2),
             ("schwarz --map id --source builtin:F4 --target builtin:F4 --h 1e300", 2),
+            # a step so small that the stencil sums are not finite
+            ("curvature --metric builtin:F1 --check bianchi --h 1e-320 --tol 1e-6", 3),
+            ("schwarz --map id --source builtin:F1 --target builtin:F1 --h 1e-160", 3),
+            # the tempered tensor's quadratic form overflows
+            ("scan --metric builtin:F1 --functional rbc --tau 1e308", 3),
         ],
     )
     def test_overflow_is_one_error_line(self, capsys, command, code):
@@ -735,6 +740,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_tau_certificate_is_quiet(self, capsys):
+        # the ascent's gradient norm overflows, and the start stops there
+        code, report = run_json(["scan", "--metric", "builtin:F1", "--functional", "rbc",
+                                 "--tau", "1e200", "--kind", "inf"], capsys)
+        (row,) = report["results"]
+        assert code == 0
+        assert (row["value"], row["bound"], row["ascent_iterations"]) == (
+            -0.1, -8.881784197001252e+184, 0)
 
     def test_wrong_point_dimension(self, capsys):
         code, _, err = run_cli(
@@ -1058,11 +1073,11 @@ class TestSchwarzBatch:
 
     def test_one_program_build_and_one_stencil_jet_per_call(self, capsys, monkeypatch):
         builds, stencil_centres, folds = [], [], []
-        programs, jet, fold = HoloMap._programs.func, schwarz.complex_jet2, HoloMap._fold
+        program, jet, fold = HoloMap.program.func, schwarz.complex_jet2, HoloMap._fold
 
-        def counted_programs(self):
+        def counted_program(self):
             builds.append(self)
-            return programs(self)
+            return program(self)
 
         def counted_jet(field, z, *args, **kwargs):
             stencil_centres.append(z.shape)
@@ -1072,9 +1087,9 @@ class TestSchwarzBatch:
             folds.append((order, np.shape(z)))
             return fold(self, z, order)
 
-        counted = functools.cached_property(counted_programs)
-        counted.__set_name__(HoloMap, "_programs")
-        monkeypatch.setattr(HoloMap, "_programs", counted)
+        counted = functools.cached_property(counted_program)
+        counted.__set_name__(HoloMap, "program")
+        monkeypatch.setattr(HoloMap, "program", counted)
         monkeypatch.setattr(schwarz, "complex_jet2", counted_jet)
         monkeypatch.setattr(HoloMap, "_fold", counted_fold)
         _, report = run_json(
@@ -1088,7 +1103,7 @@ class TestSchwarzBatch:
         assert len(report["results"]) == 16
         assert len(builds) == 1
         assert stencil_centres == [(16, 2)]
-        # the Hessian trees are folded at the points only, never on the footprint
+        # the Hessian is checked at the points only, never on the footprint
         assert [points for order, points in folds if order == 2] == [(16, 2)]
 
     @pytest.mark.parametrize(

@@ -172,7 +172,7 @@ class TestGrid:
         spec = builtin_metric("poincare_polydisk", 1)
         box = GridBox((0.2 + 0j,), half_width=0.1, resolution=5)
         field = GridMetricField.from_spec(spec, box)
-        z = field.node_points()[3, 1]
+        z = field.box.nodes[3, 1]
         assert np.allclose(field.values[3, 1], metric_value(spec, z), atol=1e-14)
 
     @pytest.mark.parametrize("name", ["F1", "F2"])
@@ -180,7 +180,7 @@ class TestGrid:
         spec = fixture(name)
         box = GridBox((0.03 + 0.01j, -0.02j), half_width=0.05, resolution=5)
         field = GridMetricField.from_spec(spec, box)
-        points = field.node_points()
+        points = field.box.nodes
         for idx in np.ndindex(*points.shape[:-1]):
             single = metric_value(spec, points[idx])
             assert np.max(np.abs(field.values[idx] - single)) <= 1e-15 * np.max(np.abs(single))
@@ -215,7 +215,7 @@ class TestGrid:
         field = GridMetricField.from_spec(spec, box)
         grid = field.jets()
         center = (4, 4)
-        jet = metric_jet(spec, field.node_points()[center])
+        jet = metric_jet(spec, field.box.nodes[center])
         assert np.array_equal(grid.point[center], jet.point)
         assert np.array_equal(grid.g[center], jet.g)
         assert np.allclose(grid.d_g[center], jet.d_g, atol=5e-4), (
@@ -229,7 +229,7 @@ class TestGrid:
         field = GridMetricField.from_spec(spec, box)
         grid = field.jets()
         center = (3, 3, 3, 3)
-        jet = metric_jet(spec, field.node_points()[center])
+        jet = metric_jet(spec, field.box.nodes[center])
         assert grid.n == 2
         assert np.allclose(grid.d_g[center], jet.d_g, atol=1e-4)
         assert np.allclose(grid.dd_g[center], jet.dd_g, atol=1e-3)
@@ -313,7 +313,7 @@ class TestGridVelocity:
         box = GridBox((0.2 + 0j,), half_width=0.04, resolution=9)
         field = GridMetricField.from_spec(spec, box)
         v = thcf_velocity(field.jets(), source_tau(1.0))
-        jet = metric_jet(spec, field.node_points()[4, 4])
+        jet = metric_jet(spec, field.box.nodes[4, 4])
         exact = thcf_velocity(jet, source_tau(1.0))
         assert np.allclose(v[4, 4], exact, atol=5e-3), (
             f"grid velocity off by {np.abs(v[4, 4] - exact).max()}"
@@ -326,7 +326,7 @@ class TestGridVelocity:
         box = GridBox((0.05 + 0j, 0.05 + 0j), half_width=0.04, resolution=7)
         field = GridMetricField.from_spec(spec, box)
         center = (3, 3, 3, 3)
-        jet = metric_jet(spec, field.node_points()[center])
+        jet = metric_jet(spec, field.box.nodes[center])
         for tau in (source_tau(0.5), source_tau(math.inf)):
             v = thcf_velocity(field.jets(), tau)
             exact = thcf_velocity(jet, tau)

@@ -293,8 +293,8 @@ def test_velocity_kept_per_tau():
 def test_node_points_built_once_per_box():
     state = pinned_state("F1 tau 2 periodic res 5")
     field = state.field
-    assert field.jets().point is field.jets().point is field.node_points()
-    assert not field.node_points().flags.writeable
+    assert field.jets().point is field.jets().point is field.box.nodes
+    assert not field.box.nodes.flags.writeable
 
 
 def test_step_on_the_guard_limit_is_admitted():

@@ -634,6 +634,11 @@ def dual_tensor(point, functional):
     return functionals._stack(functionals._tempered_tensor(point, tau)), False
 
 
+def dual_bound(tensor, kind, free):
+    """``_dual_bound`` at zero points: they only name a form that is not finite."""
+    return functionals._dual_bound(tensor, kind, free, np.zeros((len(tensor), tensor.shape[-1])))
+
+
 def region_point(spec, count, seed):
     points = spec.region.sample_points(spec.n, np.random.default_rng(seed), count)
     return ChernPoint.from_jet(metric_jet(spec, points))
@@ -661,7 +666,7 @@ def test_search_matches_bisection_oracle(case):
         tensor, free = dual_tensor(pt, functional)
         m = tensor.shape[-1] ** 2
         for kind in ("sup", "inf"):
-            bound, _ = functionals._dual_bound(tensor, kind, free)
+            bound, _ = dual_bound(tensor, kind, free)
             oracle, norm = bisection_bound(tensor, kind, free)
             slack = 4 * m * np.finfo(float).eps * norm
             assert np.all(np.abs(bound - oracle) <= slack), (case, functional, kind)
@@ -737,7 +742,7 @@ class TestMultiplierSearch:
         top = vecs[0, :, -1]
         assert top @ functionals._minor_form(2) @ top > 0.1
         searches.clear()
-        bound, _ = functionals._dual_bound(tensor, "sup", free)
+        bound, _ = dual_bound(tensor, "sup", free)
         assert len(searches) == 1 and np.array_equal(searches[0], k)
         assert 0.0 < bound[0] - eigs[0, -1] <= 5 * np.finfo(float).eps * np.abs(eigs).max()
 
@@ -749,7 +754,7 @@ class TestMultiplierSearch:
         pt = ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
         tensor, free = dual_tensor(pt, functional)
         searches.clear()
-        bound, _ = functionals._dual_bound(tensor, "sup", free)
+        bound, _ = dual_bound(tensor, "sup", free)
         assert len(searches) <= 3
         eigs, vecs = np.linalg.eigh(searches[-1])
         assert eigs[0, -1] - eigs[0, -2] <= functionals._TIE
@@ -768,7 +773,7 @@ class TestMultiplierSearch:
         r[0, 0, 0, 0, 0], r[0, 1, 1, 1, 1] = c1, c2
         for free in (True, False):
             searches.clear()
-            bound, _ = functionals._dual_bound(r, "sup", free)
+            bound, _ = dual_bound(r, "sup", free)
             assert len(searches) <= 8, (curvatures, free, len(searches))
             assert abs(bound[0] - c1 * c2 / (c1 + c2)) <= 1e-14, (curvatures, free, bound[0])
 
@@ -783,12 +788,12 @@ class TestMultiplierSearch:
         ]
         tensor = np.concatenate([dual_tensor(pt, "rbc0")[0] for pt in points])
         searches.clear()
-        bound, witnesses = functionals._dual_bound(tensor, kind, free=False)
+        bound, witnesses = dual_bound(tensor, kind, False)
         stacked = [len(stack) for stack in searches]
         counts = []
         for p in range(len(tensor)):
             searches.clear()
-            one, pair = functionals._dual_bound(tensor[p:p + 1], kind, free=False)
+            one, pair = dual_bound(tensor[p:p + 1], kind, False)
             counts.append(len(searches))
             assert one[0] == bound[p] and np.array_equal(pair[0], witnesses[p]), p
         assert len(stacked) == max(counts) and sum(stacked) == sum(counts)

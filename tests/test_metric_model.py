@@ -31,7 +31,6 @@ from curvlab.metric_model import (
     field_first,
     fixture,
     flat,
-    holomorphic_derivative,
     hopf,
     is_holomorphic,
     load_metric,
@@ -45,6 +44,7 @@ from curvlab.metric_model import (
     to_text,
     validate_metric,
 )
+from curvlab.schwarz import HoloMap
 
 # ---------------------------------------------------------------------------
 # expression language
@@ -168,37 +168,46 @@ class TestSubstitute:
 
 
 class TestHolomorphicDerivative:
+    """Exact map derivatives: ``HoloMap.jet`` folds the components over holomorphic jets."""
+
     def test_known_derivatives(self):
         z = np.array([0.7 - 0.2j, 0.3 + 0.4j])
-        d = holomorphic_derivative(parse_expr("z1^3 * z2 + 5 * z1"), 0)
-        assert eval_expr(d, z) == pytest.approx(3 * z[0] ** 2 * z[1] + 5)
-        d = holomorphic_derivative(parse_expr("z1 / (1 - z2)"), 1)
-        assert eval_expr(d, z) == pytest.approx(z[0] / (1 - z[1]) ** 2)
-        d = holomorphic_derivative(parse_expr("(1 - z1)^-2"), 0)
-        assert eval_expr(d, z) == pytest.approx(2.0 / (1 - z[0]) ** 3)
+        jet = HoloMap.parse(["z1^3 * z2 + 5 * z1", "z1 / (1 - z2)", "(1 - z1)^-2"], 2).jet(z)
+        z1, z2 = z
+        u, w = 1 - z1, 1 - z2
+        np.testing.assert_allclose(jet.value, [z1**3 * z2 + 5 * z1, z1 / w, u**-2], rtol=1e-14)
+        np.testing.assert_allclose(
+            jet.jacobian, [[3 * z1**2 * z2 + 5, z1**3], [1 / w, z1 / w**2], [2 / u**3, 0]],
+            rtol=1e-14)
+        np.testing.assert_allclose(
+            jet.hessian,
+            [[[6 * z1 * z2, 3 * z1**2], [3 * z1**2, 0]],
+             [[0, w**-2], [w**-2, 2 * z1 / w**3]],
+             [[6 / u**4, 0], [0, 0]]],
+            rtol=1e-14)
 
     def test_matches_finite_differences(self):
-        tree = parse_expr("z1^2 * z2 - z2^3 / (2 + z1)")
+        holo_map = HoloMap.parse(["z1^2 * z2 - z2^3 / (2 + z1)"], 2)
         z0 = np.array([0.35 + 0.1j, -0.2 + 0.3j])
-        for k in range(2):
-            sym = eval_expr(holomorphic_derivative(tree, k), z0)
-
-            def field(w):
-                return np.asarray(eval_expr(tree, w))
-
+        jet = holo_map.jet(z0)
+        # the stencil of the value gives the Jacobian, that of the Jacobian the Hessian
+        for field, exact in ((lambda w: holo_map.first(w)[0], jet.jacobian),
+                             (lambda w: holo_map.first(w)[1], jet.hessian)):
             d, dbar = field_first(field, z0)
-            assert abs(sym - complex(d[k])) < 1e-10
-            assert abs(complex(dbar[k])) < 1e-10
+            assert np.abs(np.moveaxis(d, 0, -1) - exact).max() < 1e-10
+            assert np.abs(dbar).max() < 1e-10
 
     def test_conjugation_rejected(self):
-        with pytest.raises(ConfigError):
-            holomorphic_derivative(parse_expr("conj(z1)"), 0)
-        with pytest.raises(ConfigError):
-            holomorphic_derivative(parse_expr("abs2(z1) + z1"), 0)
+        for text in ("conj(z1)", "abs2(z1) + z1"):
+            with pytest.raises(ConfigError, match="map component 1 is not holomorphic"):
+                HoloMap.parse([text], 1)
 
     def test_constant_tree_collapses(self):
-        d = holomorphic_derivative(parse_expr("3 * z2 + 1"), 0)
-        assert d == Const(0)
+        # z1 does not enter: its Jacobian column and every Hessian entry are exact zeros
+        jet = HoloMap.parse(["3 * z2 + 1"], 2).jet(np.array([0.3 - 0.2j, -0.4 + 0.1j]))
+        assert jet.jacobian[0, 0].tobytes() == np.zeros((), complex).tobytes()
+        assert jet.jacobian[0, 1] == 3
+        assert jet.hessian.tobytes() == np.zeros((1, 2, 2), complex).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -142,12 +142,12 @@ def test_cache_stays_bounded(counted, tmp_path):
 
 def test_one_map_and_one_program_build_per_distinct_map(capsys, monkeypatch):
     parses, builds = [], []
-    parse, programs = HoloMap.parse.__func__, HoloMap._programs.func
+    parse, program = HoloMap.parse.__func__, HoloMap.program.func
     monkeypatch.setattr(HoloMap, "parse",
                         classmethod(lambda cls, *args: parses.append(args) or parse(cls, *args)))
-    counted = functools.cached_property(lambda self: builds.append(self) or programs(self))
-    counted.__set_name__(HoloMap, "_programs")
-    monkeypatch.setattr(HoloMap, "_programs", counted)
+    counted = functools.cached_property(lambda self: builds.append(self) or program(self))
+    counted.__set_name__(HoloMap, "program")
+    monkeypatch.setattr(HoloMap, "program", counted)
     outputs = {}
     for components in ("z1^2;z2^2", "id", "z1^2;z2^2", "id", "z1^2;z2^2"):
         argv = ["schwarz", "--map", components, "--source", "builtin:poincare_polydisk(2)",
@@ -156,7 +156,7 @@ def test_one_map_and_one_program_build_per_distinct_map(capsys, monkeypatch):
     assert all(len(runs) == 1 and next(iter(runs))[0] == 0 for runs in outputs.values())
     assert [args[0] for args in parses] == [("z1^2", "z2^2"), ("z1", "z2")]
     assert builds == [cli._holo_map(("z1^2", "z2^2"), 2), cli._holo_map(("z1", "z2"), 2)]
-    assert builds[0]._programs is builds[0]._programs
+    assert builds[0].program is builds[0].program
     # a map that fails to parse is not kept
     for _ in range(2):
         code, out, err = run(["schwarz", "--map", "conj(z1)", "--source", "builtin:F1",

@@ -110,6 +110,15 @@ class TestHoloMap:
         jet = m.jet(np.array([0.5, 0.25 - 0.4j]))
         assert np.allclose(jet.hessian, jet.hessian.swapaxes(1, 2), atol=1e-14)
 
+    def test_first_leaves_the_hessian_unchecked(self):
+        # at 1e-120, 1/z1 has a finite value and Jacobian but a Hessian of 2e360
+        m = HoloMap.parse(("1/z1",), 1)
+        z = np.array([[0.5], [1e-120]], dtype=complex)
+        assert all(np.isfinite(part).all() for part in m.first(z))
+        with pytest.raises(NumericalError) as raised:
+            m.jet(z)
+        assert str(raised.value) == "map Hessian is not finite at [1.e-120+0.j]"
+
     def test_a_map_with_no_components_is_a_config_error(self):
         with pytest.raises(ConfigError, match="^map needs at least one component$"):
             energy_density(fixture("F2"), fixture("F2"), HoloMap.parse([], 2), [0.1, 0.1])

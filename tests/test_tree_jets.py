@@ -2,8 +2,10 @@
 
 The oracles are the closed-form jets the built-in families used to carry
 (kept here only as references), sympy's Wirtinger derivatives
-``(d/dx -+ i d/dy) / 2`` of random trees, and a few points where a careless
-power or product rule would give NaN or a complex-valued modulus.
+``(d/dx -+ i d/dy) / 2`` of random trees, sympy's complex derivatives of
+random conjugation-free trees for the holomorphically seeded jets of maps,
+and a few points where a careless power or product rule would give NaN or a
+complex-valued modulus.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import sympy
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from curvlab.errors import ConfigError
+from curvlab.errors import ConfigError, NumericalError
 from curvlab.metric_model import (
     Abs2,
     Add,
@@ -38,6 +40,7 @@ from curvlab.metric_model import (
     poincare_polydisk,
     to_text,
 )
+from curvlab.schwarz import HoloMap
 
 # ---------------------------------------------------------------------------
 # closed-form jets of the built-in families: (g, d_g, dd_g) at points (..., n)
@@ -187,21 +190,21 @@ _EVERY_KIND = Add(
 )
 
 
-def _sympy(node):
+def _sympy(node, variables=_Z):
     if isinstance(node, Const):
         return sympy.Float(node.value.real, 30) + sympy.I * sympy.Float(node.value.imag, 30)
     if isinstance(node, Var):
-        return _Z[node.index]
+        return variables[node.index]
     if isinstance(node, Conj):
-        return sympy.conjugate(_sympy(node.arg))
+        return sympy.conjugate(_sympy(node.arg, variables))
     if isinstance(node, Abs2):
-        inner = _sympy(node.arg)
+        inner = _sympy(node.arg, variables)
         return inner * sympy.conjugate(inner)
     if isinstance(node, Neg):
-        return -_sympy(node.arg)
+        return -_sympy(node.arg, variables)
     if isinstance(node, Pow):
-        return _sympy(node.base) ** node.exponent
-    left, right = _sympy(node.left), _sympy(node.right)
+        return _sympy(node.base, variables) ** node.exponent
+    left, right = _sympy(node.left, variables), _sympy(node.right, variables)
     return {Add: left + right, Sub: left - right, Mul: left * right, Div: left / right}[type(node)]
 
 
@@ -248,6 +251,61 @@ def test_random_trees_match_sympy_wirtinger_derivatives(tree):
         (mixed[..., 0], dd, "d dbar"),
         (np.conj(mixed[..., 1]).swapaxes(-1, -2), dd, "d dbar of conj"),
     ):
+        gap = float(np.max(np.abs(got - ref)))
+        assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(ref)))), (
+            f"{label} of {to_text(tree)}: off by {gap:.3e}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# conjugation-free trees: the holomorphically seeded jets of a map against
+# sympy's complex derivatives
+
+_W = sympy.symbols("w1 w2")
+_holomorphic_trees = st.recursive(
+    st.one_of(
+        st.sampled_from([Const(0.5 + 0j), Const(-1.25 + 0j), Const(2 + 0j), Const(0.3 + 0.7j)]),
+        st.builds(Var, st.integers(0, 1)),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Add, kids, kids),
+        st.builds(Sub, kids, kids),
+        st.builds(Mul, kids, kids),
+        st.builds(Div, kids, kids),
+        st.builds(Pow, kids, st.integers(-3, 3)),
+        st.builds(Neg, kids),
+    ),
+    max_leaves=6,
+)
+# a quotient of a power of a product by a sum
+_QUOTIENT = Div(Pow(Sub(Var(0), Mul(Const(0.3 + 0.7j), Var(1))), 3), Add(Var(1), Const(2 + 0j)))
+
+
+def _sympy_map_jet(tree):
+    """Value, Jacobian and Hessian of the tree at _POINTS, to 30 digits."""
+    f = _sympy(tree, _W)
+    d = [sympy.diff(f, w) for w in _W]
+    exprs = [f, *d, *(sympy.diff(e, w) for e in d for w in _W)]
+    out = np.array([[complex(sympy.N(e.subs(dict(zip(_W, map(complex, z)))), 30))
+                     for e in exprs] for z in _POINTS])
+    return out[:, 0], out[:, 1:3], out[:, 3:].reshape(-1, 2, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@example(_QUOTIENT)
+@given(_holomorphic_trees)
+def test_random_map_trees_match_sympy_derivatives(tree):
+    try:
+        jet = HoloMap((tree,), 2).jet(_POINTS)
+        value, jacobian, hessian = _sympy_map_jet(tree)
+    except (ConfigError, NumericalError, ZeroDivisionError, OverflowError):
+        reject()  # a constant or a point on a singularity of the tree
+    if not all(np.isfinite(part).all() and np.abs(part).max() < 1e6
+               for part in (value, jacobian, hessian)):
+        reject()  # too close to a singularity for a fixed tolerance
+    for got, ref, label in ((jet.value[:, 0], value, "value"),
+                            (jet.jacobian[:, 0], jacobian, "Jacobian"),
+                            (jet.hessian[:, 0], hessian, "Hessian")):
         gap = float(np.max(np.abs(got - ref)))
         assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(ref)))), (
             f"{label} of {to_text(tree)}: off by {gap:.3e}"
