@@ -163,10 +163,14 @@ class _Repeated(NamedTuple):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    """The one write of a report; a file that cannot be written is a :class:`ConfigError`."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report: {exc}") from exc
 
 
 _FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -229,10 +233,12 @@ def _config(args: argparse.Namespace) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns ``(body, worst)`` and writes nothing.  ``body`` is
+# the report without ``command`` and ``config`` (or the CSV text of ``flow
+# --format csv``); ``worst`` is the largest checked value, ``None`` if none.
 
 
-def _cmd_curvature(args: argparse.Namespace) -> int:
+def _cmd_curvature(args: argparse.Namespace) -> tuple[dict, float | None]:
     spec = _parse_metric(args.metric)
     scheme = JetScheme(h=args.h, order=args.order)
     points = _parse_points(args, spec)
@@ -259,24 +265,13 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
         rows["checks"] = row_checks
     worst = {name: max(0.0, *values.tolist()) for name, values in row_checks.items()}
 
-    report = {
-        "command": "curvature",
-        "config": _config(args),
-        "scheme": dataclasses.asdict(scheme),
-        "points": rows,
-        "worst_checks": worst,
-    }
-    _emit_json(report, args)
-    if args.tol is not None and any(v > args.tol for v in worst.values()):
-        return 1
-    return 0
+    body = {"scheme": dataclasses.asdict(scheme), "points": rows, "worst_checks": worst}
+    return body, max(worst.values(), default=None)
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> tuple[dict, float | None]:
     spec = _parse_metric(args.metric)
     points = _parse_points(args, spec)
-
-    breached = False
     if args.compare:
         # pluriclosed comparison: the largest gap between RBC^0 and half the
         # altered sectional functional over unit Hermitian forms
@@ -284,37 +279,26 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         rows = _Table(point=_complex_payload(points), deviation=comparison_deviation(point),
                       pluriclosed=np.maximum(*pluriclosed_residuals(point)))
         worst = max(0.0, *rows["deviation"].tolist())
-        summary: dict = {"max_deviation": worst}
-        if args.tol is not None and worst > args.tol:
-            breached = True
+        return {"results": rows, "summary": {"max_deviation": worst}}, worst
+    if args.kind not in ("sup", "inf"):
+        raise ConfigError(f"--kind must be sup or inf, got '{args.kind}'")
+    tau = _parse_tau(args.tau, "target") if args.functional == "rbc" else None
+    # one jet, one ChernPoint and one batched dual for all points
+    point = ChernPoint.from_spec(spec, points)
+    sizes = {"seed": args.seed, "starts": args.starts, "steps": args.ascent_steps}
+    if tau is None:
+        certs = hsc_certificates(point, args.kind, **sizes)
     else:
-        if args.kind not in ("sup", "inf"):
-            raise ConfigError(f"--kind must be sup or inf, got '{args.kind}'")
-        tau = _parse_tau(args.tau, "target") if args.functional == "rbc" else None
-        # one jet, one ChernPoint and one batched dual for all points
-        point = ChernPoint.from_spec(spec, points)
-        sizes = {"seed": args.seed, "starts": args.starts, "steps": args.ascent_steps}
-        if tau is None:
-            certs = hsc_certificates(point, args.kind, **sizes)
-        else:
-            certs = rbc_certificates(point, tau, args.kind, **sizes)
-        fields = ("kind", "value", "bound", "gap", "samples", "ascent_iterations", "tolerance")
-        rows = _Table(point=_complex_payload(points),
-                      witness=_complex_payload([cert.witness for cert in certs]),
-                      **{name: [getattr(cert, name) for cert in certs] for name in fields})
-        summary = {"best_value": (max if args.kind == "sup" else min)(rows["value"])}
-
-    report = {
-        "command": "scan",
-        "config": _config(args),
-        "results": rows,
-        "summary": summary,
-    }
-    _emit_json(report, args)
-    return 1 if breached else 0
+        certs = rbc_certificates(point, tau, args.kind, **sizes)
+    fields = ("kind", "value", "bound", "gap", "samples", "ascent_iterations", "tolerance")
+    rows = _Table(point=_complex_payload(points),
+                  witness=_complex_payload([cert.witness for cert in certs]),
+                  **{name: [getattr(cert, name) for cert in certs] for name in fields})
+    best = (max if args.kind == "sup" else min)(rows["value"])
+    return {"results": rows, "summary": {"best_value": best}}, None
 
 
-def _cmd_schwarz(args: argparse.Namespace) -> int:
+def _cmd_schwarz(args: argparse.Namespace) -> tuple[dict, float | None]:
     source = _parse_metric(args.source)
     target = _parse_metric(args.target)
     scheme = JetScheme(h=args.h, order=args.order)
@@ -330,27 +314,17 @@ def _cmd_schwarz(args: argparse.Namespace) -> int:
     identity = laplacian_identity_report(source, target, holo_map, points, scheme)
     rows = _Table(point=_complex_payload(points), **vars(identity))
     worst = max(0.0, *rows["relative_residual"].tolist())
-
-    report = {
-        "command": "schwarz",
-        "config": _config(args),
-        "scheme": dataclasses.asdict(scheme),
-        "results": rows,
-        "max_relative_residual": worst,
-    }
-    _emit_json(report, args)
-    if args.tol is not None and worst > args.tol:
-        return 1
-    return 0
+    body = {"scheme": dataclasses.asdict(scheme), "results": rows, "max_relative_residual": worst}
+    return body, worst
 
 
 @lru_cache(maxsize=16)
 def _holo_map(components: tuple[str, ...], n_source: int) -> HoloMap:
-    """A map parsed once per process; its two programs are compiled on first use and kept."""
+    """A map parsed once per process; its program is compiled on first use and kept."""
     return HoloMap.parse(components, n_source)
 
 
-def _cmd_gauduchon(args: argparse.Namespace) -> int:
+def _cmd_gauduchon(args: argparse.Namespace) -> tuple[dict, float | None]:
     spec = _parse_metric(args.metric)
     points = _parse_points(args, spec)
     try:
@@ -382,21 +356,14 @@ def _cmd_gauduchon(args: argparse.Namespace) -> int:
     rows = _Table(point=_Repeated(_complex_payload(points), len(parameters)),
                   t=np.tile(parameters, len(points)),
                   torsion_norm=torsion_norm, curvature_norm=curvature_norm)
-    report = {
-        "command": "gauduchon",
-        "config": _config(args),
-        "results": rows,
-    }
-    if args.roundtrip:
-        rows["roundtrip_residual"] = np.transpose(residuals).ravel()
-        worst = report["max_roundtrip_residual"] = max(0.0, *rows["roundtrip_residual"].tolist())
-    _emit_json(report, args)
-    if args.roundtrip and args.tol is not None and worst > args.tol:
-        return 1
-    return 0
+    if not args.roundtrip:
+        return {"results": rows}, None
+    rows["roundtrip_residual"] = np.transpose(residuals).ravel()
+    worst = max(0.0, *rows["roundtrip_residual"].tolist())
+    return {"results": rows, "max_roundtrip_residual": worst}, worst
 
 
-def _cmd_flow(args: argparse.Namespace) -> int:
+def _cmd_flow(args: argparse.Namespace) -> tuple[dict | str, None]:
     spec = _parse_metric(args.metric)
     tau = _parse_tau(args.tau, "source")
     if args.center is None:
@@ -429,8 +396,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     if args.format == "csv":
         stream = io.StringIO()
         write_diagnostics_csv(state, stream)
-        _emit(stream.getvalue(), args.out)
-        return 0
+        return stream.getvalue(), None
 
     config = _config(args)
     config["reference_metric"] = config.pop("reference")
@@ -440,8 +406,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
     center_index = tuple(args.resolution // 2 for _ in range(2 * spec.n))
     last = state.history[-1]
-    report = {
-        "command": "flow",
+    body = {
         "config": config,
         "grid": {
             "spacing": box.spacing,
@@ -458,11 +423,10 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         },
         "history": [dataclasses.asdict(row) for row in state.history],
     }
-    _emit_json(report, args)
-    return 0
+    return body, None
 
 
-def _cmd_fixtures(args: argparse.Namespace) -> int:
+def _cmd_fixtures(args: argparse.Namespace) -> tuple[dict, None]:
     rows = []
     for name in sorted(FIXTURES):
         spec = fixture(name)
@@ -478,14 +442,8 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
                 },
             }
         )
-    report = {
-        "command": "fixtures",
-        "config": _config(args),
-        "fixtures": rows,
-        "builtins": [f"{name}(n)" if arity else name for name, arity in BUILTIN_ARITY.items()],
-    }
-    _emit_json(report, args)
-    return 0
+    builtins = [f"{name}(n)" if arity else name for name, arity in BUILTIN_ARITY.items()]
+    return {"fixtures": rows, "builtins": builtins}, None
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +539,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand, write its report, and return the exit code.
+
+    The report is written before a breach is judged: exit ``1`` exactly when
+    the subcommand checked a value and it exceeds ``--tol``.
+    """
+    args = build_parser().parse_args(argv)
     try:
         tol = getattr(args, "tol", None)
         if tol is not None and not math.isfinite(tol):
             raise ConfigError(f"--tol must be finite, got {tol}")
-        return args.func(args)
+        body, worst = args.func(args)
+        if isinstance(body, str):
+            _emit(body, args.out)
+        else:
+            _emit_json({"command": args.command, "config": _config(args), **body}, args)
+        return 1 if worst is not None and tol is not None and worst > tol else 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

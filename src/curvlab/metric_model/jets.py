@@ -69,6 +69,8 @@ class JetScheme:
     def __post_init__(self) -> None:
         if not 0 < self.h < np.inf:
             raise ConfigError(f"step must be positive and finite, got {self.h}")
+        if self.h * self.h == np.inf:  # second differences divide by the squared step
+            raise ConfigError(f"step {self.h} is too large: its square overflows")
         if self.order not in (2, 4):
             raise ConfigError(f"stencil order must be 2 or 4, got {self.order}")
         if self.richardson not in (0, 1):

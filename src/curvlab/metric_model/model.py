@@ -71,12 +71,14 @@ class Region:
         z = np.asarray(z, dtype=complex)
         if self.kind == "polydisk":
             return np.max(np.abs(z), axis=-1) < self.radius
-        with np.errstate(over="ignore", invalid="ignore"):  # inf: outside a ball; NaN: outside
-            norm = np.linalg.norm(z, axis=-1)
-        if self.kind == "ball":
-            return norm < self.radius
-        zero = norm == 0.0  # at the origin, or off it with all entries below about 1e-162
-        return norm > 0.0 if not zero.any() else (norm > 0.0) | zero & (z != 0.0).any(-1)
+        # the norm squares the entries, so 0 or inf may be an underflow or an
+        # overflow: those norms are taken again without squaring
+        with np.errstate(over="ignore", invalid="ignore"):  # inf: outside; NaN: outside
+            norm = np.asarray(np.linalg.norm(z, axis=-1))
+            odd = (norm == 0.0) | (norm == np.inf)
+            if odd.any():
+                norm[odd] = np.hypot.reduce(np.abs(z[odd]), axis=-1)
+        return norm < self.radius if self.kind == "ball" else norm > 0.0
 
     def base_point(self, n: int) -> np.ndarray:
         z = np.zeros(n, dtype=complex)

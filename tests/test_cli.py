@@ -619,6 +619,7 @@ class TestReportConfig:
                           if isinstance(a, argparse._SubParsersAction))
         flags = {action.dest for action in subparsers.choices[name]._actions} - {"help", "out"}
         _, report = run_json(command.split(), capsys)
+        assert report["command"] == name
         config = report["config"]
         if name == "flow":
             grid = {"extent", "resolution", "boundary", "center"}
@@ -724,7 +725,7 @@ class TestExitCodes:
             ("flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --extent 1e308", 2),
             ("flow --metric builtin:flat(1) --dt 1e-4 --steps 1 --center 1.7e308 "
              "--extent 1e307", 2),
-            # the norm of a stencil point overflows: it lies outside the region
+            # a step whose square, the divisor of second differences, overflows
             ("curvature --metric builtin:F4 --h 1e300 --check bianchi", 2),
             ("schwarz --map id --source builtin:F4 --target builtin:F4 --h 1e300", 2),
             # a step so small that the stencil sums are not finite
@@ -785,6 +786,14 @@ class TestExitCodes:
         )
         assert (code, out) == (3, "")
         assert err == "error: metric jet is not finite at [1.e-170+0.j 0.e+000+0.j]\n"
+
+    def test_huge_point_is_inside_an_infinite_ball(self, capsys):
+        # its norm overflows, but the point is finite and the ball has no edge
+        code, report = run_json(
+            ["curvature", "--metric", "builtin:flat(2)", "--points", "1e200,1e200"], capsys
+        )
+        assert code == 0
+        assert report["points"][0]["g"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
     def test_schwarz_source_point_outside_region(self, capsys):
         code, _, err = run_cli(
@@ -869,6 +878,34 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: map ") and where in err
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            # nothing checked: no breach, whatever --tol is
+            (COMMANDS["curvature"], 0),
+            (COMMANDS["gauduchon"], 0),
+            (COMMANDS["scan"], 0),
+            # every checked value is at least 0, above a tolerance of -1
+            (COMMANDS["curvature"] + " --check pluriclosed", 1),
+            (COMMANDS["gauduchon"] + " --roundtrip", 1),
+            ("scan --metric builtin:F4 --compare", 1),
+            (COMMANDS["schwarz"], 1),
+        ],
+    )
+    def test_breach_needs_a_checked_value(self, capsys, command, code):
+        got, report = run_json(command.split() + ["--tol=-1"], capsys)
+        assert got == code
+        assert report["command"] == command.split()[0]
+
+    @pytest.mark.parametrize("command", [COMMANDS["fixtures"], COMMANDS["flow"] + " --format csv"])
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_is_a_configuration_error(self, capsys, tmp_path, command, where):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(command.split() + ["--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+        assert str(path) in err
 
     def test_parser_keeps_no_state_between_calls(self, capsys):
         assert cli.build_parser() is cli.build_parser()

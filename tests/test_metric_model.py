@@ -526,7 +526,9 @@ class TestBatchedJets:
 
     def test_region_contains_over_scales(self):
         # the Euclidean norm squares the entries, which underflow below about
-        # 1e-162; a point off the origin must still read as off the puncture
+        # 1e-162 and overflow above about 1e154; a point off the origin must
+        # still read as off the puncture, and a finite point lies in a ball
+        # of infinite radius
         rng = np.random.default_rng(3)
         unit = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
         unit[::4, 1] = 0.0
@@ -535,14 +537,14 @@ class TestBatchedJets:
             points = unit * 10.0**exponent
             exact = np.array([math.hypot(*np.abs(z)) for z in points])
             assert punctured.contains(points).tolist() == (exact > 0.0).tolist(), exponent
-            if exponent < 150:  # an overflowed norm reads inf, outside every ball
-                for radius in (1.0, math.inf):
-                    inside = Region("ball", radius).contains(points)
-                    assert inside.tolist() == (exact < radius).tolist(), (exponent, radius)
+            for radius in (1.0, math.inf):
+                inside = Region("ball", radius).contains(points)
+                assert inside.tolist() == (exact < radius).tolist(), (exponent, radius)
         assert not punctured.contains(np.zeros(2))
         assert punctured.contains(np.array([0.0, 1e-320j]))
         for bad in ([math.nan, 0.0], [math.inf, math.nan]):
             assert not punctured.contains(np.array(bad))
+        assert not Region("ball", 1.0).contains(np.array([1.5e308, 1.5e308]))  # norm above 1.8e308
 
     def test_non_finite_first_derivative_is_numerical_error(self):
         # On the line z1 = 0.7 the entry is 1 and its d_1 is z2 * 1e600, which
