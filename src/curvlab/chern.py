@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, require
 from .metric_model.expr import Add, Conj, Const, Expr, Mul, Var, substitute
 from .metric_model.jets import DEFAULT_SCHEME, JetScheme, field_first
 from .metric_model.model import MetricJet, MetricSpec, Region, metric_jet
@@ -270,9 +270,8 @@ def first_bianchi_residual(
     rhs = (_contract("...kl,...jmil->...mijk", point.g_up, r)
            - _contract("...kl,...imjl->...mijk", point.g_up, r))
     residual = np.abs(dbar_t - rhs).max(axis=(-4, -3, -2, -1))
-    finite = np.isfinite(residual)
-    if not finite.all():
-        raise NumericalError(f"the Bianchi residual is not finite at {point.point[~finite][0]}")
+    require(np.isfinite(residual), NumericalError, "the Bianchi residual is not finite at {}",
+            point.point)
     return residual
 
 

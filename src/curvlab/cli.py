@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chern import ChernPoint, first_bianchi_residual, pluriclosed_residuals, ricci_traces
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require
 from .flow import GridBox, init_flow, run_flow, write_diagnostics_csv
 from .functionals import TauParam, comparison_deviation, hsc_certificates, rbc_certificates
 from .gauduchon import chern_from_family, gauduchon_family
@@ -129,12 +129,9 @@ def _parse_points(args: argparse.Namespace, spec: MetricSpec) -> np.ndarray:
                 f"point '{chunk}' has {len(comps)} coordinates, metric needs {spec.n}"
             )
     points = np.array(rows, dtype=complex)
-    outside = ~spec.region.contains(points)
-    if outside.any():
-        raise ConfigError(
-            f"point '{chunks[int(np.argmax(outside))]}' lies outside the "
-            f"{spec.region.kind} region of {spec.name}"
-        )
+    require(spec.region.contains(points), ConfigError,
+            "point '{}' lies outside the {} region of {}", np.array(chunks), spec.region.kind,
+            spec.name)
     return points
 
 
@@ -343,8 +340,8 @@ def _cmd_gauduchon(args: argparse.Namespace) -> tuple[dict, float | None]:
         with np.errstate(over="ignore"):
             norms.append([np.linalg.norm(per_point(a), axis=-1)
                           for a in (family.torsion, family.curvature)])
-        if not np.isfinite(norms[-1]).all():
-            raise NumericalError(f"the norm of the family member at t = {t} is not finite")
+        require(np.isfinite(norms[-1]).all(0), NumericalError,
+                "the norm of the family member at t = {} is not finite at {}", t, points)
         if args.roundtrip:
             torsion_back, curvature_back = chern_from_family(family)
             residuals.append(np.maximum(

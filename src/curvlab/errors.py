@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across curvlab."""
+"""Exception hierarchy shared across curvlab, and the one failing-point guard."""
 
-__all__ = ["CurvlabError", "ConfigError", "NumericalError"]
+import numpy as np
+
+__all__ = ["CurvlabError", "ConfigError", "NumericalError", "require"]
 
 
 class CurvlabError(Exception):
@@ -13,3 +15,18 @@ class ConfigError(CurvlabError):
 
 class NumericalError(CurvlabError):
     """Computation cannot proceed: non positive-definite metric, NaN, singular solve."""
+
+
+def require(ok, error: type, message: str, *args) -> None:
+    """Nothing if every entry of ``ok`` holds; else ``error`` naming the first failing point.
+
+    ``ok`` holds one verdict per point of a stack; the first False in C order
+    fails.  The error's text is ``message.format(*args)`` with each array of
+    ``args``, whose leading axes are those of ``ok``, taken at that point, and
+    any other argument, such as a metric's name, as it is.
+    """
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    first = np.unravel_index(np.argmin(ok), ok.shape)  # a bool's argmin is its first False
+    raise error(message.format(*(a[first] if isinstance(a, np.ndarray) else a for a in args)))

@@ -57,7 +57,7 @@ from typing import IO
 import numpy as np
 
 from .chern import ChernPoint
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require
 from .functionals import TauParam, ric_tau
 from .metric_model import DEFAULT_SCHEME, JetScheme, MetricJet, MetricSpec, Var, metric_value
 from .schwarz import HoloMap, energy_and_laplacian, pointwise_report
@@ -178,11 +178,12 @@ class GridMetricField:
             raise ConfigError(f"grid values have shape {values.shape}, expected {expected}")
         self.box = box
         self.values = values
-        if not np.isfinite(values).all():
-            raise NumericalError("grid metric is not finite everywhere")
-        self._min_eigenvalue = float(hermitian_eigenvalues(hermitian_part(values)).min())
-        if not self._min_eigenvalue > 0:
-            raise NumericalError("grid metric is not positive definite everywhere")
+        require(np.isfinite(values).all((-2, -1)), NumericalError,
+                "grid metric is not finite at node {}", box.nodes)
+        lowest = hermitian_eigenvalues(hermitian_part(values))[..., 0]
+        require(lowest > 0, NumericalError, "grid metric is not positive definite at node {}",
+                box.nodes)
+        self._min_eigenvalue = float(lowest.min())
         self._velocity: tuple[TauParam, np.ndarray] | None = None
         self._g_up: np.ndarray | None = None
 
@@ -196,10 +197,9 @@ class GridMetricField:
         # first; a finite node outside the region is a configuration error
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             values = metric_value(spec, box.nodes)
-        outside = ~spec.region.contains(box.nodes)
-        if outside.any() and np.isfinite(values).all():
-            raise ConfigError(f"grid node {box.nodes[outside][0]} lies outside the "
-                              f"{spec.region.kind} region of {spec.name}")
+        require(spec.region.contains(box.nodes) | (not np.isfinite(values).all()), ConfigError,
+                "grid node {} lies outside the {} region of {}", box.nodes, spec.region.kind,
+                spec.name)
         return cls(box, values)
 
     def jets(self) -> MetricJet:
@@ -247,9 +247,8 @@ class GridMetricField:
             point = ChernPoint(*(np.ascontiguousarray(a[nodes])
                                  for a in (jet.point, jet.g, jet.d_g, jet.dd_g)))
             velocity = thcf_velocity(point, tau)
-        finite = np.isfinite(velocity).all(axis=(-2, -1))
-        if not finite.all():
-            raise NumericalError(f"flow velocity is not finite at node {point.point[~finite][0]}")
+        require(np.isfinite(velocity).all(axis=(-2, -1)), NumericalError,
+                "flow velocity is not finite at node {}", point.point)
         return point, velocity
 
     def g_up(self) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .chern import (ChernPoint, form_pairing, frame_traces, q_squared_chart, q_squared_frame,
                     second_ricci, swap24, torsion_product_a)
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require
 from .tensor_core import PSDForm, hermitian_part, psd_project_batch
 
 __all__ = [
@@ -103,10 +103,9 @@ def real_part(values, label: str, scale=1.0):
     """``values / scale`` for real ``scale``; ConfigError unless every result is real."""
     real = values.real / scale
     imag = values.imag / scale
-    excess = np.abs(imag) > _IMAG_TOL * np.maximum(1.0, np.abs(real))
-    if np.any(excess):
-        worst = np.ravel(imag)[np.argmax(excess)]
-        raise ConfigError(f"{label} should be real, got imaginary part {worst:.3e}")
+    # ~(a > b) rather than a <= b: a NaN part passes here
+    require(~(np.abs(imag) > _IMAG_TOL * np.maximum(1.0, np.abs(real))), ConfigError,
+            "{} should be real, got imaginary part {:.3e}", label, imag)
     return real
 
 
@@ -440,22 +439,12 @@ def _dual_witnesses(eigs: np.ndarray, vecs: np.ndarray, j: np.ndarray) -> np.nda
     return np.stack([x, moved], axis=1)
 
 
-def _finite_forms(forms: np.ndarray, points: np.ndarray, free: bool) -> np.ndarray:
-    """``forms`` ``(P, m, m)``, unless one is not finite: ``eigh`` fails or lies on those."""
-    finite = np.isfinite(forms).all(axis=(-2, -1))
-    if not finite.all():
-        what = "holomorphic sectional" if free else "real bisectional"
-        raise NumericalError(f"the {what} curvature quadratic form is not finite at "
-                             f"{points[~finite][0]}")
-    return forms
-
-
 def _dual_bound(tensor: np.ndarray, kind: str, free: bool,
                 points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lagrangian dual bound of the sup or inf of ``x^T K x / x^T x`` at every point.
 
-    ``tensor`` is ``(P, n, n, n, n)`` at ``points`` ``(P, n)``, which name
-    a form that overflows (:func:`_finite_forms`); the multiplier ranges over the reals
+    ``tensor`` is ``(P, n, n, n, n)`` at ``points`` ``(P, n)``; a form that is not finite is
+    a :class:`NumericalError` naming its point.  The multiplier ranges over the reals
     if ``free`` (rank-one forms) and over ``mu >= 0`` otherwise (PSD forms).
     ``phi(mu) = lambda_max(K + mu J)`` is convex and its minimum lies in
     ``|mu| <= 2 (lambda_max(K) - lambda_min(K))``: beyond it ``phi`` exceeds
@@ -486,7 +475,11 @@ def _dual_bound(tensor: np.ndarray, kind: str, free: bool,
     k = sign * _quadratic_forms(tensor)
     count, m = k.shape[:2]
     j = _minor_form(tensor.shape[-1])
-    spectrum = np.linalg.eigvalsh(_finite_forms(k, points, free))
+    # eigh fails or lies on forms that are not finite
+    what = "holomorphic sectional" if free else "real bisectional"
+    unfinite = f"the {what} curvature quadratic form is not finite at {{}}"
+    require(np.isfinite(k).all((-2, -1)), NumericalError, unfinite, points)
+    spectrum = np.linalg.eigvalsh(k)
     eigs = np.empty((count, m))
     vecs = np.empty((count, m, m))
 
@@ -501,7 +494,9 @@ def _dual_bound(tensor: np.ndarray, kind: str, free: bool,
     width = ends[:, 1, 0] - ends[:, 0, 0]
     last_newton = np.full(count, math.inf)
     for _ in range(_EVALUATIONS):
-        e, v = np.linalg.eigh(_finite_forms(k + mu[:, None, None] * j, points[rows], free))
+        forms = k + mu[:, None, None] * j
+        require(np.isfinite(forms).all((-2, -1)), NumericalError, unfinite, points[rows])
+        e, v = np.linalg.eigh(forms)
         eigs[rows], vecs[rows] = e, v
         tied, projected, a_min, _, a_max, _ = _tied_block(e, v, j)
         optimal = (a_min <= 0.0) & (a_max >= 0.0)

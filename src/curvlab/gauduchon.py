@@ -31,7 +31,7 @@ import numpy as np
 
 from .chern import (ChernPoint, RicciTraces, form_pairing, frame_traces, swap13, swap24,
                     torsion_product_a, torsion_product_b)
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require
 from .functionals import TauParam, real_part
 from .tensor_core import hermitian_part
 
@@ -99,8 +99,8 @@ def gauduchon_family(point: ChernPoint, t: float) -> ConnectionTensors:
             + s * s * (torsion_product_a(ct) - torsion_product_b(ct))
         )
         torsion = t * ct
-    if not (np.isfinite(curvature).all() and np.isfinite(torsion).all()):
-        raise NumericalError(f"the family member at t = {t} is not finite")
+    require(np.isfinite(curvature).all((-4, -3, -2, -1)) & np.isfinite(torsion).all((-3, -2, -1)),
+            NumericalError, "the family member at t = {} is not finite at {}", t, point.point)
     return ConnectionTensors(t, torsion, curvature)
 
 

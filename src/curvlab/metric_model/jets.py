@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require
 
 __all__ = ["JetScheme", "ComplexJet2", "complex_jet2", "field_first", "check_footprint"]
 
@@ -131,10 +131,9 @@ def check_footprint(region, points: np.ndarray, z: np.ndarray, scheme: JetScheme
     ``points`` of shape ``(..., F, k)`` are the footprint of the centres ``z``
     ``(..., n)``, or its images; the error names the first centre that fails.
     """
-    inside = region.contains(points).all(-1)
-    if not inside.all():
-        raise ConfigError(f"{what} around {z[~inside][0]} leaves {whose} {region.kind} region; "
-                          f"lower --h (now {scheme.h})")
+    require(region.contains(points).all(-1), ConfigError,
+            "{} around {} leaves {} {} region; lower --h (now {})", what, z, whose, region.kind,
+            scheme.h)
 
 
 def _real_jet(f: Callable, z: np.ndarray, scheme: JetScheme, second: bool, region):

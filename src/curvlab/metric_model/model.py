@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConfigError, NumericalError
+from ..errors import ConfigError, NumericalError, require
 from ..tensor_core import cholesky_factor, metric_inverse_up
 from . import expr as ex
 
@@ -69,6 +69,8 @@ class Region:
     def contains(self, z: np.ndarray) -> np.ndarray:
         """Whether each point of ``z`` of shape ``(..., n)`` lies inside, shape ``(...)``."""
         z = np.asarray(z, dtype=complex)
+        if math.isinf(self.radius) and self.kind != "punctured":
+            return np.isfinite(z).all(-1)  # every finite point, whatever its norm
         if self.kind == "polydisk":
             return np.max(np.abs(z), axis=-1) < self.radius
         # the norm squares the entries, so 0 or inf may be an underflow or an
@@ -209,9 +211,8 @@ def metric_jet(spec: MetricSpec, z: np.ndarray) -> MetricJet:
     z = _points(spec, z)
     flat = z.reshape(-1, spec.n)
     parts = spec.program.jets(flat)
-    if not all(np.isfinite(part).all() for part in parts):
-        finite = np.all([np.isfinite(part).reshape(len(flat), -1).all(-1) for part in parts], 0)
-        raise NumericalError(f"metric jet is not finite at {flat[~finite][0]}")
+    finite = np.all([np.isfinite(part).all(tuple(range(1, part.ndim))) for part in parts], 0)
+    require(finite, NumericalError, "metric jet is not finite at {}", flat)
     jet = MetricJet(z, *(part.reshape(z.shape[:-1] + (spec.n,) * rank)
                          for part, rank in zip(parts, (2, 3, 4))))
     jet.cholesky  # the positivity check; the factor is kept
@@ -229,17 +230,12 @@ def validate_metric(spec: MetricSpec, seed: int = 12345) -> None:
     points = np.vstack([spec.region.sample_points(spec.n, rng, _VALIDATION_POINTS),
                         spec.region.base_point(spec.n)])
     g = metric_value(spec, points)
-    finite = np.isfinite(g).all((-2, -1))
-    if not finite.all():
-        raise ConfigError(f"metric '{spec.name}' is not finite at {points[~finite][0]}")
+    require(np.isfinite(g).all((-2, -1)), ConfigError, "metric '{}' is not finite at {}",
+            spec.name, points)
     deviation = np.abs(g - np.swapaxes(g, -1, -2).conj()).max((-2, -1))
-    bad = deviation > _HERMITIAN_SPOT_TOL * np.maximum(1.0, np.abs(g).max((-2, -1)))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ConfigError(
-            f"metric '{spec.name}' is not Hermitian at {points[k]}: "
-            f"deviation {deviation[k]:.3e}"
-        )
+    require(deviation <= _HERMITIAN_SPOT_TOL * np.maximum(1.0, np.abs(g).max((-2, -1))),
+            ConfigError, "metric '{}' is not Hermitian at {}: deviation {:.3e}",
+            spec.name, points, deviation)
     try:
         _cholesky(g[-1], points[-1])
     except NumericalError as exc:

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .chern import ChernPoint, form_pairing, frame_traces
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require
 from .functionals import TauParam
 from .gauduchon import (
     bisectional_display,
@@ -91,6 +91,8 @@ __all__ = [
     "BismutComparisonReport",
     "bismut_comparison_report",
 ]
+
+_IMAGE_OUTSIDE = "image point {} of {} leaves the target region"
 
 
 @dataclass(frozen=True)
@@ -167,9 +169,8 @@ class HoloMap:
         parts = []
         for what, part in zip(("value", "Jacobian", "Hessian")[:order + 1],
                               self.program.jets(flat, holomorphic=True)):
-            finite = np.isfinite(part).all(tuple(range(1, part.ndim)))
-            if not finite.all():
-                raise NumericalError(f"map {what} is not finite at {flat[~finite][0]}")
+            require(np.isfinite(part).all(tuple(range(1, part.ndim))), NumericalError,
+                    "map {} is not finite at {}", what, flat)
             part = np.ascontiguousarray(np.moveaxis(part, -1, 1))  # target axis first
             parts.append(part.reshape(z.shape[:-1] + part.shape[1:]))
         return parts
@@ -189,15 +190,6 @@ class MapAssembly:
         source_inverse = self.source_point.frame.L_inv  # the source's failures are named first
         return (np.swapaxes(self.target_point.frame.L, -1, -2) @ self.map_jet.jacobian
                 @ np.swapaxes(source_inverse, -1, -2))
-
-
-def _check_images(target: MetricSpec, z: np.ndarray, image: np.ndarray) -> None:
-    """:class:`ConfigError` naming the first image point outside the target region."""
-    outside = ~target.region.contains(image)
-    if outside.any():
-        raise ConfigError(
-            f"image point {image[outside][0]} of {z[outside][0]} leaves the target region"
-        )
 
 
 def assemble_map(
@@ -221,7 +213,7 @@ def assemble_map(
     z = np.asarray(z, dtype=complex)
     map_jet = holo_map.jet(z)
     image = map_jet.value
-    _check_images(target, z, image)
+    require(target.region.contains(image), ConfigError, _IMAGE_OUTSIDE, image, z)
     source_point = ChernPoint.from_spec(source, z)  # the source's failures are named first
     return MapAssembly(map_jet, source_point, ChernPoint.from_spec(target, image))
 
@@ -292,7 +284,7 @@ def energy_density(
     """
     z = np.asarray(z, dtype=complex)
     value, jacobian = holo_map.first(z)
-    _check_images(target, z, value)
+    require(target.region.contains(value), ConfigError, _IMAGE_OUTSIDE, value, z)
     return np.real(_energy(source, target, z, value, jacobian))[()]
 
 
@@ -310,9 +302,8 @@ def energy_and_laplacian(source: MetricSpec, target: MetricSpec, holo_map: HoloM
 
     stencil = complex_jet2(field, point.point, scheme, region=source.region)
     laplacian = np.real(np.einsum("...ij,...ij->...", point.g_up, stencil.dd))
-    finite = np.isfinite(laplacian)
-    if not finite.all():
-        raise NumericalError(f"the Laplacian is not finite at {point.point[~finite][0]}")
+    require(np.isfinite(laplacian), NumericalError, "the Laplacian is not finite at {}",
+            point.point)
     return np.real(stencil.value), laplacian
 
 

@@ -767,6 +767,8 @@ class TestExitCodes:
             ("curvature", "builtin:poincare_polydisk(2)", "0.1,1"),
             ("curvature", "builtin:example22", "0.1,0;0.3,0"),
             ("gauduchon", "builtin:hopf(2)", "0,0"),
+            # no point with a NaN lies in a region, even a ball of infinite radius
+            ("curvature", "builtin:flat(2)", "nan,0"),
         ],
     )
     def test_point_outside_region(self, capsys, command, metric, points):
@@ -788,12 +790,15 @@ class TestExitCodes:
         assert err == "error: metric jet is not finite at [1.e-170+0.j 0.e+000+0.j]\n"
 
     def test_huge_point_is_inside_an_infinite_ball(self, capsys):
-        # its norm overflows, but the point is finite and the ball has no edge
-        code, report = run_json(
-            ["curvature", "--metric", "builtin:flat(2)", "--points", "1e200,1e200"], capsys
-        )
-        assert code == 0
-        assert report["points"][0]["g"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        # its norm overflows, or is even above the float range, but the point is finite and
+        # the ball has no edge
+        for points in ("1e200,1e200", "1.5e308,1.5e308"):
+            code, report = run_json(
+                ["curvature", "--metric", "builtin:flat(2)", "--points", points], capsys
+            )
+            assert code == 0
+            assert report["points"][0]["g"] == [[[1.0, 0.0], [0.0, 0.0]],
+                                                [[0.0, 0.0], [1.0, 0.0]]]
 
     def test_schwarz_source_point_outside_region(self, capsys):
         code, _, err = run_cli(
@@ -1158,6 +1163,50 @@ class TestSchwarzBatch:
         )
         assert (got, out) == (code, "")
         assert err == f"error: {message}\n"
+
+
+class TestFailingPoint:
+    """Every error of a point stack names its first failing point, on one ``error:`` line."""
+
+    def test_second_point_of_a_stack_is_named(self, capsys, tmp_path):
+        # the metric jet: hopf(2) divides by |z|^2, which underflows at the second point
+        code, out, err = run_cli(["curvature", "--metric", "builtin:hopf(2)",
+                                  "--points", "0.5,0;1e-170,0"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: metric jet is not finite at [1.e-170+0.j 0.e+000+0.j]\n"
+        # the Laplacian: the target's pole 0.75 lies on the stencil of the second point only
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps({"n": 1, "entries": [["1 + 0.001/abs2(z1 - 0.75)"]],
+                                    "region": {"type": "ball", "radius": 1.0}}))
+        argv = ["schwarz", "--map", "id", "--source", "builtin:flat(1)", "--target",
+                f"file:{path}", "--h", "0.125", "--points"]
+        assert run_json(argv + ["0.1"], capsys)[0] == 0
+        code, out, err = run_cli(argv + ["0.1;0.5"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: the Laplacian is not finite at [0.5+0.j]\n"
+
+    def test_grid_metric_names_its_node(self, capsys):
+        code, out, err = run_cli(["flow", "--metric", "builtin:hopf(1)", "--center", "0",
+                                  "--extent", "0.1", "--dt", "1e-4", "--steps", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: grid metric is not finite at node [0.+0.j]\n"
+
+    def test_family_member_names_its_point(self, capsys, tmp_path):
+        # the member is finite, but its norm squares entries near 1e154
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({"n": 2, "entries": [["1 + 1e308*abs2(z1)", "0"],
+                                                        ["0", "1 + 1e308*abs2(z1)"]],
+                                    "region": {"type": "ball", "radius": 1.0}}))
+        code, out, err = run_cli(["gauduchon", "--metric", f"file:{path}",
+                                  "--points", "1e-154,1e-154", "--t=-1,2"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("error: the norm of the family member at t = -1.0 is not finite at "
+                       "[1.e-154+0.j 1.e-154+0.j]\n")
+        # the member itself overflows
+        code, out, err = run_cli(["gauduchon", "--metric", "builtin:F2", "--t", "1e200",
+                                  "--points", "0.1,0;0,0.1"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: the family member at t = 1e+200 is not finite at [0.1+0.j 0. +0.j]\n"
 
 
 LAYOUT_COMMANDS = {

@@ -195,6 +195,18 @@ class TestGrid:
         with pytest.raises(NumericalError, match="not finite"):
             GridMetricField.from_spec(builtin_metric("hopf", 1), box)
 
+    def test_rejected_values_name_their_first_node(self):
+        box = GridBox((0j,), half_width=0.1, resolution=3)  # node [i, j] is x_i + i y_j
+        values = np.ones((3, 3, 1, 1), dtype=complex)
+        values[2, 0] = values[0, 2] = -1.0
+        with pytest.raises(NumericalError) as info:
+            GridMetricField(box, values)
+        assert str(info.value) == "grid metric is not positive definite at node [-0.1+0.1j]"
+        values[1, 2] = np.inf
+        with pytest.raises(NumericalError) as info:
+            GridMetricField(box, values)
+        assert str(info.value) == "grid metric is not finite at node [0.+0.1j]"
+
     def test_finite_nodes_outside_the_region_rejected(self):
         box = GridBox((0.93 + 0j,), half_width=0.1, resolution=3)
         with pytest.raises(ConfigError, match=r"grid node \[1.03-0.1j\] lies outside the polydisk"):
