@@ -223,7 +223,8 @@ class ChernPoint(MetricJet):
         """Curvature ``R[..., i, j, k, l] = R_{i jbar k lbar}``.
 
         Hermitian symmetry ``R[i, j, k, l] = conj(R[j, i, l, k])`` holds exactly
-        at the level of the formula; tests pin it down numerically.
+        at the level of the formula; tests pin it down numerically.  A
+        first-order jet has no ``dd_g``, so reading it there raises.
         """
         return -self.dd_g + _contract("...ikp,...jlp->...ijkl", self.gamma, np.conj(self.d_g))
 
@@ -257,15 +258,16 @@ def first_bianchi_residual(
     ``at`` is the points ``(..., n)`` or the caller's jet of ``spec`` there,
     whose record then serves the centres.  One value per point, shape
     ``(...)``.  The left side differences the torsion field with the scheme's
-    stencils, one checked metric jet over the footprint of every point, which
-    must lie in the metric's region (else :class:`ConfigError`); the right
-    side is assembled at the centre points.  Chart frame throughout, so no connection
+    stencils, one checked first-order metric jet over the footprint of every
+    point, which must lie in the metric's region (else :class:`ConfigError`);
+    the torsion reads only ``g`` and ``d_g``.  The right side is assembled at
+    the centre points.  Chart frame throughout, so no connection
     terms enter.  A residual that is not finite is a :class:`NumericalError`.
     """
     is_jet = isinstance(at, MetricJet)
     point = ChernPoint.from_jet(at) if is_jet else ChernPoint.from_spec(spec, at)
     r = point.curvature
-    _, dbar_t = field_first(lambda w: ChernPoint.from_jet(metric_jet(spec, w)).torsion,
+    _, dbar_t = field_first(lambda w: ChernPoint.from_jet(metric_jet(spec, w, 1)).torsion,
                             point.point, scheme, region=spec.region)
     rhs = (_contract("...kl,...jmil->...mijk", point.g_up, r)
            - _contract("...kl,...imjl->...mijk", point.g_up, r))

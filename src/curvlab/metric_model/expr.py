@@ -25,12 +25,14 @@ unique steps, equal subtrees merged across the set and constant subtrees
 folded to Python numbers.  A run applies each step's Python operator to its
 operand slots, so one program serves arrays of points, numpy scalars and
 packed complex Wirtinger jets (``_Jet``), the one derivative engine: seeded
-holomorphically, they differentiate holomorphic maps too.
+holomorphically, they differentiate holomorphic maps too.  A jet's width
+sets its order, so a caller that reads only values and first derivatives
+folds first-order jets, ``1 + 2m`` columns per point where the second order
+takes ``(m + 1)^2``.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 import struct
@@ -385,60 +387,64 @@ def _operands(node: Expr) -> tuple:
 
 
 class _Jet:
-    """Second-order Wirtinger jets of a scalar field at ``P`` points in ``m`` variables.
+    """Wirtinger jets of order 1 or 2 of a scalar field at ``P`` points in ``m`` variables.
 
-    One packed complex array ``a`` of shape ``(P, (m + 1)^2)`` holds per
-    point the value, ``d_i f``, ``dbar_i f`` and ``d_i dbar_j f`` row by
-    row: ``[v | d | dbar | dd]``.  Python scalars act as constants.  Sums,
-    products, quotients, integer powers and conjugation close on these
-    parts, so no pure second derivatives are carried.  Every operation is
-    plain complex numpy arithmetic, and none writes into an operand's array.
+    One packed complex array ``a`` holds per point the value, ``d_i f``,
+    ``dbar_i f`` and, at second order, ``d_i dbar_j f`` row by row:
+    ``[v | d | dbar | dd]``.  Its width sets the order: ``1 + 2m`` columns
+    for the first, ``(m + 1)^2`` for the second, with ``m`` kept beside it,
+    since a width alone may read both ways (9 is order 1 at ``m = 4`` and
+    order 2 at ``m = 2``).  Python scalars act as constants.  Sums, products,
+    quotients, integer powers and conjugation close on these parts, so no
+    pure second derivatives are carried; a first-order jet skips every ``dd``
+    term and puts ``v``, ``d`` and ``dbar`` through the operations a
+    second-order one does.  Every operation is plain complex numpy
+    arithmetic, and none writes into an operand's array.
 
     In the ring ``R[eps, delta] / (eps_i eps_k, delta_j delta_l)`` a jet is
     ``v + d.eps + dbar.delta + eps^T dd delta``; the coordinates' seeds fix
     what the parts mean.  Seeded holomorphically, ``dbar z_k = e_k`` like
     ``d z_k``, a conjugation-free tree's jet is the hyper-dual number
     ``f(z + eps + delta)`` (Fike and Alonso, AIAA 2011-886): ``d`` is its
-    Jacobian row and ``dd`` its holomorphic Hessian ``d_i d_j f``.
+    Jacobian row and ``dd`` its holomorphic Hessian ``d_i d_j f``.  The
+    first-order jet is its dual-number truncation, in which ``d`` is already
+    the Jacobian row under the plain seed.
     """
 
-    __slots__ = ("a",)
+    __slots__ = ("a", "m")
 
-    def __init__(self, a: np.ndarray) -> None:
+    def __init__(self, a: np.ndarray, m: int) -> None:
         self.a = a
+        self.m = m
 
     @classmethod
-    def coordinates(cls, z: np.ndarray, holomorphic: bool = False) -> list:
+    def coordinates(cls, z: np.ndarray, holomorphic: bool = False, order: int = 2) -> list:
         """The jets of ``z_k`` at points ``z`` ``(P, m)``: ``d z_k = e_k``, ``dbar z_k`` too if
-        ``holomorphic``, else 0."""
+        ``holomorphic``, else 0; of ``order`` 1 or 2."""
         p, m = z.shape
-        a = np.zeros((m, p, (m + 1) ** 2), dtype=complex)
+        a = np.zeros((m, p, 1 + 2 * m if order == 1 else (m + 1) ** 2), dtype=complex)
         a[:, :, 0] = z.T
         a[np.arange(m), :, 1 + np.arange(m)] = 1.0
         if holomorphic:
             a[np.arange(m), :, 1 + m + np.arange(m)] = 1.0
-        return [cls(part) for part in a]
-
-    @property
-    def m(self) -> int:
-        return math.isqrt(self.a.shape[1]) - 1
+        return [cls(part, m) for part in a]
 
     def parts(self) -> tuple:
-        """Views ``v``, ``[d | dbar]`` ``(P, 2m)`` and ``dd`` ``(P, m, m)``."""
+        """Views ``v``, ``[d | dbar]`` ``(P, 2m)`` and ``dd`` ``(P, m, m)``, None at order 1."""
         m = self.m
-        return self.a[:, 0], self.a[:, 1:1 + 2 * m], self.a[:, 1 + 2 * m:].reshape(-1, m, m)
+        return self.a[:, 0], self.a[:, 1:1 + 2 * m], _dd(self.a, m)
 
     def __add__(self, other) -> "_Jet":
         if isinstance(other, _Jet):
-            return _Jet(self.a + other.a)
+            return _Jet(self.a + other.a, self.m)
         a = self.a.copy()
         a[:, 0] += other
-        return _Jet(a)
+        return _Jet(a, self.m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "_Jet":
-        return _Jet(-self.a)
+        return _Jet(-self.a, self.m)
 
     def __sub__(self, other) -> "_Jet":
         return self + -other
@@ -447,45 +453,53 @@ class _Jet:
         return -self + other
 
     def __mul__(self, other) -> "_Jet":
+        m = self.m
         if not isinstance(other, _Jet):
-            return _Jet(self.a * other)
+            return _Jet(self.a * other, m)
         left = self.a * other.a[:, :1]
         out = left + self.a[:, :1] * other.a
         out[:, 0] = left[:, 0]
-        m = self.m
-        dd = out[:, 1 + 2 * m:].reshape(-1, m, m)
-        dd += _outer(self.a[:, 1:1 + m], other.a[:, 1 + m:1 + 2 * m])
-        dd += _outer(other.a[:, 1:1 + m], self.a[:, 1 + m:1 + 2 * m])
-        return _Jet(out)
+        dd = _dd(out, m)
+        if dd is not None:
+            dd += _outer(self.a[:, 1:1 + m], other.a[:, 1 + m:1 + 2 * m])
+            dd += _outer(other.a[:, 1:1 + m], self.a[:, 1 + m:1 + 2 * m])
+        return _Jet(out, m)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "_Jet":
         if not isinstance(other, _Jet):
-            return _Jet(self.a / other)
+            return _Jet(self.a / other, self.m)
         return _quotient(self.parts(), other.parts())
 
     def __rtruediv__(self, other) -> "_Jet":
         v, first, dd = self.parts()
-        return _quotient((other, np.zeros_like(first), np.zeros_like(dd)), (v, first, dd))
+        zero_dd = None if dd is None else np.zeros_like(dd)
+        return _quotient((other, np.zeros_like(first), zero_dd), (v, first, dd))
 
     def __pow__(self, k: int):
         if k in (0, 1):  # never form v^(k-2), which is infinite at v = 0
             return self if k else 1 + 0j
         v = self.a[:, 0]
         p1 = (k * v ** (k - 1))[:, None]
-        p2 = (k * (k - 1) * v ** (k - 2))[:, None, None]
         out = p1 * self.a
         out[:, 0] = v**k
         m = self.m
-        dd = out[:, 1 + 2 * m:].reshape(-1, m, m)
-        dd += p2 * _outer(self.a[:, 1:1 + m], self.a[:, 1 + m:1 + 2 * m])
-        return _Jet(out)
+        dd = _dd(out, m)
+        if dd is not None:
+            p2 = (k * (k - 1) * v ** (k - 2))[:, None, None]
+            dd += p2 * _outer(self.a[:, 1:1 + m], self.a[:, 1 + m:1 + 2 * m])
+        return _Jet(out, m)
 
     def conjugate(self) -> "_Jet":
-        out = self.a[:, _conjugate_order(self.m)]
+        out = self.a[:, _conjugate_order(self.m)[:self.a.shape[1]]]
         np.conjugate(out, out=out)
-        return _Jet(out)
+        return _Jet(out, self.m)
+
+
+def _dd(a: np.ndarray, m: int):
+    """The ``dd`` block of packed jets ``a`` as a view ``(P, m, m)``, or None at order 1."""
+    return a[:, 1 + 2 * m:].reshape(-1, m, m) if a.shape[1] > 1 + 2 * m else None
 
 
 @cache
@@ -501,22 +515,23 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _quotient(p: tuple, q: tuple) -> _Jet:
     """The jet of ``p / q`` from their :meth:`_Jet.parts`, operation by operation as a part
-    fold does; ``d`` and ``dbar`` share each operation."""
+    fold does; ``d`` and ``dbar`` share each operation, and order 1 skips ``dd``."""
     # q = a / b: d q = d a / b - a d b / b^2 and d dbar q = d dbar a / b
     # - (d a dbar b + d b dbar a + a d dbar b) / b^2 + 2 a d b dbar b / b^3
     (pv, pfirst, pdd), (qv, qfirst, qdd) = p, q
-    m = pdd.shape[-1]
-    (pd, pdbar), (qd, qdbar) = (pfirst[:, :m], pfirst[:, m:]), (qfirst[:, :m], qfirst[:, m:])
+    m = qfirst.shape[-1] // 2
     a, b = np.asarray(pv)[..., None], qv[:, None]
     b2 = b * b
-    dd = (pdd / b[:, None] - (_outer(pd, qdbar) + _outer(qd, pdbar) + a[..., None] * qdd)
-          / b2[:, None] + 2 * a[..., None] * _outer(qd, qdbar) / (b2 * b)[:, None])
     v, first = pv / qv, pfirst / b - a * qfirst / b2
-    out = np.empty((len(v), (m + 1) ** 2), dtype=complex)
+    out = np.empty((len(v), 1 + 2 * m if qdd is None else (m + 1) ** 2), dtype=complex)
     out[:, 0] = v
     out[:, 1:1 + 2 * m] = first
-    out[:, 1 + 2 * m:] = dd.reshape(len(v), m * m)
-    return _Jet(out)
+    if qdd is not None:
+        (pd, pdbar), (qd, qdbar) = (pfirst[:, :m], pfirst[:, m:]), (qfirst[:, :m], qfirst[:, m:])
+        dd = (pdd / b[:, None] - (_outer(pd, qdbar) + _outer(qd, pdbar) + a[..., None] * qdd)
+              / b2[:, None] + 2 * a[..., None] * _outer(qd, qdbar) / (b2 * b)[:, None])
+        out[:, 1 + 2 * m:] = dd.reshape(len(v), m * m)
+    return _Jet(out, m)
 
 
 def _abs2(w):
@@ -592,21 +607,24 @@ class TreeProgram:
         """:meth:`run` over the leaves ``z[..., k]`` of points ``z`` of shape ``(..., n)``."""
         return self.run([z[..., k] for k in range(np.shape(z)[-1])])
 
-    def jets(self, z: np.ndarray, holomorphic: bool = False) -> tuple:
+    def jets(self, z: np.ndarray, holomorphic: bool = False, order: int = 2) -> tuple:
         """Value ``(P, T)``, ``d`` ``(P, m, T)`` and ``d dbar`` ``(P, m, m, T)`` of the trees.
 
         :meth:`run` on the Wirtinger jets (``_Jet``) of the points ``z`` ``(P, m)``; seeded
         ``holomorphic``ally, conjugation-free trees get the Hessian ``d d`` in place of
-        ``d dbar``.  Complex, exact up to rounding, unchecked and C-contiguous.
+        ``d dbar``.  ``order`` 1 folds first-order jets and returns ``(value, d)``, whose
+        bytes are those of order 2.  Complex, exact up to rounding, unchecked and
+        C-contiguous.
         """
         p, m = z.shape
-        leaves = _Jet.coordinates(z, holomorphic)
+        leaves = _Jet.coordinates(z, holomorphic, order)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             zero = leaves[0] * 0.0  # a zero jet: spreads constant trees over the points
-            # (T, P, (m + 1)^2)
+            # (T, P, width)
             packed = np.array([(value + zero).a for value in self.run(leaves)])
-        parts = (packed[..., 0], packed[..., 1:1 + m],
-                 packed[..., 1 + 2 * m:].reshape(len(packed), p, m, m))
+        parts = [packed[..., 0], packed[..., 1:1 + m]]
+        if order == 2:
+            parts.append(packed[..., 1 + 2 * m:].reshape(len(packed), p, m, m))
         return tuple(part.transpose(*range(1, part.ndim), 0).copy() for part in parts)
 
 

@@ -13,7 +13,8 @@ one point::
     dd_g[i, j, k, l] = d_i dbar_j g_{k lbar}
 
 The anti-holomorphic first derivative is not stored: Hermitian symmetry gives
-``dbar_j g_{k lbar} = conj(d_j g_{l kbar})``.
+``dbar_j g_{k lbar} = conj(d_j g_{l kbar})``.  A first-order jet holds ``g``
+and ``d_g`` only, which is all the torsion reads.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class Region:
     def contains(self, z: np.ndarray) -> np.ndarray:
         """Whether each point of ``z`` of shape ``(..., n)`` lies inside, shape ``(...)``."""
         z = np.asarray(z, dtype=complex)
-        if math.isinf(self.radius) and self.kind != "punctured":
+        if self.kind == "punctured":  # finite and off the origin, however close to it
+            return np.isfinite(z).all(-1) & (z != 0).any(-1)
+        if math.isinf(self.radius):
             return np.isfinite(z).all(-1)  # every finite point, whatever its norm
         if self.kind == "polydisk":
             return np.max(np.abs(z), axis=-1) < self.radius
@@ -80,7 +83,7 @@ class Region:
             odd = (norm == 0.0) | (norm == np.inf)
             if odd.any():
                 norm[odd] = np.hypot.reduce(np.abs(z[odd]), axis=-1)
-        return norm < self.radius if self.kind == "ball" else norm > 0.0
+        return norm < self.radius
 
     def base_point(self, n: int) -> np.ndarray:
         z = np.zeros(n, dtype=complex)
@@ -140,13 +143,14 @@ class MetricJet:
     """Metric value and derivatives at one point, chart frame.
 
     The arrays may carry the same leading batch axes, one point per index:
-    ``g`` of shape ``(..., n, n)``, ``d_g`` of ``(..., n, n, n)``.
+    ``g`` of shape ``(..., n, n)``, ``d_g`` of ``(..., n, n, n)`` and
+    ``dd_g`` of ``(..., n, n, n, n)``, None on a first-order jet.
     """
 
     point: np.ndarray
     g: np.ndarray
     d_g: np.ndarray
-    dd_g: np.ndarray
+    dd_g: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -200,17 +204,18 @@ def metric_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
     return np.stack(g, -1).astype(complex).reshape(z.shape[:-1] + (spec.n, spec.n))
 
 
-def metric_jet(spec: MetricSpec, z: np.ndarray) -> MetricJet:
-    """Second-order jet of the metric at the points ``z`` of shape ``(..., n)``.
+def metric_jet(spec: MetricSpec, z: np.ndarray, order: int = 2) -> MetricJet:
+    """Jet of the metric at the points ``z`` of shape ``(..., n)``, of ``order`` 1 or 2.
 
     The entry program's complex jets (``TreeProgram.jets``) with the batch
-    axes of ``z``.  Raises :class:`NumericalError`, naming the first point
-    that fails, unless the jet is finite and ``g`` positive definite, whose
-    factor is kept.
+    axes of ``z``; order 1 leaves ``dd_g`` None and gives the bytes of order
+    2 for ``g`` and ``d_g``.  Raises :class:`NumericalError`, naming the
+    first point that fails, unless the jet is finite and ``g`` positive
+    definite, whose factor is kept.
     """
     z = _points(spec, z)
     flat = z.reshape(-1, spec.n)
-    parts = spec.program.jets(flat)
+    parts = spec.program.jets(flat, order=order)
     finite = np.all([np.isfinite(part).all(tuple(range(1, part.ndim))) for part in parts], 0)
     require(finite, NumericalError, "metric jet is not finite at {}", flat)
     jet = MetricJet(z, *(part.reshape(z.shape[:-1] + (spec.n,) * rank)

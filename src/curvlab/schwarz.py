@@ -29,7 +29,8 @@ entry per point equal to that of a one-point call; the map fold checks that
 shape.  A call assembles the map jet and the two metric jets once, as
 ``ChernPoint`` records whose connection coefficients and tensors are formed
 on first read, and differentiates one stencil jet of the energy
-density, whose map folds check only values and Jacobians: its centre value
+density, whose map folds are first-order, dual numbers, and check only
+values and Jacobians: its centre value
 is the energy, its mixed second derivative traced with ``g^{-1}`` the Laplacian.
 That jet is :func:`energy_and_laplacian`, which the flow's comparison calls
 with the identity map, whose energy is the trace ``tr_g h`` it differentiates.
@@ -112,8 +113,9 @@ class HoloMap:
     """A holomorphic map given by one expression tree per target coordinate.
 
     Its exact derivatives come from one program of the components, compiled
-    on first use; a call folds it over holomorphically seeded jets
-    (:meth:`TreeProgram.jets`) at a whole stack of points, such as a stencil.
+    on first use; a call folds it over jets (:meth:`TreeProgram.jets`) at a
+    whole stack of points, such as a stencil: first-order ones for values and
+    Jacobians, holomorphically seeded second-order ones for the Hessian too.
     """
 
     components: tuple[Expr, ...]
@@ -147,7 +149,11 @@ class HoloMap:
         return compile_trees(self.components)
 
     def first(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values ``(..., n_target)`` and Jacobians ``(..., n_target, n_source)``."""
+        """Values ``(..., n_target)`` and Jacobians ``(..., n_target, n_source)``.
+
+        One fold of first-order jets, dual numbers under the plain seed, whose
+        values and Jacobians are the bytes of :meth:`jet`'s.
+        """
         return tuple(self._fold(z, 1))
 
     def jet(self, z: np.ndarray) -> MapJet:
@@ -157,9 +163,10 @@ class HoloMap:
     def _fold(self, z: np.ndarray, order: int) -> list[np.ndarray]:
         """The parts up to ``order`` from one fold over the points as one ``(P, n)`` stack.
 
-        A point of another shape is a :class:`ConfigError`; the first part, in
-        order, that is not finite is a :class:`NumericalError` naming its first
-        point.
+        Order 1 folds first-order jets under the plain seed, order 2
+        holomorphically seeded second-order ones.  A point of another shape
+        is a :class:`ConfigError`; the first part, in order, that is not
+        finite is a :class:`NumericalError` naming its first point.
         """
         z = np.asarray(z, dtype=complex)
         n = self.n_source
@@ -167,8 +174,8 @@ class HoloMap:
             raise ConfigError(f"the map takes points of shape (..., {n}), got {z.shape}")
         flat = z.reshape(-1, n)
         parts = []
-        for what, part in zip(("value", "Jacobian", "Hessian")[:order + 1],
-                              self.program.jets(flat, holomorphic=True)):
+        for what, part in zip(("value", "Jacobian", "Hessian"),
+                              self.program.jets(flat, holomorphic=order == 2, order=order)):
             require(np.isfinite(part).all(tuple(range(1, part.ndim))), NumericalError,
                     "map {} is not finite at {}", what, flat)
             part = np.ascontiguousarray(np.moveaxis(part, -1, 1))  # target axis first

@@ -26,12 +26,19 @@ from curvlab.chern import (
     q_squared_frame,
     ricci_traces,
 )
+from curvlab.errors import NumericalError
 from curvlab.metric_model import (
+    DEFAULT_SCHEME,
+    Const,
     MetricJet,
+    MetricSpec,
+    Region,
+    field_first,
     fixture,
     flat,
     hopf,
     metric_jet,
+    parse_expr,
     poincare_polydisk,
 )
 
@@ -339,3 +346,44 @@ def test_ricci_traces_match_direct_contractions(name, lead):
         scale = max(float(np.max(np.abs(want))), 1e-300)
         ulps = float(np.max(np.abs(got - want))) / (np.finfo(float).eps * scale)
         assert ulps <= 4.0, f"{name} {key} {lead}: off by {ulps:.1f} ulp of its largest entry"
+
+
+# ---------------------------------------------------------------------------
+# the Bianchi footprint's first-order records
+
+
+def bianchi_footprint(spec, z: np.ndarray) -> np.ndarray:
+    """The points ``(F, n)`` at which the Bianchi check forms torsion around ``z``."""
+    seen = []
+    field_first(lambda w: seen.append(w) or np.zeros(w.shape[:-1]), z, DEFAULT_SCHEME)
+    (footprint,) = seen
+    return footprint
+
+
+@pytest.mark.parametrize("name", ["F1", "hopf(2)", "poincare_polydisk(2)"])
+def test_first_order_record_gives_the_torsion_and_no_curvature(name):
+    spec = {"F1": fixture("F1"), "hopf(2)": hopf(2),
+            "poincare_polydisk(2)": poincare_polydisk(2)}[name]
+    z = spec.region.sample_points(spec.n, np.random.default_rng(2), 1)[0]
+    footprint = bianchi_footprint(spec, z)
+    assert footprint.shape == (25, spec.n)  # the centre and 6 offsets along each real axis
+    first = ChernPoint.from_jet(metric_jet(spec, footprint, 1))
+    second = ChernPoint.from_jet(metric_jet(spec, footprint))
+    assert first.dd_g is None
+    for part in ("g", "d_g", "torsion"):
+        assert getattr(first, part).tobytes() == getattr(second, part).tobytes(), part
+    with pytest.raises(TypeError):
+        first.curvature
+
+
+def test_footprint_point_that_is_not_positive_definite_is_named():
+    # g = diag(Re z1, 1) is positive definite at the centre, not left of it
+    spec = MetricSpec(name="half-plane", n=2, region=Region("ball", 1.0), entries=(
+        (parse_expr("(z1 + conj(z1)) / 2"), Const(0j)), (Const(0j), Const(1 + 0j))))
+    z = np.array([1e-4 + 0.1j, 0.2j])
+    footprint = bianchi_footprint(spec, z)
+    failing = footprint[footprint[:, 0].real <= 0]
+    assert len(failing)
+    with pytest.raises(NumericalError) as caught:
+        first_bianchi_residual(spec, z)
+    assert str(caught.value) == f"metric is not positive definite at {failing[0]}"

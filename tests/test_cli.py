@@ -769,6 +769,9 @@ class TestExitCodes:
             ("gauduchon", "builtin:hopf(2)", "0,0"),
             # no point with a NaN lies in a region, even a ball of infinite radius
             ("curvature", "builtin:flat(2)", "nan,0"),
+            # nor one with an infinite entry, whose norm is off the puncture
+            ("curvature", "builtin:hopf(2)", "inf,0"),
+            ("curvature", "builtin:hopf(2)", "0,inf"),
         ],
     )
     def test_point_outside_region(self, capsys, command, metric, points):

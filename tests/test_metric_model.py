@@ -542,8 +542,10 @@ class TestBatchedJets:
                 assert inside.tolist() == (exact < radius).tolist(), (exponent, radius)
         assert not punctured.contains(np.zeros(2))
         assert punctured.contains(np.array([0.0, 1e-320j]))
-        for bad in ([math.nan, 0.0], [math.inf, math.nan]):
+        for bad in ([math.nan, 0.0], [math.inf, math.nan], [math.inf, 0.0], [0.0, -math.inf],
+                    [1.0, complex(0.0, math.inf)]):
             assert not punctured.contains(np.array(bad))
+            assert not Region("punctured", 1.0).contains(np.array(bad))
         assert not Region("ball", 1.0).contains(np.array([1.5e308, 1.5e308]))  # norm above 1.8e308
 
     def test_non_finite_first_derivative_is_numerical_error(self):

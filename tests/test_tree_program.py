@@ -3,13 +3,14 @@
 The oracle is the recursive ``eval_expr`` and the four-array Wirtinger jet
 the library folded trees with before it compiled them, kept here as
 ``recursive_eval`` and ``FourArrayJet``; its parts are complex from the
-coordinates on, as the packed jet's are.  The entry program's jets
-(``TreeProgram.jets``, bytes and dtype), ``metric_jet`` where the trees form
-a metric, metric values, ``eval_expr`` and the map folds (jets seeded
-holomorphically on both sides) are compared on point stacks ``()``,
-``(1,)``, ``(7,)``, ``(2, 3)`` and ``(33,)``: on random multi-entry trees
-with shared subtrees, on every built-in metric and on the file metrics of
-the benchmark reference.
+coordinates on, as the packed jet's are.  The entry program's jets of order
+2 and of order 1 (``TreeProgram.jets``, bytes and dtype), ``metric_jet``
+where the trees form a metric, metric values, ``eval_expr`` and the map
+folds (``first`` on first-order jets, ``jet`` on holomorphically seeded
+second-order ones, seeded alike on both sides) are compared on point
+stacks ``()``, ``(1,)``, ``(7,)``, ``(2, 3)`` and ``(33,)``: on random
+multi-entry trees with shared subtrees, on every built-in metric and on the
+file metrics of the benchmark reference.
 """
 
 import json
@@ -64,13 +65,14 @@ REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 class FourArrayJet:
-    """Second-order Wirtinger jet of a scalar field at ``P`` points in ``m`` variables.
+    """Wirtinger jet of order 1 or 2 of a scalar field at ``P`` points in ``m`` variables.
 
     ``v`` has shape ``(P,)``, ``d[p, i] = d_i f`` and ``dbar[p, i] = dbar_i f``
-    have ``(P, m)``, and ``dd[p, i, j] = d_i dbar_j f`` has ``(P, m, m)``.
-    Python scalars act as constants.  Sums, products, quotients, integer
-    powers and conjugation close on these parts, so no pure second
-    derivatives are carried; each value is computed as the plain fold does.
+    have ``(P, m)``, and ``dd[p, i, j] = d_i dbar_j f`` has ``(P, m, m)``, or
+    is None at order 1.  Python scalars act as constants.  Sums, products,
+    quotients, integer powers and conjugation close on these parts, so no
+    pure second derivatives are carried; each value is computed as the plain
+    fold does.
     """
 
     __slots__ = ("v", "d", "dbar", "dd")
@@ -79,27 +81,30 @@ class FourArrayJet:
         self.v, self.d, self.dbar, self.dd = v, d, dbar, dd
 
     @classmethod
-    def coordinates(cls, z: np.ndarray, holomorphic: bool = False) -> "FourArrayJet":
+    def coordinates(cls, z: np.ndarray, holomorphic: bool = False,
+                    order: int = 2) -> "FourArrayJet":
         """Jets of the coordinates at points ``z`` of shape ``(P, m)``; ``[..., k]`` is ``z_k``.
 
         ``dbar z_k`` is ``e_k`` if ``holomorphic``, else 0, as ``_Jet.coordinates`` seeds it.
         """
         zero = np.zeros(z.shape + z.shape[-1:], dtype=complex)
-        dd = np.zeros(zero.shape + z.shape[-1:], dtype=complex)
+        dd = np.zeros(zero.shape + z.shape[-1:], dtype=complex) if order == 2 else None
         unit = zero + np.eye(z.shape[-1])
         return cls(z, unit, unit if holomorphic else zero, dd)
 
     def __getitem__(self, key: tuple) -> "FourArrayJet":
         s = (slice(None),)
-        return FourArrayJet(self.v[key], self.d[key + s], self.dbar[key + s], self.dd[key + s + s])
+        return FourArrayJet(self.v[key], self.d[key + s], self.dbar[key + s],
+                            _second(lambda dd: dd[key + s + s], self.dd))
 
     def _each(self, f) -> "FourArrayJet":
-        return FourArrayJet(f(self.v), f(self.d), f(self.dbar), f(self.dd))
+        return FourArrayJet(f(self.v), f(self.d), f(self.dbar), _second(f, self.dd))
 
     def __add__(self, other) -> "FourArrayJet":
         if not isinstance(other, FourArrayJet):
             return FourArrayJet(self.v + other, self.d, self.dbar, self.dd)
-        return FourArrayJet(self.v + other.v, self.d + other.d, self.dbar + other.dbar, self.dd + other.dd)
+        return FourArrayJet(self.v + other.v, self.d + other.d, self.dbar + other.dbar,
+                            _second(lambda dd: dd + other.dd, self.dd))
 
     __radd__ = __add__
 
@@ -117,8 +122,8 @@ class FourArrayJet:
             return self._each(lambda part: part * other)
         a, b = self.v[:, None], other.v[:, None]
         return FourArrayJet(self.v * other.v, self.d * b + a * other.d, self.dbar * b + a * other.dbar,
-                    self.dd * b[:, None] + a[:, None] * other.dd
-                    + _outer(self.d, other.dbar) + _outer(other.d, self.dbar))
+                    _second(lambda dd: dd * b[:, None] + a[:, None] * other.dd
+                            + _outer(self.d, other.dbar) + _outer(other.d, self.dbar), self.dd))
 
     __rmul__ = __mul__
 
@@ -131,13 +136,15 @@ class FourArrayJet:
         b2 = b * b
         return FourArrayJet(self.v / other.v, self.d / b - a * other.d / b2,
                     self.dbar / b - a * other.dbar / b2,
-                    self.dd / b[:, None] - (_outer(self.d, other.dbar) + _outer(other.d, self.dbar)
-                                            + a[..., None] * other.dd) / b2[:, None]
-                    + 2 * a[..., None] * _outer(other.d, other.dbar) / (b2 * b)[:, None])
+                    _second(lambda dd: dd / b[:, None] - (_outer(self.d, other.dbar)
+                                                          + _outer(other.d, self.dbar)
+                                                          + a[..., None] * other.dd) / b2[:, None]
+                            + 2 * a[..., None] * _outer(other.d, other.dbar) / (b2 * b)[:, None],
+                            self.dd))
 
     def __rtruediv__(self, other) -> "FourArrayJet":
         zero = np.zeros_like(self.d)
-        return FourArrayJet(other, zero, zero, np.zeros_like(self.dd)) / self
+        return FourArrayJet(other, zero, zero, _second(np.zeros_like, self.dd)) / self
 
     def __pow__(self, k: int):
         if k in (0, 1):  # never form v^(k-2), which is infinite at v = 0
@@ -145,11 +152,16 @@ class FourArrayJet:
         p1 = (k * self.v ** (k - 1))[:, None]
         p2 = (k * (k - 1) * self.v ** (k - 2))[:, None, None]
         return FourArrayJet(self.v**k, p1 * self.d, p1 * self.dbar,
-                    p1[:, None] * self.dd + p2 * _outer(self.d, self.dbar))
+                    _second(lambda dd: p1[:, None] * dd + p2 * _outer(self.d, self.dbar), self.dd))
 
     def conjugate(self) -> "FourArrayJet":
         return FourArrayJet(self.v.conjugate(), self.dbar.conjugate(), self.d.conjugate(),
-                    self.dd.conjugate().swapaxes(-1, -2))
+                    _second(lambda dd: dd.conjugate().swapaxes(-1, -2), self.dd))
+
+
+def _second(f, dd):
+    """``f(dd)``, the second-order part of an operation, or None on a first-order jet."""
+    return None if dd is None else f(dd)
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -209,20 +221,21 @@ def oracle_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
     return np.stack(g, -1).astype(complex).reshape(z.shape[:-1] + (spec.n, spec.n))
 
 
-def oracle_jet(spec: MetricSpec, z: np.ndarray) -> tuple:
-    """``g``, ``d_g`` and ``dd_g`` of the entries, unchecked."""
-    seed = FourArrayJet.coordinates(z.reshape(-1, spec.n))
+def oracle_jet(spec: MetricSpec, z: np.ndarray, order: int = 2) -> tuple:
+    """``g``, ``d_g`` and, at order 2, ``dd_g`` of the entries, unchecked."""
+    seed = FourArrayJet.coordinates(z.reshape(-1, spec.n), order=order)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         zero = seed[..., 0] * 0.0
         jets = [recursive_eval(entry, seed) + zero for row in spec.entries for entry in row]
-    parts = [np.stack([getattr(j, part) for j in jets], -1) for part in ("v", "d", "dd")]
+    parts = [np.stack([getattr(j, part) for j in jets], -1)
+             for part in ("v", "d", "dd")[:order + 1]]
     return tuple(np.reshape(part, z.shape[:-1] + (spec.n,) * rank)
                  for part, rank in zip(parts, (2, 3, 4)))
 
 
-def tree_jet(spec: MetricSpec, z: np.ndarray) -> tuple:
+def tree_jet(spec: MetricSpec, z: np.ndarray, order: int = 2) -> tuple:
     """``g``, ``d_g`` and ``dd_g`` as ``metric_jet`` reshapes the entry program's jets, unchecked."""
-    parts = spec.program.jets(z.reshape(-1, spec.n))
+    parts = spec.program.jets(z.reshape(-1, spec.n), order=order)
     return tuple(part.reshape(z.shape[:-1] + (spec.n,) * rank)
                  for part, rank in zip(parts, (2, 3, 4)))
 
@@ -256,25 +269,38 @@ def assert_same_outcome(call, oracle, label: str) -> None:
 
 
 def check_metric(spec: MetricSpec, z: np.ndarray, is_metric: bool = False) -> None:
-    """The entry program's jets against the oracle's, and ``metric_jet`` against them.
+    """The entry program's jets of both orders against the oracle's, and ``metric_jet`` on them.
 
     ``metric_jet`` may refuse a set of trees that is not a metric at ``z``;
-    when it returns, its arrays are the program's jets.
+    when it returns, its arrays are the program's jets.  Order 1 gives the
+    bytes of order 2's ``g`` and ``d_g``, and checks no more than order 2.
     """
-    (jet, error), (want, want_error) = outcome(lambda: tree_jet(spec, z)), outcome(
-        lambda: oracle_jet(spec, z))
-    assert error == want_error
-    for part, ref, label in zip(jet or (), want or (), ("g", "d_g", "dd_g")):
-        assert_same(one_nan(part), one_nan(ref), f"{label} of {spec.name} at {z.shape}")
-        assert part.flags.c_contiguous
+    jets = {}
+    for order in (2, 1):
+        (jet, error), (want, want_error) = outcome(lambda: tree_jet(spec, z, order)), outcome(
+            lambda: oracle_jet(spec, z, order))
+        assert error == want_error
+        jets[order] = jet
+        for part, ref, label in zip(jet or (), want or (), ("g", "d_g", "dd_g")):
+            label = f"order {order} {label} of {spec.name} at {z.shape}"
+            assert_same(one_nan(part), one_nan(ref), label)
+            assert part.flags.c_contiguous
+    for part, ref, label in zip(jets[1] or (), jets[2] or (), ("g", "d_g")):
+        assert_same(part, ref, f"order 1 against order 2 {label} of {spec.name} at {z.shape}")
     checked, checked_error = outcome(lambda: metric_jet(spec, z))
     assert checked_error is None or not is_metric, checked_error
+    first, first_error = outcome(lambda: metric_jet(spec, z, 1))
+    assert first_error is None or checked_error is not None, first_error
     if checked_error is None:
-        for part, ref in zip((checked.g, checked.d_g, checked.dd_g), jet):
+        for part, ref in zip((checked.g, checked.d_g, checked.dd_g), jets[2]):
             assert_same(part, ref, f"metric jet of {spec.name} at {z.shape}")
+        for part, ref in zip((first.g, first.d_g), jets[2]):
+            assert_same(part, ref, f"first-order metric jet of {spec.name} at {z.shape}")
+        assert first.dd_g is None
     assert_same_outcome(lambda: metric_value(spec, z), lambda: oracle_value(spec, z), "g")
     flat = z.reshape(-1, spec.n)
-    check_packed_jets(spec, flat)
+    for order in (2, 1):
+        check_packed_jets(spec, flat, order)
     for k, entry in enumerate(e for row in spec.entries for e in row):
         for leaves in (flat, flat[0]):
             assert_same_outcome(lambda: eval_expr(entry, leaves),
@@ -282,12 +308,14 @@ def check_metric(spec: MetricSpec, z: np.ndarray, is_metric: bool = False) -> No
 
 
 def oracle_map_jet(holo_map: HoloMap, z: np.ndarray, orders: int) -> list:
-    """Value, Jacobian and Hessian of the recursive fold over holomorphically seeded jets.
+    """Value, Jacobian and Hessian of the recursive fold, as the map's fold seeds it.
 
-    The first part, in turn, that is not finite raises, as the map's fold does.
+    Two parts come from first-order jets under the plain seed, three from
+    holomorphically seeded second-order ones.  The first part, in turn, that
+    is not finite raises, as the map's fold does.
     """
     flat = z.reshape(-1, holo_map.n_source)
-    seed = FourArrayJet.coordinates(flat, holomorphic=True)
+    seed = FourArrayJet.coordinates(flat, holomorphic=orders == 3, order=orders - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         zero = seed[..., 0] * 0.0
         jets = [recursive_eval(component, seed) + zero for component in holo_map.components]
@@ -314,12 +342,12 @@ def one_nan(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_packed_jets(spec: MetricSpec, flat: np.ndarray) -> None:
-    """Each entry's packed jet holds the four parts of the recursive fold."""
-    seed = FourArrayJet.coordinates(flat)
+def check_packed_jets(spec: MetricSpec, flat: np.ndarray, order: int = 2) -> None:
+    """Each entry's packed jet of ``order`` holds the parts of the recursive fold."""
+    seed = FourArrayJet.coordinates(flat, order=order)
     entries = [entry for row in spec.entries for entry in row]
     (got, error), (want, want_error) = outcome(
-        lambda: spec.program.run(_Jet.coordinates(flat))), outcome(
+        lambda: spec.program.run(_Jet.coordinates(flat, order=order))), outcome(
         lambda: [recursive_eval(entry, seed) for entry in entries])
     assert error == want_error
     for k, (jet, ref) in enumerate(zip(got or [], want or [])):
@@ -327,20 +355,31 @@ def check_packed_jets(spec: MetricSpec, flat: np.ndarray) -> None:
             assert_same(jet, ref, f"constant entry {k}")
             continue
         parts = [part.reshape(len(flat), -1)
-                 for part in (ref.v, ref.d, ref.dbar, ref.dd)]
-        assert_same(one_nan(jet.a), one_nan(np.concatenate(parts, axis=1)), f"entry {k}")
+                 for part in (ref.v, ref.d, ref.dbar, ref.dd) if part is not None]
+        assert_same(one_nan(jet.a), one_nan(np.concatenate(parts, axis=1)),
+                    f"order {order} entry {k}")
+        assert jet.m == spec.n
 
 
 def check_map(holo_map: HoloMap, z: np.ndarray) -> None:
+    """``first`` (order 1) and ``jet`` (order 2) against the oracle; ``first`` gives the bytes
+    of ``jet``'s value and Jacobian and fails where ``jet`` fails on them, with its error."""
     calls = {2: lambda: list(holo_map.first(z)),
              3: lambda: (lambda jet: [jet.value, jet.jacobian, jet.hessian])(holo_map.jet(z))}
+    folds = {}
     for orders, call in calls.items():
-        (got, error), (want, want_error) = outcome(call), outcome(
+        (got, error), (want, want_error) = folds[orders] = outcome(call), outcome(
             lambda: oracle_map_jet(holo_map, z, orders))
         assert error == want_error, orders
         for part, ref, what in zip(got or [], want or [], ("value", "Jacobian", "Hessian")):
             assert_same(part, ref, what)
             assert part.flags.c_contiguous
+    ((first, first_error), _), ((jet, jet_error), _) = folds[2], folds[3]
+    if first_error is not None:
+        assert jet_error == first_error
+    elif jet_error is None:
+        for part, ref, what in zip(first, jet, ("value", "Jacobian")):
+            assert_same(part, ref, f"first {what} against the jet's")
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +612,36 @@ def test_metric_jet_is_the_reshaped_program_jets(name, args):
     nodes = sum(node_count(entry) for row in spec.entries for entry in row)
     print(f"\n{spec.name}: metric_jet / TreeProgram.jets {', '.join(times)}; "
           f"program of {len(spec.program)} slots for {nodes} tree nodes")
+
+
+@pytest.mark.parametrize("name", ["F1", "poincare_polydisk(2)", "hopf(2)"])
+def test_first_order_jets_are_the_second_order_bytes(name):
+    """Prints the times of ``TreeProgram.jets`` at order 1 and order 2; asserts only bytes."""
+    spec = BUILTINS[name]()
+    rng = np.random.default_rng(1)
+    times = []
+    for count in (1, 33, 193):
+        flat = spec.region.sample_points(spec.n, rng, count)
+        for part, ref, what in zip(spec.program.jets(flat, order=1), spec.program.jets(flat),
+                                   ("value", "d")):
+            assert_same(part, ref, f"{what} of {name} at {count} points")
+        times.append(f"{count} points {median_us(lambda: spec.program.jets(flat, order=1)):.0f}"
+                     f" / {median_us(lambda: spec.program.jets(flat)):.0f} us")
+    print(f"\n{name}: TreeProgram.jets order 1 / order 2 {', '.join(times)}")
+
+
+@pytest.mark.parametrize("components", [("z1^2", "z2^2"), ("(z1+z2)/3", "z1*z2-z2^2")])
+def test_map_first_is_the_jet_bytes(components):
+    """Prints the times of ``HoloMap.first`` (order 1) and ``HoloMap.jet`` at 193 points."""
+    holo_map = HoloMap.parse(components, 2)
+    z = points(np.random.default_rng(4), (193,), 2)
+    jet = holo_map.jet(z)
+    for part, ref, what in zip(holo_map.first(z), (jet.value, jet.jacobian),
+                               ("value", "Jacobian")):
+        assert_same(part, ref, what)
+    print(f"\n{';'.join(components)} at 193 points: HoloMap.first "
+          f"{median_us(lambda: holo_map.first(z)):.0f} us, HoloMap.jet "
+          f"{median_us(lambda: holo_map.jet(z)):.0f} us")
 
 
 def test_flat_derivatives_are_complex_positive_zeros():
