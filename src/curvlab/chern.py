@@ -9,8 +9,8 @@ inverse of ``g``:
     R[i, j, k, l]  = R_{i jbar k lbar}
                    = - d_i dbar_j g_{k lbar} + sum_p Gamma[i, k, p] conj(d_j g_{l pbar})
 
-The unitary frame and the frame tensors are formed only when a frame tensor
-is read, so code that needs chart tensors alone never builds a frame.
+The unitary frame is formed only when a frame tensor is read, and each frame
+tensor only when it is itself read: chart-only code never builds a frame.
 
 The four Ricci traces contract the curvature with ``X`` over the four
 possible index pairs.  The first two are Hermitian; the third and fourth are
@@ -238,16 +238,12 @@ class ChernPoint(MetricJet):
         return UnitaryFrame.from_factor(self.cholesky)
 
     @cached_property
-    def _frame_tensors(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.frame.to_frame(self.torsion, self.curvature)
-
-    @cached_property
     def torsion_frame(self) -> np.ndarray:
-        return self._frame_tensors[0]
+        return self.frame.torsion_to_frame(self.torsion)
 
     @cached_property
     def curvature_frame(self) -> np.ndarray:
-        return self._frame_tensors[1]
+        return self.frame.curvature_to_frame(self.curvature)
 
 
 def first_bianchi_residual(

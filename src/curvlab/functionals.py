@@ -404,19 +404,19 @@ def _tied_block(eigs: np.ndarray, vecs: np.ndarray, j: np.ndarray) -> tuple[np.n
     return tied, projected, a_min, u_min, a_max, u_max
 
 
-def _dual_witnesses(eigs: np.ndarray, vecs: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _dual_witnesses(vecs: np.ndarray, j: np.ndarray, tied: np.ndarray, a_min: np.ndarray,
+                    u_min: np.ndarray, a_max: np.ndarray, u_max: np.ndarray) -> np.ndarray:
     """Two unit candidates ``(P, 2, m)`` from the top of the spectrum of ``K + mu J``.
 
-    The first lies in the span of the eigenvectors tied with the top one.
-    With ``a_min <= a_max`` the extreme eigenvalues of ``J`` on that span and
-    ``u_min``, ``u_max`` their eigenvectors (:func:`_tied_block`), it is
+    The first lies in the span of the eigenvectors ``vecs`` tied with the top
+    one.  With ``a_min <= a_max`` the extreme eigenvalues of ``J`` on that
+    span and ``u_min``, ``u_max`` their eigenvectors (:func:`_tied_block`), it is
     ``sqrt(-a_min) u_max + sqrt(a_max) u_min``: J-isotropic when ``a_min <=
     0 <= a_max``, else the eigenvector of the smaller ``|a|``.  The second
     adds the least multiple of the highest untied eigenvector ``w`` that
     makes it J-isotropic, which removes the multiplier's share ``mu x^T J x``
     that an inexact ``mu`` leaves on a simple top eigenvector.
     """
-    tied, _, a_min, u_min, a_max, u_max = _tied_block(eigs, vecs, j)
     y = (np.sqrt(np.maximum(-a_min, 0.0))[:, None] * u_max
          + np.sqrt(np.maximum(a_max, 0.0))[:, None] * u_min)
     # J vanishes on the span: any vector of it is isotropic
@@ -469,7 +469,7 @@ def _dual_bound(tensor: np.ndarray, kind: str, free: bool,
     ``mu`` the search ends at.  An inf is minus the sup of ``-K``.  Returns
     the bounds ``(P,)`` and two candidate witnesses per point, unit
     coordinate vectors ``(P, 2, n*n)`` (:func:`_dual_witnesses`), both from
-    the last evaluation.
+    the spectrum and tie block of the point's last evaluation.
     """
     sign = 1.0 if kind == "sup" else -1.0
     k = sign * _quadratic_forms(tensor)
@@ -480,8 +480,7 @@ def _dual_bound(tensor: np.ndarray, kind: str, free: bool,
     unfinite = f"the {what} curvature quadratic form is not finite at {{}}"
     require(np.isfinite(k).all((-2, -1)), NumericalError, unfinite, points)
     spectrum = np.linalg.eigvalsh(k)
-    eigs = np.empty((count, m))
-    vecs = np.empty((count, m, m))
+    last = None  # each point's last spectrum and tie block: its bound and witnesses
 
     # per live point: its row, mu, and (mu, phi, slope towards the inside) at
     # the low and high end of the bracket, phi and slope nan until evaluated
@@ -497,8 +496,13 @@ def _dual_bound(tensor: np.ndarray, kind: str, free: bool,
         forms = k + mu[:, None, None] * j
         require(np.isfinite(forms).all((-2, -1)), NumericalError, unfinite, points[rows])
         e, v = np.linalg.eigh(forms)
-        eigs[rows], vecs[rows] = e, v
-        tied, projected, a_min, _, a_max, _ = _tied_block(e, v, j)
+        tied, projected, a_min, u_min, a_max, u_max = _tied_block(e, v, j)
+        now = (e, v, tied, a_min, u_min, a_max, u_max)
+        if last is None:  # every point is live at the first evaluation
+            last = now
+        else:
+            for kept, new in zip(last, now):
+                kept[rows] = new
         optimal = (a_min <= 0.0) & (a_max >= 0.0)
         # the tied terms of phi'' drop out rather than divide by 0
         gaps = np.where(tied, math.inf, e[:, -1:] - e)
@@ -530,9 +534,10 @@ def _dual_bound(tensor: np.ndarray, kind: str, free: bool,
         crossing = (intercept[:, 1] - intercept[:, 0]) / (ends[:, 0, 2] - ends[:, 1, 2])
         inside = (low < crossing) & (crossing < high)
         mu = np.where(accept, trial, np.where(inside, crossing, 0.5 * (low + high)))
+    eigs, vecs, *block = last
     norm = np.maximum(np.abs(spectrum).max(-1), np.abs(eigs).max(-1))
     bound = eigs[:, -1] + m * np.finfo(float).eps * norm
-    return sign * bound, _dual_witnesses(eigs, vecs, j)
+    return sign * bound, _dual_witnesses(vecs, j, *block)
 
 
 def _check_extremizer(kind: str, starts: int, steps: int) -> None:
@@ -546,7 +551,7 @@ def _check_extremizer(kind: str, starts: int, steps: int) -> None:
 
 def _certify(
     objective: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    draw_start: Callable[[np.random.Generator], np.ndarray],
+    draw: Callable[[np.random.Generator, int], np.ndarray],
     witness: Callable[[np.ndarray], np.ndarray],
     dual_start: np.ndarray,
     bound: np.ndarray,
@@ -559,10 +564,10 @@ def _certify(
 
     ``objective(params, owner)`` returns ``(values, keep)`` for rows at the
     points ``owner``: values for the rows ``keep`` selects; the other rows
-    are outside the domain and score worst.  Every point gets the same
-    draws.  The first rows of a point are its dual witnesses
-    ``dual_start`` ``(P, R, dim)``, the next ``starts`` its starts; the best
-    row wins, ties going to the lowest.
+    are outside the domain and score worst.  One ``draw(rng, starts)`` gives
+    the starts ``(starts, dim)`` of every point.  The first rows of a point
+    are its dual witnesses ``dual_start`` ``(P, R, dim)``, the next
+    ``starts`` its starts; the best row wins, ties going to the lowest.
     """
     maximize = kind == "sup"
     sign = 1.0 if maximize else -1.0
@@ -574,8 +579,7 @@ def _certify(
         return full
 
     count, duals, dim = dual_start.shape
-    rng = np.random.default_rng(seed)
-    initial = np.array([draw_start(rng) for _ in range(starts)])
+    initial = draw(np.random.default_rng(seed), starts)
     params = np.concatenate(
         [dual_start, np.broadcast_to(initial, (count, starts, dim))], axis=1
     )
@@ -611,6 +615,11 @@ def _certify(
     ]
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's norm, ``(B, 1)``, row by row: a norm over an axis rounds otherwise."""
+    return np.array([[np.linalg.norm(row)] for row in rows])
+
+
 def _stack(tensor: np.ndarray) -> np.ndarray:
     """A four-slot tensor with any batch axes as ``(P, n, n, n, n)``."""
     return tensor.reshape((-1,) + tensor.shape[-4:])
@@ -630,7 +639,8 @@ def hsc_certificates(
     eigenvector of largest magnitude of the form the dual returns.  Where a
     gap stays open the vector is parametrised by its ``2n`` real components
     and ascended; the functional is scale invariant, so the ascent wanders
-    freely and the witness is normalised at the end.
+    freely and the witness is normalised at the end.  The seeded starts come
+    from one draw per call.
     """
     _check_extremizer(kind, starts, steps)
     r = _stack(point.curvature_frame)
@@ -646,9 +656,9 @@ def hsc_certificates(
         values = _form_values(r[owner[keep]], forms, "holomorphic sectional curvature")
         return values[:, 0], keep
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        raw = rng.normal(size=2 * n)
-        return raw / np.linalg.norm(raw)
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        raw = rng.normal(size=(count, 2 * n))
+        return raw / _row_norms(raw)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a form that overflows is named
         bound, x = _dual_bound(r, kind, True, point.point.reshape(-1, n))
@@ -686,7 +696,7 @@ def rbc_certificates(
     a nonnegative trace.  Where a gap stays open the ascent's iterate lives in
     the real vector space of Hermitian matrices; every evaluation projects
     onto the positive semidefinite shell first, so the reported witness is
-    always a valid form.
+    always a valid form.  The seeded starts come from one draw per call.
     """
     _check_extremizer(kind, starts, steps)
     with np.errstate(over="ignore", invalid="ignore"):  # a form that overflows is named
@@ -707,11 +717,12 @@ def rbc_certificates(
                               "real bisectional curvature")
         return values[:, 0], keep
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = hermitian_part(raw @ raw.conj().T)
-        coeffs = np.array([float(np.real(np.sum(h * np.conj(e)))) for e in basis])
-        return coeffs / np.linalg.norm(coeffs)
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        raw = rng.normal(size=(count, 2, n, n))
+        z = raw[:, 0] + 1j * raw[:, 1]
+        h = hermitian_part(z @ np.conj(np.swapaxes(z, -2, -1)))
+        coeffs = np.sum(h[:, None] * np.conj(basis), axis=(-2, -1)).real
+        return coeffs / _row_norms(coeffs)
 
     def witness(params: np.ndarray) -> np.ndarray:
         forms, ok = psd_project_batch(unpack(params))

@@ -12,8 +12,8 @@ arrays of dtype complex128:
 
 A unitary frame is obtained from the Cholesky factorisation ``G = L L^H`` via
 ``e_a = sum_k inv(L)[a, k] d/dz^k``.  Torsion and curvature are the only
-tensors the package moves to a frame; :meth:`UnitaryFrame.to_frame` applies
-their two fixed slot patterns.  Metric inverses, Hermitian eigenvalues and
+tensors the package moves to a frame; :class:`UnitaryFrame` has one method
+for each fixed slot pattern.  Metric inverses, Hermitian eigenvalues and
 frames act on any leading batch axes ``(...)``.
 
 The lab's metrics have n = 1 or 2 in most uses, where LAPACK's fixed cost per
@@ -207,8 +207,9 @@ class UnitaryFrame:
     The frame vectors are ``e_a = sum_k inv(L)[a, k] d/dz^k``, so the metric
     becomes the identity in the frame.  A lower holomorphic slot transforms
     by ``inv(L)``, a lower antiholomorphic one by ``conj(inv(L))`` and an
-    upper holomorphic one by ``L.T``, each as ``new[a] = sum_k M[a, k] old[k]``.
-    ``L`` and ``L_inv`` carry the metric's batch axes.
+    upper holomorphic one by ``L.T``, each as ``new[a] = sum_k M[a, k] old[k]``;
+    torsion and curvature each have their own method.  ``L`` and ``L_inv``
+    carry the metric's batch axes.
     """
 
     L: np.ndarray
@@ -224,21 +225,22 @@ class UnitaryFrame:
         eye = np.broadcast_to(np.eye(L.shape[-1], dtype=complex), L.shape)
         return cls(L, np.linalg.solve(L, eye))
 
-    def to_frame(
-        self, torsion: np.ndarray, curvature: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Chart torsion ``T[i, j, k]`` and curvature ``R[i, j, k, l]`` in the frame.
-
-        Torsion slots take ``inv(L), inv(L), L.T``; curvature slots take
-        ``inv(L), conj(inv(L)), inv(L), conj(inv(L))``.
-        """
+    def torsion_to_frame(self, torsion: np.ndarray) -> np.ndarray:
+        """Chart torsion ``T[i, j, k]`` in the frame: its slots take ``inv(L), inv(L), L.T``."""
         a = self.L_inv
-        b = np.conj(a)
         t = np.einsum("...ai,...ijk->...ajk", a, torsion)
         t = np.einsum("...bj,...ajk->...abk", a, t)
-        t = np.einsum("...kc,...abk->...abc", self.L, t)
+        return np.einsum("...kc,...abk->...abc", self.L, t)
+
+    def curvature_to_frame(self, curvature: np.ndarray) -> np.ndarray:
+        """Chart curvature ``R[i, j, k, l]`` in the frame: slots ``inv(L), conj(inv(L))``, twice."""
+        a = self.L_inv
+        b = np.conj(a)
         r = np.einsum("...ai,...ijkl->...ajkl", a, curvature)
         r = np.einsum("...bj,...ajkl->...abkl", b, r)
         r = np.einsum("...ck,...abkl->...abcl", a, r)
-        r = np.einsum("...dl,...abcl->...abcd", b, r)
-        return t, r
+        return np.einsum("...dl,...abcl->...abcd", b, r)
+
+    def to_frame(self, torsion: np.ndarray, curvature: np.ndarray) -> tuple:
+        """Both :meth:`torsion_to_frame` and :meth:`curvature_to_frame`, in that order."""
+        return self.torsion_to_frame(torsion), self.curvature_to_frame(curvature)

@@ -1,8 +1,9 @@
 """A ChernPoint forms each tensor once, and its frame only when a frame tensor is read.
 
-Each command below counts how often connection coefficients and unitary
-frames are formed, and the frame reuses the Cholesky factor that checked the
-metric's positivity; run with ``-s`` to print the counts.
+Each command below counts how often connection coefficients, unitary frames
+and the two frame tensors are formed, and the frame reuses the Cholesky
+factor that checked the metric's positivity; run with ``-s`` to print the
+counts.
 """
 
 from functools import cached_property
@@ -41,6 +42,20 @@ def formed(monkeypatch):
     counted.__set_name__(ChernPoint, "gamma")
     monkeypatch.setattr(ChernPoint, "gamma", counted)
     monkeypatch.setattr(UnitaryFrame, "from_factor", classmethod(frame))
+    return counts
+
+
+@pytest.fixture
+def moved(monkeypatch):
+    """Counts of torsion and curvature tensors moved into a frame, while installed."""
+    counts = {"torsion_frame": 0, "curvature_frame": 0}
+    for name, method in (("torsion_frame", "torsion_to_frame"),
+                         ("curvature_frame", "curvature_to_frame")):
+        def counted(self, tensor, name=name, move=getattr(UnitaryFrame, method)):
+            counts[name] += 1
+            return move(self, tensor)
+
+        monkeypatch.setattr(UnitaryFrame, method, counted)
     return counts
 
 
@@ -113,12 +128,17 @@ class TestRecord:
         point = ChernPoint.from_spec(fixture("F1"), np.array([[0.05, 0.02j], [0.1, -0.03]]))
         assert getattr(point, name) is getattr(point, name)
 
-    def test_frame_tensors_wait_for_a_read(self, formed):
+    def test_frame_tensors_wait_for_a_read(self, formed, moved):
         point = ChernPoint.from_spec(fixture("F1"), np.array([0.05, 0.02j]))
         point.torsion, point.curvature
         assert formed == {"gamma": 1, "frames": 0}
-        point.curvature_frame, point.torsion_frame, point.frame
+        assert moved == {"torsion_frame": 0, "curvature_frame": 0}
+        point.curvature_frame
         assert formed == {"gamma": 1, "frames": 1}
+        assert moved == {"torsion_frame": 0, "curvature_frame": 1}
+        point.torsion_frame, point.frame, point.curvature_frame
+        assert formed == {"gamma": 1, "frames": 1}
+        assert moved == {"torsion_frame": 1, "curvature_frame": 1}
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -140,6 +160,30 @@ FACTORED = {
                               "--t=-1,0.25,2", "--roundtrip"],
     "schwarz": COMMANDS["schwarz"][0],
 }
+
+
+# name: (call, torsion frame tensors formed, curvature frame tensors formed); a
+# certificate of HSC, or of RBC at tau = 1, never reads the torsion
+FRAME_TENSORS = {
+    "scan --functional hsc": (["scan", "--metric", "builtin:hopf(2)", "--region", "6",
+                               "--functional", "hsc"], 0, 1),
+    "scan --functional rbc --tau 1": (["scan", "--metric", "builtin:hopf(2)", "--region", "6",
+                                       "--functional", "rbc", "--tau", "1"], 0, 1),
+    "scan --compare": (FACTORED["scan --compare"], 1, 1),
+    "gauduchon --roundtrip": (FACTORED["gauduchon --roundtrip"], 1, 1),
+    # one record for the source and one for the target
+    "schwarz": (FACTORED["schwarz"], 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_TENSORS))
+def test_each_frame_tensor_formed_per_read(name, moved, capsys):
+    call, torsion, curvature = FRAME_TENSORS[name]
+    run_quietly(call, capsys)
+    print(f"\n{name}: torsion frame tensors formed {moved['torsion_frame']} times "
+          f"(expected {torsion}), curvature frame tensors {moved['curvature_frame']} "
+          f"(expected {curvature})")
+    assert moved == {"torsion_frame": torsion, "curvature_frame": curvature}
 
 
 @pytest.mark.parametrize("name", sorted(FACTORED))

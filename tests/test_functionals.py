@@ -37,7 +37,7 @@ from curvlab.functionals import (
     ric_tau_frame,
 )
 from curvlab.metric_model import builtin_metric, example22, fixture, metric_jet
-from curvlab.tensor_core import PSDForm, psd_project, psd_project_batch
+from curvlab.tensor_core import PSDForm, hermitian_part, psd_project, psd_project_batch
 
 
 def point_of(name, z):
@@ -361,6 +361,74 @@ def test_pinned_certificates(name, functional, kind):
         tau = TauParam(float(functional[3:]), "target")
         cert = extremize_rbc(pt, tau, kind, seed=0, starts=4, steps=30)
     assert abs(cert.value - PINNED[name, functional, kind]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the seeded starts: one batched draw per call, bit for bit the per-start draws
+
+
+def per_start_draws(functional, n, seed, starts):
+    """The starts drawn one at a time, as the extremizers once did: the oracle."""
+    rng = np.random.default_rng(seed)
+    basis = functionals._hermitian_basis(n)
+    rows = []
+    for _ in range(starts):
+        if functional == "hsc":
+            raw = rng.normal(size=2 * n)
+            rows.append(raw / np.linalg.norm(raw))
+        else:
+            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = hermitian_part(raw @ raw.conj().T)
+            coeffs = np.array([float(np.real(np.sum(h * np.conj(e)))) for e in basis])
+            rows.append(coeffs / np.linalg.norm(coeffs))
+    return np.array(rows)
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """The ``draw`` and the first scored rows of each ``_certify`` call, in order."""
+    calls = []
+    certify = functionals._certify
+
+    def recording(objective, draw, *args):
+        call = {"draw": draw}
+        calls.append(call)
+
+        def first_scored(params, owner):
+            call.setdefault("rows", (params.copy(), owner.copy()))
+            return objective(params, owner)
+
+        return certify(first_scored, draw, *args)
+
+    monkeypatch.setattr(functionals, "_certify", recording)
+    return calls
+
+
+@pytest.mark.parametrize("functional", ["hsc", "rbc2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_draws_are_the_per_start_bytes(certified, functional, n):
+    pt = ChernPoint.from_spec(builtin_metric("flat", n), np.zeros(n))
+    certificates(pt, functional, "sup", starts=1, steps=0)
+    (call,) = certified
+    for seed in range(50):
+        oracle = per_start_draws(functional, n, seed, 20)
+        for starts in range(1, 21):
+            drawn = call["draw"](np.random.default_rng(seed), starts)
+            assert drawn.tobytes() == oracle[:starts].tobytes(), (seed, starts)
+
+
+@pytest.mark.parametrize("functional", ["hsc", "rbc0"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_point_of_a_stack_gets_the_same_starts(certified, functional, n):
+    spec = builtin_metric("poincare_polydisk", n)
+    pt = region_point(spec, 3, seed=n)
+    certificates(pt, functional, "inf", starts=6, steps=0, seed=4)
+    params, owner = certified[0]["rows"]
+    rows = params.reshape(3, -1, params.shape[-1])
+    assert np.array_equal(owner, np.repeat(np.arange(3), rows.shape[1]))
+    oracle = per_start_draws(functional, n, 4, 6)
+    for p in range(3):
+        assert rows[p, -6:].tobytes() == oracle.tobytes(), p
 
 
 def scalar_hsc(r, zeta):

@@ -71,7 +71,7 @@ class TestUnitaryFrame:
         rng = np.random.default_rng(5)
         t = random_tensor(rng, (2, 2, 2))
         r = random_tensor(rng, (2, 2, 2, 2))
-        t_frame, r_frame = frame.to_frame(t, r)
+        t_frame, r_frame = frame.torsion_to_frame(t), frame.curvature_to_frame(r)
         assert np.allclose(t_frame, 0.5 * t, atol=1e-14)
         assert np.allclose(r_frame, r / 16.0, atol=1e-14)
 
@@ -89,7 +89,8 @@ class TestUnitaryFrame:
         frame = UnitaryFrame.from_metric(random_metric(rng, n))
         t = random_tensor(rng, (n,) * 3)
         r = random_tensor(rng, (n,) * 4)
-        t_back, r_back = chart_from_frame(frame, *frame.to_frame(t, r))
+        t_back, r_back = chart_from_frame(frame, frame.torsion_to_frame(t),
+                                          frame.curvature_to_frame(r))
         residual = max(np.max(np.abs(t_back - t)), np.max(np.abs(r_back - r)))
         assert residual < 1e-10, f"round trip residual {residual:.3e}"
 
@@ -105,8 +106,7 @@ class TestUnitaryFrame:
         # so lowering the frame torsion's upper slot with delta equals
         # lowering in the chart with g and then moving every slot to the frame
         t = random_tensor(rng, (3, 3, 3))
-        r = random_tensor(rng, (3, 3, 3, 3))
-        t_frame, _ = frame.to_frame(t, r)
+        t_frame = frame.torsion_to_frame(t)
         lowered = np.einsum("ijm,ml->ijl", t, g)
         a, b = frame.L_inv, np.conj(frame.L_inv)
         want = np.einsum("ai,bj,cl,ijl->abc", a, a, b, lowered)
@@ -120,14 +120,23 @@ class TestUnitaryFrame:
         t = random_tensor(rng, (2, 3) + (n,) * 3)
         r = random_tensor(rng, (2, 3) + (n,) * 4)
         frame = UnitaryFrame.from_metric(g)
-        t_frame, r_frame = frame.to_frame(t, r)
+        t_frame, r_frame = frame.torsion_to_frame(t), frame.curvature_to_frame(r)
         for idx in np.ndindex(2, 3):
             one = UnitaryFrame.from_metric(g[idx])
             assert np.array_equal(frame.L[idx], one.L)
             assert np.array_equal(frame.L_inv[idx], one.L_inv)
-            t_one, r_one = one.to_frame(t[idx], r[idx])
+            t_one, r_one = one.torsion_to_frame(t[idx]), one.curvature_to_frame(r[idx])
             assert np.max(np.abs(t_frame[idx] - t_one)) <= 1e-13 * np.max(np.abs(t_one))
             assert np.max(np.abs(r_frame[idx] - r_one)) <= 1e-13 * np.max(np.abs(r_one))
+
+    def test_to_frame_moves_both(self):
+        rng = np.random.default_rng(13)
+        frame = UnitaryFrame.from_metric(random_metric(rng, 2))
+        t = random_tensor(rng, (2, 2, 2))
+        r = random_tensor(rng, (2, 2, 2, 2))
+        t_frame, r_frame = frame.to_frame(t, r)
+        assert t_frame.tobytes() == frame.torsion_to_frame(t).tobytes()
+        assert r_frame.tobytes() == frame.curvature_to_frame(r).tobytes()
 
 
 class TestPSD:

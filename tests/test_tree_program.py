@@ -17,6 +17,7 @@ import json
 import statistics
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ from curvlab.metric_model import (
     substitute,
     to_text,
 )
-from curvlab.metric_model.expr import _Jet, _operands
+from curvlab.metric_model.expr import TreeProgram, _operands
 from curvlab.schwarz import HoloMap, laplacian_identity_report
 
 STACKS = [(), (1,), (7,), (2, 3), (33,)]
@@ -221,23 +222,48 @@ def oracle_value(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
     return np.stack(g, -1).astype(complex).reshape(z.shape[:-1] + (spec.n, spec.n))
 
 
-def oracle_jet(spec: MetricSpec, z: np.ndarray, order: int = 2) -> tuple:
-    """``g``, ``d_g`` and, at order 2, ``dd_g`` of the entries, unchecked."""
+def metric_parts(parts: tuple, z: np.ndarray, n: int) -> tuple:
+    """Entry jet parts ``(P, ..., n*n)`` as ``g``, ``d_g``, ``dd_g`` on the batch axes of ``z``."""
+    return tuple(part.reshape(z.shape[:-1] + (n,) * rank) for part, rank in zip(parts, (2, 3, 4)))
+
+
+def oracle_fold(spec: MetricSpec, z: np.ndarray, order: int) -> tuple:
+    """The recursive fold of each entry at ``z`` ``(..., n)``, and ``g``, ``d_g``, ``dd_g``.
+
+    The fold is over the points in C order; the metric parts, unchecked,
+    stop at ``d_g`` at order 1.
+    """
     seed = FourArrayJet.coordinates(z.reshape(-1, spec.n), order=order)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        folds = [recursive_eval(entry, seed) for row in spec.entries for entry in row]
         zero = seed[..., 0] * 0.0
-        jets = [recursive_eval(entry, seed) + zero for row in spec.entries for entry in row]
+        jets = [fold + zero for fold in folds]
     parts = [np.stack([getattr(j, part) for j in jets], -1)
              for part in ("v", "d", "dd")[:order + 1]]
-    return tuple(np.reshape(part, z.shape[:-1] + (spec.n,) * rank)
-                 for part, rank in zip(parts, (2, 3, 4)))
+    return folds, metric_parts(parts, z, spec.n)
+
+
+def program_fold(spec: MetricSpec, z: np.ndarray, order: int) -> tuple:
+    """The entry program's run at ``z`` ``(..., n)``, and the :func:`tree_jet` packed from it.
+
+    ``jets`` folds the program once; its one run is recorded on the way.
+    """
+    runs = []
+    run = TreeProgram.run
+
+    def recorded(program, leaves):
+        runs.append(run(program, leaves))
+        return runs[-1]
+
+    with mock.patch.object(TreeProgram, "run", recorded):
+        parts = tree_jet(spec, z, order)
+    assert len(runs) == 1
+    return runs[0], parts
 
 
 def tree_jet(spec: MetricSpec, z: np.ndarray, order: int = 2) -> tuple:
     """``g``, ``d_g`` and ``dd_g`` as ``metric_jet`` reshapes the entry program's jets, unchecked."""
-    parts = spec.program.jets(z.reshape(-1, spec.n), order=order)
-    return tuple(part.reshape(z.shape[:-1] + (spec.n,) * rank)
-                 for part, rank in zip(parts, (2, 3, 4)))
+    return metric_parts(spec.program.jets(z.reshape(-1, spec.n), order=order), z, spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +297,26 @@ def assert_same_outcome(call, oracle, label: str) -> None:
 def check_metric(spec: MetricSpec, z: np.ndarray, is_metric: bool = False) -> None:
     """The entry program's jets of both orders against the oracle's, and ``metric_jet`` on them.
 
-    ``metric_jet`` may refuse a set of trees that is not a metric at ``z``;
-    when it returns, its arrays are the program's jets.  Order 1 gives the
-    bytes of order 2's ``g`` and ``d_g``, and checks no more than order 2.
+    Each order folds the program and the oracle once and compares them both
+    ways: as the parts ``metric_jet`` reshapes, and entry by entry as packed
+    jets (:func:`check_packed_jets`).  ``metric_jet`` may refuse a set of
+    trees that is not a metric at ``z``; when it returns, its arrays are the
+    program's jets.  Order 1 gives the bytes of order 2's ``g`` and ``d_g``,
+    and checks no more than order 2.
     """
+    flat = z.reshape(-1, spec.n)
     jets = {}
     for order in (2, 1):
-        (jet, error), (want, want_error) = outcome(lambda: tree_jet(spec, z, order)), outcome(
-            lambda: oracle_jet(spec, z, order))
+        (program, error), (oracle, want_error) = outcome(
+            lambda: program_fold(spec, z, order)), outcome(lambda: oracle_fold(spec, z, order))
         assert error == want_error
+        (run, jet), (folds, want) = program or (None, None), oracle or (None, None)
         jets[order] = jet
         for part, ref, label in zip(jet or (), want or (), ("g", "d_g", "dd_g")):
             label = f"order {order} {label} of {spec.name} at {z.shape}"
             assert_same(one_nan(part), one_nan(ref), label)
             assert part.flags.c_contiguous
+        check_packed_jets(spec, flat, order, run, folds)
     for part, ref, label in zip(jets[1] or (), jets[2] or (), ("g", "d_g")):
         assert_same(part, ref, f"order 1 against order 2 {label} of {spec.name} at {z.shape}")
     checked, checked_error = outcome(lambda: metric_jet(spec, z))
@@ -298,9 +330,6 @@ def check_metric(spec: MetricSpec, z: np.ndarray, is_metric: bool = False) -> No
             assert_same(part, ref, f"first-order metric jet of {spec.name} at {z.shape}")
         assert first.dd_g is None
     assert_same_outcome(lambda: metric_value(spec, z), lambda: oracle_value(spec, z), "g")
-    flat = z.reshape(-1, spec.n)
-    for order in (2, 1):
-        check_packed_jets(spec, flat, order)
     for k, entry in enumerate(e for row in spec.entries for e in row):
         for leaves in (flat, flat[0]):
             assert_same_outcome(lambda: eval_expr(entry, leaves),
@@ -342,14 +371,11 @@ def one_nan(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_packed_jets(spec: MetricSpec, flat: np.ndarray, order: int = 2) -> None:
-    """Each entry's packed jet of ``order`` holds the parts of the recursive fold."""
-    seed = FourArrayJet.coordinates(flat, order=order)
-    entries = [entry for row in spec.entries for entry in row]
-    (got, error), (want, want_error) = outcome(
-        lambda: spec.program.run(_Jet.coordinates(flat, order=order))), outcome(
-        lambda: [recursive_eval(entry, seed) for entry in entries])
-    assert error == want_error
+def check_packed_jets(spec: MetricSpec, flat: np.ndarray, order: int, got, want) -> None:
+    """Each entry's packed jet ``got`` of ``order`` holds the parts of its recursive fold ``want``.
+
+    Both are None where the folds raised the same error.
+    """
     for k, (jet, ref) in enumerate(zip(got or [], want or [])):
         if not isinstance(ref, FourArrayJet):
             assert_same(jet, ref, f"constant entry {k}")
@@ -579,7 +605,6 @@ def test_real_valued_parts_keep_the_zero_signs_of_the_complex_fold(tree):
     spec = MetricSpec(name=to_text(tree), n=2, entries=((tree, Const(0j)), (Const(0j), tree)),
                       region=Region("ball", 1.0))
     z = np.array([[0.3 - 0.2j, -0.1 + 0.4j], [0j, complex(-0.0, -0.0)], [-0.5, 0.25j]])
-    check_packed_jets(spec, z)
     check_metric(spec, z)
 
 
