@@ -75,27 +75,53 @@ def _points_last(subscripts: str) -> tuple[str, tuple[int, ...]]:
     return moved, tuple(len(core) for core in cores)
 
 
-def _contract(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _shared_points(operands: tuple[np.ndarray, ...], ranks: tuple[int, ...]) -> int:
+    """The count of point axes to move last in ``operands``, or 0 to take einsum directly.
+
+    ``ranks`` holds each operand's count of core axes.  With one point or
+    ``n = 1`` the move changes no memory order, and operands whose point axes
+    differ broadcast, so those take einsum directly.
+    """
+    first = operands[0]
+    points = first.ndim - ranks[0]
+    batch = first.shape[:points]
+    if prod(batch) <= 1 or first.shape[-1] == 1 or any(
+            x.shape[:x.ndim - rank] != batch for x, rank in zip(operands[1:], ranks[1:])):
+        return 0
+    return points
+
+
+def _move_last(x: np.ndarray, points: int) -> np.ndarray:
+    """A C-contiguous copy of ``x`` with its ``points`` leading axes moved last."""
+    return np.ascontiguousarray(x.transpose(*range(points, x.ndim), *range(points)))
+
+
+def _move_first(x: np.ndarray, points: int) -> np.ndarray:
+    """A C-contiguous copy of ``x`` with its ``points`` trailing axes moved first."""
+    core = x.ndim - points
+    return np.ascontiguousarray(x.transpose(*range(core, x.ndim), *range(core)))
+
+
+def _contract(subscripts: str, a: np.ndarray, b: np.ndarray, moved: int = 0) -> np.ndarray:
     """``np.einsum(subscripts, a, b)`` for ``"...ab,...bc->...ac"`` subscripts, bit for bit.
 
-    Over a stack of more than one point, each operand's point axes are moved
-    last as a C-contiguous copy, so einsum's inner loop runs over all the
-    points instead of a core axis of at most four entries; the sum over each
-    contracted index keeps its order, so every value is einsum's.  The result
-    is a C-contiguous array with the point axes first.  With one point or
-    ``n = 1`` the move changes no memory order, so those stacks, and operands
-    whose point axes differ (broadcasting), take einsum directly.
+    Over a stack that :func:`_shared_points` moves, each operand's point axes
+    are moved last as a C-contiguous copy, so einsum's inner loop runs over
+    all the points instead of a core axis of at most four entries; the sum
+    over each contracted index keeps its order, so every value is einsum's.
+    The result is a C-contiguous array with the point axes first.
+
+    ``moved > 0`` says that both operands already hold their ``moved`` point
+    axes last, as such copies do: einsum runs on them as they are, and the
+    result keeps its point axes last for the next contraction.
     """
-    last, (rank_a, rank_b) = _points_last(subscripts)
-    points = a.ndim - rank_a
-    batch = a.shape[:points]
-    if prod(batch) <= 1 or a.shape[-1] == 1 or b.shape[:b.ndim - rank_b] != batch:
+    last, ranks = _points_last(subscripts)
+    if moved:
+        return np.einsum(last, a, b)
+    points = _shared_points((a, b), ranks)
+    if not points:
         return np.einsum(subscripts, a, b)
-    moved = [np.ascontiguousarray(x.transpose(*range(points, x.ndim), *range(points)))
-             for x in (a, b)]
-    out = np.einsum(last, *moved)
-    core = out.ndim - points
-    return np.ascontiguousarray(out.transpose(*range(core, out.ndim), *range(core)))
+    return _move_first(np.einsum(last, *(_move_last(x, points) for x in (a, b))), points)
 
 
 def second_ricci(x: np.ndarray, curvature: np.ndarray) -> np.ndarray:
@@ -178,11 +204,21 @@ def q_squared_chart(torsion: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.nda
     ``Q[k, l] = sum X[i, a] X[j, b] Tb[i, j, l] conj(Tb[a, b, k])`` with the
     lowered torsion ``Tb[i, j, l] = sum_m T[i, j, m] g[m, l]`` and ``x`` the
     raised-index inverse of ``g``.  Equals ``L q_squared_frame(T_frame) L^H``.
+
+    On a stack that :func:`_shared_points` moves, the three operands are moved
+    points-last once, the four contractions run there, and the result is moved
+    back once: each einsum sees the C-contiguous points-last operands that a
+    chain of four plain ``_contract`` calls would give it, so the bits are
+    that chain's.  Any other stack runs that chain.
     """
-    lowered = _contract("...ijm,...ml->...ijl", torsion, g)
-    raised = _contract("...ia,...abk->...ibk", x, np.conj(lowered))
-    raised = _contract("...jb,...ibk->...ijk", x, raised)
-    return _contract("...ijl,...ijk->...kl", lowered, raised)
+    points = _shared_points((torsion, g, x), (3, 2, 2))
+    if points:
+        torsion, g, x = (_move_last(a, points) for a in (torsion, g, x))
+    lowered = _contract("...ijm,...ml->...ijl", torsion, g, points)
+    raised = _contract("...ia,...abk->...ibk", x, np.conj(lowered), points)
+    raised = _contract("...jb,...ibk->...ijk", x, raised, points)
+    q = _contract("...ijl,...ijk->...kl", lowered, raised, points)
+    return _move_first(q, points) if points else q
 
 
 class ChernPoint(MetricJet):

@@ -539,7 +539,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand, write its report, and return the exit code.
 
     The report is written before a breach is judged: exit ``1`` exactly when
-    the subcommand checked a value and it exceeds ``--tol``.
+    the subcommand checked a value and it exceeds ``--tol``.  A configuration
+    error, a request too large to allocate included, is exit ``2``, and a
+    numerical failure exit ``3``, each after one ``error:`` line.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -554,6 +556,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if worst is not None and tol is not None and worst > tol else 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a request too large to allocate is a configuration error
+        print(f"error: {str(exc) or 'not enough memory for this request'}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,8 +21,10 @@ its initial values (interior-only updates, one-sided second-order
 differences at the edges) or wraps periodically.  Time stepping is
 explicit: plain Euler (``flow_step(..., "euler")``) or the default
 two-stage explicit trapezoid, whose second-order accuracy the closed-form
-flat solution actually requires; its predictor's velocity is formed only
-at the nodes a step moves (:attr:`GridBox.updated`).  A diffusion bound,
+flat solution actually requires; its predictor's jet, and so its
+velocity, is formed only at the nodes a step moves (:attr:`GridBox.updated`):
+on a frozen box the second differences are central ones at the interior
+nodes alone, read from first differences at every node.  A diffusion bound,
 ``dt <= 0.2 h^2 g_min``, keeps each substep within the explicit stability
 limit of the grid's second differences.  A step takes the least power-of-two
 count of substeps that the bound admits at its start field, derived from
@@ -107,6 +109,12 @@ class GridBox:
             raise ConfigError(f"grid needs at least 3 nodes per axis, got {self.resolution}")
         if self.boundary not in ("frozen", "periodic"):
             raise ConfigError(f"unknown boundary policy '{self.boundary}'")
+        # the largest array on the grid, the second differences, holds 2n n^3 complex entries
+        # per node; numpy's byte counts must fit its index type
+        nodes = self.resolution ** (2 * self.n)
+        if nodes * 2 * self.n**4 * 16 > np.iinfo(np.intp).max:
+            raise ConfigError(f"a grid of {self.resolution} nodes per axis on {2 * self.n} axes "
+                              "exceeds numpy's array size limit")
         corners = [abs(x) + self.half_width for c in self.center for x in (c.real, c.imag)]
         if not np.isfinite([self.spacing, *corners]).all():
             raise ConfigError(f"grid half width {self.half_width} overflows the grid coordinates")
@@ -141,11 +149,24 @@ class GridBox:
         return (slice(1, -1) if self.boundary == "frozen" else slice(None),) * (2 * self.n)
 
 
-def _differences(f: np.ndarray, h: float, lead: int, axes: int, periodic: bool) -> np.ndarray:
+def _differences(f: np.ndarray, h: float, lead: int, axes: int, periodic: bool,
+                 interior: bool = False) -> np.ndarray:
     """``out[a]``: the central difference of ``f`` along its axis ``lead + a``, for ``a < axes``.
 
     Edges wrap if ``periodic``, else take the one-sided second-order difference.
+    With ``interior``, ``out`` holds the interior nodes only: each of the
+    ``axes`` grid axes is cut to ``1:-1`` and only central differences are
+    formed, from the edge values of ``f`` too.
     """
+    if interior:
+        cut = (slice(None),) * lead + (slice(1, -1),) * axes
+        out = np.empty((axes,) + f[cut].shape, dtype=f.dtype)
+        for a in range(axes):
+            before, after = cut[:lead + a], cut[lead + a + 1:]
+            np.subtract(f[before + (slice(2, None),) + after],
+                        f[before + (slice(None, -2),) + after], out=out[a])
+        out /= 2.0 * h
+        return out
     out = np.empty((axes,) + f.shape, dtype=f.dtype)
     for a in range(axes):
         shape = (math.prod(f.shape[:lead + a]), f.shape[lead + a], -1)  # outer, r, inner
@@ -202,22 +223,34 @@ class GridMetricField:
                 spec.name)
         return cls(box, values)
 
-    def jets(self) -> MetricJet:
-        """The metric jet at every node, one batch index per node.
+    def jets(self, nodes: tuple = ()) -> MetricJet:
+        """The metric jet at ``nodes`` (default: every node), one batch index per node.
 
         Its derivatives are the grid's central differences:
         ``d_g[..., i, k, l] = d_i g_kl`` and ``dd_g[..., i, j, k, l] = d_i dbar_j g_kl``.
         Frozen edge nodes take one-sided second-order differences; periodic ones wrap.
+        The first differences are formed at every node, since the second ones
+        read them at the edges too.  At the nodes a frozen step moves
+        (:attr:`GridBox.updated`, the interior) the second differences are
+        formed there only, as central differences; any other ``nodes`` (a
+        tuple of slices) are cut from the whole grid's second differences.
+        ``d_g`` and ``dd_g`` are C-contiguous; ``point`` and ``g`` are the box's
+        nodes and the field's values, or views of them at ``nodes``.
         """
         box = self.box
         h, axes, periodic = box.spacing, 2 * box.n, box.boundary == "periodic"
         # real derivatives along the grid axes x_1, y_1, x_2, ... on axis 0
         first = _differences(self.values, h, 0, axes, periodic)
         d = 0.5 * (first[0::2] - 1j * first[1::2])  # d[i] = d_i g
-        second = _differences(d, h, 1, axes, periodic)
+        interior = not periodic and nodes == box.updated
+        second = _differences(d, h, 1, axes, periodic, interior)
         dd = 0.5 * (second[0::2] + 1j * second[1::2])  # dd[j, i] = dbar_j d_i g
-        return MetricJet(box.nodes, self.values, np.ascontiguousarray(np.moveaxis(d, 0, -3)),
-                         np.ascontiguousarray(np.moveaxis(dd, (1, 0), (-4, -3))))
+        point, g = box.nodes, self.values
+        d_g, dd_g = np.moveaxis(d, 0, -3), np.moveaxis(dd, (1, 0), (-4, -3))
+        if nodes:
+            point, g, d_g = point[nodes], g[nodes], d_g[nodes]
+            dd_g = dd_g if interior else dd_g[nodes]
+        return MetricJet(point, g, np.ascontiguousarray(d_g), np.ascontiguousarray(dd_g))
 
     def min_eigenvalue(self) -> float:
         return self._min_eigenvalue
@@ -237,15 +270,16 @@ class GridMetricField:
         return self._velocity[1]
 
     def _velocity_at(self, tau: TauParam, nodes: tuple) -> tuple[ChernPoint, np.ndarray]:
-        """The Chern record and the velocity at ``nodes`` only, formed on contiguous copies.
+        """The Chern record and the velocity at ``nodes`` only, from :meth:`jets` there.
 
-        Strided complex loops can round otherwise.  Overflow raises no numpy warning; a
-        velocity that is not finite is a :class:`NumericalError` naming its first node.
+        The record is formed on contiguous arrays, since strided complex loops
+        can round otherwise.  Overflow raises no numpy warning; a velocity that
+        is not finite is a :class:`NumericalError` naming its first node.
         """
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            jet = self.jets()
-            point = ChernPoint(*(np.ascontiguousarray(a[nodes])
-                                 for a in (jet.point, jet.g, jet.d_g, jet.dd_g)))
+            jet = self.jets(nodes)
+            point = ChernPoint(*(np.ascontiguousarray(a) for a in (jet.point, jet.g, jet.d_g,
+                                                                    jet.dd_g)))
             velocity = thcf_velocity(point, tau)
         require(np.isfinite(velocity).all(axis=(-2, -1)), NumericalError,
                 "flow velocity is not finite at node {}", point.point)

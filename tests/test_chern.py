@@ -12,6 +12,9 @@ Oracle values frozen from hand computations:
   - delta_{jk} conj(z_i)) / |z|^2.
 """
 
+import statistics
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from curvlab.chern import (
     ChernPoint,
+    _contract,
     first_bianchi_residual,
     normal_coordinates,
     pluriclosed_residuals,
@@ -41,6 +45,7 @@ from curvlab.metric_model import (
     parse_expr,
     poincare_polydisk,
 )
+from test_flow import extreme_entries
 
 
 def hopf_curvature_oracle(z: np.ndarray) -> np.ndarray:
@@ -346,6 +351,37 @@ def test_ricci_traces_match_direct_contractions(name, lead):
         scale = max(float(np.max(np.abs(want))), 1e-300)
         ulps = float(np.max(np.abs(got - want))) / (np.finfo(float).eps * scale)
         assert ulps <= 4.0, f"{name} {key} {lead}: off by {ulps:.1f} ulp of its largest entry"
+
+
+def contract_chain_q_squared(torsion, g, x):
+    """The chart torsion square as a chain of four ``_contract`` calls, each moving its own
+    operands points-last and its result back: the oracle of the one-pass form."""
+    lowered = _contract("...ijm,...ml->...ijl", torsion, g)
+    raised = _contract("...ia,...abk->...ibk", x, np.conj(lowered))
+    raised = _contract("...jb,...ibk->...ijk", x, raised)
+    return _contract("...ijl,...ijk->...kl", lowered, raised)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("stack", [(), (1,), (2,), (3,) * 4, (5,) * 4, (625,)],
+                         ids=["point", "1", "2", "81", "625-grid", "625"])
+def test_q_squared_chart_is_the_contract_chain_bytes(n, stack):
+    """Signed zeros and entries near 1e+-300, which overflow; prints both times per call."""
+    rng = np.random.default_rng([n, len(stack), int(np.prod(stack))])
+    torsion, g, x = (extreme_entries(rng, stack + (n,) * rank) for rank in (3, 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = q_squared_chart(torsion, g, x)
+        want = contract_chain_q_squared(torsion, g, x)
+        assert got.shape == want.shape == stack + (n, n)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        times = []
+        for f in (q_squared_chart, contract_chain_q_squared) * 20:
+            start = time.perf_counter()
+            f(torsion, g, x)
+            times.append(time.perf_counter() - start)
+    one_pass, chain = statistics.median(times[0::2]), statistics.median(times[1::2])
+    print(f"\nn = {n}, {int(np.prod(stack))} point(s): one pass {one_pass * 1e6:.1f} us, "
+          f"four _contract calls {chain * 1e6:.1f} us ({chain / one_pass:.2f}x)")
 
 
 # ---------------------------------------------------------------------------

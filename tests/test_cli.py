@@ -742,6 +742,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "Warning" not in err
 
+    # Each request fails before it allocates anything: a grid of 1000^4 nodes
+    # asks for 7.28 TiB at once, a region of 1e12 points for 14.6 TiB, and a
+    # grid of 100000^4 nodes is refused before any array is formed.
+    @pytest.mark.parametrize("command, message", [
+        ("flow --metric builtin:example22 --dt 1e-4 --steps 2 --extent 0.05 --resolution 1000",
+         "error: Unable to allocate 7.28 TiB for an array"),
+        ("flow --metric builtin:example22 --dt 1e-4 --steps 2 --extent 0.05 "
+         "--resolution 100000",
+         "error: a grid of 100000 nodes per axis on 4 axes exceeds numpy's array size limit\n"),
+        ("scan --metric builtin:hopf(2) --region 1000000000000 --functional hsc --kind sup",
+         "error: Unable to allocate 14.6 TiB for an array"),
+    ], ids=["flow-1000", "flow-100000", "scan-1e12"])
+    def test_request_too_large_to_allocate_is_one_error_line(self, capsys, command, message):
+        code, out, err = run_cli(command.split(), capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and err.count("\n") == 1
+
     @pytest.mark.filterwarnings("error")
     def test_huge_tau_certificate_is_quiet(self, capsys):
         # the ascent's gradient norm overflows, and the start stops there

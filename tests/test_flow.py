@@ -137,6 +137,17 @@ class TestGrid:
         with pytest.raises(ConfigError):
             GridBox((0j,), half_width=0.5, resolution=5, boundary="absorbing")
 
+    @pytest.mark.parametrize("n, resolution", [(1, 536_870_912), (2, 11_586), (3, 391)])
+    def test_node_count_past_numpy_size_limit_rejected(self, n, resolution):
+        # the smallest resolution whose second differences, 2n n^3 complex
+        # entries per node, overflow numpy's byte count; a box forms no array
+        # until its nodes are read, so neither box below allocates anything
+        assert resolution ** (2 * n) * 2 * n**4 * 16 > np.iinfo(np.intp).max
+        assert (resolution - 1) ** (2 * n) * 2 * n**4 * 16 <= np.iinfo(np.intp).max
+        with pytest.raises(ConfigError, match="exceeds numpy's array size limit"):
+            GridBox((0j,) * n, half_width=0.5, resolution=resolution)
+        GridBox((0j,) * n, half_width=0.5, resolution=resolution - 1)
+
     def test_value_shape_checked(self):
         box = GridBox((0j,), half_width=0.5, resolution=5)
         with pytest.raises(ConfigError):
@@ -274,8 +285,9 @@ def extreme_entries(rng, shape):
 class TestGridDifferences:
     """The grid-jet difference kernel against the ``np.gradient`` / ``np.roll`` route, by bytes.
 
-    Run with ``-s`` to print the grid-jet time per call of both routes on the
-    benchmark's F1 (625 nodes) and P1 (1681 nodes) grids.
+    Run with ``-s`` (or read ``-rP``) for the grid-jet time per call of both
+    routes, and of the jets at the moved nodes only, on the benchmark's F1
+    (625 nodes) and P1 (1681 nodes) grids among others.
     """
 
     @pytest.mark.parametrize("boundary", ["frozen", "periodic"])
@@ -302,21 +314,56 @@ class TestGridDifferences:
         ("F1", fixture("F1"), GridBox((0.05, 0.02j), 0.1, 5)),
         ("P1", builtin_metric("poincare_polydisk", 1), GridBox((0.1,), 0.3, 41)),
         ("hopf(2)", builtin_metric("hopf", 2), GridBox((0.3 + 0.1j, 0.2), 0.05, 4)),
-    ], ids=["F1", "P1", "hopf2"])
+        ("F1", fixture("F1"), GridBox((0.05, 0.02j), 0.1, 3)),
+        ("F1", fixture("F1"), GridBox((0.05, 0.02j), 0.1, 4)),
+        ("P1", builtin_metric("poincare_polydisk", 1), GridBox((0.1,), 0.3, 3)),
+        ("P1", builtin_metric("poincare_polydisk", 1), GridBox((0.1,), 0.3, 4)),
+        ("P1", builtin_metric("poincare_polydisk", 1), GridBox((0.1,), 0.3, 5)),
+        ("hopf(2)", builtin_metric("hopf", 2), GridBox((0.3 + 0.1j, 0.2), 0.05, 3)),
+        ("hopf(2)", builtin_metric("hopf", 2), GridBox((0.3 + 0.1j, 0.2), 0.05, 5)),
+    ], ids=["F1", "P1", "hopf2", "F1-3", "F1-4", "P1-3", "P1-4", "P1-5", "hopf2-3", "hopf2-5"])
     def test_grid_jets_are_the_oracle_bytes(self, name, metric, box, boundary):
-        """Prints the grid-jet time per call of the kernel and of the oracle route."""
+        """The jets at every node and at the moved nodes (:attr:`GridBox.updated`) are the
+        oracle's bytes there; prints the time per call of both and of the oracle route."""
         box = dataclasses.replace(box, boundary=boundary)
         field = GridMetricField.from_spec(metric, box)
         jet = field.jets()
         assert jet.point is box.nodes and jet.g is field.values
-        for got, want in zip((jet.d_g, jet.dd_g), oracle_jets(field)):
-            assert got.shape == want.shape and got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+        want = oracle_jets(field)
+        for got, oracle in zip((jet.d_g, jet.dd_g), want):
+            assert got.shape == oracle.shape and got.flags.c_contiguous
+            assert got.tobytes() == oracle.tobytes()
+        moved = field.jets(box.updated)
+        parts = (box.nodes, field.values) + want
+        for got, oracle in zip((moved.point, moved.g, moved.d_g, moved.dd_g), parts):
+            assert got.shape == oracle[box.updated].shape
+            assert got.tobytes() == oracle[box.updated].tobytes()
+        assert moved.d_g.flags.c_contiguous and moved.dd_g.flags.c_contiguous
         kernel = median_s(field.jets)
+        at_moved = median_s(lambda: field.jets(box.updated))
         oracle = median_s(lambda: oracle_jets(field))
         nodes = box.resolution ** (2 * box.n)
         print(f"\n{name} {boundary} ({nodes} nodes): grid jets {kernel * 1e3:.3f} ms per call, "
+              f"at the moved nodes {at_moved * 1e3:.3f} ms ({at_moved / kernel:.2f}x), "
               f"np.gradient/np.roll route {oracle * 1e3:.3f} ms ({oracle / kernel:.2f}x)")
+
+    @pytest.mark.parametrize("lead", [0, 1], ids=["values", "d"])
+    @pytest.mark.parametrize("n, resolution", [(1, 3), (1, 4), (1, 5), (1, 41), (2, 3), (2, 4),
+                                               (2, 5)])
+    def test_interior_differences_are_the_oracle_bytes(self, n, resolution, lead):
+        # the interior restriction of the kernel: the frozen oracle's central
+        # differences at the interior nodes, also where they overflow
+        rng = np.random.default_rng([n, resolution, lead, 1])
+        shape = (n,) * lead + (resolution,) * (2 * n) + (n, n)
+        f = extreme_entries(rng, shape)
+        interior = (slice(None),) * lead + (slice(1, -1),) * (2 * n)
+        for h in (0.0371, 1e-10):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = flow._differences(f, h, lead, 2 * n, False, True)
+                want = [oracle_derivative(f, h, lead + a, False)[interior] for a in range(2 * n)]
+            assert out.shape == (2 * n,) + want[0].shape
+            for a in range(2 * n):
+                assert out[a].tobytes() == want[a].tobytes(), f"h {h}, grid axis {a}"
 
 
 class TestGridVelocity:

@@ -10,9 +10,10 @@ values and the same history values bit for bit.
 The bound is checked for stability on the periodic F1 seam grid, where a
 node perturbation must decay over 30 substeps taken at the limit.
 
-The two-stage predictor forms its velocity only at the nodes a step moves,
-which must be the bytes of the whole grid's velocity there; a velocity that
-is not finite fails the step at once instead of halving it eight times.
+The two-stage predictor forms its jet's second differences and its velocity
+only at the nodes a step moves, which must be the bytes of the whole grid's
+velocity there; a velocity that is not finite fails the step at once instead
+of halving it eight times.
 
 Run with ``-s`` to print, for each pinned configuration, the substeps kept,
 the fallback halvings and the velocity evaluations per step of both loops,
@@ -256,9 +257,23 @@ def test_predictor_record_only_at_the_moved_nodes(boundary, updated, predictor, 
     assert box.updated == updated
     state = init_flow(fixture("F1"), box, source_tau(2.0))
     jets = counting(monkeypatch, flow, "thcf_velocity")
+    formed = []
+    differences = flow._differences
+
+    def recording(*args):
+        formed.append(differences(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(flow, "_differences", recording)
     flow_step(state, 1e-4, "heun")
     # the start field, the predictor, and the end field for max_velocity
     assert [jet.g.shape[:-2] for jet in jets] == [(5,) * 4, predictor, (5,) * 4]
+    # each jet differences the values at every node, then d: the predictor's
+    # second differences are formed at its moved nodes only
+    first = (4,) + (5,) * 4 + (2, 2)
+    assert [out.shape for out in formed] == [first, (4, 2) + (5,) * 4 + (2, 2),
+                                             first, (4, 2) + predictor + (2, 2),
+                                             first, (4, 2) + (5,) * 4 + (2, 2)]
 
 
 def test_non_finite_velocity_fails_the_step_at_once(tmp_path, monkeypatch, capsys):

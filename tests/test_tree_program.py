@@ -13,6 +13,7 @@ multi-entry trees with shared subtrees, on every built-in metric and on the
 file metrics of the benchmark reference.
 """
 
+import functools
 import json
 import statistics
 import time
@@ -441,7 +442,11 @@ def atoms(n: int):
     )
 
 
+@functools.cache
 def trees(n: int):
+    """Random trees over ``n`` variables; one strategy per ``n``, since hypothesis validates
+    each recursive strategy it is handed anew."""
+
     def extend(inner):
         return st.one_of(
             st.tuples(st.sampled_from([Add, Sub, Mul, Div]), inner, inner).map(
