@@ -117,6 +117,9 @@ def _parse_points(args: argparse.Namespace, spec: MetricSpec) -> np.ndarray:
     if args.region is not None:
         if args.region < 1:
             raise ConfigError(f"--region needs a positive count, got {args.region}")
+        # sampling forms 2n floats per point; numpy's byte counts must fit its index type
+        if args.region * 2 * spec.n * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"--region {args.region} exceeds numpy's array size limit")
         rng = np.random.default_rng(args.seed)
         return spec.region.sample_points(spec.n, rng, args.region)
     if args.points is None:
@@ -198,10 +201,19 @@ def _json(value, level: int) -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * level}{brackets[1]}"
 
 
+# the entries from which a float column is written by formatting each distinct value
+# once: below it the unique and gather cost more than the formatting they save
+_DISTINCT_MIN_ENTRIES = 256
+
+
 def _cells(column, level: int) -> list[str]:
     """The text of each row's entry of a column, at indentation ``level``.
 
-    A table's entries are its row dicts.  A numeric array of ``d`` inner axes is
+    A table's entries are its row dicts.  A float64 array of at least
+    ``_DISTINCT_MIN_ENTRIES`` entries formats each distinct value, keyed by its
+    bits so that ``-0.0`` stays apart from ``0.0``, once in one C encoder call;
+    each row is then joined from those words and the separators the encoder
+    writes around its entries.  Any other numeric array of ``d`` inner axes is
     encoded by one C encoder call and cut at ``"]" * d + ", " + "[" * d``, which
     separates its rows and occurs nowhere inside one; an empty one goes row by row.
     """
@@ -214,9 +226,28 @@ def _cells(column, level: int) -> list[str]:
         return [row % cells for cells in zip(*(_cells(column[key], level + 1) for key in keys))]
     if not isinstance(column, np.ndarray) or column.size == 0:
         return [_json(value, level) for value in column]
+    if column.dtype == np.float64 and column.size >= _DISTINCT_MIN_ENTRIES:
+        return _distinct_cells(column)
     d = column.ndim - 1
     text = json.dumps(column.tolist())[1 + d:-1 - d]
     return ["[" * d + cell + "]" * d for cell in text.split("]" * d + ", " + "[" * d)]
+
+
+def _distinct_cells(column: np.ndarray) -> list[str]:
+    """The rows of a float64 array, each distinct value formatted once."""
+    rows, k = len(column), column.size // len(column)
+    bits, inverse = np.unique(np.ascontiguousarray(column).view(np.int64), return_inverse=True)
+    words = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    text = np.empty((rows, 2 * k + 1), dtype=object)
+    text[:, 0::2] = _separators(column.shape[1:])
+    text[:, 1::2] = np.array(words, dtype=object)[inverse.reshape(rows, k)]
+    return ["".join(row) for row in text.tolist()]
+
+
+@cache
+def _separators(inner: tuple[int, ...]) -> np.ndarray:
+    """The encoder's text before, between and after the entries of one row of shape ``inner``."""
+    return np.array(json.dumps(np.zeros(inner).tolist()).split("0.0"), dtype=object)
 
 
 def _emit_json(report: dict, args: argparse.Namespace) -> None:
@@ -548,6 +579,9 @@ def main(argv: list[str] | None = None) -> int:
         tol = getattr(args, "tol", None)
         if tol is not None and not math.isfinite(tol):
             raise ConfigError(f"--tol must be finite, got {tol}")
+        seed = getattr(args, "seed", 0)
+        if seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {seed}")
         body, worst = args.func(args)
         if isinstance(body, str):
             _emit(body, args.out)

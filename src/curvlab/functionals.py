@@ -540,11 +540,14 @@ def _dual_bound(tensor: np.ndarray, kind: str, free: bool,
     return sign * bound, _dual_witnesses(vecs, j, *block)
 
 
-def _check_extremizer(kind: str, starts: int, steps: int) -> None:
+def _check_extremizer(kind: str, starts: int, steps: int, n: int) -> None:
     if kind not in ("sup", "inf"):
         raise ConfigError(f"extremizer kind must be 'sup' or 'inf', got '{kind}'")
     if starts < 1:
         raise ConfigError(f"the ascent needs at least one start, got {starts}")
+    # a start draws at most 2n^2 floats; numpy's byte counts must fit its index type
+    if starts * 2 * n * n * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"the ascent's {starts} starts exceed numpy's array size limit")
     if steps < 0:
         raise ConfigError(f"ascent steps must be nonnegative, got {steps}")
 
@@ -642,7 +645,7 @@ def hsc_certificates(
     freely and the witness is normalised at the end.  The seeded starts come
     from one draw per call.
     """
-    _check_extremizer(kind, starts, steps)
+    _check_extremizer(kind, starts, steps, point.point.shape[-1])
     r = _stack(point.curvature_frame)
     n = r.shape[-1]
 
@@ -698,7 +701,7 @@ def rbc_certificates(
     onto the positive semidefinite shell first, so the reported witness is
     always a valid form.  The seeded starts come from one draw per call.
     """
-    _check_extremizer(kind, starts, steps)
+    _check_extremizer(kind, starts, steps, point.point.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # a form that overflows is named
         tensor = _stack(_tempered_tensor(point, tau))
         n = tensor.shape[-1]

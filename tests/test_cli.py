@@ -759,6 +759,38 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(message) and err.count("\n") == 1
 
+    # Counts numpy cannot size, whether past its dimension limit (1e20) or its byte
+    # limit, are refused where each is read, before any array is formed.
+    @pytest.mark.parametrize("command, message", [
+        ("curvature --metric builtin:hopf(2) --region 100000000000000000000",
+         "--region 100000000000000000000 exceeds numpy's array size limit"),
+        ("curvature --metric builtin:hopf(2) --region 9223372036854775807",
+         "--region 9223372036854775807 exceeds numpy's array size limit"),
+        ("scan --metric builtin:hopf(2) --points 0.1,0.1 --starts 100000000000000000000",
+         "the ascent's 100000000000000000000 starts exceed numpy's array size limit"),
+        ("scan --metric builtin:hopf(2) --points 0.1,0.1 --functional rbc "
+         "--starts 576460752303423488",
+         "the ascent's 576460752303423488 starts exceed numpy's array size limit"),
+    ], ids=["region-1e20", "region-intp-max", "starts-1e20", "rbc-starts-2^59"])
+    def test_count_beyond_the_array_size_limit_is_a_config_error(self, capsys, command,
+                                                                  message):
+        code, out, err = run_cli(command.split(), capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", [
+        "scan --metric builtin:hopf(2) --points 0.1,0.1 --seed -1",
+        "curvature --metric builtin:hopf(2) --region 2 --seed -5",
+        "gauduchon --metric builtin:hopf(2) --t 1 --region 2 --seed -5",
+        "schwarz --map id --source builtin:hopf(2) --target builtin:hopf(2) --region 2 "
+        "--seed -5",
+        "scan --metric builtin:hopf(2) --region 2 --seed -5",
+        "scan --metric builtin:hopf(2) --region 2 --compare --seed -5",
+    ], ids=["scan-points", "curvature", "gauduchon", "schwarz", "scan-region", "compare"])
+    def test_negative_seed_is_a_config_error(self, capsys, command):
+        code, out, err = run_cli(command.split(), capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --seed must be nonnegative, got {command.split()[-1]}\n"
+
     @pytest.mark.filterwarnings("error")
     def test_huge_tau_certificate_is_quiet(self, capsys):
         # the ascent's gradient norm overflows, and the start stops there

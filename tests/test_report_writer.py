@@ -9,12 +9,14 @@ as a NUL marker that is then replaced by the array's one-line C encoding.
 import argparse
 import io
 import json
+import math
 import statistics
 import time
 from contextlib import redirect_stdout
 from itertools import chain
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -164,11 +166,59 @@ def test_array_rows_are_cut_at_their_separator():
     assert cli._cells(np.zeros((2, 0)), 0) == ["[]", "[]"]
 
 
+# values that repeat often: both zeros, the extremes, a value whose shortest text is
+# long, the infinities and NaNs with either sign bit and with a payload
+POOL = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e16, 0.1, math.inf, -math.inf, math.nan, -math.nan,
+     np.array(0x7FF8_0000_0000_0123).view(np.float64).item()]
+) | st.floats()
+
+
+@st.composite
+def large_float_columns(draw):
+    """A float64 column of 256 to 2048 entries, drawn from a small pool of values."""
+    inner = draw(st.sampled_from([(), (2,), (2, 2, 2), (2, 2, 2, 2, 2), (2,) * 8]))
+    width = math.prod(inner)
+    rows = draw(st.integers(-(-256 // width), 2048 // width))
+    pool = np.array(draw(st.lists(POOL, min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    picks = rng.integers(len(pool), size=rows * width)
+    return pool[picks].reshape((rows,) + inner)
+
+
+@given(column=large_float_columns())
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(column=np.zeros((1,) + (2,) * 8))
+def test_large_float_columns_format_each_distinct_value_once(column):
+    assert column.size >= cli._DISTINCT_MIN_ENTRIES
+    assert cli._cells(column, 0) == [json.dumps(row.tolist()) for row in column]
+    report = {"rows": cli._Table(value=column, index=list(range(len(column))))}
+    assert written(report) == oracle(report)
+
+
+@pytest.mark.parametrize("entries", [255, 256, 257])
+def test_the_distinct_path_starts_at_its_cutoff(monkeypatch, entries):
+    calls, distinct_cells = [], cli._distinct_cells
+
+    def counted(column):
+        calls.append(column)
+        return distinct_cells(column)
+
+    monkeypatch.setattr(cli, "_distinct_cells", counted)
+    column = np.tile([0.0, -0.0, 0.1], entries)[:entries]
+    assert cli._cells(column, 0) == [json.dumps(value) for value in column.tolist()]
+    assert len(calls) == (entries >= cli._DISTINCT_MIN_ENTRIES)
+
+
 COMMANDS = {
     "curvature, 128 points":
         "curvature --metric builtin:example22 --region 128 --check pluriclosed",
+    "curvature, product metric, 128 points":
+        "curvature --metric builtin:poincare_polydisk(2) --region 128 --check pluriclosed",
     "gauduchon, 224 points x 3 t":
         "gauduchon --metric builtin:example22 --region 224 --t=-1,0.25,2 --roundtrip",
+    "gauduchon, hopf(2), 224 points x 3 t":
+        "gauduchon --metric builtin:hopf(2) --region 224 --t=-1,0.25,2 --roundtrip",
     "scan certificate, 1 point":
         "scan --metric builtin:hopf(2) --points 0.3,0.1 --functional rbc --tau 2",
 }
