@@ -16,7 +16,7 @@ array, complex entries as ``[re, im]`` pairs, sits on one line with the
 default ``", "`` separator; per-point rows are written from columns.  Identical
 configuration and seed produce byte-identical output.  Every report embeds its
 resolved configuration; ``curvature`` and ``schwarz`` reports also embed the
-stencil scheme of their checks.  CSV output exists only for the flow series.
+stencil scheme of their checks.
 
 Exit codes: 0 success, 1 tolerance breach, 2 configuration error,
 3 numerical failure.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import re
@@ -40,7 +39,7 @@ import numpy as np
 
 from .chern import ChernPoint, first_bianchi_residual, pluriclosed_residuals, ricci_traces
 from .errors import ConfigError, NumericalError, require
-from .flow import GridBox, init_flow, run_flow, write_diagnostics_csv
+from .flow import GridBox, init_flow, run_flow
 from .functionals import TauParam, comparison_deviation, hsc_certificates, rbc_certificates
 from .gauduchon import chern_from_family, gauduchon_family
 from .metric_model import (
@@ -162,17 +161,6 @@ class _Repeated(NamedTuple):
     times: int
 
 
-def _emit(text: str, out: str | None) -> None:
-    """The one write of a report; a file that cannot be written is a :class:`ConfigError`."""
-    if not out:
-        sys.stdout.write(text)
-        return
-    try:
-        Path(out).write_text(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write the report: {exc}") from exc
-
-
 _FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -251,8 +239,18 @@ def _separators(inner: tuple[int, ...]) -> np.ndarray:
 
 
 def _emit_json(report: dict, args: argparse.Namespace) -> None:
-    """Write the report with sorted keys and two-space indentation, each array on one line."""
-    _emit(_json(report, 0) + "\n", args.out)
+    """Write the report with sorted keys and two-space indentation, each array on one line.
+
+    A file that cannot be written is a :class:`ConfigError`.
+    """
+    text = _json(report, 0) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(args.out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report: {exc}") from exc
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -262,8 +260,8 @@ def _config(args: argparse.Namespace) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns ``(body, worst)`` and writes nothing.  ``body`` is
-# the report without ``command`` and ``config`` (or the CSV text of ``flow
-# --format csv``); ``worst`` is the largest checked value, ``None`` if none.
+# the report without ``command`` and ``config``; ``worst`` is the largest
+# checked value, ``None`` if none.
 
 
 def _cmd_curvature(args: argparse.Namespace) -> tuple[dict, float | None]:
@@ -391,7 +389,7 @@ def _cmd_gauduchon(args: argparse.Namespace) -> tuple[dict, float | None]:
     return {"results": rows, "max_roundtrip_residual": worst}, worst
 
 
-def _cmd_flow(args: argparse.Namespace) -> tuple[dict | str, None]:
+def _cmd_flow(args: argparse.Namespace) -> tuple[dict, None]:
     spec = _parse_metric(args.metric)
     tau = _parse_tau(args.tau, "source")
     if args.center is None:
@@ -420,11 +418,6 @@ def _cmd_flow(args: argparse.Namespace) -> tuple[dict | str, None]:
                 file=sys.stderr,
             )
     state = run_flow(state, dt=args.dt, steps=args.steps, method=args.method)
-
-    if args.format == "csv":
-        stream = io.StringIO()
-        write_diagnostics_csv(state, stream)
-        return stream.getvalue(), None
 
     config = _config(args)
     config["reference_metric"] = config.pop("reference")
@@ -554,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", default=None, help="grid center coordinates")
     p.add_argument("--reference", default=None, help="reference metric for traces")
     p.add_argument("--method", default="heun", choices=("heun", "euler"))
-    p.add_argument("--format", default="json", choices=("json", "csv"), help="report format")
     p.set_defaults(func=_cmd_flow)
 
     p = subparsers.add_parser("fixtures", help="list built-in metrics")
@@ -583,10 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         if seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {seed}")
         body, worst = args.func(args)
-        if isinstance(body, str):
-            _emit(body, args.out)
-        else:
-            _emit_json({"command": args.command, "config": _config(args), **body}, args)
+        _emit_json({"command": args.command, "config": _config(args), **body}, args)
         return 1 if worst is not None and tol is not None and worst > tol else 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

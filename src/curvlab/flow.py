@@ -50,11 +50,9 @@ The trace is the Schwarz energy of the identity map ``(M, g) -> (M, h)``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import IO
 
 import numpy as np
 
@@ -74,7 +72,6 @@ __all__ = [
     "init_flow",
     "flow_step",
     "run_flow",
-    "write_diagnostics_csv",
     "ParabolicResidualReport",
     "parabolic_schwarz_residual",
     "supersolution_slacks",
@@ -465,23 +462,6 @@ def run_flow(state: FlowState, dt: float, steps: int, method: str = "heun") -> F
     for _ in range(steps):
         state = flow_step(state, dt, method)
     return state
-
-
-def write_diagnostics_csv(state: FlowState, stream: IO[str]) -> None:
-    """One row per completed step: the diagnostics trail as CSV."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["step", "time", "dt", "min_eigenvalue", "max_velocity", "sup_trace"])
-    for row in state.history:
-        writer.writerow(
-            [
-                row.step,
-                f"{row.time:.12g}",
-                f"{row.dt:.12g}",
-                f"{row.min_eigenvalue:.12g}",
-                f"{row.max_velocity:.12g}",
-                "" if row.sup_trace is None else f"{row.sup_trace:.12g}",
-            ]
-        )
 
 
 # ---------------------------------------------------------------------------

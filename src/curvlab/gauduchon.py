@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import (ChernPoint, RicciTraces, form_pairing, frame_traces, swap13, swap24,
-                    torsion_product_a, torsion_product_b)
+from .chern import (ChernPoint, form_pairing, frame_traces, swap13, swap24, torsion_product_a,
+                    torsion_product_b)
 from .errors import ConfigError, NumericalError, require
 from .functionals import TauParam, real_part
 from .tensor_core import hermitian_part
@@ -39,7 +39,6 @@ __all__ = [
     "ConnectionTensors",
     "gauduchon_family",
     "chern_from_family",
-    "family_ricci_traces",
     "ricci_display",
     "ric_tau_from_family",
     "bisectional_display",
@@ -130,11 +129,6 @@ def chern_from_family(tensors: ConnectionTensors) -> tuple[np.ndarray, np.ndarra
     return tt / tensors.t, curvature
 
 
-def family_ricci_traces(tensors: ConnectionTensors) -> RicciTraces:
-    """The four Ricci-type traces of a family curvature tensor."""
-    return frame_traces(tensors.curvature)
-
-
 def ricci_display(tensors: ConnectionTensors, weights: tuple[float, ...]) -> np.ndarray:
     """``w1 Ric2 + w2 Ric1 + w3 (Ric3 + Ric4) + w4 S_a + w5 (X + X^H)/2 + w6 S_c`` of a member.
 
@@ -144,7 +138,7 @@ def ricci_display(tensors: ConnectionTensors, weights: tuple[float, ...]) -> np.
     conj(eta[r])``, with ``eta[r] = sum T[i,r,i]``, is the third trace of ``TTB``.
     """
     w1, w2, w3, w4, w5, w6 = weights
-    trace1, trace2, trace3, trace4 = family_ricci_traces(tensors)
+    trace1, trace2, trace3, trace4 = frame_traces(tensors.curvature)
     ttb = frame_traces(torsion_product_b(tensors.torsion))
     s_a = frame_traces(torsion_product_a(tensors.torsion)).ric2
     return (w1 * trace2 + w2 * trace1 + w3 * (trace3 + trace4) + w4 * s_a

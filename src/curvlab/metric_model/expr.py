@@ -59,7 +59,6 @@ __all__ = [
     "Neg",
     "parse_expr",
     "to_text",
-    "eval_expr",
     "TreeProgram",
     "compile_trees",
     "substitute",
@@ -613,8 +612,8 @@ class TreeProgram:
         :meth:`run` on the Wirtinger jets (``_Jet``) of the points ``z`` ``(P, m)``; seeded
         ``holomorphic``ally, conjugation-free trees get the Hessian ``d d`` in place of
         ``d dbar``.  ``order`` 1 folds first-order jets and returns ``(value, d)``, whose
-        bytes are those of order 2.  Complex, exact up to rounding, unchecked and
-        C-contiguous.
+        finite entries are the bytes of order 2's; a NaN may carry the other sign
+        bit.  Complex, exact up to rounding, unchecked and C-contiguous.
         """
         p, m = z.shape
         leaves = _Jet.coordinates(z, holomorphic, order)
@@ -708,17 +707,6 @@ def compile_trees(trees: Sequence[Expr]) -> TreeProgram:
     outputs = tuple(compiler.slot(compiler.visit(tree)) for tree in trees)
     return TreeProgram(compiler.template, tuple(compiler.variables), tuple(compiler.steps),
                        outputs, compiler.sources)
-
-
-def eval_expr(node: Expr, z):
-    """Evaluate at points ``z`` of shape ``(..., n)``, one value per point.
-
-    The tree is compiled and run over the leaves ``z[..., k]``, so an
-    ``(n,)`` point folds through numpy scalars.  Constant subtrees stay
-    Python numbers; a division by zero among them raises
-    :class:`ConfigError`.
-    """
-    return compile_trees((node,)).fold(z)[0]
 
 
 def substitute(node: Expr, subs: Sequence[Expr]) -> Expr:

@@ -208,10 +208,10 @@ def metric_jet(spec: MetricSpec, z: np.ndarray, order: int = 2) -> MetricJet:
     """Jet of the metric at the points ``z`` of shape ``(..., n)``, of ``order`` 1 or 2.
 
     The entry program's complex jets (``TreeProgram.jets``) with the batch
-    axes of ``z``; order 1 leaves ``dd_g`` None and gives the bytes of order
-    2 for ``g`` and ``d_g``.  Raises :class:`NumericalError`, naming the
-    first point that fails, unless the jet is finite and ``g`` positive
-    definite, whose factor is kept.
+    axes of ``z``; order 1 leaves ``dd_g`` None, and its finite ``g`` and
+    ``d_g`` are the bytes of order 2's (a NaN may differ in sign).  Raises
+    :class:`NumericalError`, naming the first point that fails, unless the
+    jet is finite and ``g`` positive definite, whose factor is kept.
     """
     z = _points(spec, z)
     flat = z.reshape(-1, spec.n)

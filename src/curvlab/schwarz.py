@@ -152,7 +152,7 @@ class HoloMap:
         """Values ``(..., n_target)`` and Jacobians ``(..., n_target, n_source)``.
 
         One fold of first-order jets, dual numbers under the plain seed, whose
-        values and Jacobians are the bytes of :meth:`jet`'s.
+        finite values and Jacobians are the bytes of :meth:`jet`'s.
         """
         return tuple(self._fold(z, 1))
 

@@ -129,15 +129,6 @@ class PSDForm:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def rank_one(cls, zeta: np.ndarray) -> "PSDForm":
-        """The unit-normalised form ``zeta zeta^H``."""
-        zeta = np.asarray(zeta, dtype=complex)
-        norm2 = float(np.real(np.vdot(zeta, zeta)))
-        if norm2 == 0.0:
-            raise ConfigError("cannot build a rank-one form from the zero vector")
-        return cls(np.outer(zeta, np.conj(zeta)) / norm2)
-
 
 def _check_psd_forms(entries: np.ndarray) -> None:
     """ConfigError unless every trailing ``(n, n)`` matrix passes the :class:`PSDForm` checks."""
@@ -214,10 +205,6 @@ class UnitaryFrame:
 
     L: np.ndarray
     L_inv: np.ndarray
-
-    @classmethod
-    def from_metric(cls, g: np.ndarray) -> "UnitaryFrame":
-        return cls.from_factor(cholesky_factor(g))
 
     @classmethod
     def from_factor(cls, L: np.ndarray) -> "UnitaryFrame":

@@ -169,9 +169,15 @@ class TestCurvature:
         assert "mutually exclusive" in err
 
     def test_csv_format_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["curvature", "--metric", "builtin:F4", "--format", "csv"])
-        assert exc.value.code == 2
+        # no subcommand takes --format: every report is the one JSON document
+        for argv in (["curvature", "--metric", "builtin:F4"],
+                     ["flow", "--metric", "builtin:flat(1)", "--dt", "1e-4", "--steps", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--format", "csv"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --format csv" in captured.err
 
 
 class TestScan:
@@ -445,8 +451,8 @@ class TestFlow:
         assert len(report["history"]) == 10
         assert report["config"]["grid"]["boundary"] == "periodic"
 
-    def test_flow_csv_time_series(self, capsys):
-        code, out, err = run_cli(
+    def test_flow_history_time_series(self, capsys):
+        code, report = run_json(
             [
                 "flow",
                 "--metric",
@@ -459,17 +465,17 @@ class TestFlow:
                 "3",
                 "--reference",
                 "builtin:flat(1)",
-                "--format",
-                "csv",
             ],
             capsys,
         )
         assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "step,time,dt,min_eigenvalue,max_velocity,sup_trace"
-        assert len(lines) == 4
-        last = lines[-1].split(",")
-        assert float(last[5]) == pytest.approx(math.exp(0.03), abs=1e-5)
+        history = report["history"]
+        assert [row["step"] for row in history] == [1, 2, 3]
+        columns = {"step", "time", "dt", "min_eigenvalue", "max_velocity", "sup_trace"}
+        assert all(columns <= row.keys() for row in history)
+        assert [row["dt"] for row in history] == [0.01] * 3
+        assert history[-1]["time"] == report["result"]["time"]
+        assert history[-1]["sup_trace"] == pytest.approx(math.exp(0.03), abs=1e-5)
 
     def test_flow_numerical_failure_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -593,7 +599,7 @@ FOREIGN_FLAGS = (
     [(name, flag) for name in ("scan", "gauduchon", "flow", "fixtures")
      for flag in ("--h=1e-3", "--order=4")]
     + [(name, flag) for name in ("flow", "fixtures") for flag in ("--seed=0", "--tol=1")]
-    + [(name, "--format=json") for name in COMMANDS if name != "flow"]
+    + [(name, "--format=json") for name in COMMANDS]
 )
 
 
@@ -605,7 +611,7 @@ def test_flag_counts():
               for name, parser in subparsers.choices.items()}
     print("\n" + ", ".join(f"{name} {count}" for name, count in counts.items())
           + f", total {sum(counts.values())}")
-    assert counts == {"curvature": 9, "scan": 12, "schwarz": 10, "gauduchon": 8, "flow": 12,
+    assert counts == {"curvature": 9, "scan": 12, "schwarz": 10, "gauduchon": 8, "flow": 11,
                       "fixtures": 1}
 
 
@@ -955,7 +961,7 @@ class TestExitCodes:
         assert got == code
         assert report["command"] == command.split()[0]
 
-    @pytest.mark.parametrize("command", [COMMANDS["fixtures"], COMMANDS["flow"] + " --format csv"])
+    @pytest.mark.parametrize("command", [COMMANDS["fixtures"], COMMANDS["flow"]])
     @pytest.mark.parametrize("where", ["directory", "missing parent"])
     def test_unwritable_out_is_a_configuration_error(self, capsys, tmp_path, command, where):
         path = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"

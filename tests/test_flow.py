@@ -17,7 +17,6 @@ Frozen reference values used below:
 """
 
 import dataclasses
-import io
 import math
 import statistics
 import time
@@ -38,7 +37,6 @@ from curvlab.flow import (
     run_flow,
     supersolution_slacks,
     thcf_velocity,
-    write_diagnostics_csv,
 )
 from curvlab.functionals import TauParam, ric_tau
 from curvlab.metric_model import (MetricJet, Var, builtin_metric, fixture, load_metric,
@@ -579,7 +577,7 @@ class TestDiagnostics:
         want = float(np.real(np.einsum("...kl,...kl->...", x, state.reference_values)).max())
         assert state.history[-1].sup_trace == want
 
-    def test_history_rows_and_csv(self):
+    def test_history_rows(self):
         box = GridBox((0j,), half_width=0.5, resolution=5, boundary="periodic")
         state = init_flow(
             builtin_metric("flat", 1),
@@ -589,23 +587,22 @@ class TestDiagnostics:
         )
         state = run_flow(state, dt=0.01, steps=4)
         assert [row.step for row in state.history] == [1, 2, 3, 4]
+        assert [row.dt for row in state.history] == [0.01] * 4
+        assert [row.time for row in state.history] == pytest.approx([0.01, 0.02, 0.03, 0.04])
+        assert state.history[-1].time == state.time
+        # the flat metric decays like e^{-t}, and its velocity -g with it
+        for row in state.history:
+            assert row.min_eigenvalue == pytest.approx(math.exp(-row.time), abs=1e-6)
+            assert row.max_velocity == pytest.approx(math.exp(-row.time), abs=1e-6)
         # the flat reference trace against a decaying metric grows like e^t
         sups = [row.sup_trace for row in state.history]
         assert all(b > a for a, b in zip(sups, sups[1:]))
         assert sups[-1] == pytest.approx(math.exp(0.04), abs=1e-5)
 
-        stream = io.StringIO()
-        write_diagnostics_csv(state, stream)
-        lines = stream.getvalue().strip().split("\n")
-        assert lines[0] == "step,time,dt,min_eigenvalue,max_velocity,sup_trace"
-        assert len(lines) == 5
-
-    def test_csv_without_reference(self):
+    def test_history_without_reference(self):
         state = run_flow(self.flat_no_reference(), dt=0.01, steps=2)
-        stream = io.StringIO()
-        write_diagnostics_csv(state, stream)
-        rows = stream.getvalue().strip().split("\n")[1:]
-        assert all(row.endswith(",") for row in rows)
+        assert len(state.history) == 2
+        assert all(row.sup_trace is None for row in state.history)
 
     def flat_no_reference(self):
         box = GridBox((0j,), half_width=0.5, resolution=5, boundary="periodic")

@@ -133,7 +133,7 @@ class TestRbc:
         for _ in range(20):
             zeta = rng.normal(size=2) + 1j * rng.normal(size=2)
             zeta /= np.linalg.norm(zeta)
-            form = PSDForm.rank_one(zeta)
+            form = PSDForm(np.outer(zeta, np.conj(zeta)))  # unit zeta: a unit form
             diff = abs(rbc(pt, form, tau) - hsc(pt, zeta))
             assert diff < 1e-12, f"rank-one mismatch {diff}"
 

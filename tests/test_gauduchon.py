@@ -11,13 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from curvlab.chern import ChernPoint
+from curvlab.chern import ChernPoint, frame_traces
 from curvlab.errors import ConfigError
 from curvlab.functionals import TauParam, rbc, ric_tau_frame
 from curvlab.gauduchon import (
     ConnectionTensors,
     chern_from_family,
-    family_ricci_traces,
     gauduchon_family,
     rbc_tau_from_family,
     ric_tau_from_family,
@@ -102,7 +101,7 @@ class TestFamily:
 
     def test_trace_shapes(self):
         pt = ChernPoint.from_spec(fixture("F3"), POINTS["F3"])
-        traces = family_ricci_traces(gauduchon_family(pt, -1.0))
+        traces = frame_traces(gauduchon_family(pt, -1.0).curvature)
         assert len(traces) == 4
         for tr in traces:
             assert tr.shape == (2, 2)
@@ -290,12 +289,12 @@ class TestStackOracle:
                 assert np.array_equal(back_t, want_t), (name, t)
                 assert np.array_equal(back_r, want_r), (name, t)
 
-                traces = family_ricci_traces(member)
+                traces = frame_traces(member.curvature)
                 rics = [ric_tau_from_family(member, tau) for tau in source_taus]
                 rbcs = [rbc_tau_from_family(member, forms, tau) for tau in target_taus]
                 for idx in np.ndindex(2, 3):
                     single = ConnectionTensors(t, member.torsion[idx], member.curvature[idx])
-                    for got, want in zip(traces, family_ricci_traces(single)):
+                    for got, want in zip(traces, frame_traces(single.curvature)):
                         close(got[idx], want, (name, t, idx, "traces"))
                     for got, want in zip(traces, oracle_traces(single.curvature)):
                         close(got[idx], want, (name, t, idx, "oracle traces"))

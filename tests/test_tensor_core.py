@@ -9,6 +9,7 @@ from curvlab.errors import NumericalError
 from curvlab.tensor_core import (
     PSDForm,
     UnitaryFrame,
+    cholesky_factor,
     hermitian_part,
     metric_inverse_up,
     psd_project,
@@ -55,11 +56,15 @@ def chart_from_frame(frame: UnitaryFrame, torsion: np.ndarray, curvature: np.nda
     return t, r
 
 
+def frame_of(g: np.ndarray) -> UnitaryFrame:
+    return UnitaryFrame.from_factor(cholesky_factor(g))
+
+
 class TestUnitaryFrame:
     def test_metric_becomes_identity(self):
         rng = np.random.default_rng(3)
         g = random_metric(rng, 3)
-        frame = UnitaryFrame.from_metric(g)
+        frame = frame_of(g)
         # the metric's two lower slots take inv(L) and conj(inv(L))
         hat = frame.L_inv @ g @ frame.L_inv.conj().T
         assert np.allclose(hat, np.eye(3), atol=1e-12)
@@ -67,7 +72,7 @@ class TestUnitaryFrame:
 
     def test_scaled_identity_metric(self):
         # g = 4 I: L = 2 I, so lower slots halve and the upper slot doubles
-        frame = UnitaryFrame.from_metric(4.0 * np.eye(2, dtype=complex))
+        frame = frame_of(4.0 * np.eye(2, dtype=complex))
         rng = np.random.default_rng(5)
         t = random_tensor(rng, (2, 2, 2))
         r = random_tensor(rng, (2, 2, 2, 2))
@@ -76,17 +81,18 @@ class TestUnitaryFrame:
         assert np.allclose(r_frame, r / 16.0, atol=1e-14)
 
     def test_non_pd_metric_raises(self):
+        # a metric with no Cholesky factor has no frame
         with pytest.raises(NumericalError, match="positive definite"):
-            UnitaryFrame.from_metric(np.diag([1.0, -1.0]).astype(complex))
+            cholesky_factor(np.diag([1.0, -1.0]).astype(complex))
         stack = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
         with pytest.raises(NumericalError, match="positive definite"):
-            UnitaryFrame.from_metric(stack)
+            cholesky_factor(stack)
 
     @given(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=3))
     @settings(max_examples=20, deadline=None)
     def test_round_trip_rank4(self, seed, n):
         rng = np.random.default_rng(seed)
-        frame = UnitaryFrame.from_metric(random_metric(rng, n))
+        frame = frame_of(random_metric(rng, n))
         t = random_tensor(rng, (n,) * 3)
         r = random_tensor(rng, (n,) * 4)
         t_back, r_back = chart_from_frame(frame, frame.torsion_to_frame(t),
@@ -100,7 +106,7 @@ class TestUnitaryFrame:
         # X's upper slots take L.T and conj(L.T).
         rng = np.random.default_rng(7)
         g = random_metric(rng, 3)
-        frame = UnitaryFrame.from_metric(g)
+        frame = frame_of(g)
         hat = frame.L.T @ metric_inverse_up(g) @ np.conj(frame.L)
         assert np.allclose(hat, np.eye(3), atol=1e-10)
         # so lowering the frame torsion's upper slot with delta equals
@@ -119,10 +125,10 @@ class TestUnitaryFrame:
         g = np.stack([random_metric(rng, n) for _ in range(6)]).reshape(2, 3, n, n)
         t = random_tensor(rng, (2, 3) + (n,) * 3)
         r = random_tensor(rng, (2, 3) + (n,) * 4)
-        frame = UnitaryFrame.from_metric(g)
+        frame = frame_of(g)
         t_frame, r_frame = frame.torsion_to_frame(t), frame.curvature_to_frame(r)
         for idx in np.ndindex(2, 3):
-            one = UnitaryFrame.from_metric(g[idx])
+            one = frame_of(g[idx])
             assert np.array_equal(frame.L[idx], one.L)
             assert np.array_equal(frame.L_inv[idx], one.L_inv)
             t_one, r_one = one.torsion_to_frame(t[idx]), one.curvature_to_frame(r[idx])
@@ -131,7 +137,7 @@ class TestUnitaryFrame:
 
     def test_to_frame_moves_both(self):
         rng = np.random.default_rng(13)
-        frame = UnitaryFrame.from_metric(random_metric(rng, 2))
+        frame = frame_of(random_metric(rng, 2))
         t = random_tensor(rng, (2, 2, 2))
         r = random_tensor(rng, (2, 2, 2, 2))
         t_frame, r_frame = frame.to_frame(t, r)
@@ -156,8 +162,12 @@ class TestPSD:
             psd_project(np.diag([-1.0, -2.0]).astype(complex))
 
     def test_rank_one_normalisation(self):
+        # the unit form zeta zeta^H / |zeta|^2 passes the form checks, and
+        # projecting the unnormalised zeta zeta^H gives it back
         zeta = np.array([3.0, 4.0j])
-        form = PSDForm.rank_one(zeta)
+        outer = np.outer(zeta, np.conj(zeta))
+        form = PSDForm(outer / np.vdot(zeta, zeta).real)
+        assert np.allclose(psd_project(outer).entries, form.entries, atol=1e-15)
         assert np.linalg.norm(form.entries) == pytest.approx(1.0)
         eigs = np.linalg.eigvalsh(form.entries)
         assert eigs[0] == pytest.approx(0.0, abs=1e-12)

@@ -1,11 +1,11 @@
 """The compiled tree program against the recursive fold it replaced, byte for byte.
 
-The oracle is the recursive ``eval_expr`` and the four-array Wirtinger jet
+The oracle is the recursive fold and the four-array Wirtinger jet
 the library folded trees with before it compiled them, kept here as
 ``recursive_eval`` and ``FourArrayJet``; its parts are complex from the
 coordinates on, as the packed jet's are.  The entry program's jets of order
 2 and of order 1 (``TreeProgram.jets``, bytes and dtype), ``metric_jet``
-where the trees form a metric, metric values, ``eval_expr`` and the map
+where the trees form a metric, metric values, one-tree programs and the map
 folds (``first`` on first-order jets, ``jet`` on holomorphically seeded
 second-order ones, seeded alike on both sides) are compared on point
 stacks ``()``, ``(1,)``, ``(7,)``, ``(2, 3)`` and ``(33,)``: on random
@@ -44,7 +44,6 @@ from curvlab.metric_model import (
     Var,
     builtin_metric,
     compile_trees,
-    eval_expr,
     example22,
     fixture,
     flat,
@@ -333,7 +332,7 @@ def check_metric(spec: MetricSpec, z: np.ndarray, is_metric: bool = False) -> No
     assert_same_outcome(lambda: metric_value(spec, z), lambda: oracle_value(spec, z), "g")
     for k, entry in enumerate(e for row in spec.entries for e in row):
         for leaves in (flat, flat[0]):
-            assert_same_outcome(lambda: eval_expr(entry, leaves),
+            assert_same_outcome(lambda: compile_trees((entry,)).fold(leaves)[0],
                                 lambda: recursive_eval(entry, leaves), f"entry {k}")
 
 
