@@ -21,18 +21,17 @@ jet with ``g`` of shape ``(..., n, n)`` gives torsion ``(..., n, n, n)`` and
 curvature ``(..., n, n, n, n)``, one point per batch index.  Every formula is
 a chain of two-operand contractions over those axes, so one call serves a
 single point and a whole grid alike.  On a stack, all but the second Ricci
-trace run with the point axes innermost, so einsum loops over the points, not
-over core axes of at most four entries, and give einsum's bits.
+trace run under the points-last rule of :mod:`curvlab.tensor_core`.
 
 The frame algebra that the family transforms and functionals share lives here
 too: torsion products, slot swaps, frame traces and the pairing with forms.
+The t-independent terms of the family members are formed once per record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from math import prod
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +40,7 @@ from .errors import NumericalError, require
 from .metric_model.expr import Add, Conj, Const, Expr, Mul, Var, substitute
 from .metric_model.jets import DEFAULT_SCHEME, JetScheme, field_first
 from .metric_model.model import MetricJet, MetricSpec, Region, metric_jet
-from .tensor_core import UnitaryFrame
+from .tensor_core import UnitaryFrame, _contract, _move_first, _move_last, _shared_points
 
 __all__ = [
     "RicciTraces",
@@ -61,67 +60,6 @@ __all__ = [
     "pluriclosed_residuals",
     "normal_coordinates",
 ]
-
-
-@lru_cache(maxsize=None)
-def _points_last(subscripts: str) -> tuple[str, tuple[int, ...]]:
-    """``"...ab,...bc->...ac"`` as ``("ab...,bc...->ac...", (2, 2))``.
-
-    The subscripts with the point axes last, and each operand's count of core axes.
-    """
-    inputs, output = subscripts.split("->")
-    cores = [term.removeprefix("...") for term in inputs.split(",")]
-    moved = ",".join(core + "..." for core in cores) + "->" + output.removeprefix("...") + "..."
-    return moved, tuple(len(core) for core in cores)
-
-
-def _shared_points(operands: tuple[np.ndarray, ...], ranks: tuple[int, ...]) -> int:
-    """The count of point axes to move last in ``operands``, or 0 to take einsum directly.
-
-    ``ranks`` holds each operand's count of core axes.  With one point or
-    ``n = 1`` the move changes no memory order, and operands whose point axes
-    differ broadcast, so those take einsum directly.
-    """
-    first = operands[0]
-    points = first.ndim - ranks[0]
-    batch = first.shape[:points]
-    if prod(batch) <= 1 or first.shape[-1] == 1 or any(
-            x.shape[:x.ndim - rank] != batch for x, rank in zip(operands[1:], ranks[1:])):
-        return 0
-    return points
-
-
-def _move_last(x: np.ndarray, points: int) -> np.ndarray:
-    """A C-contiguous copy of ``x`` with its ``points`` leading axes moved last."""
-    return np.ascontiguousarray(x.transpose(*range(points, x.ndim), *range(points)))
-
-
-def _move_first(x: np.ndarray, points: int) -> np.ndarray:
-    """A C-contiguous copy of ``x`` with its ``points`` trailing axes moved first."""
-    core = x.ndim - points
-    return np.ascontiguousarray(x.transpose(*range(core, x.ndim), *range(core)))
-
-
-def _contract(subscripts: str, a: np.ndarray, b: np.ndarray, moved: int = 0) -> np.ndarray:
-    """``np.einsum(subscripts, a, b)`` for ``"...ab,...bc->...ac"`` subscripts, bit for bit.
-
-    Over a stack that :func:`_shared_points` moves, each operand's point axes
-    are moved last as a C-contiguous copy, so einsum's inner loop runs over
-    all the points instead of a core axis of at most four entries; the sum
-    over each contracted index keeps its order, so every value is einsum's.
-    The result is a C-contiguous array with the point axes first.
-
-    ``moved > 0`` says that both operands already hold their ``moved`` point
-    axes last, as such copies do: einsum runs on them as they are, and the
-    result keeps its point axes last for the next contraction.
-    """
-    last, ranks = _points_last(subscripts)
-    if moved:
-        return np.einsum(last, a, b)
-    points = _shared_points((a, b), ranks)
-    if not points:
-        return np.einsum(subscripts, a, b)
-    return _move_first(np.einsum(last, *(_move_last(x, points) for x in (a, b))), points)
 
 
 def second_ricci(x: np.ndarray, curvature: np.ndarray) -> np.ndarray:
@@ -205,11 +143,8 @@ def q_squared_chart(torsion: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.nda
     lowered torsion ``Tb[i, j, l] = sum_m T[i, j, m] g[m, l]`` and ``x`` the
     raised-index inverse of ``g``.  Equals ``L q_squared_frame(T_frame) L^H``.
 
-    On a stack that :func:`_shared_points` moves, the three operands are moved
-    points-last once, the four contractions run there, and the result is moved
-    back once: each einsum sees the C-contiguous points-last operands that a
-    chain of four plain ``_contract`` calls would give it, so the bits are
-    that chain's.  Any other stack runs that chain.
+    On a stack it is one points-last chain, with the bits of four plain
+    ``_contract`` calls.
     """
     points = _shared_points((torsion, g, x), (3, 2, 2))
     if points:
@@ -280,6 +215,13 @@ class ChernPoint(MetricJet):
     @cached_property
     def curvature_frame(self) -> np.ndarray:
         return self.frame.curvature_to_frame(self.curvature)
+
+    @cached_property
+    def family_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(R^13 + R^24, TTA - TTB)`` of the frame tensors: the t-independent family terms."""
+        ct, cr = self.torsion_frame, self.curvature_frame
+        with np.errstate(over="ignore", invalid="ignore"):
+            return swap13(cr) + swap24(cr), torsion_product_a(ct) - torsion_product_b(ct)
 
 
 def first_bianchi_residual(

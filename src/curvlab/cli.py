@@ -124,13 +124,16 @@ def _parse_points(args: argparse.Namespace, spec: MetricSpec) -> np.ndarray:
     if args.points is None:
         return spec.region.base_point(spec.n)[None]
     chunks = args.points.split(";")
-    rows = [[_parse_complex(tok) for tok in chunk.split(",")] for chunk in chunks]
-    for chunk, comps in zip(chunks, rows):
-        if len(comps) != spec.n:
-            raise ConfigError(
-                f"point '{chunk}' has {len(comps)} coordinates, metric needs {spec.n}"
-            )
-    points = np.array(rows, dtype=complex)
+    tokens = args.points.replace(";", ",").split(",")
+    try:
+        values = list(map(complex, map(str.strip, tokens)))
+    except ValueError:  # the per-token loop raises, naming the first bad token
+        values = [_parse_complex(token) for token in tokens]
+    for chunk in chunks:
+        count = chunk.count(",") + 1
+        if count != spec.n:
+            raise ConfigError(f"point '{chunk}' has {count} coordinates, metric needs {spec.n}")
+    points = np.array(values, dtype=complex).reshape(len(chunks), spec.n)
     require(spec.region.contains(points), ConfigError,
             "point '{}' lies outside the {} region of {}", np.array(chunks), spec.region.kind,
             spec.name)
@@ -146,9 +149,8 @@ def _parse_tau(text: str, role: str) -> TauParam:
 
 
 def _complex_payload(array: np.ndarray) -> np.ndarray:
-    """``[re, im]`` pairs on a new last axis; JSON has no complex numbers."""
-    a = np.asarray(array, dtype=complex)
-    return np.stack([a.real, a.imag], -1)
+    """``[re, im]`` pairs on a new last axis, a view; JSON has no complex numbers."""
+    return np.asarray(array, dtype=complex, order="C")[..., None].view(np.float64)
 
 
 class _Table(dict):
@@ -197,11 +199,11 @@ _DISTINCT_MIN_ENTRIES = 256
 def _cells(column, level: int) -> list[str]:
     """The text of each row's entry of a column, at indentation ``level``.
 
-    A table's entries are its row dicts.  A float64 array of at least
-    ``_DISTINCT_MIN_ENTRIES`` entries formats each distinct value, keyed by its
-    bits so that ``-0.0`` stays apart from ``0.0``, once in one C encoder call;
-    each row is then joined from those words and the separators the encoder
-    writes around its entries.  Any other numeric array of ``d`` inner axes is
+    A table's entries are its row dicts.  Its float64 arrays of at least
+    ``_DISTINCT_MIN_ENTRIES`` entries, like such an array alone, format each
+    distinct value, keyed by its bits so that ``-0.0`` stays apart from ``0.0``,
+    once in one C encoder call; each row is joined from those words and the
+    encoder's separators.  Any other numeric array of ``d`` inner axes is
     encoded by one C encoder call and cut at ``"]" * d + ", " + "[" * d``, which
     separates its rows and occurs nowhere inside one; an empty one goes row by row.
     """
@@ -211,25 +213,41 @@ def _cells(column, level: int) -> list[str]:
         keys, inner = sorted(column), ",\n" + "  " * (level + 1)
         row = inner.join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
         row = "{\n" + "  " * (level + 1) + row + "\n" + "  " * level + "}"
-        return [row % cells for cells in zip(*(_cells(column[key], level + 1) for key in keys))]
+        shared = [key for key in keys if _distinct(column[key])]
+        cells = dict(zip(shared, _shared_cells([column[key] for key in shared]) if shared else ()))
+        return [row % texts for texts in zip(*(
+            cells[key] if key in cells else _cells(column[key], level + 1) for key in keys))]
     if not isinstance(column, np.ndarray) or column.size == 0:
         return [_json(value, level) for value in column]
-    if column.dtype == np.float64 and column.size >= _DISTINCT_MIN_ENTRIES:
+    if _distinct(column):
         return _distinct_cells(column)
     d = column.ndim - 1
     text = json.dumps(column.tolist())[1 + d:-1 - d]
     return ["[" * d + cell + "]" * d for cell in text.split("]" * d + ", " + "[" * d)]
 
 
+def _distinct(column) -> bool:
+    """Whether a column is written from a table of its distinct values."""
+    return getattr(column, "dtype", None) == np.float64 and column.size >= _DISTINCT_MIN_ENTRIES
+
+
 def _distinct_cells(column: np.ndarray) -> list[str]:
     """The rows of a float64 array, each distinct value formatted once."""
-    rows, k = len(column), column.size // len(column)
-    bits, inverse = np.unique(np.ascontiguousarray(column).view(np.int64), return_inverse=True)
-    words = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-    text = np.empty((rows, 2 * k + 1), dtype=object)
-    text[:, 0::2] = _separators(column.shape[1:])
-    text[:, 1::2] = np.array(words, dtype=object)[inverse.reshape(rows, k)]
-    return ["".join(row) for row in text.tolist()]
+    return _shared_cells([column])[0]
+
+
+def _shared_cells(columns: list[np.ndarray]) -> list[list[str]]:
+    """The rows of each float64 array, each value distinct over all of them formatted once."""
+    bits = [np.ascontiguousarray(column).view(np.int64).ravel() for column in columns]
+    distinct, inverse = np.unique(np.concatenate(bits), return_inverse=True)
+    words = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), object)
+    texts = []
+    for column, index in zip(columns, np.split(inverse, np.cumsum([b.size for b in bits[:-1]]))):
+        text = np.empty((len(column), 2 * index.size // len(column) + 1), dtype=object)
+        text[:, 0::2] = _separators(column.shape[1:])
+        text[:, 1::2] = words[index.reshape(len(column), -1)]
+        texts.append(["".join(row) for row in text.tolist()])
+    return texts
 
 
 @cache

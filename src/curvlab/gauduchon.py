@@ -84,19 +84,16 @@ def _inverse_weights(t: float) -> tuple[float, ...]:
 
 
 def gauduchon_family(point: ChernPoint, t: float) -> ConnectionTensors:
-    """Torsion and curvature of the parameter-``t`` connection at the point(s)."""
+    """Torsion and curvature of the parameter-``t`` connection, from the record's family terms."""
     if not np.isfinite(t):
         raise ConfigError(f"family parameter must be finite, got {t}")
     ct, cr = point.torsion_frame, point.curvature_frame
     if t == 1.0:
         return ConnectionTensors(1.0, ct.copy(), cr.copy())
     s = (1.0 - t) / 2.0
+    swaps, products = point.family_terms
     with np.errstate(over="ignore", invalid="ignore"):
-        curvature = (
-            t * cr
-            + s * (swap13(cr) + swap24(cr))
-            + s * s * (torsion_product_a(ct) - torsion_product_b(ct))
-        )
+        curvature = t * cr + s * swaps + s * s * products
         torsion = t * ct
     require(np.isfinite(curvature).all((-4, -3, -2, -1)) & np.isfinite(torsion).all((-3, -2, -1)),
             NumericalError, "the family member at t = {} is not finite at {}", t, point.point)

@@ -16,6 +16,11 @@ tensors the package moves to a frame; :class:`UnitaryFrame` has one method
 for each fixed slot pattern.  Metric inverses, Hermitian eigenvalues and
 frames act on any leading batch axes ``(...)``.
 
+On a stack, the package's two-operand contractions (:func:`_contract`) and
+their chains, such as the frame changes, run einsum with the point axes
+innermost, moved in once and out once, and give einsum's bits on the stack as
+given; one point, ``n = 1`` and broadcast operands take einsum directly.
+
 The lab's metrics have n = 1 or 2 in most uses, where LAPACK's fixed cost per
 matrix exceeds the arithmetic; so :func:`metric_inverse_up` and
 :func:`hermitian_eigenvalues` are closed forms there, written once here, and
@@ -25,6 +30,8 @@ LAPACK for n >= 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -180,6 +187,63 @@ def psd_project(m: np.ndarray) -> PSDForm:
     return PSDForm(entries[0])
 
 
+@lru_cache(maxsize=None)
+def _points_last(subscripts: str) -> tuple[str, tuple[int, ...]]:
+    """``"...ab,...bc->...ac"`` as ``("ab...,bc...->ac...", (2, 2))``.
+
+    The subscripts with the point axes last, and each operand's count of core axes.
+    """
+    inputs, output = subscripts.split("->")
+    cores = [term.removeprefix("...") for term in inputs.split(",")]
+    moved = ",".join(core + "..." for core in cores) + "->" + output.removeprefix("...") + "..."
+    return moved, tuple(len(core) for core in cores)
+
+
+def _shared_points(operands: tuple[np.ndarray, ...], ranks: tuple[int, ...]) -> int:
+    """The count of point axes to move last in ``operands``, or 0 to take einsum directly.
+
+    ``ranks`` holds each operand's count of core axes.  With one point or
+    ``n = 1`` the move changes no memory order, and operands whose point axes
+    differ broadcast, so those take einsum directly.
+    """
+    first = operands[0]
+    points = first.ndim - ranks[0]
+    batch = first.shape[:points]
+    if prod(batch) <= 1 or first.shape[-1] == 1 or any(
+            x.shape[:x.ndim - rank] != batch for x, rank in zip(operands[1:], ranks[1:])):
+        return 0
+    return points
+
+
+def _move_last(x: np.ndarray, points: int) -> np.ndarray:
+    """A C-contiguous copy of ``x`` with its ``points`` leading axes moved last."""
+    return np.ascontiguousarray(x.transpose(*range(points, x.ndim), *range(points)))
+
+
+def _move_first(x: np.ndarray, points: int) -> np.ndarray:
+    """A C-contiguous copy of ``x`` with its ``points`` trailing axes moved first."""
+    core = x.ndim - points
+    return np.ascontiguousarray(x.transpose(*range(core, x.ndim), *range(core)))
+
+
+def _contract(subscripts: str, a: np.ndarray, b: np.ndarray, moved: int = 0) -> np.ndarray:
+    """``np.einsum(subscripts, a, b)`` for ``"...ab,...bc->...ac"`` subscripts, bit for bit.
+
+    Over a stack that :func:`_shared_points` moves, both operands are moved
+    points-last as C-contiguous copies, so einsum's inner loop runs over the
+    points, and the C-contiguous result is moved back; the sum over each
+    contracted index keeps its order.  ``moved > 0`` says that both operands
+    already hold their ``moved`` point axes last: the result stays so.
+    """
+    last, ranks = _points_last(subscripts)
+    if moved:
+        return np.einsum(last, a, b)
+    points = _shared_points((a, b), ranks)
+    if not points:
+        return np.einsum(subscripts, a, b)
+    return _move_first(np.einsum(last, *(_move_last(x, points) for x in (a, b))), points)
+
+
 def cholesky_factor(g: np.ndarray) -> np.ndarray:
     """The lower factor ``L`` of ``G = L L^H`` over any batch axes.
 
@@ -199,8 +263,8 @@ class UnitaryFrame:
     becomes the identity in the frame.  A lower holomorphic slot transforms
     by ``inv(L)``, a lower antiholomorphic one by ``conj(inv(L))`` and an
     upper holomorphic one by ``L.T``, each as ``new[a] = sum_k M[a, k] old[k]``;
-    torsion and curvature each have their own method.  ``L`` and ``L_inv``
-    carry the metric's batch axes.
+    torsion and curvature each have their own method, a points-last chain on
+    a stack.  ``L`` and ``L_inv`` carry the metric's batch axes.
     """
 
     L: np.ndarray
@@ -214,19 +278,27 @@ class UnitaryFrame:
 
     def torsion_to_frame(self, torsion: np.ndarray) -> np.ndarray:
         """Chart torsion ``T[i, j, k]`` in the frame: its slots take ``inv(L), inv(L), L.T``."""
-        a = self.L_inv
-        t = np.einsum("...ai,...ijk->...ajk", a, torsion)
-        t = np.einsum("...bj,...ajk->...abk", a, t)
-        return np.einsum("...kc,...abk->...abc", self.L, t)
+        a, l = self.L_inv, self.L
+        points = _shared_points((a, torsion, l), (2, 3, 2))
+        if points:
+            a, torsion, l = (_move_last(x, points) for x in (a, torsion, l))
+        t = _contract("...ai,...ijk->...ajk", a, torsion, points)
+        t = _contract("...bj,...ajk->...abk", a, t, points)
+        t = _contract("...kc,...abk->...abc", l, t, points)
+        return _move_first(t, points) if points else t
 
     def curvature_to_frame(self, curvature: np.ndarray) -> np.ndarray:
         """Chart curvature ``R[i, j, k, l]`` in the frame: slots ``inv(L), conj(inv(L))``, twice."""
         a = self.L_inv
+        points = _shared_points((a, curvature), (2, 4))
+        if points:
+            a, curvature = _move_last(a, points), _move_last(curvature, points)
         b = np.conj(a)
-        r = np.einsum("...ai,...ijkl->...ajkl", a, curvature)
-        r = np.einsum("...bj,...ajkl->...abkl", b, r)
-        r = np.einsum("...ck,...abkl->...abcl", a, r)
-        return np.einsum("...dl,...abcl->...abcd", b, r)
+        r = _contract("...ai,...ijkl->...ajkl", a, curvature, points)
+        r = _contract("...bj,...ajkl->...abkl", b, r, points)
+        r = _contract("...ck,...abkl->...abcl", a, r, points)
+        r = _contract("...dl,...abcl->...abcd", b, r, points)
+        return _move_first(r, points) if points else r
 
     def to_frame(self, torsion: np.ndarray, curvature: np.ndarray) -> tuple:
         """Both :meth:`torsion_to_frame` and :meth:`curvature_to_frame`, in that order."""

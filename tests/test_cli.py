@@ -1326,3 +1326,32 @@ class TestReportLayout:
             if name != "checks":
                 assert isinstance(value, np.ndarray)
                 assert f'      "{name}": {json.dumps(value.tolist())}' in lines, name
+
+
+class TestPointLists:
+    """``--points`` parses a whole list with one ``complex`` map; a bad token is named."""
+
+    @pytest.mark.parametrize("points, token", [
+        ("0.1,0.2;0.1,x;y,0.1", "x"),
+        ("0.1, 1..2 ;0.1,0.2", "1..2"),
+        (" 0.1 , 0.2 ; 1+2 ,0.1", "1+2"),
+        ("0.1,0.2;", ""),
+        ("0.1,,0.2", ""),
+    ])
+    def test_a_bad_token_is_one_error_line(self, capsys, points, token):
+        argv = ["curvature", "--metric", "builtin:flat(2)", "--points", points]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot parse '{token}' as a complex number\n"
+
+    def test_a_list_gives_the_per_token_loops_bytes(self):
+        text = " -0.0 ,0;-0-0j, inf ;nan,-inf+nanj;\t1e-320-0j,\n2.5 ; (1-1j),-0"
+        stub = argparse.Namespace(n=2, name="stub", region=argparse.Namespace(
+            kind="ball", contains=lambda points: np.ones(len(points), bool)))
+        args = argparse.Namespace(points=text, region=None, seed=0)
+        got = cli._parse_points(args, stub)
+        want = np.array([[complex(token.strip()) for token in chunk.split(",")]
+                         for chunk in text.split(";")], dtype=complex)
+        assert got.shape == want.shape == (5, 2)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

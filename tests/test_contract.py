@@ -1,8 +1,9 @@
-"""The Chern contractions give einsum's bits with the point axes innermost.
+"""The Chern contractions and frame changes give einsum's bits with the point axes innermost.
 
-``chern._contract`` moves the point axes of a stack last before it calls
-einsum; every subscript string it serves in ``chern.py`` must give the same
-bits as ``np.einsum`` on the original layout, signed zeros included.
+``tensor_core._contract`` moves the point axes of a stack last before it
+calls einsum; every subscript string it serves in ``chern.py`` and
+``tensor_core.py`` must give the same bits as ``np.einsum`` on the original
+layout, signed zeros included.
 """
 
 import ast
@@ -13,15 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab import chern
+from curvlab import chern, tensor_core
 from curvlab.chern import _contract
 
 
 def served_subscripts() -> list[str]:
-    """Every subscript string that ``chern.py`` passes to ``_contract``."""
-    tree = ast.parse(inspect.getsource(chern))
+    """Every subscript string that ``chern.py`` and ``tensor_core.py`` pass to ``_contract``."""
+    trees = [ast.parse(inspect.getsource(module)) for module in (chern, tensor_core)]
     return sorted({
-        node.args[0].value for node in ast.walk(tree)
+        node.args[0].value for tree in trees for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_contract"
     })
 
@@ -45,7 +46,8 @@ def operands(subscripts, n, batch, pool, rng):
 
 
 def test_every_contraction_of_chern_is_served():
-    assert len(SUBSCRIPTS) == 13
+    # 13 Chern contractions and the 7 steps of the two frame changes
+    assert len(SUBSCRIPTS) == 20
     assert all(s.startswith("...") and s.count(",") == 1 for s in SUBSCRIPTS)
 
 

@@ -11,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from curvlab import chern, gauduchon
 from curvlab.chern import ChernPoint, frame_traces
+from curvlab.cli import main
 from curvlab.errors import ConfigError
 from curvlab.functionals import TauParam, rbc, ric_tau_frame
 from curvlab.gauduchon import (
@@ -22,7 +24,7 @@ from curvlab.gauduchon import (
     ric_tau_from_family,
 )
 from curvlab.metric_model import example22, fixture, hopf
-from curvlab.tensor_core import psd_project
+from curvlab.tensor_core import UnitaryFrame, psd_project
 
 PARAMS = (-2.0, -1.0, -0.5, 0.25, 0.75, 2.0, 5.0)
 
@@ -317,3 +319,27 @@ class TestStackOracle:
                     close(frame[idx], ric_tau_frame(point_at(stacked, idx), tau), (name, tau))
         print(f"\nfamily and inverse bit-identical to the oracle; largest row difference of "
               f"stacked traces and displays against one-point calls {worst:.2e} (tol 1e-13)")
+
+
+def test_a_roundtrip_forms_the_chern_torsion_products_once(monkeypatch):
+    """Three members share the record's t-independent terms: one TTA and one TTB of ``T``."""
+    frames, formed = [], {"torsion_product_a": 0, "torsion_product_b": 0}
+    move = UnitaryFrame.torsion_to_frame
+
+    def recorded(self, torsion):
+        frames.append(move(self, torsion))
+        return frames[-1]
+
+    monkeypatch.setattr(UnitaryFrame, "torsion_to_frame", recorded)
+    for module in (chern, gauduchon):
+        for name in formed:
+            def counted(torsion, *rest, name=name, form=getattr(module, name)):
+                formed[name] += any(torsion is frame for frame in frames)
+                return form(torsion, *rest)
+
+            monkeypatch.setattr(module, name, counted)
+    argv = ["gauduchon", "--metric", "builtin:hopf(2)", "--region", "5", "--t=-1,0.25,2",
+            "--roundtrip"]
+    assert main(argv) == 0
+    assert len(frames) == 1
+    assert formed == {"torsion_product_a": 1, "torsion_product_b": 1}

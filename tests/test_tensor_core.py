@@ -229,3 +229,79 @@ class TestPSDBatch:
             psd_project_batch(m)
         with pytest.raises(NumericalError):
             psd_project(m[1])
+
+
+def einsum_torsion_to_frame(frame: UnitaryFrame, torsion: np.ndarray) -> np.ndarray:
+    """The torsion frame change as an einsum chain on the stack as given."""
+    a = frame.L_inv
+    t = np.einsum("...ai,...ijk->...ajk", a, torsion)
+    t = np.einsum("...bj,...ajk->...abk", a, t)
+    return np.einsum("...kc,...abk->...abc", frame.L, t)
+
+
+def einsum_curvature_to_frame(frame: UnitaryFrame, curvature: np.ndarray) -> np.ndarray:
+    """The curvature frame change as an einsum chain on the stack as given."""
+    a = frame.L_inv
+    b = np.conj(a)
+    r = np.einsum("...ai,...ijkl->...ajkl", a, curvature)
+    r = np.einsum("...bj,...ajkl->...abkl", b, r)
+    r = np.einsum("...ck,...abkl->...abcl", a, r)
+    return np.einsum("...dl,...abcl->...abcd", b, r)
+
+
+# signed zeros, subnormals and entries near 1e±300, whose products overflow,
+# underflow or cancel exactly
+EXTREMES = np.array([0.0, -0.0, 1e300, -2.5e299, 1e-300, -3e-301, 5e-324, 1.5, -0.75, 0.1])
+
+
+class TestStackedFrameChanges:
+    """On a stack the frame changes run points-last and give the einsum chain's bytes."""
+
+    @staticmethod
+    def draw(rng, batch, *core):
+        shape = batch + core
+        return rng.choice(EXTREMES, shape) + 1j * rng.choice(EXTREMES, shape)
+
+    def assert_chain_bytes(self, frame, torsion, curvature):
+        with np.errstate(all="ignore"):
+            pairs = [(frame.torsion_to_frame(torsion), einsum_torsion_to_frame(frame, torsion)),
+                     (frame.curvature_to_frame(curvature),
+                      einsum_curvature_to_frame(frame, curvature))]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("points", [1, 2, 81, 625])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacks_give_the_einsum_chain_bytes(self, points, n):
+        rng = np.random.default_rng([points, n])
+        for _ in range(4):
+            frame = UnitaryFrame(self.draw(rng, (points,), n, n), self.draw(rng, (points,), n, n))
+            self.assert_chain_bytes(frame, self.draw(rng, (points,), n, n, n),
+                                    self.draw(rng, (points,), n, n, n, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_point_and_broadcast_stacks_give_the_einsum_chain_bytes(self, n):
+        rng = np.random.default_rng(n)
+        for frame_batch, tensor_batch in [((), ()), ((5,), ()), ((5,), (1,)), ((1,), (4, 1)),
+                                          ((3, 1), (3, 4))]:
+            frame = UnitaryFrame(self.draw(rng, frame_batch, n, n),
+                                 self.draw(rng, frame_batch, n, n))
+            self.assert_chain_bytes(frame, self.draw(rng, tensor_batch, n, n, n),
+                                    self.draw(rng, tensor_batch, n, n, n, n))
+
+    @pytest.mark.parametrize("batch, n", [((), 2), ((1,), 3), ((7,), 1)])
+    def test_one_point_and_n_1_call_einsum_directly(self, batch, n, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def recorded(subscripts, *arrays, **kwargs):
+            calls.append(subscripts)
+            return einsum(subscripts, *arrays, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", recorded)
+        frame = UnitaryFrame(np.ones(batch + (n, n), complex), np.ones(batch + (n, n), complex))
+        frame.torsion_to_frame(np.ones(batch + (n,) * 3, complex))
+        frame.curvature_to_frame(np.ones(batch + (n,) * 4, complex))
+        assert len(calls) == 7 and all(s.startswith("...") for s in calls)
