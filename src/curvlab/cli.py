@@ -33,7 +33,6 @@ import sys
 from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -154,13 +153,8 @@ def _complex_payload(array: np.ndarray) -> np.ndarray:
 
 
 class _Table(dict):
-    """Per-point rows held as equally long columns: ndarrays, lists, tables or ``_Repeated``."""
-
-
-class _Repeated(NamedTuple):
-    """A column whose every row stands ``times`` times in a row."""
-    column: object
-    times: int
+    """Per-point rows held as equally long columns: ndarrays, lists or tables; a repeated
+    entry stands in its column as often as it repeats, as ``np.repeat`` gives it."""
 
 
 _FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -200,40 +194,28 @@ def _cells(column, level: int) -> list[str]:
     """The text of each row's entry of a column, at indentation ``level``.
 
     A table's entries are its row dicts.  Its float64 arrays of at least
-    ``_DISTINCT_MIN_ENTRIES`` entries, like such an array alone, format each
-    distinct value, keyed by its bits so that ``-0.0`` stays apart from ``0.0``,
+    ``_DISTINCT_MIN_ENTRIES`` entries share one table of distinct values, each
+    keyed by its bits so that ``-0.0`` stays apart from ``0.0`` and formatted
     once in one C encoder call; each row is joined from those words and the
-    encoder's separators.  Any other numeric array of ``d`` inner axes is
-    encoded by one C encoder call and cut at ``"]" * d + ", " + "[" * d``, which
-    separates its rows and occurs nowhere inside one; an empty one goes row by row.
+    encoder's separators.  Any other numeric array, a lone one included, of
+    ``d`` inner axes is encoded by one C encoder call and cut at ``"]" * d +
+    ", " + "[" * d``, which separates its rows and occurs nowhere inside one;
+    an empty one goes row by row.
     """
-    if isinstance(column, _Repeated):
-        return [cell for cell in _cells(column.column, level) for _ in range(column.times)]
     if isinstance(column, _Table):
         keys, inner = sorted(column), ",\n" + "  " * (level + 1)
         row = inner.join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
         row = "{\n" + "  " * (level + 1) + row + "\n" + "  " * level + "}"
-        shared = [key for key in keys if _distinct(column[key])]
+        shared = [key for key in keys if getattr(column[key], "dtype", None) == np.float64
+                  and column[key].size >= _DISTINCT_MIN_ENTRIES]
         cells = dict(zip(shared, _shared_cells([column[key] for key in shared]) if shared else ()))
         return [row % texts for texts in zip(*(
             cells[key] if key in cells else _cells(column[key], level + 1) for key in keys))]
     if not isinstance(column, np.ndarray) or column.size == 0:
         return [_json(value, level) for value in column]
-    if _distinct(column):
-        return _distinct_cells(column)
     d = column.ndim - 1
     text = json.dumps(column.tolist())[1 + d:-1 - d]
     return ["[" * d + cell + "]" * d for cell in text.split("]" * d + ", " + "[" * d)]
-
-
-def _distinct(column) -> bool:
-    """Whether a column is written from a table of its distinct values."""
-    return getattr(column, "dtype", None) == np.float64 and column.size >= _DISTINCT_MIN_ENTRIES
-
-
-def _distinct_cells(column: np.ndarray) -> list[str]:
-    """The rows of a float64 array, each distinct value formatted once."""
-    return _shared_cells([column])[0]
 
 
 def _shared_cells(columns: list[np.ndarray]) -> list[list[str]]:
@@ -334,11 +316,9 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[dict, float | None]:
         certs = hsc_certificates(point, args.kind, **sizes)
     else:
         certs = rbc_certificates(point, tau, args.kind, **sizes)
-    fields = ("kind", "value", "bound", "gap", "samples", "ascent_iterations", "tolerance")
-    rows = _Table(point=_complex_payload(points),
-                  witness=_complex_payload([cert.witness for cert in certs]),
-                  **{name: [getattr(cert, name) for cert in certs] for name in fields})
-    best = (max if args.kind == "sup" else min)(rows["value"])
+    rows = _Table(vars(certs), point=_complex_payload(points),
+                  witness=_complex_payload(certs.witness))
+    best = (max if args.kind == "sup" else min)(certs.value)
     return {"results": rows, "summary": {"best_value": best}}, None
 
 
@@ -397,7 +377,7 @@ def _cmd_gauduchon(args: argparse.Namespace) -> tuple[dict, float | None]:
             ))
     # one row per (point, t), points outermost
     torsion_norm, curvature_norm = np.transpose(norms, (1, 2, 0)).reshape(2, -1)
-    rows = _Table(point=_Repeated(_complex_payload(points), len(parameters)),
+    rows = _Table(point=np.repeat(_complex_payload(points), len(parameters), axis=0),
                   t=np.tile(parameters, len(points)),
                   torsion_norm=torsion_norm, curvature_norm=curvature_norm)
     if not args.roundtrip:

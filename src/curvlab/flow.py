@@ -58,9 +58,9 @@ import numpy as np
 
 from .chern import ChernPoint
 from .errors import ConfigError, NumericalError, require
-from .functionals import TauParam, ric_tau
+from .functionals import TauParam, pointwise_report, ric_tau
 from .metric_model import DEFAULT_SCHEME, JetScheme, MetricJet, MetricSpec, Var, metric_value
-from .schwarz import HoloMap, energy_and_laplacian, pointwise_report
+from .schwarz import HoloMap, energy_and_laplacian
 from .tensor_core import hermitian_eigenvalues, hermitian_part, metric_inverse_up
 
 __all__ = [

@@ -18,9 +18,11 @@ target side (real bisectional curvature) the correction weight is
 The extremal certificates bracket the sup or inf of HSC and of ``RBC^tau``
 at every point of a stacked :class:`~curvlab.chern.ChernPoint`: a
 Lagrangian dual bound from one batched safeguarded Newton search over its
-multiplier, a witness with its exact value, and their gap.  The dual is
-exact for ``n <= 2``; a finite-difference ascent from seeded starts runs only
-where a gap stays open.  :func:`comparison_deviation` bounds the pluriclosed
+multiplier, a witness with its exact value, and their gap, all in one
+:class:`BoundCertificate` whose fields carry the points' batch axes, as
+:func:`pointwise_report` builds the Schwarz and parabolic reports.  The
+dual is exact for ``n <= 2``; a finite-difference ascent from seeded starts
+runs only where a gap stays open.  :func:`comparison_deviation` bounds the pluriclosed
 identity ``RBC^0 = altered HSC / 2`` over every unit Hermitian form at once.
 """
 
@@ -244,28 +246,35 @@ _RESOLUTION = 2.0**-53
 _NEWTON_STOP = 2.0**-40
 
 
+def pointwise_report(report_type: type, **fields):
+    """A report whose fields carry the points' batch axes; numpy scalars for one point."""
+    return report_type(**{name: np.asarray(value)[()] for name, value in fields.items()})
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
-    """A two-sided certificate of the sup or inf of a functional at one point.
+    """Two-sided certificates of the sup or inf of a functional, one entry per point.
 
-    ``bound`` is the Lagrangian dual bound, above a sup and below an inf;
-    ``value`` re-evaluates exactly on ``witness``, so the extremum lies
-    between them.  ``gap`` is ``bound - value`` for a sup and ``value -
-    bound`` for an inf, nonnegative up to round-off.  ``samples`` counts the
-    seeded starts.  The ascent runs from them only where the gap of the dual
-    witness exceeds ``tolerance * max(1, |value|)``, and
-    ``ascent_iterations`` counts its accepted steps: 0 where the dual closed
-    the gap.  ``kind`` is ``"sup"`` or ``"inf"``.
+    Every field carries the points' batch axes, ``witness`` its vector or
+    form after them; an unbatched point gives numpy scalars.  ``bound`` is
+    the Lagrangian dual bound, above a sup and below an inf; ``value``
+    re-evaluates exactly on ``witness``, so the extremum lies between them.
+    ``gap`` is ``bound - value`` for a sup and ``value - bound`` for an inf,
+    nonnegative up to round-off.  ``samples`` counts the seeded starts.  The
+    ascent runs from them only where the gap of the dual witness exceeds
+    ``tolerance * max(1, |value|)``, and ``ascent_iterations`` counts its
+    accepted steps: 0 where the dual closed the gap.  ``kind`` is ``"sup"``
+    or ``"inf"``.
     """
 
-    kind: str
-    value: float
+    kind: np.ndarray
+    value: np.ndarray
     witness: np.ndarray
-    samples: int
-    ascent_iterations: int
-    tolerance: float
-    bound: float
-    gap: float
+    samples: np.ndarray
+    ascent_iterations: np.ndarray
+    tolerance: np.ndarray
+    bound: np.ndarray
+    gap: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -562,7 +571,8 @@ def _certify(
     seed: int,
     starts: int,
     steps: int,
-) -> list[BoundCertificate]:
+    batch: tuple[int, ...],
+) -> BoundCertificate:
     """Score each point's dual witness with the seeded starts; ascend where a gap stays open.
 
     ``objective(params, owner)`` returns ``(values, keep)`` for rows at the
@@ -570,7 +580,9 @@ def _certify(
     are outside the domain and score worst.  One ``draw(rng, starts)`` gives
     the starts ``(starts, dim)`` of every point.  The first rows of a point
     are its dual witnesses ``dual_start`` ``(P, R, dim)``, the next
-    ``starts`` its starts; the best row wins, ties going to the lowest.
+    ``starts`` its starts; the best row wins, ties going to the lowest.  The
+    record's fields take the points' batch axes ``batch`` back, as
+    :func:`pointwise_report` gives them.
     """
     maximize = kind == "sup"
     sign = 1.0 if maximize else -1.0
@@ -602,20 +614,11 @@ def _certify(
     rows = np.arange(count)
     pick = np.argmax(sign * values, axis=1)
     value = values[rows, pick]
-    witnesses = witness(params[rows, pick])
-    return [
-        BoundCertificate(
-            kind=kind,
-            value=float(value[p]),
-            witness=witnesses[p],
-            samples=starts,
-            ascent_iterations=int(accepted[p].sum()),
-            tolerance=_TOLERANCE,
-            bound=float(bound[p]),
-            gap=float(sign * (bound[p] - value[p])),
-        )
-        for p in range(count)
-    ]
+    fields = dict(kind=np.full(count, kind), value=value, witness=witness(params[rows, pick]),
+                  samples=np.full(count, starts), ascent_iterations=accepted.sum(axis=1),
+                  tolerance=np.full(count, _TOLERANCE), bound=bound, gap=sign * (bound - value))
+    return pointwise_report(BoundCertificate, **{
+        name: field.reshape(batch + field.shape[1:]) for name, field in fields.items()})
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -634,16 +637,16 @@ def hsc_certificates(
     seed: int = 0,
     starts: int = 64,
     steps: int = 200,
-) -> list[BoundCertificate]:
-    """Certificates of the sup or inf of HSC over unit vectors, one per point.
+) -> BoundCertificate:
+    """Certificates of the sup or inf of HSC over unit vectors, one entry per point.
 
-    ``point`` may carry batch axes; the certificates follow them in C
-    order.  The dual over rank-one forms gives the bound and a witness: the
-    eigenvector of largest magnitude of the form the dual returns.  Where a
-    gap stays open the vector is parametrised by its ``2n`` real components
-    and ascended; the functional is scale invariant, so the ascent wanders
-    freely and the witness is normalised at the end.  The seeded starts come
-    from one draw per call.
+    ``point`` may carry batch axes; every field of the record has them.  The
+    dual over rank-one forms gives the bound and a witness: the eigenvector
+    of largest magnitude of the form the dual returns.  Where a gap stays
+    open the vector is parametrised by its ``2n`` real components and
+    ascended; the functional is scale invariant, so the ascent wanders freely
+    and the witness is normalised at the end.  The seeded starts come from
+    one draw per call.
     """
     _check_extremizer(kind, starts, steps, point.point.shape[-1])
     r = _stack(point.curvature_frame)
@@ -669,7 +672,8 @@ def hsc_certificates(
     largest = np.argmax(np.abs(eigs), axis=-1)[..., None, None]
     zeta = np.take_along_axis(vecs, largest, axis=-1)[..., 0]
     start = np.concatenate([zeta.real, zeta.imag], axis=-1)
-    return _certify(objective, draw, unpack, start, bound, kind, seed, starts, steps)
+    return _certify(objective, draw, unpack, start, bound, kind, seed, starts, steps,
+                    point.point.shape[:-1])
 
 
 def extremize_hsc(
@@ -679,9 +683,8 @@ def extremize_hsc(
     starts: int = 64,
     steps: int = 200,
 ) -> BoundCertificate:
-    """The certificate of :func:`hsc_certificates` at a single point."""
-    (cert,) = hsc_certificates(point, kind, seed, starts, steps)
-    return cert
+    """The certificate of :func:`hsc_certificates` at one unbatched point: numpy scalars."""
+    return hsc_certificates(point, kind, seed, starts, steps)
 
 
 def rbc_certificates(
@@ -691,8 +694,8 @@ def rbc_certificates(
     seed: int = 0,
     starts: int = 64,
     steps: int = 200,
-) -> list[BoundCertificate]:
-    """Certificates of the sup or inf of ``RBC^tau`` over unit-norm PSD forms, one per point.
+) -> BoundCertificate:
+    """Certificates of the sup or inf of ``RBC^tau`` over unit-norm PSD forms, one entry per point.
 
     ``point`` may carry batch axes, as in :func:`hsc_certificates`.  The
     dual over forms with ``e2 >= 0`` gives the bound and a witness, signed to
@@ -735,7 +738,8 @@ def rbc_certificates(
 
     # the diagonal coordinates come first: their sum is the trace
     start = np.where(x[..., :n].sum(axis=-1, keepdims=True) < 0.0, -x, x)
-    return _certify(objective, draw, witness, start, bound, kind, seed, starts, steps)
+    return _certify(objective, draw, witness, start, bound, kind, seed, starts, steps,
+                    point.point.shape[:-1])
 
 
 def extremize_rbc(
@@ -746,6 +750,5 @@ def extremize_rbc(
     starts: int = 64,
     steps: int = 200,
 ) -> BoundCertificate:
-    """The certificate of :func:`rbc_certificates` at a single point."""
-    (cert,) = rbc_certificates(point, tau, kind, seed, starts, steps)
-    return cert
+    """The certificate of :func:`rbc_certificates` at one unbatched point: numpy scalars."""
+    return rbc_certificates(point, tau, kind, seed, starts, steps)

@@ -158,29 +158,31 @@ class MetricJet:
 
     @cached_property
     def g_up(self) -> np.ndarray:
-        """Raised-index inverse of ``g``, computed once per jet."""
-        return metric_inverse_up(self.g)
+        """Raised-index inverse of ``g``, computed once per jet; one not finite names its point."""
+        return _named(metric_inverse_up, self.g, self.point,
+                      "metric matrix is singular at {}: its inverse is not finite")
 
     @cached_property
     def cholesky(self) -> np.ndarray:
-        """The lower Cholesky factor ``L`` of ``g = L L^H``, computed once per jet."""
-        return _cholesky(self.g, self.point)
+        """The lower Cholesky factor ``L`` of ``g = L L^H``, once per jet: the positivity test."""
+        return _named(cholesky_factor, self.g, self.point, "metric is not positive definite at {}")
 
 
-def _cholesky(g: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The one positivity test: Cholesky factors of ``g`` ``(..., n, n)`` at ``points``.
+def _named(factor, g: np.ndarray, points: np.ndarray, message: str) -> np.ndarray:
+    """``factor(g)`` over the stack ``g`` ``(..., n, n)`` at ``points``.
 
-    The first point whose ``g`` has none is a :class:`NumericalError` that names it.
+    Where it fails, the :class:`NumericalError` is ``message`` naming the
+    first point whose ``g`` alone fails.
     """
     try:
-        return cholesky_factor(g)
+        return factor(g)
     except NumericalError:
         for point, matrix in zip(points.reshape(-1, g.shape[-1]), g.reshape(-1, *g.shape[-2:])):
             try:
-                np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                break
-        raise NumericalError(f"metric is not positive definite at {point}") from None
+                factor(matrix)
+            except NumericalError:
+                raise NumericalError(message.format(point)) from None
+        raise
 
 
 def _points(spec: MetricSpec, z: np.ndarray) -> np.ndarray:
@@ -242,7 +244,7 @@ def validate_metric(spec: MetricSpec, seed: int = 12345) -> None:
             ConfigError, "metric '{}' is not Hermitian at {}: deviation {:.3e}",
             spec.name, points, deviation)
     try:
-        _cholesky(g[-1], points[-1])
+        cholesky_factor(g[-1])
     except NumericalError as exc:
         raise ConfigError(f"metric '{spec.name}' is not positive definite at its base point "
                           f"{points[-1]}") from exc

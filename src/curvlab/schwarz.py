@@ -47,7 +47,7 @@ import numpy as np
 
 from .chern import ChernPoint, form_pairing, frame_traces
 from .errors import ConfigError, NumericalError, require
-from .functionals import TauParam
+from .functionals import TauParam, pointwise_report
 from .gauduchon import (
     bisectional_display,
     gauduchon_family,
@@ -312,11 +312,6 @@ def energy_and_laplacian(source: MetricSpec, target: MetricSpec, holo_map: HoloM
     require(np.isfinite(laplacian), NumericalError, "the Laplacian is not finite at {}",
             point.point)
     return np.real(stencil.value), laplacian
-
-
-def pointwise_report(report_type: type, **fields):
-    """A report whose fields carry the points' batch axes; numpy scalars for one point."""
-    return report_type(**{name: np.asarray(value)[()] for name, value in fields.items()})
 
 
 @dataclass(frozen=True)

@@ -1154,6 +1154,8 @@ class TestBatchedRows:
                 assert_rows_close(row, single["results"][0], f"{name} {kind} row {k}")
             best = max if kind == "sup" else min
             assert report["summary"]["best_value"] == best(row["value"] for row in rows)
+            # the gap tolerance of every row is the documented 1e-12
+            assert [row["tolerance"] for row in rows] == [1e-12] * 4
 
 
 class TestSchwarzBatch:
@@ -1266,6 +1268,19 @@ class TestFailingPoint:
         assert (code, out) == (3, "")
         assert err == "error: the family member at t = 1e+200 is not finite at [0.1+0.j 0. +0.j]\n"
 
+    def test_singular_inverse_names_its_point(self, capsys, tmp_path):
+        # g = |z1|^2 passes the Cholesky test at 1e-160, but 1 / 1e-320 overflows
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"n": 1, "entries": [["abs2(z1)"]],
+                                    "region": {"type": "punctured", "radius": 1.0}}))
+        error = "error: metric matrix is singular at [1.e-160+0.j]: its inverse is not finite\n"
+        metric = ["--metric", f"file:{path}"]
+        for argv in (["curvature", *metric, "--points", "0.5;1e-160"],
+                     ["scan", *metric, "--points", "0.5;1e-160"],
+                     ["scan", *metric, "--points", "0.5;1e-160", "--compare"],
+                     ["gauduchon", *metric, "--points", "1e-160", "--t", "1"]):
+            assert run_cli(argv, capsys) == (3, "", error), argv
+
 
 LAYOUT_COMMANDS = {
     "curvature": "curvature --metric builtin:F1 --region 3 --check bianchi,pluriclosed",
@@ -1305,9 +1320,10 @@ class TestReportLayout:
         argv = LAYOUT_COMMANDS[name].split()
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
-        # the old encoding of the same report object is the oracle of its value
+        # the old encoding of the same report object is the oracle of its value; the
+        # entries of an integer column are numpy integers, which go to ``default`` too
         oracle = json.dumps(expanded(reports[0]), sort_keys=True, indent=2,
-                            default=np.ndarray.tolist)
+                            default=lambda value: value.tolist())
         assert json.loads(out, object_pairs_hook=_sorted_object) == json.loads(oracle)
         assert out == splice_oracle(reports[0])
         for line in out.splitlines():

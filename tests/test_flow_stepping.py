@@ -188,6 +188,20 @@ def test_eight_halvings_abort_before_any_substep(monkeypatch):
     assert flow_step(pinned_state("flat(1) 2^8 substeps"), 5e-3).history[-1].substeps == 2**8
 
 
+@pytest.mark.parametrize("method", ["euler", "heun"])
+def test_the_guard_allows_rounding_only(method):
+    # flat(1), frozen, spacing 0.25: the bound 0.2 h^2 g_min is 0.0125 at the start field.
+    # A step on it is one substep (heun's predictor, whose g_min has fallen, then halves
+    # it once); a step 1e-11 above it is split in two before any substep
+    state = init_flow(builtin_metric("flat", 1), GridBox((0j,), 0.5, 5, "frozen"),
+                      source_tau(1.0))
+    bound = 0.2 * state.field.box.spacing**2 * state.field.min_eigenvalue()
+    on = flow_step(state, bound, method).history[-1]
+    assert (on.substeps, on.rejected) == ((1, 0) if method == "euler" else (2, 1))
+    over = flow_step(state, bound * (1 + 1e-11), method).history[-1]
+    assert (over.substeps, over.rejected) == (2, 0)
+
+
 def test_eight_halvings_abort_in_the_fallback(monkeypatch):
     # the start field admits 2^8 substeps of 0.012, but the metric contracts
     # to g_min < 0.96 within a few of them, where the limit falls below 0.012

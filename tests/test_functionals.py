@@ -567,9 +567,11 @@ class TestLagrangianDual:
         for name, functional, kind in sorted(PINNED):
             spec, z = PINNED_POINTS[name]
             pt = ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
-            (cert,) = certificates(pt, functional, kind)
+            cert = certificates(pt, functional, kind)
             assert cert.ascent_iterations == 0, (name, functional, kind)
             assert cert.samples == 4
+            # an unbatched point's record holds numpy scalars; the gap tolerance is 1e-12
+            assert cert.tolerance.shape == () and cert.tolerance == 1e-12
             relative = cert.gap / max(1.0, abs(cert.value))
             assert -ROUNDOFF <= relative <= cert.tolerance, (name, functional, kind, cert.gap)
             worst = max(worst, relative)
@@ -586,8 +588,9 @@ class TestLagrangianDual:
         worst = 0.0
         for functional in ("hsc", "rbc0", "rbc1", "rbc2"):
             for kind in ("sup", "inf"):
-                for cert in certificates(pt, functional, kind, starts=1, steps=0):
-                    worst = max(worst, cert.gap / max(1.0, abs(cert.value)))
+                cert = certificates(pt, functional, kind, starts=1, steps=0)
+                worst = max(worst, np.max(cert.gap / np.maximum(1.0, np.abs(cert.value))))
+                assert cert.tolerance.tolist() == [1e-12] * 256
         assert worst <= ROUNDOFF, worst
 
     @pytest.mark.parametrize("name", sorted(PINNED_POINTS))
@@ -596,7 +599,7 @@ class TestLagrangianDual:
     def test_dual_matches_long_ascent(self, name, functional, kind):
         spec, z = PINNED_POINTS[name]
         pt = ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
-        (cert,) = certificates(pt, functional, kind)
+        cert = certificates(pt, functional, kind)
         climbed = ascent_extremum(pt, functional, kind)
         assert abs(cert.value - climbed) <= 1e-12 * max(1.0, abs(climbed))
         assert abs(cert.bound - climbed) <= 1e-12 * max(1.0, abs(climbed))
@@ -614,7 +617,7 @@ class TestLagrangianDual:
         for spec, z, top, bottom in cases:
             pt = ChernPoint.from_spec(spec, np.asarray(z, dtype=complex))
             for kind, want in (("sup", top), ("inf", bottom)):
-                (cert,) = certificates(pt, functional, kind)
+                cert = certificates(pt, functional, kind)
                 assert abs(cert.value - want) <= 1e-12, (spec.name, z, kind, cert.value)
                 assert abs(cert.bound - want) <= 1e-12, (spec.name, z, kind, cert.bound)
                 assert cert.ascent_iterations == 0
@@ -642,27 +645,27 @@ class TestLagrangianDual:
             forms = sample_forms(rng, n, 3 * 60).reshape(3, 60, n, n)
             probes = rbc_forms(pt, forms, TauParam(float(functional[3:]), "target"))
         for k in range(3):
-            low, high = inf[k].bound, sup[k].bound
+            low, high = inf.bound[k], sup.bound[k]
             slack = ROUNDOFF * max(1.0, abs(low), abs(high))
             assert probes[k].max() <= high + slack, (name, functional, k, probes[k].max(), high)
             assert probes[k].min() >= low - slack, (name, functional, k, probes[k].min(), low)
             # the bracket is ordered, open or closed
-            assert low - slack <= inf[k].value <= sup[k].value <= high + slack
+            assert low - slack <= inf.value[k] <= sup.value[k] <= high + slack
             if n <= 2:
-                for cert in (sup[k], inf[k]):
-                    assert cert.gap <= cert.tolerance * max(1.0, abs(cert.value))
-                    assert cert.ascent_iterations == 0
+                for cert in (sup, inf):
+                    assert cert.gap[k] <= cert.tolerance[k] * max(1.0, abs(cert.value[k]))
+                    assert cert.ascent_iterations[k] == 0
 
     def test_open_gaps_run_the_ascent_only_there(self):
         # hopf(3) HSC sup leaves a duality gap; the RBC^0 sup there does not
         spec = builtin_metric("hopf", 3)
         points = spec.region.sample_points(3, np.random.default_rng(2), 2)
         pt = ChernPoint.from_jet(metric_jet(spec, points))
-        for cert in certificates(pt, "hsc", "sup"):
-            assert cert.gap > cert.tolerance and cert.ascent_iterations > 0
-            assert cert.value <= cert.bound
-        for cert in certificates(pt, "rbc0", "sup"):
-            assert cert.gap <= cert.tolerance and cert.ascent_iterations == 0
+        cert = certificates(pt, "hsc", "sup")
+        assert np.all(cert.gap > cert.tolerance) and np.all(cert.ascent_iterations > 0)
+        assert np.all(cert.value <= cert.bound)
+        cert = certificates(pt, "rbc0", "sup")
+        assert np.all(cert.gap <= cert.tolerance) and np.all(cert.ascent_iterations == 0)
 
 
 # ---------------------------------------------------------------------------

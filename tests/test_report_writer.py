@@ -28,8 +28,6 @@ _ARRAY_TEXT = json.dumps(_ARRAY)
 
 def expanded(value):
     """The report object with each per-point table as its list of row dicts."""
-    if isinstance(value, cli._Repeated):
-        return [item for item in expanded(value.column) for _ in range(value.times)]
     if isinstance(value, cli._Table):
         columns = [expanded(column) for column in value.values()]
         return [dict(zip(value, cells)) for cells in zip(*columns)]
@@ -97,7 +95,11 @@ def array_column(draw, rows: int):
 
 @st.composite
 def tables(draw):
-    """A table of one or more rows, with every kind of column, one level nested."""
+    """A table of one or more rows, with every kind of column, one level nested.
+
+    Some array columns repeat each row of a drawn column, as ``np.repeat`` does for the
+    point column of ``gauduchon``'s rows.
+    """
     times = draw(st.sampled_from([1, 1, 2, 3]))
     base = draw(st.sampled_from([1, 1, 2, 5]))
 
@@ -108,7 +110,7 @@ def tables(draw):
     table = cli._Table()
     for key in draw(st.lists(TEXT, min_size=1, max_size=5, unique=True)):
         if times > 1 and draw(st.booleans()):
-            table[key] = cli._Repeated(draw(column(base)), times)
+            table[key] = np.repeat(draw(array_column(base)), times, axis=0)
         else:
             table[key] = draw(column(base * times))
     return table
@@ -191,6 +193,7 @@ def large_float_columns(draw):
 @example(column=np.zeros((1,) + (2,) * 8))
 def test_large_float_columns_format_each_distinct_value_once(column):
     assert column.size >= cli._DISTINCT_MIN_ENTRIES
+    assert cli._shared_cells([column]) == [[json.dumps(row.tolist()) for row in column]]
     assert cli._cells(column, 0) == [json.dumps(row.tolist()) for row in column]
     report = {"rows": cli._Table(value=column, index=list(range(len(column))))}
     assert written(report) == oracle(report)
@@ -198,14 +201,18 @@ def test_large_float_columns_format_each_distinct_value_once(column):
 
 @pytest.mark.parametrize("entries", [255, 256, 257])
 def test_the_distinct_path_starts_at_its_cutoff(monkeypatch, entries):
-    calls, distinct_cells = [], cli._distinct_cells
+    calls, shared_cells = [], cli._shared_cells
 
-    def counted(column):
-        calls.append(column)
-        return distinct_cells(column)
+    def counted(columns):
+        calls.append(columns)
+        return shared_cells(columns)
 
-    monkeypatch.setattr(cli, "_distinct_cells", counted)
+    monkeypatch.setattr(cli, "_shared_cells", counted)
     column = np.tile([0.0, -0.0, 0.1], entries)[:entries]
+    report = {"rows": cli._Table(value=column)}
+    assert written(report) == oracle(report)
+    assert len(calls) == (entries >= cli._DISTINCT_MIN_ENTRIES)
+    # a lone column, outside any table, is cut from one encoder call
     assert cli._cells(column, 0) == [json.dumps(value) for value in column.tolist()]
     assert len(calls) == (entries >= cli._DISTINCT_MIN_ENTRIES)
 

@@ -4,7 +4,9 @@ The float64 columns of one ``_Table`` that reach ``cli._DISTINCT_MIN_ENTRIES``
 entries share one table of distinct values; the written bytes stay those of
 the marker-splice oracle.  A point's rows are the same bytes alone and at any
 position of a stack, also a stack large enough for the shared table and the
-points-last frame changes.
+points-last frame changes: the rows of ``gauduchon --roundtrip``, of ``scan
+--compare`` and of ``scan``'s certificates, whose record is formed for the
+whole stack at once, the ascended ones of hopf(3) included.
 """
 
 import json
@@ -91,21 +93,30 @@ COMMANDS = {
     "gauduchon": (["gauduchon", "--t=-1,0.25,2", "--roundtrip"], 3),
     "scan --compare": (["scan", "--compare"], 1),
 }
+# certificate rows: the batched dual, and on hopf(3) the batched ascent where its gap stays open
+CERTIFICATES = {
+    **{f"hsc {kind}": ["--functional", "hsc", "--kind", kind] for kind in ("sup", "inf")},
+    **{f"rbc tau {tau} {kind}": ["--functional", "rbc", "--tau", tau, "--kind", kind]
+       for tau in ("0", "1", "2") for kind in ("sup", "inf")},
+}
 
 
-@pytest.mark.parametrize("metric", ["builtin:hopf(2)", "builtin:example22"])
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_a_points_rows_keep_their_bytes_in_a_stack(capsys, monkeypatch, metric, command):
-    flags, per_point = COMMANDS[command]
-    base = [flags[0], "--metric", metric, *flags[1:]]
+def assert_rows_keep_their_bytes(capsys, monkeypatch, base, metric, per_point):
+    """A point's rows alone are the bytes of its rows at two positions of a 7- and a 300-point stack.
+
+    Returns the rows of both probe points alone.
+    """
     sampled = run(["curvature", "--metric", metric, "--region", "302", "--seed", "9"], capsys)
     pool = [point_arg(row["point"]) for row in sampled["points"]]
     probes, others = pool[:2], pool[2:]
     shared = []
     monkeypatch.setattr(cli, "_shared_cells", lambda columns, shared_cells=cli._shared_cells: (
         shared.append(len(columns)) or shared_cells(columns)))
+    singles = []
     for probe in probes:
-        alone = row_bytes(run(base + ["--points=" + probe], capsys)["results"])
+        single = run(base + ["--points=" + probe], capsys)["results"]
+        singles += single
+        alone = row_bytes(single)
         assert len(alone) == per_point
         for size, positions in ((7, (1, 5)), (300, (17, 250))):
             stack = others[:size - 2]
@@ -118,3 +129,29 @@ def test_a_points_rows_keep_their_bytes_in_a_stack(capsys, monkeypatch, metric, 
                 assert rows[position * per_point:(position + 1) * per_point] == alone
             # the 300-point stack writes its float columns from one shared table
             assert (max(shared, default=0) >= 2) == (size == 300)
+    return singles
+
+
+@pytest.mark.parametrize("metric", ["builtin:hopf(2)", "builtin:example22"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_points_rows_keep_their_bytes_in_a_stack(capsys, monkeypatch, metric, command):
+    flags, per_point = COMMANDS[command]
+    assert_rows_keep_their_bytes(capsys, monkeypatch, [flags[0], "--metric", metric, *flags[1:]],
+                                 metric, per_point)
+
+
+@pytest.mark.parametrize("metric", ["builtin:hopf(2)", "builtin:example22"])
+@pytest.mark.parametrize("certificate", sorted(CERTIFICATES))
+def test_a_points_certificate_keeps_its_bytes_in_a_stack(capsys, monkeypatch, metric,
+                                                          certificate):
+    base = ["scan", "--metric", metric, *CERTIFICATES[certificate], "--starts", "4"]
+    for row in assert_rows_keep_their_bytes(capsys, monkeypatch, base, metric, 1):
+        assert row["tolerance"] == 1e-12 and row["ascent_iterations"] == 0
+
+
+def test_a_points_ascended_certificate_keeps_its_bytes_in_a_stack(capsys, monkeypatch):
+    # hopf(3) HSC sup keeps a duality gap open: each row's starts run the ascent
+    base = ["scan", "--metric", "builtin:hopf(3)", "--functional", "hsc", "--kind", "sup",
+            "--starts", "4", "--ascent-steps", "10", "--seed", "5"]
+    for row in assert_rows_keep_their_bytes(capsys, monkeypatch, base, "builtin:hopf(3)", 1):
+        assert row["ascent_iterations"] > 0 and row["gap"] > row["tolerance"]

@@ -767,7 +767,10 @@ def test_empty_point_stacks_give_empty_results(name, stack):
     point = ChernPoint.from_spec(spec, z)
     assert point.curvature.shape == stack + (n,) * 4
     assert comparison_deviation(point).shape == stack
-    assert hsc_certificates(point, "sup") == []
-    assert rbc_certificates(point, TauParam(1.0, "target"), "inf") == []
+    # the certificate records have zero-length fields: the stack's axes, then the witness's
+    for cert, witness in ((hsc_certificates(point, "sup"), (n,)),
+                          (rbc_certificates(point, TauParam(1.0, "target"), "inf"), (n, n))):
+        assert {name: field.shape for name, field in vars(cert).items()} == {
+            name: stack + (witness if name == "witness" else ()) for name in vars(cert)}
     identity = HoloMap.parse([f"z{k + 1}" for k in range(n)], n)
     assert laplacian_identity_report(spec, spec, identity, z).relative_residual.shape == stack
